@@ -19,6 +19,7 @@ from repro.core.ordering import order_rows
 from repro.errors import (
     AlgorithmError,
     DependentPartitionError,
+    NoModesError,
     ReversibleIdentityError,
 )
 from repro.linalg.numeric import kernel_identity_form
@@ -131,7 +132,11 @@ def problem_from_matrices(
     force_last: Sequence[str] = (),
     free_hint: Sequence[str] = (),
 ) -> NullspaceProblem:
-    """Prepare a problem from a raw stoichiometry (input column order)."""
+    """Prepare a problem from a raw stoichiometry (input column order).
+
+    Raises :class:`~repro.errors.NoModesError` when the stoichiometry has
+    full column rank (no modes exist).
+    """
     n = np.asarray(n, dtype=np.float64)
     reversible = np.asarray(reversible, dtype=bool)
     names = tuple(names)
@@ -164,12 +169,10 @@ def problem_from_matrices(
     pivot_priority[force_idx] = -2
     pivot_priority[[names.index(f) for f in free_hint]] = 1  # scan last -> free
 
-    kernel0, col_perm = kernel_identity_form(
-        n, exact=True, policy=options.policy, pivot_priority=pivot_priority
-    )
+    kernel0, col_perm = kernel_identity_form(n, pivot_priority=pivot_priority)
     n_free = kernel0.shape[1]
     if n_free == 0:
-        raise AlgorithmError("stoichiometry has a trivial nullspace: no modes exist")
+        raise NoModesError("stoichiometry has a trivial nullspace: no modes exist")
     free_names = {names[int(c)] for c in col_perm[:n_free]}
     forced_free = [f for f in force_last if f in free_names and reversible[names.index(f)]]
     if forced_free:

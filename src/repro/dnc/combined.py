@@ -51,6 +51,7 @@ from repro.engine.context import RunContext
 from repro.errors import (
     AlgorithmError,
     DependentPartitionError,
+    NoModesError,
     OutOfMemoryError,
     PartitionError,
     ReversibleIdentityError,
@@ -298,21 +299,19 @@ def prepare_subset(
             rec = split_reversible(work_net, exc.reactions)
             split_rec = rec if split_rec is None else _compose_splits(split_rec, rec)
             work_net = rec.split
-        except AlgorithmError as exc:
-            if "trivial nullspace" in str(exc):
-                # The shrunken network admits no flux at all: empty subset.
-                return PreparedSubset(
-                    spec=spec,
-                    reduced=reduced,
-                    problem=None,
-                    stop=0,
-                    fallback=False,
-                    split_rec=None,
-                    src=sub,
-                    force_last=tuple(force_last),
-                    col_ids=None,
-                )
-            raise
+        except NoModesError:
+            # The shrunken network admits no flux at all: empty subset.
+            return PreparedSubset(
+                spec=spec,
+                reduced=reduced,
+                problem=None,
+                stop=0,
+                fallback=False,
+                split_rec=None,
+                src=sub,
+                force_last=tuple(force_last),
+                col_ids=None,
+            )
     else:  # pragma: no cover - each retry strictly reduces failure modes
         raise PartitionError(f"subset {spec.label()}: splitting did not converge")
 

@@ -11,7 +11,7 @@ zero, compression-time singleton EFMs appended).
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -26,7 +26,12 @@ from repro.engine.context import RunContext
 from repro.dnc.selection import SelectionMethod, select_partition_reactions
 from repro.efm.result import EFMResult
 from repro.efm.splitting import SplitRecord, split_reversible
-from repro.errors import AlgorithmError, PartitionError, ReversibleIdentityError
+from repro.errors import (
+    AlgorithmError,
+    NoModesError,
+    PartitionError,
+    ReversibleIdentityError,
+)
 from repro.mpi.spmd import BackendName
 from repro.network.compression import CompressionRecord, compress_network
 from repro.network.model import MetabolicNetwork
@@ -104,6 +109,10 @@ def compute_efms(
     EFMResult
         Modes in the original network's reaction order.
     """
+    if method not in get_args(Method):
+        raise AlgorithmError(f"unknown method {method!r}")
+    if method == "serial" and n_ranks != 1:
+        raise AlgorithmError("serial method runs on exactly 1 rank")
     ctx = context if context is not None else RunContext(
         options=options,
         memory_model=memory_model,
@@ -117,82 +126,84 @@ def compute_efms(
     reduced = rec.reduced
 
     meta: dict = {"compression": rec.summary(), "backend": backend}
-    if reduced.n_reactions == 0:
-        efms_reduced = np.zeros((0, 0))
-        stats = None
-    elif method == "combined":
-        part = _resolve_partition(reduced, partition, partition_method, options)
-        meta["partition"] = part
-        run = combined_parallel(
-            reduced,
-            part,
-            n_ranks,
-            backend=backend,
-            pair_strategy=pair_strategy,
-            executor=executor,
-            max_workers=max_workers,
-            schedule=schedule,
-            on_oom=on_oom,
-            context=ctx,
-        )
-        if not run.complete:
-            failed = [s.spec.label() for s in run.subsets if not s.completed]
-            raise AlgorithmError(
-                f"divide-and-conquer subsets exceeded memory: {failed}; use "
-                "on_oom='degrade' to fall back to the checkpointed serial "
-                "path, or repro.dnc.adaptive.adaptive_combined for automatic "
-                "refinement"
-            )
-        efms_reduced = run.efms()
-        stats = None
-        meta["executor"] = executor
-        meta["scheduler"] = run.meta
-        meta["subsets"] = [
-            (s.spec.label(), s.n_efms, s.n_candidates) for s in run.subsets
-        ]
-        meta["total_candidates"] = run.total_candidates
-    else:
-        problem, split_rec = build_problem_with_split(reduced, options, auto_split)
-        if method == "serial":
-            if n_ranks != 1:
-                raise AlgorithmError("serial method runs on exactly 1 rank")
-            if ctx.checkpoint_path is not None:
-                from repro.core.checkpoint import (  # noqa: PLC0415
-                    checkpointed_nullspace_algorithm,
-                )
-
-                res = checkpointed_nullspace_algorithm(problem, context=ctx)
-            else:
-                res = nullspace_algorithm(problem, context=ctx)
-            efms_work = res.efms_input_order()
-            stats = res.stats
-        elif method == "parallel":
-            run = combinatorial_parallel(
-                problem,
+    # A reduced network without reactions, or whose kernel construction
+    # reports a trivial nullspace, admits no steady-state flux: its mode set
+    # is empty and only the compression singletons below remain.
+    efms_reduced = np.zeros((0, reduced.n_reactions))
+    stats = None
+    try:
+        if reduced.n_reactions == 0:
+            pass
+        elif method == "combined":
+            part = _resolve_partition(reduced, partition, partition_method, options)
+            meta["partition"] = part
+            run = combined_parallel(
+                reduced,
+                part,
                 n_ranks,
                 backend=backend,
                 pair_strategy=pair_strategy,
+                executor=executor,
+                max_workers=max_workers,
+                schedule=schedule,
+                on_oom=on_oom,
                 context=ctx,
             )
-            efms_work = run.result.efms_input_order()
-            stats = run.stats
-        elif method == "distributed":
-            drun = distributed_parallel(
-                problem, n_ranks, backend=backend, context=ctx
-            )
-            efms_work = drun.efms_input_order()
-            stats = drun.rank_stats[0]
-            for s in drun.rank_stats[1:]:
-                stats = stats.merged_with(s)
+            if not run.complete:
+                failed = [s.spec.label() for s in run.subsets if not s.completed]
+                raise AlgorithmError(
+                    f"divide-and-conquer subsets exceeded memory: {failed}; use "
+                    "on_oom='degrade' to fall back to the checkpointed serial "
+                    "path, or repro.dnc.adaptive.adaptive_combined for automatic "
+                    "refinement"
+                )
+            efms_reduced = run.efms()
+            meta["executor"] = executor
+            meta["scheduler"] = run.meta
+            meta["subsets"] = [
+                (s.spec.label(), s.n_efms, s.n_candidates) for s in run.subsets
+            ]
+            meta["total_candidates"] = run.total_candidates
         else:
-            raise AlgorithmError(f"unknown method {method!r}")
-        if split_rec is not None:
-            meta["split"] = split_rec.split_names
-            efms_reduced = _reorder_to(
-                split_rec.fold_modes(efms_work), split_rec.original, reduced
-            )
-        else:
-            efms_reduced = efms_work
+            problem, split_rec = build_problem_with_split(reduced, options, auto_split)
+            if method == "serial":
+                if ctx.checkpoint_path is not None:
+                    from repro.core.checkpoint import (  # noqa: PLC0415
+                        checkpointed_nullspace_algorithm,
+                    )
+
+                    res = checkpointed_nullspace_algorithm(problem, context=ctx)
+                else:
+                    res = nullspace_algorithm(problem, context=ctx)
+                efms_work = res.efms_input_order()
+                stats = res.stats
+            elif method == "parallel":
+                run = combinatorial_parallel(
+                    problem,
+                    n_ranks,
+                    backend=backend,
+                    pair_strategy=pair_strategy,
+                    context=ctx,
+                )
+                efms_work = run.result.efms_input_order()
+                stats = run.stats
+            else:
+                drun = distributed_parallel(
+                    problem, n_ranks, backend=backend, context=ctx
+                )
+                efms_work = drun.efms_input_order()
+                stats = drun.rank_stats[0]
+                for s in drun.rank_stats[1:]:
+                    stats = stats.merged_with(s)
+            if split_rec is not None:
+                meta["split"] = split_rec.split_names
+                efms_reduced = _reorder_to(
+                    split_rec.fold_modes(efms_work), split_rec.original, reduced
+                )
+            else:
+                efms_reduced = efms_work
+    except NoModesError:
+        pass
 
     # Expand to the original reaction space and append singleton EFMs.
     if efms_reduced.size:

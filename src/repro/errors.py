@@ -32,6 +32,13 @@ class AlgorithmError(ReproError):
     """The Nullspace Algorithm reached an invalid internal state."""
 
 
+class NoModesError(AlgorithmError):
+    """The stoichiometry has a trivial nullspace, so no steady-state flux
+    and no elementary mode exists.  An outcome, not a failure:
+    :func:`repro.efm.compute_efms` returns an empty result and the
+    divide-and-conquer driver records an empty subset."""
+
+
 class ReversibleIdentityError(AlgorithmError):
     """Reversible reactions would land in the kernel's identity block.
 

@@ -150,30 +150,39 @@ def integerize(n_perm: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def int_kernel(n_int: np.ndarray) -> tuple[int, np.ndarray]:
+def int_kernel(n_int: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Exact integer nullspace basis via Montante (fraction-free
     Gauss-Jordan) elimination.
 
-    Returns ``(rank, B)`` with ``B`` an int64 ``(q, d)`` basis of the
-    rational nullspace, each column divided by its gcd (essential: the
-    delta-scaled construction leaves common factors that would amplify
-    Bareiss minors exponentially downstream).  Raises ``OverflowError``
-    when intermediates threaten the int64 envelope.
+    Returns ``(pivots, B)``: the pivot columns (the leftmost independent
+    columns, so ``len(pivots)`` is the rank) and a ``(q, d)`` basis of the
+    rational nullspace parametrized by the free columns — column ``k`` is
+    zero on every free column except the ``k``-th — each column divided by
+    its gcd (essential: the delta-scaled construction leaves common factors
+    that would amplify Bareiss minors exponentially downstream).
+
+    int64 input raises ``OverflowError`` when entries or intermediates
+    threaten the int64 envelope; ``object``-dtype (Python int) input runs
+    the same elimination without a bound.
     """
     m, q = n_int.shape
-    A = n_int.astype(np.int64).copy()
+    bounded = n_int.dtype != object
+    A = n_int.astype(np.int64 if bounded else object)
+    if bounded and A.size and np.abs(A).max() >= INT_KERNEL_GUARD:
+        raise OverflowError("Montante input exceeds int64 envelope")
     piv_cols: list[int] = []
     prev = 1
     r = 0
     for j in range(q):
-        col = A[r:, j]
-        nz = np.nonzero(col)[0]
+        if r == m:
+            break
+        nz = np.flatnonzero(A[r:, j])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        pv = int(A[r, j])
+        pv = A[r, j]
         f = A[:, j].copy()
         f[r] = 0
         # Montante step: update every row except the pivot row, which is
@@ -183,25 +192,31 @@ def int_kernel(n_int: np.ndarray) -> tuple[int, np.ndarray]:
         upd //= prev
         upd[r] = A[r]
         A = upd
-        if np.abs(A).max() > INT_KERNEL_GUARD:
+        if bounded and np.abs(A).max() >= INT_KERNEL_GUARD:
             raise OverflowError("Montante kernel basis exceeds int64 envelope")
         prev = pv
         piv_cols.append(j)
         r += 1
-        if r == m:
-            break
-    free = [j for j in range(q) if j not in piv_cols]
-    B = np.zeros((q, len(free)), dtype=np.int64)
-    delta = prev
-    for jj, fj in enumerate(free):
-        B[fj, jj] = delta
-        for i, pj in enumerate(piv_cols):
-            B[pj, jj] = -int(A[i, fj]) * delta // int(A[i, pj])
-    for jj in range(B.shape[1]):
-        g = int(np.gcd.reduce(np.abs(B[:, jj])))
-        if g > 1:
-            B[:, jj] //= g
-    return r, B
+    # Every pivot entry now equals the final pivot ``delta`` and each pivot
+    # column is zero off its own row, so the kernel reads straight off the
+    # eliminated rows: x[free] = delta, x[pivot_i] = -A[i, free].
+    is_free = np.ones(q, dtype=bool)
+    is_free[piv_cols] = False
+    free = np.flatnonzero(is_free)
+    B = np.zeros((q, free.size), dtype=A.dtype)
+    B[free, np.arange(free.size)] = prev
+    B[piv_cols, :] = -A[:r][:, free]
+    return piv_cols, gcd_reduce_columns(B)
+
+
+def gcd_reduce_columns(B: np.ndarray) -> np.ndarray:
+    """Divide each column of an integer matrix by the gcd of its entries,
+    in place (all-zero columns are left alone)."""
+    if B.size:
+        g = np.gcd.reduce(B, axis=0)
+        g[g == 0] = 1
+        B //= g
+    return B
 
 
 def _verify_kernel(n_int: np.ndarray, B: np.ndarray) -> bool:
@@ -253,7 +268,7 @@ class ModularProblem:
             return
         self.n_int = n_int
         try:
-            rank, B = int_kernel(n_int)
+            pivots, B = int_kernel(n_int)
         except OverflowError:
             # Exact basis out of reach; the residue arm rebuilds per-prime
             # bases on demand.  Rank/d are pinned by the first usable prime.
@@ -265,7 +280,7 @@ class ModularProblem:
         if not _verify_kernel(n_int, B):
             self.reason = "kernel verification failed"
             return
-        self.rank = rank
+        self.rank = len(pivots)
         self.d = B.shape[1]
         self.bt = np.ascontiguousarray(B.T, dtype=np.float64)
         self.ok = True

@@ -1,18 +1,21 @@
 """Tolerant floating-point linear algebra for the enumeration inner loop.
 
-Everything here is vectorized numpy on float64.  Exactness-critical one-off
-steps (the initial kernel) delegate to :mod:`repro.linalg.rational` and then
-round; per-candidate steps (support extraction, rank tests) use tolerances
+Everything here is vectorized numpy on float64.  The exactness-critical
+one-off step — the initial ``(I; R)`` kernel — is built by fraction-free
+integer elimination (:mod:`repro.linalg.modular`) and converted to float
+once; per-candidate steps (support extraction, rank tests) use tolerances
 from :class:`repro.config.NumericPolicy`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.config import DEFAULT_POLICY, NumericPolicy
 from repro.errors import LinAlgError
-from repro.linalg import rational
+from repro.linalg import modular, rational
 
 
 def column_normalize(cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -80,8 +83,6 @@ def nullity(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
 def kernel_identity_form(
     n: np.ndarray,
     *,
-    exact: bool = True,
-    policy: NumericPolicy = DEFAULT_POLICY,
     pivot_priority: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial nullspace matrix of ``n`` in the paper's ``(I; R)`` form.
@@ -105,73 +106,97 @@ def kernel_identity_form(
 
     ``pivot_priority`` (integer, one entry per column; lower scans earlier)
     biases which columns become *pivots* (and thus land in the processed
-    ``R2`` block): RREF takes the leftmost independent columns as pivots,
-    so low-priority-value columns are preferred.  The Nullspace Algorithm
+    ``R2`` block): elimination takes the leftmost independent columns as
+    pivots, so low-priority-value columns are preferred.  The Nullspace Algorithm
     requires every reversible reaction to be a pivot — a reversible
     reaction in the identity block would never be processed and its
     negative-flux EFMs would be silently lost — so callers pass priority
     ``-1`` for reversible reactions (and ``+1`` for columns they want kept
     free, e.g. to reproduce the paper's worked example).
 
-    With ``exact=True`` (default) the echelon reduction runs in rational
-    arithmetic and the result is integerized column-wise before conversion
-    to float; the float fallback uses SVD-based pivot detection.
+    The construction is exact: the stoichiometry is rescaled column by
+    column to integers (:func:`_integer_columns`) and eliminated once, in
+    scan order, by fraction-free Montante elimination
+    (:func:`repro.linalg.modular.int_kernel`; rerun on Python integers when
+    int64 would overflow).  Each kernel row is multiplied back by its
+    column scale and each column reduced to the coprime integer vector
+    whose free entry is positive, then converted to float.  The basis
+    parametrized by a fixed free set is unique, so this equals the
+    column-integerized RREF nullspace of the rational matrix.
     """
     if n.ndim != 2:
         raise LinAlgError("kernel_identity_form expects a 2-D stoichiometry")
     q = n.shape[1]
-    if exact:
-        if pivot_priority is not None:
-            prio = np.asarray(pivot_priority)
-            if prio.shape != (q,):
-                raise LinAlgError("pivot_priority length mismatch")
-            # Stable sort: low priority scans first and RREF's
-            # leftmost-independent pivot rule picks those as pivots.
-            scan_order = np.argsort(prio, kind="stable").astype(np.intp)
-        else:
-            scan_order = np.arange(q, dtype=np.intp)
-        nf = np.asarray(n, dtype=np.float64)
-        fm = rational.from_numpy(nf[:, scan_order])
-        _, pivots_scan = rational.rref(fm)
-        pivots = sorted(int(scan_order[p]) for p in pivots_scan)
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(q) if c not in pivot_set]
-        # Permuted order: free (identity-part) reactions first, pivots after.
-        col_perm = np.array(free_cols + pivots, dtype=np.intp)
-        n_free = len(free_cols)
-        # Parametrize the nullspace with *our* free set: scanning the
-        # chosen pivots first forces RREF to use exactly them as pivots,
-        # making the trailing columns the free variables.
-        scan2 = np.array(pivots + free_cols, dtype=np.intp)
-        basis2 = rational.exact_nullspace(rational.from_numpy(nf[:, scan2]))
-        ints = rational.integerize_columns(basis2)
-        arr2 = np.array(ints, dtype=np.float64).reshape(q, n_free)
-        # Rows of arr2 follow scan2 order; reorder to col_perm order
-        # (free block on top -> literal (I; R) shape up to column scaling).
-        pos_in_scan2 = {int(c): i for i, c in enumerate(scan2)}
-        kernel = arr2[[pos_in_scan2[int(c)] for c in col_perm], :]
+    if pivot_priority is not None:
+        prio = np.asarray(pivot_priority)
+        if prio.shape != (q,):
+            raise LinAlgError("pivot_priority length mismatch")
+        # Stable sort: low priority scans first and the elimination's
+        # leftmost-independent pivot rule picks those as pivots.
+        scan_order = np.argsort(prio, kind="stable").astype(np.intp)
     else:
-        basis = _float_nullspace(np.asarray(n, dtype=np.float64), policy)
-        n_free = basis.shape[1]
-        # Choose identity rows greedily: rows whose sub-block is best
-        # conditioned.  Simple approach: QR with column pivoting on basisᵀ.
-        _, _, piv = _qr_pivot(basis.T)
-        top = piv[:n_free]
-        rest = np.array([i for i in range(q) if i not in set(top.tolist())], dtype=np.intp)
-        col_perm = np.concatenate([top, rest])
-        block = basis[top, :]
-        kernel = np.concatenate(
-            [np.eye(n_free), basis[rest, :] @ np.linalg.inv(block)], axis=0
+        scan_order = np.arange(q, dtype=np.intp)
+    nf = np.asarray(n, dtype=np.float64)
+    a_int, scales = _integer_columns(nf[:, scan_order])
+    try:
+        pivots_scan, basis = modular.int_kernel(a_int)
+    except OverflowError:
+        pivots_scan, basis = modular.int_kernel(a_int.astype(object))
+    if any(s != 1 for s in scales):
+        # ker(n) = diag(scales) · ker(n · diag(scales)).
+        basis = modular.gcd_reduce_columns(
+            basis.astype(object) * np.array(scales, dtype=object)[:, None]
         )
+    is_free = np.ones(q, dtype=bool)
+    is_free[pivots_scan] = False
+    free_scan = np.flatnonzero(is_free)
+    flip = basis[free_scan, np.arange(free_scan.size)] < 0
+    basis[:, flip] = -basis[:, flip]
+    # Permuted order: free (identity-part) reactions first, pivots after,
+    # each block in input column order; kernel columns follow the free
+    # reactions in the same order.
+    free_cols = scan_order[free_scan]
+    col_perm = np.concatenate(
+        [np.sort(free_cols), np.sort(scan_order[pivots_scan])]
+    ).astype(np.intp)
+    scan_pos = np.empty(q, dtype=np.intp)
+    scan_pos[scan_order] = np.arange(q)
+    kernel = basis[scan_pos[col_perm]][:, np.argsort(free_cols)].astype(np.float64)
     # Sanity: permuted stoichiometry annihilates the kernel.
-    if kernel.size:
-        resid = np.abs(np.asarray(n, dtype=np.float64)[:, col_perm] @ kernel)
-        scale = max(1.0, float(np.abs(kernel).max()), float(np.abs(n).max()))
-        if resid.size and resid.max() > 1e-6 * scale:
+    resid = np.abs(nf[:, col_perm] @ kernel)
+    if resid.size:
+        scale = max(1.0, float(np.abs(kernel).max()), float(np.abs(nf).max()))
+        if resid.max() > 1e-6 * scale:
             raise LinAlgError(
                 f"kernel residual too large: {resid.max():.3e} (scale {scale:.3e})"
             )
     return kernel, col_perm
+
+
+def _integer_columns(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Exact integer column rescale ``(a_int, scales)`` of a float matrix:
+    ``a_int[:, j] == a[:, j] * scales[j]`` over the rationals.
+
+    Integral columns pass through ``np.rint`` with scale 1.  Columns with a
+    non-integral entry read every entry with
+    :func:`repro.linalg.rational.float_to_fraction` and scale by the lcm of
+    the denominators.  The result is int64 when it fits the Montante guard,
+    else Python ints (``object`` dtype).
+    """
+    r = np.rint(a)
+    scales = [1] * a.shape[1]
+    frac_cols = np.flatnonzero((a != r).any(axis=0))
+    if not frac_cols.size and (not r.size or np.abs(r).max() < modular.INT_KERNEL_GUARD):
+        return r.astype(np.int64), scales
+    out = np.array([[int(x) for x in row] for row in r.tolist()], dtype=object)
+    out = out.reshape(a.shape)
+    for j in frac_cols.tolist():
+        col = [rational.float_to_fraction(x) for x in a[:, j].tolist()]
+        scales[j] = math.lcm(*(f.denominator for f in col))
+        out[:, j] = np.array([int(f * scales[j]) for f in col], dtype=object)
+    if np.abs(out).max() < modular.INT_KERNEL_GUARD:
+        out = out.astype(np.int64)
+    return out, scales
 
 
 def _float_nullspace(a: np.ndarray, policy: NumericPolicy) -> np.ndarray:
@@ -182,15 +207,6 @@ def _float_nullspace(a: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     cutoff = policy.rank_tol * (s[0] if s.size else 0.0) * max(a.shape)
     rank = int(np.count_nonzero(s > cutoff))
     return vh[rank:].T.copy()
-
-
-def _qr_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """QR with column pivoting via scipy; lazy import keeps scipy optional
-    on the hot path."""
-    import scipy.linalg  # noqa: PLC0415
-
-    qm, rm, piv = scipy.linalg.qr(a, pivoting=True, mode="economic")
-    return qm, rm, np.asarray(piv, dtype=np.intp)
 
 
 def gcd_reduce_rows(mat: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Exact rational linear algebra over ``fractions.Fraction``.
 
-The Nullspace Algorithm needs an initial nullspace basis in the special
-``(I; R)`` form (identity block on top).  Computing that basis in exact
-arithmetic avoids seeding the whole enumeration with rounding noise: the
-stoichiometric coefficients of real metabolic models are rationals (the
+Stoichiometric coefficients of real metabolic models are rationals (the
 yeast biomass reaction R70 has coefficients up to 40141), and a float RREF
-can misclassify near-zero pivots.  These routines are O(n^3) with big-int
-coefficient growth — fine for the one-off kernel computation and for
-verifying small networks, far too slow for the inner enumeration loop
-(which uses :mod:`repro.linalg.numeric`).
+can misclassify near-zero pivots.  These routines answer rank and
+nullspace questions exactly, at O(n^3) cost with big-int coefficient
+growth — fine for the ``arithmetic="exact"`` rank test and for verifying
+small networks, far too slow for the inner enumeration loop (which uses
+:mod:`repro.linalg.numeric`).  The initial ``(I; R)`` kernel is built by
+fraction-free integer elimination instead
+(:func:`repro.linalg.numeric.kernel_identity_form`); this module only
+supplies its float-to-rational reading (:func:`float_to_fraction`).
 
 Matrices are represented as list-of-rows of :class:`fractions.Fraction`.
 """
@@ -26,11 +27,23 @@ from repro.errors import LinAlgError
 FractionMatrix = list[list[Fraction]]
 
 
+def float_to_fraction(x: float) -> Fraction:
+    """Exact rational reading of a float: the nearest fraction with
+    denominator at most 10**6 when it lies within 1e-12, else the float's
+    exact binary value.  Integral floats convert losslessly.
+
+    Floats arising from small rationals get cleaned up; the heuristic is
+    exact for every stoichiometric model shipped with the package (all
+    coefficients are n/2 at worst).
+    """
+    f = Fraction(x)
+    limited = f.limit_denominator(10**6)
+    return limited if abs(limited - f) < Fraction(1, 10**12) else f
+
+
 def to_fraction_matrix(a: Iterable[Iterable[object]]) -> FractionMatrix:
     """Convert a nested iterable (ints, floats, strings, Fractions) to an
-    exact matrix.  Floats are converted via ``Fraction(x).limit_denominator``
-    only when they are not exactly representable small rationals; integral
-    floats convert losslessly."""
+    exact matrix; floats follow :func:`float_to_fraction`."""
     out: FractionMatrix = []
     for row in a:
         frow: list[Fraction] = []
@@ -40,12 +53,7 @@ def to_fraction_matrix(a: Iterable[Iterable[object]]) -> FractionMatrix:
             elif isinstance(x, (int, np.integer)):
                 frow.append(Fraction(int(x)))
             elif isinstance(x, (float, np.floating)):
-                f = Fraction(float(x))
-                # Floats arising from small rationals get cleaned up; the
-                # heuristic is exact for every stoichiometric model shipped
-                # with the package (all coefficients are n/2 at worst).
-                limited = f.limit_denominator(10**6)
-                frow.append(limited if abs(limited - f) < Fraction(1, 10**12) else f)
+                frow.append(float_to_fraction(float(x)))
             else:
                 frow.append(Fraction(x))  # type: ignore[arg-type]
         out.append(frow)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import AlgorithmOptions
 from repro.core.kernel import build_problem, problem_from_matrices
-from repro.errors import AlgorithmError, ReversibleIdentityError
+from repro.errors import AlgorithmError, NoModesError, ReversibleIdentityError
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
 from repro.network.stoichiometry import stoichiometric_matrix
@@ -124,7 +124,7 @@ class TestProblemFromMatrices:
 
     def test_trivial_nullspace(self):
         n = np.eye(3)
-        with pytest.raises(AlgorithmError, match="trivial nullspace"):
+        with pytest.raises(NoModesError, match="trivial nullspace"):
             problem_from_matrices(n, np.zeros(3, dtype=bool), ["a", "b", "c"])
 
     def test_matches_build_problem(self, toy_record):

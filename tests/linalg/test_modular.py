@@ -81,7 +81,8 @@ class TestIntKernel:
     def test_exact_nullspace_of_random_integer_matrices(self, seed):
         rng = np.random.default_rng(seed)
         n = rng.integers(-5, 6, size=(4, 9))
-        rank, B = int_kernel(n)
+        pivots, B = int_kernel(n)
+        rank = len(pivots)
         assert rank == np.linalg.matrix_rank(n.astype(float))
         assert B.shape == (9, 9 - rank)
         assert not np.any(n @ B)  # exact annihilation
@@ -89,8 +90,8 @@ class TestIntKernel:
 
     def test_rank_deficient_input(self):
         n = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
-        rank, B = int_kernel(n)
-        assert rank == 1
+        pivots, B = int_kernel(n)
+        assert pivots == [0]
         assert B.shape == (3, 2)
         assert not np.any(n @ B)
 
@@ -105,6 +106,19 @@ class TestIntKernel:
         n = rng.integers(-(2**30), 2**30, size=(5, 10))
         with pytest.raises(OverflowError):
             int_kernel(n)
+
+    def test_python_int_input_matches_int64_and_is_unbounded(self):
+        rng = np.random.default_rng(1)
+        n = rng.integers(-5, 6, size=(4, 9))
+        pivots, B = int_kernel(n)
+        pivots_obj, B_obj = int_kernel(n.astype(object))
+        assert pivots_obj == pivots
+        assert B_obj.dtype == object
+        assert np.array_equal(B_obj.astype(np.int64), B)
+        huge = rng.integers(-(2**30), 2**30, size=(5, 10)).astype(object)
+        pivots, B = int_kernel(huge)
+        assert len(pivots) == 5 and B.shape == (10, 5)
+        assert not np.any(huge @ B)
 
 
 class TestKernelModP:

@@ -101,3 +101,21 @@ def test_compression_preserves_efms(params):
     compressed = compute_efms(net, compress=True)
     uncompressed = compute_efms(net, compress=False)
     assert compressed.same_modes_as(uncompressed)
+
+
+@pytest.mark.parametrize(
+    "method, n_ranks", [("serial", 1), ("parallel", 2), ("distributed", 2)]
+)
+def test_network_without_modes_gives_empty_result(method, n_ranks):
+    # Falsifying example of test_compression_preserves_efms: compression
+    # leaves no flux, and the uncompressed stoichiometry has full column
+    # rank, so kernel construction reports NoModesError.
+    net = random_network(
+        n_metabolites=6, n_reactions=6, seed=475, reversible_fraction=0.3
+    )
+    compressed = compute_efms(net, compress=True)
+    uncompressed = compute_efms(
+        net, compress=False, method=method, n_ranks=n_ranks
+    )
+    assert uncompressed.n_efms == compressed.n_efms == 0
+    assert compressed.same_modes_as(uncompressed)
