@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.config import AlgorithmOptions
-from repro.core.candidates import full_range, generate_candidates
+from repro.core.candidates import full_range, survivor_chunks
 from repro.core.ranktest import rank_test
-from repro.core.state import ModeMatrix
+from repro.core.state import ModeMatrix, canonical_support_mask
 from repro.core.stats import IterationStats
 from repro.linalg import bitset
 from repro.models.variants import yeast_1_small
@@ -38,6 +38,21 @@ def medium_modes(yeast1_small_problem):
     return problem, best_k, res.modes
 
 
+def _survivor_chunks(problem, k, modes):
+    """Every generation survivor chunk of row ``k`` (the candidate phase's
+    front-end: pair enumeration, zone maps, union-popcount prefilter)."""
+    col = modes.column(k)
+    pos = np.nonzero(col > 0)[0]
+    neg = np.nonzero(col < 0)[0]
+    stats = IterationStats(position=k, reaction="x", reversible=False)
+    return list(
+        survivor_chunks(
+            modes, k, pos, neg, full_range(pos.size * neg.size),
+            problem.rank, AlgorithmOptions(), stats,
+        )
+    )
+
+
 def test_bench_pair_generation(benchmark, medium_modes):
     problem, k, modes = medium_modes
     col = modes.column(k)
@@ -47,26 +62,22 @@ def test_bench_pair_generation(benchmark, medium_modes):
     assert n_pairs > 0
 
     def gen():
-        stats = IterationStats(position=k, reaction="x", reversible=False)
-        return generate_candidates(
-            modes, k, pos, neg, full_range(n_pairs), problem.rank,
-            AlgorithmOptions(), stats,
-        )
+        # Generation through support extraction, as the candidate phase
+        # runs it for float modes.
+        return [
+            bitset.pack_support_rows(canonical_support_mask(raw, modes.policy))
+            for _, _, raw, _ in _survivor_chunks(problem, k, modes)
+        ]
 
-    cand = benchmark(gen)
-    assert cand.n_modes >= 0
+    words = benchmark(gen)
+    assert sum(w.shape[0] for w in words) >= 0
 
 
 def test_bench_rank_test(benchmark, medium_modes):
     problem, k, modes = medium_modes
-    col = modes.column(k)
-    pos = np.nonzero(col > 0)[0]
-    neg = np.nonzero(col < 0)[0]
-    stats = IterationStats(position=k, reaction="x", reversible=False)
-    cand = generate_candidates(
-        modes, k, pos, neg, full_range(pos.size * neg.size), problem.rank,
-        AlgorithmOptions(), stats,
-    ).dedup()
+    chunks = _survivor_chunks(problem, k, modes)
+    assert chunks
+    cand = ModeMatrix(np.concatenate([raw for _, _, raw, _ in chunks])).dedup()
     assert cand.n_modes > 0
     accept = benchmark(
         lambda: rank_test(cand, problem.n_perm, problem.rank)

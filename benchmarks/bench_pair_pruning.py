@@ -17,7 +17,7 @@ here and property-tested in ``tests/core/test_pair_pruning_parity.py``).
 Aggregation: each arm runs ``REPRO_BENCH_REPS`` times and every
 iteration keeps its **minimum** ``t_gen_cand`` across reps — the
 standard scheduler-noise rejection for the sub-millisecond per-iteration
-windows of this toy scale (cf. ``bench_candidate_pipeline``).
+windows of this toy scale.
 
 Asserted metrics:
 

@@ -19,7 +19,7 @@ DEFAULT_ZERO_TOL: float = 1e-9
 #: Default tolerance for SVD-based rank decisions (scaled by matrix norm).
 DEFAULT_RANK_TOL: float = 1e-8
 
-#: Number of candidate pairs materialized per vectorized generation chunk.
+#: Upper bound on the candidate pairs of one vectorized generation chunk.
 #: Bounds peak memory of candidate generation: a chunk allocates
 #: ``chunk_size * n_rows`` float64 values plus the packed supports.
 DEFAULT_PAIR_CHUNK: int = 65536
@@ -30,17 +30,8 @@ OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
 ]
 RankBackend = Literal["modular", "batched", "loop"]
-CandidatePipeline = Literal["deferred", "eager"]
 PairPruning = Literal["tiles", "none"]
 WireProtocol = Literal["typed", "pickle"]
-IterStreaming = Literal["on", "off"]
-
-
-def _default_candidate_pipeline() -> str:
-    """Session-wide pipeline default, overridable via the environment so a
-    whole test run can be flipped to the eager parity reference (the CI
-    ``candidate-pipeline`` matrix leg sets ``REPRO_CANDIDATE_PIPELINE=eager``)."""
-    return os.environ.get("REPRO_CANDIDATE_PIPELINE", "deferred")
 
 
 def _default_wire_protocol() -> str:
@@ -55,25 +46,6 @@ def _default_comm_timeout() -> float:
     overridable via ``REPRO_COMM_TIMEOUT_S`` (default: the 300 s that used
     to be hard-coded in the process backend)."""
     return float(os.environ.get("REPRO_COMM_TIMEOUT_S", "300"))
-
-
-def _default_iter_streaming() -> str:
-    """Session-wide streaming-iteration default, overridable via the
-    environment so a whole test run can be flipped to the batch parity
-    reference (the CI ``iter-streaming`` leg sets
-    ``REPRO_ITER_STREAMING=off``)."""
-    val = os.environ.get("REPRO_ITER_STREAMING", "on")
-    return {"none": "off"}.get(val, val)
-
-
-def _default_iter_chunk_bytes() -> int | str:
-    """Session-wide streaming chunk budget, overridable via
-    ``REPRO_ITER_CHUNK_BYTES`` (the CI tiny-chunk leg forces a small value
-    to exercise the multi-chunk path on every model).  ``"auto"`` derives
-    the budget from the memory model (:func:`repro.cluster.memory.
-    streaming_chunk_pairs`)."""
-    val = os.environ.get("REPRO_ITER_CHUNK_BYTES", "auto")
-    return val if val == "auto" else int(val)
 
 
 def _default_ordering() -> str:
@@ -160,16 +132,6 @@ class AlgorithmOptions:
         baseline).  All three share the support-pattern rank memo and
         produce identical acceptance decisions.  The default follows
         ``REPRO_RANK_BACKEND``.
-    candidate_pipeline:
-        How candidate modes travel between generation and acceptance.
-        ``"deferred"`` (default) is the support-first pipeline: generation
-        keeps only packed support words plus ``(i, j)`` pair indices and
-        the two combination coefficients; dedup and the rank test run on
-        that representation and dense normalized values are materialized
-        once, for accepted candidates only.  ``"eager"`` materializes every
-        prefilter survivor as a dense normalized row up front (the parity
-        reference).  Both produce bit-identical EFM sets; exact-arithmetic
-        runs always use the eager path.
     ordering:
         Row-processing order.  ``"dynamic"`` (default) picks the next
         eliminated row at the top of every iteration from the *live* mode
@@ -206,7 +168,11 @@ class AlgorithmOptions:
         Modes per zone-map block on each side of the pair space;
         ``"auto"`` (default) picks a size from the pair-space scale.
     pair_chunk:
-        Vectorized candidate-generation chunk size (pairs per chunk).
+        Upper bound on the pairs of one candidate-generation chunk.  The
+        candidate phase (:mod:`repro.core.iterstream`) streams each
+        iteration's pair space in chunks of ``min(pair_chunk, 16 MiB /
+        per-pair transient bytes)`` pairs
+        (:func:`repro.cluster.memory.streaming_chunk_pairs`).
     wire_protocol:
         Message serialization of the parallel backends.  ``"typed"``
         (default) frames known payload shapes (ndarrays, wire tuples,
@@ -219,24 +185,6 @@ class AlgorithmOptions:
         Seconds a blocking receive waits before declaring deadlock in the
         parallel backends (``REPRO_COMM_TIMEOUT_S``; previously a
         hard-coded 300 s in the process backend).
-    iter_streaming:
-        How one iteration's candidate pair space is consumed.  ``"on"``
-        (default) streams it as a sequence of bounded chunks, each flowing
-        generate → incremental dedup → rank-test → accept before the next
-        chunk's dense values exist (:mod:`repro.core.iterstream`) — the
-        per-iteration candidate peak is bounded by ``iter_chunk_bytes``
-        plus the accepted set instead of the whole surviving candidate
-        set.  ``"off"`` is the batch parity reference (generate all →
-        dedup all → rank-test all).  Both produce bit-identical EFM sets
-        (keep-first dedup, order-preserving chunking); exact-arithmetic
-        runs always use the batch path.  The default follows
-        ``REPRO_ITER_STREAMING``.
-    iter_chunk_bytes:
-        Transient-byte budget of one streaming chunk (pairs per chunk are
-        derived from it — :func:`repro.cluster.memory.
-        streaming_chunk_pairs`); ``"auto"`` (default, env
-        ``REPRO_ITER_CHUNK_BYTES``) picks a budget from the memory model's
-        per-rank capacity when one is configured, else a fixed default.
     ordering_seed:
         Seed for ``ordering="random"``.
     record_trace:
@@ -249,9 +197,6 @@ class AlgorithmOptions:
     rank_backend: RankBackend = dataclasses.field(
         default_factory=_default_rank_backend
     )
-    candidate_pipeline: CandidatePipeline = dataclasses.field(
-        default_factory=_default_candidate_pipeline
-    )
     pair_pruning: PairPruning = dataclasses.field(
         default_factory=_default_pair_pruning
     )
@@ -263,12 +208,6 @@ class AlgorithmOptions:
         default_factory=_default_wire_protocol
     )
     comm_timeout_s: float = dataclasses.field(default_factory=_default_comm_timeout)
-    iter_streaming: IterStreaming = dataclasses.field(
-        default_factory=_default_iter_streaming
-    )
-    iter_chunk_bytes: int | str = dataclasses.field(
-        default_factory=_default_iter_chunk_bytes
-    )
     ordering_seed: int = 0
     record_trace: bool = False
     policy: NumericPolicy = DEFAULT_POLICY
@@ -280,10 +219,6 @@ class AlgorithmOptions:
             raise ValueError(f"unknown acceptance test {self.acceptance!r}")
         if self.rank_backend not in ("modular", "batched", "loop"):
             raise ValueError(f"unknown rank backend {self.rank_backend!r}")
-        if self.candidate_pipeline not in ("deferred", "eager"):
-            raise ValueError(
-                f"unknown candidate pipeline {self.candidate_pipeline!r}"
-            )
         if self.pair_pruning not in ("tiles", "none"):
             raise ValueError(f"unknown pair pruning {self.pair_pruning!r}")
         if self.pair_block != "auto" and (
@@ -310,18 +245,6 @@ class AlgorithmOptions:
             raise ValueError(f"unknown wire protocol {self.wire_protocol!r}")
         if self.comm_timeout_s <= 0:
             raise ValueError("comm_timeout_s must be positive")
-        if self.iter_streaming not in ("on", "off"):
-            raise ValueError(
-                f"unknown iter_streaming {self.iter_streaming!r}"
-            )
-        if self.iter_chunk_bytes != "auto" and (
-            not isinstance(self.iter_chunk_bytes, int)
-            or self.iter_chunk_bytes < 1
-        ):
-            raise ValueError(
-                f"iter_chunk_bytes must be 'auto' or a positive int, "
-                f"got {self.iter_chunk_bytes!r}"
-            )
 
 
 #: Shared default options instance.

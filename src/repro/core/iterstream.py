@@ -1,69 +1,71 @@
-"""Streaming iteration engine: bounded-memory chunked candidate processing.
+"""The candidate phase of one iteration, streamed in bounded chunks.
 
-The batch iteration body (``iter_streaming="off"``) runs the paper's three
-phases over the *whole* pair space: generate all prefilter survivors, then
-``Sort&RemoveDuplicates`` over the full set, then ``RankTests`` — so one
-iteration's entire surviving candidate set exists at once.  That retained
-set is the paper's memory bottleneck (Algorithm 2 dies at iteration 59 on
-4 GB nodes), and it is what :func:`stream_iteration` dismantles: the pair
-space is consumed as a sequence of bounded chunks
-(:func:`repro.core.candidates.survivor_chunks` — the same enumeration the
-batch path uses, in the same order), and each chunk flows
+The paper runs three whole-set phases per iteration — generate all
+candidates, then ``Sort&RemoveDuplicates``, then ``RankTests`` — so one
+iteration's entire surviving candidate set exists at once.  That set is
+the paper's memory bottleneck (Algorithm 2 dies at iteration 59 on 4 GB
+nodes).  :func:`stream_iteration` never builds it: the pair space is
+consumed as a sequence of bounded chunks
+(:func:`repro.core.candidates.survivor_chunks`), and each chunk flows
 
     generate → incremental dedup → rank-test → accept
 
 to completion before the next chunk's dense values exist.  Live state
 between chunks is only the accepted set plus the incremental dedup index
-(:class:`repro.core.bittree.SupportIndex`), both of which the batch path
-holds anyway — the whole-iteration survivor set never materializes.
+(:class:`repro.core.bittree.SupportIndex`).  A chunk holds at most
+``min(pair_chunk, 16 MiB / per-pair transient bytes)`` pairs
+(:func:`repro.cluster.memory.streaming_chunk_pairs`).
+
+The candidate representation follows the arithmetic.  Float runs carry
+a support-only :class:`~repro.core.state.CandidateBatch` (packed support
+words plus ``(i, j)`` pair indices; dense normalized rows are recomputed
+once, for accepted candidates).  Exact runs carry a dense
+:class:`~repro.core.state.ModeMatrix` of Fractions.
 
 Streaming is orthogonal to *which* row an iteration eliminates: the
 :class:`~repro.core.ordering.RowSelector` picks ``k`` before the
-iteration body runs, and this engine then streams that row's pair space
-exactly as the batch body would consume it.  Dynamic selection composes
-multiplicatively — it shrinks the pair space that exists, streaming
-bounds how much of it is resident at once — which is why the parity
-suite pins ordering × streaming jointly.
+candidate phase runs, and this engine then streams that row's pair
+space.  Dynamic selection shrinks the pair space that exists, streaming
+bounds how much of it is resident at once.
 
-Bit-identity with the batch path
---------------------------------
+Chunking invariance
+-------------------
 
-The streamed EFM output is bit-identical to batch because every stage is
-order- and chunking-invariant:
+The EFM output is independent of the chunk size and bit-identical to the
+whole-set ``generate → dedup → rank-test`` sequence, because every stage
+is order- and chunking-invariant:
 
 * *Enumeration*: chunk granularity never reorders the pair space (see
   :func:`~repro.core.candidates.survivor_chunks`), so survivors arrive in
-  exactly the batch order.
+  the whole-set order.
 * *Dedup is keep-first*: within a chunk, first-occurrence
   :func:`~repro.linalg.bitset.unique_rows`; across chunks, membership in
   the index of zero-entry survivors plus earlier *accepted* candidates.  A
   later duplicate of an earlier **accepted** (or zero-entry) support is
-  dropped exactly as the batch dedup drops it; a later duplicate of an
+  dropped exactly as a whole-set dedup drops it; a later duplicate of an
   earlier **rejected** support is re-tested instead — the rank test
   decides on the support pattern alone, so it is rejected again and the
   accepted set is unchanged (the support-pattern memo makes the re-test a
-  cache hit; only the ``n_duplicates``/``n_tested`` counters can drift
-  from batch, never the output).
+  cache hit; only the ``n_duplicates``/``n_tested`` counters depend on
+  the chunking, never the output).
 * *Acceptance is per-candidate*: the algebraic rank test depends only on
   the candidate's own support, never on batch composition; the
-  combinatorial adjacency test is per-*pair* and runs inside generation on
-  both paths.
+  combinatorial adjacency test is per-*pair* and runs inside generation.
 * *Materialization is row-wise*: accepted candidates materialize from
-  ``(i, j, row)`` exactly as the batch path's deferred pipeline does.
+  ``(i, j, row)``, row by row.
 
-The engine serves both candidate pipelines (dense chunk rows are kept for
-accepted candidates on ``"eager"``, supports + pair indices on
-``"deferred"``) and all three drivers: the serial/combinatorial bodies
-enter through :func:`repro.core.serial.iterate_row`, the column-partitioned
-driver streams its local pair share directly (no zero-entry preload — its
-duplicate control against zero survivors is global, after the allgather).
-Exact-arithmetic runs always take the batch path.
+All drivers enter here: the serial/combinatorial bodies through
+:func:`repro.core.serial.iterate_row`, the column-partitioned driver
+streams its local pair share directly (no zero-entry preload — its
+duplicate control against zero survivors is global, after the
+allgather).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.memory import streaming_chunk_pairs
 from repro.config import AlgorithmOptions
 from repro.core.bittree import SupportIndex
 from repro.core.candidates import PairRange, survivor_chunks
@@ -73,21 +75,6 @@ from repro.core.stats import IterationStats, PhaseTimer
 from repro.errors import AlgorithmError
 from repro.linalg import bitset, rational
 from repro.linalg.bitset import PackedSupports, pack_support_rows
-
-
-def resolve_chunk_pairs(q: int, options: AlgorithmOptions) -> int:
-    """Pairs per streaming chunk for this iteration's geometry — the
-    ``iter_chunk_bytes`` budget divided by the per-pair transient cost
-    (:func:`repro.cluster.memory.streaming_chunk_pairs`), never above
-    ``options.pair_chunk``."""
-    from repro.cluster.memory import streaming_chunk_pairs  # noqa: PLC0415
-
-    return streaming_chunk_pairs(
-        q,
-        options.iter_chunk_bytes,
-        options.pair_chunk,
-        options.candidate_pipeline,
-    )
 
 
 def stream_iteration(
@@ -110,11 +97,10 @@ def stream_iteration(
     """Run one iteration's candidate phase as a bounded-memory stream.
 
     Returns this worker's accepted candidates — a support-only
-    :class:`~repro.core.state.CandidateBatch` on the deferred pipeline, a
-    dense :class:`~repro.core.state.ModeMatrix` on the eager one — exactly
-    what the batch ``generate → dedup → rank-test`` sequence returns, in
-    the same order.  The live :class:`~repro.core.bittree.SupportIndex` is
-    attached to the result as ``dedup_index`` so memory accounting
+    :class:`~repro.core.state.CandidateBatch` for float modes, a dense
+    :class:`~repro.core.state.ModeMatrix` for exact ones — in pair
+    enumeration order.  The live :class:`~repro.core.bittree.SupportIndex`
+    is attached to the result as ``dedup_index`` so memory accounting
     (``nbytes``/``payload_nbytes``) sees the streaming state for as long
     as the caller keeps the candidates around.
 
@@ -122,11 +108,11 @@ def stream_iteration(
     supports (the serial/combinatorial duplicate rule; the distributed
     driver passes ``None`` and keeps its global post-allgather control).
     ``acceptance`` overrides ``options.acceptance`` (the distributed
-    driver always rank-tests).  Timings land in the same phase buckets as
-    batch: generation in ``t_gen_cand``, dedup/accept bookkeeping in
+    driver always rank-tests).  Timings land in the paper's phase
+    buckets: generation in ``t_gen_cand``, dedup/accept bookkeeping in
     ``t_merge``, the acceptance test in ``t_rank_test``.
     """
-    deferred = options.candidate_pipeline == "deferred" and not modes.exact
+    deferred = not modes.exact
     if acceptance is None:
         acceptance = options.acceptance
     rank_mode = acceptance in ("rank", "both")
@@ -142,12 +128,13 @@ def stream_iteration(
 
     gen = survivor_chunks(
         modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
-        adjacency=adjacency, chunk_pairs=resolve_chunk_pairs(modes.q, options),
+        adjacency=adjacency,
+        chunk_pairs=streaming_chunk_pairs(modes.q, options.pair_chunk),
     )
     while True:
         # Pull the next survivor chunk; the pair enumeration, zone-map
         # pruning and prefilter all run inside the generator, so their
-        # cost lands in the generation bucket just as in batch.
+        # cost lands in the generation bucket.
         with PhaseTimer(stats, "t_gen_cand"):
             item = next(gen, None)
         if item is None:

@@ -43,7 +43,7 @@ per-pair prefilter would reject, and known-pass tiles only ever skip tests
 that would succeed — the surviving pair set, its enumeration order, and
 therefore the final EFM set are bit-identical with pruning on or off.
 
-Two consumption modes (see :func:`repro.core.candidates.generate_candidates`):
+Two consumption modes (see :func:`repro.core.candidates.survivor_chunks`):
 the legacy strategies ("strided"/"block"/serial full range) keep their pair
 order and consult :meth:`PairSpace.pair_masks` per chunk; the "tiled"
 strategy (:class:`repro.core.candidates.TiledRange`) enumerates tile-major

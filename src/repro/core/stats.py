@@ -62,27 +62,27 @@ class IterationStats:
     #: complement member-columns served from elimination-prefix snapshots
     #: instead of re-eliminated (the prefix-reuse layer's work saving).
     n_prefix_reused_cols: int = 0
-    #: retained candidate-set footprint after generation (bytes): dense
-    #: values + supports on the eager pipeline, packed supports + pair
-    #: indices on the deferred one.  Transient per-chunk buffers are
-    #: tracked separately in ``prefilter_bytes``.
+    #: peak retained candidate footprint of the iteration (bytes): the
+    #: accepted candidates, the dedup index and the current chunk —
+    #: packed supports + pair indices for float runs, dense rows for
+    #: exact ones.  Transient per-chunk buffers are tracked separately
+    #: in ``prefilter_bytes``.
     candidate_bytes: int = 0
     #: peak transient working set of one generation chunk (bytes): the
     #: pair-index vectors, gathered/ORed support words and prefilter mask,
-    #: the dense candidate chunk (which the deferred pipeline frees right
-    #: after support extraction but which exists at the peak), and any
+    #: the dense candidate chunk (which float runs free right after
+    #: support extraction but which exists at the peak), and any
     #: zone maps.  on_oom="degrade" decisions should add this to the
     #: retained footprint to see the true peak.
     prefilter_bytes: int = 0
-    #: streaming chunks processed by this rank (iter_streaming="on";
-    #: batch iterations leave this 0).
+    #: candidate-phase chunks processed by this rank.
     n_chunks: int = 0
-    #: largest retained candidate footprint of one streaming chunk
-    #: (bytes): packed supports + pair indices on the deferred pipeline,
-    #: the dense chunk matrix on the eager one.
+    #: largest retained candidate footprint of one chunk (bytes): packed
+    #: supports + pair indices for float runs, the dense chunk matrix for
+    #: exact ones.
     peak_chunk_bytes: int = 0
     #: candidates probed against the incremental dedup index
-    #: (streaming; see repro.core.bittree.SupportIndex).
+    #: (see repro.core.bittree.SupportIndex).
     n_dedup_probes: int = 0
     #: the chosen row's global |pos|*|neg| pair count at selection time
     #: (dynamic ordering; 0 on static paths — see repro.core.ordering).

@@ -164,11 +164,8 @@ class SubproblemScheduler:
                     self.reduced,
                     spec,
                     working_factor=wf,
-                    candidate_pipeline=self.context.options.candidate_pipeline,
                     pair_chunk=self.context.options.pair_chunk,
                     pair_pruning=self.context.options.pair_pruning,
-                    iter_streaming=self.context.options.iter_streaming,
-                    iter_chunk_bytes=self.context.options.iter_chunk_bytes,
                     rank_backend=self.context.options.rank_backend,
                     ordering=self.context.options.ordering,
                 ),

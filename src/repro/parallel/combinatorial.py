@@ -6,7 +6,7 @@ partitioned across ranks (ParallelGenerateEFMCands), each rank locally
 deduplicates (Sort&RemoveDuplicates) and rank-tests its share, then an
 allgather exchanges the accepted candidates (Communicate&Merge) and every
 rank appends the identical merged candidate set, keeping the replicas in
-lockstep.  On the default deferred candidate pipeline the allgather ships
+lockstep.  For float runs the allgather ships
 packed supports + int32 pair indices instead of dense float rows (~``8*q``
 bytes per candidate cheaper); every rank recomputes the combination
 coefficients from its replica and rebuilds the dense survivors after the
@@ -143,12 +143,11 @@ def combinatorial_worker(
         )
 
         # Communicate&Merge: exchange accepted local candidates; every rank
-        # rebuilds the identical global candidate set.  The deferred
-        # pipeline ships packed supports + int32 pair indices (the indices
-        # address the replicated pre-iteration mode matrix, identical on
-        # every rank, so the combination coefficients are recomputed from
-        # the local replica's row-``k`` column); the eager reference ships
-        # the dense normalized rows.
+        # rebuilds the identical global candidate set.  Float runs ship
+        # packed supports + int32 pair indices (the indices address the
+        # replicated pre-iteration mode matrix, identical on every rank,
+        # so the combination coefficients are recomputed from the local
+        # replica's row-``k`` column); exact runs ship the dense rows.
         if isinstance(cand_local, CandidateBatch):
             t0 = time.perf_counter()
             gathered = comm.allgather(cand_local.to_wire())
@@ -182,7 +181,7 @@ def combinatorial_worker(
                 # Dense values are materialized here, once, for the
                 # globally accepted survivors only.  Same rank-major
                 # gather order, first-occurrence dedup, and rounding as
-                # the eager path (``b*y - c*x`` is bit-identical to the
+                # a dense-row gather (``b*y - c*x`` is bit-identical to the
                 # generation-side ``(-c)*x + b*y``: IEEE negation is
                 # exact and addition commutes), so the rebuilt rows match
                 # the dense rows it would have gathered (see

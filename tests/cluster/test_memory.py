@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cluster import memory
 from repro.cluster.memory import (
     MemoryModel,
     candidate_row_bytes,
     estimate_mode_bytes,
     predict_subset_peak_bytes,
+    prefilter_working_bytes,
     streaming_chunk_pairs,
 )
 from repro.core.state import ModeMatrix
@@ -77,98 +79,104 @@ class TestEstimate:
 
 class TestCandidateRowBytes:
     def test_deferred_much_smaller_for_wide_networks(self):
+        # Packed support words + two pair indices, against a dense row.
         q = 64
-        assert candidate_row_bytes(q, "eager") == 8 * 64 + 8
-        assert candidate_row_bytes(q, "deferred") == 8 + 16
-        assert candidate_row_bytes(q, "eager") >= 4 * candidate_row_bytes(q, "deferred")
+        assert candidate_row_bytes(q) == 8 + 16
+        assert estimate_mode_bytes(1, q) >= 4 * candidate_row_bytes(q)
 
     def test_word_rounding(self):
-        assert candidate_row_bytes(65, "deferred") == 16 + 16
-        assert candidate_row_bytes(1, "eager") == 8 + 8
-
-
-class TestPipelineAwarePrediction:
-    def test_deferred_prediction_not_larger(self):
-        from repro.dnc.subsets import enumerate_subsets
-        from repro.models.toy import toy_network
-        from repro.network.compression import compress_network
-
-        reduced = compress_network(toy_network()).reduced
-        for spec in enumerate_subsets(("r6r", "r8r")):
-            # The retained-set advantage is the invariant; the per-chunk
-            # generation transient is *larger* on the deferred pipeline
-            # (dense chunk plus mask plus packed words, all freed per
-            # chunk), so bound it with a small pair_chunk — the
-            # memory-tight configuration these predictions drive.
-            eager = predict_subset_peak_bytes(
-                reduced, spec, candidate_pipeline="eager", pair_chunk=4
-            )
-            deferred = predict_subset_peak_bytes(
-                reduced, spec, candidate_pipeline="deferred", pair_chunk=4
-            )
-            assert 0 <= deferred <= eager
-            # Default matches the default pipeline (deferred).
-            assert predict_subset_peak_bytes(
-                reduced, spec, pair_chunk=4
-            ) == deferred
+        assert candidate_row_bytes(65) == 16 + 16
+        assert candidate_row_bytes(1) == 8 + 16
 
 
 class TestStreamingChunkPairs:
+    def test_default_budget(self):
+        q, pc = 64, 1 << 20
+        per_pair = prefilter_working_bytes(q, 1, 1)
+        assert streaming_chunk_pairs(q, pc) == (16 << 20) // per_pair
+
     def test_clamped_to_pair_chunk(self):
-        # A huge budget never enlarges the generation chunk beyond the
-        # batch path's pair_chunk.
-        assert streaming_chunk_pairs(32, 1 << 40, pair_chunk=128) == 128
+        # The budget never enlarges a chunk beyond pair_chunk.
+        assert streaming_chunk_pairs(32, pair_chunk=128) == 128
 
-    def test_tiny_budget_floors_at_one_pair(self):
-        assert streaming_chunk_pairs(32, 1) == 1
+    def test_tiny_budget_floors_at_one_pair(self, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", 1)
+        assert streaming_chunk_pairs(32) == 1
 
-    def test_budget_scales_chunk(self):
-        small = streaming_chunk_pairs(64, 8 << 10, pair_chunk=1 << 20)
-        big = streaming_chunk_pairs(64, 128 << 10, pair_chunk=1 << 20)
+    def test_budget_scales_chunk(self, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", 8 << 10)
+        small = streaming_chunk_pairs(64, pair_chunk=1 << 20)
+        monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", 128 << 10)
+        big = streaming_chunk_pairs(64, pair_chunk=1 << 20)
         assert 1 <= small < big
 
-    def test_auto_uses_capacity_over_default(self):
-        q, pc = 64, 1 << 20
-        capped = streaming_chunk_pairs(q, "auto", pair_chunk=pc,
-                                       capacity_bytes=1 << 20)
-        default = streaming_chunk_pairs(q, "auto", pair_chunk=pc)
-        assert capped < default  # (1 MiB)/8 budget vs the 16 MiB default
 
-    def test_deferred_pays_more_per_pair(self):
-        # Deferred's per-pair transient (dense row + mask + packed words)
-        # exceeds eager's (dense row only), so the same budget buys fewer
-        # pairs per chunk.
-        q, budget, pc = 64, 64 << 10, 1 << 20
-        assert streaming_chunk_pairs(
-            q, budget, pc, pipeline="deferred"
-        ) <= streaming_chunk_pairs(q, budget, pc, pipeline="eager")
+class TestYeastDncPredictionPins:
+    """Predicted peaks of yeast-I-small's 32 ``q_sub=5`` subsets (the
+    ``y1-dnc5`` benchmark workload), pinned to the values of the
+    streamed, support-first, 16 MiB-budget model they were first
+    computed with, so the scheduler's LPT order cannot drift silently."""
 
+    PARTITION = ("R22r", "R32r", "R81r", "R96r", "R102r")
+    DYNAMIC = [
+        5044792, 5930980, 3537074, 4094752, 5930980, 6810843, 4094752,
+        4647352, 5168056, 6071325, 3617902, 4185008, 6071325, 6966988,
+        4185008, 4746202, 5168056, 6071325, 3617902, 4185008, 6071325,
+        6966988, 4185008, 4746202, 2800218, 4185008, 4185008, 4746202,
+        3257808, 4746202, 4746202, 5290182,
+    ]
+    PAPER = [
+        5044792, 5930980, 5930980, 6810843, 5930980, 6810843, 6810843,
+        7663792, 5168056, 6071325, 6071325, 6966988, 6071325, 6966988,
+        6966988, 7834084, 5168056, 6071325, 6071325, 6966988, 6071325,
+        6966988, 6966988, 7834084, 6071325, 6966988, 6966988, 7834084,
+        6966988, 7834084, 7834084, 8653282,
+    ]
 
-class TestStreamingAwarePrediction:
-    def test_streaming_prediction_at_most_batch(self):
+    @pytest.fixture(scope="class")
+    def problem(self):
+        from repro.config import AlgorithmOptions
+        from repro.dnc.selection import select_partition_reactions
         from repro.dnc.subsets import enumerate_subsets
-        from repro.models.toy import toy_network
+        from repro.models.variants import yeast_1_small
         from repro.network.compression import compress_network
 
-        reduced = compress_network(toy_network()).reduced
-        for spec in enumerate_subsets(("r6r", "r8r")):
-            for pipeline in ("deferred", "eager"):
-                batch = predict_subset_peak_bytes(
-                    reduced, spec, candidate_pipeline=pipeline
-                )
-                streamed = predict_subset_peak_bytes(
-                    reduced, spec, candidate_pipeline=pipeline,
-                    iter_streaming="on", iter_chunk_bytes=4 << 10,
-                )
-                assert 0 <= streamed <= batch
+        opts = AlgorithmOptions(
+            ordering="dynamic", rank_backend="modular", pair_pruning="tiles"
+        )
+        reduced = compress_network(yeast_1_small()).reduced
+        part = select_partition_reactions(reduced, 5, method="tail", options=opts)
+        assert tuple(part) == self.PARTITION
+        return reduced, enumerate_subsets(tuple(part)), opts
+
+    @pytest.mark.parametrize("ordering", ["dynamic", "paper"])
+    def test_predictions_pinned(self, problem, ordering):
+        reduced, specs, _ = problem
+        got = [
+            predict_subset_peak_bytes(reduced, spec, ordering=ordering)
+            for spec in specs
+        ]
+        assert got == (self.DYNAMIC if ordering == "dynamic" else self.PAPER)
+
+    def test_scheduler_plan_pinned(self, problem):
+        from repro.engine import RunContext, SubproblemScheduler
+
+        reduced, specs, opts = problem
+        sched = SubproblemScheduler(reduced, specs, context=RunContext(options=opts))
+        jobs = sched.plan()
+        assert [j.predicted_peak_bytes for j in jobs] == self.DYNAMIC
+        order = [j.index for j in sched.scheduled(jobs)]
+        assert order == sorted(
+            range(len(specs)), key=lambda i: (-self.DYNAMIC[i], i)
+        )
 
 
 class TestPredictionUpperBoundsMeasuredPeak:
     """Acceptance property: the a-priori prediction upper-bounds the
     *measured* peak (working-factor-weighted mode storage plus the worst
     iteration's retained-candidate + generation-transient bytes, straight
-    from the run stats) across streaming on/off, all pair strategies and
-    both candidate pipelines."""
+    from the run stats) across all pair strategies, at the default chunk
+    budget and a small one."""
 
     WF = 1.5
 
@@ -180,32 +188,25 @@ class TestPredictionUpperBoundsMeasuredPeak:
         )
         return wf * stats.peak_mode_bytes + cand
 
-    @pytest.mark.parametrize("streaming", ["on", "off"])
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
+    @pytest.mark.parametrize("chunk", ["auto", 64 << 10])
     @pytest.mark.parametrize("strategy", ["strided", "block", "tiled"])
-    def test_prediction_is_upper_bound(self, streaming, pipeline, strategy):
+    def test_prediction_is_upper_bound(self, monkeypatch, strategy, chunk):
         from repro.config import AlgorithmOptions
         from repro.dnc.combined import solve_subset
         from repro.dnc.subsets import enumerate_subsets
         from repro.models.toy import toy_network
         from repro.network.compression import compress_network
 
+        if chunk != "auto":
+            monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", chunk)
         reduced = compress_network(toy_network()).reduced
-        opts = AlgorithmOptions(
-            candidate_pipeline=pipeline,
-            iter_streaming=streaming,
-            iter_chunk_bytes=(64 << 10) if streaming == "on" else "auto",
-            pair_chunk=64,
-        )
+        opts = AlgorithmOptions(pair_chunk=64)
         for spec in enumerate_subsets(("r6r", "r8r")):
             predicted = predict_subset_peak_bytes(
                 reduced, spec,
                 working_factor=self.WF,
-                candidate_pipeline=pipeline,
                 pair_chunk=opts.pair_chunk,
                 pair_pruning=opts.pair_pruning,
-                iter_streaming=streaming,
-                iter_chunk_bytes=opts.iter_chunk_bytes,
             )
             res = solve_subset(
                 reduced, spec, 2, options=opts, pair_strategy=strategy
@@ -217,6 +218,5 @@ class TestPredictionUpperBoundsMeasuredPeak:
             assert measured > 0
             assert predicted >= measured, (
                 f"{spec.label()}: predicted {predicted} < measured "
-                f"{measured:.0f} (streaming={streaming}, {pipeline}, "
-                f"{strategy})"
+                f"{measured:.0f} ({strategy}, chunk budget {chunk})"
             )

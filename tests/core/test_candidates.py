@@ -1,4 +1,10 @@
-"""Unit tests for candidate generation and pair ranges."""
+"""Unit tests for candidate generation and pair ranges.
+
+Generation is driven through the whole-set oracle
+(:func:`tests.core.batch_oracle.generate_candidates`), which collects
+every :func:`repro.core.candidates.survivor_chunks` survivor of one
+iteration as dense rows (``deferred=False``) or a support-only batch.
+"""
 
 import numpy as np
 import pytest
@@ -8,21 +14,18 @@ from repro.core.candidates import (
     PairRange,
     block_range,
     full_range,
-    generate_candidates,
     strided_range,
 )
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats
+from tests.core.batch_oracle import generate_candidates
 
 
 def _stats():
     return IterationStats(position=0, reaction="x", reversible=False)
 
 
-EAGER = AlgorithmOptions(candidate_pipeline="eager")
-# Pin explicitly: the default is env-sensitive (REPRO_CANDIDATE_PIPELINE),
-# and the CI candidate-pipeline leg flips it to "eager".
-DEFERRED = AlgorithmOptions(candidate_pipeline="deferred")
+OPTS = AlgorithmOptions()
 
 
 class TestPairRanges:
@@ -78,8 +81,9 @@ class TestGenerateCandidates:
             np.array([1]),
             full_range(1),
             rank_bound=3,
-            options=EAGER,
+            options=OPTS,
             stats=stats,
+            deferred=False,
         )
         assert cand.n_modes == 1
         assert cand.values[0, 2] == 0.0
@@ -90,11 +94,11 @@ class TestGenerateCandidates:
         modes = self._setup()
         eager = generate_candidates(
             modes, 2, np.array([0]), np.array([1]), full_range(1),
-            rank_bound=3, options=EAGER, stats=_stats(),
+            rank_bound=3, options=OPTS, stats=_stats(), deferred=False,
         )
         batch = generate_candidates(
             modes, 2, np.array([0]), np.array([1]), full_range(1),
-            rank_bound=3, options=DEFERRED, stats=_stats(),
+            rank_bound=3, options=OPTS, stats=_stats(), deferred=True,
         )
         assert isinstance(batch, CandidateBatch)
         assert batch.n_modes == eager.n_modes == 1
@@ -112,11 +116,12 @@ class TestGenerateCandidates:
         neg = np.nonzero(col < 0)[0]
         n_pairs = pos.size * neg.size
         eager = generate_candidates(
-            modes, 0, pos, neg, full_range(n_pairs), 64, EAGER, _stats(),
+            modes, 0, pos, neg, full_range(n_pairs), 64, OPTS, _stats(),
+            deferred=False,
         )
         batch = generate_candidates(
-            modes, 0, pos, neg, full_range(n_pairs), 64,
-            DEFERRED, _stats(),
+            modes, 0, pos, neg, full_range(n_pairs), 64, OPTS, _stats(),
+            deferred=True,
         )
         assert batch.n_modes == eager.n_modes > 0
         assert batch.nbytes() * 4 <= eager.nbytes()
@@ -133,8 +138,9 @@ class TestGenerateCandidates:
             np.array([1]),
             full_range(1),
             rank_bound=2,  # union popcount 6 > rank+2=4 -> reject
-            options=EAGER,
+            options=OPTS,
             stats=stats,
+            deferred=False,
         )
         assert cand.n_modes == 0
         assert stats.n_prefilter_kept == 0
@@ -152,10 +158,9 @@ class TestGenerateCandidates:
             cand = generate_candidates(
                 modes, 0, pos, neg, full_range(pos.size * neg.size),
                 rank_bound=6,
-                options=AlgorithmOptions(
-                    pair_chunk=chunk, candidate_pipeline="eager"
-                ),
+                options=AlgorithmOptions(pair_chunk=chunk),
                 stats=stats,
+                deferred=False,
             )
             outs.append(np.sort(cand.values, axis=0))
         assert np.allclose(outs[0], outs[1])
@@ -171,14 +176,14 @@ class TestGenerateCandidates:
         full_stats = _stats()
         full = generate_candidates(
             modes, 1, pos, neg, full_range(n_pairs), 5,
-            EAGER, full_stats,
+            OPTS, full_stats, deferred=False,
         )
         pieces = []
         for r in range(3):
             s = _stats()
             part = generate_candidates(
                 modes, 1, pos, neg, strided_range(n_pairs, r, 3), 5,
-                EAGER, s,
+                OPTS, s, deferred=False,
             )
             if part.n_modes:
                 pieces.append(part.values)

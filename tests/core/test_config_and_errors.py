@@ -45,32 +45,11 @@ class TestAlgorithmOptions:
             ("selection_lookahead", 2.5),
             ("selection_lookahead", True),
             ("pair_chunk", 0),
-            ("iter_streaming", "maybe"),
-            ("iter_chunk_bytes", 0),
-            ("iter_chunk_bytes", -1),
-            ("iter_chunk_bytes", "big"),
-            ("iter_chunk_bytes", 3.5),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             AlgorithmOptions(**{field: value})
-
-    def test_streaming_defaults_follow_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ITER_STREAMING", raising=False)
-        monkeypatch.delenv("REPRO_ITER_CHUNK_BYTES", raising=False)
-        o = AlgorithmOptions()
-        assert o.iter_streaming == "on"
-        assert o.iter_chunk_bytes == "auto"
-        monkeypatch.setenv("REPRO_ITER_STREAMING", "off")
-        monkeypatch.setenv("REPRO_ITER_CHUNK_BYTES", "65536")
-        o = AlgorithmOptions()
-        assert o.iter_streaming == "off"
-        assert o.iter_chunk_bytes == 65536
-        # explicit arguments always win over the environment
-        o = AlgorithmOptions(iter_streaming="on", iter_chunk_bytes="auto")
-        assert o.iter_streaming == "on"
-        assert o.iter_chunk_bytes == "auto"
 
     def test_ordering_default_follows_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ORDERING", raising=False)

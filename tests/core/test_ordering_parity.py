@@ -4,8 +4,7 @@ The Nullspace Algorithm's final EFM set is a property of the network, not
 of the row-processing order — any permutation of the processed row set
 (and any run-time dynamic selection within it) must reproduce the same
 modes up to scaling and enumeration order.  These tests pin that
-invariant across ``ordering`` x candidate pipeline x streaming on every
-driver; the slow property extends the pin to the 530-EFM yeast-I-small
+invariant for every ``ordering`` on every driver; the slow property extends the pin to the 530-EFM yeast-I-small
 acceptance workload.  Comparisons are canonicalized (unit max-norm,
 rounded, lexsorted) because different orderings legitimately emit the
 same set in different orders and scalings.
@@ -26,13 +25,8 @@ from tests.conftest import assert_same_modes
 ORDERINGS = ("dynamic", "paper", "natural", "random")
 
 
-def _opts(ordering, pipeline="deferred", streaming="off", **kw):
-    return AlgorithmOptions(
-        ordering=ordering,
-        candidate_pipeline=pipeline,
-        iter_streaming=streaming,
-        **kw,
-    )
+def _opts(ordering, **kw):
+    return AlgorithmOptions(ordering=ordering, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -44,21 +38,14 @@ def toy_reference(request):
 
 
 class TestToyOrderingParity:
-    @pytest.mark.parametrize("streaming", ["off", "on"])
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
     @pytest.mark.parametrize("ordering", ORDERINGS)
-    def test_serial(self, toy_problem, toy_reference, ordering, pipeline, streaming):
-        res = nullspace_algorithm(
-            toy_problem, options=_opts(ordering, pipeline, streaming)
-        )
+    def test_serial(self, toy_problem, toy_reference, ordering):
+        res = nullspace_algorithm(toy_problem, options=_opts(ordering))
         assert_same_modes(res.efms_input_order(), toy_reference)
 
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
     @pytest.mark.parametrize("ordering", ORDERINGS)
-    def test_combinatorial(self, toy_problem, toy_reference, ordering, pipeline):
-        res = combinatorial_parallel(
-            toy_problem, 2, options=_opts(ordering, pipeline)
-        )
+    def test_combinatorial(self, toy_problem, toy_reference, ordering):
+        res = combinatorial_parallel(toy_problem, 2, options=_opts(ordering))
         assert_same_modes(res.result.efms_input_order(), toy_reference)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
@@ -67,13 +54,6 @@ class TestToyOrderingParity:
             toy_problem, 3, options=_opts(ordering)
         )
         assert_same_modes(res.efms_input_order(), toy_reference)
-
-    @pytest.mark.parametrize("ordering", ORDERINGS)
-    def test_streaming_combinatorial(self, toy_problem, toy_reference, ordering):
-        res = combinatorial_parallel(
-            toy_problem, 2, options=_opts(ordering, streaming="on")
-        )
-        assert_same_modes(res.result.efms_input_order(), toy_reference)
 
     def test_dynamic_realizes_a_different_order(self, toy_problem):
         """The dynamic selector must actually *exercise* out-of-order
@@ -98,24 +78,21 @@ class TestToyOrderingParity:
 @pytest.mark.slow
 def test_yeast_small_ordering_sweep():
     """Acceptance pin: yeast-I-small emits the identical canonical 530-EFM
-    set for every ordering on every driver, streaming on and off."""
+    set for every ordering on every driver."""
     net = yeast_1_small()
     reference = compute_efms(net, options=_opts("paper"))
     assert reference.n_efms == 530
 
     for ordering in ORDERINGS:
-        for streaming in ("off", "on"):
-            runs = [
-                compute_efms(net, options=_opts(ordering, streaming=streaming)),
-                compute_efms(
-                    net, method="parallel", n_ranks=3,
-                    options=_opts(ordering, streaming=streaming),
-                ),
-                compute_efms(
-                    net, method="combined", partition=5,
-                    options=_opts(ordering, streaming=streaming),
-                ),
-            ]
-            for label, res in zip(("serial", "parallel-3", "combined-5"), runs):
-                assert res.n_efms == 530, (ordering, streaming, label)
-                assert_same_modes(res.fluxes, reference.fluxes)
+        runs = [
+            compute_efms(net, options=_opts(ordering)),
+            compute_efms(
+                net, method="parallel", n_ranks=3, options=_opts(ordering)
+            ),
+            compute_efms(
+                net, method="combined", partition=5, options=_opts(ordering)
+            ),
+        ]
+        for label, res in zip(("serial", "parallel-3", "combined-5"), runs):
+            assert res.n_efms == 530, (ordering, label)
+            assert_same_modes(res.fluxes, reference.fluxes)

@@ -3,8 +3,8 @@
 Pruning is a pure skip layer — every pair it drops would have failed the
 union-popcount prefilter, every prefilter it elides would have passed —
 so the EFM set must be bit-identical with ``pair_pruning="tiles"`` and
-``"none"`` under every pair strategy (strided / block / tiled) and both
-candidate pipelines.  The slow test is the acceptance criterion:
+``"none"`` under every pair strategy (strided / block / tiled).  The
+slow test is the acceptance criterion:
 yeast-I-small, serial + combinatorial (P in {2, 4}, tiled strategy) +
 combined (q_sub = 5), bit-identical EFM sets and a non-trivial number of
 pairs actually skipped.
@@ -37,18 +37,16 @@ network_params = st.fixed_dictionaries(
 )
 
 
-def opts(pruning, pipeline="deferred", block="auto"):
-    return AlgorithmOptions(
-        pair_pruning=pruning, candidate_pipeline=pipeline, pair_block=block
-    )
+def opts(pruning, block="auto"):
+    return AlgorithmOptions(pair_pruning=pruning, pair_block=block)
 
 
-@given(params=network_params, pipeline=st.sampled_from(["deferred", "eager"]))
+@given(params=network_params)
 @settings(**SETTINGS)
-def test_serial_pruning_parity(params, pipeline):
+def test_serial_pruning_parity(params):
     net = random_network(**params)
-    a = compute_efms(net, options=opts("none", pipeline))
-    b = compute_efms(net, options=opts("tiles", pipeline))
+    a = compute_efms(net, options=opts("none"))
+    b = compute_efms(net, options=opts("tiles"))
     assert np.array_equal(a.fluxes, b.fluxes)
 
 

@@ -1,13 +1,17 @@
-"""Eager vs deferred candidate-pipeline parity.
+"""Dense-row vs support-first candidate representation parity.
 
-The support-first (deferred) pipeline must be an exact refactoring of the
-eager reference: identical canonical supports out of generation, identical
+Float runs carry candidates as support-only
+:class:`~repro.core.state.CandidateBatch` objects (packed supports plus
+pair indices; dense rows are rebuilt for accepted candidates only).  That
+must be an exact refactoring of carrying every candidate as a dense
+normalized row: identical canonical supports out of generation, identical
 survivors out of dedup + rank test, and bit-identical dense values after
-materialization.  The fast tests pin the numerically delicate case — a
-combination that cancels entries *beyond* the annihilated row — and full
-toy runs on every driver; the slow property test is the acceptance
-criterion from the pipeline work: yeast-I-small, serial + combinatorial
-(P in {2, 4}) + combined (q_sub = 5), bit-identical EFM sets.
+materialization.  The dense-row ("eager") reference is the whole-set
+oracle of :mod:`tests.core.batch_oracle` with ``deferred=False``.  The
+fast tests pin the numerically delicate case — a combination that cancels
+entries *beyond* the annihilated row — and full toy runs on every driver;
+the slow property extends the pin to yeast-I-small, serial +
+combinatorial (P in {2, 4}) + combined (q_sub = 5).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.config import AlgorithmOptions
-from repro.core.candidates import full_range, generate_candidates
+from repro.core.candidates import full_range
 from repro.core.serial import nullspace_algorithm
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats
@@ -25,9 +29,22 @@ from repro.linalg import bitset
 from repro.models.variants import yeast_1_small
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
+from tests.core.batch_oracle import generate_candidates, use_batch_oracle
 
-EAGER = AlgorithmOptions(candidate_pipeline="eager")
-DEFERRED = AlgorithmOptions(candidate_pipeline="deferred")
+OPTS = AlgorithmOptions()
+
+
+@pytest.fixture
+def eager(monkeypatch):
+    """``eager(fn, *args, **kw)`` runs ``fn`` with every driver carrying
+    dense candidate rows (the whole-set oracle, ``deferred=False``)."""
+
+    def run(fn, *args, **kw):
+        with monkeypatch.context() as m:
+            use_batch_oracle(m, deferred=False)
+            return fn(*args, **kw)
+
+    return run
 
 
 def _stats():
@@ -50,10 +67,11 @@ class TestCancellationParity:
             )
         )
         out = {}
-        for name, opts in (("eager", EAGER), ("deferred", DEFERRED)):
+        for name in ("eager", "deferred"):
             cand = generate_candidates(
                 modes, 0, np.array([0]), np.array([1]), full_range(1),
-                rank_bound=4, options=opts, stats=_stats(),
+                rank_bound=4, options=OPTS, stats=_stats(),
+                deferred=name == "deferred",
             )
             assert cand.n_modes == 1
             out[name] = cand
@@ -71,53 +89,54 @@ class TestCancellationParity:
 
 
 class TestToyFullRunParity:
-    def test_serial(self, toy_problem):
-        a = nullspace_algorithm(toy_problem, options=EAGER)
-        b = nullspace_algorithm(toy_problem, options=DEFERRED)
+    def test_serial(self, toy_problem, eager):
+        a = eager(nullspace_algorithm, toy_problem, options=OPTS)
+        b = nullspace_algorithm(toy_problem, options=OPTS)
         assert np.array_equal(a.efms_input_order(), b.efms_input_order())
 
     @pytest.mark.parametrize("n_ranks", [2, 4])
-    def test_combinatorial(self, toy_problem, n_ranks):
-        a = combinatorial_parallel(toy_problem, n_ranks, options=EAGER)
-        b = combinatorial_parallel(toy_problem, n_ranks, options=DEFERRED)
+    def test_combinatorial(self, toy_problem, eager, n_ranks):
+        a = eager(combinatorial_parallel, toy_problem, n_ranks, options=OPTS)
+        b = combinatorial_parallel(toy_problem, n_ranks, options=OPTS)
         assert np.array_equal(
             a.result.efms_input_order(), b.result.efms_input_order()
         )
 
-    def test_distributed(self, toy_problem):
-        a = distributed_parallel(toy_problem, 2, options=EAGER)
-        b = distributed_parallel(toy_problem, 2, options=DEFERRED)
+    def test_distributed(self, toy_problem, eager):
+        a = eager(distributed_parallel, toy_problem, 2, options=OPTS)
+        b = distributed_parallel(toy_problem, 2, options=OPTS)
         assert np.array_equal(a.efms_input_order(), b.efms_input_order())
 
-    def test_deferred_ships_fewer_allgather_bytes(self, toy_problem):
-        a = combinatorial_parallel(toy_problem, 2, options=EAGER)
-        b = combinatorial_parallel(toy_problem, 2, options=DEFERRED)
+    def test_deferred_ships_fewer_allgather_bytes(self, toy_problem, eager):
+        a = eager(combinatorial_parallel, toy_problem, 2, options=OPTS)
+        b = combinatorial_parallel(toy_problem, 2, options=OPTS)
         eager_bytes = sum(t.allgather_bytes for t in a.rank_traces)
         deferred_bytes = sum(t.allgather_bytes for t in b.rank_traces)
         assert 0 < deferred_bytes < eager_bytes
 
 
 @pytest.mark.slow
-def test_yeast_small_pipeline_parity_property():
+def test_yeast_small_pipeline_parity_property(eager):
     """Acceptance property: yeast-I-small, serial + combinatorial
-    (P in {2, 4}) + combined (q_sub = 5) — the eager and deferred
-    pipelines produce bit-identical EFM sets on every driver."""
+    (P in {2, 4}) + combined (q_sub = 5) — dense-row and support-first
+    candidates produce bit-identical EFM sets on every driver."""
     net = yeast_1_small()
-    runs: dict[str, list] = {}
-    for name, opts in (("eager", EAGER), ("deferred", DEFERRED)):
-        runs[name] = [
-            compute_efms(net, options=opts),
-            compute_efms(net, method="parallel", n_ranks=2, options=opts),
-            compute_efms(net, method="parallel", n_ranks=4, options=opts),
-            compute_efms(net, method="combined", partition=5, options=opts),
+
+    def runs():
+        return [
+            compute_efms(net, options=OPTS),
+            compute_efms(net, method="parallel", n_ranks=2, options=OPTS),
+            compute_efms(net, method="parallel", n_ranks=4, options=OPTS),
+            compute_efms(net, method="combined", partition=5, options=OPTS),
         ]
+
+    dense = eager(runs)
+    deferred = runs()
     for label, a, b in zip(
-        ("serial", "parallel-2", "parallel-4", "combined-5"),
-        runs["eager"],
-        runs["deferred"],
+        ("serial", "parallel-2", "parallel-4", "combined-5"), dense, deferred
     ):
         assert a.n_efms == b.n_efms, label
         assert np.array_equal(a.fluxes, b.fluxes), (
-            f"{label}: eager and deferred EFM sets differ"
+            f"{label}: dense-row and support-first EFM sets differ"
         )
-    assert runs["deferred"][0].n_efms == 530
+    assert deferred[0].n_efms == 530

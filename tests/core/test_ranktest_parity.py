@@ -400,23 +400,17 @@ class TestRegistryEquivalence:
 
 
 class TestOptionMatrixParity:
-    """The 530-EFM yeast-I-small pin must hold for every backend across
-    the candidate-pipeline x streaming x pair-pruning option matrix, with
-    all three backends producing the same mode set per combination."""
+    """The 530-EFM yeast-I-small pin must hold for every backend with
+    pair pruning on and off, with all three backends producing the same
+    mode set per setting."""
 
     @pytest.mark.parametrize("pair_pruning", ["tiles", "none"])
-    @pytest.mark.parametrize("iter_streaming", ["on", "off"])
-    @pytest.mark.parametrize("candidate_pipeline", ["deferred", "eager"])
-    def test_yeast_pin_across_backends(
-        self, candidate_pipeline, iter_streaming, pair_pruning
-    ):
+    def test_yeast_pin_across_backends(self, pair_pruning):
         net = get_network("yeast-I-small")
         results = {}
         for be in ("loop", "batched", "modular"):
             opts = AlgorithmOptions(
                 rank_backend=be,
-                candidate_pipeline=candidate_pipeline,
-                iter_streaming=iter_streaming,
                 pair_pruning=pair_pruning,
             )
             results[be] = compute_efms(net, options=opts)

@@ -1,13 +1,17 @@
-"""Streaming vs batch iteration parity.
+"""Streamed candidate phase vs the whole-set oracle.
 
-The streaming iteration engine (:mod:`repro.core.iterstream`) must be an
-exact refactoring of the batch ``generate → dedup → rank-test`` body:
-bit-identical EFM sets on every driver, both candidate pipelines, and any
-chunk budget — chunking never reorders the pair enumeration and dedup is
-keep-first on both paths (see the module docstring's invariant).  The
-fast tests pin the multi-chunk path on the toy network with a budget tiny
-enough to force one-pair chunks; the slow property extends the 530-EFM
-yeast-I-small pin to a streaming x chunk-size sweep.
+The candidate phase (:func:`repro.core.iterstream.stream_iteration`) must
+be an exact refactoring of the whole-set ``generate → dedup → rank-test``
+body kept in :mod:`tests.core.batch_oracle`: bit-identical EFM sets on
+every driver, for both arithmetics and any chunk size — chunking never
+reorders the pair enumeration and dedup is keep-first (see the module
+docstring's invariant).  The oracle is parametrized by its candidate
+representation (support-only ``deferred`` batches or ``eager`` dense
+rows).  Multi-chunk runs are forced by shrinking
+:data:`repro.cluster.memory.DEFAULT_STREAM_CHUNK_BYTES`: the fast tests
+use a budget tiny enough for one-pair chunks on the paper's toy network,
+and the slow property extends the 530-EFM yeast-I-small pin to a
+chunk-size sweep.
 """
 
 from __future__ import annotations
@@ -15,124 +19,159 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import memory
 from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import compute_efms
 from repro.models.variants import yeast_1_small
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
+from tests.conftest import assert_same_modes
+from tests.core.batch_oracle import use_batch_oracle
+from tests.core.test_paper_example import EQ7_EFMS
 
-#: A budget small enough that every toy iteration needs several chunks.
+#: A chunk budget (bytes) small enough that every toy iteration needs
+#: several chunks.
 TINY = 256
 
+OPTS = AlgorithmOptions()
+EXACT = AlgorithmOptions(arithmetic="exact")
 
-def _opts(streaming, pipeline="deferred", chunk="auto", **kw):
-    return AlgorithmOptions(
-        iter_streaming=streaming,
-        iter_chunk_bytes=chunk,
-        candidate_pipeline=pipeline,
-        **kw,
-    )
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """``oracle(fn, *args, representation=..., **kw)`` runs ``fn`` with the
+    whole-set candidate phase patched into every driver."""
+
+    def run(fn, *args, representation=None, **kw):
+        deferred = None if representation is None else representation == "deferred"
+        with monkeypatch.context() as m:
+            use_batch_oracle(m, deferred=deferred)
+            return fn(*args, **kw)
+
+    return run
+
+
+def _budget(monkeypatch, chunk):
+    if chunk != "auto":
+        monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", chunk)
 
 
 class TestToyStreamingParity:
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
+    @pytest.mark.parametrize("representation", ["deferred", "eager"])
     @pytest.mark.parametrize("chunk", ["auto", TINY])
-    def test_serial(self, toy_problem, pipeline, chunk):
-        off = nullspace_algorithm(toy_problem, options=_opts("off", pipeline))
-        on = nullspace_algorithm(
-            toy_problem, options=_opts("on", pipeline, chunk)
+    def test_serial(self, toy_problem, oracle, monkeypatch, representation, chunk):
+        ref = oracle(
+            nullspace_algorithm, toy_problem, options=OPTS,
+            representation=representation,
         )
-        assert np.array_equal(
-            off.efms_input_order(), on.efms_input_order()
-        )
+        _budget(monkeypatch, chunk)
+        got = nullspace_algorithm(toy_problem, options=OPTS)
+        assert np.array_equal(ref.efms_input_order(), got.efms_input_order())
 
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
+    @pytest.mark.parametrize("representation", ["deferred", "eager"])
     @pytest.mark.parametrize("n_ranks", [2, 3])
-    def test_combinatorial(self, toy_problem, pipeline, n_ranks):
-        off = combinatorial_parallel(
-            toy_problem, n_ranks, options=_opts("off", pipeline)
+    def test_combinatorial(
+        self, toy_problem, oracle, monkeypatch, representation, n_ranks
+    ):
+        ref = oracle(
+            combinatorial_parallel, toy_problem, n_ranks, options=OPTS,
+            representation=representation,
         )
-        on = combinatorial_parallel(
-            toy_problem, n_ranks, options=_opts("on", pipeline, TINY)
-        )
+        _budget(monkeypatch, TINY)
+        got = combinatorial_parallel(toy_problem, n_ranks, options=OPTS)
         assert np.array_equal(
-            off.result.efms_input_order(), on.result.efms_input_order()
+            ref.result.efms_input_order(), got.result.efms_input_order()
         )
 
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
-    def test_distributed(self, toy_problem, pipeline):
-        off = distributed_parallel(
-            toy_problem, 3, options=_opts("off", pipeline)
+    @pytest.mark.parametrize("representation", ["deferred", "eager"])
+    def test_distributed(self, toy_problem, oracle, monkeypatch, representation):
+        ref = oracle(
+            distributed_parallel, toy_problem, 3, options=OPTS,
+            representation=representation,
         )
-        on = distributed_parallel(
-            toy_problem, 3, options=_opts("on", pipeline, TINY)
-        )
-        assert np.array_equal(
-            off.efms_input_order(), on.efms_input_order()
-        )
+        _budget(monkeypatch, TINY)
+        got = distributed_parallel(toy_problem, 3, options=OPTS)
+        assert np.array_equal(ref.efms_input_order(), got.efms_input_order())
 
     @pytest.mark.parametrize("strategy", ["strided", "block", "tiled"])
-    def test_pair_strategies(self, toy_problem, strategy):
-        off = combinatorial_parallel(
-            toy_problem, 2, pair_strategy=strategy, options=_opts("off")
+    def test_pair_strategies(self, toy_problem, oracle, monkeypatch, strategy):
+        ref = oracle(
+            combinatorial_parallel, toy_problem, 2, pair_strategy=strategy,
+            options=OPTS,
         )
-        on = combinatorial_parallel(
-            toy_problem, 2, pair_strategy=strategy, options=_opts("on", chunk=TINY)
+        _budget(monkeypatch, TINY)
+        got = combinatorial_parallel(
+            toy_problem, 2, pair_strategy=strategy, options=OPTS
         )
         assert np.array_equal(
-            off.result.efms_input_order(), on.result.efms_input_order()
+            ref.result.efms_input_order(), got.result.efms_input_order()
         )
+
+    @pytest.mark.parametrize("chunk", ["auto", TINY])
+    def test_exact_arithmetic(self, toy_problem, oracle, monkeypatch, chunk):
+        ref = oracle(nullspace_algorithm, toy_problem, options=EXACT)
+        _budget(monkeypatch, chunk)
+        got = nullspace_algorithm(toy_problem, options=EXACT)
+        assert got.modes.exact
+        assert np.array_equal(ref.modes.values, got.modes.values)
 
 
 class TestStreamingCounters:
-    def test_tiny_budget_forces_multiple_chunks(self, toy_problem):
-        res = nullspace_algorithm(toy_problem, options=_opts("on", chunk=TINY))
+    def test_tiny_budget_forces_multiple_chunks(
+        self, toy_problem, oracle, monkeypatch
+    ):
+        batch = oracle(nullspace_algorithm, toy_problem, options=OPTS)
+        _budget(monkeypatch, TINY)
+        res = nullspace_algorithm(toy_problem, options=OPTS)
         assert res.stats.total_stream_chunks > len(res.stats.iterations)
         assert res.stats.total_dedup_probes > 0
         assert res.stats.peak_stream_chunk_bytes > 0
         # The tiny budget bounds every chunk's transient well below the
-        # batch path's whole-iteration candidate peak.
-        batch = nullspace_algorithm(toy_problem, options=_opts("off"))
+        # whole-set candidate peak.
         assert res.stats.peak_stream_chunk_bytes <= max(
             it.candidate_bytes for it in batch.stats.iterations
         )
 
-    def test_batch_path_leaves_counters_zero(self, toy_problem):
-        res = nullspace_algorithm(toy_problem, options=_opts("off"))
+    def test_batch_path_leaves_counters_zero(self, toy_problem, oracle):
+        # The oracle really replaces the streamed phase (otherwise every
+        # parity test above would compare the streamed phase to itself).
+        res = oracle(nullspace_algorithm, toy_problem, options=OPTS)
         assert res.stats.total_stream_chunks == 0
         assert res.stats.total_dedup_probes == 0
         assert res.stats.peak_stream_chunk_bytes == 0
 
-    def test_exact_arithmetic_takes_batch_path(self, toy_problem):
-        res = nullspace_algorithm(
-            toy_problem,
-            options=_opts("on", chunk=TINY, arithmetic="exact"),
-        )
-        assert res.stats.total_stream_chunks == 0
+    def test_exact_arithmetic_streams(self, toy, monkeypatch):
+        _budget(monkeypatch, TINY)
+        res = compute_efms(toy, options=EXACT)
+        assert res.stats.total_stream_chunks > len(res.stats.iterations)
+        assert res.n_efms == 8
+        assert_same_modes(res.fluxes, EQ7_EFMS)
 
 
 @pytest.mark.slow
-def test_yeast_small_streaming_chunk_sweep():
-    """Acceptance property: yeast-I-small, streaming x chunk-size sweep —
-    every (driver, chunk budget) combination reproduces the batch path's
+def test_yeast_small_streaming_chunk_sweep(oracle, monkeypatch):
+    """Acceptance property: yeast-I-small — at the default and two forced
+    multi-chunk budgets, every driver reproduces the whole-set oracle's
     530-EFM set bit-identically."""
     net = yeast_1_small()
 
-    def runs(opts):
+    def runs():
         return [
-            compute_efms(net, options=opts),
-            compute_efms(net, method="parallel", n_ranks=3, options=opts),
-            compute_efms(net, method="combined", partition=5, options=opts),
+            compute_efms(net, options=OPTS),
+            compute_efms(net, method="parallel", n_ranks=3, options=OPTS),
+            compute_efms(net, method="combined", partition=5, options=OPTS),
         ]
 
-    batch = runs(_opts("off"))
+    batch = oracle(runs)
     assert batch[0].n_efms == 530
     for chunk in ("auto", 64 << 10, 8 << 10):
-        streamed = runs(_opts("on", chunk=chunk))
+        with monkeypatch.context() as m:
+            _budget(m, chunk)
+            streamed = runs()
         for label, a, b in zip(("serial", "parallel-3", "combined-5"), batch, streamed):
             assert a.n_efms == b.n_efms, (label, chunk)
             assert np.array_equal(a.fluxes, b.fluxes), (
-                f"{label} with iter_chunk_bytes={chunk}: streaming EFM set "
-                "differs from batch"
+                f"{label} with a {chunk} chunk budget: streamed EFM set "
+                "differs from the whole-set oracle"
             )

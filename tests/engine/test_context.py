@@ -137,12 +137,3 @@ def test_context_is_picklable(toy_record):
     assert clone.memory_model.capacity_bytes == 4096
     assert clone.shared_rank_memo is not None
     assert clone.shared_rank_memo[1] == ctx.shared_rank_memo[1]
-
-
-def test_make_rank_binding_delegates_to_context(toy_problem):
-    """The legacy helper is now a thin wrapper over the context."""
-    from repro.core.serial import make_rank_binding
-
-    binding = make_rank_binding(toy_problem, AlgorithmOptions(rank_backend="modular"))
-    assert isinstance(binding, CacheBinding)
-    assert make_rank_binding(toy_problem, AlgorithmOptions(rank_backend="loop")) is None

@@ -44,14 +44,14 @@ class TestPlanning:
     def test_predictions_match_memory_model(self, reduced, specs):
         sched = make_scheduler(reduced, specs)
         jobs = sched.plan()
-        # The scheduler predicts for whatever pipeline / pruning its
-        # options select (env-sensitive defaults) — compare like for like.
+        # The scheduler predicts for whatever pruning / rank backend /
+        # ordering its options select (env-sensitive defaults) — compare
+        # like for like.
         opts = sched.context.options
         for job in jobs:
             assert job.predicted_peak_bytes == predict_subset_peak_bytes(
                 reduced,
                 job.spec,
-                candidate_pipeline=opts.candidate_pipeline,
                 pair_chunk=opts.pair_chunk,
                 pair_pruning=opts.pair_pruning,
                 rank_backend=opts.rank_backend,

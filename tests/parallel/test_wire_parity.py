@@ -3,8 +3,8 @@
 The wire protocol is pure transport — it must never change a single bit
 of any result.  This suite asserts (1) collective/point-to-point results
 are bit-identical across ``wire_protocol`` in {typed, pickle} on every
-backend, and (2) final EFM sets are bit-identical across protocols,
-backends and candidate pipelines, with the yeast-I-small 530-EFM pin as
+backend, and (2) final EFM sets are bit-identical across protocols and
+backends, with the yeast-I-small 530-EFM pin as
 the slow acceptance property.
 """
 
@@ -64,8 +64,7 @@ def test_collectives_identical_across_protocols(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("pipeline", ("deferred", "eager"))
-def test_efms_identical_across_protocols(backend, pipeline):
+def test_efms_identical_across_protocols(backend):
     net = random_network(
         n_metabolites=5, n_reactions=10, seed=42, reversible_fraction=0.3
     )
@@ -75,9 +74,7 @@ def test_efms_identical_across_protocols(backend, pipeline):
             method="parallel",
             n_ranks=2,
             backend=backend,
-            options=AlgorithmOptions(
-                wire_protocol=proto, candidate_pipeline=pipeline
-            ),
+            options=AlgorithmOptions(wire_protocol=proto),
         )
         for proto in PROTOCOLS
     }
@@ -132,26 +129,20 @@ def test_typed_serializes_less_than_pickle():
 @pytest.mark.slow
 def test_yeast_small_wire_parity_property():
     """Acceptance property: yeast-I-small — typed and pickle produce
-    bit-identical EFM sets (530) across backends and both candidate
-    pipelines."""
+    bit-identical EFM sets (530) across backends."""
     net = yeast_1_small()
     ref = None
     for proto in PROTOCOLS:
-        for pipeline in ("deferred", "eager"):
-            for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
-                run = compute_efms(
-                    net,
-                    method="parallel",
-                    n_ranks=n_ranks,
-                    backend=backend,
-                    options=AlgorithmOptions(
-                        wire_protocol=proto, candidate_pipeline=pipeline
-                    ),
-                )
-                assert run.n_efms == 530, (proto, pipeline, backend)
-                if ref is None:
-                    ref = run.fluxes
-                else:
-                    assert np.array_equal(run.fluxes, ref), (
-                        proto, pipeline, backend,
-                    )
+        for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
+            run = compute_efms(
+                net,
+                method="parallel",
+                n_ranks=n_ranks,
+                backend=backend,
+                options=AlgorithmOptions(wire_protocol=proto),
+            )
+            assert run.n_efms == 530, (proto, backend)
+            if ref is None:
+                ref = run.fluxes
+            else:
+                assert np.array_equal(run.fluxes, ref), (proto, backend)
