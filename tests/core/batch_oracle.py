@@ -166,3 +166,12 @@ def use_batch_oracle(monkeypatch, *, deferred: bool | None = None) -> None:
     body = functools.partial(batch_iteration, deferred=deferred)
     monkeypatch.setattr(iterstream, "stream_iteration", body)
     monkeypatch.setattr(distributed, "stream_iteration", body)
+
+
+def run_whole_set(monkeypatch, representation: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with every driver on the whole-set body and
+    its candidates in the named representation: ``"deferred"``
+    (support-only batches) or ``"eager"`` (dense rows)."""
+    with monkeypatch.context() as m:
+        use_batch_oracle(m, deferred=representation == "deferred")
+        return fn(*args, **kwargs)

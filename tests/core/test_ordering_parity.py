@@ -4,16 +4,21 @@ The Nullspace Algorithm's final EFM set is a property of the network, not
 of the row-processing order — any permutation of the processed row set
 (and any run-time dynamic selection within it) must reproduce the same
 modes up to scaling and enumeration order.  These tests pin that
-invariant for every ``ordering`` on every driver; the slow property extends the pin to the 530-EFM yeast-I-small
-acceptance workload.  Comparisons are canonicalized (unit max-norm,
-rounded, lexsorted) because different orderings legitimately emit the
-same set in different orders and scalings.
+invariant for every ``ordering`` on every driver, on the streamed
+candidate phase and on the whole-set oracle in both candidate
+representations (:mod:`tests.core.batch_oracle`); the slow property
+extends the pin to the 530-EFM yeast-I-small acceptance workload.
+Comparisons are canonicalized (unit max-norm, rounded, lexsorted)
+because different orderings legitimately emit the same set in different
+orders and scalings.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cluster import memory
 from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import compute_efms
@@ -21,8 +26,13 @@ from repro.models.variants import yeast_1_small
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
+from tests.core.batch_oracle import run_whole_set
 
 ORDERINGS = ("dynamic", "paper", "natural", "random")
+
+#: A chunk budget (bytes) small enough that every toy iteration streams
+#: in several chunks.
+TINY = 256
 
 
 def _opts(ordering, **kw):
@@ -38,13 +48,44 @@ def toy_reference(request):
 
 
 class TestToyOrderingParity:
+    @pytest.mark.parametrize("streaming", ["off", "on"])
+    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
     @pytest.mark.parametrize("ordering", ORDERINGS)
-    def test_serial(self, toy_problem, toy_reference, ordering):
-        res = nullspace_algorithm(toy_problem, options=_opts(ordering))
+    def test_serial(
+        self, toy_problem, toy_reference, monkeypatch, ordering, pipeline,
+        streaming,
+    ):
+        """``streaming="off"`` runs the whole-set oracle with ``pipeline``
+        candidates; ``"on"`` runs the streamed phase in many chunks, which
+        must match that oracle bit for bit."""
+        ref = run_whole_set(
+            monkeypatch, pipeline, nullspace_algorithm, toy_problem,
+            options=_opts(ordering),
+        )
+        res = ref
+        if streaming == "on":
+            monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", TINY)
+            res = nullspace_algorithm(toy_problem, options=_opts(ordering))
+            assert res.stats.total_stream_chunks > len(res.stats.iterations)
+            assert np.array_equal(res.efms_input_order(), ref.efms_input_order())
         assert_same_modes(res.efms_input_order(), toy_reference)
 
+    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
     @pytest.mark.parametrize("ordering", ORDERINGS)
-    def test_combinatorial(self, toy_problem, toy_reference, ordering):
+    def test_combinatorial(
+        self, toy_problem, toy_reference, monkeypatch, ordering, pipeline
+    ):
+        res = run_whole_set(
+            monkeypatch, pipeline, combinatorial_parallel, toy_problem, 2,
+            options=_opts(ordering),
+        )
+        assert_same_modes(res.result.efms_input_order(), toy_reference)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_streaming_combinatorial(
+        self, toy_problem, toy_reference, monkeypatch, ordering
+    ):
+        monkeypatch.setattr(memory, "DEFAULT_STREAM_CHUNK_BYTES", TINY)
         res = combinatorial_parallel(toy_problem, 2, options=_opts(ordering))
         assert_same_modes(res.result.efms_input_order(), toy_reference)
 

@@ -35,6 +35,7 @@ from repro.models.registry import get_network
 from repro.network.compression import compress_network
 
 from tests.conftest import assert_same_modes
+from tests.core.batch_oracle import run_whole_set
 
 
 def _candidate_batch(problem, seed: int) -> ModeMatrix:
@@ -400,12 +401,20 @@ class TestRegistryEquivalence:
 
 
 class TestOptionMatrixParity:
-    """The 530-EFM yeast-I-small pin must hold for every backend with
-    pair pruning on and off, with all three backends producing the same
-    mode set per setting."""
+    """The 530-EFM yeast-I-small pin must hold for every backend across
+    the candidate-representation x streaming x pair-pruning matrix, with
+    all three backends producing the same mode set per combination.
+
+    ``streaming="off"`` runs the whole-set oracle with ``representation``
+    candidates; ``"on"`` runs the streamed phase, which must match that
+    oracle bit for bit."""
 
     @pytest.mark.parametrize("pair_pruning", ["tiles", "none"])
-    def test_yeast_pin_across_backends(self, pair_pruning):
+    @pytest.mark.parametrize("streaming", ["on", "off"])
+    @pytest.mark.parametrize("representation", ["deferred", "eager"])
+    def test_yeast_pin_across_backends(
+        self, monkeypatch, representation, streaming, pair_pruning
+    ):
         net = get_network("yeast-I-small")
         results = {}
         for be in ("loop", "batched", "modular"):
@@ -413,7 +422,14 @@ class TestOptionMatrixParity:
                 rank_backend=be,
                 pair_pruning=pair_pruning,
             )
-            results[be] = compute_efms(net, options=opts)
+            results[be] = run_whole_set(
+                monkeypatch, representation, compute_efms, net,
+                options=opts,
+            )
+            if streaming == "on":
+                streamed = compute_efms(net, options=opts)
+                assert np.array_equal(streamed.fluxes, results[be].fluxes), be
+                results[be] = streamed
             assert results[be].n_efms == 530, be
         for be in ("batched", "modular"):
             assert results["loop"].same_modes_as(results[be]), be

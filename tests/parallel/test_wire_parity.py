@@ -4,8 +4,8 @@ The wire protocol is pure transport — it must never change a single bit
 of any result.  This suite asserts (1) collective/point-to-point results
 are bit-identical across ``wire_protocol`` in {typed, pickle} on every
 backend, and (2) final EFM sets are bit-identical across protocols and
-backends, with the yeast-I-small 530-EFM pin as
-the slow acceptance property.
+backends, for both candidate representations on the wire, with the
+yeast-I-small 530-EFM pin as the slow acceptance property.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.efm.api import compute_efms
 from repro.mpi.spmd import run_spmd
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
+from tests.core.batch_oracle import run_whole_set
 
 BACKENDS = ("sequential", "thread", "process")
 PROTOCOLS = ("typed", "pickle")
@@ -64,20 +65,27 @@ def test_collectives_identical_across_protocols(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_efms_identical_across_protocols(backend):
+@pytest.mark.parametrize("pipeline", ("deferred", "eager"))
+def test_efms_identical_across_protocols(monkeypatch, backend, pipeline):
+    """``"deferred"`` ships the streamed phase's support-only batches;
+    ``"eager"`` ships dense float rows, which only the whole-set oracle
+    still produces (the process backend forks, so workers inherit it)."""
     net = random_network(
         n_metabolites=5, n_reactions=10, seed=42, reversible_fraction=0.3
     )
-    runs = {
-        proto: compute_efms(
-            net,
+
+    def run(proto):
+        kw = dict(
             method="parallel",
             n_ranks=2,
             backend=backend,
             options=AlgorithmOptions(wire_protocol=proto),
         )
-        for proto in PROTOCOLS
-    }
+        if pipeline == "eager":
+            return run_whole_set(monkeypatch, "eager", compute_efms, net, **kw)
+        return compute_efms(net, **kw)
+
+    runs = {proto: run(proto) for proto in PROTOCOLS}
     assert runs["typed"].n_efms == runs["pickle"].n_efms
     assert np.array_equal(runs["typed"].fluxes, runs["pickle"].fluxes)
 
