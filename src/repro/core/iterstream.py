@@ -241,6 +241,8 @@ def stream_iteration(
                 for m in acc_modes[1:]:
                     out = out.concat(m)
             else:
-                out = ModeMatrix.empty(modes.q, policy=modes.policy)
+                out = ModeMatrix.empty(
+                    modes.q, exact=modes.exact, policy=modes.policy
+                )
         out.dedup_index = index
     return out

@@ -407,27 +407,43 @@ class TestOptionMatrixParity:
 
     ``streaming="off"`` runs the whole-set oracle with ``representation``
     candidates; ``"on"`` runs the streamed phase, which must match that
-    oracle bit for bit."""
+    oracle bit for bit.  The streamed phase ignores ``representation``, so
+    every solve is memoized per class and each is run once."""
+
+    @pytest.fixture(scope="class")
+    def solve(self):
+        net = get_network("yeast-I-small")
+        memo = {}
+
+        def run(representation, backend, pair_pruning):
+            key = (representation, backend, pair_pruning)
+            if key not in memo:
+                opts = AlgorithmOptions(
+                    rank_backend=backend, pair_pruning=pair_pruning
+                )
+                if representation is None:
+                    memo[key] = compute_efms(net, options=opts)
+                else:
+                    with pytest.MonkeyPatch.context() as m:
+                        memo[key] = run_whole_set(
+                            m, representation, compute_efms, net,
+                            options=opts,
+                        )
+            return memo[key]
+
+        return run
 
     @pytest.mark.parametrize("pair_pruning", ["tiles", "none"])
     @pytest.mark.parametrize("streaming", ["on", "off"])
     @pytest.mark.parametrize("representation", ["deferred", "eager"])
     def test_yeast_pin_across_backends(
-        self, monkeypatch, representation, streaming, pair_pruning
+        self, solve, representation, streaming, pair_pruning
     ):
-        net = get_network("yeast-I-small")
         results = {}
         for be in ("loop", "batched", "modular"):
-            opts = AlgorithmOptions(
-                rank_backend=be,
-                pair_pruning=pair_pruning,
-            )
-            results[be] = run_whole_set(
-                monkeypatch, representation, compute_efms, net,
-                options=opts,
-            )
+            results[be] = solve(representation, be, pair_pruning)
             if streaming == "on":
-                streamed = compute_efms(net, options=opts)
+                streamed = solve(None, be, pair_pruning)
                 assert np.array_equal(streamed.fluxes, results[be].fluxes), be
                 results[be] = streamed
             assert results[be].n_efms == 530, be

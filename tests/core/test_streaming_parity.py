@@ -116,6 +116,21 @@ class TestToyStreamingParity:
         assert got.modes.exact
         assert np.array_equal(ref.modes.values, got.modes.values)
 
+    @pytest.mark.parametrize("n_ranks", [2, 3])
+    @pytest.mark.parametrize("chunk", ["auto", TINY])
+    def test_exact_combinatorial(
+        self, toy_problem, oracle, monkeypatch, n_ranks, chunk
+    ):
+        # Some ranks accept nothing on most iterations; their empty parts
+        # must stay exact or the rank-major merge cannot concatenate them.
+        ref = oracle(combinatorial_parallel, toy_problem, n_ranks, options=EXACT)
+        serial = nullspace_algorithm(toy_problem, options=EXACT)
+        _budget(monkeypatch, chunk)
+        got = combinatorial_parallel(toy_problem, n_ranks, options=EXACT)
+        assert got.result.modes.exact
+        assert np.array_equal(ref.result.modes.values, got.result.modes.values)
+        assert_same_modes(got.result.efms_input_order(), serial.efms_input_order())
+
 
 class TestStreamingCounters:
     def test_tiny_budget_forces_multiple_chunks(
