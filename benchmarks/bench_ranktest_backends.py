@@ -12,7 +12,8 @@ artifact next to the text reports under ``benchmarks/out/``.  Two
 acceptance bars are asserted: the batched engine's >= 3x over the loop,
 and the modular engine's >= 1.5x over batched on the *dominant* iteration
 (the elimination position where batched spends the most rank-test time —
-the spot the residue-field kernel and prefix reuse were built for).
+the spot the residue-field kernel and its unit-row reduction were built
+for).
 Repetitions come from ``REPRO_BENCH_REPS`` (default 3; CI's smoke job
 sets 1); each backend's time is the best over repetitions, which is the
 standard guard against scheduler noise on shared runners.
@@ -131,7 +132,7 @@ def test_ranktest_backends_artifact(backend_runs, write_artifact):
         ),
         columns=[
             "backend", "# EFM", "rank tests", "t_rank_test (s)",
-            "cache hits", "batches", "prefix cols", "fallbacks",
+            "cache hits", "batches", "unit members", "fallbacks",
         ],
     )
     table.add_row(
@@ -149,7 +150,7 @@ def test_ranktest_backends_artifact(backend_runs, write_artifact):
         _stat_sum(modular_run, "total_rank_tests"), round(t_modular, 4),
         _stat_sum(modular_run, "total_rank_cache_hits"),
         _stat_sum(modular_run, "total_rank_batches"),
-        _stat_sum(modular_run, "total_prefix_reused_cols"),
+        _stat_sum(modular_run, "total_rank_unit_members"),
         _stat_sum(modular_run, "total_rank_fallback"),
     )
     write_artifact("ranktest_backends.txt", table.render())
@@ -183,8 +184,8 @@ def test_ranktest_backends_artifact(backend_runs, write_artifact):
             "cache_hits": _stat_sum(modular_run, "total_rank_cache_hits"),
             "kernel_batches": _stat_sum(modular_run, "total_rank_batches"),
             "modular_ranks": _stat_sum(modular_run, "total_rank_modular"),
-            "prefix_reused_cols": _stat_sum(
-                modular_run, "total_prefix_reused_cols"
+            "rank_unit_members": _stat_sum(
+                modular_run, "total_rank_unit_members"
             ),
             "fallbacks": _stat_sum(modular_run, "total_rank_fallback"),
         },
@@ -228,11 +229,11 @@ def test_modular_dominant_iteration_speedup(backend_runs):
     )
 
 
-def test_modular_prefix_reuse_engaged(backend_runs):
-    """The elimination-prefix layer must actually fire on this workload,
-    and the residue kernel must certify everything without SVD rescue."""
+def test_modular_unit_reduction_engaged(backend_runs):
+    """The unit-row reduction must actually fire on this workload, and the
+    residue kernel must certify everything without SVD rescue."""
     modular_run, _ = backend_runs["modular"]
-    assert _stat_sum(modular_run, "total_prefix_reused_cols") > 0
+    assert _stat_sum(modular_run, "total_rank_unit_members") > 0
     assert _stat_sum(modular_run, "total_rank_modular") > 0
     assert _stat_sum(modular_run, "total_rank_fallback") == 0
 

@@ -39,7 +39,7 @@ ITERATION_COLUMNS = (
     "rank_batch_max",
     "n_rank_modular",
     "n_rank_fallback",
-    "n_prefix_reused_cols",
+    "n_rank_unit_members",
     "candidate_bytes",
     "prefilter_bytes",
     "n_chunks",

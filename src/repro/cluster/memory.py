@@ -131,19 +131,23 @@ def modular_workset_bytes(q: int, rank: int, batch: int) -> int:
     (:mod:`repro.linalg.modular`).
 
     The kernel answers nullity queries in complement form against a
-    ``(d, q)`` basis panel, ``d = q - rank``: per batch it holds the
-    gathered complement stack plus one transposed elimination copy
-    (``batch * d * w`` float64 each, ``w ≈ d`` complement members after
-    padding), the phase-A class snapshots (bounded by the per-candidate
-    states), the padded member-index matrix, and the basis panel with one
-    residue image.  Small next to the mode matrix, but the scheduler's
+    ``(d, q)`` basis panel, ``d = q - rank``.  Per batch its exact arm
+    holds the unit-row-reduced stack — at most ``d`` live coordinates by
+    the non-unit complement members, ``batch * d * w`` float64 with ``w ≈
+    d`` after zero padding — plus one elimination temporary of the same
+    size, the padded member- and coordinate-index matrices, and the basis
+    panel with one residue image (the residue arm's full-complement stack
+    fits the same ``batch * d * w`` bound).  The ``batch * d * q`` term
+    once charged per-candidate elimination snapshots; the kernel no longer
+    keeps any, and the term stays as headroom so scheduler predictions do
+    not move.  Small next to the mode matrix, but the scheduler's
     admission model should still see it.
     """
     d = max(1, int(q) - int(rank))
     w = d + 1  # padded complement width: |S̄| ≤ d - 1, plus slack
     b = max(0, int(batch))
-    stack = b * d * w * 8 * 2  # gathered stack + transposed copy
-    snapshots = b * d * q * 8  # phase-A class states, ≤ one per candidate
+    stack = b * d * w * 8 * 2  # gathered stack + elimination temporary
+    snapshots = b * d * q * 8  # headroom (no snapshots are kept any more)
     indices = b * w * 8
     basis = d * q * 8 * 2  # float panel + one residue image
     return stack + snapshots + indices + basis

@@ -123,8 +123,8 @@ class AlgorithmOptions:
         Engine computing the algebraic rank test: ``"modular"`` (default)
         rescales the stoichiometry to exact integers once per problem and
         answers batch nullity queries by certified fraction-free
-        elimination over a gcd-reduced integer kernel basis, with
-        elimination-prefix reuse across lexsorted supports and automatic
+        elimination over a gcd-reduced integer kernel basis, settling
+        unit basis rows without elimination, with automatic
         residue-field / SVD escalation (:mod:`repro.linalg.modular`);
         ``"batched"`` buckets candidates by support size and decomposes
         each bucket with one gufunc-batched SVD call; ``"loop"`` is the

@@ -15,7 +15,7 @@ Three backends compute the ranks:
     stoichiometry is rescaled to exact integers once per problem, the
     nullity query is rewritten in complement form against a gcd-reduced
     integer kernel basis, and batch ranks come from certified fraction-free
-    elimination with an elimination-prefix reuse layer (mod-``p`` and SVD
+    elimination after a unit-row reduction (mod-``p`` and SVD
     escalation for the rare stacks the exact arm cannot certify; wholesale
     SVD fallback for problems whose entries are not safely rational).
 ``"batched"``

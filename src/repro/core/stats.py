@@ -59,9 +59,9 @@ class IterationStats:
     #: rank tests the modular backend handed to the SVD engine instead —
     #: non-rational problems, unverifiable kernels, prime disagreements.
     n_rank_fallback: int = 0
-    #: complement member-columns served from elimination-prefix snapshots
-    #: instead of re-eliminated (the prefix-reuse layer's work saving).
-    n_prefix_reused_cols: int = 0
+    #: complement members the modular kernel settled by the unit-row
+    #: reduction (basis rows with one nonzero) instead of eliminating them.
+    n_rank_unit_members: int = 0
     #: peak retained candidate footprint of the iteration (bytes): the
     #: accepted candidates, the dedup index and the current chunk —
     #: packed supports + pair indices for float runs, dense rows for
@@ -169,9 +169,9 @@ class RunStats:
         return sum(it.n_rank_fallback for it in self.iterations)
 
     @property
-    def total_prefix_reused_cols(self) -> int:
-        """Member-columns served from elimination-prefix snapshots."""
-        return sum(it.n_prefix_reused_cols for it in self.iterations)
+    def total_rank_unit_members(self) -> int:
+        """Complement members settled by the unit-row reduction."""
+        return sum(it.n_rank_unit_members for it in self.iterations)
 
     @property
     def total_sel_evaluated(self) -> int:
@@ -277,8 +277,8 @@ class RunStats:
                     rank_batch_max=max(a.rank_batch_max, b.rank_batch_max),
                     n_rank_modular=a.n_rank_modular + b.n_rank_modular,
                     n_rank_fallback=a.n_rank_fallback + b.n_rank_fallback,
-                    n_prefix_reused_cols=(
-                        a.n_prefix_reused_cols + b.n_prefix_reused_cols
+                    n_rank_unit_members=(
+                        a.n_rank_unit_members + b.n_rank_unit_members
                     ),
                     candidate_bytes=max(a.candidate_bytes, b.candidate_bytes),
                     prefilter_bytes=max(a.prefilter_bytes, b.prefilter_bytes),

@@ -1,4 +1,4 @@
-"""Modular residue-field rank engine with elimination-prefix reuse.
+"""Modular residue-field rank engine with unit-row reduction.
 
 The rank test asks, per candidate support ``S``, whether
 ``nullity(N[:, S]) == 1``.  The batched backend answers with gufunc SVD —
@@ -43,17 +43,22 @@ by the pivot preserves rank over a field); the only inverses are the lazy
 per-pivot ``pow(pv, -1, p)`` in the mod-``p`` RREF that rebuilds a kernel
 basis when the exact integer basis itself overflows.
 
-**Elimination-prefix reuse.**  Within one batch the complement member sets
-are lexsorted (:func:`repro.linalg.bitset.lexsort_rows` on the complement
-words), so consecutive candidates share their leading complement members.
-Elimination runs member-by-member on the *transposed* basis panel
-(``B.T[:, S̄]``: members are columns, steps eliminate columns), which makes
-the partially eliminated state after the shared prefix a snapshot any
-candidate of the class can continue from: phase A eliminates each distinct
-prefix once at full width ``q``, phase C gathers each candidate's suffix
-members from its class snapshot and eliminates only those.  The
-``n_prefix_reused_cols`` counter records how many member-columns were
-served from snapshots instead of re-eliminated.
+**Unit-row reduction.**  :func:`int_kernel` parametrizes ``B`` by the
+free reactions, so every free-reaction row is a scaled unit vector
+(``B[free_k, :] = c_k e_k``).  Let ``U`` be the complement members whose
+basis row has exactly one nonzero, ``K = coord(U)`` the coordinates they
+hit and ``R = S̄ \\ U`` the remaining members.  The rows of ``B[U]`` span
+``{e_k : k ∈ K}``, so eliminating them from ``B[R]`` clears exactly the
+``K`` columns and
+
+    ``rank(B[S̄, :]) = |K| + rank(B[R, ~K])``
+
+over Q.  Only the reduced matrix is eliminated (along its shorter axis,
+zero-padded to a common shape); complements that are all unit members, or
+whose unit members hit every coordinate, need no elimination at all.  The
+reduced entries are a subset of ``B``'s, so the float64 guard certifies
+the result exactly as for the full stack.  ``n_rank_unit_members`` counts
+the members settled this way.
 
 Problems whose entries cannot be scaled to safe integers (non-rational
 entries, or magnitudes beyond the integer envelope) fall back wholesale to
@@ -105,10 +110,6 @@ MAX_DENOMINATOR = 1000
 #: cleared wholesale past this size (divide-and-conquer runs touch a few
 #: dozen distinct stoichiometries, never thousands).
 MAX_PROBLEMS = 128
-
-#: Engage the prefix-reuse layer only when its modeled element-work saving
-#: is positive and the batch is big enough for class sharing to appear.
-MIN_PREFIX_BATCH = 8
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +237,19 @@ class ModularProblem:
 
     ``ok=False`` problems (non-rational entries, unverifiable kernels)
     delegate every call to the SVD fallback.  ``bt`` is the transposed
-    gcd-reduced integer kernel basis as float64 ``(d, q)`` — the panel both
-    exact and residue arms gather complement columns from.  When the exact
-    basis construction itself overflows int64, per-prime bases are rebuilt
-    lazily by mod-``p`` RREF (:meth:`residue_basis`).
+    gcd-reduced integer kernel basis as float64 ``(d, q)`` — the panel the
+    residue arm gathers complement columns from; ``bt_pad`` is the same
+    panel bordered by one zero row and column, the gather target of the
+    exact arm's padded index matrices.  ``unit`` marks the reactions whose
+    basis row has exactly one nonzero and ``coord`` names that nonzero's
+    column (the unit-row reduction's inputs).  When the exact basis
+    construction itself overflows int64, per-prime bases are rebuilt lazily
+    by mod-``p`` RREF (:meth:`residue_basis`).
     """
 
     __slots__ = (
-        "q", "m", "ok", "reason", "rank", "d", "bt", "n_int", "primes",
-        "_residues", "_modp_bases",
+        "q", "m", "ok", "reason", "rank", "d", "bt", "bt_pad", "unit", "coord",
+        "n_int", "primes", "_residues", "_modp_bases",
     )
 
     def __init__(self, n_perm: np.ndarray, policy: NumericPolicy) -> None:
@@ -254,6 +259,9 @@ class ModularProblem:
         self.rank = -1
         self.d = -1
         self.bt: np.ndarray | None = None
+        self.bt_pad: np.ndarray | None = None
+        self.unit: np.ndarray | None = None
+        self.coord: np.ndarray | None = None
         self.n_int: np.ndarray | None = None
         self._residues: dict[int, np.ndarray] = {}
         self._modp_bases: dict[int, tuple[int, np.ndarray]] = {}
@@ -283,6 +291,11 @@ class ModularProblem:
         self.rank = len(pivots)
         self.d = B.shape[1]
         self.bt = np.ascontiguousarray(B.T, dtype=np.float64)
+        self.bt_pad = np.pad(self.bt, ((0, 1), (0, 1)))
+        rows, cols = np.nonzero(B)
+        self.unit = np.bincount(rows, minlength=self.q) == 1
+        self.coord = np.zeros(self.q, dtype=np.int64)
+        self.coord[rows] = cols  # the only nonzero, on unit rows
         self.ok = True
 
     # -- residue arm state -------------------------------------------------
@@ -409,33 +422,23 @@ def problem_for(n_perm: np.ndarray, policy: NumericPolicy) -> ModularProblem:
 # ---------------------------------------------------------------------------
 
 
-def bareiss_ranks(
-    stack: np.ndarray,
-    prev0: np.ndarray | None = None,
-    r0: np.ndarray | None = None,
-) -> np.ndarray:
+def bareiss_ranks(stack: np.ndarray) -> np.ndarray:
     """Exact batched integer ranks via fraction-free elimination.
 
     ``stack`` is ``(n, m, w)`` float64 holding exact integers; elimination
     proceeds over the ``w`` trailing-axis columns, pivoting among the ``m``
-    rows.  ``prev0``/``r0`` resume from a phase-A snapshot (previous pivot
-    and rank-so-far per matrix).  Raises ``OverflowError`` the moment the
-    2^53 exactness envelope is threatened — the caller escalates to the
-    residue arm.
+    rows.  A stack that is the transposed view of a contiguous ``(w, m,
+    n)`` panel is eliminated in place, without a copy.  Raises
+    ``OverflowError`` the moment the 2^53 exactness envelope is threatened
+    — the caller escalates to the residue arm.
     """
     n, m, w = stack.shape
-    r = (
-        np.zeros(n, dtype=np.int64)
-        if r0 is None
-        else r0.astype(np.int64, copy=True)
-    )
+    r = np.zeros(n, dtype=np.int64)
     if n == 0 or m == 0 or w == 0:
         return r
     ar = np.arange(n)
     panel = np.ascontiguousarray(stack.transpose(2, 1, 0))  # (w, m, n)
-    prev = (
-        np.ones(n) if prev0 is None else np.asarray(prev0, dtype=np.float64).copy()
-    )
+    prev = np.ones(n)
     # Magnitude tracking via two allocation-free reductions (max of the
     # data and of its negation) instead of an np.abs temporary per step.
     amax = max(float(panel.max()), -float(panel.min()))
@@ -495,99 +498,6 @@ def _modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Elimination-prefix reuse (phase A snapshots + phase C suffix runs).
-# ---------------------------------------------------------------------------
-
-
-def _choose_prefix_depth(idx_pad: np.ndarray, q: int) -> tuple[int, np.ndarray, int]:
-    """Pick the snapshot depth ``j`` maximizing modeled element-work
-    savings: every candidate skips ``j`` steps of its own (narrow) panel;
-    every distinct prefix class pays ``j`` steps at full width ``q``.
-
-    Returns ``(j, class_id, n_classes)`` — ``j == 0`` disables the layer.
-    """
-    nm, w = idx_pad.shape
-    if nm < MIN_PREFIX_BATCH or w < 2:
-        return 0, np.zeros(nm, dtype=np.int64), nm
-    jmax = min(8, w - 1)
-    eq = np.ones(nm - 1, dtype=bool)
-    best_j, best_gain = 0, 0.0
-    best_cls = np.arange(nm, dtype=np.int64)
-    for j in range(1, jmax + 1):
-        eq &= idx_pad[1:, j - 1] == idx_pad[:-1, j - 1]
-        u = nm - int(eq.sum())
-        gain = j * (nm * (w - j) - u * q)
-        if gain > best_gain:
-            new_cls = np.ones(nm, dtype=bool)
-            new_cls[1:] = ~eq
-            best_j, best_gain = j, gain
-            best_cls = np.cumsum(new_cls) - 1
-    return best_j, best_cls, int(best_cls[-1]) + 1 if nm else 0
-
-
-def _prefix_snapshot(
-    bt: np.ndarray, idx_pad: np.ndarray, cls: np.ndarray, n_classes: int, j: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase A: eliminate each class's first ``j`` complement members once,
-    at full panel width, returning ``(state, prev, rank)`` snapshots.
-
-    The update runs over the whole ``(d, q)`` panel, so the eliminated
-    member's column self-annihilates and the consumed pivot row lands at
-    exactly zero — no explicit scatter is needed (on deficient steps the
-    pivot column is identically zero and the update is a no-op).
-    """
-    d, q = bt.shape
-    reps = np.zeros(n_classes, dtype=np.int64)
-    reps[cls] = np.arange(idx_pad.shape[0])  # any member; last write wins
-    ar = np.arange(n_classes)
-    state = np.broadcast_to(bt, (n_classes, d, q)).copy()
-    prev = np.ones(n_classes)
-    rank = np.zeros(n_classes, dtype=np.int64)
-    amax = max(float(state.max()), -float(state.min())) if state.size else 0.0
-    for t in range(j):
-        if amax > BAREISS_GUARD:
-            raise OverflowError("prefix snapshot exceeds exactness envelope")
-        c = idx_pad[reps, t]
-        col = state[ar, :, c]  # (n_classes, d)
-        piv = (col != 0.0).argmax(axis=1)
-        pv_raw = col[ar, piv]
-        has = pv_raw != 0.0
-        pv = np.where(has, pv_raw, prev)
-        gp = state[ar, piv, :].copy()  # (n_classes, q)
-        state *= pv[:, None, None]
-        state -= col[:, :, None] * gp[:, None, :]
-        state /= prev[:, None, None]
-        prev = pv
-        rank += has
-        amax = max(float(state.max()), -float(state.min()))
-    return state, prev, rank
-
-
-def _exact_complement_ranks(
-    bt: np.ndarray, idx_pad: np.ndarray, stats=None
-) -> np.ndarray:
-    """Ranks of ``B[S̄, :]`` for a padded descending member-index matrix,
-    through the prefix-reuse layer when profitable."""
-    nm = idx_pad.shape[0]
-    d, q = bt.shape
-    j, cls, n_classes = _choose_prefix_depth(idx_pad, q)
-    if j > 0:
-        state, prev, rank = _prefix_snapshot(bt, idx_pad, cls, n_classes, j)
-        # Gather each candidate's suffix columns straight out of its class
-        # snapshot — one fancy index, never materializing the full-width
-        # (nm, d, q) per-candidate states.
-        sub = state[
-            cls[:, None, None], np.arange(d)[None, :, None], idx_pad[:, None, j:]
-        ]
-        out = bareiss_ranks(sub, prev0=prev[cls], r0=rank[cls])
-        if stats is not None:
-            stats.n_prefix_reused_cols += (nm - n_classes) * j
-        return out
-    sub = bt[:, idx_pad]  # (d, nm, w)
-    return bareiss_ranks(np.ascontiguousarray(sub.transpose(1, 0, 2)))
-
-
-# ---------------------------------------------------------------------------
 # The backend entry point.
 # ---------------------------------------------------------------------------
 
@@ -632,14 +542,12 @@ def _call_keys(
 def _padded_complements(
     mask_t: np.ndarray, miss_idx: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Complement member-index matrix for the miss candidates, members in
-    descending column order, short rows padded by repeating their last
-    (smallest) member — a duplicated column never changes the rank.
+    """Complement member-index matrix for the miss candidates (the residue
+    arm's stack), members in descending column order, short rows padded by
+    repeating their last (smallest) member — a duplicated column never
+    changes the rank.
 
-    Returns ``(idx_pad, comp_counts)``.  Descending order matches
-    :func:`repro.linalg.bitset.lexsort_rows` on complement words (the
-    highest set bit dominates the packed comparison), so lexsorted batches
-    put equal leading members adjacent for the prefix layer.
+    Returns ``(idx_pad, comp_counts)``.
     """
     comp = ~mask_t[miss_idx]  # (nm, q)
     nm, q = comp.shape
@@ -658,35 +566,62 @@ def _padded_complements(
     return idx_pad, counts
 
 
-def _complement_words(words: np.ndarray, q: int) -> np.ndarray:
-    """Packed complement supports (tail bits beyond ``q`` masked off)."""
-    comp = ~words
-    tail = q % 64
-    if tail:
-        comp = comp.copy()
-        comp[:, -1] &= np.uint64((1 << tail) - 1)
-    return comp
+def _member_index(mask: np.ndarray, pad: int) -> np.ndarray:
+    """Ascending set-member indices of each row of a non-empty boolean
+    matrix, short rows padded with ``pad``."""
+    counts = mask.sum(axis=1)
+    idx = np.full((mask.shape[0], int(counts.max())), pad, dtype=np.int64)
+    ri, ci = np.nonzero(mask)
+    idx[ri, np.arange(ci.size) - (np.cumsum(counts) - counts)[ri]] = ci
+    return idx
+
+
+def _unit_reduced_ranks(
+    prob: ModularProblem, comp: np.ndarray, stats=None
+) -> np.ndarray:
+    """Exact ranks of ``B[S̄, :]`` for complement masks ``comp`` (``(nm,
+    q)`` bool) by the unit-row reduction ``|K| + rank(B[R, ~K])``.
+
+    The reduced matrices are gathered from the zero-bordered panel with
+    index matrices padded by the zero row and column, oriented so that
+    Bareiss eliminates along the shorter padded axis.  Raises
+    ``OverflowError`` when the exactness guard trips.
+    """
+    nm = comp.shape[0]
+    d, q = prob.d, prob.q
+    unit_rows, unit_members = np.nonzero(comp & prob.unit)
+    hit = np.zeros((nm, d), dtype=bool)
+    hit[unit_rows, prob.coord[unit_members]] = True
+    ranks = hit.sum(axis=1)
+    rest = comp & ~prob.unit
+    sel = np.flatnonzero(rest.any(axis=1) & (ranks < d))
+    if sel.size:
+        members = _member_index(rest[sel], q)  # (n, w_r)
+        live = _member_index(~hit[sel], d)  # (n, w_l)
+        if members.shape[1] <= live.shape[1]:
+            panel = prob.bt_pad[live.T[None, :, :], members.T[:, None, :]]
+        else:
+            panel = prob.bt_pad[live.T[:, None, :], members.T[None, :, :]]
+        # ``panel`` is gathered in the (w, m, n) layout bareiss_ranks
+        # eliminates in, so this transposed view is consumed in place.
+        ranks[sel] += bareiss_ranks(panel.transpose(2, 1, 0))
+    if stats is not None:
+        stats.n_rank_unit_members += unit_members.size
+    return ranks
 
 
 def _kernel_nullities(
-    prob: ModularProblem, idx_pad: np.ndarray, stats=None
+    prob: ModularProblem, idx_pad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nullity estimates for the padded complement stacks, plus a mask of
-    candidates needing SVD resolution (prime disagreement).
+    """Residue-arm nullity estimates for the padded complement stacks,
+    plus a mask of candidates needing SVD resolution (prime disagreement).
 
-    Exact arm first; on overflow the residue arm takes the whole stack:
-    prime 1, then prime 2 for every nullity-≥2 estimate, keeping the
-    minimum (reduction can only inflate nullity, so the minimum is the
-    sharper bound and any estimate of 1 is a certificate).
+    Prime 1 takes the whole stack, then prime 2 every nullity-≥2 estimate,
+    keeping the minimum (reduction can only inflate nullity, so the minimum
+    is the sharper bound and any estimate of 1 is a certificate).
     """
     d = prob.d
     unresolved = np.zeros(idx_pad.shape[0], dtype=bool)
-    if prob.bt is not None:
-        try:
-            ranks = _exact_complement_ranks(prob.bt, idx_pad, stats=stats)
-            return d - ranks, unresolved
-        except OverflowError:
-            pass
     p1, p2 = prob.primes[0], prob.primes[1]
     b1 = prob.residue_basis(p1)
     if b1 is None:
@@ -733,8 +668,8 @@ def modular_ranks(
     Drop-in for :func:`repro.linalg.batched.bucketed_ranks` (same contract,
     same memo composition): one vectorized key pass drives the cache
     lookups (:func:`_call_keys` — byte-compatible with the batched keys),
-    all misses of a call are merged into one lexsorted complement stack for
-    the kernel, and computed ranks are stored back tagged ``"modular"``.
+    all misses of a call go to the kernel as one batch of complements, and
+    computed ranks are stored back tagged ``"modular"``.
     Exact-arithmetic runs and unprepared problems delegate wholesale to the
     batched engine (the latter counted in ``n_rank_fallback``).
     """
@@ -755,11 +690,10 @@ def modular_ranks(
             n_perm, support_mask, sizes, policy=policy, words=words,
             cache=cache, stats=stats,
         )
-    if words is None:
-        words = bitset.pack_supports(support_mask)
-
     mask_t = np.ascontiguousarray(support_mask.T)  # (n, q)
     if cache is not None:
+        if words is None:
+            words = bitset.pack_supports(support_mask)
         keys = _call_keys(cache, words, mask_t, sizes)
         miss_pos = split_cache_hits(cache, keys, np.arange(n), ranks, stats)
         if not miss_pos:
@@ -771,23 +705,24 @@ def modular_ranks(
         miss_keys = [None] * n
     s_arr = sizes[miss_idx].astype(np.int64)
     nm = miss_idx.size
-
-    # Lexsort by complement words so equal leading members are adjacent.
-    comp_words = _complement_words(words[miss_idx], prob.q)
-    order = bitset.lexsort_rows(comp_words)
-    miss_idx = miss_idx[order]
-    s_arr = s_arr[order]
-    miss_keys = [miss_keys[int(i)] for i in order]
-
-    idx_pad, counts = _padded_complements(mask_t, miss_idx, s_arr)
-    empty = counts == 0  # full-support candidates: rank(B[∅]) = 0
     if stats is not None:
         stats.n_rank_batches += 1
         stats.rank_batch_max = max(stats.rank_batch_max, nm)
         stats.n_rank_modular += nm
-    nullities, unresolved = _kernel_nullities(prob, idx_pad, stats=stats)
-    nullities[empty] = prob.d
-    unresolved &= ~empty
+    nullities = None
+    unresolved = np.zeros(nm, dtype=bool)
+    if prob.bt is not None:
+        comp = ~mask_t[miss_idx]
+        try:
+            nullities = prob.d - _unit_reduced_ranks(prob, comp, stats=stats)
+        except OverflowError:  # guard tripped: the residue arm takes over
+            pass
+    if nullities is None:
+        idx_pad, counts = _padded_complements(mask_t, miss_idx, s_arr)
+        nullities, unresolved = _kernel_nullities(prob, idx_pad)
+        empty = counts == 0  # full-support candidates: rank(B[∅]) = 0
+        nullities[empty] = prob.d
+        unresolved &= ~empty
     miss_ranks = s_arr - nullities
     if unresolved.any():
         # Prime-disagreement escalation: the SVD reference settles the

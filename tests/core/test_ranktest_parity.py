@@ -348,12 +348,12 @@ class TestDnCSharedCache:
                 if s.stats is not None
             )
             assert hits > 0, backend
-        reused = sum(
-            s.stats.total_prefix_reused_cols
+        settled = sum(
+            s.stats.total_rank_unit_members
             for s in runs["modular"].subsets
             if s.stats is not None
         )
-        assert reused > 0  # elimination-prefix sharing actually engaged
+        assert settled > 0  # the unit-row reduction actually engaged
 
     def test_shared_cache_off_for_loop_backend(self):
         net = get_network("toy")

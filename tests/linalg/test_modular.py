@@ -2,7 +2,7 @@
 
 Each class targets one soundness hazard: lossy integerization,
 fraction-free kernel overflow, prime-divisible entries defeating a single
-residue field, non-rational inputs, and the prefix-reuse bookkeeping.
+residue field, non-rational inputs, and the unit-row reduction.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.linalg.modular import (
     _kernel_mod_p,
     _kernel_nullities,
     _padded_complements,
+    _unit_reduced_ranks,
     bareiss_ranks,
     int_kernel,
     integerize,
@@ -166,6 +167,100 @@ class TestPaddedComplements:
         assert idx_pad[1].tolist() == [4, 4]  # padded with its only member
 
 
+class _BasisProblem:
+    """The exact-arm inputs of a :class:`ModularProblem`, taken from a
+    hand-built ``(q, d)`` integer basis instead of a stoichiometry."""
+
+    def __init__(self, B):
+        self.q, self.d = B.shape
+        self.bt = B.T.astype(np.float64)
+        self.bt_pad = np.pad(self.bt, ((0, 1), (0, 1)))
+        nonzero = B != 0
+        self.unit = nonzero.sum(axis=1) == 1
+        self.coord = nonzero.argmax(axis=1)
+
+
+def _random_identity_form_basis(rng, q, d):
+    """A ``(q, d)`` basis in ``(I; R)`` form up to row order: ``d`` free
+    rows ``c_k e_k`` with scaled units, dense-ish small-integer rows, plus
+    extra unit rows (sharing coordinates with the free rows) and zero
+    rows."""
+    B = rng.integers(-3, 4, size=(q, d)) * (rng.random((q, d)) < 0.6)
+    perm = rng.permutation(q)
+    free, extra_unit, zero = perm[:d], perm[d : d + 2], perm[d + 2 : d + 4]
+    B[free] = 0
+    B[free, np.arange(d)] = rng.choice([-3, -2, -1, 1, 2, 3], size=d)
+    B[extra_unit] = 0
+    B[extra_unit, rng.integers(0, d, size=2)] = rng.choice([-2, 1, 5], size=2)
+    B[zero] = 0
+    return B
+
+
+def _dense_ranks(B, comp):
+    return [
+        np.linalg.matrix_rank(B[row].astype(float)) if row.any() else 0
+        for row in comp
+    ]
+
+
+class TestUnitRowReduction:
+    """``rank(B[S̄]) = |K| + rank(B[R, ~K])`` against dense ranks."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_rank_on_random_bases(self, seed):
+        rng = np.random.default_rng(seed)
+        B = _random_identity_form_basis(rng, 14, 6)
+        comp = rng.random((80, 14)) < rng.random((80, 1))
+        got = _unit_reduced_ranks(_BasisProblem(B), comp)
+        assert got.tolist() == _dense_ranks(B, comp)
+
+    def test_empty_and_all_unit_complements_skip_elimination(self, monkeypatch):
+        B = np.array([[2, 0, 0], [0, -3, 0], [1, 1, 1], [0, 0, 5]])
+        comp = np.array(
+            [[False] * 4, [True, True, False, True], [True, False, False, False]]
+        )
+
+        def no_elimination(stack):
+            raise AssertionError("no elimination step expected")
+
+        monkeypatch.setattr(modular, "bareiss_ranks", no_elimination)
+        stats = IterationStats(position=0, reaction="r", reversible=False)
+        got = _unit_reduced_ranks(_BasisProblem(B), comp, stats=stats)
+        assert got.tolist() == [0, 3, 1] == _dense_ranks(B, comp)
+        assert stats.n_rank_unit_members == 4
+
+    def test_unit_members_sharing_a_coordinate_count_once(self):
+        B = np.array([[2, 0, 0], [-3, 0, 0], [1, 4, 0], [0, 1, 1]])
+        comp = np.array(
+            [[True, True, False, False], [True, True, True, False],
+             [True, True, True, True]]
+        )
+        got = _unit_reduced_ranks(_BasisProblem(B), comp)
+        assert got.tolist() == [1, 2, 3] == _dense_ranks(B, comp)
+
+    def test_zero_rows_add_nothing(self):
+        B = np.array([[0, 0, 0], [0, 2, 0], [0, 0, 0], [1, 1, 0]])
+        comp = np.array(
+            [[True, False, False, False], [True, False, True, False],
+             [True, True, True, False], [True, False, True, True]]
+        )
+        got = _unit_reduced_ranks(_BasisProblem(B), comp)
+        assert got.tolist() == [0, 0, 1, 1] == _dense_ranks(B, comp)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prepared_problem_matches_dense_rank(self, seed):
+        rng = np.random.default_rng(seed)
+        # Sparse {-1, 0, 1} entries keep the basis inside the float64
+        # guard, so the exact arm answers every complement.
+        n_int = rng.integers(-1, 2, size=(5, 13)) * (rng.random((5, 13)) < 0.5)
+        _, B = int_kernel(n_int)
+        prob = ModularProblem(n_int.astype(float), DEFAULT_POLICY)
+        assert prob.unit.sum() >= prob.d  # every free row is a unit row
+        comp = rng.random((60, 13)) < 0.4
+        got = _unit_reduced_ranks(prob, comp)
+        assert got.tolist() == _dense_ranks(B, comp)
+
+
 class TestPrimeEscalation:
     """Hand-built problems whose first residue field lies about the rank."""
 
@@ -272,14 +367,14 @@ class TestModularRanksEndToEnd:
         assert stats.n_rank_fallback == 16
         assert stats.n_rank_modular == 0
 
-    def test_prefix_reuse_counter_counts_shared_columns(self):
+    def test_unit_member_counter_counts_settled_members(self):
         rng = np.random.default_rng(9)
         # Small {-1, 0, 1} entries keep the kernel basis tiny enough for
-        # the exact arm (where the prefix layer lives) to stay engaged.
+        # the exact arm (where the unit-row reduction lives) to stay
+        # engaged.
         n_perm = rng.integers(-1, 2, size=(6, 16)).astype(float)
-        # Columns 13..15 outside every support: all complements then share
-        # the descending leading members (15, 14, 13) — few prefix
-        # classes, maximal reuse.
+        # Columns 13..15 outside every support: free reactions of the
+        # kernel basis, so every complement holds unit members.
         mask = rng.random(size=(16, 60)) < 0.75
         mask[:3] = True
         mask[13:] = False
@@ -289,7 +384,7 @@ class TestModularRanksEndToEnd:
             n_perm, mask, sizes, policy=DEFAULT_POLICY, stats=stats
         )
         assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
-        assert stats.n_prefix_reused_cols > 0
+        assert stats.n_rank_unit_members > 0
 
     def test_full_support_candidates(self):
         rng = np.random.default_rng(13)

@@ -6,13 +6,42 @@ cross-method consistency at benchmark scale, and the biological sanity of
 the computed modes.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.config import AlgorithmOptions
 from repro.efm import analysis
 from repro.efm.api import compute_efms
 from repro.models.variants import yeast_1_small, yeast_2_small
 from repro.network.stoichiometry import stoichiometric_matrix
+
+
+#: SHA-256 of the 7,331 yeast-II-small EFMs as sorted, sign-normalized
+#: support/sign rows in registry reaction order (see :func:`efm_digest`).
+#: The end-to-end benchmark pins the same value for its correctness check.
+Y2_DIGEST = "99a1c7b06865e96b99bd4db64ed64b2dc21c79b367ea413792e653c2aa06a7b6"
+
+
+def sign_rows(result) -> list[bytes]:
+    """The sorted support/sign rows of ``result``, each sign-normalized so
+    its first nonzero entry is positive (a fully reversible mode may come
+    out with either sign)."""
+    flux = result.fluxes
+    signs = np.where(np.abs(flux) > 1e-9, np.sign(flux), 0).astype(np.int8)
+    first = signs[np.arange(signs.shape[0]), (signs != 0).argmax(axis=1)]
+    signs *= first[:, None]
+    return sorted(row.tobytes() for row in signs)
+
+
+def efm_digest(result) -> str:
+    """SHA-256 over the shape and the :func:`sign_rows` of ``result``."""
+    n_modes, q = result.fluxes.shape
+    h = hashlib.sha256(f"{n_modes}x{q}".encode())
+    for row in sign_rows(result):
+        h.update(row)
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +122,20 @@ class TestYeast1Pipeline:
 class TestYeast2Pipeline:
     def test_count_stable(self):
         assert compute_efms(yeast_2_small()).n_efms == 7331
+
+    def test_digest_pinned_across_rank_backends(self):
+        """The modular and batched rank engines return the same EFM set,
+        row for row, and it is the pinned one."""
+        net = yeast_2_small()
+        runs = {
+            backend: compute_efms(
+                net, options=AlgorithmOptions(rank_backend=backend)
+            )
+            for backend in ("modular", "batched")
+        }
+        assert sign_rows(runs["modular"]) == sign_rows(runs["batched"])
+        assert efm_digest(runs["modular"]) == Y2_DIGEST
+        assert efm_digest(runs["batched"]) == Y2_DIGEST
 
     def test_oxphos_modes_consume_oxygen(self):
         """Network II's NADH-driven oxidative phosphorylation (R56)
