@@ -32,6 +32,7 @@ ITERATION_COLUMNS = (
     "n_prefilter_kept",
     "n_adjacent",
     "n_duplicates",
+    "n_superset_rejected",
     "n_tested",
     "n_accepted",
     "n_rank_cache_hits",

@@ -22,6 +22,13 @@ from repro.mpi.tracing import CommTrace
 TILE_SKIP_FRACTION = 1.0 / 16.0
 
 
+def _rank_test_work(it) -> int:
+    """Candidates the paper's ``RankTests`` phase tests in one iteration:
+    every deduplicated candidate, including those this implementation's
+    zero-mode subset pre-screen rejects before its rank kernel."""
+    return it.n_tested + it.n_superset_rejected
+
+
 def _gen_pair_work(it) -> float:
     """Effective pair count of one iteration: skipped pairs are charged at
     the tile rate instead of the per-pair prefilter rate."""
@@ -63,7 +70,7 @@ def model_run(
     for i in range(n_iter):
         its = [s.iterations[i] for s in rank_stats]
         gen += max(_gen_pair_work(it) for it in its) / platform.pair_rate
-        rank_t += max(it.n_tested for it in its) / platform.ranktest_rate
+        rank_t += max(_rank_test_work(it) for it in its) / platform.ranktest_rate
         # Every rank merges the full gathered candidate set plus carries
         # its replica forward; P-way merge costs a log-ish factor.
         total_accepted = sum(it.n_accepted for it in its)
@@ -81,7 +88,9 @@ def model_run(
 def model_serial(stats: RunStats, platform: PlatformSpec) -> ModeledTimes:
     """Model a one-rank run (no communication)."""
     gen = sum(_gen_pair_work(it) for it in stats.iterations) / platform.pair_rate
-    rank_t = stats.total_rank_tests / platform.ranktest_rate
+    rank_t = (
+        sum(_rank_test_work(it) for it in stats.iterations) / platform.ranktest_rate
+    )
     merge = sum(it.n_accepted + it.n_modes_end * 0.05 for it in stats.iterations)
     return ModeledTimes(
         gen_cand=gen,

@@ -8,7 +8,7 @@ nodes).  :func:`stream_iteration` never builds it: the pair space is
 consumed as a sequence of bounded chunks
 (:func:`repro.core.candidates.survivor_chunks`), and each chunk flows
 
-    generate → incremental dedup → rank-test → accept
+    generate → incremental dedup → subset pre-screen → rank-test → accept
 
 to completion before the next chunk's dense values exist.  Live state
 between chunks is only the accepted set plus the incremental dedup index
@@ -21,6 +21,18 @@ a support-only :class:`~repro.core.state.CandidateBatch` (packed support
 words plus ``(i, j)`` pair indices; dense normalized rows are recomputed
 once, for accepted candidates).  Exact runs carry a dense
 :class:`~repro.core.state.ModeMatrix` of Fractions.
+
+Before the rank test, a chunk's deduplicated candidates pass the
+zero-mode subset pre-screen (:func:`zero_mode_supersets`, the subset
+half of the bit-pattern test of the paper's ref. [19]): a candidate
+whose support strictly contains the support of a zero-entry survivor of
+the current row has a second, independent kernel vector inside its
+support, so its nullity is at least 2 and it is rejected without reaching
+the rank kernel or its memo.  On the yeast networks this decides most
+rank-test rejections with one vectorized bitset pass.  ``n_tested``
+counts the survivors that reach the rank test, ``n_superset_rejected``
+the candidates the pre-screen rejected; under ``acceptance="both"`` a
+pre-screen rejection is a rank rejection for the cross-check.
 
 Streaming is orthogonal to *which* row an iteration eliminates: the
 :class:`~repro.core.ordering.RowSelector` picks ``k`` before the
@@ -46,11 +58,14 @@ is order- and chunking-invariant:
   earlier **rejected** support is re-tested instead — the rank test
   decides on the support pattern alone, so it is rejected again and the
   accepted set is unchanged (the support-pattern memo makes the re-test a
-  cache hit; only the ``n_duplicates``/``n_tested`` counters depend on
-  the chunking, never the output).
-* *Acceptance is per-candidate*: the algebraic rank test depends only on
-  the candidate's own support, never on batch composition; the
-  combinatorial adjacency test is per-*pair* and runs inside generation.
+  cache hit; only the ``n_duplicates``/``n_superset_rejected``/
+  ``n_tested`` counters depend on the chunking, never the output).
+* *Acceptance is per-candidate*: the pre-screen compares a candidate's
+  support with the zero-entry survivors only — the same set for every
+  chunk and, since modes are replicated, every rank — and the algebraic
+  rank test depends only on the candidate's own support; neither sees
+  batch composition.  The combinatorial adjacency test is per-*pair* and
+  runs inside generation.
 * *Materialization is row-wise*: accepted candidates materialize from
   ``(i, j, row)``, row by row.
 
@@ -58,14 +73,14 @@ All drivers enter here: the serial/combinatorial bodies through
 :func:`repro.core.serial.iterate_row`, the column-partitioned driver
 streams its local pair share directly (no zero-entry preload — its
 duplicate control against zero survivors is global, after the
-allgather).
+allgather — so it also runs without the pre-screen).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.memory import streaming_chunk_pairs
+from repro.cluster.memory import DEFAULT_STREAM_CHUNK_BYTES, streaming_chunk_pairs
 from repro.config import AlgorithmOptions
 from repro.core.bittree import SupportIndex
 from repro.core.candidates import PairRange, survivor_chunks
@@ -75,6 +90,21 @@ from repro.core.stats import IterationStats, PhaseTimer
 from repro.errors import AlgorithmError
 from repro.linalg import bitset, rational
 from repro.linalg.bitset import PackedSupports, pack_support_rows
+
+
+def zero_mode_supersets(words: np.ndarray, zero_words: np.ndarray) -> np.ndarray:
+    """The zero-mode subset pre-screen: for each packed candidate support,
+    is some zero-entry survivor's support a subset of it?
+
+    A zero-entry survivor ``z`` with ``supp(z) ⊊ supp(c)`` is a second
+    kernel vector on the candidate's support, independent of ``c``, so
+    ``nullity(N[:, supp(c)]) >= 2`` and the rank test would reject ``c``
+    — on reversible rows too, since only linear independence is used.
+    The broadcast transient is capped at the candidate-phase chunk budget.
+    """
+    return bitset.subset_rows(
+        words, zero_words, max_bytes=DEFAULT_STREAM_CHUNK_BYTES
+    )
 
 
 def stream_iteration(
@@ -105,12 +135,14 @@ def stream_iteration(
     as the caller keeps the candidates around.
 
     ``zero_words`` preloads the index with the zero-entry survivors'
-    supports (the serial/combinatorial duplicate rule; the distributed
-    driver passes ``None`` and keeps its global post-allgather control).
+    supports (the serial/combinatorial duplicate rule and the pre-screen's
+    reference set; the distributed driver passes ``None`` and keeps its
+    global post-allgather control).
     ``acceptance`` overrides ``options.acceptance`` (the distributed
     driver always rank-tests).  Timings land in the paper's phase
     buckets: generation in ``t_gen_cand``, dedup/accept bookkeeping in
-    ``t_merge``, the acceptance test in ``t_rank_test``.
+    ``t_merge``, the subset pre-screen and the rank test in
+    ``t_rank_test``.
     """
     deferred = not modes.exact
     if acceptance is None:
@@ -186,28 +218,33 @@ def stream_iteration(
         if cand.n_modes == 0:
             continue
 
-        accept = None
         if rank_mode:
-            stats.n_tested += cand.n_modes
             with PhaseTimer(stats, "t_rank_test"):
-                accept = rank_test(
-                    cand,
-                    n_perm,
-                    rank_bound,
-                    policy=options.policy,
-                    n_exact=n_exact,
-                    backend=options.rank_backend,
-                    cache=rank_cache,
-                    stats=stats,
-                )
-            if acceptance == "both" and not accept.all():
-                raise AlgorithmError(
-                    "adjacency test accepted a candidate the rank test "
-                    f"rejects at row {k} ({int((~accept).sum())} of "
-                    f"{cand.n_modes})"
-                )
-            if not accept.all():
-                cand = cand.select(np.flatnonzero(accept))
+                # Equal supports were dropped above as duplicates, so every
+                # pre-screen hit is a strict subset.
+                keep = ~zero_mode_supersets(cand.supports.words, index.frozen)
+                live = np.flatnonzero(keep)
+                stats.n_superset_rejected += cand.n_modes - live.size
+                if live.size:
+                    stats.n_tested += live.size
+                    keep[live] = rank_test(
+                        cand if live.size == cand.n_modes else cand.select(live),
+                        n_perm,
+                        rank_bound,
+                        policy=options.policy,
+                        n_exact=n_exact,
+                        backend=options.rank_backend,
+                        cache=rank_cache,
+                        stats=stats,
+                    )
+            if not keep.all():
+                if acceptance == "both":
+                    raise AlgorithmError(
+                        "adjacency test accepted a candidate the rank test "
+                        f"rejects at row {k} ({int((~keep).sum())} of "
+                        f"{cand.n_modes})"
+                    )
+                cand = cand.select(np.flatnonzero(keep))
 
         with PhaseTimer(stats, "t_merge"):
             if cand.n_modes:

@@ -33,6 +33,13 @@ Three backends compute the ranks:
 All backends share the support-pattern rank memo and see only candidates
 that survive summary rejection — the packed supports are unpacked solely
 for those survivors, never for the full batch.
+
+The streamed candidate phase calls this test only for candidates that
+pass its zero-mode subset pre-screen
+(:func:`repro.core.iterstream.zero_mode_supersets`): a candidate whose
+support strictly contains a zero-entry survivor's support has nullity at
+least 2 and is rejected there, before any backend or memo sees it.  The
+backends therefore decide only the candidates no bitset test can.
 """
 
 from __future__ import annotations

@@ -42,8 +42,13 @@ class IterationStats:
     n_adjacent: int = 0
     #: candidates removed as duplicates (among candidates + vs zero columns).
     n_duplicates: int = 0
-    #: candidates submitted to the acceptance (rank / bittree) test.
+    #: candidates that reached the algebraic rank test (after dedup and
+    #: the zero-mode subset pre-screen).
     n_tested: int = 0
+    #: candidates the zero-mode subset pre-screen rejected before the
+    #: rank test: a zero-entry survivor's support is strictly inside
+    #: theirs (see repro.core.iterstream).
+    n_superset_rejected: int = 0
     n_accepted: int = 0
     #: rank tests answered from the support-pattern memo (memo-capable
     #: backends: modular, batched).
@@ -138,6 +143,11 @@ class RunStats:
     @property
     def total_rank_tests(self) -> int:
         return sum(it.n_tested for it in self.iterations)
+
+    @property
+    def total_superset_rejected(self) -> int:
+        """Candidates rejected by the zero-mode subset pre-screen."""
+        return sum(it.n_superset_rejected for it in self.iterations)
 
     @property
     def total_tiles_pruned(self) -> int:
@@ -271,6 +281,9 @@ class RunStats:
                     n_adjacent=a.n_adjacent + b.n_adjacent,
                     n_duplicates=a.n_duplicates + b.n_duplicates,
                     n_tested=a.n_tested + b.n_tested,
+                    n_superset_rejected=(
+                        a.n_superset_rejected + b.n_superset_rejected
+                    ),
                     n_accepted=a.n_accepted + b.n_accepted,
                     n_rank_cache_hits=a.n_rank_cache_hits + b.n_rank_cache_hits,
                     n_rank_batches=a.n_rank_batches + b.n_rank_batches,

@@ -84,8 +84,9 @@ class EFMResult:
         scale = np.abs(v).max(axis=1, keepdims=True)
         scale[scale == 0] = 1.0
         v /= scale
-        keys = np.round(v, 9)
-        order = np.lexsort(keys.T[::-1])
+        # The rounded keys die before the sorted copy is allocated: on the
+        # larger networks this step sets the peak memory of a solve.
+        order = np.lexsort(np.round(v, 9).T[::-1])
         return dataclasses.replace(self, fluxes=v[order])
 
     def same_modes_as(self, other: "EFMResult", *, atol: float = 1e-7) -> bool:

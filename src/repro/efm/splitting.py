@@ -76,18 +76,17 @@ class SplitRecord:
         # Drop two-cycle artifacts: both halves of some split reaction
         # active.  Elementarity in the split network guarantees such a mode
         # IS the bare two-cycle, which folds to the zero vector.
-        keep = (np.abs(out) > tol).any(axis=1)
+        active = np.abs(out) > tol
+        keep = active.any(axis=1)
         out = out[keep]
+        active = active[keep]
 
-        # Canonicalize sign of fully-reversible-support modes and dedup the
-        # flipped copies.
+        # Canonicalize sign of fully-reversible-support modes (first active
+        # entry positive) and dedup the flipped copies.
         irr = ~np.array(self.original.reversibility, dtype=bool)
-        for i in range(out.shape[0]):
-            row = out[i]
-            if (np.abs(row[irr]) <= tol).all():
-                nz = np.nonzero(np.abs(row) > tol)[0]
-                if nz.size and row[nz[0]] < 0:
-                    out[i] = -row
+        lead = out[np.arange(out.shape[0]), active.argmax(axis=1)]
+        flip = (np.abs(out[:, irr]) <= tol).all(axis=1) & (lead < 0)
+        out[flip] = -out[flip]
         return _dedup_rows(out, tol)
 
     def blow_up_names(self, names: Iterable[str]) -> list[str]:
@@ -147,11 +146,8 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     """Remove near-duplicate rows up to positive scaling (ray identity)."""
     if rows.shape[0] <= 1:
         return rows
-    normed = rows.copy()
-    for i in range(normed.shape[0]):
-        m = np.abs(normed[i]).max()
-        if m > 0:
-            normed[i] /= m
+    scale = np.abs(rows).max(axis=1)
+    normed = rows / np.where(scale > 0, scale, 1.0)[:, None]
     keys = np.round(normed, 9)
     _, first = np.unique(keys, axis=0, return_index=True)
     first.sort()

@@ -176,7 +176,9 @@ def union_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a | b).sum(axis=1, dtype=np.int64)
 
 
-def subset_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
+def subset_rows(
+    candidates: np.ndarray, references: np.ndarray, *, max_bytes: int = 32 << 20
+) -> np.ndarray:
     """For each candidate row, is *some* reference row a subset of it?
 
     Strict-or-equal subset test: reference ``r`` is a subset of candidate
@@ -184,15 +186,27 @@ def subset_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
     that is True when at least one reference (other than an identical
     pattern — equality also counts True here; callers exclude self-matches
     by construction).  Complexity O(n_candidates * n_references * n_words)
-    vectorized in chunks to bound memory.
+    vectorized in candidate chunks whose ``(chunk, n_references,
+    n_words)`` broadcast transient stays within ``max_bytes``.
     """
     n_c = candidates.shape[0]
     n_r = references.shape[0]
     out = np.zeros(n_c, dtype=bool)
     if n_c == 0 or n_r == 0:
         return out
-    # Chunk candidates so the broadcast (chunk, n_r, n_words) stays small.
-    chunk = max(1, int(4_000_000 // max(1, n_r * candidates.shape[1])))
+    n_w = candidates.shape[1]
+    # Per (candidate, reference) pair: the ANDed words, their equality
+    # mask and the reduced hit flag.
+    chunk = max(1, int(max_bytes) // (n_r * (9 * n_w + 1)))
+    if n_w == 1:
+        # Networks up to 64 reactions: ``r ⊆ c`` iff ``r & ~c == 0`` on one
+        # word, a 2-D broadcast with no word-axis reduction.
+        refs = references[:, 0]
+        outside = ~candidates[:, 0]
+        for start in range(0, n_c, chunk):
+            cs = outside[start : start + chunk, None]
+            out[start : start + chunk] = ((cs & refs[None, :]) == 0).any(axis=1)
+        return out
     for start in range(0, n_c, chunk):
         cs = candidates[start : start + chunk]  # (c, w)
         hit = ((references[None, :, :] & cs[:, None, :]) == references[None, :, :]).all(

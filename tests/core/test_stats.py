@@ -7,13 +7,14 @@ import pytest
 from repro.core.stats import IterationStats, PhaseTimer, RunStats, iter_phase_names
 
 
-def _iteration(pairs=10, tested=5, accepted=2, t_gen=0.5):
+def _iteration(pairs=10, tested=5, accepted=2, t_gen=0.5, screened=3):
     return IterationStats(
         position=0,
         reaction="r",
         reversible=False,
         n_pairs=pairs,
         n_tested=tested,
+        n_superset_rejected=screened,
         n_accepted=accepted,
         n_modes_end=7,
         t_gen_cand=t_gen,
@@ -30,6 +31,7 @@ class TestRunStats:
         stats.add(_iteration(pairs=32))
         assert stats.total_candidates == 42
         assert stats.total_rank_tests == 10
+        assert stats.total_superset_rejected == 6
         assert stats.n_efms == 7
 
     def test_phase_times(self):
@@ -47,11 +49,12 @@ class TestRunStats:
     def test_merged_with_bulk_synchronous_semantics(self):
         a = RunStats(t_total=2.0, bytes_sent=10, messages_sent=1, peak_mode_bytes=100)
         b = RunStats(t_total=3.0, bytes_sent=20, messages_sent=2, peak_mode_bytes=50)
-        a.add(_iteration(pairs=10, t_gen=0.5))
-        b.add(_iteration(pairs=20, t_gen=0.7))
+        a.add(_iteration(pairs=10, t_gen=0.5, screened=4))
+        b.add(_iteration(pairs=20, t_gen=0.7, screened=1))
         merged = a.merged_with(b)
         it = merged.iterations[0]
         assert it.n_pairs == 30  # counters sum
+        assert it.n_superset_rejected == 5
         assert it.t_gen_cand == pytest.approx(0.7)  # times take the max
         assert merged.t_total == 3.0
         assert merged.bytes_sent == 30

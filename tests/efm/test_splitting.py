@@ -6,6 +6,7 @@ import pytest
 from repro.efm.api import compute_efms
 from repro.efm.splitting import BWD_SUFFIX, FWD_SUFFIX, split_reversible
 from repro.errors import NetworkError
+from repro.models.generators import random_network
 from repro.network.stoichiometry import stoichiometric_matrix
 
 
@@ -78,3 +79,101 @@ class TestFoldModes:
         folded = rec.fold_modes(split_result.fluxes)
         n = stoichiometric_matrix(toy)
         assert np.allclose(n @ folded.T, 0.0, atol=1e-8)
+
+
+def _fold_modes_loop(rec, modes_split, tol=1e-12):
+    """Reference: the per-row loops ``SplitRecord.fold_modes`` and
+    ``_dedup_rows`` used before they were vectorized."""
+    modes_split = np.atleast_2d(np.asarray(modes_split, dtype=np.float64))
+    out = np.zeros((modes_split.shape[0], rec.original.n_reactions))
+    split_set = set(rec.split_names)
+    for j, name in enumerate(rec.original.reaction_names):
+        if name in split_set:
+            jf = rec.split.reaction_index(name + FWD_SUFFIX)
+            jb = rec.split.reaction_index(name + BWD_SUFFIX)
+            out[:, j] = modes_split[:, jf] - modes_split[:, jb]
+        else:
+            out[:, j] = modes_split[:, rec.split.reaction_index(name)]
+    keep = (np.abs(out) > tol).any(axis=1)
+    out = out[keep]
+    irr = ~np.array(rec.original.reversibility, dtype=bool)
+    for i in range(out.shape[0]):
+        row = out[i]
+        if (np.abs(row[irr]) <= tol).all():
+            nz = np.nonzero(np.abs(row) > tol)[0]
+            if nz.size and row[nz[0]] < 0:
+                out[i] = -row
+    if out.shape[0] <= 1:
+        return out
+    normed = out.copy()
+    for i in range(normed.shape[0]):
+        m = np.abs(normed[i]).max()
+        if m > 0:
+            normed[i] /= m
+    keys = np.round(normed, 9)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    first.sort()
+    return out[first]
+
+
+def _random_split_modes(rec, rng, n_modes):
+    """Random rows in split-network order mixing the cases ``fold_modes``
+    handles: ordinary rows, rows supported only on reversible reactions
+    (either sign), bare two-cycles, sign-flipped and rescaled copies, and
+    entries below the tolerance."""
+    q = rec.split.n_reactions
+    rev = np.array(
+        [rec.split.reaction(n).reversible or n.endswith((FWD_SUFFIX, BWD_SUFFIX))
+         for n in rec.split.reaction_names]
+    )
+    rows = []
+    for _ in range(n_modes):
+        kind = rng.integers(5)
+        row = np.zeros(q)
+        if kind == 0:  # ordinary mode
+            sel = rng.random(q) < 0.4
+            row[sel] = rng.integers(-3, 4, sel.sum()) * rng.choice([1.0, 0.5, 1 / 3])
+        elif kind == 1:  # fully reversible support
+            sel = rev & (rng.random(q) < 0.6)
+            row[sel] = rng.integers(-3, 4, sel.sum()) * rng.choice([1.0, 0.25])
+        elif kind == 2:  # bare two-cycle of one split reaction
+            name = rec.split_names[rng.integers(len(rec.split_names))]
+            v = float(rng.integers(1, 4))
+            row[rec.split.reaction_index(name + FWD_SUFFIX)] = v
+            row[rec.split.reaction_index(name + BWD_SUFFIX)] = v
+        elif kind == 3 and rows:  # flipped or rescaled copy of an earlier row
+            row = rows[rng.integers(len(rows))] * rng.choice([-1.0, 2.0, -0.5])
+        else:  # tiny entries around the tolerance
+            sel = rng.random(q) < 0.3
+            row[sel] = rng.choice([1e-13, -1e-13, 1.0, -2.0], sel.sum())
+        rows.append(row)
+    return np.array(rows).reshape(n_modes, q)
+
+
+class TestFoldModesMatchesLoop:
+    """The vectorized fold is bit-identical to the per-row loops."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_split_modes(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(6, 14, seed=seed, reversible_fraction=0.6)
+        rev = [r.name for r in net.reactions if r.reversible]
+        if not rev:
+            pytest.skip("generator produced no reversible reaction")
+        names = tuple(n for n in rev if rng.random() < 0.7) or (rev[0],)
+        rec = split_reversible(net, names)
+        modes = _random_split_modes(rec, rng, int(rng.integers(0, 60)))
+        got = rec.fold_modes(modes)
+        want = _fold_modes_loop(rec, modes)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_yeast_split_efms(self):
+        """The split run of a real network folds identically."""
+        from repro.models import get_network
+
+        net = get_network("yeast-I-small")
+        rev = tuple(r.name for r in net.reactions if r.reversible)[:4]
+        rec = split_reversible(net, rev)
+        modes = compute_efms(rec.split).fluxes
+        assert rec.fold_modes(modes).tobytes() == _fold_modes_loop(rec, modes).tobytes()

@@ -1,0 +1,190 @@
+"""The zero-mode subset pre-screen of the candidate phase.
+
+Before the rank test, :func:`repro.core.iterstream.stream_iteration`
+rejects every candidate whose support strictly contains the support of a
+zero-entry mode surviving the current row
+(:func:`repro.core.iterstream.zero_mode_supersets`).  That rule is a
+necessary condition for nullity >= 2, so it must
+
+* never reject a candidate the reference ``loop`` rank backend accepts
+  (nullity exactly 1) — float and exact arithmetic, reversible and
+  irreversible rows;
+* leave every EFM set bit-identical to a run with the pre-screen
+  patched out, on the serial, combinatorial-parallel and combined
+  drivers;
+* count as a rank rejection in the ``acceptance="both"`` cross-check.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.config import AlgorithmOptions
+from repro.core import bittree, iterstream
+from repro.core.ranktest import rank_test
+from repro.core.state import CandidateBatch
+from repro.efm.api import compute_efms
+from repro.errors import AlgorithmError
+from repro.linalg.bitset import PackedSupports
+from repro.models.generators import random_network
+from repro.models.variants import yeast_1_small
+from repro.network.compression import compress_network
+
+SETTINGS = dict(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+network_params = st.fixed_dictionaries(
+    {
+        "n_metabolites": st.integers(3, 6),
+        "n_reactions": st.integers(6, 11),
+        "seed": st.integers(0, 10_000),
+        "reversible_fraction": st.sampled_from([0.0, 0.3, 0.6]),
+    }
+)
+
+arithmetics = st.sampled_from(["float", "exact"])
+
+
+@contextlib.contextmanager
+def captured_rejections():
+    """Record, for every pre-screen call, the supports it rejected together
+    with the rank-test inputs of the iteration that made the call."""
+    records: list[dict] = []
+    current: dict = {}
+    stream = iterstream.stream_iteration
+    screen = iterstream.zero_mode_supersets
+
+    def stream_spy(modes, k, pos_idx, neg_idx, pair_range, n_perm, rank_bound,
+                   options, stats, **kw):
+        current.update(
+            k=k, q=modes.q, n_perm=n_perm, rank_bound=rank_bound,
+            policy=options.policy, n_exact=kw.get("n_exact"),
+        )
+        return stream(modes, k, pos_idx, neg_idx, pair_range, n_perm,
+                      rank_bound, options, stats, **kw)
+
+    def screen_spy(words, zero_words):
+        hit = screen(words, zero_words)
+        if hit.any():
+            records.append(dict(current, words=words[hit]))
+        return hit
+
+    with mock.patch.object(iterstream, "stream_iteration", stream_spy), \
+            mock.patch.object(iterstream, "zero_mode_supersets", screen_spy):
+        yield records
+
+
+@contextlib.contextmanager
+def prescreen_off():
+    def nothing_rejected(words, zero_words):
+        return np.zeros(words.shape[0], dtype=bool)
+
+    with mock.patch.object(iterstream, "zero_mode_supersets", nothing_rejected):
+        yield
+
+
+def assert_loop_rejects_all(records) -> int:
+    """Every pre-screen rejection has nullity != 1 on the ``loop`` backend;
+    returns the number of rejections checked."""
+    checked = 0
+    for rec in records:
+        n = rec["words"].shape[0]
+        cand = CandidateBatch(
+            PackedSupports(rec["words"], rec["q"]),
+            np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), rec["k"],
+            policy=rec["policy"],
+        )
+        accept = rank_test(
+            cand, rec["n_perm"], rec["rank_bound"], policy=rec["policy"],
+            n_exact=rec["n_exact"], backend="loop",
+        )
+        assert not accept.any(), (
+            f"pre-screen rejected {int(accept.sum())} elementary candidate(s) "
+            f"at row {rec['k']}"
+        )
+        checked += n
+    return checked
+
+
+@given(params=network_params, arithmetic=arithmetics)
+@settings(**SETTINGS)
+def test_rejections_are_never_elementary(params, arithmetic):
+    net = random_network(**params)
+    with captured_rejections() as records:
+        compute_efms(net, options=AlgorithmOptions(arithmetic=arithmetic))
+    assert_loop_rejects_all(records)
+
+
+def test_yeast_rejections_are_never_elementary():
+    """On a real network the pre-screen does most of the rejecting, and
+    every rejection is confirmed by the reference backend."""
+    with captured_rejections() as records:
+        result = compute_efms(yeast_1_small())
+    assert result.n_efms == 530
+    checked = assert_loop_rejects_all(records)
+    assert checked == result.stats.total_superset_rejected > 0
+
+
+def _runs(net, arithmetic, partition):
+    options = AlgorithmOptions(arithmetic=arithmetic)
+    runs = {
+        "serial": compute_efms(net, options=options),
+        "parallel": compute_efms(net, method="parallel", n_ranks=2, options=options),
+    }
+    if partition:
+        runs["combined"] = compute_efms(
+            net, method="combined", partition=partition, options=options
+        )
+    return runs
+
+
+@given(params=network_params, arithmetic=arithmetics, data=st.data())
+@settings(**SETTINGS)
+def test_efm_sets_identical_without_prescreen(params, arithmetic, data):
+    net = random_network(**params)
+    reduced = compress_network(net).reduced
+    partition = None
+    if reduced.n_reactions > 3:
+        partition = tuple(data.draw(
+            st.permutations(list(reduced.reaction_names)).map(lambda p: p[:2])
+        ))
+    with_screen = _runs(net, arithmetic, partition)
+    with prescreen_off():
+        without = _runs(net, arithmetic, partition)
+    for method, run in with_screen.items():
+        ref = without[method]
+        assert np.array_equal(run.fluxes, ref.fluxes), method
+
+
+@pytest.fixture
+def adjacency_accepts_everything():
+    """Every pair passes the combinatorial adjacency test and every
+    candidate passes the algebraic rank kernel, so only the pre-screen can
+    reject anything."""
+
+    def adjacent(self, pair_union_words):
+        return np.ones(pair_union_words.shape[0], dtype=bool)
+
+    def accept_all(cand, *args, **kwargs):
+        return np.ones(cand.n_modes, dtype=bool)
+
+    with mock.patch.object(bittree.AdjacencyTest, "adjacent", adjacent), \
+            mock.patch.object(iterstream, "rank_test", accept_all):
+        yield
+
+
+def test_both_raises_on_prescreen_rejection(adjacency_accepts_everything):
+    options = AlgorithmOptions(acceptance="both")
+    with pytest.raises(AlgorithmError, match="adjacency test accepted"):
+        compute_efms(yeast_1_small(), options=options)
+    # Control: the same run without the pre-screen has nothing to object to.
+    with prescreen_off():
+        compute_efms(yeast_1_small(), options=options)
