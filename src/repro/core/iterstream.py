@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.memory import DEFAULT_STREAM_CHUNK_BYTES, streaming_chunk_pairs
+from repro.cluster.memory import streaming_chunk_pairs
 from repro.config import AlgorithmOptions
 from repro.core.bittree import SupportIndex
 from repro.core.candidates import PairRange, survivor_chunks
@@ -100,11 +100,10 @@ def zero_mode_supersets(words: np.ndarray, zero_words: np.ndarray) -> np.ndarray
     kernel vector on the candidate's support, independent of ``c``, so
     ``nullity(N[:, supp(c)]) >= 2`` and the rank test would reject ``c``
     — on reversible rows too, since only linear independence is used.
-    The broadcast transient is capped at the candidate-phase chunk budget.
+    The broadcast transient is capped at the candidate-phase chunk budget
+    (:data:`repro.linalg.bitset.SUBSET_CHUNK_BYTES`).
     """
-    return bitset.subset_rows(
-        words, zero_words, max_bytes=DEFAULT_STREAM_CHUNK_BYTES
-    )
+    return bitset.subset_rows(words, zero_words)
 
 
 def stream_iteration(

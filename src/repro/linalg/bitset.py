@@ -20,6 +20,12 @@ from repro.errors import LinAlgError
 WORD = np.uint64
 BITS_PER_WORD = 64
 
+#: Byte cap on :func:`subset_rows`' broadcast transient; equal to the
+#: candidate-phase chunk budget
+#: (:data:`repro.cluster.memory.DEFAULT_STREAM_CHUNK_BYTES`), which the
+#: zero-mode pre-screen runs inside.
+SUBSET_CHUNK_BYTES = 16 << 20
+
 
 def n_words_for(n_rows: int) -> int:
     """Number of uint64 words needed for ``n_rows`` support bits."""
@@ -176,43 +182,31 @@ def union_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a | b).sum(axis=1, dtype=np.int64)
 
 
-def subset_rows(
-    candidates: np.ndarray, references: np.ndarray, *, max_bytes: int = 32 << 20
-) -> np.ndarray:
+def subset_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
     """For each candidate row, is *some* reference row a subset of it?
 
     Strict-or-equal subset test: reference ``r`` is a subset of candidate
-    ``c`` iff ``r & c == r``.  Returns a boolean ``(n_candidates,)`` array
+    ``c`` iff ``r & ~c == 0``.  Returns a boolean ``(n_candidates,)`` array
     that is True when at least one reference (other than an identical
     pattern — equality also counts True here; callers exclude self-matches
     by construction).  Complexity O(n_candidates * n_references * n_words)
     vectorized in candidate chunks whose ``(chunk, n_references,
-    n_words)`` broadcast transient stays within ``max_bytes``.
+    n_words)`` broadcast transient stays within :data:`SUBSET_CHUNK_BYTES`.
     """
     n_c = candidates.shape[0]
     n_r = references.shape[0]
     out = np.zeros(n_c, dtype=bool)
     if n_c == 0 or n_r == 0:
         return out
-    n_w = candidates.shape[1]
-    # Per (candidate, reference) pair: the ANDed words, their equality
-    # mask and the reduced hit flag.
-    chunk = max(1, int(max_bytes) // (n_r * (9 * n_w + 1)))
-    if n_w == 1:
-        # Networks up to 64 reactions: ``r ⊆ c`` iff ``r & ~c == 0`` on one
-        # word, a 2-D broadcast with no word-axis reduction.
-        refs = references[:, 0]
-        outside = ~candidates[:, 0]
-        for start in range(0, n_c, chunk):
-            cs = outside[start : start + chunk, None]
-            out[start : start + chunk] = ((cs & refs[None, :]) == 0).any(axis=1)
-        return out
+    # Per (candidate, reference) pair: the masked words, their zero mask
+    # and the reduced hit flag.
+    chunk = max(1, SUBSET_CHUNK_BYTES // (n_r * (9 * candidates.shape[1] + 1)))
+    outside = ~candidates
     for start in range(0, n_c, chunk):
-        cs = candidates[start : start + chunk]  # (c, w)
-        hit = ((references[None, :, :] & cs[:, None, :]) == references[None, :, :]).all(
-            axis=2
-        )  # (c, n_r)
-        out[start : start + chunk] = hit.any(axis=1)
+        cs = outside[start : start + chunk, None, :]  # (c, 1, w)
+        out[start : start + chunk] = (
+            ((references[None, :, :] & cs) == 0).all(axis=2).any(axis=1)
+        )
     return out
 
 

@@ -101,6 +101,30 @@ class TestSubsetQueries:
         )
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_rows", [40, 64, 130])  # 1, 1 and 3 words
+    @pytest.mark.parametrize("cap", [None, 4096, 1])  # one, many and one chunk per candidate
+    def test_chunk_boundaries(self, monkeypatch, n_rows, cap):
+        if cap is not None:
+            monkeypatch.setattr(bitset, "SUBSET_CHUNK_BYTES", cap)
+        # Four-bit references against half-dense candidates, so some
+        # candidates contain a reference and some do not.
+        cands = _random_mask(n_rows, 300, seed=3, p=0.5)
+        rng = np.random.default_rng(4)
+        refs = np.zeros((n_rows, 50), dtype=bool)
+        for r in range(50):
+            refs[rng.choice(n_rows, 4, replace=False), r] = True
+        got = bitset.subset_rows(
+            bitset.pack_supports(cands), bitset.pack_supports(refs)
+        )
+        want = np.array(
+            [
+                any(not (refs[:, r] & ~cands[:, c]).any() for r in range(50))
+                for c in range(300)
+            ]
+        )
+        assert want.any() and not want.all()
+        assert np.array_equal(got, want)
+
 
 class TestUniqueAndMembership:
     def test_unique_rows_first_occurrence(self):
