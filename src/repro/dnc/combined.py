@@ -3,13 +3,19 @@
 For each subset of the divide-and-conquer partition:
 
 1. delete the zero-flux reactions' columns from the reduced stoichiometry
-   (line 8) and recompute the kernel (line 9);
-2. pin the non-zero-flux reactions to the bottom rows (line 11);
-3. run the combinatorial parallel algorithm (Algorithm 2) up to — but not
-   including — the pinned rows (line 14, Proposition 1);
-4. keep only the columns with non-zero flux in every pinned row — with a
+   (line 8);
+2. screen the shrunken network for blocked reactions
+   (:func:`~repro.network.compression.blocked_reactions`, exact, no LP):
+   if a non-zero-flux reaction is blocked the subset is empty and stops
+   here; otherwise the blocked reactions are deleted too;
+3. recompute the kernel (line 9) and pin the non-zero-flux reactions to
+   the bottom rows (line 11);
+4. run the combinatorial parallel algorithm (Algorithm 2) up to — but not
+   including — the pinned rows (line 14, Proposition 1); on one rank this
+   is the serial Algorithm 1 loop, with no SPMD round trips;
+5. keep only the columns with non-zero flux in every pinned row — with a
    positive sign where the pinned reaction is irreversible (lines 15–17);
-5. re-insert zero rows for the deleted reactions (lines 18–21).
+6. re-insert zero rows for the deleted reactions (lines 18–21).
 
 The union over all subsets is the complete EFM set; the subsets are
 pairwise disjoint by construction (distinct zero/non-zero patterns).
@@ -22,7 +28,7 @@ its window, never touching a pinned row — and Proposition 1's argument
 (the pinned rows are simply *not processed*) is untouched by the order
 in which the window rows fall.
 
-Steps 1–2 and 4–5 are shared by every way of *running* a subproblem
+Steps 1–3 and 5–6 are shared by every way of *running* a subproblem
 (:func:`prepare_subset` / :meth:`PreparedSubset.finalize`); the default
 runner is Algorithm 2 (:func:`solve_subset`) and the degraded runner is
 the checkpointed serial path
@@ -60,6 +66,7 @@ from repro.efm.splitting import BWD_SUFFIX, FWD_SUFFIX, SplitRecord, split_rever
 from repro.linalg.batched import RankCache, problem_token
 from repro.mpi.spmd import BackendName
 from repro.mpi.tracing import CommTrace
+from repro.network.compression import blocked_reactions
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import stoichiometric_matrix
 from repro.parallel.combinatorial import combinatorial_parallel
@@ -89,6 +96,9 @@ class SubsetResult:
     resumed: bool = False
     #: the scheduler's a-priori peak-footprint prediction, when scheduled.
     predicted_peak_bytes: int | None = None
+    #: proven empty before enumeration: a non-zero partition reaction is
+    #: blocked in the shrunken network (see :func:`prepare_subset`).
+    screened: bool = False
 
     @property
     def n_efms(self) -> int:
@@ -130,6 +140,11 @@ class CombinedRunResult:
     @property
     def total_candidates(self) -> int:
         return sum(s.n_candidates for s in self.subsets)
+
+    @property
+    def n_screened(self) -> int:
+        """Subsets the blocked-reaction screen proved empty."""
+        return sum(s.screened for s in self.subsets)
 
     @property
     def total_wall_time(self) -> float:
@@ -184,8 +199,9 @@ class PreparedSubset:
     :meth:`finalize` needs to map the run's modes back to the reduced
     network (lines 15–21).
 
-    ``problem`` is ``None`` for structurally empty subsets (the shrunken
-    network admits no flux at all).
+    ``problem`` is ``None`` for structurally empty subsets: the shrunken
+    network admits no flux at all, or (``screened``) a non-zero partition
+    reaction is blocked in it.
     """
 
     spec: SubsetSpec
@@ -203,6 +219,30 @@ class PreparedSubset:
     #: canonical reduced-network column id per problem position (for the
     #: shared rank memo), ``None`` for empty subsets.
     col_ids: np.ndarray | None
+    screened: bool = False
+
+    @classmethod
+    def structurally_empty(
+        cls,
+        spec: SubsetSpec,
+        reduced: MetabolicNetwork,
+        sub: MetabolicNetwork,
+        *,
+        screened: bool = False,
+    ) -> "PreparedSubset":
+        """The prepared form of a subset that has no EFMs."""
+        return cls(
+            spec=spec,
+            reduced=reduced,
+            problem=None,
+            stop=0,
+            fallback=False,
+            split_rec=None,
+            src=sub,
+            force_last=spec.nonzero,
+            col_ids=None,
+            screened=screened,
+        )
 
     @property
     def q_red(self) -> int:
@@ -215,6 +255,7 @@ class PreparedSubset:
             stats=None,
             rank_traces=[],
             wall_time=wall_time,
+            screened=self.screened,
         )
 
     def finalize(self, vals: np.ndarray) -> np.ndarray:
@@ -263,6 +304,11 @@ def prepare_subset(
 ) -> PreparedSubset:
     """Build one subset's pinned subproblem (lines 8–14).
 
+    Before any kernel is built, :func:`~repro.network.compression.blocked_reactions`
+    screens the shrunken network: a blocked non-zero partition reaction
+    proves the subset empty (``screened``), and the other blocked
+    reactions are deleted along with the zero set.
+
     Auto-splits reversible reactions that cannot be pivots in the
     shrunken stoichiometry.  Partition reactions carry pivot priority; if
     one is still linearly dependent (reversible only), Proposition 1's
@@ -271,13 +317,28 @@ def prepare_subset(
     """
     validate_partition(reduced, spec.partition)
     q_red = reduced.n_reactions
-
-    sub = (
-        reduced.without_reactions(spec.zero, suffix=f"-s{spec.subset_id}")
-        if spec.zero
-        else reduced
-    )
+    suffix = f"-s{spec.subset_id}"
     force_last = list(spec.nonzero)
+
+    sub = reduced.without_reactions(spec.zero, suffix=suffix) if spec.zero else reduced
+    # Blocked-reaction screen: a pinned reaction that is zero in every
+    # steady state of the shrunken network empties the subset; any other
+    # blocked reaction is deleted along with the zero set (Proposition 1
+    # is unaffected: deleting a column that is zero in every EFM leaves
+    # the EFM set unchanged).
+    blocked = blocked_reactions(sub)
+    hit = [r for r in force_last if r in blocked]
+    if hit:
+        # Imported here: ``logging`` adds about 6 ms to interpreter set-up,
+        # which runs that screen nothing should not pay.
+        import logging  # noqa: PLC0415
+
+        logging.getLogger(__name__).debug(
+            "subset %s screened empty: %s blocked", spec.label(), ", ".join(hit)
+        )
+        return PreparedSubset.structurally_empty(spec, reduced, sub, screened=True)
+    if blocked:
+        sub = reduced.without_reactions(set(spec.zero) | blocked, suffix=suffix)
 
     split_rec: SplitRecord | None = None
     work_net = sub
@@ -301,17 +362,7 @@ def prepare_subset(
             work_net = rec.split
         except NoModesError:
             # The shrunken network admits no flux at all: empty subset.
-            return PreparedSubset(
-                spec=spec,
-                reduced=reduced,
-                problem=None,
-                stop=0,
-                fallback=False,
-                split_rec=None,
-                src=sub,
-                force_last=tuple(force_last),
-                col_ids=None,
-            )
+            return PreparedSubset.structurally_empty(spec, reduced, sub)
     else:  # pragma: no cover - each retry strictly reduces failure modes
         raise PartitionError(f"subset {spec.label()}: splitting did not converge")
 

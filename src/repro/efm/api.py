@@ -164,6 +164,7 @@ def compute_efms(
                 (s.spec.label(), s.n_efms, s.n_candidates) for s in run.subsets
             ]
             meta["total_candidates"] = run.total_candidates
+            meta["n_screened"] = run.n_screened
         else:
             problem, split_rec = build_problem_with_split(reduced, options, auto_split)
             if method == "serial":

@@ -36,7 +36,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import CompressionError
+from repro.linalg.numeric import kernel_identity_form
 from repro.network.model import MetabolicNetwork, Metabolite, Reaction
+from repro.network.stoichiometry import stoichiometric_matrix
 
 
 @dataclasses.dataclass
@@ -198,6 +200,40 @@ def compress_network(
         singletons=tuple(singletons),
         merged_groups=merged_groups,
     )
+
+
+def blocked_reactions(network: MetabolicNetwork) -> frozenset[str]:
+    """Reactions of ``network`` that carry zero flux in every steady state.
+
+    Two exact rules, repeated until nothing changes:
+
+    * :func:`compress_network`'s dead-end and direction-conflict merge
+      rules (:attr:`CompressionRecord.blocked`);
+    * zero rows of the compressed network's exact
+      :func:`~repro.linalg.numeric.kernel_identity_form` kernel — a merged
+      reaction that is zero in every nullspace vector blocks every
+      reaction of its :attr:`~CompressionRecord.merged_groups` entry.
+
+    Deleting a blocked reaction leaves the EFM set unchanged, and can
+    expose new dead ends, hence the repetition.  Singleton EFMs lifted
+    out by compression carry flux and are never blocked; a network that
+    compresses to nothing blocks only what compression blocked.
+    """
+    blocked: set[str] = set()
+    net = network
+    while True:
+        rec = compress_network(net)
+        blocked.update(rec.blocked)
+        names = rec.reduced.reaction_names
+        if not names:
+            return frozenset(blocked)
+        kernel, perm = kernel_identity_form(stoichiometric_matrix(rec.reduced))
+        zero_rows = np.flatnonzero(~kernel.any(axis=1))
+        if not zero_rows.size:
+            return frozenset(blocked)
+        for p in zero_rows.tolist():
+            blocked.update(rec.merged_groups[names[perm[p]]])
+        net = network.without_reactions(blocked)
 
 
 def _compression_round(

@@ -1,15 +1,23 @@
 """Tests for the combined parallel Nullspace Algorithm (Algorithm 3)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryModel
+from repro.core import iterstream
 from repro.core.kernel import build_problem
 from repro.core.serial import nullspace_algorithm
 from repro.dnc.combined import combined_parallel, solve_subset
 from repro.dnc.subsets import SubsetSpec
+from repro.efm.api import compute_efms
 from repro.errors import PartitionError
 from repro.models.generators import random_network
+from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
 from tests.conftest import assert_same_modes
 
@@ -111,3 +119,74 @@ class TestSubsetMechanics:
     def test_candidate_counts_sum(self, toy_record):
         run = combined_parallel(toy_record.reduced, ("r6r", "r8r"), 1)
         assert run.total_candidates == sum(s.n_candidates for s in run.subsets)
+
+
+class TestYeastOneRank:
+    """Yeast-I-small, q_sub=5, one rank: the configuration of the
+    end-to-end ``y1-dnc5`` workload."""
+
+    PARTITION = ("R22r", "R32r", "R81r", "R96r", "R102r")
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        return compress_network(yeast_1_small()).reduced
+
+    def test_rank_test_calls_not_above_spmd_path(self, monkeypatch):
+        calls = []
+        real = iterstream.rank_test
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iterstream, "rank_test", counted)
+        result = compute_efms(
+            yeast_1_small(), method="combined", partition=5, executor="inline"
+        )
+        assert result.n_efms == 530
+        assert result.meta["n_screened"] == 24
+        # 248 with every subset enumerated through the one-rank SPMD path.
+        assert 0 < len(calls) <= 248
+
+    def test_oom_lands_in_subset_result(self, reduced):
+        spec = SubsetSpec(subset_id=30, partition=self.PARTITION)
+        ok = solve_subset(reduced, spec, 1)
+        assert not ok.screened and ok.n_efms > 0
+        result = solve_subset(
+            reduced, spec, 1, memory_model=MemoryModel(capacity_bytes=2_000)
+        )
+        assert result.oom is not None and not result.completed
+        assert result.n_efms == 0
+
+    def test_degrade_completes(self, reduced):
+        mm = MemoryModel(capacity_bytes=20_000)
+        recorded = combined_parallel(reduced, self.PARTITION, 1, memory_model=mm)
+        assert any(s.oom is not None for s in recorded.subsets)
+        run = combined_parallel(
+            reduced, self.PARTITION, 1, memory_model=mm, on_oom="degrade"
+        )
+        assert run.complete and run.n_efms == 530
+        assert run.meta["n_degraded"] >= 1
+        assert run.n_screened == 24
+
+
+def test_combined_solve_does_not_import_scipy_optimize():
+    """The subset screen is exact linear algebra: a D&C solve never pays
+    for ``import scipy.optimize`` (longer than the whole solve)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    code = (
+        "import sys\n"
+        "from repro import compute_efms\n"
+        "from repro.models.variants import yeast_1_small\n"
+        "r = compute_efms(yeast_1_small(), method='combined', partition=5)\n"
+        "assert r.n_efms == 530, r.n_efms\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

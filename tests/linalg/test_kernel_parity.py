@@ -13,6 +13,7 @@ from repro.efm.api import build_problem_with_split, compute_efms
 from repro.linalg import modular
 from repro.linalg.numeric import kernel_identity_form
 from repro.models.registry import get_network
+from repro.network import compression
 from repro.network.compression import compress_network
 from tests.linalg.kernel_oracle import oracle_kernel_identity_form
 
@@ -85,22 +86,33 @@ def test_int64_overflow_reruns_on_python_ints(monkeypatch):
 
 
 def test_yeast_kernels_and_every_dnc_subset_match_oracle(monkeypatch):
-    calls = []
-    real = core_kernel.kernel_identity_form
+    """Every kernel a yeast D&C run builds matches the oracle: the problem
+    builds (through ``repro.core.kernel``) and the blocked-reaction
+    screen's (through ``repro.network.compression``)."""
+    calls = {"problem": [], "screen": []}
 
-    def record(n, **kwargs):
-        calls.append((n.copy(), kwargs.get("pivot_priority")))
-        return real(n, **kwargs)
+    def spy(module, kind):
+        real = module.kernel_identity_form
 
-    monkeypatch.setattr(core_kernel, "kernel_identity_form", record)
+        def record(n, **kwargs):
+            calls[kind].append((n.copy(), kwargs.get("pivot_priority")))
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(module, "kernel_identity_form", record)
+
+    spy(core_kernel, "problem")
+    spy(compression, "screen")
     result = compute_efms(
         get_network("yeast-I-small"), method="combined", partition=5,
         executor="inline",
     )
     assert result.n_efms == 530
-    # Partition selection, then one build per subset (2^5) plus the
-    # reversible-split retries.
-    assert len(calls) >= 2 + 32
+    # Partition selection (2), then one build per subset the screen lets
+    # through (8 of 32) plus 4 reversible-split retries.  The screen
+    # builds one kernel per round on each of the 32 subsets: 16 subsets
+    # take a second round after their first kernel blocks a reaction.
+    assert len(calls["problem"]) == 2 + 8 + 4
+    assert len(calls["screen"]) == 32 + 16
     build_problem_with_split(compress_network(get_network("yeast-II-small")).reduced)
-    for n, prio in calls:
+    for n, prio in calls["problem"] + calls["screen"]:
         assert_matches_oracle(n, prio)

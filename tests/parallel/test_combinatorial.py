@@ -1,12 +1,21 @@
 """Tests for the combinatorial parallel Nullspace Algorithm (Algorithm 2)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryModel
+from repro.config import DEFAULT_OPTIONS
 from repro.core.serial import nullspace_algorithm
+from repro.efm.api import build_problem_with_split
+from repro.engine.context import RunContext
 from repro.errors import OutOfMemoryError
-from repro.parallel.combinatorial import combinatorial_parallel
+from repro.models.variants import yeast_1_small
+from repro.mpi.spmd import run_spmd
+from repro.network.compression import compress_network
+from repro.parallel._driver_common import traced_worker
+from repro.parallel.combinatorial import combinatorial_parallel, combinatorial_worker
 from repro.parallel.pairs import get_pair_strategy, pair_share_counts
 from tests.conftest import assert_same_modes
 
@@ -103,3 +112,63 @@ class TestPairStrategies:
 
         with pytest.raises(AlgorithmError):
             get_pair_strategy("roulette")
+
+
+def _counters(stats):
+    """Every non-timing counter of a run: per iteration, and run-wide."""
+    its = [
+        {k: v for k, v in dataclasses.asdict(it).items() if not k.startswith("t_")}
+        for it in stats.iterations
+    ]
+    run = {
+        k: v for k, v in dataclasses.asdict(stats).items()
+        if k not in ("iterations", "t_total")
+    }
+    return its, run
+
+
+@pytest.fixture(scope="module")
+def yeast_problem():
+    problem, _ = build_problem_with_split(compress_network(yeast_1_small()).reduced)
+    return problem
+
+
+class TestOneRank:
+    """One rank runs the serial loop in-process: no SPMD thread, no
+    allgather, no merge."""
+
+    @pytest.mark.parametrize("which", ["toy", "yeast"])
+    def test_bit_identical_to_serial(self, toy_problem, yeast_problem, which):
+        problem = toy_problem if which == "toy" else yeast_problem
+        serial = nullspace_algorithm(problem)
+        run = combinatorial_parallel(problem, 1)
+        assert np.array_equal(
+            run.result.modes.supports.words, serial.modes.supports.words
+        )
+        assert np.array_equal(run.result.modes.values, serial.modes.values)
+        assert _counters(run.stats) == _counters(serial.stats)
+        assert run.rank_traces[0].events == []
+
+    def test_same_modes_as_one_rank_spmd_worker(self, yeast_problem):
+        (spmd, _), = run_spmd(
+            traced_worker(combinatorial_worker), 1,
+            args=(yeast_problem, DEFAULT_OPTIONS),
+        )
+        run = combinatorial_parallel(yeast_problem, 1)
+        assert np.array_equal(run.result.modes.supports.words, spmd.modes.supports.words)
+        assert np.array_equal(run.result.modes.values, spmd.modes.values)
+        assert _counters(run.stats)[0] == _counters(spmd.stats)[0]
+
+    def test_uses_the_given_rank_cache(self, yeast_problem):
+        binding = RunContext().rank_binding_for(yeast_problem)
+        combinatorial_parallel(yeast_problem, 1, rank_cache=binding)
+        assert len(binding.cache) > 0
+
+    def test_memory_checked_every_iteration(self, toy_problem):
+        with pytest.raises(OutOfMemoryError):
+            combinatorial_parallel(
+                toy_problem, 1, memory_model=MemoryModel(capacity_bytes=8)
+            )
+        probe = MemoryModel(capacity_bytes=1, enforcing=False)
+        run = combinatorial_parallel(toy_problem, 1, memory_model=probe)
+        assert probe.peak_bytes >= run.stats.peak_mode_bytes > 0
