@@ -229,7 +229,6 @@ def nullspace_algorithm(
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     stop_row: int | None = None,
     memory_check: MemoryCheck | None = None,
-    rank_cache: CacheBinding | None = None,
     context: RunContext | None = None,
 ) -> NullspaceResult:
     """Run Algorithm 1 on a prepared problem.
@@ -243,10 +242,6 @@ def nullspace_algorithm(
         Called after every iteration with ``(iteration, modes)``; may raise
         :class:`repro.errors.OutOfMemoryError` to model a node-memory
         limit.  Overrides the context's memory model when given.
-    rank_cache:
-        Rank memo binding to use instead of a private one — the
-        divide-and-conquer driver's shared memo keyed by canonical
-        column ids (see :meth:`RunContext.rank_binding_for`).
     context:
         The run's :class:`~repro.engine.context.RunContext`.  When absent a
         private one is built from ``options`` (legacy call style).
@@ -263,8 +258,7 @@ def nullspace_algorithm(
         raise AlgorithmError(f"stop_row {stop} out of range")
     check_acceptance_applicable(problem, options, stop)
     recorder = ctx.trace_recorder()
-    if rank_cache is None:
-        rank_cache = ctx.rank_binding_for(problem)
+    rank_cache = ctx.rank_binding_for(problem)
     if memory_check is None:
         memory = ctx.fresh_memory()
         memory_check = memory.check if memory is not None else None

@@ -11,8 +11,7 @@ For each subset of the divide-and-conquer partition:
 3. recompute the kernel (line 9) and pin the non-zero-flux reactions to
    the bottom rows (line 11);
 4. run the combinatorial parallel algorithm (Algorithm 2) up to — but not
-   including — the pinned rows (line 14, Proposition 1); on one rank this
-   is the serial Algorithm 1 loop, with no SPMD round trips;
+   including — the pinned rows (line 14, Proposition 1);
 5. keep only the columns with non-zero flux in every pinned row — with a
    positive sign where the pinned reaction is irreversible (lines 15–17);
 6. re-insert zero rows for the deleted reactions (lines 18–21).
@@ -329,8 +328,8 @@ def prepare_subset(
     blocked = blocked_reactions(sub)
     hit = [r for r in force_last if r in blocked]
     if hit:
-        # Imported here: ``logging`` adds about 6 ms to interpreter set-up,
-        # which runs that screen nothing should not pay.
+        # Imported lazily: a module-level ``import logging`` adds about 6 ms
+        # to every solve's interpreter set-up, and only screened subsets log.
         import logging  # noqa: PLC0415
 
         logging.getLogger(__name__).debug(

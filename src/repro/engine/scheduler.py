@@ -56,7 +56,7 @@ ScheduleName = Literal["predicted-peak", "subset-id", "reverse"]
 Schedule = Union[ScheduleName, Sequence[int]]
 OnOom = Literal["record", "degrade"]
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,11 +236,14 @@ class SubproblemScheduler:
         fingerprint = self._fingerprint()
         if manifest.exists():
             meta = json.loads(manifest.read_text())
-            if meta.get("fingerprint") != fingerprint:
+            if (
+                meta.get("version") != _CHECKPOINT_VERSION
+                or meta.get("fingerprint") != fingerprint
+            ):
                 raise SchedulerError(
                     f"checkpoint directory {self.checkpoint_dir} belongs to a "
-                    "different run (network, subsets or options changed); "
-                    "refusing to mix results"
+                    "different run (network, subsets, options or checkpoint "
+                    "format changed); refusing to mix results"
                 )
             return
         manifest.write_text(
@@ -263,6 +266,7 @@ class SubproblemScheduler:
             efms=res.efms,
             wall_time=np.float64(res.wall_time),
             degraded=np.int64(res.degraded),
+            screened=np.int64(res.screened),
         )
         tmp.replace(path)  # atomic: a crash never leaves a torn subset file
 
@@ -280,6 +284,7 @@ class SubproblemScheduler:
                     rank_traces=[],
                     wall_time=float(data["wall_time"]),
                     degraded=bool(data["degraded"]),
+                    screened=bool(data["screened"]),
                     resumed=True,
                     predicted_peak_bytes=job.predicted_peak_bytes,
                 )

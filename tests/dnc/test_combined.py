@@ -169,6 +169,15 @@ class TestYeastOneRank:
         assert run.meta["n_degraded"] >= 1
         assert run.n_screened == 24
 
+    def test_resume_keeps_screened_count(self, tmp_path):
+        d = tmp_path / "ckpt"
+        kw = dict(method="combined", partition=5, checkpoint_path=d)
+        first = compute_efms(yeast_1_small(), **kw)
+        resumed = compute_efms(yeast_1_small(), **kw)
+        assert resumed.meta["scheduler"]["n_resumed"] == 32
+        assert first.meta["n_screened"] == resumed.meta["n_screened"] == 24
+        assert np.array_equal(first.fluxes, resumed.fluxes)
+
 
 def test_combined_solve_does_not_import_scipy_optimize():
     """The subset screen is exact linear algebra: a D&C solve never pays

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,16 @@ class TestCheckpointing:
         other = RunContext(options=AlgorithmOptions(arithmetic="exact"))
         with pytest.raises(SchedulerError, match="different run"):
             make_scheduler(reduced, specs, context=other, checkpoint_dir=d).run()
+
+    def test_older_checkpoint_format_refuses_resume(self, reduced, specs, tmp_path):
+        d = tmp_path / "ckpt"
+        make_scheduler(reduced, specs, checkpoint_dir=d).run()
+        manifest = d / "manifest.json"
+        meta = json.loads(manifest.read_text())
+        meta["version"] = 1  # subset files without the ``screened`` flag
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(SchedulerError, match="checkpoint format"):
+            make_scheduler(reduced, specs, checkpoint_dir=d).run()
 
     def test_interrupted_combined_run_resumes(self, reduced, tmp_path, monkeypatch):
         """Satellite: kill the run after k subsets, resume, identical EFMs."""

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryModel
-from repro.config import DEFAULT_OPTIONS
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import build_problem_with_split
-from repro.engine.context import RunContext
 from repro.errors import OutOfMemoryError
 from repro.models.variants import yeast_1_small
-from repro.mpi.spmd import run_spmd
 from repro.network.compression import compress_network
-from repro.parallel._driver_common import traced_worker
-from repro.parallel.combinatorial import combinatorial_parallel, combinatorial_worker
+from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.pairs import get_pair_strategy, pair_share_counts
 from tests.conftest import assert_same_modes
 
@@ -89,15 +85,16 @@ class TestStopRowAndMemory:
         assert np.allclose(a, b)
 
     def test_memory_model_enforced(self, toy_problem):
-        with pytest.raises(OutOfMemoryError):
-            combinatorial_parallel(
-                toy_problem, 2, memory_model=MemoryModel(capacity_bytes=8)
-            )
+        for n_ranks in (1, 2):
+            with pytest.raises(OutOfMemoryError):
+                combinatorial_parallel(
+                    toy_problem, n_ranks, memory_model=MemoryModel(capacity_bytes=8)
+                )
 
     def test_dry_run_probe_reports_peak(self, toy_problem):
         probe = MemoryModel(capacity_bytes=1, enforcing=False)
-        combinatorial_parallel(toy_problem, 1, memory_model=probe)
-        assert probe.peak_bytes > 0
+        run = combinatorial_parallel(toy_problem, 1, memory_model=probe)
+        assert probe.peak_bytes >= run.stats.peak_mode_bytes > 0
 
 
 class TestPairStrategies:
@@ -134,8 +131,12 @@ def yeast_problem():
 
 
 class TestOneRank:
-    """One rank runs the serial loop in-process: no SPMD thread, no
-    allgather, no merge."""
+    """One rank runs the SPMD worker with nobody to exchange with: it
+    enumerates exactly what the serial driver does."""
+
+    #: run-wide counters that measure the rank's payload encoding (the
+    #: wire statistics), which the serial driver never produces.
+    WIRE = ("ser_bytes", "n_serializations", "wire_bytes_sent")
 
     @pytest.mark.parametrize("which", ["toy", "yeast"])
     def test_bit_identical_to_serial(self, toy_problem, yeast_problem, which):
@@ -146,29 +147,10 @@ class TestOneRank:
             run.result.modes.supports.words, serial.modes.supports.words
         )
         assert np.array_equal(run.result.modes.values, serial.modes.values)
-        assert _counters(run.stats) == _counters(serial.stats)
-        assert run.rank_traces[0].events == []
-
-    def test_same_modes_as_one_rank_spmd_worker(self, yeast_problem):
-        (spmd, _), = run_spmd(
-            traced_worker(combinatorial_worker), 1,
-            args=(yeast_problem, DEFAULT_OPTIONS),
-        )
-        run = combinatorial_parallel(yeast_problem, 1)
-        assert np.array_equal(run.result.modes.supports.words, spmd.modes.supports.words)
-        assert np.array_equal(run.result.modes.values, spmd.modes.values)
-        assert _counters(run.stats)[0] == _counters(spmd.stats)[0]
-
-    def test_uses_the_given_rank_cache(self, yeast_problem):
-        binding = RunContext().rank_binding_for(yeast_problem)
-        combinatorial_parallel(yeast_problem, 1, rank_cache=binding)
-        assert len(binding.cache) > 0
-
-    def test_memory_checked_every_iteration(self, toy_problem):
-        with pytest.raises(OutOfMemoryError):
-            combinatorial_parallel(
-                toy_problem, 1, memory_model=MemoryModel(capacity_bytes=8)
-            )
-        probe = MemoryModel(capacity_bytes=1, enforcing=False)
-        run = combinatorial_parallel(toy_problem, 1, memory_model=probe)
-        assert probe.peak_bytes >= run.stats.peak_mode_bytes > 0
+        its, totals = _counters(run.stats)
+        serial_its, serial_totals = _counters(serial.stats)
+        assert its == serial_its
+        for key in self.WIRE:
+            del totals[key], serial_totals[key]
+        assert totals == serial_totals
+        assert run.stats.messages_sent == 0 and run.stats.bytes_sent == 0
