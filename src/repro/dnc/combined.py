@@ -7,7 +7,10 @@ For each subset of the divide-and-conquer partition:
 2. screen the shrunken network for blocked reactions
    (:func:`~repro.network.compression.blocked_reactions`, exact, no LP):
    if a non-zero-flux reaction is blocked the subset is empty and stops
-   here; otherwise the blocked reactions are deleted too;
+   here; otherwise the blocked reactions are deleted too.  A scheduled
+   run screens the whole partition once, on its subset lattice
+   (:func:`screen_subsets`), and hands each surviving subset its blocked
+   set;
 3. recompute the kernel (line 9) and pin the non-zero-flux reactions to
    the bottom rows (line 11);
 4. run the combinatorial parallel algorithm (Algorithm 2) up to — but not
@@ -96,8 +99,27 @@ class SubsetResult:
     #: the scheduler's a-priori peak-footprint prediction, when scheduled.
     predicted_peak_bytes: int | None = None
     #: proven empty before enumeration: a non-zero partition reaction is
-    #: blocked in the shrunken network (see :func:`prepare_subset`).
+    #: blocked in the shrunken network (see :func:`screen_subsets`).
     screened: bool = False
+
+    @classmethod
+    def empty(
+        cls,
+        spec: SubsetSpec,
+        n_reactions: int,
+        *,
+        screened: bool = False,
+        wall_time: float = 0.0,
+    ) -> "SubsetResult":
+        """The result of a subset with no EFMs."""
+        return cls(
+            spec=spec,
+            efms=np.zeros((0, n_reactions)),
+            stats=None,
+            rank_traces=[],
+            wall_time=wall_time,
+            screened=screened,
+        )
 
     @property
     def n_efms(self) -> int:
@@ -125,7 +147,10 @@ class CombinedRunResult:
     network: MetabolicNetwork
     subsets: list[SubsetResult]
     #: scheduler/executor information (executor name, schedule, admission
-    #: budget, degraded/resumed counts); empty for directly built results.
+    #: budget, degraded/resumed counts, the survivors' predicted bytes,
+    #: screen counts; see :meth:`SubproblemScheduler.run
+    #: <repro.engine.scheduler.SubproblemScheduler.run>`); empty for
+    #: directly built results.
     meta: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -248,13 +273,8 @@ class PreparedSubset:
         return self.reduced.n_reactions
 
     def empty_result(self, wall_time: float = 0.0) -> SubsetResult:
-        return SubsetResult(
-            spec=self.spec,
-            efms=np.zeros((0, self.q_red)),
-            stats=None,
-            rank_traces=[],
-            wall_time=wall_time,
-            screened=self.screened,
+        return SubsetResult.empty(
+            self.spec, self.q_red, screened=self.screened, wall_time=wall_time
         )
 
     def finalize(self, vals: np.ndarray) -> np.ndarray:
@@ -294,19 +314,81 @@ class PreparedSubset:
         return efms
 
 
+def _log_screened(spec: SubsetSpec, hit: Sequence[str]) -> None:
+    # Imported lazily: a module-level ``import logging`` adds about 6 ms
+    # to every solve's interpreter set-up, and only screened subsets log.
+    import logging  # noqa: PLC0415
+
+    logging.getLogger(__name__).debug(
+        "subset %s screened empty: %s blocked", spec.label(), ", ".join(hit)
+    )
+
+
+def screen_subsets(
+    reduced: MetabolicNetwork, specs: Sequence[SubsetSpec]
+) -> tuple[list[frozenset[str]], int]:
+    """Blocked-reaction screen of every subset, in one pass over the
+    subset lattice.
+
+    Returns each subset's blocked reactions (its own zero reactions
+    excluded) in ``specs`` order, and how many
+    :func:`~repro.network.compression.blocked_reactions` calls it took.
+    A subset whose blocked set holds one of its non-zero partition
+    reactions is empty; every other subset passes its set to
+    :func:`prepare_subset` as ``blocked``.
+
+    A reaction blocked with zero set ``Z0`` deleted stays blocked for
+    every ``Z ⊇ Z0``: deleting columns only shrinks the flux cone, and the
+    screen's rules are monotone under deletion.  So the specs are visited
+    by ascending ``|Z|`` and each inherits the union of the blocked sets of
+    the visited ``Z0 ⊂ Z``.  If that union already blocks a non-zero
+    partition reaction the subset is screened without any work; otherwise
+    ``blocked_reactions`` runs once, on ``reduced`` minus ``Z`` and the
+    inherited set.
+    """
+    zeros = [frozenset(spec.zero) for spec in specs]
+    out: list[frozenset[str]] = [frozenset()] * len(specs)
+    visited: list[int] = []
+    n_computed = 0
+    for i in sorted(range(len(specs)), key=lambda k: (len(zeros[k]), k)):
+        z = zeros[i]
+        blocked = set()
+        for j in visited:
+            if zeros[j] < z:
+                blocked |= out[j]
+        blocked -= z
+        hit = [r for r in specs[i].nonzero if r in blocked]
+        if not hit:
+            gone = z | blocked
+            blocked |= blocked_reactions(
+                reduced.without_reactions(gone) if gone else reduced
+            )
+            n_computed += 1
+            hit = [r for r in specs[i].nonzero if r in blocked]
+        if hit:
+            _log_screened(specs[i], hit)
+        out[i] = frozenset(blocked)
+        visited.append(i)
+    return out, n_computed
+
+
 def prepare_subset(
     reduced: MetabolicNetwork,
     spec: SubsetSpec,
     *,
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     auto_split: bool = True,
+    blocked: frozenset[str] | None = None,
 ) -> PreparedSubset:
     """Build one subset's pinned subproblem (lines 8–14).
 
-    Before any kernel is built, :func:`~repro.network.compression.blocked_reactions`
-    screens the shrunken network: a blocked non-zero partition reaction
-    proves the subset empty (``screened``), and the other blocked
-    reactions are deleted along with the zero set.
+    Before any kernel is built, the shrunken network is screened for
+    blocked reactions: a blocked non-zero partition reaction proves the
+    subset empty (``screened``), and the other blocked reactions are
+    deleted along with the zero set.  ``blocked`` is the subset's entry
+    from :func:`screen_subsets`; when it is ``None``,
+    :func:`~repro.network.compression.blocked_reactions` screens this one
+    subset in place.
 
     Auto-splits reversible reactions that cannot be pivots in the
     shrunken stoichiometry.  Partition reactions carry pivot priority; if
@@ -325,16 +407,11 @@ def prepare_subset(
     # blocked reaction is deleted along with the zero set (Proposition 1
     # is unaffected: deleting a column that is zero in every EFM leaves
     # the EFM set unchanged).
-    blocked = blocked_reactions(sub)
+    if blocked is None:
+        blocked = blocked_reactions(sub)
     hit = [r for r in force_last if r in blocked]
     if hit:
-        # Imported lazily: a module-level ``import logging`` adds about 6 ms
-        # to every solve's interpreter set-up, and only screened subsets log.
-        import logging  # noqa: PLC0415
-
-        logging.getLogger(__name__).debug(
-            "subset %s screened empty: %s blocked", spec.label(), ", ".join(hit)
-        )
+        _log_screened(spec, hit)
         return PreparedSubset.structurally_empty(spec, reduced, sub, screened=True)
     if blocked:
         sub = reduced.without_reactions(set(spec.zero) | blocked, suffix=suffix)
@@ -405,6 +482,7 @@ def solve_subset(
     auto_split: bool = True,
     rank_memo: tuple[RankCache, bytes] | None = None,
     context: RunContext | None = None,
+    blocked: frozenset[str] | None = None,
 ) -> SubsetResult:
     """Solve one subset's subproblem with Algorithm 2 (lines 3–22).
 
@@ -415,12 +493,15 @@ def solve_subset(
     permutations, deletions and reversible splits all address the same
     entries.  ``rank_memo`` is the legacy spelling of the same thing and
     is folded into a private context when no context is given.
+    ``blocked`` is passed on to :func:`prepare_subset`.
     """
     ctx = RunContext.ensure(context, options=options, memory_model=memory_model)
     if context is None and rank_memo is not None:
         ctx.shared_rank_memo = rank_memo
     t0 = time.perf_counter()
-    prep = prepare_subset(reduced, spec, options=ctx.options, auto_split=auto_split)
+    prep = prepare_subset(
+        reduced, spec, options=ctx.options, auto_split=auto_split, blocked=blocked
+    )
     if prep.problem is None:
         return prep.empty_result(wall_time=time.perf_counter() - t0)
 
@@ -466,6 +547,7 @@ def solve_subset_checkpointed_serial(
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 1,
     auto_split: bool = True,
+    blocked: frozenset[str] | None = None,
 ) -> SubsetResult:
     """Solve one subset on the checkpointed serial path (degraded mode).
 
@@ -475,7 +557,8 @@ def solve_subset_checkpointed_serial(
     recording (non-enforcing) mode — so one oversized subset slows the
     run down instead of aborting it, and an interrupted fallback resumes
     from its last snapshot.  With exact arithmetic (not checkpointable)
-    the plain serial driver runs instead.
+    the plain serial driver runs instead.  ``blocked`` is passed on to
+    :func:`prepare_subset`.
     """
     from repro.core.checkpoint import checkpointed_nullspace_algorithm  # noqa: PLC0415
     from repro.core.serial import nullspace_algorithm  # noqa: PLC0415
@@ -488,7 +571,9 @@ def solve_subset_checkpointed_serial(
     run_ctx = dataclasses.replace(ctx, memory_model=dry_memory)
 
     t0 = time.perf_counter()
-    prep = prepare_subset(reduced, spec, options=ctx.options, auto_split=auto_split)
+    prep = prepare_subset(
+        reduced, spec, options=ctx.options, auto_split=auto_split, blocked=blocked
+    )
     if prep.problem is None:
         return prep.empty_result(wall_time=time.perf_counter() - t0)
 

@@ -23,7 +23,6 @@ and returns ``{canonical index -> SubsetResult}``.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing as mp
 import queue as queue_mod
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Literal
@@ -67,7 +66,8 @@ class WorkOrder:
 
 
 def solve_job(order: WorkOrder, job: "SubsetJob") -> "SubsetResult":
-    """Solve one scheduled job with Algorithm 2 (the non-degraded path)."""
+    """Solve one scheduled job with Algorithm 2 (the non-degraded path),
+    reusing the blocked set the scheduler's plan screened for it."""
     from repro.dnc.combined import solve_subset  # noqa: PLC0415
 
     result = solve_subset(
@@ -78,6 +78,7 @@ def solve_job(order: WorkOrder, job: "SubsetJob") -> "SubsetResult":
         pair_strategy=order.pair_strategy,
         auto_split=order.auto_split,
         context=order.context,
+        blocked=job.blocked,
     )
     result.predicted_peak_bytes = job.predicted_peak_bytes
     return result
@@ -178,10 +179,12 @@ class ProcessPoolExecutor:
     ) -> "dict[int, SubsetResult]":
         if not jobs:
             return {}
+        import multiprocessing as mp  # noqa: PLC0415 - inline runs never fork
+
         n_workers = min(self.max_workers, len(jobs))
         ctx = mp.get_context("fork")
-        task_q: mp.Queue = ctx.Queue()
-        result_q: mp.Queue = ctx.Queue()
+        task_q = ctx.Queue()
+        result_q = ctx.Queue()
         workers = [
             ctx.Process(
                 target=_pool_worker,

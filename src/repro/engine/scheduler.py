@@ -6,9 +6,13 @@ paper exploits this by submitting each as a separate Blue Gene/P job
 queue.  It replaces the sequential subset loop that used to live in
 ``combined_parallel`` with an explicit plan-schedule-dispatch pipeline:
 
-1. **plan** — predict every subset's peak mode-matrix footprint with the
+1. **plan** — screen the whole partition for blocked reactions in one
+   pass over its subset lattice
+   (:func:`~repro.dnc.combined.screen_subsets`), then predict every
+   surviving subset's peak mode-matrix footprint with the
    :func:`~repro.cluster.memory.predict_subset_peak_bytes` surrogate
-   (cheap: one rank computation per subset, no kernel build);
+   (cheap: one rank computation per subset, no kernel build).  Screened
+   subsets are empty: they are never predicted, scheduled or dispatched;
 2. **schedule** — order the jobs: ``"predicted-peak"`` (largest first,
    the LPT makespan heuristic), ``"subset-id"``, ``"reverse"``, or an
    explicit index permutation (used by the equivalence tests to prove
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from pathlib import Path
 from typing import Literal, Sequence, Union
 
@@ -41,6 +44,7 @@ from repro.cluster.memory import predict_subset_peak_bytes
 from repro.dnc.combined import (
     CombinedRunResult,
     SubsetResult,
+    screen_subsets,
     solve_subset_checkpointed_serial,
 )
 from repro.dnc.subsets import SubsetSpec
@@ -65,12 +69,17 @@ class SubsetJob:
 
     ``index`` is the job's slot in the run's *canonical* result order (the
     position of its spec in the scheduler's spec list), independent of
-    where the schedule places it or which worker solves it.
+    where the schedule places it or which worker solves it.  ``blocked``
+    is the subset's blocked-reaction set from the plan's screen; a
+    ``screened`` job is proven empty, predicts 0 bytes and never reaches
+    an executor.
     """
 
     index: int
     spec: SubsetSpec
     predicted_peak_bytes: int
+    blocked: frozenset[str] = frozenset()
+    screened: bool = False
 
 
 class SubproblemScheduler:
@@ -145,33 +154,43 @@ class SubproblemScheduler:
         if checkpoint_dir is None:
             checkpoint_dir = self.context.checkpoint_path
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
+        #: :meth:`plan`'s screen work, reported in the run's ``meta``.
+        self.screen_counts: dict[str, int] = {}
 
     # -- planning ------------------------------------------------------------
 
     def plan(self) -> list[SubsetJob]:
-        """Predict every subset's footprint; jobs come back in canonical
-        (spec-list) order."""
+        """Screen every subset, then predict each survivor's footprint;
+        jobs come back in canonical (spec-list) order.
+
+        Also sets :attr:`screen_counts`: how many subsets had their blocked
+        set computed, and how many a smaller zero set decided.
+        """
+        blocked, n_computed = screen_subsets(self.reduced, self.specs)
+        self.screen_counts = {
+            "screen_computed": n_computed,
+            "screen_inherited": len(self.specs) - n_computed,
+        }
         wf = (
             self.context.memory_model.working_factor
             if self.context.memory_model is not None
             else 1.5
         )
-        return [
-            SubsetJob(
-                index=i,
-                spec=spec,
-                predicted_peak_bytes=predict_subset_peak_bytes(
-                    self.reduced,
-                    spec,
-                    working_factor=wf,
-                    pair_chunk=self.context.options.pair_chunk,
-                    pair_pruning=self.context.options.pair_pruning,
-                    rank_backend=self.context.options.rank_backend,
-                    ordering=self.context.options.ordering,
-                ),
+        opts = self.context.options
+        jobs = []
+        for i, (spec, dead) in enumerate(zip(self.specs, blocked)):
+            screened = not dead.isdisjoint(spec.nonzero)
+            peak = 0 if screened else predict_subset_peak_bytes(
+                self.reduced,
+                spec,
+                working_factor=wf,
+                pair_chunk=opts.pair_chunk,
+                pair_pruning=opts.pair_pruning,
+                rank_backend=opts.rank_backend,
+                ordering=opts.ordering,
             )
-            for i, spec in enumerate(self.specs)
-        ]
+            jobs.append(SubsetJob(i, spec, peak, blocked=dead, screened=screened))
+        return jobs
 
     def scheduled(self, jobs: Sequence[SubsetJob]) -> list[SubsetJob]:
         """Order ``jobs`` per the schedule policy.
@@ -230,6 +249,8 @@ class SubproblemScheduler:
         return self.checkpoint_dir / f"subset_{spec.subset_id:05d}.npz"
 
     def _prepare_checkpoint_dir(self) -> None:
+        import json  # noqa: PLC0415 - only checkpointed runs need it
+
         assert self.checkpoint_dir is not None
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         manifest = self.checkpoint_dir / "manifest.json"
@@ -307,6 +328,7 @@ class SubproblemScheduler:
             checkpoint_path=ckpt,
             checkpoint_every=self.context.checkpoint_every,
             auto_split=self.auto_split,
+            blocked=job.blocked,
         )
         res.predicted_peak_bytes = job.predicted_peak_bytes
         if ckpt is not None and ckpt.exists():
@@ -316,6 +338,15 @@ class SubproblemScheduler:
     # -- the run -------------------------------------------------------------
 
     def run(self) -> CombinedRunResult:
+        """Plan, dispatch and repair every subset.
+
+        The result's ``meta`` reports the executor and schedule; the job,
+        resumed and degraded counts; the admission budget;
+        ``predicted_total_bytes``, the sum of the *surviving* subsets'
+        predicted peaks (screened subsets predict 0); and the plan's
+        ``screen_computed`` / ``screen_inherited`` counts (subsets whose
+        blocked set was computed / decided by a smaller zero set).
+        """
         jobs = self.plan()
 
         results: dict[int, SubsetResult] = {}
@@ -323,6 +354,16 @@ class SubproblemScheduler:
             self._prepare_checkpoint_dir()
             results = self._load_resumed(jobs)
         n_resumed = len(results)
+        # Screened subsets are empty by proof: record them without any
+        # work (checkpointed, so a resume counts them as resumed).
+        for job in jobs:
+            if job.screened and job.index not in results:
+                res = SubsetResult.empty(
+                    job.spec, self.reduced.n_reactions, screened=True
+                )
+                res.predicted_peak_bytes = job.predicted_peak_bytes
+                results[job.index] = res
+                self._save_result(job, res)
         pending = [job for job in jobs if job.index not in results]
 
         # Admission pre-screen: a subset predicted to blow a single node's
@@ -381,6 +422,7 @@ class SubproblemScheduler:
             "n_degraded": n_degraded,
             "admission_bytes": self._admission_budget(executor_workers=None),
             "predicted_total_bytes": sum(j.predicted_peak_bytes for j in jobs),
+            **self.screen_counts,
         }
         return CombinedRunResult(network=self.reduced, subsets=subsets, meta=meta)
 

@@ -179,9 +179,9 @@ class TestYeastOneRank:
         assert np.array_equal(first.fluxes, resumed.fluxes)
 
 
-def test_combined_solve_does_not_import_scipy_optimize():
-    """The subset screen is exact linear algebra: a D&C solve never pays
-    for ``import scipy.optimize`` (longer than the whole solve)."""
+def _modules_loaded_by_combined_solve(*names: str) -> list[bool]:
+    """Run ``compute_efms(yeast_1_small(), method="combined", partition=5)``
+    in a fresh interpreter; report which of ``names`` it left imported."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     code = (
         "import sys\n"
@@ -189,7 +189,7 @@ def test_combined_solve_does_not_import_scipy_optimize():
         "from repro.models.variants import yeast_1_small\n"
         "r = compute_efms(yeast_1_small(), method='combined', partition=5)\n"
         "assert r.n_efms == 530, r.n_efms\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        f"print(*[name in sys.modules for name in {names!r}])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -198,4 +198,19 @@ def test_combined_solve_does_not_import_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return [flag == "True" for flag in out.stdout.split()]
+
+
+def test_combined_solve_does_not_import_scipy_optimize():
+    """The subset screen is exact linear algebra: a D&C solve never pays
+    for ``import scipy.optimize`` (longer than the whole solve)."""
+    assert _modules_loaded_by_combined_solve("scipy.optimize") == [False]
+
+
+def test_inline_combined_solve_imports_no_process_machinery():
+    """An inline D&C solve forks nothing and writes no checkpoint
+    manifest, so it never imports ``multiprocessing`` or ``json``."""
+    assert _modules_loaded_by_combined_solve("multiprocessing", "json") == [
+        False,
+        False,
+    ]

@@ -108,11 +108,14 @@ def test_yeast_kernels_and_every_dnc_subset_match_oracle(monkeypatch):
     )
     assert result.n_efms == 530
     # Partition selection (2), then one build per subset the screen lets
-    # through (8 of 32) plus 4 reversible-split retries.  The screen
-    # builds one kernel per round on each of the 32 subsets: 16 subsets
-    # take a second round after their first kernel blocks a reaction.
+    # through (8 of 32) plus 4 reversible-split retries.  The screen runs
+    # once over the subset lattice: 11 of the 32 subsets need their own
+    # blocked-reaction pass (the other 21 inherit a blocked partition
+    # reaction from a smaller zero set), one kernel per round, and 3 of
+    # those passes take a second round after their first kernel blocks a
+    # reaction.
     assert len(calls["problem"]) == 2 + 8 + 4
-    assert len(calls["screen"]) == 32 + 16
+    assert len(calls["screen"]) == 11 + 3
     build_problem_with_split(compress_network(get_network("yeast-II-small")).reduced)
     for n, prio in calls["problem"] + calls["screen"]:
         assert_matches_oracle(n, prio)

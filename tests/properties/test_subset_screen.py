@@ -1,14 +1,20 @@
 """The blocked-reaction screen of the divide-and-conquer subsets.
 
-:func:`repro.dnc.combined.prepare_subset` runs
-:func:`repro.network.compression.blocked_reactions` on each subset's
-shrunken network before it builds a kernel: a blocked non-zero partition
-reaction proves the subset empty, and the other blocked reactions are
-deleted.  The screen is only sound if
+:func:`repro.dnc.combined.screen_subsets` runs
+:func:`repro.network.compression.blocked_reactions` over the partition's
+subset lattice before any kernel is built (a direct
+:func:`~repro.dnc.combined.prepare_subset` call screens its one subset
+in place): a blocked non-zero partition reaction proves the subset
+empty, and the other blocked reactions are deleted.  The screen is only
+sound if
 
 * every reaction it reports is zero in every EFM of the subnetwork;
 * every subset it rejects enumerates to no EFMs with the screen off;
 * the EFM union, subset by subset, is the same with the screen on and off.
+
+The lattice pass must also agree with screening every subset on its own:
+it rejects at least what the per-subset screen rejects, and hands every
+surviving subset the same blocked set.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ import logging
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.dnc.combined as combined
-from repro.dnc.combined import combined_parallel, prepare_subset
+from repro.dnc.combined import combined_parallel, prepare_subset, screen_subsets
+from repro.dnc.selection import select_partition_reactions
 from repro.dnc.subsets import SubsetSpec, enumerate_subsets
 from repro.efm.api import compute_efms
 from repro.models.generators import random_network
@@ -77,17 +85,75 @@ def assert_screen_sound(reduced, partition) -> int:
     return on.n_screened
 
 
+def lattice_rejects(reduced, partition) -> list[bool]:
+    """Check :func:`screen_subsets` against screening each subset on its
+    own; returns which subsets the lattice pass rejected."""
+    specs = enumerate_subsets(partition)
+    lattice, _ = screen_subsets(reduced, specs)
+    rejected = []
+    for spec, got in zip(specs, lattice):
+        assert got.isdisjoint(spec.zero)
+        sub = reduced.without_reactions(spec.zero) if spec.zero else reduced
+        alone = blocked_reactions(sub)
+        rejected.append(not got.isdisjoint(spec.nonzero))
+        if not rejected[-1]:
+            assert alone.isdisjoint(spec.nonzero), (
+                f"only the per-subset screen rejected {spec.label()}"
+            )
+            assert got == alone, spec.label()
+    return rejected
+
+
+def draw_partition(reduced, data) -> tuple[str, ...]:
+    size = data.draw(st.integers(1, min(3, reduced.n_reactions - 1)))
+    return tuple(data.draw(st.permutations(list(reduced.reaction_names)))[:size])
+
+
 @given(params=network_params, data=st.data())
 @settings(**SETTINGS)
 def test_screen_is_sound_on_random_partitions(params, data):
     reduced = compress_network(random_network(**params)).reduced
     if reduced.n_reactions < 2:
         return
-    size = data.draw(st.integers(1, min(3, reduced.n_reactions - 1)))
-    partition = tuple(
-        data.draw(st.permutations(list(reduced.reaction_names)))[:size]
-    )
-    assert_screen_sound(reduced, partition)
+    assert_screen_sound(reduced, draw_partition(reduced, data))
+
+
+@given(params=network_params, data=st.data())
+@settings(**SETTINGS)
+def test_lattice_screen_matches_per_subset_screen(params, data):
+    reduced = compress_network(random_network(**params)).reduced
+    if reduced.n_reactions < 2:
+        return
+    partition = draw_partition(reduced, data)
+    rejected = lattice_rejects(reduced, partition)
+    with screen_off():
+        off = combined_parallel(reduced, partition, 1)
+    for reject, s_off in zip(rejected, off.subsets):
+        if reject:
+            assert s_off.n_efms == 0, f"lattice rejected {s_off.spec.label()}"
+
+
+@pytest.mark.parametrize(
+    "name, q_sub, screened, computed",
+    [
+        ("yeast-I-small", 5, 24, 11),
+        ("yeast-II-small", 3, 4, 6),
+        ("yeast-II-small", 5, 16, 18),
+    ],
+)
+def test_lattice_screen_counts_on_yeast(name, q_sub, screened, computed):
+    reduced = compress_network(get_network(name)).reduced
+    partition = tuple(select_partition_reactions(reduced, q_sub, method="tail"))
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return blocked_reactions(net)
+
+    with mock.patch.object(combined, "blocked_reactions", counted):
+        _, n_computed = screen_subsets(reduced, enumerate_subsets(partition))
+    assert n_computed == len(calls) == computed
+    assert sum(lattice_rejects(reduced, partition)) == screened
 
 
 def test_singleton_only_subnetwork_is_not_blocked():
