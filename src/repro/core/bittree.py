@@ -182,12 +182,13 @@ class SupportIndex:
     set.
 
     Storage is a geometrically grown ``(capacity, n_words)`` uint64
-    buffer; probes are vectorized (:func:`~repro.linalg.bitset.rows_in`
-    against the filled prefix).  ``frozen`` rows (the zero-entry
-    survivors' supports) are held as a borrowed read-only reference, not
-    copied: they live in the iteration's mode matrix either way, so
-    :meth:`nbytes` charges only the appendable buffer, the memory the
-    dedup state actually adds.
+    buffer.  Probes are binary searches: each :meth:`seen` call has
+    :func:`~repro.linalg.bitset.rows_in` sort the filled prefix (and the
+    frozen rows) and search every probe row into them.  ``frozen`` rows
+    (the zero-entry survivors' supports) are held as a borrowed read-only
+    reference, not copied: they live in the iteration's mode matrix either
+    way, so :meth:`nbytes` charges only the appendable buffer, the memory
+    the dedup state actually adds.
     """
 
     __slots__ = ("n_words", "frozen", "_buf", "_n", "n_probes")

@@ -266,20 +266,26 @@ def lexsort_rows(words: np.ndarray) -> np.ndarray:
 def rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Membership test: for each row of ``a``, does it occur in ``b``?
 
-    Both arrays are packed ``(n, n_words)`` uint64.  Used by the parallel
-    merge step to drop candidates another rank already owns.
+    Both arrays are packed ``(n, n_words)`` uint64.  Used by the streaming
+    dedup probe (:meth:`repro.core.bittree.SupportIndex.seen`) and by the
+    distributed driver to drop candidates another rank already owns.
+
+    Sorted search: ``b``'s rows are sorted once — the word itself when a
+    support fits in one word, else a fixed-width ``np.void`` key per row
+    (a byte order, not the lexicographic word order, but a total order
+    consistent with row equality) — and each row of ``a`` is binary
+    searched into them: O((n_a + n_b) log n_b).  Keep ``np.unique`` off
+    this path: called without index outputs, its first call imports
+    ``numpy.ma`` inside the solve (``TestColdSolveImports`` pins that).
     """
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
     if b.shape[0] == 0:
         return np.zeros(a.shape[0], dtype=bool)
-    if a.shape[0] * b.shape[0] <= 1 << 14:
-        # Broadcast compare: one (n_a, n_b, n_words) pass beats np.isin's
-        # sort machinery by an order of magnitude at per-iteration sizes.
-        return (a[:, None, :] == b[None, :, :]).all(axis=2).any(axis=1)
     if a.shape[1] == 1:
-        return np.isin(a[:, 0], b[:, 0])
-    dt = [("", WORD)] * a.shape[1]
-    av = np.ascontiguousarray(a).view(dt).ravel()
-    bv = np.ascontiguousarray(b).view(dt).ravel()
-    return np.isin(av, bv)
+        keys, ref = a[:, 0], np.sort(b[:, 0])
+    else:
+        row = np.dtype((np.void, a.shape[1] * (BITS_PER_WORD // 8)))
+        keys = np.ascontiguousarray(a).view(row).ravel()
+        ref = np.sort(np.ascontiguousarray(b).view(row).ravel())
+    pos = np.searchsorted(ref, keys)
+    np.minimum(pos, ref.shape[0] - 1, out=pos)
+    return ref[pos] == keys

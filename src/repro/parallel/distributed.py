@@ -193,12 +193,8 @@ def distributed_worker(
             zero_words = np.concatenate(zero_words_all, axis=0)
             if cand.n_modes:
                 drop = bitset.rows_in(cand.supports.words, zero_words)
-                lower_ranks = (
-                    np.concatenate(cand_words_all[: comm.rank], axis=0)
-                    if comm.rank
-                    else np.zeros((0, cand.supports.words.shape[1]), dtype=bitset.WORD)
-                )
-                if lower_ranks.shape[0]:
+                if comm.rank:
+                    lower_ranks = np.concatenate(cand_words_all[: comm.rank], axis=0)
                     drop |= bitset.rows_in(cand.supports.words, lower_ranks)
                 if drop.any():
                     it.n_duplicates += int(drop.sum())

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -108,3 +114,51 @@ def brute_force_efms(network: MetabolicNetwork) -> np.ndarray:
 
 def exact_matrix(rows) -> list[list[Fraction]]:
     return rational.to_fraction_matrix(rows)
+
+
+class FreshSolve(NamedTuple):
+    """What one ``compute_efms`` call did in a fresh interpreter."""
+
+    n_efms: int
+    #: Every module in ``sys.modules`` once the solve returned.
+    loaded: frozenset[str]
+    #: The modules the solve itself imported: ``loaded`` minus the
+    #: snapshot taken after ``import repro.efm.api`` and building the
+    #: network.
+    added: frozenset[str]
+
+
+def solve_in_fresh_interpreter(network: str, **kwargs) -> FreshSolve:
+    """Run ``compute_efms(<network>(), **kwargs)`` in a new Python process.
+
+    ``network`` names a builder in :mod:`repro.models.variants`; keyword
+    values must round-trip through ``repr``.  Runs are cached per
+    argument set, so guards that share a solve pay for one subprocess.
+    """
+    return _fresh_solve(network, tuple(sorted(kwargs.items())))
+
+
+@functools.cache
+def _fresh_solve(network: str, kwargs: tuple) -> FreshSolve:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from repro.efm.api import compute_efms\n"
+        f"from repro.models.variants import {network}\n"
+        f"net = {network}()\n"
+        "before = set(sys.modules)\n"
+        f"r = compute_efms(net, **dict({kwargs!r}))\n"
+        "after = set(sys.modules)\n"
+        "print(r.n_efms)\n"
+        "print(*sorted(after))\n"
+        "print(*sorted(after - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    n_efms, loaded, added = out.stdout.split("\n")[:3]
+    return FreshSolve(int(n_efms), frozenset(loaded.split()), frozenset(added.split()))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
 from repro.errors import AlgorithmError
@@ -319,3 +320,39 @@ class TestDedupIndexAccounting:
         m.dedup_index = self._index(m.supports.words.shape[1])
         assert m.select(np.array([0, 1])).dedup_index is None
         assert m.concat(ModeMatrix(np.eye(4))).dedup_index is None
+
+
+class TestSupportIndexMembership:
+    """``SupportIndex.seen`` over two-word supports, checked against a
+    set-of-tuples oracle of the frozen rows plus every appended row, the
+    way the candidate phase drives it: probe a chunk, append the first
+    occurrence of each unseen row."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_pool=st.integers(1, 40),
+        n_frozen=st.integers(0, 30),
+        chunks=st.lists(st.integers(0, 60), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_seen_matches_set_oracle(self, seed, n_pool, n_frozen, chunks):
+        from repro.core.bittree import SupportIndex
+        from repro.linalg import bitset
+
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2**64, size=(n_pool, 2), dtype=np.uint64)
+        frozen = pool[rng.integers(0, n_pool, n_frozen)]
+        idx = SupportIndex(2, frozen=frozen)
+        frozen_rows = {tuple(row) for row in frozen.tolist()}
+        oracle = set(frozen_rows)
+        for size in chunks:
+            probe = pool[rng.integers(0, n_pool, size)]
+            hit = idx.seen(probe)
+            assert hit.tolist() == [tuple(row) in oracle for row in probe.tolist()]
+            fresh, _ = bitset.unique_rows(probe[~hit])
+            idx.add(fresh)
+            oracle.update(tuple(row) for row in fresh.tolist())
+        appended = {tuple(row) for row in idx.words.tolist()}
+        assert len(appended) == len(idx)
+        assert appended == oracle - frozen_rows

@@ -1,10 +1,5 @@
 """Tests for the combined parallel Nullspace Algorithm (Algorithm 3)."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -19,7 +14,7 @@ from repro.errors import PartitionError
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
-from tests.conftest import assert_same_modes
+from tests.conftest import assert_same_modes, solve_in_fresh_interpreter
 
 
 class TestToyPartition:
@@ -179,38 +174,25 @@ class TestYeastOneRank:
         assert np.array_equal(first.fluxes, resumed.fluxes)
 
 
-def _modules_loaded_by_combined_solve(*names: str) -> list[bool]:
-    """Run ``compute_efms(yeast_1_small(), method="combined", partition=5)``
-    in a fresh interpreter; report which of ``names`` it left imported."""
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    code = (
-        "import sys\n"
-        "from repro import compute_efms\n"
-        "from repro.models.variants import yeast_1_small\n"
-        "r = compute_efms(yeast_1_small(), method='combined', partition=5)\n"
-        "assert r.n_efms == 530, r.n_efms\n"
-        f"print(*[name in sys.modules for name in {names!r}])\n"
+def _combined_solve_modules() -> frozenset[str]:
+    """Modules loaded once ``compute_efms(yeast_1_small(), method="combined",
+    partition=5)`` has run in a fresh interpreter."""
+    run = solve_in_fresh_interpreter(
+        "yeast_1_small", method="combined", partition=5
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    return [flag == "True" for flag in out.stdout.split()]
+    assert run.n_efms == 530, run.n_efms
+    return run.loaded
 
 
 def test_combined_solve_does_not_import_scipy_optimize():
     """The subset screen is exact linear algebra: a D&C solve never pays
     for ``import scipy.optimize`` (longer than the whole solve)."""
-    assert _modules_loaded_by_combined_solve("scipy.optimize") == [False]
+    assert "scipy.optimize" not in _combined_solve_modules()
 
 
 def test_inline_combined_solve_imports_no_process_machinery():
     """An inline D&C solve forks nothing and writes no checkpoint
     manifest, so it never imports ``multiprocessing`` or ``json``."""
-    assert _modules_loaded_by_combined_solve("multiprocessing", "json") == [
-        False,
-        False,
-    ]
+    loaded = _combined_solve_modules()
+    assert "multiprocessing" not in loaded
+    assert "json" not in loaded

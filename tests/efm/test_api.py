@@ -8,6 +8,7 @@ from repro.efm.api import compute_efms
 from repro.errors import AlgorithmError, PartitionError
 from repro.models.generators import random_network
 from repro.network.parser import network_from_equations
+from tests.conftest import solve_in_fresh_interpreter
 
 
 class TestMethods:
@@ -103,3 +104,37 @@ class TestOutputShape:
         # r9 flux always equals r3 flux (merged pair).
         j3, j9 = toy.reaction_index("r3"), toy.reaction_index("r9")
         assert np.allclose(r.fluxes[:, j3], r.fluxes[:, j9])
+
+
+class TestColdSolveImports:
+    """A cold solve imports nothing it did not load at ``import
+    repro.efm.api``: every module a solve adds is paid for inside its
+    timed region (``np.unique`` reads numpy 2.x's lazily loaded
+    ``numpy.ma``, for one).
+
+    The guard diffs ``sys.modules`` around the solve instead of asking
+    whether ``numpy.ma`` is loaded, so it holds on numpy builds that load
+    ``numpy.ma`` eagerly.  Algorithm 3 (``method="combined"``) imports
+    its scheduler (:mod:`repro.engine.scheduler`,
+    :mod:`repro.engine.executors`, and through them :mod:`logging`) on
+    first use, by design; it must still import no ``numpy`` submodule.
+    """
+
+    NETWORKS = {"yeast_1_small": 530, "yeast_2_small": 7331}
+
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(method="serial"), dict(method="parallel", n_ranks=2)],
+        ids=["serial", "parallel-2"],
+    )
+    def test_solve_imports_nothing(self, network, kwargs):
+        run = solve_in_fresh_interpreter(network, **kwargs)
+        assert run.n_efms == self.NETWORKS[network]
+        assert run.added == frozenset()
+
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    def test_combined_solve_imports_no_numpy_module(self, network):
+        run = solve_in_fresh_interpreter(network, method="combined", partition=5)
+        assert run.n_efms == self.NETWORKS[network]
+        assert not {m for m in run.added if m.split(".")[0] == "numpy"}

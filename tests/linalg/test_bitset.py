@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.errors import LinAlgError
 from repro.linalg import bitset
@@ -193,3 +194,52 @@ class TestPackedSupports:
         other = mask.copy()
         other[0, 0] = ~other[0, 0]
         assert PackedSupports.from_bool(mask) != PackedSupports.from_bool(other)
+
+
+#: Word values that stress the sort keys: zero, the sign bit of a signed
+#: reinterpretation, all ones, plus arbitrary 64-bit words.
+_WORDS = st.one_of(
+    st.sampled_from([0, 1, 1 << 63, (1 << 63) - 1, (1 << 64) - 1]),
+    st.integers(0, (1 << 64) - 1),
+)
+
+
+@st.composite
+def _membership_cases(draw):
+    """``(probe, reference)`` row sets drawn from one small pool of rows,
+    so both sides repeat rows and the probe holds hits and misses; sizes
+    reach 200 x 200, either side of 2**14 (probe x reference) pairs."""
+    n_words = draw(st.integers(1, 3))
+    pool = np.array(
+        draw(st.lists(st.lists(_WORDS, min_size=n_words, max_size=n_words),
+                      min_size=1, max_size=12)),
+        dtype=bitset.WORD,
+    )
+    n_ref_pool = draw(st.integers(0, len(pool)))
+    n_a = draw(st.integers(0, 200))
+    n_b = draw(st.integers(0, 200)) if n_ref_pool else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = pool[rng.integers(0, len(pool), n_a)]
+    b = pool[rng.integers(0, max(n_ref_pool, 1), n_b)]
+    return a, b
+
+
+def _rows_in_oracle(a, b):
+    ref = {tuple(row) for row in b.tolist()}
+    return [tuple(row) in ref for row in a.tolist()]
+
+
+@given(case=_membership_cases())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=(np.zeros((0, 2), dtype=bitset.WORD),
+               np.ones((5, 2), dtype=bitset.WORD)))
+@example(case=(np.ones((5, 3), dtype=bitset.WORD),
+               np.zeros((0, 3), dtype=bitset.WORD)))
+@example(case=(np.arange(300, dtype=bitset.WORD)[:, None] << np.uint64(55),
+               np.arange(0, 600, 2, dtype=bitset.WORD)[:, None] << np.uint64(55)))
+def test_rows_in_matches_set_oracle(case):
+    a, b = case
+    member = bitset.rows_in(a, b)
+    assert member.dtype == bool
+    assert member.tolist() == _rows_in_oracle(a, b)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.models.registry import get_network, list_networks
 from repro.network.compression import compress_network
 from repro.network.model import MetabolicNetwork, Reaction
 from repro.network.parser import network_from_equations
@@ -195,3 +196,19 @@ class TestExpansionValidation:
         basis = _float_nullspace(n_red, DEFAULT_POLICY)
         full = toy_record.expand_fluxes(basis)
         assert np.allclose(n_orig @ full, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", list_networks())
+    def test_expansion_array_matches_dense_conversion(self, name):
+        rec = compress_network(get_network(name))
+        dense = np.array([[float(c) for c in row] for row in rec.expansion])
+        arr = rec.expansion_array
+        assert arr.shape == (rec.original.n_reactions, rec.reduced.n_reactions)
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr, dense)
+
+    def test_expansion_array_of_identity_record(self, toy):
+        from repro.efm.api import _identity_record
+
+        assert np.array_equal(
+            _identity_record(toy).expansion_array, np.eye(toy.n_reactions)
+        )
