@@ -14,7 +14,8 @@ For each subset of the divide-and-conquer partition:
 3. recompute the kernel (line 9) and pin the non-zero-flux reactions to
    the bottom rows (line 11);
 4. run the combinatorial parallel algorithm (Algorithm 2) up to — but not
-   including — the pinned rows (line 14, Proposition 1);
+   including — the pinned rows (line 14, Proposition 1); on one rank this
+   is the serial Algorithm 1 loop, in-process;
 5. keep only the columns with non-zero flux in every pinned row — with a
    positive sign where the pinned reaction is irreversible (lines 15–17);
 6. re-insert zero rows for the deleted reactions (lines 18–21).
@@ -44,6 +45,7 @@ scheduler.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 from pathlib import Path
 from typing import Sequence
@@ -315,10 +317,12 @@ class PreparedSubset:
 
 
 def _log_screened(spec: SubsetSpec, hit: Sequence[str]) -> None:
-    # Imported lazily: a module-level ``import logging`` adds about 6 ms
-    # to every solve's interpreter set-up, and only screened subsets log.
-    import logging  # noqa: PLC0415
-
+    # A program that has not imported ``logging`` has no handler that
+    # could receive this DEBUG record (an unconfigured root logger drops
+    # it), so importing ``logging`` here, about 6 ms, would buy nothing.
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
     logging.getLogger(__name__).debug(
         "subset %s screened empty: %s blocked", spec.label(), ", ".join(hit)
     )

@@ -98,10 +98,6 @@ class InlineExecutor:
     ) -> None:
         self.order = order
 
-    @property
-    def effective_workers(self) -> int:
-        return 1
-
     def run(
         self,
         jobs: "list[SubsetJob]",
@@ -157,12 +153,8 @@ class ProcessPoolExecutor:
         admission_bytes: int | None = None,
     ) -> None:
         self.order = order
-        self.max_workers = max_workers if max_workers else available_parallelism()
+        self.max_workers = effective_workers(self.name, max_workers)
         self.admission_bytes = admission_bytes
-
-    @property
-    def effective_workers(self) -> int:
-        return self.max_workers
 
     def _admit(self, job: "SubsetJob", in_flight: dict[int, int]) -> bool:
         if self.admission_bytes is None or not in_flight:
@@ -267,11 +259,7 @@ class SpmdExecutor:
     ) -> None:
         self.outer_backend: BackendName = order.backend
         self.order = dataclasses.replace(order, backend="sequential")
-        self.max_workers = max_workers if max_workers else available_parallelism()
-
-    @property
-    def effective_workers(self) -> int:
-        return self.max_workers
+        self.max_workers = effective_workers(self.name, max_workers)
 
     def run(
         self,
@@ -306,6 +294,14 @@ _EXECUTORS = {
     "process-pool": ProcessPoolExecutor,
     "spmd": SpmdExecutor,
 }
+
+
+def effective_workers(name: str, max_workers: int | None = None) -> int:
+    """How many jobs executor ``name`` runs at a time: one inline, else
+    ``max_workers`` (default: host parallelism, capped)."""
+    if name == "inline":
+        return 1
+    return max_workers if max_workers else available_parallelism()
 
 
 def get_executor(

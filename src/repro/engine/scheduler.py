@@ -11,8 +11,12 @@ queue.  It replaces the sequential subset loop that used to live in
    (:func:`~repro.dnc.combined.screen_subsets`), then predict every
    surviving subset's peak mode-matrix footprint with the
    :func:`~repro.cluster.memory.predict_subset_peak_bytes` surrogate
-   (cheap: one rank computation per subset, no kernel build).  Screened
-   subsets are empty: they are never predicted, scheduled or dispatched;
+   (one rank computation per subset, no kernel build) — but only when a
+   decision reads the predictions: when the executor runs more than one
+   job at a time (LPT order, pool admission) or the context has a memory
+   model (admission budget, the ``on_oom="degrade"`` pre-screen).
+   Screened subsets are empty: they are never predicted, scheduled or
+   dispatched;
 2. **schedule** — order the jobs: ``"predicted-peak"`` (largest first,
    the LPT makespan heuristic), ``"subset-id"``, ``"reverse"``, or an
    explicit index permutation (used by the equivalence tests to prove
@@ -49,9 +53,14 @@ from repro.dnc.combined import (
 )
 from repro.dnc.subsets import SubsetSpec
 from repro.engine.context import RunContext
-from repro.engine.executors import EXECUTOR_NAMES, WorkOrder, get_executor
+from repro.engine.executors import (
+    EXECUTOR_NAMES,
+    WorkOrder,
+    effective_workers,
+    get_executor,
+)
 from repro.errors import SchedulerError
-from repro.mpi.spmd import BackendName, available_parallelism
+from repro.mpi.spmd import BackendName
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import stoichiometric_matrix
 from repro.parallel.pairs import PairStrategyName
@@ -72,12 +81,14 @@ class SubsetJob:
     where the schedule places it or which worker solves it.  ``blocked``
     is the subset's blocked-reaction set from the plan's screen; a
     ``screened`` job is proven empty, predicts 0 bytes and never reaches
-    an executor.
+    an executor.  A surviving job's ``predicted_peak_bytes`` is ``None``
+    when no decision of the run reads it (see
+    :attr:`SubproblemScheduler.predicts_peaks`).
     """
 
     index: int
     spec: SubsetSpec
-    predicted_peak_bytes: int
+    predicted_peak_bytes: int | None
     blocked: frozenset[str] = frozenset()
     screened: bool = False
 
@@ -151,6 +162,8 @@ class SubproblemScheduler:
         self.schedule: Schedule = schedule
         self.admission_bytes = admission_bytes
         self.on_oom = on_oom
+        #: how many jobs the executor runs at a time.
+        self.workers = effective_workers(executor, max_workers)
         if checkpoint_dir is None:
             checkpoint_dir = self.context.checkpoint_path
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
@@ -159,9 +172,19 @@ class SubproblemScheduler:
 
     # -- planning ------------------------------------------------------------
 
+    @property
+    def predicts_peaks(self) -> bool:
+        """Whether :meth:`plan` predicts survivors' peaks: only when a
+        decision reads them.  LPT order and pool admission matter only
+        when more than one job runs at a time; the default admission
+        budget and the ``on_oom="degrade"`` pre-screen need a memory
+        model.  Otherwise jobs run in canonical order."""
+        return self.workers > 1 or self.context.memory_model is not None
+
     def plan(self) -> list[SubsetJob]:
-        """Screen every subset, then predict each survivor's footprint;
-        jobs come back in canonical (spec-list) order.
+        """Screen every subset, then predict each survivor's footprint
+        (when :attr:`predicts_peaks`); jobs come back in canonical
+        (spec-list) order.
 
         Also sets :attr:`screen_counts`: how many subsets had their blocked
         set computed, and how many a smaller zero set decided.
@@ -177,18 +200,24 @@ class SubproblemScheduler:
             else 1.5
         )
         opts = self.context.options
+        predict = self.predicts_peaks
         jobs = []
         for i, (spec, dead) in enumerate(zip(self.specs, blocked)):
             screened = not dead.isdisjoint(spec.nonzero)
-            peak = 0 if screened else predict_subset_peak_bytes(
-                self.reduced,
-                spec,
-                working_factor=wf,
-                pair_chunk=opts.pair_chunk,
-                pair_pruning=opts.pair_pruning,
-                rank_backend=opts.rank_backend,
-                ordering=opts.ordering,
-            )
+            if screened:
+                peak = 0
+            elif not predict:
+                peak = None
+            else:
+                peak = predict_subset_peak_bytes(
+                    self.reduced,
+                    spec,
+                    working_factor=wf,
+                    pair_chunk=opts.pair_chunk,
+                    pair_pruning=opts.pair_pruning,
+                    rank_backend=opts.rank_backend,
+                    ordering=opts.ordering,
+                )
             jobs.append(SubsetJob(i, spec, peak, blocked=dead, screened=screened))
         return jobs
 
@@ -196,14 +225,15 @@ class SubproblemScheduler:
         """Order ``jobs`` per the schedule policy.
 
         Ties in ``"predicted-peak"`` break on the canonical index so the
-        schedule is deterministic.  An explicit schedule must be a
-        permutation of *all* job indices of the run; jobs already resumed
-        from a checkpoint are simply absent from ``jobs`` and skipped.
+        schedule is deterministic, and unpredicted jobs keep canonical
+        order.  An explicit schedule must be a permutation of *all* job
+        indices of the run; jobs already resumed from a checkpoint are
+        simply absent from ``jobs`` and skipped.
         """
         if isinstance(self.schedule, str):
             if self.schedule == "predicted-peak":
                 return sorted(
-                    jobs, key=lambda j: (-j.predicted_peak_bytes, j.index)
+                    jobs, key=lambda j: (-(j.predicted_peak_bytes or 0), j.index)
                 )
             if self.schedule == "subset-id":
                 return sorted(jobs, key=lambda j: j.index)
@@ -343,7 +373,8 @@ class SubproblemScheduler:
         The result's ``meta`` reports the executor and schedule; the job,
         resumed and degraded counts; the admission budget;
         ``predicted_total_bytes``, the sum of the *surviving* subsets'
-        predicted peaks (screened subsets predict 0); and the plan's
+        predicted peaks (screened subsets predict 0; ``None`` when the
+        plan predicted nothing); and the plan's
         ``screen_computed`` / ``screen_inherited`` counts (subsets whose
         blocked set was computed / decided by a smaller zero set).
         """
@@ -388,7 +419,7 @@ class SubproblemScheduler:
             self.executor_name,
             order,
             max_workers=self.max_workers,
-            admission_bytes=self._admission_budget(executor_workers=None),
+            admission_bytes=self._admission_budget(self.workers),
         )
         solved = executor.run(self.scheduled(pending), on_result=self._save_result)
         missing = {j.index for j in pending} - set(solved)
@@ -420,22 +451,20 @@ class SubproblemScheduler:
             "n_jobs": len(jobs),
             "n_resumed": n_resumed,
             "n_degraded": n_degraded,
-            "admission_bytes": self._admission_budget(executor_workers=None),
-            "predicted_total_bytes": sum(j.predicted_peak_bytes for j in jobs),
+            "admission_bytes": self._admission_budget(self.workers),
+            "predicted_total_bytes": sum(j.predicted_peak_bytes for j in jobs)
+            if self.predicts_peaks
+            else None,
             **self.screen_counts,
         }
         return CombinedRunResult(network=self.reduced, subsets=subsets, meta=meta)
 
-    def _admission_budget(self, executor_workers: int | None) -> int | None:
-        """Default admission budget: one node's capacity per worker (i.e.
-        the modeled cluster memory).  Explicit ``admission_bytes`` wins."""
+    def _admission_budget(self, executor_workers: int) -> int | None:
+        """Default admission budget: one node's capacity per job the
+        executor runs at a time (i.e. the modeled cluster memory).
+        Explicit ``admission_bytes`` wins."""
         if self.admission_bytes is not None:
             return self.admission_bytes
         if self.context.memory_model is None:
             return None
-        workers = (
-            executor_workers
-            if executor_workers is not None
-            else (self.max_workers or available_parallelism())
-        )
-        return int(self.context.memory_model.capacity_bytes) * workers
+        return int(self.context.memory_model.capacity_bytes) * executor_workers

@@ -31,6 +31,7 @@ from repro.core.serial import (
     NullspaceResult,
     check_acceptance_applicable,
     iterate_row,
+    nullspace_algorithm,
 )
 from repro.core.state import CandidateBatch, ModeMatrix, canonicalize_rows
 from repro.core.stats import RunStats
@@ -250,8 +251,26 @@ def combinatorial_parallel(
     All replicas converge to the same mode matrix; the returned
     :class:`ParallelRunResult` carries rank 0's result plus every rank's
     statistics and communication trace (for modeled timing).
+
+    One rank has no pairs to partition and nothing to exchange, so
+    Algorithm 2 is Algorithm 1: it runs the serial loop in the calling
+    process, whatever the backend, with the same rank memo and
+    per-iteration memory check, and an empty trace (0 s of modeled
+    communication, as a rank sending to itself models).
     """
     ctx = RunContext.ensure(context, options=options)
+    if n_ranks == 1:
+        memory = memory_model if memory_model is not None else ctx.memory_model
+        res = nullspace_algorithm(
+            problem,
+            stop_row=stop_row,
+            memory_check=memory.check if memory is not None else None,
+            rank_cache=rank_cache,
+            context=ctx,
+        )
+        return ParallelRunResult(
+            result=res, rank_stats=[res.stats], rank_traces=[CommTrace()]
+        )
     outs = run_spmd(
         traced_worker(combinatorial_worker),
         n_ranks,

@@ -166,7 +166,12 @@ class TestYeastDncPredictionPins:
         from repro.engine import RunContext, SubproblemScheduler
 
         reduced, specs, opts = problem
-        sched = SubproblemScheduler(reduced, specs, context=RunContext(options=opts))
+        # A two-worker pool reads the predictions (LPT order, admission);
+        # only plan() runs, so no process starts.
+        sched = SubproblemScheduler(
+            reduced, specs, context=RunContext(options=opts),
+            executor="process-pool", max_workers=2,
+        )
         jobs = sched.plan()
         assert tuple(j.index for j in jobs if not j.screened) == self.SURVIVORS
         planned = [
@@ -175,6 +180,44 @@ class TestYeastDncPredictionPins:
         assert [j.predicted_peak_bytes for j in jobs] == planned
         order = [j.index for j in sched.scheduled(jobs)]
         assert order == sorted(range(len(specs)), key=lambda i: (-planned[i], i))
+
+    @pytest.mark.parametrize(
+        "executor, memory, calls",
+        [("inline", False, 0), ("process-pool", False, 8), ("inline", True, 8)],
+    )
+    def test_plan_predicts_only_when_a_decision_reads_it(
+        self, problem, monkeypatch, executor, memory, calls
+    ):
+        import repro.engine.scheduler as scheduler_mod
+        from repro.engine import RunContext, SubproblemScheduler
+
+        reduced, specs, opts = problem
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args[1].subset_id)
+            return predict_subset_peak_bytes(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "predict_subset_peak_bytes", spy)
+        ctx = RunContext(
+            options=opts,
+            memory_model=MemoryModel(capacity_bytes=1 << 30) if memory else None,
+        )
+        sched = SubproblemScheduler(
+            reduced, specs, context=ctx, executor=executor, max_workers=2
+        )
+        jobs = sched.plan()
+        assert len(seen) == calls
+        assert sorted(seen) == (list(self.SURVIVORS) if calls else [])
+        survivors = [j for j in jobs if not j.screened]
+        if calls:
+            assert all(j.predicted_peak_bytes > 0 for j in survivors)
+        else:
+            assert all(j.predicted_peak_bytes is None for j in survivors)
+            # Unpredicted jobs run in canonical order.
+            assert [j.index for j in sched.scheduled(survivors)] == list(
+                self.SURVIVORS
+            )
 
 
 class TestPredictionUpperBoundsMeasuredPeak:

@@ -37,6 +37,15 @@ def make_scheduler(reduced, specs, **kw):
     return SubproblemScheduler(reduced, specs, **kw)
 
 
+def predicting_scheduler(reduced, specs, **kw):
+    """A scheduler whose plan predicts peaks: a two-worker pool reads
+    them for LPT order and admission.  Only ``plan()`` is called on it,
+    so no process starts."""
+    return make_scheduler(
+        reduced, specs, executor="process-pool", max_workers=2, **kw
+    )
+
+
 class TestPlanning:
     def test_plan_is_canonical_order(self, reduced, specs):
         jobs = make_scheduler(reduced, specs).plan()
@@ -44,7 +53,7 @@ class TestPlanning:
         assert [j.spec.subset_id for j in jobs] == [s.subset_id for s in specs]
 
     def test_predictions_match_memory_model(self, reduced, specs):
-        sched = make_scheduler(reduced, specs)
+        sched = predicting_scheduler(reduced, specs)
         jobs = sched.plan()
         # The scheduler predicts for whatever pruning / rank backend /
         # ordering its options select (env-sensitive defaults) — compare
@@ -62,7 +71,7 @@ class TestPlanning:
             assert job.predicted_peak_bytes >= 0
 
     def test_predicted_peak_schedule_is_lpt(self, reduced, specs):
-        sched = make_scheduler(reduced, specs)
+        sched = predicting_scheduler(reduced, specs)
         ordered = sched.scheduled(sched.plan())
         sizes = [j.predicted_peak_bytes for j in ordered]
         assert sizes == sorted(sizes, reverse=True)
@@ -112,6 +121,15 @@ class TestCanonicalOrder:
         assert run.meta["executor"] == "inline"
         assert run.meta["n_jobs"] == len(specs)
         assert run.meta["n_degraded"] == 0
+        # One job at a time and no memory model: nothing reads a peak.
+        assert run.meta["predicted_total_bytes"] is None
+        assert run.meta["admission_bytes"] is None
+
+    def test_meta_reports_predictions_under_a_memory_model(self, reduced, specs):
+        mm = MemoryModel(capacity_bytes=1 << 30)
+        run = make_scheduler(
+            reduced, specs, context=RunContext(memory_model=mm)
+        ).run()
         assert run.meta["predicted_total_bytes"] > 0
 
 
@@ -130,6 +148,15 @@ class TestAdmissionBudget:
         mm = MemoryModel(capacity_bytes=1000)
         sched = make_scheduler(reduced, specs, context=RunContext(memory_model=mm))
         assert sched._admission_budget(executor_workers=4) == 4000
+
+    def test_inline_reports_one_node_of_budget(self, reduced, specs):
+        # Inline runs one job at a time, so its default budget is one
+        # node's capacity, whatever the host's parallelism.
+        mm = MemoryModel(capacity_bytes=1000)
+        run = make_scheduler(
+            reduced, specs, context=RunContext(memory_model=mm), on_oom="degrade"
+        ).run()
+        assert run.meta["admission_bytes"] == 1000
 
     def test_no_model_no_budget(self, reduced, specs):
         assert (

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryModel
+from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import build_problem_with_split
+from repro.engine.context import RunContext
 from repro.errors import OutOfMemoryError
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
+from repro.parallel import combinatorial as combinatorial_mod
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.pairs import get_pair_strategy, pair_share_counts
 from tests.conftest import assert_same_modes
@@ -131,26 +134,35 @@ def yeast_problem():
 
 
 class TestOneRank:
-    """One rank runs the SPMD worker with nobody to exchange with: it
-    enumerates exactly what the serial driver does."""
-
-    #: run-wide counters that measure the rank's payload encoding (the
-    #: wire statistics), which the serial driver never produces.
-    WIRE = ("ser_bytes", "n_serializations", "wire_bytes_sent")
+    """One rank has nothing to exchange: Algorithm 2 runs the serial
+    Algorithm 1 loop in the calling process, whatever the backend."""
 
     @pytest.mark.parametrize("which", ["toy", "yeast"])
     def test_bit_identical_to_serial(self, toy_problem, yeast_problem, which):
         problem = toy_problem if which == "toy" else yeast_problem
         serial = nullspace_algorithm(problem)
-        run = combinatorial_parallel(problem, 1)
-        assert np.array_equal(
-            run.result.modes.supports.words, serial.modes.supports.words
-        )
-        assert np.array_equal(run.result.modes.values, serial.modes.values)
-        its, totals = _counters(run.stats)
-        serial_its, serial_totals = _counters(serial.stats)
-        assert its == serial_its
-        for key in self.WIRE:
-            del totals[key], serial_totals[key]
-        assert totals == serial_totals
-        assert run.stats.messages_sent == 0 and run.stats.bytes_sent == 0
+        for backend in ("sequential", "thread", "process"):
+            run = combinatorial_parallel(problem, 1, backend=backend)
+            assert np.array_equal(
+                run.result.modes.supports.words, serial.modes.supports.words
+            )
+            assert np.array_equal(run.result.modes.values, serial.modes.values)
+            assert _counters(run.stats) == _counters(serial.stats)
+            assert run.n_ranks == 1 and run.rank_traces[0].events == []
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    def test_never_enters_spmd(self, toy_problem, monkeypatch, backend):
+        def refuse(*args, **kwargs):
+            raise AssertionError("one rank entered run_spmd")
+
+        monkeypatch.setattr(combinatorial_mod, "run_spmd", refuse)
+        run = combinatorial_parallel(toy_problem, 1, backend=backend)
+        assert run.result.n_efms == 8
+        with pytest.raises(AssertionError, match="run_spmd"):
+            combinatorial_parallel(toy_problem, 2, backend=backend)
+
+    def test_uses_the_given_rank_cache(self, yeast_problem):
+        ctx = RunContext(options=AlgorithmOptions(rank_backend="modular"))
+        binding = ctx.rank_binding_for(yeast_problem)
+        combinatorial_parallel(yeast_problem, 1, rank_cache=binding, context=ctx)
+        assert len(binding.cache) > 0
