@@ -16,23 +16,11 @@ from repro.core.stats import RunStats
 from repro.cluster.platform import PlatformSpec
 from repro.mpi.tracing import CommTrace
 
-#: Modeled cost of a zone-map-skipped pair relative to a fully prefiltered
-#: one: a skipped pair's share of the (vectorized) tile-bound evaluation
-#: versus two word gathers + OR + popcount per pair.
-TILE_SKIP_FRACTION = 1.0 / 16.0
-
-
 def _rank_test_work(it) -> int:
     """Candidates the paper's ``RankTests`` phase tests in one iteration:
     every deduplicated candidate, including those this implementation's
     zero-mode subset pre-screen rejects before its rank kernel."""
     return it.n_tested + it.n_superset_rejected
-
-
-def _gen_pair_work(it) -> float:
-    """Effective pair count of one iteration: skipped pairs are charged at
-    the tile rate instead of the per-pair prefilter rate."""
-    return it.n_pairs - (1.0 - TILE_SKIP_FRACTION) * it.n_pairs_skipped
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +57,7 @@ def model_run(
     gen = rank_t = merge_work = 0.0
     for i in range(n_iter):
         its = [s.iterations[i] for s in rank_stats]
-        gen += max(_gen_pair_work(it) for it in its) / platform.pair_rate
+        gen += max(it.n_pairs for it in its) / platform.pair_rate
         rank_t += max(_rank_test_work(it) for it in its) / platform.ranktest_rate
         # Every rank merges the full gathered candidate set plus carries
         # its replica forward; P-way merge costs a log-ish factor.
@@ -87,7 +75,7 @@ def model_run(
 
 def model_serial(stats: RunStats, platform: PlatformSpec) -> ModeledTimes:
     """Model a one-rank run (no communication)."""
-    gen = sum(_gen_pair_work(it) for it in stats.iterations) / platform.pair_rate
+    gen = sum(it.n_pairs for it in stats.iterations) / platform.pair_rate
     rank_t = (
         sum(_rank_test_work(it) for it in stats.iterations) / platform.ranktest_rate
     )

@@ -153,19 +153,6 @@ def modular_workset_bytes(q: int, rank: int, batch: int) -> int:
     return stack + snapshots + indices + basis
 
 
-def zone_map_bytes(n_pos: int, n_neg: int, q: int, block: int) -> int:
-    """Bytes of the pair-space zone maps (:mod:`repro.core.pairspace`):
-    per-block AND/OR words and min popcounts on each side, plus the
-    tile-grid live/known masks and geometry vectors."""
-    words = max(1, (q + 63) // 64)
-    n_pb = -(-max(1, n_pos) // max(1, block))
-    n_nb = -(-max(1, n_neg) // max(1, block))
-    per_side = lambda nb: nb * (2 * 8 * words + 8)  # noqa: E731
-    grid = 2 * n_pb * n_nb  # live + known bool masks
-    geometry = 8 * 2 * (n_pos + n_neg) + 8 * n_pb * n_nb
-    return per_side(n_pb) + per_side(n_nb) + grid + geometry
-
-
 def candidate_row_bytes(q: int) -> int:
     """Retained bytes per candidate between generation and acceptance:
     the packed support words plus two int64 pair indices (dense rows are
@@ -287,8 +274,6 @@ def predict_subset_peak_bytes(
     *,
     working_factor: float = 1.5,
     pair_chunk: int = 65536,
-    pair_pruning: str = "tiles",
-    pair_block: int = 8,
     rank_backend: str = "modular",
     ordering: str = "paper",
 ) -> int:
@@ -312,8 +297,7 @@ def predict_subset_peak_bytes(
     + dedup index).  On top of it the prediction charges the *transient*
     working set of one generation chunk (:func:`prefilter_working_bytes`
     for :func:`streaming_chunk_pairs` pairs, never more than the
-    predicted pair count) and, with ``pair_pruning="tiles"``, the zone
-    maps (:func:`zone_map_bytes`).
+    predicted pair count).
 
     With ``rank_backend="modular"`` the residue-field kernel's per-batch
     working set (:func:`modular_workset_bytes`) is charged on top of the
@@ -365,10 +349,6 @@ def predict_subset_peak_bytes(
     cand_bytes += prefilter_working_bytes(
         q_work, peak_pairs, streaming_chunk_pairs(q_work, pair_chunk)
     )
-    if pair_pruning == "tiles":
-        cand_bytes += zone_map_bytes(
-            peak_modes // 2, peak_modes - peak_modes // 2, q_work, pair_block
-        )
     if rank_backend == "modular":
         # The residue-field kernel's per-batch working set; batches are at
         # most the surviving candidate count, surrogated by the peak modes.

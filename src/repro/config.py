@@ -30,7 +30,6 @@ OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
 ]
 RankBackend = Literal["modular", "batched", "loop"]
-PairPruning = Literal["tiles", "none"]
 WireProtocol = Literal["typed", "pickle"]
 
 
@@ -65,14 +64,6 @@ def _default_rank_backend() -> str:
     so a whole test run can be flipped to the SVD engines (the CI
     ``rank-backend`` legs set ``REPRO_RANK_BACKEND=batched`` / ``=loop``)."""
     return os.environ.get("REPRO_RANK_BACKEND", "modular")
-
-
-def _default_pair_pruning() -> str:
-    """Session-wide pair-pruning default, overridable via the environment
-    so a whole test run can be flipped to the unpruned parity reference
-    (the CI ``pair-pruning`` leg sets ``REPRO_PAIR_PRUNING=off``)."""
-    val = os.environ.get("REPRO_PAIR_PRUNING", "tiles")
-    return {"off": "none", "on": "tiles"}.get(val, val)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,19 +145,6 @@ class AlgorithmOptions:
         cheapest follow-up row).  ``0`` selects on the base pair count
         alone — the column-partitioned driver always does, since lookahead
         needs the joint sign distribution only replicated drivers hold.
-    pair_pruning:
-        Zone-map pruning of the candidate pair space
-        (:mod:`repro.core.pairspace`).  ``"tiles"`` (default) clusters
-        each side's modes by support similarity, partitions them into
-        ``pair_block``-sized blocks and skips whole tiles of the pair
-        space whose zone-map bound proves every pair fails — or provably
-        passes — the union-popcount prefilter; ``"none"`` disables the
-        layer (the parity reference — both settings produce bit-identical
-        EFM sets).  The default follows ``REPRO_PAIR_PRUNING``
-        (``off``/``none`` disables).
-    pair_block:
-        Modes per zone-map block on each side of the pair space;
-        ``"auto"`` (default) picks a size from the pair-space scale.
     pair_chunk:
         Upper bound on the pairs of one candidate-generation chunk.  The
         candidate phase (:mod:`repro.core.iterstream`) streams each
@@ -197,10 +175,6 @@ class AlgorithmOptions:
     rank_backend: RankBackend = dataclasses.field(
         default_factory=_default_rank_backend
     )
-    pair_pruning: PairPruning = dataclasses.field(
-        default_factory=_default_pair_pruning
-    )
-    pair_block: int | str = "auto"
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
     pair_chunk: int = DEFAULT_PAIR_CHUNK
@@ -219,15 +193,6 @@ class AlgorithmOptions:
             raise ValueError(f"unknown acceptance test {self.acceptance!r}")
         if self.rank_backend not in ("modular", "batched", "loop"):
             raise ValueError(f"unknown rank backend {self.rank_backend!r}")
-        if self.pair_pruning not in ("tiles", "none"):
-            raise ValueError(f"unknown pair pruning {self.pair_pruning!r}")
-        if self.pair_block != "auto" and (
-            not isinstance(self.pair_block, int) or self.pair_block < 1
-        ):
-            raise ValueError(
-                f"pair_block must be 'auto' or a positive int, "
-                f"got {self.pair_block!r}"
-            )
         if self.ordering not in (
             "dynamic", "paper", "natural", "most-nonzeros", "random"
         ):

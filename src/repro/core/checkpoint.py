@@ -38,8 +38,10 @@ from repro.linalg.bitset import PackedSupports
 #: manifest: under ``ordering="dynamic"`` the processed rows are chosen at
 #: run time from the live mode matrix, so a resume must replay the exact
 #: realized prefix — silently resuming under a different order would
-#: process rows twice or never.
-CHECKPOINT_VERSION = 2
+#: process rows twice or never.  Version 3 dropped the three tile-pruning
+#: counters from the stored per-iteration stats; a version-2 file still
+#: holds them, and ``IterationStats`` no longer accepts them.
+CHECKPOINT_VERSION = 3
 
 
 def problem_fingerprint(problem: NullspaceProblem, options: AlgorithmOptions) -> str:

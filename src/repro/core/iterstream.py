@@ -163,9 +163,9 @@ def stream_iteration(
         chunk_pairs=streaming_chunk_pairs(modes.q, options.pair_chunk),
     )
     while True:
-        # Pull the next survivor chunk; the pair enumeration, zone-map
-        # pruning and prefilter all run inside the generator, so their
-        # cost lands in the generation bucket.
+        # Pull the next survivor chunk; the pair enumeration and
+        # prefilter run inside the generator, so their cost lands in the
+        # generation bucket.
         with PhaseTimer(stats, "t_gen_cand"):
             item = next(gen, None)
         if item is None:

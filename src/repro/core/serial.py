@@ -181,9 +181,6 @@ def iterate_row(
     cand = ModeMatrix.empty(modes.q, exact=modes.exact, policy=modes.policy)
     if n_pairs_total:
         pr = pair_range_for(n_pairs_total)
-        # For TiledRange this is the balanced estimate; survivor_chunks
-        # overwrites it with the exact owned-tile pair count once the
-        # iteration's tile geometry exists.
         stats.n_pairs = pr.count()
         # The combinatorial acceptance test is a per-PAIR adjacency test
         # and must run during generation, before duplicate removal; the

@@ -26,16 +26,6 @@ class IterationStats:
     n_zero: int = 0
     #: pos x neg pairs formed — the paper's "generated candidate modes".
     n_pairs: int = 0
-    #: zone-map tiles evaluated by this rank (pair_pruning="tiles"; the
-    #: tiled strategy counts owned tiles, the legacy strategies count the
-    #: full map each rank builds).
-    n_tiles_total: int = 0
-    #: tiles whose zone-map bound pruned them wholesale.
-    n_tiles_pruned: int = 0
-    #: pairs skipped without per-pair work (pruned tiles + generation-
-    #: ineligible parents); always a subset of the prefilter rejections,
-    #: so n_prefilter_kept is unaffected.
-    n_pairs_skipped: int = 0
     #: pairs surviving the union-support summary rejection.
     n_prefilter_kept: int = 0
     #: pairs passing the combinatorial adjacency test (bittree mode only).
@@ -76,9 +66,9 @@ class IterationStats:
     #: peak transient working set of one generation chunk (bytes): the
     #: pair-index vectors, gathered/ORed support words and prefilter mask,
     #: the dense candidate chunk (which float runs free right after
-    #: support extraction but which exists at the peak), and any
-    #: zone maps.  on_oom="degrade" decisions should add this to the
-    #: retained footprint to see the true peak.
+    #: support extraction but which exists at the peak).
+    #: on_oom="degrade" decisions should add this to the retained
+    #: footprint to see the true peak.
     prefilter_bytes: int = 0
     #: candidate-phase chunks processed by this rank.
     n_chunks: int = 0
@@ -150,17 +140,6 @@ class RunStats:
         return sum(it.n_superset_rejected for it in self.iterations)
 
     @property
-    def total_tiles_pruned(self) -> int:
-        return sum(it.n_tiles_pruned for it in self.iterations)
-
-    @property
-    def total_pairs_skipped(self) -> int:
-        """Pairs never touched by per-pair work thanks to zone-map
-        pruning (always prefilter rejections, so the candidate totals
-        above are unaffected)."""
-        return sum(it.n_pairs_skipped for it in self.iterations)
-
-    @property
     def total_rank_cache_hits(self) -> int:
         return sum(it.n_rank_cache_hits for it in self.iterations)
 
@@ -230,7 +209,7 @@ class RunStats:
     @property
     def peak_prefilter_bytes(self) -> int:
         """Largest transient generation working set (pair-chunk gathers,
-        dense candidate chunk, zone maps) — see
+        dense candidate chunk) — see
         :attr:`IterationStats.prefilter_bytes`."""
         return max((it.prefilter_bytes for it in self.iterations), default=0)
 
@@ -274,9 +253,6 @@ class RunStats:
                     n_neg=a.n_neg,
                     n_zero=a.n_zero,
                     n_pairs=a.n_pairs + b.n_pairs,
-                    n_tiles_total=a.n_tiles_total + b.n_tiles_total,
-                    n_tiles_pruned=a.n_tiles_pruned + b.n_tiles_pruned,
-                    n_pairs_skipped=a.n_pairs_skipped + b.n_pairs_skipped,
                     n_prefilter_kept=a.n_prefilter_kept + b.n_prefilter_kept,
                     n_adjacent=a.n_adjacent + b.n_adjacent,
                     n_duplicates=a.n_duplicates + b.n_duplicates,

@@ -214,7 +214,6 @@ class SubproblemScheduler:
                     spec,
                     working_factor=wf,
                     pair_chunk=opts.pair_chunk,
-                    pair_pruning=opts.pair_pruning,
                     rank_backend=opts.rank_backend,
                     ordering=opts.ordering,
                 )

@@ -250,19 +250,6 @@ def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words[first_idx], first_idx
 
 
-def lexsort_rows(words: np.ndarray) -> np.ndarray:
-    """Indices that sort packed rows lexicographically by words (the
-    paper's "sort the candidate flux modes by binary representation")."""
-    if words.shape[0] == 0:
-        return np.zeros(0, dtype=np.intp)
-    if words.shape[1] == 1:
-        # Identical to the single-key lexsort (both are stable sorts on
-        # the word) at a fraction of the dispatch cost.
-        return np.argsort(words[:, 0], kind="stable")
-    keys = tuple(words[:, k] for k in range(words.shape[1] - 1, -1, -1))
-    return np.lexsort(keys)
-
-
 def rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Membership test: for each row of ``a``, does it occur in ``b``?
 

@@ -114,23 +114,23 @@ class TestStreamingChunkPairs:
 class TestYeastDncPredictionPins:
     """Predicted peaks of yeast-I-small's 32 ``q_sub=5`` subsets (the
     ``y1-dnc5`` benchmark workload), pinned to the values of the
-    streamed, support-first, 16 MiB-budget model they were first
-    computed with, so the scheduler's LPT order cannot drift silently."""
+    streamed, support-first, 16 MiB-budget model, so the scheduler's
+    LPT order cannot drift silently."""
 
     PARTITION = ("R22r", "R32r", "R81r", "R96r", "R102r")
     DYNAMIC = [
-        5044792, 5930980, 3537074, 4094752, 5930980, 6810843, 4094752,
-        4647352, 5168056, 6071325, 3617902, 4185008, 6071325, 6966988,
-        4185008, 4746202, 5168056, 6071325, 3617902, 4185008, 6071325,
-        6966988, 4185008, 4746202, 2800218, 4185008, 4185008, 4746202,
-        3257808, 4746202, 4746202, 5290182,
+        5038704, 5924330, 3530424, 4087552, 5924330, 6803643, 4087552,
+        4639992, 5161968, 6064675, 3611252, 4177808, 6064675, 6959788,
+        4177808, 4738842, 5161968, 6064675, 3611252, 4177808, 6064675,
+        6959788, 4177808, 4738842, 2793568, 4177808, 4177808, 4738842,
+        3250608, 4738842, 4738842, 5282316,
     ]
     PAPER = [
-        5044792, 5930980, 5930980, 6810843, 5930980, 6810843, 6810843,
-        7663792, 5168056, 6071325, 6071325, 6966988, 6071325, 6966988,
-        6966988, 7834084, 5168056, 6071325, 6071325, 6966988, 6071325,
-        6966988, 6966988, 7834084, 6071325, 6966988, 6966988, 7834084,
-        6966988, 7834084, 7834084, 8653282,
+        5038704, 5924330, 5924330, 6803643, 5924330, 6803643, 6803643,
+        7656432, 5161968, 6064675, 6064675, 6959788, 6064675, 6959788,
+        6959788, 7826724, 5161968, 6064675, 6064675, 6959788, 6064675,
+        6959788, 6959788, 7826724, 6064675, 6959788, 6959788, 7826724,
+        6959788, 7826724, 7826724, 8645416,
     ]
 
     @pytest.fixture(scope="class")
@@ -141,9 +141,7 @@ class TestYeastDncPredictionPins:
         from repro.models.variants import yeast_1_small
         from repro.network.compression import compress_network
 
-        opts = AlgorithmOptions(
-            ordering="dynamic", rank_backend="modular", pair_pruning="tiles"
-        )
+        opts = AlgorithmOptions(ordering="dynamic", rank_backend="modular")
         reduced = compress_network(yeast_1_small()).reduced
         part = select_partition_reactions(reduced, 5, method="tail", options=opts)
         assert tuple(part) == self.PARTITION
@@ -238,7 +236,7 @@ class TestPredictionUpperBoundsMeasuredPeak:
         return wf * stats.peak_mode_bytes + cand
 
     @pytest.mark.parametrize("chunk", ["auto", 64 << 10])
-    @pytest.mark.parametrize("strategy", ["strided", "block", "tiled"])
+    @pytest.mark.parametrize("strategy", ["strided", "block"])
     def test_prediction_is_upper_bound(self, monkeypatch, strategy, chunk):
         from repro.config import AlgorithmOptions
         from repro.dnc.combined import solve_subset
@@ -255,7 +253,6 @@ class TestPredictionUpperBoundsMeasuredPeak:
                 reduced, spec,
                 working_factor=self.WF,
                 pair_chunk=opts.pair_chunk,
-                pair_pruning=opts.pair_pruning,
             )
             res = solve_subset(
                 reduced, spec, 2, options=opts, pair_strategy=strategy

@@ -8,13 +8,16 @@ iteration as dense rows (``deferred=False``) or a support-only batch.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import AlgorithmOptions
 from repro.core.candidates import (
+    TEMPLATE_MAX_PAIRS,
     PairRange,
     block_range,
     full_range,
     strided_range,
+    survivor_chunks,
 )
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats
@@ -193,3 +196,77 @@ class TestGenerateCandidates:
         a = union[np.lexsort(union.T)]
         b = full.values[np.lexsort(full.values.T)]
         assert np.allclose(a, b)
+
+
+class TestSurvivorChunksOracle:
+    """``survivor_chunks`` against a brute-force i-major prefilter.
+
+    Random 1- and 2-word supports, pair spaces on both sides of the
+    tiny-space template gate, every range kind and several chunk sizes:
+    the concatenated survivors must be exactly the pairs ``p = a * n_neg
+    + b`` of the range, in range order, whose support union has at most
+    ``rank_bound + 2`` entries."""
+
+    @staticmethod
+    def _modes(rng, n_pos, n_neg, n_zero, q, k, density):
+        n = n_pos + n_neg + n_zero
+        mask = rng.random((n, q)) < density
+        mags = rng.uniform(0.5, 2.0, (n, q)) * rng.choice([-1.0, 1.0], (n, q))
+        vals = mask * mags
+        signs = np.repeat([1.0, -1.0, 0.0], [n_pos, n_neg, n_zero])
+        vals[:, k] = signs[rng.permutation(n)] * rng.uniform(0.5, 2.0, n)
+        return ModeMatrix(vals)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        big=st.booleans(),
+        q=st.integers(3, 128),
+        density=st.sampled_from([0.05, 0.2, 0.5]),
+        rank_slack=st.integers(0, 8),
+        kind=st.sampled_from(["full", "strided", "block"]),
+        size=st.integers(1, 4),
+        chunk=st.sampled_from([None, 1, 37, 512, 1 << 16]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_brute_force(
+        self, seed, big, q, density, rank_slack, kind, size, chunk, data
+    ):
+        rng = np.random.default_rng(seed)
+        lo, hi = (64, 90) if big else (1, 40)
+        n_pos, n_neg = rng.integers(lo, hi + 1, size=2)
+        k = int(rng.integers(q))
+        modes = self._modes(rng, n_pos, n_neg, int(rng.integers(0, 4)), q, k,
+                            density)
+        col = modes.values[:, k]
+        pos = np.flatnonzero(col > 0)
+        neg = np.flatnonzero(col < 0)
+        n_pairs = pos.size * neg.size
+        assert (n_pairs >= TEMPLATE_MAX_PAIRS) == big
+        rank = data.draw(st.integers(0, size - 1))
+        pr = {
+            "full": full_range(n_pairs),
+            "strided": strided_range(n_pairs, rank, size),
+            "block": block_range(n_pairs, rank, size),
+        }[kind]
+        rank_bound = int(np.median(modes.supports.popcounts())) + rank_slack
+
+        sup = [int.from_bytes(w.tobytes(), "little") for w in modes.supports.words]
+        want = []
+        for p in range(pr.start, pr.stop, pr.step):
+            i, j = int(pos[p // neg.size]), int(neg[p % neg.size])
+            if (sup[i] | sup[j]).bit_count() <= rank_bound + 2:
+                want.append((i, j))
+
+        stats = _stats()
+        got = [
+            (int(i), int(j))
+            for i_ok, j_ok, _, _ in survivor_chunks(
+                modes, k, pos, neg, pr, rank_bound, OPTS, stats,
+                chunk_pairs=chunk,
+            )
+            for i, j in zip(i_ok, j_ok)
+        ]
+        assert got == want
+        assert stats.n_prefilter_kept == len(want)

@@ -112,6 +112,20 @@ class TestRunAndResume:
             it.reaction for it in res.stats.iterations
         ]
 
+    def test_old_version_refused(self, toy_problem, tmp_path):
+        # A version-2 file stores per-iteration counters IterationStats no
+        # longer has; load must refuse it with a typed error, not a
+        # TypeError from the stats constructor.
+        path = tmp_path / "run.ckpt"
+        checkpointed_nullspace_algorithm(toy_problem, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["version"] = np.int64(2)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(AlgorithmError, match="version 2 unsupported"):
+            Checkpoint.load(path)
+
     def test_medium_network_resume_equivalence(self, tmp_path):
         """Interrupt a real workload halfway; the resumed result equals
         the straight-through run bit-for-bit on supports."""

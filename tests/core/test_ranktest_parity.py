@@ -402,8 +402,8 @@ class TestRegistryEquivalence:
 
 class TestOptionMatrixParity:
     """The 530-EFM yeast-I-small pin must hold for every backend across
-    the candidate-representation x streaming x pair-pruning matrix, with
-    all three backends producing the same mode set per combination.
+    the candidate-representation x streaming matrix, with all three
+    backends producing the same mode set per combination.
 
     ``streaming="off"`` runs the whole-set oracle with ``representation``
     candidates; ``"on"`` runs the streamed phase, which must match that
@@ -415,12 +415,10 @@ class TestOptionMatrixParity:
         net = get_network("yeast-I-small")
         memo = {}
 
-        def run(representation, backend, pair_pruning):
-            key = (representation, backend, pair_pruning)
+        def run(representation, backend):
+            key = (representation, backend)
             if key not in memo:
-                opts = AlgorithmOptions(
-                    rank_backend=backend, pair_pruning=pair_pruning
-                )
+                opts = AlgorithmOptions(rank_backend=backend)
                 if representation is None:
                     memo[key] = compute_efms(net, options=opts)
                 else:
@@ -433,17 +431,14 @@ class TestOptionMatrixParity:
 
         return run
 
-    @pytest.mark.parametrize("pair_pruning", ["tiles", "none"])
     @pytest.mark.parametrize("streaming", ["on", "off"])
     @pytest.mark.parametrize("representation", ["deferred", "eager"])
-    def test_yeast_pin_across_backends(
-        self, solve, representation, streaming, pair_pruning
-    ):
+    def test_yeast_pin_across_backends(self, solve, representation, streaming):
         results = {}
         for be in ("loop", "batched", "modular"):
-            results[be] = solve(representation, be, pair_pruning)
+            results[be] = solve(representation, be)
             if streaming == "on":
-                streamed = solve(None, be, pair_pruning)
+                streamed = solve(None, be)
                 assert np.array_equal(streamed.fluxes, results[be].fluxes), be
                 results[be] = streamed
             assert results[be].n_efms == 530, be

@@ -94,7 +94,7 @@ class TestToyStreamingParity:
         got = distributed_parallel(toy_problem, 3, options=OPTS)
         assert np.array_equal(ref.efms_input_order(), got.efms_input_order())
 
-    @pytest.mark.parametrize("strategy", ["strided", "block", "tiled"])
+    @pytest.mark.parametrize("strategy", ["strided", "block"])
     def test_pair_strategies(self, toy_problem, oracle, monkeypatch, strategy):
         ref = oracle(
             combinatorial_parallel, toy_problem, 2, pair_strategy=strategy,

@@ -55,8 +55,8 @@ class TestPlanning:
     def test_predictions_match_memory_model(self, reduced, specs):
         sched = predicting_scheduler(reduced, specs)
         jobs = sched.plan()
-        # The scheduler predicts for whatever pruning / rank backend /
-        # ordering its options select (env-sensitive defaults) — compare
+        # The scheduler predicts for whatever rank backend / ordering its
+        # options select (env-sensitive defaults) — compare
         # like for like.
         opts = sched.context.options
         for job in jobs:
@@ -64,7 +64,6 @@ class TestPlanning:
                 reduced,
                 job.spec,
                 pair_chunk=opts.pair_chunk,
-                pair_pruning=opts.pair_pruning,
                 rank_backend=opts.rank_backend,
                 ordering=opts.ordering,
             )

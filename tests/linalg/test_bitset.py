@@ -146,13 +146,6 @@ class TestUniqueAndMembership:
         member = bitset.rows_in(words[:6], words[3:])
         assert member.tolist() == [False, False, False, True, True, True]
 
-    def test_lexsort_rows(self):
-        mask = np.array([[0, 1, 1], [1, 0, 1]], dtype=bool)
-        words = bitset.pack_supports(mask)
-        order = bitset.lexsort_rows(words)
-        sorted_words = words[order]
-        assert (np.diff(sorted_words[:, 0].astype(np.int64)) >= 0).all()
-
 
 class TestPackedSupports:
     def test_from_bool_and_back(self):
