@@ -3,14 +3,13 @@
 Each function executes the real algorithms on a (tractable) workload,
 collects the exact work counters the paper reports, and renders a table
 with the same columns.  Wall-clock columns are *modeled* platform seconds
-(see :mod:`repro.bench.modeling`); the measured host seconds are appended
-for transparency.
+(see :mod:`repro.bench.modeling`), so a regenerated table depends only on
+the work counts, never on the host's timing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Sequence
 
 from repro.bench.modeling import ModeledTimes, model_run
@@ -48,7 +47,6 @@ class Table2Run:
     n_nodes: int
     cores_per_node: int
     modeled: ModeledTimes
-    measured_seconds: float
     total_candidates: int
     n_efms: int
 
@@ -85,18 +83,15 @@ def run_table2(
     runs: list[Table2Run] = []
     for cores in core_counts:
         nodes, per_node = TABLE2_SHAPES.get(cores, (cores, 1))
-        t0 = time.perf_counter()
         prun: ParallelRunResult = combinatorial_parallel(
             problem, cores, options=options, backend=backend
         )
-        measured = time.perf_counter() - t0
         runs.append(
             Table2Run(
                 n_cores=cores,
                 n_nodes=nodes,
                 cores_per_node=per_node,
                 modeled=model_run(prun.rank_stats, prun.rank_traces, platform),
-                measured_seconds=measured,
                 total_candidates=prun.stats.total_candidates,
                 n_efms=_folded_efm_count(prun, split_rec),
             )
@@ -122,7 +117,6 @@ def run_table2(
     table.add_row("communicate (sec)", *[r.modeled.communicate for r in runs])
     table.add_row("merge (sec)", *[r.modeled.merge for r in runs])
     table.add_row("total time (sec)", *[r.modeled.total for r in runs])
-    table.add_row("host measured (sec)", *[r.measured_seconds for r in runs])
     table.add_footer(
         f"Total # candidate modes: {fmt_count(runs[0].total_candidates)}"
     )

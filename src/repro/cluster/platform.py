@@ -73,14 +73,12 @@ class PlatformSpec:
         return n_modes / self.merge_rate
 
     def t_communicate(self, trace: CommTrace) -> float:
-        """Replay a communication trace: latency per message plus bytes over
-        per-rank bandwidth.  When the trace carries measured wire sizes
-        (typed codec frames / pickle blobs as produced by the backends),
-        those are replayed — true serialized volume, one copy per peer for
-        collectives; traces without measurements fall back to the logical
-        payload sizes, so hand-built traces model as before."""
+        """Replay a communication trace: latency per message plus the
+        logical payload bytes (one copy per peer for collectives) over
+        per-rank bandwidth.  How the in-process backends serialize a
+        payload does not enter the model."""
         return trace.n_messages * self.latency + (
-            trace.modeled_bytes_sent + trace.modeled_bytes_received
+            trace.bytes_sent + trace.bytes_received
         ) / self.bandwidth
 
     def t_communicate_bytes(self, n_messages: int, n_bytes: int) -> float:

@@ -30,21 +30,17 @@ OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
 ]
 RankBackend = Literal["modular", "batched", "loop"]
-WireProtocol = Literal["typed", "pickle"]
 
 
-def _default_wire_protocol() -> str:
-    """Session-wide wire-protocol default, overridable via the environment
-    so a whole test run can be flipped to the legacy pickle reference (the
-    CI ``wire-protocol`` leg sets ``REPRO_WIRE_PROTOCOL=pickle``)."""
-    return os.environ.get("REPRO_WIRE_PROTOCOL", "typed")
-
-
-def _default_comm_timeout() -> float:
-    """Blocking-receive poll timeout (seconds) of the parallel backends,
-    overridable via ``REPRO_COMM_TIMEOUT_S`` (default: the 300 s that used
-    to be hard-coded in the process backend)."""
-    return float(os.environ.get("REPRO_COMM_TIMEOUT_S", "300"))
+def resolve_comm_timeout(value: float | None = None) -> float:
+    """Blocking-receive poll timeout (seconds) of the parallel backends:
+    ``value`` when given, else ``REPRO_COMM_TIMEOUT_S``, else 300."""
+    if value is None:
+        value = os.environ.get("REPRO_COMM_TIMEOUT_S", "300")
+    out = float(value)
+    if out <= 0:
+        raise ValueError(f"comm timeout must be positive, got {out}")
+    return out
 
 
 def _default_ordering() -> str:
@@ -151,14 +147,6 @@ class AlgorithmOptions:
         iteration's pair space in chunks of ``min(pair_chunk, 16 MiB /
         per-pair transient bytes)`` pairs
         (:func:`repro.cluster.memory.streaming_chunk_pairs`).
-    wire_protocol:
-        Message serialization of the parallel backends.  ``"typed"``
-        (default) frames known payload shapes (ndarrays, wire tuples,
-        scalars) into one contiguous buffer-protocol blob, serialized
-        exactly once per collective and decoded as zero-copy read-only
-        array views; ``"pickle"`` is the legacy generic path (parity
-        reference).  Both produce bit-identical EFM sets.  The default
-        follows ``REPRO_WIRE_PROTOCOL``.
     comm_timeout_s:
         Seconds a blocking receive waits before declaring deadlock in the
         parallel backends (``REPRO_COMM_TIMEOUT_S``; previously a
@@ -178,10 +166,7 @@ class AlgorithmOptions:
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
     pair_chunk: int = DEFAULT_PAIR_CHUNK
-    wire_protocol: WireProtocol = dataclasses.field(
-        default_factory=_default_wire_protocol
-    )
-    comm_timeout_s: float = dataclasses.field(default_factory=_default_comm_timeout)
+    comm_timeout_s: float = dataclasses.field(default_factory=resolve_comm_timeout)
     ordering_seed: int = 0
     record_trace: bool = False
     policy: NumericPolicy = DEFAULT_POLICY
@@ -206,10 +191,7 @@ class AlgorithmOptions:
             )
         if self.pair_chunk < 1:
             raise ValueError("pair_chunk must be positive")
-        if self.wire_protocol not in ("typed", "pickle"):
-            raise ValueError(f"unknown wire protocol {self.wire_protocol!r}")
-        if self.comm_timeout_s <= 0:
-            raise ValueError("comm_timeout_s must be positive")
+        resolve_comm_timeout(self.comm_timeout_s)
 
 
 #: Shared default options instance.

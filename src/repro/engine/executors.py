@@ -269,14 +269,12 @@ class SpmdExecutor:
         if not jobs:
             return {}
         size = min(self.max_workers, len(jobs))
-        options = self.order.context.options
         outs = run_spmd(
             _spmd_worker,
             size,
             backend=self.outer_backend,
             args=(self.order, list(jobs)),
-            wire_protocol=options.wire_protocol,
-            comm_timeout=options.comm_timeout_s,
+            comm_timeout=self.order.context.options.comm_timeout_s,
         )
         results: dict[int, SubsetResult] = {}
         for per_rank in outs:

@@ -2,22 +2,11 @@
 interchangeable backends (sequential superstep simulator, lockstep threads,
 multiprocessing) plus tracing of bytes/messages for modeled timing."""
 
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import Communicator, WireCounters, pack_message
 from repro.mpi.sequential import SequentialEngine
 from repro.mpi.spmd import run_spmd
 from repro.mpi.threads import ThreadEngine
 from repro.mpi.tracing import CommEvent, CommTrace, TracingCommunicator
-from repro.mpi.wire import (
-    PROTOCOLS,
-    WireCounters,
-    WireError,
-    decode,
-    encode,
-    is_frame,
-    pack_message,
-    resolve_protocol,
-    unpack_message,
-)
 
 __all__ = [
     "Communicator",
@@ -27,13 +16,6 @@ __all__ = [
     "CommEvent",
     "CommTrace",
     "TracingCommunicator",
-    "PROTOCOLS",
     "WireCounters",
-    "WireError",
-    "decode",
-    "encode",
-    "is_frame",
     "pack_message",
-    "resolve_protocol",
-    "unpack_message",
 ]

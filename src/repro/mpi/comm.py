@@ -6,7 +6,8 @@ candidate modes (Communicate&Merge) — but the full point-to-point API is
 provided so the column-partitioned variant and tests can express richer
 patterns.  The interface follows mpi4py's lower-case object API (pickled
 Python objects); the backends are in-process substitutes for an MPI
-cluster, which this host cannot run (no mpi4py, single core).
+cluster.  Every backend ships a message as one pickle blob, serialized
+once per operation however many peers receive it (:func:`pack_message`).
 """
 
 from __future__ import annotations
@@ -18,24 +19,78 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import CommunicatorError
-from repro.mpi.wire import WireCounters
+
+
+class WireCounters:
+    """Per-communicator transport accounting, updated by every backend.
+
+    ``ser_bytes``/``n_ser`` measure serialization *work* (pickle bytes
+    produced); ``wire_out``/``wire_in`` count serialized payload bytes
+    moved through the transport (pipe writes, mailbox and slot
+    deposits); ``ctrl_out`` separately counts control-plane bytes
+    (barrier tokens) that carry no payload.  ``msgs_out`` counts
+    transport messages and is only meaningful when the backend sets
+    ``counts_messages`` (the process backend does; the simulator
+    backends keep the mesh estimate of :class:`~repro.mpi.tracing.CommTrace`).
+    """
+
+    __slots__ = (
+        "n_ser",
+        "ser_bytes",
+        "wire_out",
+        "wire_in",
+        "ctrl_out",
+        "msgs_out",
+        "counts_messages",
+    )
+
+    def __init__(self) -> None:
+        self.n_ser = 0
+        self.ser_bytes = 0
+        self.wire_out = 0
+        self.wire_in = 0
+        self.ctrl_out = 0
+        self.msgs_out = 0
+        self.counts_messages = False
+
+    def snapshot(self) -> tuple[int, int, int, int, int]:
+        """(wire_out, wire_in, ser_bytes, n_ser, msgs_out) — tracing
+        takes deltas around an operation to attribute counters to
+        events."""
+        return (
+            self.wire_out,
+            self.wire_in,
+            self.ser_bytes,
+            self.n_ser,
+            self.msgs_out,
+        )
+
+
+def pack_message(obj: Any, counters: WireCounters | None = None) -> bytes:
+    """Pickle one payload exactly once, counting the work on
+    ``counters`` (``None`` marks control traffic that is not payload)."""
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    if counters is not None:
+        counters.n_ser += 1
+        counters.ser_bytes += len(blob)
+    return blob
 
 
 class Communicator(abc.ABC):
     """One rank's endpoint of a communicator of ``size`` ranks.
 
-    Every communicator carries :attr:`wire` —
-    :class:`~repro.mpi.wire.WireCounters` that the backends update with
-    serialization and transport byte counts; the tracing wrapper takes
-    deltas around each operation to attribute them to events.
+    Every communicator carries :attr:`wire` — :class:`WireCounters` that
+    the backends update with serialization and transport byte counts;
+    the tracing wrapper takes deltas around each operation to attribute
+    them to events.
     """
 
-    def __init__(self, rank: int, size: int, protocol: str = "pickle") -> None:
+    def __init__(self, rank: int, size: int) -> None:
         if not (0 <= rank < size):
             raise CommunicatorError(f"rank {rank} out of range for size {size}")
         self._rank = rank
         self._size = size
-        self.wire = WireCounters(protocol)
+        self.wire = WireCounters()
 
     @property
     def rank(self) -> int:

@@ -5,26 +5,14 @@ address spaces, explicit serialization on every message, and per-process
 peak-memory isolation.  On a single-core host this demonstrates semantics
 rather than speedup; on multi-core hosts the heavy phases parallelize.
 
-Transport: every pipe message is a pre-serialized blob (typed codec frame
-or pickle, selected by ``wire_protocol``) shipped with
+Transport: every pipe message is one pickle blob shipped with
 ``Connection.send_bytes`` — a payload is serialized **once** no matter how
-many peers it goes to.  Under the typed protocol the hot allgather runs
-over a shared-memory plane: each rank writes its framed blob into a
-per-round ``multiprocessing.shared_memory`` segment once and peers decode
-read-only views, so the pipe mesh's O(P²) payload copies become O(P)
-segment writes (the pipes carry only tiny control messages).  Three
-latency measures keep the plane competitive with plain pipes even for
-frequent rounds: frames below ``REPRO_WIRE_SEGMENT_MIN`` are inlined into
-the control message instead of paying per-round segment syscalls (the
-eager/rendezvous switch of real MPI); segment creates/attaches bypass the
-``resource_tracker`` (whose per-handle pipe round-trips to the singleton
-tracker process dominate small rounds); and instead of an attach-ack
-round, a creator defers unlinking its segment by one round — receiving
-every peer's *next* control message proves they all finished the current
-round, hence attached the segment.  When segments are disabled
-(``REPRO_WIRE_SEGMENTS=off``) a ring allgather stands in — P-1 neighbor
-hops of already-serialized bytes, the pattern a real MPI implementation
-uses on a network.
+many peers it goes to.  The allgather is a phased pairwise exchange over
+the mesh whose send/receive order cannot deadlock on payloads larger than
+the pipe buffer (see :meth:`ProcessCommunicator.allgather`).  Each rank
+process holds only its own mesh endpoints, so a rank that dies closes
+its pipes and its peers fail at once with a :class:`CommunicatorError`
+instead of waiting out the receive timeout.
 
 The SPMD callable and its arguments must be picklable module-level
 objects (the same restriction ``mpiexec python script.py`` imposes in
@@ -33,58 +21,27 @@ spirit).
 
 from __future__ import annotations
 
-import contextlib
+import math
 import multiprocessing as mp
+import pickle
 from multiprocessing.connection import Connection
 from typing import Any
 
+from repro.config import resolve_comm_timeout
 from repro.errors import CommunicatorError
-from repro.mpi import wire
-from repro.mpi.comm import Communicator, payload_nbytes
+from repro.mpi.comm import Communicator, pack_message
 
 #: Reserved (negative) tags of the collective operations.
 _TAG_BARRIER = -1
 _TAG_GATHER = -2
 _TAG_BCAST = -3
-_TAG_RING_BASE = -1000  # ring step ``s`` uses tag ``_TAG_RING_BASE - s``
 
-#: Floor for a freshly created arena — amortizes creation for the common
-#: case of many small rounds that grew past the inline threshold once.
-_ARENA_MIN_BYTES = 1 << 16
-
-
-@contextlib.contextmanager
-def _untracked_shm():
-    """Suppress ``resource_tracker`` bookkeeping for segment operations.
-
-    Every ``SharedMemory`` create/attach/unlink ships a message over a
-    pipe to the singleton tracker process; at one tracker round-trip per
-    handle per rank per allgather round that traffic dominates
-    small-payload rounds (and on a single CPU forces a context switch
-    each time).  Segment lifetime is managed deterministically here —
-    creators always unlink (deferred one round, forced at close) — so
-    tracker protection buys nothing but the syscalls.  Only a hard-killed
-    creator can leak a segment, the same failure mode as an orphaned pipe.
-    """
-    try:
-        from multiprocessing import resource_tracker  # noqa: PLC0415
-
-        orig_register = resource_tracker.register
-        orig_unregister = resource_tracker.unregister
-    except Exception:  # pragma: no cover - stdlib internals moved
-        yield
-        return
-    resource_tracker.register = lambda *a, **k: None
-    resource_tracker.unregister = lambda *a, **k: None
-    try:
-        yield
-    finally:
-        resource_tracker.register = orig_register
-        resource_tracker.unregister = orig_unregister
+#: What a pipe raises when the rank at its other end has gone away.
+_PEER_GONE = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
 class ProcessCommunicator(Communicator):
-    """Rank endpoint over a full pipe mesh plus a shared-memory plane."""
+    """Rank endpoint over a full pipe mesh."""
 
     def __init__(
         self,
@@ -92,62 +49,40 @@ class ProcessCommunicator(Communicator):
         size: int,
         pipes: dict[int, Connection],
         *,
-        protocol: str = "pickle",
         recv_timeout: float = 300.0,
-        use_segments: bool = True,
-        segment_min: int | None = None,
     ) -> None:
-        super().__init__(rank, size, protocol)
+        super().__init__(rank, size)
         self._pipes = pipes  # peer rank -> Connection
         self._stash: list[tuple[int, int, Any]] = []
-        self._protocol = protocol
         self._recv_timeout = float(recv_timeout)
-        self._use_segments = bool(use_segments)
-        self._segment_min = wire.resolve_segment_min(segment_min)
         self.wire.counts_messages = True  # real transport, real counts
-        #: reader-side segment handles whose zero-copy views may still be
-        #: alive; retired (closed) as soon as the views die.
-        self._open_segments: list = []
-        #: creator-side append-only arena: offsets never reused, so peer
-        #: views stay valid for the communicator's lifetime.
-        self._arena = None
-        self._arena_used = 0
-        self._old_arenas: list = []  # outgrown arenas, unlinked at quiesce
-        #: per-peer cached arena attachments: peer -> (name, SharedMemory)
-        self._peer_arenas: dict[int, tuple[str, Any]] = {}
-        self._needs_quiesce = False
 
     # -- blob plumbing -------------------------------------------------------
 
     def _pack(self, src: int, tag: int, obj: Any, *, count: bool = True) -> bytes:
         """Serialize one ``(src, tag, payload)`` message exactly once.
 
-        ``count=False`` marks control traffic (segment names, acks, ring
-        forwards) whose serialization is not payload work.
+        ``count=False`` marks control traffic (barrier tokens) whose
+        serialization is not payload work.
         """
-        return wire.pack_message(
-            (src, tag, obj), self._protocol, self.wire if count else None
-        )
+        return pack_message((src, tag, obj), self.wire if count else None)
 
     def _send_raw(self, blob: bytes, dest: int) -> None:
         try:
             self._pipes[dest].send_bytes(blob)
         except KeyError:
             raise CommunicatorError(f"send to invalid rank {dest}") from None
+        except _PEER_GONE as exc:
+            raise CommunicatorError(
+                f"rank {self.rank} lost its connection to rank {dest} "
+                f"while sending ({type(exc).__name__})"
+            ) from None
         self.wire.msgs_out += 1
 
     def _send_blob(self, blob: bytes, dest: int) -> None:
         """Ship a serialized-payload blob (counted on the payload plane)."""
         self._send_raw(blob, dest)
         self.wire.wire_out += len(blob)
-
-    def _send_ctrl(self, blob: bytes, dest: int, *, payload_bytes: int = 0) -> None:
-        """Ship a control message; ``payload_bytes`` of it (an inlined or
-        ring-forwarded frame) count on the payload plane, the envelope on
-        the control plane."""
-        self._send_raw(blob, dest)
-        self.wire.wire_out += payload_bytes
-        self.wire.ctrl_out += len(blob) - payload_bytes
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if dest == self.rank:
@@ -164,14 +99,20 @@ class ProcessCommunicator(Communicator):
             raise CommunicatorError("self-recv with no matching self-send")
         conn = self._pipes[source]
         while True:
-            if not conn.poll(timeout=self._recv_timeout):
+            try:
+                if not conn.poll(timeout=self._recv_timeout):
+                    raise CommunicatorError(
+                        f"rank {self.rank} timed out receiving from {source} "
+                        f"after {self._recv_timeout:g}s"
+                    )
+                raw = conn.recv_bytes()
+            except _PEER_GONE as exc:
                 raise CommunicatorError(
-                    f"rank {self.rank} timed out receiving from {source} "
-                    f"after {self._recv_timeout:g}s"
-                )
-            raw = conn.recv_bytes()
+                    f"rank {self.rank} lost its connection to rank {source} "
+                    f"while receiving ({type(exc).__name__})"
+                ) from None
             self.wire.wire_in += len(raw)
-            src, t, obj = wire.unpack_message(raw)
+            src, t, obj = pickle.loads(raw)
             if src == source and t == tag:
                 return obj
             self._stash.append((src, t, obj))
@@ -186,191 +127,39 @@ class ProcessCommunicator(Communicator):
             peer_from = (self.rank - round_) % self.size
             if blob is None:
                 blob = self._pack(self.rank, _TAG_BARRIER, None, count=False)
-            self._send_ctrl(blob, peer_to)
+            self._send_raw(blob, peer_to)
+            self.wire.ctrl_out += len(blob)
             self.recv(peer_from, tag=_TAG_BARRIER)
             round_ <<= 1
 
     # -- collectives ---------------------------------------------------------
 
     def allgather(self, obj: Any) -> list[Any]:
+        """Phased pairwise exchange of one serialize-once blob.
+
+        In phase ``d`` rank ``r`` sends to ``r+d`` and receives from
+        ``r-d``.  A pipe holds at most one buffer's worth of bytes, so a
+        send blocks until its peer reads; if every rank sent first, a
+        payload larger than the buffer would block all of them.  The
+        phase's edges form ``gcd(P, d)`` cycles, and ranks
+        ``0 .. gcd(P, d) - 1`` lie on distinct cycles: each of those
+        receives first and all other ranks send first, so every cycle has
+        one rank draining it and the blocked sends unwind around it.
+        """
         if self.size == 1:
             return [obj]
-        if self._protocol == "typed":
-            if self._use_segments:
-                return self._allgather_segments(obj)
-            return self._allgather_ring(obj)
-        # Legacy pickle protocol: mesh fan-out, but the payload is still
-        # serialized once and the same blob shipped to every peer.  Phased
-        # pairwise exchange (send to rank+d while rank+d receives from us)
-        # keeps the mesh deadlock-free even when a blob exceeds the pipe
-        # buffer — every blocking send has a matching receive posted in
-        # the same phase.
         blob = self._pack(self.rank, _TAG_GATHER, obj)
         out: list[Any] = [None] * self.size
         out[self.rank] = obj
         for d in range(1, self.size):
-            self._send_blob(blob, (self.rank + d) % self.size)
+            dest = (self.rank + d) % self.size
             peer = (self.rank - d) % self.size
-            out[peer] = self.recv(peer, tag=_TAG_GATHER)
-        return out
-
-    def _allgather_segments(self, obj: Any) -> list[Any]:
-        """Shared-memory allgather: arena writes + dissemination exchange.
-
-        Payload plane — each rank owns one append-only ``SharedMemory``
-        arena for the communicator's lifetime: a round encodes its frame
-        once into the next 8-aligned offset (a memcpy, no syscalls) and
-        peers decode read-only zero-copy views straight out of the arena,
-        attaching it once (cached per origin).  Offsets are never reused,
-        so a view handed to the caller stays valid forever.  When an
-        arena fills up, a bigger one replaces it (geometric growth); the
-        outgrown arena stays mapped for live views and is unlinked at
-        :meth:`quiesce`/:meth:`close` after a barrier proves every peer
-        is done reading.
-
-        Control plane — only ``("s", origin, name, offset, nbytes)``
-        descriptors travel over the pipes, via a dissemination exchange:
-        at hop ``h = 1, 2, 4, …`` each rank sends every descriptor it
-        knows to ``rank+h`` and merges the batch from ``rank-h``, so all
-        P descriptors arrive in ceil(log2 P) messages per rank instead of
-        the mesh's P-1 — the payload never rides the pipes at all.  Each
-        hop's send has a matching receive posted by its partner in the
-        same hop, so the schedule cannot deadlock.
-
-        Payloads below the segment-min threshold — and ranks whose arena
-        creation fails (shm exhausted) — degrade to an ``("i", origin,
-        blob)`` descriptor carrying the frame itself, forwarded verbatim
-        (serialize-once) along the same hops; peers handle both variants
-        per origin, so no global agreement is needed.
-        """
-        w = self.wire
-        entry = None
-        if payload_nbytes(obj) >= self._segment_min:
-            entry = self._arena_write(obj)
-        if entry is not None:
-            name, off, nbytes = entry
-            mine: tuple = ("s", self.rank, name, off, nbytes)
-        else:
-            mine = ("i", self.rank, wire.pack_message(obj, "typed", w))
-        known: dict[int, tuple] = {self.rank: mine}
-        hop = 1
-        while hop < self.size:
-            dest = (self.rank + hop) % self.size
-            srcp = (self.rank - hop) % self.size
-            batch = list(known.values())
-            inline_bytes = sum(len(e[2]) for e in batch if e[0] == "i")
-            env = self._pack(self.rank, _TAG_GATHER, batch, count=False)
-            self._send_ctrl(env, dest, payload_bytes=inline_bytes)
-            for e in self.recv(srcp, tag=_TAG_GATHER):
-                origin = e[1]
-                if origin not in known:
-                    # Normalize forwarded inline blobs to bytes so they
-                    # re-encode cleanly on the next hop.
-                    known[origin] = (
-                        (e[0], origin, bytes(e[2])) if e[0] == "i" else tuple(e)
-                    )
-            hop <<= 1
-        out: list[Any] = [None] * self.size
-        out[self.rank] = obj
-        saw_segment = entry is not None
-        for origin in range(self.size):
-            if origin == self.rank:
-                continue
-            e = known.get(origin)
-            if e is None:  # pragma: no cover - dissemination covers all P
-                raise CommunicatorError(
-                    f"allgather missing descriptor for rank {origin}"
-                )
-            if e[0] == "s":
-                _, _, pname, poff, pnbytes = e
-                view = self._arena_view(origin, pname, poff, pnbytes)
-                out[origin] = wire.decode(view)
-                w.wire_in += pnbytes
-                saw_segment = True
+            if self.rank < math.gcd(self.size, d):
+                out[peer] = self.recv(peer, tag=_TAG_GATHER)
+                self._send_blob(blob, dest)
             else:
-                out[origin] = wire.unpack_message(e[2])
-        if saw_segment:
-            # Every rank sees the full descriptor set, so the flag — and
-            # hence participation in the quiesce barrier — is globally
-            # consistent.
-            self._needs_quiesce = True
-            w.note_segment_round(self._mapped_segment_bytes())
-        return out
-
-    def _arena_write(self, obj: Any) -> tuple[str, int, int] | None:
-        """Encode ``obj`` into the own arena; returns ``(name, offset,
-        nbytes)`` or ``None`` when shared memory is unavailable."""
-        from multiprocessing import shared_memory  # noqa: PLC0415
-
-        w = self.wire
-        frame = wire.encode(obj)
-        need = frame.nbytes
-        if self._arena is None or self._arena_used + need > self._arena.size:
-            size = max(need, _ARENA_MIN_BYTES)
-            if self._arena is not None:
-                size = max(size, 2 * self._arena.size)
-            try:
-                with _untracked_shm():
-                    arena = shared_memory.SharedMemory(create=True, size=size)
-            except OSError:  # pragma: no cover - shm exhausted
-                return None
-            if self._arena is not None:
-                self._old_arenas.append(self._arena)
-            self._arena = arena
-            self._arena_used = 0
-        off = self._arena_used
-        frame.write_into(memoryview(self._arena.buf)[off : off + need])
-        self._arena_used = (off + need + 7) & ~7  # keep offsets 8-aligned
-        w.count_ser(need, pickled=frame.n_pickled)
-        w.wire_out += need
-        w.segment_bytes += need
-        return (self._arena.name, off, need)
-
-    def _arena_view(self, peer: int, name: str, off: int, nbytes: int):
-        """Read-only view into a peer's arena, attaching (once) on first
-        use or when the peer outgrew into a new arena."""
-        from multiprocessing import shared_memory  # noqa: PLC0415
-
-        cached = self._peer_arenas.get(peer)
-        if cached is None or cached[0] != name:
-            with _untracked_shm():
-                seg = shared_memory.SharedMemory(name=name)
-            if cached is not None:
-                # Outgrown peer arena: keep mapped while views live.
-                self._open_segments.append(cached[1])
-            self._peer_arenas[peer] = (name, seg)
-        else:
-            seg = cached[1]
-        return memoryview(seg.buf)[off : off + nbytes].toreadonly()
-
-    def _mapped_segment_bytes(self) -> int:
-        total = self._arena.size if self._arena is not None else 0
-        for _, seg in self._peer_arenas.values():
-            total += seg.size
-        return total
-
-    def _allgather_ring(self, obj: Any) -> list[Any]:
-        """Ring allgather of pre-serialized blobs (segments disabled).
-
-        P-1 neighbor hops; each rank serializes its payload once and
-        forwards received blobs verbatim — the copy pattern of a real MPI
-        allgather on a network, which is what the platform models replay.
-        """
-        w = self.wire
-        blob = wire.pack_message(obj, "typed", w)
-        out: list[Any] = [None] * self.size
-        out[self.rank] = obj
-        nxt = (self.rank + 1) % self.size
-        prv = (self.rank - 1) % self.size
-        cur = blob
-        for step in range(1, self.size):
-            tag = _TAG_RING_BASE - step
-            env = self._pack(self.rank, tag, cur, count=False)
-            # The forwarded frame is payload moved; the envelope is not.
-            self._send_ctrl(env, nxt, payload_bytes=len(cur))
-            cur = self.recv(prv, tag=tag)
-            origin = (self.rank - step) % self.size
-            out[origin] = wire.unpack_message(cur)
+                self._send_blob(blob, dest)
+                out[peer] = self.recv(peer, tag=_TAG_GATHER)
         return out
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
@@ -388,71 +177,19 @@ class ProcessCommunicator(Communicator):
             return obj
         return self.recv(root, tag=_TAG_BCAST)
 
-    # -- segment bookkeeping -------------------------------------------------
 
-    def _retire_segments(self) -> None:
-        """Close reader-side handles whose zero-copy views have died
-        (closing while views are alive raises ``BufferError`` — those
-        handles are kept for the next attempt)."""
-        kept = []
-        for seg in self._open_segments:
-            try:
-                seg.close()
-            except BufferError:
-                kept.append(seg)
-        self._open_segments = kept
-
-    def _release_arenas(self) -> None:
-        """Close + unlink every creator-side arena (current + outgrown)."""
-        arenas = self._old_arenas + ([self._arena] if self._arena else [])
-        self._arena = None
-        self._arena_used = 0
-        self._old_arenas = []
-        with _untracked_shm():
-            for seg in arenas:
-                try:
-                    seg.close()
-                except BufferError:  # pragma: no cover - views linger
-                    pass
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-
-    def quiesce(self) -> None:
-        """Drain the shared-memory plane after the SPMD body succeeds.
-
-        Completing the barrier proves every rank finished its last
-        collective — hence read everything it will ever read from this
-        rank's arenas — so unlinking is safe.  Skipped entirely when no
-        round ever used a segment (the flag is globally consistent, see
-        :meth:`_allgather_segments`)."""
-        if self._needs_quiesce and self.size > 1:
-            self.barrier()
-            self._needs_quiesce = False
-        self._release_arenas()
-
-    def close(self) -> None:
-        """Best-effort teardown (error paths included): unlink the own
-        arenas even if some peer may still be reading — the run is
-        already failing — and drop whatever reader handles can close."""
-        self._release_arenas()
-        for _, seg in self._peer_arenas.values():
-            self._open_segments.append(seg)
-        self._peer_arenas = {}
-        self._retire_segments()
-
-
-def _worker(rank, size, fan, fn, args, kwargs, result_conn, comm_kwargs):
-    comm = ProcessCommunicator(rank, size, fan, **(comm_kwargs or {}))
+def _worker(rank, size, mesh, fn, args, kwargs, result_conn, recv_timeout):
+    # The fork handed this process every rank's endpoints; keep only its
+    # own, so that when a peer process exits its pipes reach EOF here.
+    for other, ends in enumerate(mesh):
+        if other != rank:
+            for conn in ends.values():
+                conn.close()
+    comm = ProcessCommunicator(rank, size, mesh[rank], recv_timeout=recv_timeout)
     try:
-        out = fn(comm, *args, **kwargs)
-        comm.quiesce()
-        result_conn.send(("ok", out))
+        result_conn.send(("ok", fn(comm, *args, **kwargs)))
     except BaseException as exc:  # noqa: BLE001 - marshalled to parent
         result_conn.send(("error", repr(exc)))
-    finally:
-        comm.close()
 
 
 class ProcessEngine:
@@ -460,16 +197,8 @@ class ProcessEngine:
 
     name = "process"
 
-    def __init__(
-        self,
-        *,
-        wire_protocol: str | None = None,
-        comm_timeout: float | None = None,
-        use_segments: bool | None = None,
-    ) -> None:
-        self.wire_protocol = wire.resolve_protocol(wire_protocol)
-        self.comm_timeout = wire.resolve_timeout(comm_timeout)
-        self.use_segments = wire.segments_enabled(use_segments)
+    def __init__(self, *, comm_timeout: float | None = None) -> None:
+        self.comm_timeout = resolve_comm_timeout(comm_timeout)
 
     def run(self, fn, size: int, args: tuple = (), kwargs: dict | None = None) -> list[Any]:
         kwargs = kwargs or {}
@@ -481,34 +210,43 @@ class ProcessEngine:
                 a, b = ctx.Pipe(duplex=True)
                 mesh[i][j] = a
                 mesh[j][i] = b
-        comm_kwargs = {
-            "protocol": self.wire_protocol,
-            "recv_timeout": self.comm_timeout,
-            "use_segments": self.use_segments,
-        }
         result_pipes = [ctx.Pipe(duplex=False) for _ in range(size)]
         procs = [
             ctx.Process(
                 target=_worker,
-                args=(r, size, mesh[r], fn, args, kwargs, result_pipes[r][1], comm_kwargs),
+                args=(
+                    r, size, mesh, fn, args, kwargs, result_pipes[r][1],
+                    self.comm_timeout,
+                ),
                 name=f"proc-rank-{r}",
             )
             for r in range(size)
         ]
         for p in procs:
             p.start()
+        # The children hold their own copies; the parent's would keep
+        # every pipe open past a rank's death.
+        for ends in mesh:
+            for conn in ends.values():
+                conn.close()
+        for _rx, tx in result_pipes:
+            tx.close()
         results: list[Any] = [None] * size
         errors: list[str | None] = [None] * size
         result_timeout = max(600.0, 2.0 * self.comm_timeout)
         for r, (rx, _tx) in enumerate(result_pipes):
-            if rx.poll(timeout=result_timeout):
+            try:
+                if not rx.poll(timeout=result_timeout):
+                    errors[r] = "timed out"
+                    continue
                 status, payload = rx.recv()
-                if status == "ok":
-                    results[r] = payload
-                else:
-                    errors[r] = payload
+            except EOFError:
+                errors[r] = "exited without a result"
+                continue
+            if status == "ok":
+                results[r] = payload
             else:
-                errors[r] = "timed out"
+                errors[r] = payload
         for p in procs:
             p.join(timeout=30.0)
             if p.is_alive():  # pragma: no cover - stuck worker

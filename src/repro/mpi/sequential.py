@@ -12,13 +12,14 @@ irrelevant because the clock is the platform model, not the host.
 
 from __future__ import annotations
 
+import pickle
 import threading
 from collections import deque
 from typing import Any
 
+from repro.config import resolve_comm_timeout
 from repro.errors import CommunicatorError
-from repro.mpi import wire
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import Communicator, pack_message
 
 
 class _Scheduler:
@@ -61,17 +62,14 @@ class _Scheduler:
 class SequentialCommunicator(Communicator):
     """Rank endpoint of the sequential engine."""
 
-    def __init__(
-        self, rank: int, size: int, world: "_World", *, protocol: str = "pickle"
-    ) -> None:
-        super().__init__(rank, size, protocol)
+    def __init__(self, rank: int, size: int, world: "_World") -> None:
+        super().__init__(rank, size)
         self._world = world
-        self._protocol = protocol
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if not (0 <= dest < self.size):
             raise CommunicatorError(f"send to invalid rank {dest}")
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        blob = pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         self._world.mail[dest].append((self.rank, tag, blob))
 
@@ -83,7 +81,7 @@ class SequentialCommunicator(Communicator):
                 if src == source and t == tag:
                     del box[i]
                     self.wire.wire_in += len(blob)
-                    return wire.unpack_message(blob)
+                    return pickle.loads(blob)
             # Nothing yet: cede the turn so the sender can run.
             world.scheduler.yield_turn(self.rank)
         raise CommunicatorError("recv starved")  # pragma: no cover
@@ -92,14 +90,14 @@ class SequentialCommunicator(Communicator):
         self._rendezvous("barrier", None)
 
     def allgather(self, obj: Any) -> list[Any]:
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        blob = pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         slots = self._rendezvous("allgather", blob)
         out = []
         for r, s in enumerate(slots):
             if r != self.rank:
                 self.wire.wire_in += len(s)
-            out.append(wire.unpack_message(s))
+            out.append(pickle.loads(s))
         return out
 
     def _rendezvous(self, kind: str, payload: Any) -> list[Any]:
@@ -138,9 +136,8 @@ class SequentialEngine:
 
     name = "sequential"
 
-    def __init__(self, *, wire_protocol: str | None = None, comm_timeout: float | None = None) -> None:
-        self.wire_protocol = wire.resolve_protocol(wire_protocol)
-        self.comm_timeout = wire.resolve_timeout(comm_timeout)
+    def __init__(self, *, comm_timeout: float | None = None) -> None:
+        self.comm_timeout = resolve_comm_timeout(comm_timeout)
 
     def run(self, fn, size: int, args: tuple = (), kwargs: dict | None = None) -> list[Any]:
         kwargs = kwargs or {}
@@ -150,7 +147,7 @@ class SequentialEngine:
         errors: list[BaseException | None] = [None] * size
 
         def worker(rank: int) -> None:
-            comm = SequentialCommunicator(rank, size, world, protocol=self.wire_protocol)
+            comm = SequentialCommunicator(rank, size, world)
             try:
                 sched.wait_turn(rank)
                 results[rank] = fn(comm, *args, **kwargs)

@@ -3,23 +3,21 @@
 NumPy releases the GIL inside its kernels, so the heavy phases (candidate
 generation, SVD rank tests) overlap to the extent the host has cores;
 regardless of overlap the *semantics* are those of a distributed-memory
-run — ranks share nothing except explicit messages.  Under the legacy
-``pickle`` protocol payloads are deep copies; under the ``typed``
-protocol a payload is framed once into a bytes blob and every receiver
-decodes zero-copy ``writeable=False`` array views of it — a rank cannot
-corrupt a peer because the views refuse mutation, and nothing aliases
-the sender's live arrays (the frame is its own buffer).
+run — ranks share nothing except explicit messages.  A payload is
+pickled once into a bytes blob and every receiver unpickles its own
+private copy, so a rank can never corrupt a peer's arrays.
 """
 
 from __future__ import annotations
 
+import pickle
 import queue
 import threading
 from typing import Any
 
+from repro.config import resolve_comm_timeout
 from repro.errors import CommunicatorError
-from repro.mpi import wire
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import Communicator, pack_message
 
 
 class _SharedState:
@@ -45,24 +43,22 @@ class ThreadCommunicator(Communicator):
         rank: int,
         shared: _SharedState,
         *,
-        protocol: str = "pickle",
         recv_timeout: float = 120.0,
     ) -> None:
-        super().__init__(rank, shared.size, protocol)
+        super().__init__(rank, shared.size)
         self._shared = shared
         self._stash: list[tuple[int, int, bytes]] = []
         self._phase = 0
-        self._protocol = protocol
         self._recv_timeout = float(recv_timeout)
 
     def _unpack(self, blob: bytes) -> Any:
         self.wire.wire_in += len(blob)
-        return wire.unpack_message(blob)
+        return pickle.loads(blob)
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if not (0 <= dest < self.size):
             raise CommunicatorError(f"send to invalid rank {dest}")
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        blob = pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         self._shared.mailboxes[dest].put((self.rank, tag, blob))
 
@@ -95,9 +91,9 @@ class ThreadCommunicator(Communicator):
         shared = self._shared
         slots = shared.slots[self._phase]
         self._phase ^= 1
-        # One serialization, deposited once; every reader decodes straight
-        # from the shared blob (typed: zero-copy read-only array views).
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        # One serialization, deposited once; every reader unpickles its own
+        # copy straight from the shared blob.
+        blob = pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         slots[self.rank] = blob
         try:
@@ -108,7 +104,7 @@ class ThreadCommunicator(Communicator):
         for r, s in enumerate(slots):
             if r != self.rank:
                 self.wire.wire_in += len(s)
-            out.append(wire.unpack_message(s))
+            out.append(pickle.loads(s))
         # Second barrier so nobody rewrites this parity's slots before all
         # ranks finished reading (two parities + barrier = safe).
         try:
@@ -123,14 +119,8 @@ class ThreadEngine:
 
     name = "thread"
 
-    def __init__(
-        self,
-        *,
-        wire_protocol: str | None = None,
-        comm_timeout: float | None = None,
-    ) -> None:
-        self.wire_protocol = wire.resolve_protocol(wire_protocol)
-        self.comm_timeout = wire.resolve_timeout(comm_timeout)
+    def __init__(self, *, comm_timeout: float | None = None) -> None:
+        self.comm_timeout = resolve_comm_timeout(comm_timeout)
 
     def run(self, fn, size: int, args: tuple = (), kwargs: dict | None = None) -> list[Any]:
         """Run ``fn(comm, *args, **kwargs)`` on every rank; returns per-rank
@@ -144,7 +134,6 @@ class ThreadEngine:
             comm = ThreadCommunicator(
                 rank,
                 shared,
-                protocol=self.wire_protocol,
                 recv_timeout=self.comm_timeout,
             )
             try:

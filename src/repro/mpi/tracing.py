@@ -7,16 +7,13 @@ recorded into a :class:`CommTrace`.  The cluster platform models
 specs to produce the modeled "communicate" column of the paper's tables.
 
 Two byte measures coexist per event.  The *logical* sizes (``bytes_out``/
-``bytes_in``, via :func:`payload_nbytes`) describe the payload contents
-and are stable across wire protocols — they are what the scaling tables
-compare.  The *measured* wire counters (``ser_bytes``/``n_ser``/
-``wire_out``/``wire_in``, taken as deltas of the backend's
-:class:`~repro.mpi.wire.WireCounters` around the operation) describe what
-the transport actually did: how many times the payload was serialized,
-how many framed-or-pickled bytes were produced, and how many bytes moved.
-Platform replay prefers the measured sizes when present (see
-``modeled_bytes_sent``) and falls back to the logical ones for
-hand-built traces.
+``bytes_in``, via :func:`payload_nbytes`) describe the payload contents,
+independent of how the host serializes them; they are what the platform
+models replay and what the scaling tables compare.  The *measured* wire
+counters (``ser_bytes``/``n_ser``/``wire_out``/``wire_in``, taken as
+deltas of the backend's :class:`~repro.mpi.comm.WireCounters` around the
+operation) describe what the in-process transport actually did — how many
+pickle bytes were produced and moved — and are observability only.
 """
 
 from __future__ import annotations
@@ -33,8 +30,7 @@ class CommEvent:
 
     The trailing keyword fields carry measured wire-counter deltas;
     their defaults (``0`` / ``-1`` = "not measured") keep hand-built
-    positional events — and traces recorded before the typed wire
-    protocol existed — meaningful.
+    positional events meaningful.
     """
 
     kind: str  # "send" | "recv" | "allgather" | "barrier" | "bcast"
@@ -71,10 +67,8 @@ class CommTrace:
     @property
     def n_messages(self) -> int:
         """Transport messages this rank sent: the measured count when the
-        backend records one (the process backend does — e.g. an allgather
-        over the shared-memory plane is ceil(log2 P) descriptor messages,
-        a pickle mesh P-1 payload sends), else the legacy mesh estimate
-        (allgather among P ranks as P-1 sends)."""
+        backend records one (the process backend does), else the mesh
+        estimate (allgather among P ranks as P-1 sends)."""
         out = 0
         for e in self.events:
             if e.n_msgs >= 0:
@@ -89,13 +83,11 @@ class CommTrace:
                 out += e.peers if e.bytes_out > 0 else 1
         return out
 
-    # -- measured wire counters (0 / legacy fallbacks where unmeasured) -------
+    # -- measured wire counters (observability; 0 where unmeasured) ---------
 
     @property
     def ser_bytes(self) -> int:
-        """Serialized bytes actually produced (serialization *work*) —
-        under serialize-once transports this stays flat in fan-out where
-        the legacy path grew by a factor of P-1."""
+        """Pickle bytes this rank actually produced (serialization work)."""
         return sum(e.ser_bytes for e in self.events)
 
     @property
@@ -104,33 +96,12 @@ class CommTrace:
 
     @property
     def wire_bytes_sent(self) -> int:
-        """Bytes physically handed to the transport (pipe writes, slot
-        deposits, segment writes); logical sizes where not measured."""
+        """Bytes physically handed to the transport (pipe writes, mailbox
+        and slot deposits); logical sizes where not measured."""
         return sum(e.wire_out if e.wire_out >= 0 else e.bytes_out for e in self.events)
 
     @property
     def wire_bytes_received(self) -> int:
-        return sum(e.wire_in if e.wire_in >= 0 else e.bytes_in for e in self.events)
-
-    @property
-    def modeled_bytes_sent(self) -> int:
-        """Outbound volume a real network transport would move: the
-        serialized payload travels once per peer for collectives (the
-        shared-memory plane's single segment write still reaches P-1
-        readers), measured wire bytes for point-to-point, logical sizes
-        for unmeasured events."""
-        out = 0
-        for e in self.events:
-            if e.kind in ("allgather", "bcast") and e.n_ser > 0:
-                out += e.ser_bytes * e.peers
-            elif e.wire_out >= 0:
-                out += e.wire_out
-            else:
-                out += e.bytes_out
-        return out
-
-    @property
-    def modeled_bytes_received(self) -> int:
         return sum(e.wire_in if e.wire_in >= 0 else e.bytes_in for e in self.events)
 
     def merge(self, other: "CommTrace") -> "CommTrace":
@@ -144,7 +115,7 @@ class TracingCommunicator(Communicator):
     """Transparent tracing wrapper around another communicator."""
 
     def __init__(self, inner: Communicator, trace: CommTrace | None = None) -> None:
-        super().__init__(inner.rank, inner.size, inner.wire.protocol)
+        super().__init__(inner.rank, inner.size)
         self.inner = inner
         # Share the backend's counters so callers reading either object
         # see the same totals.

@@ -13,7 +13,6 @@ import os
 
 import numpy as np
 
-from repro.cluster.memory import MemoryModel
 from repro.config import AlgorithmOptions, NumericPolicy
 from repro.core.state import ModeMatrix
 from repro.core.stats import RunStats
@@ -43,20 +42,14 @@ def concat_mode_parts(parts, q: int, policy: NumericPolicy) -> ModeMatrix:
     return ModeMatrix.from_parts(vals, PackedSupports(words, q), policy)
 
 
-def collect_wire_stats(
-    comm: Communicator, stats: RunStats, memory: MemoryModel | None
-) -> None:
-    """Copy the backend's measured transport counters into the run stats
-    (and the segment peak into the memory model's capacity report)."""
+def collect_wire_stats(comm: Communicator, stats: RunStats) -> None:
+    """Copy the backend's measured transport counters into the run stats."""
     w = getattr(comm, "wire", None)
     if w is None:
         return
     stats.ser_bytes = w.ser_bytes
     stats.n_serializations = w.n_ser
     stats.wire_bytes_sent = w.wire_out
-    stats.segment_peak_bytes = w.peak_segment_bytes
-    if memory is not None and w.peak_segment_bytes:
-        memory.note_segments(w.peak_segment_bytes)
 
 
 def selection_debug_enabled(options: AlgorithmOptions) -> bool:

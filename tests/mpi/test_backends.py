@@ -1,5 +1,11 @@
 """Cross-backend tests for the message-passing substrate."""
 
+import contextlib
+import multiprocessing as mp
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -50,13 +56,15 @@ def _job_no_aliasing(comm):
     data = np.zeros(4)
     parts = comm.allgather(data)
     peer = (comm.rank + 1) % comm.size
-    try:
-        parts[peer][:] = 99.0  # a received buffer must never reach the sender
-        mutated = True
-    except ValueError:  # typed protocol: received views are read-only
-        mutated = False
+    parts[peer][:] = 99.0  # a received buffer must never reach the sender
     again = comm.allgather(data)
-    return mutated, float(again[peer].sum())
+    return float(again[peer].sum())
+
+
+def _job_big_allgather(comm, nbytes):
+    """Allgather a payload far larger than a pipe's buffer."""
+    parts = comm.allgather(np.full(nbytes, comm.rank + 1, dtype=np.uint8))
+    return [(p.size, int(p.min()), int(p.max())) for p in parts]
 
 
 def _job_tag_matching(comm):
@@ -75,6 +83,32 @@ def _job_fails_on_rank(comm):
         raise ValueError("rank 1 exploded")
     comm.barrier()
     return comm.rank
+
+
+def _job_killed_on_rank(comm):
+    if comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)  # dies without a report
+    comm.barrier()
+    return comm.rank
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail (instead of hanging the suite) when the body overruns; rank
+    processes still alive at that point are terminated."""
+
+    def expire(signum, frame):
+        for child in mp.active_children():
+            child.terminate()
+        raise AssertionError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -117,26 +151,50 @@ class TestCollectives:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestIsolation:
     def test_pickle_copies_do_not_leak(self, backend):
-        outs = run_spmd(
-            _job_no_aliasing, 3, backend=backend, wire_protocol="pickle"
-        )
-        # Legacy protocol: received buffers are private writable copies.
-        assert all(o == (True, 0.0) for o in outs)
-
-    def test_typed_views_are_readonly(self, backend):
-        outs = run_spmd(
-            _job_no_aliasing, 3, backend=backend, wire_protocol="typed"
-        )
-        # Typed protocol: received arrays are zero-copy views with
-        # writeable=False — mutation raises instead of silently copying.
-        assert all(o == (False, 0.0) for o in outs)
+        outs = run_spmd(_job_no_aliasing, 3, backend=backend)
+        # Received buffers are private writable copies.
+        assert outs == [0.0] * 3
 
 
-@pytest.mark.parametrize("backend", ("sequential", "thread"))
+class TestLargePayloads:
+    @pytest.mark.parametrize("size", (2, 3))
+    def test_process_allgather_beyond_pipe_buffer(self, size):
+        """Regression: when every rank sent before receiving, two ranks
+        exchanging more than a pipe buffer blocked in their sends
+        forever."""
+        nbytes = 8 << 20
+        with _deadline(60):
+            outs = run_spmd(
+                _job_big_allgather,
+                size,
+                backend="process",
+                args=(nbytes,),
+                comm_timeout=20,
+            )
+        expected = [(nbytes, r + 1, r + 1) for r in range(size)]
+        assert outs == [expected] * size
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestErrors:
     def test_rank_failure_propagates(self, backend):
-        with pytest.raises((ValueError, CommunicatorError)):
+        t0 = time.perf_counter()
+        with _deadline(60), pytest.raises(
+            (ValueError, CommunicatorError), match="rank 1 exploded"
+        ):
             run_spmd(_job_fails_on_rank, 3, backend=backend)
+        # A dead rank fails the run at once, not after the receive poll.
+        assert time.perf_counter() - t0 < 10.0
+
+
+class TestProcessRankDeath:
+    def test_killed_rank_fails_the_run_at_once(self):
+        t0 = time.perf_counter()
+        with _deadline(60), pytest.raises(
+            CommunicatorError, match="rank 1: exited without a result"
+        ):
+            run_spmd(_job_killed_on_rank, 3, backend="process")
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestSequentialDeterminism:

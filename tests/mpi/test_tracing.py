@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.platform import CALHOUN
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.errors import CommunicatorError
 from repro.linalg.bitset import PackedSupports
@@ -92,6 +93,23 @@ class TestTracingCommunicator:
         assert merged.bytes_sent == traces[0].bytes_sent + traces[1].bytes_sent
         traces[0].clear()
         assert traces[0].bytes_sent == 0
+
+
+class TestModeledCommunication:
+    @pytest.mark.parametrize("backend", ("sequential", "process"))
+    def test_modeled_bytes_are_logical_payload_sum(self, backend):
+        """The platform model replays logical payload bytes, never the
+        host serializer's output (pickle adds framing the model must not
+        see)."""
+        traces = run_spmd(_traced_job, 3, backend=backend)
+        t0 = traces[0]
+        # Two pickles (allgather, send), each larger than its payload.
+        assert t0.ser_bytes > 2 * 1024
+        logical_out = 1024 * 2 + 1024  # allgather to 2 peers + one p2p send
+        logical_in = 1024 * 2  # allgather from 2 peers
+        assert (t0.bytes_sent, t0.bytes_received) == (logical_out, logical_in)
+        expected = 3 * CALHOUN.latency + (logical_out + logical_in) / CALHOUN.bandwidth
+        assert CALHOUN.t_communicate(t0) == pytest.approx(expected, rel=1e-12)
 
 
 def _same_value_job(comm, diverge):

@@ -1,25 +1,16 @@
-"""Unit tests for the typed wire codec and payload measurement."""
+"""Unit tests for the one wire: payload round trips over the process
+backend, the transport counters, the comm-timeout resolution and payload
+measurement."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.mpi import wire
-from repro.mpi.comm import payload_nbytes
-from repro.mpi.wire import (
-    WireCounters,
-    WireError,
-    decode,
-    encode,
-    is_frame,
-    pack_message,
-    unpack_message,
-)
-
-
-def roundtrip(obj):
-    return decode(encode(obj).to_bytes())
+from repro.config import resolve_comm_timeout
+from repro.mpi.comm import WireCounters, pack_message, payload_nbytes
+from repro.mpi.spmd import get_engine, run_spmd
 
 
 def deep_equal(a, b):
@@ -40,7 +31,28 @@ def deep_equal(a, b):
     return type(a) is type(b) and a == b
 
 
+def _same_exact_payload(got, sent):
+    return list(got[0]) == list(sent[0]) and got[1:] == sent[1:]
+
+
+def _job_check_from_rank_1(comm, obj, same):
+    """Rank 1 offers ``obj``; rank 0 compares what the transport
+    delivered with its own copy (inherited through the fork)."""
+    got = comm.allgather(obj if comm.rank == 1 else None)[1]
+    return same(got, obj)
+
+
+def roundtrip_ok(obj, same=deep_equal):
+    """Ship ``obj`` between two forked ranks; rank 0's verdict."""
+    return run_spmd(
+        _job_check_from_rank_1, 2, backend="process", args=(obj, same)
+    )[0]
+
+
 class TestRoundtrip:
+    """Every payload shape the drivers send survives the pipe transport
+    with its type, dtype, byte order and shape."""
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -60,7 +72,7 @@ class TestRoundtrip:
         ],
     )
     def test_scalars_and_containers(self, obj):
-        assert deep_equal(roundtrip(obj), obj)
+        assert roundtrip_ok(obj)
 
     @pytest.mark.parametrize(
         "arr",
@@ -75,125 +87,38 @@ class TestRoundtrip:
         ],
     )
     def test_arrays(self, arr):
-        out = roundtrip(arr)
-        assert out.dtype == arr.dtype and out.shape == arr.shape
-        assert np.array_equal(out, arr)
+        assert roundtrip_ok(arr)
 
     def test_noncontiguous_and_fortran(self):
         base = np.arange(24, dtype=np.float64).reshape(4, 6)
         for arr in (base[:, ::2], np.asfortranarray(base)):
-            out = roundtrip(arr)
-            assert np.array_equal(out, arr) and out.shape == arr.shape
+            assert roundtrip_ok(arr)
 
     def test_wire_tuple(self):
         words = np.arange(20, dtype=np.uint64).reshape(10, 2)
         pi = np.arange(10, dtype=np.int32)
         pj = (np.arange(10, dtype=np.int32) + 5)
-        out = roundtrip((words, pi, pj))
-        assert deep_equal(out, (words, pi, pj))
+        assert roundtrip_ok((words, pi, pj))
 
-    def test_big_int_and_dict_fall_back_to_pickle(self):
-        frame = encode({"a": 1})
-        assert frame.n_pickled == 1
-        assert roundtrip({"a": 1}) == {"a": 1}
-        assert roundtrip(2**100) == 2**100
-
-    def test_object_array_falls_back_to_pickle(self):
-        arr = np.array([Fraction(1, 3), Fraction(2, 5)], dtype=object)
-        frame = encode(arr)
-        assert frame.n_pickled == 1
-        out = decode(frame.to_bytes())
-        assert list(out) == list(arr)
-
-    def test_fallback_off_raises(self):
-        with pytest.raises(WireError):
-            encode({"a": 1}, fallback=False)
-
-
-class TestZeroCopy:
-    def test_decoded_views_are_readonly_and_share_blob(self):
-        arr = np.arange(100, dtype=np.float64)
-        blob = encode(arr).to_bytes()
-        out = decode(blob)
-        assert not out.flags.writeable
-        assert np.shares_memory(out, np.frombuffer(blob, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            out[0] = 1.0
-
-    def test_buffers_are_8_aligned(self):
-        blob = encode((np.arange(3, dtype=np.float64), b"x" * 3,
-                       np.arange(5, dtype=np.int64))).to_bytes()
-        a, _, c = decode(blob)
-        for out in (a, c):
-            addr = out.__array_interface__["data"][0]
-            assert addr % 8 == 0
-
-    def test_write_into_matches_to_bytes(self):
-        frame = encode((np.arange(7, dtype=np.int64), "tag"))
-        buf = bytearray(frame.nbytes)
-        assert frame.write_into(buf) == frame.nbytes
-        assert bytes(buf) == frame.to_bytes()
-
-    def test_write_into_too_small(self):
-        frame = encode(np.arange(16, dtype=np.int64))
-        with pytest.raises(WireError):
-            frame.write_into(bytearray(4))
-
-
-class TestFraming:
-    def test_is_frame_sniffing(self):
-        import pickle
-
-        assert is_frame(encode((1, 2)).to_bytes())
-        assert not is_frame(pickle.dumps((1, 2), pickle.HIGHEST_PROTOCOL))
-        assert not is_frame(b"")
-        assert not is_frame(b"RWF")
-
-    def test_bad_magic_and_version(self):
-        blob = bytearray(encode(1).to_bytes())
-        with pytest.raises(WireError):
-            decode(b"XXXX" + bytes(blob[4:]))
-        bad = bytearray(blob)
-        bad[4] = 99  # version field
-        with pytest.raises(WireError):
-            decode(bytes(bad))
-        with pytest.raises(WireError):
-            decode(b"RW")
-
-    def test_unpack_sniffs_both_protocols(self):
-        payload = (np.arange(4, dtype=np.uint64), "x")
-        for protocol in wire.PROTOCOLS:
-            blob = pack_message(payload, protocol)
-            assert deep_equal(unpack_message(blob), payload)
-
-    def test_typed_frame_smaller_than_pickle_for_wire_tuple(self):
-        words = np.arange(200, dtype=np.uint64).reshape(100, 2)
-        payload = (words, np.arange(100, dtype=np.int32),
-                   np.arange(100, dtype=np.int32))
-        typed = pack_message(payload, "typed")
-        pickled = pack_message(payload, "pickle")
-        assert len(typed) < len(pickled)
-        # Framing overhead over the raw array bytes stays small.
-        raw = sum(a.nbytes for a in payload)
-        assert len(typed) - raw < 128
+    def test_exact_and_generic_payloads(self):
+        """Exact-arithmetic rows (object arrays of Fractions), big ints
+        and dicts travel as they are."""
+        rows = np.array([Fraction(1, 3), Fraction(2, 5)], dtype=object)
+        assert roundtrip_ok((rows, 2**100, {"a": 1}), _same_exact_payload)
 
 
 class TestCounters:
     def test_pack_message_counts_once(self):
-        c = WireCounters("typed")
-        blob = pack_message(np.arange(8, dtype=np.float64), "typed", c)
+        c = WireCounters()
+        payload = np.arange(8, dtype=np.float64)
+        blob = pack_message(payload, c)
         assert c.n_ser == 1
         assert c.ser_bytes == len(blob)
-        assert c.n_pickle_fallbacks == 0
-        pack_message({"unknown": 1}, "typed", c)
-        assert c.n_ser == 2 and c.n_pickle_fallbacks == 1
-
-    def test_segment_round_tracks_peak(self):
-        c = WireCounters("typed")
-        c.note_segment_round(100)
-        c.note_segment_round(40)
-        assert c.last_segment_bytes == 40
-        assert c.peak_segment_bytes == 100
+        assert np.array_equal(pickle.loads(blob), payload)
+        pack_message({"unknown": 1}, c)
+        assert c.n_ser == 2
+        pack_message("control", None)  # control traffic is not counted
+        assert c.n_ser == 2
 
     def test_snapshot_order(self):
         c = WireCounters()
@@ -203,40 +128,28 @@ class TestCounters:
     def test_ctrl_plane_separate_from_wire_out(self):
         c = WireCounters()
         c.ctrl_out += 96
-        assert c.wire_out == 0  # descriptor/barrier traffic is not payload
+        assert c.wire_out == 0  # barrier traffic is not payload
 
 
 class TestResolution:
-    def test_resolve_protocol(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_PROTOCOL", raising=False)
-        assert wire.resolve_protocol() == "typed"
-        assert wire.resolve_protocol("pickle") == "pickle"
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "pickle")
-        assert wire.resolve_protocol() == "pickle"
-        with pytest.raises(WireError):
-            wire.resolve_protocol("msgpack")
-
     def test_resolve_timeout(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMM_TIMEOUT_S", raising=False)
-        assert wire.resolve_timeout() == 300.0
-        assert wire.resolve_timeout(12.5) == 12.5
+        assert resolve_comm_timeout() == 300.0
+        assert resolve_comm_timeout(12.5) == 12.5
         monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", "45")
-        assert wire.resolve_timeout() == 45.0
-        with pytest.raises(WireError):
-            wire.resolve_timeout(0)
-
-    def test_segments_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_SEGMENTS", raising=False)
-        assert wire.segments_enabled() is True
-        assert wire.segments_enabled(False) is False
-        for off in ("off", "ring", "none", "0"):
-            monkeypatch.setenv("REPRO_WIRE_SEGMENTS", off)
-            assert wire.segments_enabled() is False
+        assert resolve_comm_timeout() == 45.0
+        # The engines and the options default read the same resolver.
+        assert get_engine("process").comm_timeout == 45.0
+        with pytest.raises(ValueError, match="positive"):
+            resolve_comm_timeout(0)
+        monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", "-1")
+        with pytest.raises(ValueError, match="positive"):
+            get_engine("thread")
 
 
 class TestPayloadNbytes:
-    """Pins for the logical payload measurement (satellite: dict payloads
-    used to fall through to whole-container pickle)."""
+    """Pins for the logical payload measurement (dict payloads used to
+    fall through to whole-container pickle)."""
 
     def test_deferred_wire_tuple_measured_by_contents(self):
         # The deferred pipeline's allgather triple for 100 candidates over
