@@ -1,158 +1,186 @@
-"""Rank-test backend benchmark: modular vs. batched vs. the loop reference.
+"""Rank-test benchmark: the modular kernel vs. its SVD fallback.
 
 Workload: the combined divide-and-conquer run (Algorithm 3) on the yeast
-Network I small variant with a ``q_sub = 5`` tail partition — the
-configuration the accelerated engines target, where the ``2^q_sub``
-subproblems repeatedly test overlapping supports of the same reduced
-stoichiometry and the shared rank memo turns that redundancy into hits.
+Network I small variant with a ``q_sub = 5`` tail partition, where the
+``2^q_sub`` subproblems repeatedly test overlapping supports of the same
+reduced stoichiometry and the shared rank memo turns that redundancy into
+hits.
 
-Reports the rank-test phase time (``t_rank_test`` in ``RunStats``) for
-all three backends and writes a machine-readable ``BENCH_ranktest.json``
-artifact next to the text reports under ``benchmarks/out/``.  Two
-acceptance bars are asserted: the batched engine's >= 3x over the loop,
-and the modular engine's >= 1.5x over batched on the *dominant* iteration
-(the elimination position where batched spends the most rank-test time —
-the spot the residue-field kernel and its unit-row reduction were built
-for).
-Repetitions come from ``REPRO_BENCH_REPS`` (default 3; CI's smoke job
-sets 1); each backend's time is the best over repetitions, which is the
-standard guard against scheduler noise on shared runners.
+The run is solved once with a spy on every ``rank_test`` call (the way
+``tests/properties/test_prescreen.py`` spies on ``stream_iteration``).
+The recorded call sequence is then replayed through the rank test's
+engine, :func:`repro.linalg.modular.modular_ranks`, and through its SVD
+fallback, :func:`repro.linalg.batched.bucketed_ranks`, each with fresh
+memos bound exactly as the run bound its own (one fresh cache per cache
+of the run, same token, same canonical column map) and a cold
+prepared-problem registry.  Both replays must reproduce the run's
+acceptance masks.
+
+Writes ``BENCH_ranktest.json`` and ``ranktest_backends.txt`` under
+``benchmarks/out/``.  The acceptance bar: the kernel's replay is >= 1.5x
+faster than the fallback's at the *dominant* elimination position (where
+the fallback spends the most replay time).  Repetitions come from
+``REPRO_BENCH_REPS`` (default 3; CI's smoke job sets 1); each engine's
+time is the best replay over repetitions, the standard guard against
+scheduler noise on shared runners.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.bench.tables import Table
 from repro.config import AlgorithmOptions
+from repro.core import iterstream, ranktest
+from repro.core.stats import IterationStats
 from repro.dnc.combined import combined_parallel
 from repro.dnc.selection import select_partition_reactions
 from repro.efm.api import compute_efms
+from repro.linalg import modular
+from repro.linalg.batched import CacheBinding, RankCache, bucketed_ranks
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
 
 Q_SUB = 5
-SPEEDUP_TARGET = 3.0
 MODULAR_SPEEDUP_TARGET = 1.5
-BACKENDS = ("loop", "batched", "modular")
+ENGINES = {"batched": bucketed_ranks, "modular": modular.modular_ranks}
 REPS = max(1, int(os.environ.get("REPRO_BENCH_REPS", "3")))
+COUNTERS = (
+    "n_rank_cache_hits", "n_rank_batches", "n_rank_modular",
+    "n_rank_unit_members", "n_rank_fallback",
+)
 
 
-def _canonical(rows: np.ndarray) -> np.ndarray:
-    """Unit max-norm scale + lexicographic sort, for order/scale-free
-    EFM-set comparison (mirrors the test suite's helper)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[0] == 0:
-        return rows
-    scale = np.abs(rows).max(axis=1, keepdims=True)
-    scale[scale == 0] = 1.0
-    keys = np.round(rows / scale, 9)
-    return keys[np.lexsort(keys.T[::-1])]
-
-
-@pytest.fixture(scope="module")
-def backend_runs():
+def _record_run():
+    """Solve the workload once, recording every ``rank_test`` call."""
     reduced = compress_network(yeast_1_small()).reduced
     partition = select_partition_reactions(
         reduced, Q_SUB, method="tail", options=AlgorithmOptions()
     )
-    out = {"partition": partition, "reduced": reduced}
-    for backend in BACKENDS:
-        options = AlgorithmOptions(rank_backend=backend)
+    calls = []
+    real = iterstream.rank_test
+
+    def spy(candidates, n_perm, rank_bound, *, cache=None, stats=None, **kw):
+        accept = real(
+            candidates, n_perm, rank_bound, cache=cache, stats=stats, **kw
+        )
+        calls.append({
+            "candidates": candidates,
+            "n_perm": n_perm,
+            "rank_bound": rank_bound,
+            "kwargs": kw,
+            "cache": cache,
+            "position": stats.position,
+            "accept": accept,
+        })
+        return accept
+
+    with mock.patch.object(iterstream, "rank_test", spy):
+        run = combined_parallel(reduced, partition, 1)
+    return run, partition, calls
+
+
+def _replay(calls, engine: str):
+    """One timed replay of ``calls`` with fresh memos; returns the total
+    seconds, seconds per elimination position, counters and masks."""
+    modular._REGISTRY.clear()
+    modular._ID_CACHE.clear()
+    fresh: dict[int, RankCache] = {}
+    stats = IterationStats(position=-1, reaction="replay", reversible=False)
+    per_position: dict[int, float] = {}
+    masks = []
+    total = 0.0
+    with mock.patch.object(ranktest, "modular_ranks", ENGINES[engine]):
+        for call in calls:
+            binding = call["cache"]
+            if binding is not None:
+                cache = fresh.setdefault(id(binding.cache), RankCache())
+                binding = CacheBinding(cache, binding.token, binding.col_ids)
+            t0 = time.perf_counter()
+            mask = ranktest.rank_test(
+                call["candidates"], call["n_perm"], call["rank_bound"],
+                cache=binding, stats=stats, **call["kwargs"],
+            )
+            dt = time.perf_counter() - t0
+            total += dt
+            pos = call["position"]
+            per_position[pos] = per_position.get(pos, 0.0) + dt
+            masks.append(mask)
+    counters = {name: getattr(stats, name) for name in COUNTERS}
+    return {
+        "t": total, "per_position": per_position, "counters": counters,
+        "masks": masks,
+    }
+
+
+@pytest.fixture(scope="module")
+def replays():
+    run, partition, calls = _record_run()
+    out = {"run": run, "partition": partition, "calls": calls}
+    for engine in ENGINES:
         best = None
         for _ in range(REPS):
-            run = combined_parallel(reduced, partition, 1, options=options)
-            t_rank = sum(
-                s.stats.t_rank_test for s in run.subsets if s.stats is not None
-            )
-            if best is None or t_rank < best[1]:
-                best = (run, t_rank)
-        out[backend] = best
+            rep = _replay(calls, engine)
+            if best is None or rep["t"] < best["t"]:
+                best = rep
+        out[engine] = best
     return out
 
 
-def _stat_sum(run, attr: str) -> int:
-    return sum(
-        getattr(s.stats, attr) for s in run.subsets if s.stats is not None
-    )
-
-
-def _per_position_t_rank(run) -> dict[int, float]:
-    """Rank-test seconds summed per elimination position across all
-    subproblems — the per-iteration profile the dominant-iteration bar
-    is measured on."""
-    acc: dict[int, float] = {}
-    for s in run.subsets:
-        if s.stats is None:
-            continue
-        for it in s.stats.iterations:
-            acc[it.position] = acc.get(it.position, 0.0) + it.t_rank_test
-    return acc
-
-
-def _dominant_position(backend_runs) -> tuple[int, float, float]:
-    """(position, t_batched, t_modular) at batched's costliest position."""
-    batched_run, _ = backend_runs["batched"]
-    modular_run, _ = backend_runs["modular"]
-    by_batched = _per_position_t_rank(batched_run)
-    by_modular = _per_position_t_rank(modular_run)
+def _dominant_position(replays) -> tuple[int, float, float]:
+    """(position, t_batched, t_modular) at the fallback's costliest
+    position."""
+    by_batched = replays["batched"]["per_position"]
     pos = max(by_batched, key=by_batched.get)
-    return pos, by_batched[pos], by_modular.get(pos, 0.0)
+    return pos, by_batched[pos], replays["modular"]["per_position"].get(pos, 0.0)
 
 
-def test_backends_same_efm_set(backend_runs):
-    loop_run, _ = backend_runs["loop"]
-    assert loop_run.n_efms == 530
-    ca = _canonical(loop_run.efms())
-    for backend in ("batched", "modular"):
-        run, _ = backend_runs[backend]
-        assert run.n_efms == 530, backend
-        cb = _canonical(run.efms())
-        assert ca.shape == cb.shape, backend
-        assert np.allclose(ca, cb, atol=1e-7), backend
+def _n_tested(calls) -> int:
+    return sum(c["candidates"].n_modes for c in calls)
 
 
-def test_ranktest_backends_artifact(backend_runs, write_artifact):
-    loop_run, t_loop = backend_runs["loop"]
-    batched_run, t_batched = backend_runs["batched"]
-    modular_run, t_modular = backend_runs["modular"]
-    speedup = t_loop / t_batched
-    modular_speedup = t_batched / t_modular
-    dom_pos, dom_batched, dom_modular = _dominant_position(backend_runs)
+def test_replays_reproduce_the_run(replays):
+    assert replays["run"].n_efms == 530
+    for engine in ENGINES:
+        masks = replays[engine]["masks"]
+        assert len(masks) == len(replays["calls"]), engine
+        for call, mask in zip(replays["calls"], masks):
+            assert np.array_equal(call["accept"], mask), engine
+
+
+def test_ranktest_backends_artifact(replays, write_artifact):
+    calls = replays["calls"]
+    dom_pos, dom_batched, dom_modular = _dominant_position(replays)
     dom_speedup = dom_batched / dom_modular if dom_modular else float("inf")
+    t_batched = replays["batched"]["t"]
+    t_modular = replays["modular"]["t"]
 
     table = Table(
         title=(
-            "BENCH — rank-test backends "
-            f"(yeast-I-small, combined, q_sub={Q_SUB}, best of {REPS})"
+            "BENCH — rank-test engine vs. SVD fallback, replayed "
+            f"(yeast-I-small, combined, q_sub={Q_SUB}, {len(calls)} calls, "
+            f"best of {REPS})"
         ),
         columns=[
-            "backend", "# EFM", "rank tests", "t_rank_test (s)",
+            "engine", "candidates", "replay (ms)", f"position {dom_pos} (ms)",
             "cache hits", "batches", "unit members", "fallbacks",
         ],
     )
-    table.add_row(
-        "loop", loop_run.n_efms, _stat_sum(loop_run, "total_rank_tests"),
-        round(t_loop, 4), 0, 0, 0, 0,
-    )
-    table.add_row(
-        "batched", batched_run.n_efms,
-        _stat_sum(batched_run, "total_rank_tests"), round(t_batched, 4),
-        _stat_sum(batched_run, "total_rank_cache_hits"),
-        _stat_sum(batched_run, "total_rank_batches"), 0, 0,
-    )
-    table.add_row(
-        "modular", modular_run.n_efms,
-        _stat_sum(modular_run, "total_rank_tests"), round(t_modular, 4),
-        _stat_sum(modular_run, "total_rank_cache_hits"),
-        _stat_sum(modular_run, "total_rank_batches"),
-        _stat_sum(modular_run, "total_rank_unit_members"),
-        _stat_sum(modular_run, "total_rank_fallback"),
-    )
+    for engine in ENGINES:
+        rep = replays[engine]
+        c = rep["counters"]
+        table.add_row(
+            engine, _n_tested(calls), round(rep["t"] * 1e3, 1),
+            round(rep["per_position"].get(dom_pos, 0.0) * 1e3, 1),
+            c["n_rank_cache_hits"], c["n_rank_batches"],
+            c["n_rank_unit_members"], c["n_rank_fallback"],
+        )
     write_artifact("ranktest_backends.txt", table.render())
 
     payload = {
@@ -161,38 +189,20 @@ def test_ranktest_backends_artifact(backend_runs, write_artifact):
         "workload": {
             "method": "combined",
             "q_sub": Q_SUB,
-            "partition": list(backend_runs["partition"]),
+            "partition": list(replays["partition"]),
+            "rank_test_calls": len(calls),
+            "candidates": _n_tested(calls),
             "repetitions": REPS,
             "aggregation": "best",
+            "measured": "replay of the run's rank_test calls, fresh memos",
         },
-        "loop": {
-            "t_rank_test": t_loop,
-            "n_efms": loop_run.n_efms,
-            "rank_tests": _stat_sum(loop_run, "total_rank_tests"),
-        },
-        "batched": {
-            "t_rank_test": t_batched,
-            "n_efms": batched_run.n_efms,
-            "rank_tests": _stat_sum(batched_run, "total_rank_tests"),
-            "cache_hits": _stat_sum(batched_run, "total_rank_cache_hits"),
-            "svd_batches": _stat_sum(batched_run, "total_rank_batches"),
-        },
-        "modular": {
-            "t_rank_test": t_modular,
-            "n_efms": modular_run.n_efms,
-            "rank_tests": _stat_sum(modular_run, "total_rank_tests"),
-            "cache_hits": _stat_sum(modular_run, "total_rank_cache_hits"),
-            "kernel_batches": _stat_sum(modular_run, "total_rank_batches"),
-            "modular_ranks": _stat_sum(modular_run, "total_rank_modular"),
-            "rank_unit_members": _stat_sum(
-                modular_run, "total_rank_unit_members"
-            ),
-            "fallbacks": _stat_sum(modular_run, "total_rank_fallback"),
-        },
-        "speedup": speedup,
-        "speedup_target": SPEEDUP_TARGET,
-        "meets_target": bool(speedup >= SPEEDUP_TARGET),
-        "modular_speedup_total": modular_speedup,
+        "batched": {"t_replay": t_batched, **replays["batched"]["counters"]},
+        "modular": {"t_replay": t_modular, **replays["modular"]["counters"]},
+        "modular_speedup_total": t_batched / t_modular,
+        "cache_hit_share": (
+            replays["modular"]["counters"]["n_rank_cache_hits"]
+            / _n_tested(calls)
+        ),
         "dominant_iteration": {
             "position": dom_pos,
             "t_batched": dom_batched,
@@ -205,21 +215,10 @@ def test_ranktest_backends_artifact(backend_runs, write_artifact):
     write_artifact("BENCH_ranktest.json", json.dumps(payload, indent=2))
 
 
-def test_ranktest_speedup_target(backend_runs):
-    """The batched engine's original acceptance bar: >= 3x over the loop."""
-    _, t_loop = backend_runs["loop"]
-    _, t_batched = backend_runs["batched"]
-    assert t_loop / t_batched >= SPEEDUP_TARGET, (
-        f"rank-test speedup {t_loop / t_batched:.2f}x below "
-        f"{SPEEDUP_TARGET}x target (loop {t_loop:.4f}s vs "
-        f"batched {t_batched:.4f}s)"
-    )
-
-
-def test_modular_dominant_iteration_speedup(backend_runs):
-    """The modular engine's acceptance bar: >= 1.5x over batched on the
-    dominant iteration — batched's costliest elimination position."""
-    dom_pos, dom_batched, dom_modular = _dominant_position(backend_runs)
+def test_modular_dominant_iteration_speedup(replays):
+    """The kernel's acceptance bar: >= 1.5x over its SVD fallback on the
+    dominant iteration — the fallback's costliest elimination position."""
+    dom_pos, dom_batched, dom_modular = _dominant_position(replays)
     assert dom_modular > 0.0
     ratio = dom_batched / dom_modular
     assert ratio >= MODULAR_SPEEDUP_TARGET, (
@@ -229,36 +228,34 @@ def test_modular_dominant_iteration_speedup(backend_runs):
     )
 
 
-def test_modular_unit_reduction_engaged(backend_runs):
+def test_modular_unit_reduction_engaged(replays):
     """The unit-row reduction must actually fire on this workload, and the
     residue kernel must certify everything without SVD rescue."""
-    modular_run, _ = backend_runs["modular"]
-    assert _stat_sum(modular_run, "total_rank_unit_members") > 0
-    assert _stat_sum(modular_run, "total_rank_modular") > 0
-    assert _stat_sum(modular_run, "total_rank_fallback") == 0
+    counters = replays["modular"]["counters"]
+    assert counters["n_rank_unit_members"] > 0
+    assert counters["n_rank_modular"] > 0
+    assert counters["n_rank_fallback"] == 0
 
 
-def test_cache_hits_across_subproblems(backend_runs):
-    """Algorithm 3's redundancy must become memo hits — for both
-    memo-composing backends."""
-    for backend in ("batched", "modular"):
-        run, _ = backend_runs[backend]
-        hits = _stat_sum(run, "total_rank_cache_hits")
-        tested = _stat_sum(run, "total_rank_tests")
-        assert hits > tested // 2, backend  # majority served from the memo
+def test_cache_hits_across_subproblems(replays):
+    """Algorithm 3's redundancy must become memo hits, on the kernel and
+    on its fallback alike."""
+    tested = _n_tested(replays["calls"])
+    for engine in ENGINES:
+        hits = replays[engine]["counters"]["n_rank_cache_hits"]
+        assert hits > tested // 2, engine  # majority served from the memo
 
 
 def test_medium_registry_equivalence():
-    """Backend equivalence at the medium registry scale (the small
-    variants and toy run the same assertion in the tier-1 parity suite;
-    yeast-II-medium is out of pure-Python benchmark reach)."""
+    """Kernel/fallback equivalence at the medium registry scale (the small
+    variants and toy run the same assertion, against the loop oracle too,
+    in the tier-1 parity suite; yeast-II-medium is out of pure-Python
+    benchmark reach)."""
     from repro.models import variants
 
     net = variants.yeast_1_medium()
-    results = {
-        be: compute_efms(net, options=AlgorithmOptions(rank_backend=be))
-        for be in BACKENDS
-    }
-    for be in ("batched", "modular"):
-        assert results["loop"].n_efms == results[be].n_efms, be
-        assert results["loop"].same_modes_as(results[be]), be
+    by_modular = compute_efms(net)
+    with mock.patch.object(ranktest, "modular_ranks", bucketed_ranks):
+        by_batched = compute_efms(net)
+    assert by_modular.n_efms == by_batched.n_efms
+    assert by_modular.same_modes_as(by_batched)

@@ -264,7 +264,6 @@ def predict_subset_peak_bytes(
     *,
     working_factor: float = 1.5,
     pair_chunk: int = 65536,
-    rank_backend: str = "modular",
     ordering: str = "paper",
 ) -> int:
     """A-priori peak-footprint prediction for one divide-and-conquer
@@ -289,9 +288,9 @@ def predict_subset_peak_bytes(
     for :func:`streaming_chunk_pairs` pairs, never more than the
     predicted pair count).
 
-    With ``rank_backend="modular"`` the residue-field kernel's per-batch
-    working set (:func:`modular_workset_bytes`) is charged on top of the
-    candidate transients.
+    The residue-field rank kernel's per-batch working set
+    (:func:`modular_workset_bytes`) is charged on top of the candidate
+    transients.
 
     With ``ordering="dynamic"`` the pair-count surrogate consumes the
     dynamic order's no-growth trajectory (:func:`_pair_trajectory_ratio`):
@@ -339,10 +338,9 @@ def predict_subset_peak_bytes(
     cand_bytes += prefilter_working_bytes(
         q_work, peak_pairs, streaming_chunk_pairs(q_work, pair_chunk)
     )
-    if rank_backend == "modular":
-        # The residue-field kernel's per-batch working set; batches are at
-        # most the surviving candidate count, surrogated by the peak modes.
-        cand_bytes += modular_workset_bytes(q_work, rank, peak_modes)
+    # The residue-field kernel's per-batch working set; batches are at
+    # most the surviving candidate count, surrogated by the peak modes.
+    cand_bytes += modular_workset_bytes(q_work, rank, peak_modes)
     return int(
         working_factor * estimate_mode_bytes(peak_modes, q_work) + cand_bytes
     )

@@ -10,6 +10,7 @@ the core algorithm (ordering heuristic, acceptance test, chunk sizes, ...).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from typing import Literal
 
@@ -29,7 +30,6 @@ AcceptanceTest = Literal["rank", "bittree", "both"]
 OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
 ]
-RankBackend = Literal["modular", "batched", "loop"]
 
 
 def resolve_comm_timeout(value: float | None = None) -> float:
@@ -38,8 +38,8 @@ def resolve_comm_timeout(value: float | None = None) -> float:
     if value is None:
         value = os.environ.get("REPRO_COMM_TIMEOUT_S", "300")
     out = float(value)
-    if out <= 0:
-        raise ValueError(f"comm timeout must be positive, got {out}")
+    if not (math.isfinite(out) and out > 0):
+        raise ValueError(f"comm timeout must be positive and finite, got {out}")
     return out
 
 
@@ -53,13 +53,6 @@ def _default_ordering() -> str:
 #: Default number of shortlisted rows the dynamic selector refines with
 #: the one-step lookahead score (0 = base pair-count score only).
 DEFAULT_SELECTION_LOOKAHEAD: int = 4
-
-
-def _default_rank_backend() -> str:
-    """Session-wide rank-backend default, overridable via the environment
-    so a whole test run can be flipped to the SVD engines (the CI
-    ``rank-backend`` legs set ``REPRO_RANK_BACKEND=batched`` / ``=loop``)."""
-    return os.environ.get("REPRO_RANK_BACKEND", "modular")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,19 +99,6 @@ class AlgorithmOptions:
         (nullity of the stoichiometric submatrix == 1), the efmtool-style
         ``"bittree"`` superset test, or ``"both"`` (cross-checking; testing
         aid).
-    rank_backend:
-        Engine computing the algebraic rank test: ``"modular"`` (default)
-        rescales the stoichiometry to exact integers once per problem and
-        answers batch nullity queries by certified fraction-free
-        elimination over a gcd-reduced integer kernel basis, settling
-        unit basis rows without elimination, with automatic
-        residue-field / SVD escalation (:mod:`repro.linalg.modular`);
-        ``"batched"`` buckets candidates by support size and decomposes
-        each bucket with one gufunc-batched SVD call; ``"loop"`` is the
-        reference one-SVD-per-candidate path (parity testing, benchmark
-        baseline).  All three share the support-pattern rank memo and
-        produce identical acceptance decisions.  The default follows
-        ``REPRO_RANK_BACKEND``.
     ordering:
         Row-processing order.  ``"dynamic"`` (default) picks the next
         eliminated row at the top of every iteration from the *live* mode
@@ -160,9 +140,6 @@ class AlgorithmOptions:
 
     arithmetic: Arithmetic = "float"
     acceptance: AcceptanceTest = "rank"
-    rank_backend: RankBackend = dataclasses.field(
-        default_factory=_default_rank_backend
-    )
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
     pair_chunk: int = DEFAULT_PAIR_CHUNK
@@ -176,8 +153,6 @@ class AlgorithmOptions:
             raise ValueError(f"unknown arithmetic {self.arithmetic!r}")
         if self.acceptance not in ("rank", "bittree", "both"):
             raise ValueError(f"unknown acceptance test {self.acceptance!r}")
-        if self.rank_backend not in ("modular", "batched", "loop"):
-            raise ValueError(f"unknown rank backend {self.rank_backend!r}")
         if self.ordering not in (
             "dynamic", "paper", "natural", "most-nonzeros", "random"
         ):

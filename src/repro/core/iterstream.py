@@ -232,7 +232,6 @@ def stream_iteration(
                         rank_bound,
                         policy=options.policy,
                         n_exact=n_exact,
-                        backend=options.rank_backend,
                         cache=rank_cache,
                         stats=stats,
                     )

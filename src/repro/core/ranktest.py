@@ -8,52 +8,39 @@ inside ``S``.  Nullity 0 cannot happen for a candidate (the candidate
 itself is a witness); nullity >= 2 means a smaller-support solution exists
 and the candidate is rejected.
 
-Three backends compute the ranks:
-
-``"modular"`` (default)
-    The residue-field engine in :mod:`repro.linalg.modular`: the
-    stoichiometry is rescaled to exact integers once per problem, the
-    nullity query is rewritten in complement form against a gcd-reduced
-    integer kernel basis, and batch ranks come from certified fraction-free
-    elimination after a unit-row reduction (mod-``p`` and SVD
-    escalation for the rare stacks the exact arm cannot certify; wholesale
-    SVD fallback for problems whose entries are not safely rational).
-``"batched"``
-    The engine in :mod:`repro.linalg.batched`: candidates are bucketed by
-    support size, each bucket's submatrices are gathered into one 3-D
-    stack and decomposed by a single gufunc-batched SVD call, and an
-    optional support-pattern memo (:class:`repro.linalg.batched.RankCache`)
-    skips repeated selections across iterations and divide-and-conquer
-    subproblems.
-``"loop"``
-    The reference implementation: one Python-level
-    :func:`~repro.linalg.numeric.numeric_rank` call per candidate.  Kept
-    for parity testing and benchmarking.
-
-All backends share the support-pattern rank memo and see only candidates
-that survive summary rejection — the packed supports are unpacked solely
-for those survivors, never for the full batch.
+The ranks come from one engine, the residue-field kernel of
+:mod:`repro.linalg.modular`: the stoichiometry is rescaled to exact
+integers once per problem, each nullity query is rewritten in complement
+form against a gcd-reduced integer kernel basis, and batch ranks come
+from certified fraction-free elimination after a unit-row reduction.
+The kernel itself falls back to the SVD stack of
+:mod:`repro.linalg.batched` for exact-arithmetic runs, for
+stoichiometries that are not safely rational, and for the rare
+candidates two primes disagree on.  A support-pattern memo
+(:class:`repro.linalg.batched.RankCache`) serves repeated column
+selections across iterations and divide-and-conquer subproblems.  The
+packed supports are unpacked solely for the candidates that survive
+summary rejection, never for the full batch.
 
 The streamed candidate phase calls this test only for candidates that
 pass its zero-mode subset pre-screen
 (:func:`repro.core.iterstream.zero_mode_supersets`): a candidate whose
 support strictly contains a zero-entry survivor's support has nullity at
-least 2 and is rejected there, before any backend or memo sees it.  The
-backends therefore decide only the candidates no bitset test can.
+least 2 and is rejected there, before the engine or the memo sees it.
+The engine therefore decides only the candidates no bitset test can.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config import DEFAULT_POLICY, NumericPolicy, RankBackend
+from repro.config import DEFAULT_POLICY, NumericPolicy
 from repro.core.state import ModeMatrix
 from repro.errors import AlgorithmError
 from repro.linalg import rational
-from repro.linalg.batched import CacheBinding, bucketed_ranks
+from repro.linalg.batched import CacheBinding
 from repro.linalg.bitset import unpack_supports
 from repro.linalg.modular import modular_ranks
-from repro.linalg.numeric import numeric_rank
 
 
 def rank_test(
@@ -63,7 +50,6 @@ def rank_test(
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
     n_exact: rational.FractionMatrix | None = None,
-    backend: RankBackend = "batched",
     cache: CacheBinding | None = None,
     stats=None,
 ) -> np.ndarray:
@@ -82,13 +68,9 @@ def rank_test(
         tightened from row count to rank).
     n_exact:
         When given (exact-arithmetic runs), rank is computed over
-        Fractions on the same column selection instead of by SVD.
-    backend:
-        ``"modular"`` (residue-field kernel + memo), ``"batched"``
-        (bucketed gufunc SVD + memo) or ``"loop"`` (one SVD per candidate)
-        — see the module docstring.
+        Fractions on the same column selection.
     cache:
-        Optional problem-bound rank memo (modular and batched backends).
+        Optional problem-bound rank memo.
     stats:
         Optional :class:`~repro.core.stats.IterationStats` receiving the
         engine's cache-hit and batch counters.
@@ -112,33 +94,7 @@ def rank_test(
     support_mask = unpack_supports(words, candidates.q)  # (q, n_surv)
     surv_sizes = sizes[idx]
 
-    if backend == "loop":
-        for pos, c in enumerate(idx):
-            cols = np.nonzero(support_mask[:, pos])[0]
-            if n_exact is not None:
-                sub = rational.select_columns(n_exact, cols.tolist())
-                r = rational.exact_rank(sub)
-            else:
-                r = numeric_rank(n_perm[:, cols], policy)
-            accept[c] = (int(surv_sizes[pos]) - r) == 1
-        return accept
-    if backend == "modular":
-        ranks = modular_ranks(
-            n_perm,
-            support_mask,
-            surv_sizes,
-            policy=policy,
-            n_exact=n_exact,
-            words=words,
-            cache=cache,
-            stats=stats,
-        )
-        accept[idx] = (surv_sizes - ranks) == 1
-        return accept
-    if backend != "batched":
-        raise AlgorithmError(f"unknown rank-test backend {backend!r}")
-
-    ranks = bucketed_ranks(
+    ranks = modular_ranks(
         n_perm,
         support_mask,
         surv_sizes,

@@ -40,18 +40,17 @@ class IterationStats:
     #: theirs (see repro.core.iterstream).
     n_superset_rejected: int = 0
     n_accepted: int = 0
-    #: rank tests answered from the support-pattern memo (memo-capable
-    #: backends: modular, batched).
+    #: rank tests answered from the support-pattern memo.
     n_rank_cache_hits: int = 0
-    #: batched kernel/LAPACK calls issued (one per non-empty miss bucket on
-    #: the batched backend, one per merged miss stack on the modular one).
+    #: rank-kernel batches issued (one per merged miss stack of the
+    #: modular kernel, one per non-empty miss bucket of its SVD fallback).
     n_rank_batches: int = 0
     #: largest single batch handed to a rank kernel.
     rank_batch_max: int = 0
     #: rank tests certified by the modular residue-field kernel (exact
-    #: fraction-free or mod-p arms; rank_backend="modular").
+    #: fraction-free or mod-p arms).
     n_rank_modular: int = 0
-    #: rank tests the modular backend handed to the SVD engine instead —
+    #: rank tests the modular kernel handed to its SVD fallback instead —
     #: non-rational problems, unverifiable kernels, prime disagreements.
     n_rank_fallback: int = 0
     #: complement members the modular kernel settled by the unit-row
@@ -155,7 +154,7 @@ class RunStats:
 
     @property
     def total_rank_fallback(self) -> int:
-        """Rank tests the modular backend escalated to the SVD engine."""
+        """Rank tests the modular kernel escalated to its SVD fallback."""
         return sum(it.n_rank_fallback for it in self.iterations)
 
     @property

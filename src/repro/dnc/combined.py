@@ -67,12 +67,10 @@ from repro.errors import (
     ReversibleIdentityError,
 )
 from repro.efm.splitting import BWD_SUFFIX, FWD_SUFFIX, SplitRecord, split_reversible
-from repro.linalg.batched import RankCache, problem_token
 from repro.mpi.spmd import BackendName
 from repro.mpi.tracing import CommTrace
 from repro.network.compression import blocked_reactions
 from repro.network.model import MetabolicNetwork
-from repro.network.stoichiometry import stoichiometric_matrix
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.pairs import PairStrategyName
 
@@ -184,29 +182,6 @@ class CombinedRunResult:
         if not parts:
             return np.zeros((0, self.network.n_reactions))
         return np.concatenate(parts, axis=0)
-
-
-def shared_rank_cache(
-    reduced: MetabolicNetwork, options: AlgorithmOptions
-) -> tuple[RankCache, bytes] | None:
-    """One rank memo for *all* subproblems of a divide-and-conquer run.
-
-    Compatibility accessor; the canonical home of this wiring is
-    :meth:`repro.engine.context.RunContext.bind_shared_rank_memo`, which
-    every engine-driven run uses.  Returns ``(cache, token)`` or ``None``
-    when no memo-capable backend (batched, modular) is on.
-    """
-    if (
-        options.rank_backend not in ("batched", "modular")
-        or options.acceptance == "bittree"
-    ):
-        return None
-    token = problem_token(
-        stoichiometric_matrix(reduced),
-        options.policy,
-        options.arithmetic == "exact",
-    )
-    return RankCache(), token
 
 
 def _canonical_name(name: str) -> str:
@@ -484,7 +459,6 @@ def solve_subset(
     pair_strategy: PairStrategyName = "strided",
     memory_model: MemoryModel | None = None,
     auto_split: bool = True,
-    rank_memo: tuple[RankCache, bytes] | None = None,
     context: RunContext | None = None,
     blocked: frozenset[str] | None = None,
 ) -> SubsetResult:
@@ -495,13 +469,9 @@ def solve_subset(
     shares support-pattern rank results with the run's other subproblems;
     keys are canonical reduced-network column sets, so differing
     permutations, deletions and reversible splits all address the same
-    entries.  ``rank_memo`` is the legacy spelling of the same thing and
-    is folded into a private context when no context is given.
-    ``blocked`` is passed on to :func:`prepare_subset`.
+    entries.  ``blocked`` is passed on to :func:`prepare_subset`.
     """
     ctx = RunContext.ensure(context, options=options, memory_model=memory_model)
-    if context is None and rank_memo is not None:
-        ctx.shared_rank_memo = rank_memo
     t0 = time.perf_counter()
     prep = prepare_subset(
         reduced, spec, options=ctx.options, auto_split=auto_split, blocked=blocked

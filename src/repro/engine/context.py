@@ -72,8 +72,8 @@ class RunContext:
     Parameters
     ----------
     options:
-        The algorithm tunables (arithmetic, acceptance test, rank backend,
-        ordering, chunk sizes).
+        The algorithm tunables (arithmetic, acceptance test, ordering,
+        chunk sizes).
     memory_model:
         Optional modeled per-rank memory budget.  Drivers obtain fresh
         (zeroed) copies per run via :meth:`fresh_memory` so subproblems are
@@ -137,8 +137,7 @@ class RunContext:
         and divide-and-conquer drivers get their rank memo from.  Three
         regimes:
 
-        * the loop backend and pure-bittree runs take no cache (``None``;
-          the modular and batched backends share one memo format);
+        * pure-bittree runs take no cache (``None``);
         * with :attr:`shared_rank_memo` bound (divide-and-conquer), the
           binding addresses the run-wide memo through ``col_ids`` — the
           mapping from the problem's permuted columns to canonical
@@ -152,10 +151,7 @@ class RunContext:
         that combination the binding quietly degrades to a fresh private
         memo.
         """
-        if (
-            self.options.rank_backend not in ("batched", "modular")
-            or self.options.acceptance == "bittree"
-        ):
+        if self.options.acceptance == "bittree":
             return None
         if self.shared_rank_memo is not None and col_ids is not None:
             cache, token = self.shared_rank_memo
@@ -174,16 +170,12 @@ class RunContext:
         the rank of a submatrix depends only on which reduced-network
         columns the support selects — disjoint subsets repeatedly test
         overlapping supports of the same matrix, and Algorithm 3's
-        redundancy becomes cache hits.  No-op when neither memo-capable
-        backend (batched, modular) is on (then :meth:`rank_binding_for`
-        returns ``None`` anyway).
+        redundancy becomes cache hits.  No-op for pure-bittree runs (then
+        :meth:`rank_binding_for` returns ``None`` anyway).
         """
         from repro.network.stoichiometry import stoichiometric_matrix  # noqa: PLC0415
 
-        if (
-            self.options.rank_backend not in ("batched", "modular")
-            or self.options.acceptance == "bittree"
-        ):
+        if self.options.acceptance == "bittree":
             self.shared_rank_memo = None
             return
         token = problem_token(

@@ -214,7 +214,6 @@ class SubproblemScheduler:
                     spec,
                     working_factor=wf,
                     pair_chunk=opts.pair_chunk,
-                    rank_backend=opts.rank_backend,
                     ordering=opts.ordering,
                 )
             jobs.append(SubsetJob(i, spec, peak, blocked=dead, screened=screened))

@@ -4,8 +4,6 @@ routines, and packed bitset support patterns."""
 from repro.linalg.batched import (
     CacheBinding,
     RankCache,
-    batched_ranks,
-    bucketed_ranks,
     problem_token,
 )
 from repro.linalg.bitset import (
@@ -32,8 +30,6 @@ from repro.linalg.rational import (
 __all__ = [
     "CacheBinding",
     "RankCache",
-    "batched_ranks",
-    "bucketed_ranks",
     "problem_token",
     "PackedSupports",
     "pack_supports",

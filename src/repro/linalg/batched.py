@@ -1,8 +1,11 @@
-"""Batched rank computation for the RankTests hot path.
+"""The SVD stack behind the rank kernel, and the support-pattern rank memo.
 
-The paper's profile (and ours) is dominated by the algebraic rank test:
-one small SVD per surviving candidate, issued from a Python ``for`` loop.
-This module turns that loop into a data-parallel kernel:
+The rank test's engine is the residue-field kernel of
+:mod:`repro.linalg.modular`; this module is its fallback for
+exact-arithmetic runs, for stoichiometries that are not safely rational
+and for candidates two primes disagree on.  Instead of one small SVD per
+candidate issued from a Python ``for`` loop, it runs a data-parallel
+kernel:
 
 * **Support-size bucketing** — the deduplicated candidates of an iteration
   are grouped by support size ``s``; all submatrices ``N[:, S]`` of one
@@ -25,7 +28,8 @@ This module turns that loop into a data-parallel kernel:
 
 The cutoff convention matches :func:`repro.linalg.numeric.numeric_rank`
 exactly (``rank_tol * sigma_max * max(m, s)`` with the *uncompacted*
-shape), so the batched and loop backends agree decision-for-decision.
+shape), so the stack agrees decision-for-decision with one
+``numeric_rank`` call per candidate.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 from repro.config import NumericPolicy
 from repro.errors import LinAlgError
 from repro.linalg import rational
+from repro.linalg.bitset import pack_support_rows
 
 #: Cache entries beyond this count are silently not inserted (lookup keeps
 #: working) — a simple, deterministic bound on memo growth for huge runs.
@@ -46,12 +51,12 @@ DEFAULT_CACHE_CAPACITY = 1_000_000
 class RankCache:
     """Support-pattern → rank memo shared across iterations and problems.
 
-    Keys are ``(token, column-set bytes)`` tuples produced by a
-    :class:`CacheBinding`; values are ``(rank, tag)`` pairs, the tag naming
-    the backend that certified the rank (``"batched"``, ``"exact"``,
-    ``"modular"``).  Rank is backend-agnostic — a pure function of the
-    column selection — so any backend may consume any entry; the tag exists
-    for diagnostics and tests.  The cache is a plain dict: lookups and
+    Keys are ``token + column-set`` bytes produced by
+    :meth:`CacheBinding.keys`; values are ``(rank, tag)`` pairs, the tag
+    naming the arm that certified the rank (``"modular"``, or the SVD
+    fallback's ``"batched"`` / ``"exact"``).  Rank is a pure function of
+    the column selection, so every arm may consume any entry; the tag
+    exists for diagnostics and tests.  The cache is a plain dict: lookups and
     inserts are GIL-atomic, so concurrent thread-backend ranks can share
     one instance (a lost insert merely costs a recompute).
     """
@@ -109,8 +114,8 @@ class CacheBinding:
         self.col_ids = None if col_ids is None else np.asarray(col_ids, dtype=np.int64)
         # Ascending-id column permutation: selecting support columns in
         # this order yields each candidate's canonical ids already sorted,
-        # so whole-call key passes need no per-row sort (stable, so
-        # duplicated split-column ids keep their multiset bytes).
+        # so the key pass needs no per-row sort (stable, so duplicated
+        # split-column ids keep their multiset bytes).
         if self.col_ids is None:
             self.col_perm = None
             self.col_ids_sorted = None
@@ -118,25 +123,38 @@ class CacheBinding:
             self.col_perm = np.argsort(self.col_ids, kind="stable")
             self.col_ids_sorted = np.ascontiguousarray(self.col_ids[self.col_perm])
 
-    def keys(self, words: np.ndarray, cols: np.ndarray) -> list[bytes]:
-        """One hashable key per candidate of a bucket.
+    def keys(
+        self,
+        mask_t: np.ndarray,
+        sizes: np.ndarray,
+        words: np.ndarray | None = None,
+    ) -> list[bytes]:
+        """One memo key per candidate of a call, in one vectorized pass.
 
-        ``words``: packed support rows ``(n, n_words)``; ``cols``: column
-        index matrix ``(n, s)`` (both for the same candidates, same order).
-        Keys are flat ``token + row-bytes`` strings — one ``tobytes`` for
-        the whole bucket, sliced per row, instead of a Python-level array
-        conversion per candidate.
+        ``mask_t`` is the ``(n, q)`` support mask (one candidate per row),
+        ``sizes`` its row popcounts and ``words`` the packed support rows
+        (packed from the mask when omitted).  Keys are flat
+        ``token + row-bytes`` strings sliced out of one blob: the packed
+        words without ``col_ids``; with them, the candidate's canonical
+        ids, read off the mask in ascending-id column order so each row
+        comes out sorted without a sort, the variable-size multisets
+        sliced by the size prefix sums.
         """
         token = self.token
         if self.col_ids is None:
+            if words is None:
+                words = pack_support_rows(mask_t)
             rows = np.ascontiguousarray(words)
-        else:
-            rows = np.sort(self.col_ids[cols], axis=1)
-        stride = rows.shape[1] * rows.itemsize
-        if stride == 0:  # empty-support bucket: all keys identical
-            return [token] * rows.shape[0]
-        blob = rows.tobytes()
-        return [token + blob[i : i + stride] for i in range(0, len(blob), stride)]
+            stride = rows.shape[1] * rows.itemsize
+            if stride == 0:  # no columns: all keys identical
+                return [token] * rows.shape[0]
+            blob = rows.tobytes()
+            return [token + blob[i : i + stride] for i in range(0, len(blob), stride)]
+        ci = np.nonzero(mask_t[:, self.col_perm])[1]
+        blob = np.ascontiguousarray(self.col_ids_sorted[ci]).tobytes()
+        ends = np.cumsum(sizes, dtype=np.int64) * 8
+        starts = ends - sizes.astype(np.int64) * 8
+        return [token + blob[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def problem_token(
@@ -151,25 +169,11 @@ def problem_token(
     return h.digest()
 
 
-def iter_size_buckets(
-    support_mask: np.ndarray,
-    sizes: np.ndarray,
-    *,
-    words: np.ndarray | None = None,
-    cache: CacheBinding | None = None,
-    mask_t: np.ndarray | None = None,
-):
-    """Yield ``(b_idx, cols, keys)`` per support-size bucket.
-
-    The shared front half of every rank backend: candidates grouped by
-    support size (equal-``s`` column-index matrices gather contiguously),
-    with per-candidate cache keys computed bucket-at-a-time when a memo is
-    bound (``keys is None`` otherwise).  ``mask_t`` lets callers reuse an
-    already-transposed ``(n, q)`` mask.
-    """
+def _size_buckets(mask_t: np.ndarray, sizes: np.ndarray):
+    """Yield ``(b_idx, cols)`` per support-size bucket: candidates grouped
+    by support size, so equal-``s`` column-index matrices gather
+    contiguously."""
     n = int(sizes.size)
-    if mask_t is None:
-        mask_t = np.ascontiguousarray(support_mask.T)  # (n, q)
     order = np.argsort(sizes, kind="stable")
     sorted_sizes = sizes[order]
     # Bucket boundaries: runs of equal support size in the sorted order.
@@ -181,17 +185,14 @@ def iter_size_buckets(
         s = int(sorted_sizes[b0])
         # np.nonzero walks the (n_bucket, q) block row-major, so indices
         # come out grouped per candidate, ascending — ready to reshape.
-        cols = np.nonzero(mask_t[b_idx])[1].reshape(b_idx.size, s)
-        keys = None
-        if cache is not None:
-            keys = cache.keys(words[b_idx] if words is not None else None, cols)
-        yield b_idx, cols, keys
+        yield b_idx, np.nonzero(mask_t[b_idx])[1].reshape(b_idx.size, s)
 
 
 def split_cache_hits(
     cache: CacheBinding, keys: list, b_idx: np.ndarray, ranks: np.ndarray, stats=None
 ) -> list[int]:
-    """Fill cache-hit ranks of one bucket in place; return miss positions.
+    """Fill the cache-hit ranks of ``b_idx`` in place; return the miss
+    positions within ``keys``.
 
     Inlined bulk lookup: one dict ``.get`` per key, counters updated once
     per bucket (``RankCache.lookup`` would cost a Python call and two
@@ -273,10 +274,11 @@ def bucketed_ranks(
         per-candidate rational elimination (bucketing still drives the
         cache, but no LAPACK batching applies).
     words:
-        Packed support rows ``(n, n_words)`` aligned with the mask columns;
-        required when ``cache`` uses the fast packed-key path.
+        Packed support rows ``(n, n_words)`` aligned with the mask columns
+        (the packed-key memo path packs them when omitted).
     cache:
         Optional bound rank memo; hits skip the decomposition entirely.
+        Its keys are computed once per call and sliced per bucket.
     stats:
         Optional counter sink with ``n_rank_cache_hits``,
         ``n_rank_batches`` and ``rank_batch_max`` attributes
@@ -286,16 +288,14 @@ def bucketed_ranks(
     ranks = np.zeros(n, dtype=np.int64)
     if n == 0:
         return ranks
-    if cache is not None and cache.col_ids is None and words is None:
-        raise LinAlgError("packed-key cache binding requires support words")
-
+    mask_t = np.ascontiguousarray(support_mask.T)  # (n, q)
+    call_keys = None if cache is None else cache.keys(mask_t, sizes, words)
     tag = "exact" if n_exact is not None else "batched"
-    for b_idx, cols, keys in iter_size_buckets(
-        support_mask, sizes, words=words, cache=cache
-    ):
-        if keys is None:
+    for b_idx, cols in _size_buckets(mask_t, sizes):
+        if call_keys is None:
             ranks[b_idx] = _compute_bucket(n_perm, cols, policy, n_exact, stats)
             continue
+        keys = [call_keys[i] for i in b_idx.tolist()]
         miss_pos = split_cache_hits(cache, keys, b_idx, ranks, stats)
         if not miss_pos:
             continue

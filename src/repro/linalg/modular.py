@@ -1,10 +1,10 @@
 """Modular residue-field rank engine with unit-row reduction.
 
 The rank test asks, per candidate support ``S``, whether
-``nullity(N[:, S]) == 1``.  The batched backend answers with gufunc SVD —
-floating-point machinery for matrices whose entries are small integers.
-This engine answers with exact integer arithmetic instead, built on three
-ideas:
+``nullity(N[:, S]) == 1``.  An SVD answers with floating-point machinery
+for matrices whose entries are small integers.  This engine, the rank
+test's only one, answers with exact integer arithmetic instead, built on
+three ideas:
 
 **Complement form.**  Let ``B`` be an exact integer basis of the rational
 nullspace of the whole ``(m, q)`` stoichiometry (``d = q - rank(N)``
@@ -62,10 +62,10 @@ the members settled this way.
 
 Problems whose entries cannot be scaled to safe integers (non-rational
 entries, or magnitudes beyond the integer envelope) fall back wholesale to
-the SVD engine in :mod:`repro.linalg.batched` (``n_rank_fallback``).  The
-support-pattern memo (:class:`repro.linalg.batched.RankCache`) is shared
-with the other backends: keys are support patterns, values are certified
-ranks tagged with the producing backend.
+the SVD stack in :mod:`repro.linalg.batched` (``n_rank_fallback``), as do
+exact-arithmetic runs.  Kernel and fallback write one support-pattern memo
+(:class:`repro.linalg.batched.RankCache`): keys are support patterns,
+values are certified ranks tagged with the arm that produced them.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from fractions import Fraction
 import numpy as np
 
 from repro.config import NumericPolicy
-from repro.linalg import bitset
 from repro.linalg.batched import (
     CacheBinding,
     batched_ranks,
@@ -498,45 +497,8 @@ def _modp_ranks(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The backend entry point.
+# The engine entry point.
 # ---------------------------------------------------------------------------
-
-
-def _call_keys(
-    cache: CacheBinding,
-    words: np.ndarray,
-    mask_t: np.ndarray,
-    sizes: np.ndarray,
-) -> list:
-    """Memo keys for *all* candidates of a call in one vectorized pass.
-
-    The modular backend needs no support-size bucketing (its kernel merges
-    every miss into one complement stack), so instead of the per-bucket
-    rectangular ``cols`` gathers of :func:`~repro.linalg.batched.
-    iter_size_buckets` the keys come straight off the ragged support lists:
-    packed-word rows on the fast path, a single lexsort of canonical column
-    ids grouped by candidate on the divide-and-conquer path (variable-size
-    multisets slice out of one contiguous blob by the size prefix sums).
-    Key bytes are identical to :meth:`CacheBinding.keys`, so entries stay
-    shared with the batched backend.
-    """
-    token = cache.token
-    if cache.col_ids is None:
-        rows = np.ascontiguousarray(words)
-        stride = rows.shape[1] * rows.itemsize
-        if stride == 0:
-            return [token] * rows.shape[0]
-        blob = rows.tobytes()
-        return [token + blob[i : i + stride] for i in range(0, len(blob), stride)]
-    # Walking the mask in ascending-canonical-id column order makes each
-    # row's gathered ids pre-sorted — no per-row (or whole-call) sort.
-    ci = np.nonzero(mask_t[:, cache.col_perm])[1]
-    blob = np.ascontiguousarray(cache.col_ids_sorted[ci]).tobytes()
-    ends = np.cumsum(sizes, dtype=np.int64) * 8
-    starts = ends - sizes.astype(np.int64) * 8
-    return [
-        token + blob[s:e] for s, e in zip(starts.tolist(), ends.tolist())
-    ]
 
 
 def _padded_complements(
@@ -665,13 +627,13 @@ def modular_ranks(
 ) -> np.ndarray:
     """Ranks of ``n_perm[:, S_i]`` via the modular residue-field engine.
 
-    Drop-in for :func:`repro.linalg.batched.bucketed_ranks` (same contract,
-    same memo composition): one vectorized key pass drives the cache
-    lookups (:func:`_call_keys` — byte-compatible with the batched keys),
-    all misses of a call go to the kernel as one batch of complements, and
-    computed ranks are stored back tagged ``"modular"``.
+    Same contract as its SVD fallback
+    :func:`repro.linalg.batched.bucketed_ranks`: one vectorized key pass
+    (:meth:`~repro.linalg.batched.CacheBinding.keys`) drives the memo
+    lookups, all misses of a call go to the kernel as one batch of
+    complements, and computed ranks are stored back tagged ``"modular"``.
     Exact-arithmetic runs and unprepared problems delegate wholesale to the
-    batched engine (the latter counted in ``n_rank_fallback``).
+    fallback (the latter counted in ``n_rank_fallback``).
     """
     n = int(sizes.size)
     ranks = np.zeros(n, dtype=np.int64)
@@ -692,9 +654,7 @@ def modular_ranks(
         )
     mask_t = np.ascontiguousarray(support_mask.T)  # (n, q)
     if cache is not None:
-        if words is None:
-            words = bitset.pack_supports(support_mask)
-        keys = _call_keys(cache, words, mask_t, sizes)
+        keys = cache.keys(mask_t, sizes, words)
         miss_pos = split_cache_hits(cache, keys, np.arange(n), ranks, stats)
         if not miss_pos:
             return ranks

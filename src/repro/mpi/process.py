@@ -186,10 +186,13 @@ def _worker(rank, size, mesh, fn, args, kwargs, result_conn, recv_timeout):
             for conn in ends.values():
                 conn.close()
     comm = ProcessCommunicator(rank, size, mesh[rank], recv_timeout=recv_timeout)
+    # The result takes the mesh's wire, not ``Connection.send`` (pickle
+    # protocol 4 hands a ``>f8`` array back as native ``float64``).
     try:
-        result_conn.send(("ok", fn(comm, *args, **kwargs)))
+        reply = pack_message(("ok", fn(comm, *args, **kwargs)))
     except BaseException as exc:  # noqa: BLE001 - marshalled to parent
-        result_conn.send(("error", repr(exc)))
+        reply = pack_message(("error", repr(exc)))
+    result_conn.send_bytes(reply)
 
 
 class ProcessEngine:
@@ -239,7 +242,7 @@ class ProcessEngine:
                 if not rx.poll(timeout=result_timeout):
                     errors[r] = "timed out"
                     continue
-                status, payload = rx.recv()
+                status, payload = pickle.loads(rx.recv_bytes())
             except EOFError:
                 errors[r] = "exited without a result"
                 continue

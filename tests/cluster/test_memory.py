@@ -141,7 +141,7 @@ class TestYeastDncPredictionPins:
         from repro.models.variants import yeast_1_small
         from repro.network.compression import compress_network
 
-        opts = AlgorithmOptions(ordering="dynamic", rank_backend="modular")
+        opts = AlgorithmOptions(ordering="dynamic")
         reduced = compress_network(yeast_1_small()).reduced
         part = select_partition_reactions(reduced, 5, method="tail", options=opts)
         assert tuple(part) == self.PARTITION

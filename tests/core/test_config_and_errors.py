@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.config import AlgorithmOptions, NumericPolicy
+from repro.config import AlgorithmOptions, NumericPolicy, resolve_comm_timeout
 
 
 class TestNumericPolicy:
@@ -58,6 +58,18 @@ class TestAlgorithmOptions:
         assert AlgorithmOptions().ordering == "paper"
         # explicit arguments always win over the environment
         assert AlgorithmOptions(ordering="natural").ordering == "natural"
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_comm_timeout_rejected(self, monkeypatch, raw):
+        # A nan or inf poll timeout would only fail later, inside
+        # Connection.poll, with an untyped error.
+        with pytest.raises(ValueError, match="positive and finite"):
+            resolve_comm_timeout(float(raw))
+        monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", raw)
+        with pytest.raises(ValueError, match="positive and finite"):
+            resolve_comm_timeout()
+        with pytest.raises(ValueError, match="positive and finite"):
+            AlgorithmOptions()
 
     def test_custom_policy_carried(self):
         p = NumericPolicy(zero_tol=1e-10)

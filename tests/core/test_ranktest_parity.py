@@ -1,15 +1,19 @@
-"""Parity suite: the batched and modular rank-test engines vs. the loop
-reference.
+"""Parity suite: the modular rank kernel and its SVD fallback vs. the
+per-candidate loop oracle (``tests/core/rank_oracle.py``).
 
-Both accelerated backends must be pure optimizations —
-decision-for-decision identical to the per-candidate loop on every
+The kernel (``"modular"``) and the fallback it delegates to
+(``"batched"``, :func:`repro.linalg.batched.bucketed_ranks` called
+directly) must be decision-for-decision identical to the loop on every
 input: random networks, float and exact policies, reversible and
 irreversible rows, degenerate buckets, cold and warm caches, across
-divide-and-conquer subproblems sharing one memo, and across the full
-pipeline x streaming x pair-strategy option matrix.
+divide-and-conquer subproblems sharing one memo, across the candidate
+representation x streaming matrix, and end to end on a stoichiometry
+the kernel cannot integerize.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +23,10 @@ from repro.core.kernel import build_problem
 from repro.core.ranktest import rank_test
 from repro.core.state import ModeMatrix
 from repro.core.stats import IterationStats
-from repro.dnc.combined import combined_parallel, shared_rank_cache
+from repro.dnc.combined import combined_parallel
 from repro.dnc.selection import select_partition_reactions
 from repro.efm.api import compute_efms
+from repro.engine import RunContext
 from repro.linalg import rational
 from repro.linalg.batched import (
     CacheBinding,
@@ -33,9 +38,16 @@ from repro.linalg.bitset import pack_supports
 from repro.models.generators import random_network
 from repro.models.registry import get_network
 from repro.network.compression import compress_network
+from repro.network.model import MetabolicNetwork, Reaction
+from repro.network.stoichiometry import stoichiometric_matrix
 
 from tests.conftest import assert_same_modes
 from tests.core.batch_oracle import run_whole_set
+from tests.core.rank_oracle import rank_test_with, solve_with, use_rank_engine
+
+#: The engines checked against the loop oracle: the modular kernel and
+#: its SVD fallback.
+ENGINES = ("batched", "modular")
 
 
 def _candidate_batch(problem, seed: int) -> ModeMatrix:
@@ -72,62 +84,47 @@ def _problem_for(seed: int):
     raise RuntimeError("no usable random network found")
 
 
+def _fresh_binding(n_perm: np.ndarray, exact: bool = False) -> CacheBinding:
+    return CacheBinding(RankCache(), problem_token(n_perm, DEFAULT_POLICY, exact))
+
+
 class TestFloatParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_masks_bit_identical_on_random_networks(self, seed):
         problem = _problem_for(seed)
         cand = _candidate_batch(problem, seed)
-        by_loop = rank_test(
-            cand, problem.n_perm, problem.rank, backend="loop"
-        )
-        for backend in ("batched", "modular"):
-            mask = rank_test(
-                cand, problem.n_perm, problem.rank, backend=backend
-            )
-            assert np.array_equal(by_loop, mask), backend
+        by_loop = rank_test_with("loop", cand, problem.n_perm, problem.rank)
+        for engine in ENGINES:
+            mask = rank_test_with(engine, cand, problem.n_perm, problem.rank)
+            assert np.array_equal(by_loop, mask), engine
 
     @pytest.mark.parametrize("seed", range(12))
     def test_masks_bit_identical_with_cache(self, seed):
         problem = _problem_for(seed)
         cand = _candidate_batch(problem, seed)
-        by_loop = rank_test(
-            cand, problem.n_perm, problem.rank, backend="loop"
-        )
-        for backend in ("batched", "modular"):
-            binding = CacheBinding(
-                RankCache(),
-                problem_token(problem.n_perm, DEFAULT_POLICY, False),
-            )
-            cold = rank_test(
-                cand, problem.n_perm, problem.rank,
-                backend=backend, cache=binding,
-            )
-            warm = rank_test(
-                cand, problem.n_perm, problem.rank,
-                backend=backend, cache=binding,
-            )
-            assert np.array_equal(by_loop, cold), backend
-            assert np.array_equal(by_loop, warm), backend
+        by_loop = rank_test_with("loop", cand, problem.n_perm, problem.rank)
+        for engine in ENGINES:
+            binding = _fresh_binding(problem.n_perm)
+            for _ in range(2):  # cold, then warm
+                mask = rank_test_with(
+                    engine, cand, problem.n_perm, problem.rank, cache=binding
+                )
+                assert np.array_equal(by_loop, mask), engine
             # Second pass served from the memo.
-            assert binding.cache.hits > 0, backend
+            assert binding.cache.hits > 0, engine
 
     def test_modular_hits_entries_stored_by_batched(self):
-        """The memo is backend-agnostic: entries certified by one backend
-        must serve lookups from the other (same keys, same ranks)."""
+        """Kernel and fallback share one memo: entries the SVD fallback
+        certified must serve the kernel's lookups (same keys, same
+        ranks)."""
         problem = _problem_for(5)
         cand = _candidate_batch(problem, 5)
-        binding = CacheBinding(
-            RankCache(), problem_token(problem.n_perm, DEFAULT_POLICY, False)
-        )
-        by_batched = rank_test(
-            cand, problem.n_perm, problem.rank,
-            backend="batched", cache=binding,
+        binding = _fresh_binding(problem.n_perm)
+        by_batched = rank_test_with(
+            "batched", cand, problem.n_perm, problem.rank, cache=binding
         )
         misses_before = binding.cache.misses
-        by_modular = rank_test(
-            cand, problem.n_perm, problem.rank,
-            backend="modular", cache=binding,
-        )
+        by_modular = rank_test(cand, problem.n_perm, problem.rank, cache=binding)
         assert np.array_equal(by_batched, by_modular)
         assert binding.cache.misses == misses_before  # every lookup hit
         assert {tag for _, tag in binding.cache._table.values()} == {
@@ -137,29 +134,18 @@ class TestFloatParity:
     def test_stats_counters_populated(self):
         problem = _problem_for(3)
         cand = _candidate_batch(problem, 3)
-        binding = CacheBinding(
-            RankCache(), problem_token(problem.n_perm, DEFAULT_POLICY, False)
-        )
-        it = IterationStats(position=0, reaction="r", reversible=False)
-        rank_test(
-            cand,
-            problem.n_perm,
-            problem.rank,
-            backend="batched",
-            cache=binding,
-            stats=it,
-        )
-        assert it.n_rank_batches >= 1
-        assert it.rank_batch_max >= 1
-        rank_test(
-            cand,
-            problem.n_perm,
-            problem.rank,
-            backend="batched",
-            cache=binding,
-            stats=it,
-        )
-        assert it.n_rank_cache_hits > 0
+        for engine in ENGINES:
+            binding = _fresh_binding(problem.n_perm)
+            it = IterationStats(position=0, reaction="r", reversible=False)
+            for _ in range(2):  # cold, then served from the memo
+                rank_test_with(
+                    engine, cand, problem.n_perm, problem.rank,
+                    cache=binding, stats=it,
+                )
+            assert it.n_rank_batches >= 1, engine
+            assert it.rank_batch_max >= 1, engine
+            assert it.n_rank_cache_hits > 0, engine
+        assert it.n_rank_modular > 0  # the kernel certified the misses
 
 
 class TestExactParity:
@@ -168,101 +154,77 @@ class TestExactParity:
         problem = _problem_for(seed)
         n_exact = rational.from_numpy(problem.n_perm)
         cand = _candidate_batch(problem, seed)
-        by_loop = rank_test(
-            cand, problem.n_perm, problem.rank, n_exact=n_exact, backend="loop"
+        by_loop = rank_test_with(
+            "loop", cand, problem.n_perm, problem.rank, n_exact=n_exact
         )
-        for backend in ("batched", "modular"):
-            mask = rank_test(
-                cand,
-                problem.n_perm,
-                problem.rank,
-                n_exact=n_exact,
-                backend=backend,
+        for engine in ENGINES:
+            mask = rank_test_with(
+                engine, cand, problem.n_perm, problem.rank, n_exact=n_exact
             )
-            assert np.array_equal(by_loop, mask), backend
+            assert np.array_equal(by_loop, mask), engine
 
     def test_exact_cache_hits_agree(self):
         problem = _problem_for(1)
         n_exact = rational.from_numpy(problem.n_perm)
         cand = _candidate_batch(problem, 1)
-        binding = CacheBinding(
-            RankCache(), problem_token(problem.n_perm, DEFAULT_POLICY, True)
-        )
+        binding = _fresh_binding(problem.n_perm, exact=True)
         cold = rank_test(
-            cand,
-            problem.n_perm,
-            problem.rank,
-            n_exact=n_exact,
-            backend="batched",
-            cache=binding,
+            cand, problem.n_perm, problem.rank, n_exact=n_exact, cache=binding
         )
         warm = rank_test(
-            cand,
-            problem.n_perm,
-            problem.rank,
-            n_exact=n_exact,
-            backend="batched",
-            cache=binding,
+            cand, problem.n_perm, problem.rank, n_exact=n_exact, cache=binding
         )
         assert np.array_equal(cold, warm)
         assert binding.cache.hits > 0
+        # Exact runs are answered by the fallback's rational arm.
+        assert {tag for _, tag in binding.cache._table.values()} == {"exact"}
 
 
 class TestDegenerateBuckets:
     def test_empty_batch(self, toy_problem):
         cand = ModeMatrix.empty(toy_problem.q)
-        for backend in ("loop", "batched", "modular"):
-            mask = rank_test(
-                cand, toy_problem.n_perm, toy_problem.rank, backend=backend
+        for engine in ("loop", *ENGINES):
+            mask = rank_test_with(
+                engine, cand, toy_problem.n_perm, toy_problem.rank
             )
-            assert mask.shape == (0,)
+            assert mask.shape == (0,), engine
 
     def test_zero_support_row(self, toy_problem):
         cand = ModeMatrix(np.zeros((2, toy_problem.q)))
-        for backend in ("loop", "batched", "modular"):
-            mask = rank_test(
-                cand, toy_problem.n_perm, toy_problem.rank, backend=backend
+        for engine in ("loop", *ENGINES):
+            mask = rank_test_with(
+                engine, cand, toy_problem.n_perm, toy_problem.rank
             )
-            assert not mask.any()
+            assert not mask.any(), engine
 
     def test_all_summarily_rejected(self, toy_problem):
-        dense = np.ones((3, toy_problem.q))
-        cand = ModeMatrix(dense)
-        binding = CacheBinding(
-            RankCache(), problem_token(toy_problem.n_perm, DEFAULT_POLICY, False)
-        )
-        mask = rank_test(
-            cand,
-            toy_problem.n_perm,
-            toy_problem.rank,
-            backend="batched",
-            cache=binding,
-        )
-        assert not mask.any()
-        assert len(binding.cache) == 0  # engine never invoked
+        cand = ModeMatrix(np.ones((3, toy_problem.q)))
+        for engine in ENGINES:
+            binding = _fresh_binding(toy_problem.n_perm)
+            mask = rank_test_with(
+                engine, cand, toy_problem.n_perm, toy_problem.rank,
+                cache=binding,
+            )
+            assert not mask.any(), engine
+            assert len(binding.cache) == 0, engine  # engine never invoked
 
     def test_single_candidate_bucket(self, toy_problem):
         cand = ModeMatrix(np.array([[0, 2, 0, 1, 0, 0, 0, -1]], dtype=float))
-        for backend in ("loop", "batched", "modular"):
-            assert rank_test(
-                cand, toy_problem.n_perm, toy_problem.rank, backend=backend
-            )[0]
+        for engine in ("loop", *ENGINES):
+            assert rank_test_with(
+                engine, cand, toy_problem.n_perm, toy_problem.rank
+            )[0], engine
 
     def test_duplicate_supports_one_bucket(self, toy_problem):
         # Same support, different values: one bucket, duplicate cache keys.
         base = np.array([0, 2, 0, 1, 0, 0, 0, -1], dtype=float)
         cand = ModeMatrix(np.stack([base, 2 * base, -base]))
-        binding = CacheBinding(
-            RankCache(), problem_token(toy_problem.n_perm, DEFAULT_POLICY, False)
-        )
-        mask = rank_test(
-            cand,
-            toy_problem.n_perm,
-            toy_problem.rank,
-            backend="batched",
-            cache=binding,
-        )
-        assert mask.all()
+        for engine in ENGINES:
+            mask = rank_test_with(
+                engine, cand, toy_problem.n_perm, toy_problem.rank,
+                cache=_fresh_binding(toy_problem.n_perm),
+            )
+            assert mask.all(), engine
 
 
 class TestCanonicalCacheKeys:
@@ -328,26 +290,25 @@ class TestDnCSharedCache:
     def test_two_subproblems_share_entries(self):
         """The memo primed by one subset must serve (and not corrupt) the
         next: a combined run with the shared cache matches the loop
-        backend's EFM set exactly, with cross-subproblem hits observed."""
+        oracle's EFM set exactly, with cross-subproblem hits observed."""
         net = get_network("yeast-I-small")
         reduced = compress_network(net).reduced
         part = select_partition_reactions(
             reduced, 2, method="tail", options=AlgorithmOptions()
         )
-        runs = {}
-        for backend in ("loop", "batched", "modular"):
-            runs[backend] = combined_parallel(
-                reduced, part, 1, options=AlgorithmOptions(rank_backend=backend)
-            )
-        for backend in ("batched", "modular"):
-            assert runs["loop"].n_efms == runs[backend].n_efms, backend
-            assert_same_modes(runs["loop"].efms(), runs[backend].efms())
+        runs = {
+            engine: solve_with(engine, combined_parallel, reduced, part, 1)
+            for engine in ("loop", *ENGINES)
+        }
+        for engine in ENGINES:
+            assert runs["loop"].n_efms == runs[engine].n_efms, engine
+            assert_same_modes(runs["loop"].efms(), runs[engine].efms())
             hits = sum(
                 s.stats.total_rank_cache_hits
-                for s in runs[backend].subsets
+                for s in runs[engine].subsets
                 if s.stats is not None
             )
-            assert hits > 0, backend
+            assert hits > 0, engine
         settled = sum(
             s.stats.total_rank_unit_members
             for s in runs["modular"].subsets
@@ -355,23 +316,20 @@ class TestDnCSharedCache:
         )
         assert settled > 0  # the unit-row reduction actually engaged
 
-    def test_shared_cache_off_for_loop_backend(self):
-        net = get_network("toy")
-        reduced = compress_network(net).reduced
-        assert (
-            shared_rank_cache(reduced, AlgorithmOptions(rank_backend="loop"))
-            is None
-        )
-        memo = shared_rank_cache(
-            reduced, AlgorithmOptions(rank_backend="modular")
-        )
+    def test_context_binds_one_shared_memo(self):
+        reduced = compress_network(get_network("toy")).reduced
+        ctx = RunContext()
+        ctx.bind_shared_rank_memo(reduced)
+        memo = ctx.shared_rank_memo
         assert memo is not None and isinstance(memo[0], RankCache)
+        assert memo[1] == problem_token(
+            stoichiometric_matrix(reduced), DEFAULT_POLICY, False
+        )
 
 
 class TestRegistryEquivalence:
-    """Identical EFM sets from all three backends on the registry
-    workloads that finish at test speed (the medium variants run in the
-    benchmark suite, same assertion)."""
+    """Identical EFM sets from the kernel, its fallback and the loop
+    oracle on the registry workloads that finish at test speed."""
 
     @pytest.mark.parametrize(
         "name", ["toy", "yeast-I-small", "yeast-II-small"]
@@ -379,31 +337,27 @@ class TestRegistryEquivalence:
     def test_same_efms(self, name):
         net = get_network(name)
         results = {
-            be: compute_efms(net, options=AlgorithmOptions(rank_backend=be))
-            for be in ("loop", "batched", "modular")
+            engine: solve_with(engine, compute_efms, net)
+            for engine in ("loop", *ENGINES)
         }
-        for be in ("batched", "modular"):
-            assert results["loop"].n_efms == results[be].n_efms, be
-            assert results["loop"].same_modes_as(results[be]), be
+        for engine in ENGINES:
+            assert results["loop"].n_efms == results[engine].n_efms, engine
+            assert results["loop"].same_modes_as(results[engine]), engine
 
-    @pytest.mark.parametrize("backend", ["batched", "modular"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("method", ["serial", "parallel", "distributed"])
-    def test_methods_agree(self, method, backend):
+    def test_methods_agree(self, method, engine):
         net = get_network("yeast-I-small")
         kwargs = {} if method == "serial" else {"n_ranks": 2}
-        res = compute_efms(
-            net,
-            method=method,
-            options=AlgorithmOptions(rank_backend=backend),
-            **kwargs,
-        )
+        res = solve_with(engine, compute_efms, net, method=method, **kwargs)
         assert res.n_efms == 530
 
 
 class TestOptionMatrixParity:
-    """The 530-EFM yeast-I-small pin must hold for every backend across
-    the candidate-representation x streaming matrix, with all three
-    backends producing the same mode set per combination.
+    """The 530-EFM yeast-I-small pin must hold for the kernel, its
+    fallback and the loop oracle across the candidate-representation x
+    streaming matrix, all three producing the same mode set per
+    combination.
 
     ``streaming="off"`` runs the whole-set oracle with ``representation``
     candidates; ``"on"`` runs the streamed phase, which must match that
@@ -415,17 +369,16 @@ class TestOptionMatrixParity:
         net = get_network("yeast-I-small")
         memo = {}
 
-        def run(representation, backend):
-            key = (representation, backend)
+        def run(representation, engine):
+            key = (representation, engine)
             if key not in memo:
-                opts = AlgorithmOptions(rank_backend=backend)
-                if representation is None:
-                    memo[key] = compute_efms(net, options=opts)
-                else:
-                    with pytest.MonkeyPatch.context() as m:
+                with pytest.MonkeyPatch.context() as m:
+                    use_rank_engine(m, engine)
+                    if representation is None:
+                        memo[key] = compute_efms(net)
+                    else:
                         memo[key] = run_whole_set(
-                            m, representation, compute_efms, net,
-                            options=opts,
+                            m, representation, compute_efms, net
                         )
             return memo[key]
 
@@ -435,12 +388,46 @@ class TestOptionMatrixParity:
     @pytest.mark.parametrize("representation", ["deferred", "eager"])
     def test_yeast_pin_across_backends(self, solve, representation, streaming):
         results = {}
-        for be in ("loop", "batched", "modular"):
-            results[be] = solve(representation, be)
+        for engine in ("loop", *ENGINES):
+            results[engine] = solve(representation, engine)
             if streaming == "on":
-                streamed = solve(None, be)
-                assert np.array_equal(streamed.fluxes, results[be].fluxes), be
-                results[be] = streamed
-            assert results[be].n_efms == 530, be
-        for be in ("batched", "modular"):
-            assert results["loop"].same_modes_as(results[be]), be
+                streamed = solve(None, engine)
+                assert np.array_equal(
+                    streamed.fluxes, results[engine].fluxes
+                ), engine
+                results[engine] = streamed
+            assert results[engine].n_efms == 530, engine
+        for engine in ENGINES:
+            assert results["loop"].same_modes_as(results[engine]), engine
+
+
+def _scaled_column(net: MetabolicNetwork, name: str, factor) -> MetabolicNetwork:
+    """``net`` with reaction ``name``'s coefficients multiplied by
+    ``factor``: a column scaling, so the EFM supports do not change."""
+    reactions = [
+        Reaction(
+            r.name,
+            {met: c * Fraction(factor) for met, c in r.stoich.items()},
+            r.reversible,
+            r.exchange,
+        )
+        if r.name == name
+        else r
+        for r in net.reactions
+    ]
+    return MetabolicNetwork(net.name, net.metabolites, reactions)
+
+
+class TestSvdFallbackEndToEnd:
+    """A stoichiometry with a non-rational coefficient cannot be
+    integerized, so every rank test of the run takes the SVD fallback;
+    the EFM set must still be the loop oracle's."""
+
+    def test_non_rational_column_solved_by_fallback(self):
+        net = _scaled_column(get_network("yeast-I-small"), "R26", np.pi)
+        result = compute_efms(net)
+        assert result.n_efms == 530
+        assert result.stats.total_rank_fallback > 0
+        assert result.stats.total_rank_modular == 0
+        reference = solve_with("loop", compute_efms, net)
+        assert result.same_modes_as(reference)

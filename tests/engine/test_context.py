@@ -6,12 +6,11 @@ import pickle
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.cluster.memory import MemoryModel
 from repro.config import AlgorithmOptions
 from repro.engine import RunContext, TraceRecorder
-from repro.linalg.batched import CacheBinding, RankCache
+from repro.linalg.batched import CacheBinding
 
 
 class TestEnsure:
@@ -20,17 +19,17 @@ class TestEnsure:
         assert RunContext.ensure(ctx) is ctx
 
     def test_built_from_legacy_kwargs(self):
-        opts = AlgorithmOptions(rank_backend="loop")
+        opts = AlgorithmOptions(ordering="paper")
         mm = MemoryModel(capacity_bytes=123)
         ctx = RunContext.ensure(None, options=opts, memory_model=mm)
         assert ctx.options is opts
         assert ctx.memory_model is mm
 
     def test_context_wins_over_kwargs(self):
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="loop"))
+        ctx = RunContext(options=AlgorithmOptions(ordering="paper"))
         out = RunContext.ensure(ctx, options=AlgorithmOptions())
         assert out is ctx
-        assert out.options.rank_backend == "loop"
+        assert out.options.ordering == "paper"
 
     def test_checkpoint_path_coerced(self, tmp_path):
         ctx = RunContext(checkpoint_path=str(tmp_path / "run.npz"))
@@ -38,18 +37,12 @@ class TestEnsure:
 
 
 class TestRankBindingFor:
-    def test_loop_backend_gets_no_cache(self, toy_problem):
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="loop"))
-        assert ctx.rank_binding_for(toy_problem) is None
-
     def test_bittree_gets_no_cache(self, toy_problem):
         ctx = RunContext(options=AlgorithmOptions(acceptance="bittree"))
         assert ctx.rank_binding_for(toy_problem) is None
 
     def test_default_gets_fresh_private_binding(self, toy_problem):
-        # Pin a caching backend: the env-sensitive default may be "loop"
-        # on the loop CI leg, which legitimately gets no binding at all.
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="modular"))
+        ctx = RunContext()
         a = ctx.rank_binding_for(toy_problem)
         b = ctx.rank_binding_for(toy_problem)
         assert isinstance(a, CacheBinding)
@@ -57,7 +50,7 @@ class TestRankBindingFor:
         assert a.cache is not b.cache
 
     def test_shared_memo_used_with_col_ids(self, toy_record, toy_problem):
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="modular"))
+        ctx = RunContext()
         ctx.bind_shared_rank_memo(toy_record.reduced)
         assert ctx.shared_rank_memo is not None
         col_ids = np.arange(toy_problem.q, dtype=np.int64)
@@ -68,14 +61,14 @@ class TestRankBindingFor:
     def test_shared_memo_bypassed_without_col_ids(self, toy_record, toy_problem):
         # Without a canonical column map, raw support words are ambiguous
         # across subproblems — the binding must NOT address the shared memo.
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="modular"))
+        ctx = RunContext()
         ctx.bind_shared_rank_memo(toy_record.reduced)
         binding = ctx.rank_binding_for(toy_problem)
         assert binding is not None
         assert binding.cache is not ctx.shared_rank_memo[0]
 
-    def test_bind_shared_memo_noop_for_loop_backend(self, toy_record):
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="loop"))
+    def test_bind_shared_memo_noop_for_bittree(self, toy_record):
+        ctx = RunContext(options=AlgorithmOptions(acceptance="bittree"))
         ctx.bind_shared_rank_memo(toy_record.reduced)
         assert ctx.shared_rank_memo is None
 
@@ -128,7 +121,6 @@ class TestHelpers:
 
 def test_context_is_picklable(toy_record):
     ctx = RunContext(
-        options=AlgorithmOptions(rank_backend="modular"),
         memory_model=MemoryModel(capacity_bytes=4096),
         checkpoint_path="/tmp/x.npz",
     )

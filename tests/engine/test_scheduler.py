@@ -55,16 +55,14 @@ class TestPlanning:
     def test_predictions_match_memory_model(self, reduced, specs):
         sched = predicting_scheduler(reduced, specs)
         jobs = sched.plan()
-        # The scheduler predicts for whatever rank backend / ordering its
-        # options select (env-sensitive defaults) — compare
-        # like for like.
+        # The scheduler predicts for whatever ordering its options select
+        # (an env-sensitive default) — compare like for like.
         opts = sched.context.options
         for job in jobs:
             assert job.predicted_peak_bytes == predict_subset_peak_bytes(
                 reduced,
                 job.spec,
                 pair_chunk=opts.pair_chunk,
-                rank_backend=opts.rank_backend,
                 ordering=opts.ordering,
             )
             assert job.predicted_peak_bytes >= 0

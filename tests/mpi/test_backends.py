@@ -67,6 +67,10 @@ def _job_big_allgather(comm, nbytes):
     return [(p.size, int(p.min()), int(p.max())) for p in parts]
 
 
+def _job_echo(comm, payload):
+    return payload
+
+
 def _job_tag_matching(comm):
     if comm.rank == 0:
         comm.send("b", 1, tag=2)
@@ -146,6 +150,13 @@ class TestCollectives:
     def test_single_rank(self, backend):
         outs = run_spmd(_job_allgather, 1, backend=backend, args=(5,))
         assert outs == [[0]]
+
+    def test_returned_array_keeps_byte_order(self, backend):
+        data = np.arange(4, dtype=">f8")
+        outs = run_spmd(_job_echo, 2, backend=backend, args=(data,))
+        for out in outs:
+            assert out.dtype == np.dtype(">f8")
+            assert np.array_equal(out, data)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryModel
-from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import build_problem_with_split
 from repro.engine.context import RunContext
@@ -162,7 +161,7 @@ class TestOneRank:
             combinatorial_parallel(toy_problem, 2, backend=backend)
 
     def test_uses_the_given_rank_cache(self, yeast_problem):
-        ctx = RunContext(options=AlgorithmOptions(rank_backend="modular"))
+        ctx = RunContext()
         binding = ctx.rank_binding_for(yeast_problem)
         combinatorial_parallel(yeast_problem, 1, rank_cache=binding, context=ctx)
         assert len(binding.cache) > 0

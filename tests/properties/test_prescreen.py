@@ -6,7 +6,7 @@ zero-entry mode surviving the current row
 (:func:`repro.core.iterstream.zero_mode_supersets`).  That rule is a
 necessary condition for nullity >= 2, so it must
 
-* never reject a candidate the reference ``loop`` rank backend accepts
+* never reject a candidate the per-candidate loop oracle accepts
   (nullity exactly 1) — float and exact arithmetic, reversible and
   irreversible rows;
 * leave every EFM set bit-identical to a run with the pre-screen
@@ -26,7 +26,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import AlgorithmOptions
 from repro.core import bittree, iterstream
-from repro.core.ranktest import rank_test
 from repro.core.state import CandidateBatch
 from repro.efm.api import compute_efms
 from repro.errors import AlgorithmError
@@ -34,6 +33,8 @@ from repro.linalg.bitset import PackedSupports
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
+
+from tests.core.rank_oracle import rank_test_with
 
 SETTINGS = dict(
     max_examples=12,
@@ -92,7 +93,7 @@ def prescreen_off():
 
 
 def assert_loop_rejects_all(records) -> int:
-    """Every pre-screen rejection has nullity != 1 on the ``loop`` backend;
+    """Every pre-screen rejection has nullity != 1 under the loop oracle;
     returns the number of rejections checked."""
     checked = 0
     for rec in records:
@@ -102,9 +103,9 @@ def assert_loop_rejects_all(records) -> int:
             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), rec["k"],
             policy=rec["policy"],
         )
-        accept = rank_test(
-            cand, rec["n_perm"], rec["rank_bound"], policy=rec["policy"],
-            n_exact=rec["n_exact"], backend="loop",
+        accept = rank_test_with(
+            "loop", cand, rec["n_perm"], rec["rank_bound"],
+            policy=rec["policy"], n_exact=rec["n_exact"],
         )
         assert not accept.any(), (
             f"pre-screen rejected {int(accept.sum())} elementary candidate(s) "

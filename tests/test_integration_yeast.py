@@ -11,11 +11,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions
 from repro.efm import analysis
 from repro.efm.api import compute_efms
 from repro.models.variants import yeast_1_small, yeast_2_small
 from repro.network.stoichiometry import stoichiometric_matrix
+
+from tests.core.rank_oracle import solve_with
 
 
 #: SHA-256 of the 7,331 yeast-II-small EFMs as sorted, sign-normalized
@@ -123,15 +124,13 @@ class TestYeast2Pipeline:
     def test_count_stable(self):
         assert compute_efms(yeast_2_small()).n_efms == 7331
 
-    def test_digest_pinned_across_rank_backends(self):
-        """The modular and batched rank engines return the same EFM set,
-        row for row, and it is the pinned one."""
+    def test_digest_pinned_across_rank_engines(self):
+        """The modular rank kernel and its SVD fallback return the same
+        EFM set, row for row, and it is the pinned one."""
         net = yeast_2_small()
         runs = {
-            backend: compute_efms(
-                net, options=AlgorithmOptions(rank_backend=backend)
-            )
-            for backend in ("modular", "batched")
+            engine: solve_with(engine, compute_efms, net)
+            for engine in ("modular", "batched")
         }
         assert sign_rows(runs["modular"]) == sign_rows(runs["batched"])
         assert efm_digest(runs["modular"]) == Y2_DIGEST
