@@ -3,7 +3,7 @@ bit-pattern (combinatorial adjacency) test of efmtool [19].
 
 The paper's implementation uses the rank test; efmtool's headline
 optimization is the combinatorial test.  Both compute identical EFM sets;
-the combinatorial test trades per-candidate SVDs for per-pair bitset
+the combinatorial test trades per-candidate rank eliminations for per-pair bitset
 scans (and requires a fully irreversible system — compute_efms splits
 reversibles automatically for it).
 """
@@ -48,7 +48,7 @@ def test_same_efm_set(runs):
 
 
 def test_bittree_runs_zero_rank_tests(runs):
-    """The combinatorial path must not fall back to SVDs."""
+    """The combinatorial path must run no rank tests."""
     tree_result = runs["bittree"][0]
     assert tree_result.stats is not None
     assert tree_result.stats.total_rank_tests == 0

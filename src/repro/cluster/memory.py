@@ -208,7 +208,7 @@ def _pair_trajectory_ratio(n: np.ndarray, reversible: np.ndarray) -> float:
     clamp and apply it to the pair-count surrogate only.
 
     The kernel comes from :func:`_surrogate_kernel` — one vectorized
-    float RREF, not the solver's SVD-pivoted
+    float RREF, not the solver's exact fraction-free
     :func:`~repro.linalg.numeric.kernel_identity_form` — because this
     runs once per subset inside the scheduler's planning pass and must
     stay negligible next to the subproblem solves it budgets for.

@@ -17,9 +17,6 @@ from typing import Literal
 #: Default relative threshold below which a flux value is treated as zero.
 DEFAULT_ZERO_TOL: float = 1e-9
 
-#: Default tolerance for SVD-based rank decisions (scaled by matrix norm).
-DEFAULT_RANK_TOL: float = 1e-8
-
 #: Upper bound on the candidate pairs of one vectorized generation chunk.
 #: Bounds peak memory of candidate generation: a chunk allocates
 #: ``chunk_size * n_rows`` float64 values plus the packed supports.
@@ -57,7 +54,7 @@ DEFAULT_SELECTION_LOOKAHEAD: int = 4
 
 @dataclasses.dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerances governing zero tests and rank decisions.
+    """The tolerance governing zero tests (rank decisions are exact).
 
     Parameters
     ----------
@@ -66,18 +63,13 @@ class NumericPolicy:
         when supports are extracted.  Columns are renormalized to unit
         max-norm after every combination, so in practice this behaves as an
         absolute threshold on normalized data.
-    rank_tol:
-        Relative singular-value cutoff for numeric rank computation.
     """
 
     zero_tol: float = DEFAULT_ZERO_TOL
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self) -> None:
         if not (0 < self.zero_tol < 1e-2):
             raise ValueError(f"zero_tol out of sane range: {self.zero_tol}")
-        if not (0 < self.rank_tol < 1e-2):
-            raise ValueError(f"rank_tol out of sane range: {self.rank_tol}")
 
 
 #: Shared default policy instance.

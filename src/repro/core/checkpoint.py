@@ -40,8 +40,11 @@ from repro.linalg.bitset import PackedSupports
 #: realized prefix — silently resuming under a different order would
 #: process rows twice or never.  Version 3 dropped the three tile-pruning
 #: counters from the stored per-iteration stats; a version-2 file still
-#: holds them, and ``IterationStats`` no longer accepts them.
-CHECKPOINT_VERSION = 3
+#: holds them, and ``IterationStats`` no longer accepts them.  Version 4
+#: dropped the rank tolerance from the problem fingerprint (rank decisions
+#: are exact); a version-3 fingerprint can never match, so such a file is
+#: refused by version rather than as a foreign problem.
+CHECKPOINT_VERSION = 4
 
 
 def problem_fingerprint(problem: NullspaceProblem, options: AlgorithmOptions) -> str:
@@ -57,7 +60,6 @@ def problem_fingerprint(problem: NullspaceProblem, options: AlgorithmOptions) ->
                 "arithmetic": options.arithmetic,
                 "acceptance": options.acceptance,
                 "zero_tol": options.policy.zero_tol,
-                "rank_tol": options.policy.rank_tol,
             },
             sort_keys=True,
         ).encode()
@@ -221,7 +223,6 @@ def checkpointed_nullspace_algorithm(
         processed = ()
 
     t_start = time.perf_counter()
-    n_exact = None
     if options.acceptance != "rank":
         check_acceptance_applicable(problem, options, stop)
     rank_cache = ctx.rank_binding_for(problem)
@@ -239,7 +240,7 @@ def checkpointed_nullspace_algorithm(
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
         kept, cand = iterate_row(
-            modes, k, problem, options, it, n_exact=n_exact,
+            modes, k, problem, options, it,
             rank_cache=rank_cache, processed_rows=selector.adjacency_rows(),
         )
         with PhaseTimer(it, "t_merge"):

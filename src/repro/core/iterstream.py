@@ -88,7 +88,7 @@ from repro.core.ranktest import rank_test
 from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
 from repro.core.stats import IterationStats, PhaseTimer
 from repro.errors import AlgorithmError
-from repro.linalg import bitset, rational
+from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports, pack_support_rows
 
 
@@ -120,7 +120,6 @@ def stream_iteration(
     zero_words: np.ndarray | None = None,
     adjacency=None,
     acceptance: str | None = None,
-    n_exact: "rational.FractionMatrix | None" = None,
     rank_cache=None,
 ) -> ModeMatrix | CandidateBatch:
     """Run one iteration's candidate phase as a bounded-memory stream.
@@ -230,8 +229,6 @@ def stream_iteration(
                         cand if live.size == cand.n_modes else cand.select(live),
                         n_perm,
                         rank_bound,
-                        policy=options.policy,
-                        n_exact=n_exact,
                         cache=rank_cache,
                         stats=stats,
                     )

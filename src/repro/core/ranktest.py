@@ -9,15 +9,14 @@ itself is a witness); nullity >= 2 means a smaller-support solution exists
 and the candidate is rejected.
 
 The ranks come from one engine, the residue-field kernel of
-:mod:`repro.linalg.modular`: the stoichiometry is rescaled to exact
-integers once per problem, each nullity query is rewritten in complement
-form against a gcd-reduced integer kernel basis, and batch ranks come
-from certified fraction-free elimination after a unit-row reduction.
-The kernel itself falls back to the SVD stack of
-:mod:`repro.linalg.batched` for exact-arithmetic runs, for
-stoichiometries that are not safely rational, and for the rare
-candidates two primes disagree on.  A support-pattern memo
-(:class:`repro.linalg.batched.RankCache`) serves repeated column
+:mod:`repro.linalg.modular`: the stoichiometry is read as exact integers
+once per problem (the same reading the initial kernel uses), each nullity
+query is rewritten in complement form against a gcd-reduced integer
+kernel basis, and batch ranks come from certified fraction-free
+elimination after a unit-row reduction, with residue-field and
+Python-integer elimination behind it.  Float and exact-arithmetic runs
+take the same path.  A support-pattern memo
+(:class:`repro.linalg.rankmemo.RankCache`) serves repeated column
 selections across iterations and divide-and-conquer subproblems.  The
 packed supports are unpacked solely for the candidates that survive
 summary rejection, never for the full batch.
@@ -34,13 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import DEFAULT_POLICY, NumericPolicy
 from repro.core.state import ModeMatrix
 from repro.errors import AlgorithmError
-from repro.linalg import rational
-from repro.linalg.batched import CacheBinding
 from repro.linalg.bitset import unpack_supports
 from repro.linalg.modular import modular_ranks
+from repro.linalg.rankmemo import CacheBinding
 
 
 def rank_test(
@@ -48,8 +45,6 @@ def rank_test(
     n_perm: np.ndarray,
     rank_bound: int,
     *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    n_exact: rational.FractionMatrix | None = None,
     cache: CacheBinding | None = None,
     stats=None,
 ) -> np.ndarray:
@@ -66,9 +61,6 @@ def rank_test(
         ``rank_bound + 1`` are summarily rejected (they cannot have nullity
         1 — the paper's "at least two more columns than rows" shortcut,
         tightened from row count to rank).
-    n_exact:
-        When given (exact-arithmetic runs), rank is computed over
-        Fractions on the same column selection.
     cache:
         Optional problem-bound rank memo.
     stats:
@@ -95,14 +87,7 @@ def rank_test(
     surv_sizes = sizes[idx]
 
     ranks = modular_ranks(
-        n_perm,
-        support_mask,
-        surv_sizes,
-        policy=policy,
-        n_exact=n_exact,
-        words=words,
-        cache=cache,
-        stats=stats,
+        n_perm, support_mask, surv_sizes, words=words, cache=cache, stats=stats
     )
     accept[idx] = (surv_sizes - ranks) == 1
     return accept

@@ -44,8 +44,7 @@ from repro.core.stats import IterationStats, PhaseTimer, RunStats
 from repro.core.trace import IterationTrace
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
-from repro.linalg import rational
-from repro.linalg.batched import CacheBinding
+from repro.linalg.rankmemo import CacheBinding
 
 
 @dataclasses.dataclass
@@ -100,11 +99,7 @@ class NullspaceResult:
             would corrupt downstream unions.
         """
         self._require_complete()
-        vals = self.modes.values
-        if self.modes.exact:
-            vals = np.array(
-                [[float(x) for x in row] for row in vals], dtype=np.float64
-            ).reshape(vals.shape)
+        vals = self.modes.float_values()
         return np.ascontiguousarray(vals[:, self.problem.inverse_perm()])
 
 
@@ -144,7 +139,6 @@ def iterate_row(
     stats: IterationStats,
     *,
     pair_range_for: Callable[[int], PairRange] = full_range,
-    n_exact: rational.FractionMatrix | None = None,
     rank_cache: CacheBinding | None = None,
     materialize: bool = True,
     processed_rows: np.ndarray | None = None,
@@ -200,7 +194,6 @@ def iterate_row(
             problem.rank, options, stats,
             zero_words=modes.supports.words[zero_mask],
             adjacency=adjacency,
-            n_exact=n_exact,
             rank_cache=rank_cache,
         )
         stats.n_accepted = cand.n_modes
@@ -252,7 +245,6 @@ def nullspace_algorithm(
     options = ctx.options
     t_start = time.perf_counter()
     exact = options.arithmetic == "exact"
-    n_exact = ctx.n_exact_for(problem)
     modes = ModeMatrix.from_kernel(problem.kernel, exact=exact, policy=options.policy)
     stats = RunStats()
     stop = problem.q if stop_row is None else stop_row
@@ -275,7 +267,7 @@ def nullspace_algorithm(
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
         kept, cand = iterate_row(
-            modes, k, problem, options, it, n_exact=n_exact,
+            modes, k, problem, options, it,
             rank_cache=rank_cache, processed_rows=selector.adjacency_rows(),
         )
         with PhaseTimer(it, "t_merge"):

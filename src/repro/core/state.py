@@ -275,14 +275,15 @@ class ModeMatrix:
             return self
         return self.select(first)
 
+    def float_values(self) -> np.ndarray:
+        """Values as float64 ``(n_modes, q)``: the stored array for float
+        modes, a converted copy for exact ones."""
+        return self.values.astype(np.float64, copy=False)
+
     def modes_as_columns(self) -> np.ndarray:
         """Values with modes as columns, shape ``(q, n_modes)`` — the
         paper's matrix orientation (eq. (5)), float64."""
-        if self.exact:
-            return np.array(
-                [[float(x) for x in row] for row in self.values], dtype=np.float64
-            ).T.reshape(self.q, self.n_modes)
-        return self.values.T.copy()
+        return self.float_values().T.copy()
 
     def __repr__(self) -> str:
         kind = "exact" if self.exact else "float"

@@ -440,15 +440,6 @@ def prepare_subset(
     )
 
 
-def _float_values(modes) -> np.ndarray:
-    vals = modes.values
-    if modes.exact:
-        vals = np.array(
-            [[float(x) for x in row] for row in vals], dtype=np.float64
-        ).reshape(vals.shape)
-    return vals
-
-
 def solve_subset(
     reduced: MetabolicNetwork,
     spec: SubsetSpec,
@@ -501,7 +492,7 @@ def solve_subset(
             wall_time=time.perf_counter() - t0,
         )
 
-    efms = prep.finalize(_float_values(run.result.modes))
+    efms = prep.finalize(run.result.modes.float_values())
     return SubsetResult(
         spec=spec,
         efms=efms,
@@ -567,7 +558,7 @@ def solve_subset_checkpointed_serial(
             prep.problem, stop_row=prep.stop, context=run_ctx
         )
 
-    efms = prep.finalize(_float_values(res.modes))
+    efms = prep.finalize(res.modes.float_values())
     return SubsetResult(
         spec=spec,
         efms=efms,

@@ -13,7 +13,7 @@ accepting a private keyword for each concern.
 The context is deliberately picklable (no lambdas, no open files) so it
 can cross process boundaries: the process-pool executor and the
 simulated-MPI process backend fork with a copy.  Mutable members degrade
-gracefully on copies — a forked :class:`~repro.linalg.batched.RankCache`
+gracefully on copies — a forked :class:`~repro.linalg.rankmemo.RankCache`
 is merely a smaller cache, never a wrong one, and per-process stats sinks
 are re-aggregated by the dispatching side.
 """
@@ -30,8 +30,7 @@ from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.cluster.memory import MemoryModel
 from repro.core.stats import IterationStats, RunStats
 from repro.core.trace import IterationTrace
-from repro.linalg import rational
-from repro.linalg.batched import CacheBinding, RankCache, problem_token
+from repro.linalg.rankmemo import CacheBinding, RankCache, problem_token
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.kernel import NullspaceProblem
@@ -156,10 +155,7 @@ class RunContext:
         if self.shared_rank_memo is not None and col_ids is not None:
             cache, token = self.shared_rank_memo
             return CacheBinding(cache, token, col_ids)
-        token = problem_token(
-            problem.n_perm, self.options.policy, self.options.arithmetic == "exact"
-        )
-        return CacheBinding(RankCache(), token)
+        return CacheBinding(RankCache(), problem_token(problem.n_perm))
 
     def bind_shared_rank_memo(self, reduced: "MetabolicNetwork") -> None:
         """Attach one rank memo for *all* subproblems of a divide-and-conquer
@@ -178,20 +174,10 @@ class RunContext:
         if self.options.acceptance == "bittree":
             self.shared_rank_memo = None
             return
-        token = problem_token(
-            stoichiometric_matrix(reduced),
-            self.options.policy,
-            self.options.arithmetic == "exact",
-        )
+        token = problem_token(stoichiometric_matrix(reduced))
         self.shared_rank_memo = (RankCache(), token)
 
     # -- per-run helpers -----------------------------------------------------
-
-    def n_exact_for(self, problem: "NullspaceProblem") -> rational.FractionMatrix | None:
-        """The exact stoichiometry for the rank test, when running exact."""
-        if self.options.arithmetic != "exact":
-            return None
-        return rational.from_numpy(problem.n_perm)
 
     def fresh_memory(self) -> MemoryModel | None:
         """A zeroed copy of the memory model (per-run/per-subproblem

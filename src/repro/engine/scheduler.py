@@ -69,7 +69,9 @@ ScheduleName = Literal["predicted-peak", "subset-id", "reverse"]
 Schedule = Union[ScheduleName, Sequence[int]]
 OnOom = Literal["record", "degrade"]
 
-_CHECKPOINT_VERSION = 2
+#: Manifest format version.  Version 3 dropped the rank tolerance from the
+#: run fingerprint (rank decisions are exact).
+_CHECKPOINT_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,8 +269,7 @@ class SubproblemScheduler:
         h.update("|".join(spec.label() for spec in self.specs).encode())
         o = self.context.options
         h.update(
-            f"{o.arithmetic}|{o.acceptance}|{o.ordering}|"
-            f"{o.policy.zero_tol}|{o.policy.rank_tol}".encode()
+            f"{o.arithmetic}|{o.acceptance}|{o.ordering}|{o.policy.zero_tol}".encode()
         )
         return h.hexdigest()
 

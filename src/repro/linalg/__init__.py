@@ -1,11 +1,7 @@
 """Linear-algebra substrate: exact rational routines, tolerant floating
-routines, and packed bitset support patterns."""
+routines, the exact rank engine's memo, and packed bitset support
+patterns."""
 
-from repro.linalg.batched import (
-    CacheBinding,
-    RankCache,
-    problem_token,
-)
 from repro.linalg.bitset import (
     PackedSupports,
     pack_supports,
@@ -16,14 +12,16 @@ from repro.linalg.bitset import (
 from repro.linalg.numeric import (
     column_normalize,
     kernel_identity_form,
-    numeric_rank,
-    nullity,
     support_of,
+)
+from repro.linalg.rankmemo import (
+    CacheBinding,
+    RankCache,
+    problem_token,
 )
 from repro.linalg.rational import (
     exact_nullspace,
     exact_rank,
-    integerize_columns,
     rref,
 )
 
@@ -38,11 +36,8 @@ __all__ = [
     "unique_rows",
     "column_normalize",
     "kernel_identity_form",
-    "numeric_rank",
-    "nullity",
     "support_of",
     "exact_nullspace",
     "exact_rank",
-    "integerize_columns",
     "rref",
 ]

@@ -37,11 +37,12 @@ mod-``p`` nullity estimate ``d - rank_p(B[S̄])`` upper-bounds the rational
 nullity: an estimate of 1 is a *certificate* of acceptance (the true
 nullity is sandwiched: ``1 <= nullity <= 1``).  Estimates ``>= 2`` are
 re-checked under a second prime and the minimum is kept; candidates where
-the two primes still disagree on the value escalate to the SVD reference.
+the two primes still disagree on the value are settled by exact
+elimination of their column selection on Python integers.
 No modular inverses are ever materialized for rank elimination (row scaling
 by the pivot preserves rank over a field); the only inverses are the lazy
 per-pivot ``pow(pv, -1, p)`` in the mod-``p`` RREF that rebuilds a kernel
-basis when the exact integer basis itself overflows.
+basis when the exact int64 basis construction overflows.
 
 **Unit-row reduction.**  :func:`int_kernel` parametrizes ``B`` by the
 free reactions, so every free-reaction row is a scaled unit vector
@@ -60,29 +61,28 @@ reduced entries are a subset of ``B``'s, so the float64 guard certifies
 the result exactly as for the full stack.  ``n_rank_unit_members`` counts
 the members settled this way.
 
-Problems whose entries cannot be scaled to safe integers (non-rational
-entries, or magnitudes beyond the integer envelope) fall back wholesale to
-the SVD stack in :mod:`repro.linalg.batched` (``n_rank_fallback``), as do
-exact-arithmetic runs.  Kernel and fallback write one support-pattern memo
-(:class:`repro.linalg.batched.RankCache`): keys are support patterns,
-values are certified ranks tagged with the arm that produced them.
+**One reading of the stoichiometry.**  :func:`integer_columns` turns the
+float stoichiometry into integers for both this engine and the initial
+kernel (:func:`repro.linalg.numeric.kernel_identity_form`): every entry is
+read as a rational and each column scaled by its denominators' lcm —
+column scaling changes no column-subset rank.  Columns past the int64
+envelope come back as Python integers; the engine then reduces them mod
+``p`` exactly and eliminates them without a bound.  No rank decision uses
+a floating-point tolerance, for float and exact-arithmetic runs alike.
+Certified ranks go into the support-pattern memo of
+:mod:`repro.linalg.rankmemo`.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
-from fractions import Fraction
 
 import numpy as np
 
-from repro.config import NumericPolicy
-from repro.linalg.batched import (
-    CacheBinding,
-    batched_ranks,
-    bucketed_ranks,
-    problem_token,
-    split_cache_hits,
-)
+from repro.errors import LinAlgError
+from repro.linalg import rational
+from repro.linalg.rankmemo import CacheBinding, problem_token, split_cache_hits
 
 #: Magnitude ceiling for the exact float64 Bareiss arm: one update step
 #: computes ``pv * x - c * g`` with all four factors below this bound, so
@@ -100,10 +100,9 @@ PRIMES = (
     8388451, 8388449, 8388439, 8388427, 8388421, 8388409, 8388377, 8388371,
 )
 
-#: Denominator bound for the per-column rational rescale; entries that are
-#: not within 1e-12 (relative) of a fraction this small are non-rational
-#: for our purposes and send the whole problem to the SVD fallback.
-MAX_DENOMINATOR = 1000
+#: float64 holds every integer below this magnitude exactly; the exact
+#: arm's panel is built only from bases inside it.
+FLOAT_EXACT = 2**53
 
 #: Prepared problems are memoized by content digest; the registry is
 #: cleared wholesale past this size (divide-and-conquer runs touch a few
@@ -116,38 +115,30 @@ MAX_PROBLEMS = 128
 # ---------------------------------------------------------------------------
 
 
-def integerize(n_perm: np.ndarray) -> np.ndarray | None:
-    """Rescale ``n_perm`` to an exact int64 matrix, or ``None``.
+def integer_columns(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Exact integer column rescale ``(a_int, scales)`` of a float matrix:
+    ``a_int[:, j] == a[:, j] * scales[j]`` over the rationals.
 
-    Integer-valued inputs pass through ``np.rint``.  Otherwise each
-    *column* is scaled by the lcm of its entries' denominators — column
-    scaling by nonzero constants changes no column-subset rank, so the
-    rescaled matrix answers exactly the same rank queries.  Entries that
-    are not safely rational (no denominator below :data:`MAX_DENOMINATOR`
-    reproduces them to 1e-12 relative) or whose rescale overflows the
-    Montante guard disqualify the whole problem.
+    Integral columns pass through ``np.rint`` with scale 1.  Columns with a
+    non-integral entry read every entry with
+    :func:`repro.linalg.rational.float_to_fraction` and scale by the lcm of
+    the denominators.  The result is int64 when it fits the Montante guard,
+    else Python ints (``object`` dtype).
     """
-    a = np.asarray(n_perm, dtype=np.float64)
-    if a.size == 0:
-        return a.astype(np.int64)
     r = np.rint(a)
-    if np.allclose(a, r, rtol=0.0, atol=1e-9) and np.abs(r).max() < INT_KERNEL_GUARD:
-        return r.astype(np.int64)
-    out = np.zeros(a.shape, dtype=np.int64)
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        fracs = []
-        for x in col:
-            f = Fraction(float(x)).limit_denominator(MAX_DENOMINATOR)
-            if abs(float(f) - x) > 1e-12 * max(1.0, abs(x)):
-                return None
-            fracs.append(f)
-        scale = int(np.lcm.reduce([f.denominator for f in fracs])) if fracs else 1
-        scaled = [int(f * scale) for f in fracs]
-        if scaled and max(abs(v) for v in scaled) >= INT_KERNEL_GUARD:
-            return None
-        out[:, j] = scaled
-    return out
+    scales = [1] * a.shape[1]
+    frac_cols = np.flatnonzero((a != r).any(axis=0))
+    if not frac_cols.size and (not r.size or np.abs(r).max() < INT_KERNEL_GUARD):
+        return r.astype(np.int64), scales
+    out = np.array([[int(x) for x in row] for row in r.tolist()], dtype=object)
+    out = out.reshape(a.shape)
+    for j in frac_cols.tolist():
+        col = [rational.float_to_fraction(x) for x in a[:, j].tolist()]
+        scales[j] = math.lcm(*(f.denominator for f in col))
+        out[:, j] = np.array([int(f * scales[j]) for f in col], dtype=object)
+    if np.abs(out).max() < INT_KERNEL_GUARD:
+        out = out.astype(np.int64)
+    return out, scales
 
 
 def int_kernel(n_int: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -224,9 +215,10 @@ def _verify_kernel(n_int: np.ndarray, B: np.ndarray) -> bool:
     allows, arbitrary-precision objects otherwise."""
     if B.size == 0:
         return True
-    bound = float(np.abs(n_int).max() or 1) * float(np.abs(B).max() or 1)
-    if bound * n_int.shape[1] < 2.0**53:
-        return not np.any(n_int.astype(np.float64) @ B.astype(np.float64))
+    if n_int.dtype != object and B.dtype != object:
+        bound = float(np.abs(n_int).max() or 1) * float(np.abs(B).max() or 1)
+        if bound * n_int.shape[1] < 2.0**53:
+            return not np.any(n_int.astype(np.float64) @ B.astype(np.float64))
     prod = n_int.astype(object) @ B.astype(object)
     return not np.any(prod != 0)
 
@@ -234,123 +226,108 @@ def _verify_kernel(n_int: np.ndarray, B: np.ndarray) -> bool:
 class ModularProblem:
     """Per-stoichiometry prepared state of the modular engine.
 
-    ``ok=False`` problems (non-rational entries, unverifiable kernels)
-    delegate every call to the SVD fallback.  ``bt`` is the transposed
-    gcd-reduced integer kernel basis as float64 ``(d, q)`` — the panel the
-    residue arm gathers complement columns from; ``bt_pad`` is the same
-    panel bordered by one zero row and column, the gather target of the
-    exact arm's padded index matrices.  ``unit`` marks the reactions whose
-    basis row has exactly one nonzero and ``coord`` names that nonzero's
-    column (the unit-row reduction's inputs).  When the exact basis
-    construction itself overflows int64, per-prime bases are rebuilt lazily
-    by mod-``p`` RREF (:meth:`residue_basis`).
+    ``n_int`` is the stoichiometry as read by :func:`integer_columns`
+    (int64, or Python ints past the int64 envelope) and ``b_int`` the
+    transposed gcd-reduced exact kernel basis ``(d, q)`` of the same
+    dtype — the source every residue panel is reduced from.  ``bt`` is
+    that basis as float64, built only when every entry is an exact float64
+    integer; ``bt_pad`` is the same panel bordered by one zero row and
+    column, the gather target of the exact arm's padded index matrices.
+    ``unit`` marks the reactions whose basis row has exactly one nonzero
+    and ``coord`` names that nonzero's column (the unit-row reduction's
+    inputs).  When the int64 basis construction overflows, per-prime bases
+    are rebuilt lazily by mod-``p`` RREF (:meth:`residue_basis`).
     """
 
     __slots__ = (
-        "q", "m", "ok", "reason", "rank", "d", "bt", "bt_pad", "unit", "coord",
-        "n_int", "primes", "_residues", "_modp_bases",
+        "q", "m", "rank", "d", "n_int", "b_int", "bt", "bt_pad", "unit",
+        "coord", "primes", "_residues",
     )
 
-    def __init__(self, n_perm: np.ndarray, policy: NumericPolicy) -> None:
+    def __init__(self, n_perm: np.ndarray) -> None:
         self.m, self.q = n_perm.shape
-        self.ok = False
-        self.reason = ""
-        self.rank = -1
-        self.d = -1
+        self.b_int: np.ndarray | None = None
         self.bt: np.ndarray | None = None
         self.bt_pad: np.ndarray | None = None
         self.unit: np.ndarray | None = None
         self.coord: np.ndarray | None = None
-        self.n_int: np.ndarray | None = None
         self._residues: dict[int, np.ndarray] = {}
-        self._modp_bases: dict[int, tuple[int, np.ndarray]] = {}
-        digest = problem_token(n_perm, policy, False)
+        digest = problem_token(n_perm)
         start = int.from_bytes(digest[:4], "big") % len(PRIMES)
         self.primes = tuple(
             PRIMES[(start + k) % len(PRIMES)] for k in range(len(PRIMES))
         )
-        n_int = integerize(n_perm)
-        if n_int is None:
-            self.reason = "non-rational entries"
-            return
-        self.n_int = n_int
+        self.n_int, _ = integer_columns(np.asarray(n_perm, dtype=np.float64))
         try:
-            pivots, B = int_kernel(n_int)
+            pivots, B = int_kernel(self.n_int)
         except OverflowError:
-            # Exact basis out of reach; the residue arm rebuilds per-prime
-            # bases on demand.  Rank/d are pinned by the first usable prime.
-            if self._pin_rank_mod_p():
-                self.ok = True
-            else:
-                self.reason = "no usable prime"
+            # Exact basis out of int64 reach; the residue arm rebuilds
+            # per-prime bases on demand.  Rank/d are pinned by two primes.
+            self._pin_rank_mod_p()
             return
-        if not _verify_kernel(n_int, B):
-            self.reason = "kernel verification failed"
-            return
+        if not _verify_kernel(self.n_int, B):
+            raise LinAlgError(
+                f"exact kernel basis of the {self.m}x{self.q} stoichiometry "
+                "failed verification"
+            )
         self.rank = len(pivots)
         self.d = B.shape[1]
-        self.bt = np.ascontiguousarray(B.T, dtype=np.float64)
+        self.b_int = np.ascontiguousarray(B.T)
+        if B.size and np.abs(B).max() >= FLOAT_EXACT:
+            return  # the residue arm answers every query
+        self.bt = self.b_int.astype(np.float64)
         self.bt_pad = np.pad(self.bt, ((0, 1), (0, 1)))
-        rows, cols = np.nonzero(B)
+        cols, rows = np.nonzero(self.bt)
         self.unit = np.bincount(rows, minlength=self.q) == 1
         self.coord = np.zeros(self.q, dtype=np.int64)
         self.coord[rows] = cols  # the only nonzero, on unit rows
-        self.ok = True
 
     # -- residue arm state -------------------------------------------------
 
-    def _pin_rank_mod_p(self) -> bool:
+    def _pin_rank_mod_p(self) -> None:
         """Fix ``rank``/``d`` from the first two agreeing primes (basis-less
         problems only).  A single prime can undercount the rank with
         probability ~``m/p``; two independent agreeing primes make that
         ~``(m/p)^2`` — and accept certificates stay one-sided regardless."""
-        seen: dict[int, int] = {}
+        seen: set[int] = set()
         for p in self.primes[:6]:
-            basis = self.residue_basis(p)
-            if basis is None:
-                continue
-            d_p = basis.shape[0]
+            d_p = self.residue_basis(p).shape[0]
             if d_p in seen:
                 self.rank = self.q - d_p
                 self.d = d_p
-                return True
-            seen[d_p] = p
-        return False
+                return
+            seen.add(d_p)
+        raise LinAlgError(
+            f"no two primes agree on the rank of the {self.m}x{self.q} "
+            "stoichiometry"
+        )
 
-    def residue_basis(self, p: int) -> np.ndarray | None:
+    def residue_basis(self, p: int) -> np.ndarray:
         """The ``(d, q)`` int64 nullspace-basis panel over ``F_p``.
 
-        With the exact basis available this is just ``bt mod p`` (a basis
-        of the rational nullspace reduces to a spanning set of its image in
-        ``F_p^q``, which is all the one-sided certificate needs).  Without
-        it, a mod-``p`` RREF of the stoichiometry rebuilds a basis — the
-        one place modular inverses appear, one lazy ``pow(pv, -1, p)`` per
-        pivot.
+        With the exact basis available this is ``b_int mod p``, reduced on
+        the exact integers (a basis of the rational nullspace reduces to a
+        spanning set of its image in ``F_p^q``, which is all the one-sided
+        certificate needs).  Without it, a mod-``p`` RREF of the
+        stoichiometry rebuilds a basis — the one place modular inverses
+        appear, one lazy ``pow(pv, -1, p)`` per pivot.
         """
-        if self.bt is not None:
-            res = self._residues.get(p)
-            if res is None:
-                res = np.ascontiguousarray(
-                    self.bt.astype(np.int64) % p
-                )
-                self._residues[p] = res
-            return res
-        cached = self._modp_bases.get(p)
-        if cached is not None:
-            return cached[1]
-        basis = _kernel_mod_p(self.n_int, p)
-        if basis is None:
-            return None
-        self._modp_bases[p] = (basis.shape[0], basis)
-        return basis
+        res = self._residues.get(p)
+        if res is None:
+            if self.b_int is not None:
+                res = np.ascontiguousarray(self.b_int % p, dtype=np.int64)
+            else:
+                res = _kernel_mod_p(self.n_int, p)
+            self._residues[p] = res
+        return res
 
 
-def _kernel_mod_p(n_int: np.ndarray, p: int) -> np.ndarray | None:
+def _kernel_mod_p(n_int: np.ndarray, p: int) -> np.ndarray:
     """Nullspace basis of ``n_int`` over ``F_p`` via RREF with lazy
-    per-pivot inverses; returns ``(d_p, q)`` int64 rows, or ``None`` for
-    degenerate inputs."""
+    per-pivot inverses; returns ``(d_p, q)`` int64 rows.  Entries are
+    reduced mod ``p`` on the exact integers before the int64 cast."""
     m, q = n_int.shape
-    A = (n_int.astype(np.int64) % p).copy()
+    A = np.asarray(n_int % p, dtype=np.int64)
     piv_cols: list[int] = []
     r = 0
     for j in range(q):
@@ -388,7 +365,7 @@ _REGISTRY: dict[bytes, ModularProblem] = {}
 _ID_CACHE: dict[int, tuple] = {}
 
 
-def problem_for(n_perm: np.ndarray, policy: NumericPolicy) -> ModularProblem:
+def problem_for(n_perm: np.ndarray) -> ModularProblem:
     """The prepared :class:`ModularProblem` for a stoichiometry, memoized
     by content digest (plus an object-identity fast path) so repeated calls
     — and divide-and-conquer subproblems revisiting one matrix — pay
@@ -397,20 +374,20 @@ def problem_for(n_perm: np.ndarray, policy: NumericPolicy) -> ModularProblem:
     ident = id(n_perm)
     hit = _ID_CACHE.get(ident)
     if hit is not None:
-        ref, pol, prob = hit
-        if ref() is n_perm and pol is policy:
+        ref, prob = hit
+        if ref() is n_perm:
             return prob
-    key = problem_token(n_perm, policy, False)
+    key = problem_token(n_perm)
     prob = _REGISTRY.get(key)
     if prob is None:
         if len(_REGISTRY) >= MAX_PROBLEMS:
             _REGISTRY.clear()
-        prob = ModularProblem(n_perm, policy)
+        prob = ModularProblem(n_perm)
         _REGISTRY[key] = prob
     try:
         if len(_ID_CACHE) >= MAX_PROBLEMS:
             _ID_CACHE.clear()
-        _ID_CACHE[ident] = (weakref.ref(n_perm), policy, prob)
+        _ID_CACHE[ident] = (weakref.ref(n_perm), prob)
     except TypeError:  # non-weakrefable views keep the digest-only path
         pass
     return prob
@@ -576,7 +553,7 @@ def _kernel_nullities(
     prob: ModularProblem, idx_pad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residue-arm nullity estimates for the padded complement stacks,
-    plus a mask of candidates needing SVD resolution (prime disagreement).
+    plus a mask of candidates the two primes disagree on.
 
     Prime 1 takes the whole stack, then prime 2 every nullity-≥2 estimate,
     keeping the minimum (reduction can only inflate nullity, so the minimum
@@ -607,7 +584,7 @@ def _kernel_nullities(
         resolved = np.minimum(n1, null2)
         # A certificate (either prime saw nullity 1) or two agreeing
         # estimates settle the candidate; a remaining disagreement — both
-        # primes ≥ 2 but different — escalates to the SVD reference.
+        # primes ≥ 2 but different — is left to exact elimination.
         disagree = (resolved >= 2) & (n1 != null2)
         null1[need] = resolved
         unresolved[np.flatnonzero(need)[disagree]] = True
@@ -619,50 +596,36 @@ def modular_ranks(
     support_mask: np.ndarray,
     sizes: np.ndarray,
     *,
-    policy: NumericPolicy,
-    n_exact=None,
     words: np.ndarray | None = None,
     cache: CacheBinding | None = None,
     stats=None,
 ) -> np.ndarray:
-    """Ranks of ``n_perm[:, S_i]`` via the modular residue-field engine.
+    """Exact ranks of ``n_perm[:, S_i]`` for the candidates given by the
+    ``(q, n)`` boolean ``support_mask`` (column ``i`` is candidate ``i``'s
+    support) and its column popcounts ``sizes``.
 
-    Same contract as its SVD fallback
-    :func:`repro.linalg.batched.bucketed_ranks`: one vectorized key pass
-    (:meth:`~repro.linalg.batched.CacheBinding.keys`) drives the memo
-    lookups, all misses of a call go to the kernel as one batch of
-    complements, and computed ranks are stored back tagged ``"modular"``.
-    Exact-arithmetic runs and unprepared problems delegate wholesale to the
-    fallback (the latter counted in ``n_rank_fallback``).
+    One vectorized key pass (:meth:`~repro.linalg.rankmemo.CacheBinding.keys`
+    over the packed support rows ``words``) drives the memo lookups, all
+    misses of a call go to the kernel as one batch of complements, and the
+    computed ranks are stored back.  Candidates the two residue primes
+    disagree on are settled by exact elimination on Python integers and
+    counted in ``n_rank_fallback``; ``stats`` is an optional
+    :class:`~repro.core.stats.IterationStats` counter sink.
     """
     n = int(sizes.size)
     ranks = np.zeros(n, dtype=np.int64)
     if n == 0:
         return ranks
-    if n_exact is not None:
-        return bucketed_ranks(
-            n_perm, support_mask, sizes, policy=policy, n_exact=n_exact,
-            words=words, cache=cache, stats=stats,
-        )
-    prob = problem_for(n_perm, policy)
-    if not prob.ok:
-        if stats is not None:
-            stats.n_rank_fallback += n
-        return bucketed_ranks(
-            n_perm, support_mask, sizes, policy=policy, words=words,
-            cache=cache, stats=stats,
-        )
+    prob = problem_for(n_perm)
     mask_t = np.ascontiguousarray(support_mask.T)  # (n, q)
     if cache is not None:
         keys = cache.keys(mask_t, sizes, words)
-        miss_pos = split_cache_hits(cache, keys, np.arange(n), ranks, stats)
+        miss_pos = split_cache_hits(cache, keys, ranks, stats)
         if not miss_pos:
             return ranks
         miss_idx = np.asarray(miss_pos, dtype=np.int64)
-        miss_keys: list = [keys[j] for j in miss_pos]
     else:
         miss_idx = np.arange(n, dtype=np.int64)
-        miss_keys = [None] * n
     s_arr = sizes[miss_idx].astype(np.int64)
     nm = miss_idx.size
     if stats is not None:
@@ -685,25 +648,18 @@ def modular_ranks(
         unresolved &= ~empty
     miss_ranks = s_arr - nullities
     if unresolved.any():
-        # Prime-disagreement escalation: the SVD reference settles the
-        # stragglers (counted as fallbacks — the kernel did not certify).
+        # Prime disagreement: exact elimination of the candidate's own
+        # column selection on Python integers settles the stragglers.
         u = np.flatnonzero(unresolved)
         if stats is not None:
             stats.n_rank_fallback += u.size
             stats.n_rank_modular -= u.size
-        s_u = s_arr[u]
-        cols_u = np.nonzero(mask_t[miss_idx[u]])[1]
-        svd_ranks = np.zeros(u.size, dtype=np.int64)
-        start = 0
-        for k, su in enumerate(s_u.tolist()):
-            sel = cols_u[start : start + su][None, :]
-            svd_ranks[k] = batched_ranks(n_perm, sel, policy)[0]
-            start += su
-        miss_ranks[u] = svd_ranks
+        for k in u.tolist():
+            cols = np.flatnonzero(mask_t[miss_idx[k]])
+            miss_ranks[k] = len(int_kernel(prob.n_int[:, cols].astype(object))[0])
     ranks[miss_idx] = miss_ranks
     if cache is not None:
         store = cache.cache.store
-        for key, rk in zip(miss_keys, miss_ranks.tolist()):
-            if key is not None:
-                store(key, rk, "modular")
+        for j, rk in zip(miss_pos, miss_ranks.tolist()):
+            store(keys[j], rk)
     return ranks

@@ -3,19 +3,18 @@
 Everything here is vectorized numpy on float64.  The exactness-critical
 one-off step — the initial ``(I; R)`` kernel — is built by fraction-free
 integer elimination (:mod:`repro.linalg.modular`) and converted to float
-once; per-candidate steps (support extraction, rank tests) use tolerances
-from :class:`repro.config.NumericPolicy`.
+once; support extraction uses the zero tolerance of
+:class:`repro.config.NumericPolicy`.  Rank decisions are not made here:
+the rank test is exact (:mod:`repro.linalg.modular`).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.config import DEFAULT_POLICY, NumericPolicy
 from repro.errors import LinAlgError
-from repro.linalg import modular, rational
+from repro.linalg import modular
 
 
 def column_normalize(cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -58,28 +57,6 @@ def clean_zeros(cols: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.
     return cols
 
 
-def numeric_rank(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
-    """Numeric rank via SVD with a relative singular-value cutoff.
-
-    Matches the efmtool convention: cutoff is
-    ``rank_tol * sigma_max * max(shape)`` with an absolute floor so the
-    all-zero matrix has rank 0.
-    """
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    cutoff = policy.rank_tol * s[0] * max(a.shape)
-    cutoff = max(cutoff, 1e-300)
-    return int(np.count_nonzero(s > cutoff))
-
-
-def nullity(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
-    """Right-nullspace dimension: ``n_cols - rank``."""
-    return a.shape[1] - numeric_rank(a, policy)
-
-
 def kernel_identity_form(
     n: np.ndarray,
     *,
@@ -115,7 +92,8 @@ def kernel_identity_form(
     free, e.g. to reproduce the paper's worked example).
 
     The construction is exact: the stoichiometry is rescaled column by
-    column to integers (:func:`_integer_columns`) and eliminated once, in
+    column to integers (:func:`repro.linalg.modular.integer_columns`, the
+    rank test's reading of the same matrix) and eliminated once, in
     scan order, by fraction-free Montante elimination
     (:func:`repro.linalg.modular.int_kernel`; rerun on Python integers when
     int64 would overflow).  Each kernel row is multiplied back by its
@@ -137,7 +115,7 @@ def kernel_identity_form(
     else:
         scan_order = np.arange(q, dtype=np.intp)
     nf = np.asarray(n, dtype=np.float64)
-    a_int, scales = _integer_columns(nf[:, scan_order])
+    a_int, scales = modular.integer_columns(nf[:, scan_order])
     try:
         pivots_scan, basis = modular.int_kernel(a_int)
     except OverflowError:
@@ -171,42 +149,6 @@ def kernel_identity_form(
                 f"kernel residual too large: {resid.max():.3e} (scale {scale:.3e})"
             )
     return kernel, col_perm
-
-
-def _integer_columns(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Exact integer column rescale ``(a_int, scales)`` of a float matrix:
-    ``a_int[:, j] == a[:, j] * scales[j]`` over the rationals.
-
-    Integral columns pass through ``np.rint`` with scale 1.  Columns with a
-    non-integral entry read every entry with
-    :func:`repro.linalg.rational.float_to_fraction` and scale by the lcm of
-    the denominators.  The result is int64 when it fits the Montante guard,
-    else Python ints (``object`` dtype).
-    """
-    r = np.rint(a)
-    scales = [1] * a.shape[1]
-    frac_cols = np.flatnonzero((a != r).any(axis=0))
-    if not frac_cols.size and (not r.size or np.abs(r).max() < modular.INT_KERNEL_GUARD):
-        return r.astype(np.int64), scales
-    out = np.array([[int(x) for x in row] for row in r.tolist()], dtype=object)
-    out = out.reshape(a.shape)
-    for j in frac_cols.tolist():
-        col = [rational.float_to_fraction(x) for x in a[:, j].tolist()]
-        scales[j] = math.lcm(*(f.denominator for f in col))
-        out[:, j] = np.array([int(f * scales[j]) for f in col], dtype=object)
-    if np.abs(out).max() < modular.INT_KERNEL_GUARD:
-        out = out.astype(np.int64)
-    return out, scales
-
-
-def _float_nullspace(a: np.ndarray, policy: NumericPolicy) -> np.ndarray:
-    """SVD-based orthonormal nullspace basis (columns)."""
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = policy.rank_tol * (s[0] if s.size else 0.0) * max(a.shape)
-    rank = int(np.count_nonzero(s > cutoff))
-    return vh[rank:].T.copy()
 
 
 def gcd_reduce_rows(mat: np.ndarray) -> np.ndarray:

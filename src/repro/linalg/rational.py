@@ -4,19 +4,17 @@ Stoichiometric coefficients of real metabolic models are rationals (the
 yeast biomass reaction R70 has coefficients up to 40141), and a float RREF
 can misclassify near-zero pivots.  These routines answer rank and
 nullspace questions exactly, at O(n^3) cost with big-int coefficient
-growth — fine for the ``arithmetic="exact"`` rank test and for verifying
-small networks, far too slow for the inner enumeration loop (which uses
-:mod:`repro.linalg.numeric`).  The initial ``(I; R)`` kernel is built by
-fraction-free integer elimination instead
-(:func:`repro.linalg.numeric.kernel_identity_form`); this module only
-supplies its float-to-rational reading (:func:`float_to_fraction`).
+growth — fine for verifying small networks, far too slow for the inner
+enumeration loop.  The initial ``(I; R)`` kernel and the rank test run
+fraction-free integer elimination instead (:mod:`repro.linalg.modular`);
+this module only supplies their float-to-rational reading
+(:func:`float_to_fraction`).
 
 Matrices are represented as list-of-rows of :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -135,32 +133,6 @@ def exact_nullspace(a: FractionMatrix) -> FractionMatrix:
         for row_idx, p in enumerate(pivots):
             basis[p][k] = -r[row_idx][f]
     return basis
-
-
-def integerize_columns(a: FractionMatrix) -> list[list[int]]:
-    """Scale each column of ``a`` to the smallest co-prime integer vector.
-
-    Multiplies each column by the LCM of its denominators and divides by the
-    GCD of the resulting numerators, preserving sign.  Used to hand the
-    enumeration loop a clean integer kernel and to canonicalize EFMs for
-    exact comparison.
-    """
-    m, n = matrix_shape(a)
-    out = [[0] * n for _ in range(m)]
-    for j in range(n):
-        col = [a[i][j] for i in range(m)]
-        denom_lcm = 1
-        for x in col:
-            denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in col]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        for i in range(m):
-            out[i][j] = ints[i]
-    return out
 
 
 def fraction_matmul(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:

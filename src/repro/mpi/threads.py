@@ -1,7 +1,7 @@
 """Lockstep thread backend: N ranks as threads in one process.
 
 NumPy releases the GIL inside its kernels, so the heavy phases (candidate
-generation, SVD rank tests) overlap to the extent the host has cores;
+generation, rank-test eliminations) overlap to the extent the host has cores;
 regardless of overlap the *semantics* are those of a distributed-memory
 run — ranks share nothing except explicit messages.  A payload is
 pickled once into a bytes blob and every receiver unpickles its own

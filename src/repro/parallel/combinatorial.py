@@ -39,7 +39,7 @@ from repro.cluster.memory import MemoryModel
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
 from repro.linalg import bitset
-from repro.linalg.batched import CacheBinding
+from repro.linalg.rankmemo import CacheBinding
 from repro.linalg.bitset import PackedSupports
 from repro.mpi.comm import Communicator
 from repro.mpi.spmd import BackendName, run_spmd
@@ -102,7 +102,6 @@ def combinatorial_worker(
     t_start = time.perf_counter()
     strategy = get_pair_strategy(pair_strategy)
     exact = options.arithmetic == "exact"
-    n_exact = ctx.n_exact_for(problem)
     modes = ModeMatrix.from_kernel(problem.kernel, exact=exact, policy=options.policy)
     stats = RunStats()
     # The model instance is shared across in-process ranks deliberately:
@@ -137,7 +136,6 @@ def combinatorial_worker(
             options,
             it,
             pair_range_for=lambda n: strategy(n, comm.rank, comm.size),
-            n_exact=n_exact,
             rank_cache=rank_cache,
             materialize=False,
             processed_rows=selector.adjacency_rows(),

@@ -114,7 +114,6 @@ def batch_iteration(
     zero_words: np.ndarray | None = None,
     adjacency=None,
     acceptance: str | None = None,
-    n_exact=None,
     rank_cache=None,
     deferred: bool | None = None,
 ) -> ModeMatrix | CandidateBatch:
@@ -144,8 +143,6 @@ def batch_iteration(
                 cand,
                 n_perm,
                 rank_bound,
-                policy=options.policy,
-                n_exact=n_exact,
                 cache=rank_cache,
                 stats=stats,
             )

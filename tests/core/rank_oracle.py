@@ -1,16 +1,16 @@
 """The per-candidate rank loop: reference oracle for the rank kernel.
 
-:func:`repro.core.ranktest.rank_test` takes its ranks from one engine,
-:func:`repro.linalg.modular.modular_ranks`, which falls back to the SVD
-stack :func:`repro.linalg.batched.bucketed_ranks` for exact runs,
-non-rational stoichiometries and prime disagreements.  This module keeps
-the simplest correct form as the reference and lets a test route
-``rank_test`` through any of the three:
+:func:`repro.core.ranktest.rank_test` takes its exact ranks from one
+engine, :func:`repro.linalg.modular.modular_ranks`.  This module keeps the
+simplest correct forms as references and lets a test route ``rank_test``
+through any of them:
 
-* :func:`loop_ranks` — one :func:`~repro.linalg.numeric.numeric_rank`
-  call (or one exact rational elimination) per candidate, no memo;
-* :data:`ENGINES` — ``"modular"`` (the engine), ``"batched"`` (the SVD
-  fallback called directly) and ``"loop"`` (the oracle), all with the
+* :func:`numeric_rank` — one SVD with a relative singular-value cutoff;
+* :func:`loop_ranks` — one :func:`numeric_rank` call (or, with
+  ``exact=True``, one rational elimination via
+  :func:`repro.linalg.rational.exact_rank`) per candidate, no memo;
+* :data:`ENGINES` — ``"modular"`` (the engine), ``"loop"`` (the SVD
+  oracle) and ``"exact"`` (the rational oracle), all with the
   ``modular_ranks`` signature;
 * :func:`use_rank_engine` — patch the named engine into ``rank_test`` for
   every driver (serial, combinatorial, column-partitioned,
@@ -21,14 +21,29 @@ the simplest correct form as the reference and lets a test route
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core import ranktest
 from repro.linalg import rational
-from repro.linalg.batched import bucketed_ranks
 from repro.linalg.modular import modular_ranks
-from repro.linalg.numeric import numeric_rank
+
+#: Relative singular-value cutoff of :func:`numeric_rank` (the efmtool
+#: convention, scaled by ``sigma_max * max(shape)``).
+RANK_TOL = 1e-8
+
+
+def numeric_rank(a: np.ndarray) -> int:
+    """Numeric rank via SVD: singular values above
+    ``RANK_TOL * sigma_max * max(shape)`` count, with an absolute floor so
+    the all-zero matrix has rank 0."""
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    cutoff = max(RANK_TOL * s[0] * max(a.shape), 1e-300)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def loop_ranks(
@@ -36,8 +51,7 @@ def loop_ranks(
     support_mask: np.ndarray,
     sizes: np.ndarray,
     *,
-    policy,
-    n_exact=None,
+    exact: bool = False,
     words=None,
     cache=None,
     stats=None,
@@ -47,6 +61,7 @@ def loop_ranks(
     Same contract as :func:`~repro.linalg.modular.modular_ranks`; the memo
     and the counter sink are ignored, so every rank is computed afresh.
     """
+    n_exact = rational.from_numpy(n_perm) if exact else None
     ranks = np.zeros(int(sizes.size), dtype=np.int64)
     for pos in range(ranks.size):
         cols = np.nonzero(support_mask[:, pos])[0]
@@ -54,11 +69,15 @@ def loop_ranks(
             sub = rational.select_columns(n_exact, cols.tolist())
             ranks[pos] = rational.exact_rank(sub)
         else:
-            ranks[pos] = numeric_rank(n_perm[:, cols], policy)
+            ranks[pos] = numeric_rank(n_perm[:, cols])
     return ranks
 
 
-ENGINES = {"modular": modular_ranks, "batched": bucketed_ranks, "loop": loop_ranks}
+ENGINES = {
+    "modular": modular_ranks,
+    "loop": loop_ranks,
+    "exact": functools.partial(loop_ranks, exact=True),
+}
 
 
 def use_rank_engine(monkeypatch, engine: str) -> None:

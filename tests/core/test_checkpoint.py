@@ -126,6 +126,20 @@ class TestRunAndResume:
         with pytest.raises(AlgorithmError, match="version 2 unsupported"):
             Checkpoint.load(path)
 
+    def test_version_3_resume_refused(self, toy_problem, tmp_path):
+        # A version-3 fingerprint hashed the rank tolerance the options no
+        # longer carry; resuming must fail with a typed error naming the
+        # format version, not a KeyError or a foreign-problem complaint.
+        path = tmp_path / "run.ckpt"
+        checkpointed_nullspace_algorithm(toy_problem, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["version"] = np.int64(3)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(AlgorithmError, match="version 3 unsupported"):
+            checkpointed_nullspace_algorithm(toy_problem, path)
+
     def test_medium_network_resume_equivalence(self, tmp_path):
         """Interrupt a real workload halfway; the resumed result equals
         the straight-through run bit-for-bit on supports."""

@@ -1,5 +1,7 @@
 """Tests for configuration validation and the exception hierarchy."""
 
+import dataclasses
+
 import pytest
 
 from repro import errors
@@ -10,17 +12,12 @@ class TestNumericPolicy:
     def test_defaults_sane(self):
         p = NumericPolicy()
         assert 0 < p.zero_tol < 1e-2
-        assert 0 < p.rank_tol < 1e-2
+        assert [f.name for f in dataclasses.fields(p)] == ["zero_tol"]
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 0.5, 1.0])
     def test_zero_tol_range(self, bad):
         with pytest.raises(ValueError):
             NumericPolicy(zero_tol=bad)
-
-    @pytest.mark.parametrize("bad", [0.0, 0.5])
-    def test_rank_tol_range(self, bad):
-        with pytest.raises(ValueError):
-            NumericPolicy(rank_tol=bad)
 
     def test_frozen(self):
         with pytest.raises(Exception):

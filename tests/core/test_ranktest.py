@@ -6,7 +6,8 @@ import pytest
 from repro.core.ranktest import rank_test
 from repro.core.state import ModeMatrix
 from repro.errors import AlgorithmError
-from repro.linalg import rational
+
+from tests.core.rank_oracle import rank_test_with
 
 
 class TestRankTest:
@@ -46,13 +47,12 @@ class TestRankTest:
 
     def test_exact_agrees_with_float(self, toy_problem):
         rng = np.random.default_rng(7)
-        n_exact = rational.from_numpy(toy_problem.n_perm)
         # random nullspace combinations as candidates
         coeffs = rng.normal(size=(10, toy_problem.n_free))
         cand = ModeMatrix(coeffs @ toy_problem.kernel.T)
         by_float = rank_test(cand, toy_problem.n_perm, toy_problem.rank)
-        by_exact = rank_test(
-            cand, toy_problem.n_perm, toy_problem.rank, n_exact=n_exact
+        by_exact = rank_test_with(
+            "exact", cand, toy_problem.n_perm, toy_problem.rank
         )
         assert np.array_equal(by_float, by_exact)
 

@@ -1,14 +1,13 @@
-"""Parity suite: the modular rank kernel and its SVD fallback vs. the
-per-candidate loop oracle (``tests/core/rank_oracle.py``).
+"""Parity suite: the exact modular rank kernel vs. the per-candidate
+loop oracles (``tests/core/rank_oracle.py``).
 
-The kernel (``"modular"``) and the fallback it delegates to
-(``"batched"``, :func:`repro.linalg.batched.bucketed_ranks` called
-directly) must be decision-for-decision identical to the loop on every
-input: random networks, float and exact policies, reversible and
-irreversible rows, degenerate buckets, cold and warm caches, across
+The kernel (``"modular"``) must be decision-for-decision identical to the
+SVD loop (``"loop"``) and the rational loop (``"exact"``) on every input:
+random networks, float and exact arithmetic, reversible and irreversible
+rows, degenerate batches, cold and warm caches, across
 divide-and-conquer subproblems sharing one memo, across the candidate
 representation x streaming matrix, and end to end on a stoichiometry
-the kernel cannot integerize.
+with a non-rational column.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions, DEFAULT_POLICY
+from repro.config import AlgorithmOptions
 from repro.core.kernel import build_problem
 from repro.core.ranktest import rank_test
 from repro.core.state import ModeMatrix
@@ -27,14 +26,9 @@ from repro.dnc.combined import combined_parallel
 from repro.dnc.selection import select_partition_reactions
 from repro.efm.api import compute_efms
 from repro.engine import RunContext
-from repro.linalg import rational
-from repro.linalg.batched import (
-    CacheBinding,
-    RankCache,
-    bucketed_ranks,
-    problem_token,
-)
 from repro.linalg.bitset import pack_supports
+from repro.linalg.modular import modular_ranks
+from repro.linalg.rankmemo import CacheBinding, RankCache, problem_token
 from repro.models.generators import random_network
 from repro.models.registry import get_network
 from repro.network.compression import compress_network
@@ -45,9 +39,8 @@ from tests.conftest import assert_same_modes
 from tests.core.batch_oracle import run_whole_set
 from tests.core.rank_oracle import rank_test_with, solve_with, use_rank_engine
 
-#: The engines checked against the loop oracle: the modular kernel and
-#: its SVD fallback.
-ENGINES = ("batched", "modular")
+#: The engines checked against the loop oracle: the modular kernel.
+ENGINES = ("modular",)
 
 
 def _candidate_batch(problem, seed: int) -> ModeMatrix:
@@ -84,8 +77,8 @@ def _problem_for(seed: int):
     raise RuntimeError("no usable random network found")
 
 
-def _fresh_binding(n_perm: np.ndarray, exact: bool = False) -> CacheBinding:
-    return CacheBinding(RankCache(), problem_token(n_perm, DEFAULT_POLICY, exact))
+def _fresh_binding(n_perm: np.ndarray) -> CacheBinding:
+    return CacheBinding(RankCache(), problem_token(n_perm))
 
 
 class TestFloatParity:
@@ -113,24 +106,6 @@ class TestFloatParity:
             # Second pass served from the memo.
             assert binding.cache.hits > 0, engine
 
-    def test_modular_hits_entries_stored_by_batched(self):
-        """Kernel and fallback share one memo: entries the SVD fallback
-        certified must serve the kernel's lookups (same keys, same
-        ranks)."""
-        problem = _problem_for(5)
-        cand = _candidate_batch(problem, 5)
-        binding = _fresh_binding(problem.n_perm)
-        by_batched = rank_test_with(
-            "batched", cand, problem.n_perm, problem.rank, cache=binding
-        )
-        misses_before = binding.cache.misses
-        by_modular = rank_test(cand, problem.n_perm, problem.rank, cache=binding)
-        assert np.array_equal(by_batched, by_modular)
-        assert binding.cache.misses == misses_before  # every lookup hit
-        assert {tag for _, tag in binding.cache._table.values()} == {
-            "batched"
-        }
-
     def test_stats_counters_populated(self):
         problem = _problem_for(3)
         cand = _candidate_batch(problem, 3)
@@ -152,32 +127,22 @@ class TestExactParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_masks_bit_identical_exact(self, seed):
         problem = _problem_for(seed)
-        n_exact = rational.from_numpy(problem.n_perm)
         cand = _candidate_batch(problem, seed)
-        by_loop = rank_test_with(
-            "loop", cand, problem.n_perm, problem.rank, n_exact=n_exact
-        )
+        by_exact = rank_test_with("exact", cand, problem.n_perm, problem.rank)
         for engine in ENGINES:
-            mask = rank_test_with(
-                engine, cand, problem.n_perm, problem.rank, n_exact=n_exact
-            )
-            assert np.array_equal(by_loop, mask), engine
+            mask = rank_test_with(engine, cand, problem.n_perm, problem.rank)
+            assert np.array_equal(by_exact, mask), engine
 
     def test_exact_cache_hits_agree(self):
         problem = _problem_for(1)
-        n_exact = rational.from_numpy(problem.n_perm)
         cand = _candidate_batch(problem, 1)
-        binding = _fresh_binding(problem.n_perm, exact=True)
-        cold = rank_test(
-            cand, problem.n_perm, problem.rank, n_exact=n_exact, cache=binding
-        )
-        warm = rank_test(
-            cand, problem.n_perm, problem.rank, n_exact=n_exact, cache=binding
-        )
+        binding = _fresh_binding(problem.n_perm)
+        cold = rank_test(cand, problem.n_perm, problem.rank, cache=binding)
+        warm = rank_test(cand, problem.n_perm, problem.rank, cache=binding)
         assert np.array_equal(cold, warm)
         assert binding.cache.hits > 0
-        # Exact runs are answered by the fallback's rational arm.
-        assert {tag for _, tag in binding.cache._table.values()} == {"exact"}
+        by_exact = rank_test_with("exact", cand, problem.n_perm, problem.rank)
+        assert np.array_equal(by_exact, warm)
 
 
 class TestDegenerateBuckets:
@@ -234,14 +199,7 @@ class TestCanonicalCacheKeys:
     def _ranks(self, n, mask, binding):
         sizes = mask.sum(axis=0).astype(np.int64)
         words = pack_supports(mask)
-        return bucketed_ranks(
-            n,
-            mask,
-            sizes,
-            policy=DEFAULT_POLICY,
-            words=words,
-            cache=binding,
-        )
+        return modular_ranks(n, mask, sizes, words=words, cache=binding)
 
     def test_permuted_and_flipped_columns_hit(self):
         rng = np.random.default_rng(0)
@@ -322,14 +280,12 @@ class TestDnCSharedCache:
         ctx.bind_shared_rank_memo(reduced)
         memo = ctx.shared_rank_memo
         assert memo is not None and isinstance(memo[0], RankCache)
-        assert memo[1] == problem_token(
-            stoichiometric_matrix(reduced), DEFAULT_POLICY, False
-        )
+        assert memo[1] == problem_token(stoichiometric_matrix(reduced))
 
 
 class TestRegistryEquivalence:
-    """Identical EFM sets from the kernel, its fallback and the loop
-    oracle on the registry workloads that finish at test speed."""
+    """Identical EFM sets from the kernel and the loop oracle on the
+    registry workloads that finish at test speed."""
 
     @pytest.mark.parametrize(
         "name", ["toy", "yeast-I-small", "yeast-II-small"]
@@ -354,10 +310,9 @@ class TestRegistryEquivalence:
 
 
 class TestOptionMatrixParity:
-    """The 530-EFM yeast-I-small pin must hold for the kernel, its
-    fallback and the loop oracle across the candidate-representation x
-    streaming matrix, all three producing the same mode set per
-    combination.
+    """The 530-EFM yeast-I-small pin must hold for the kernel and the loop
+    oracle across the candidate-representation x streaming matrix, both
+    producing the same mode set per combination.
 
     ``streaming="off"`` runs the whole-set oracle with ``representation``
     candidates; ``"on"`` runs the streamed phase, which must match that
@@ -418,16 +373,17 @@ def _scaled_column(net: MetabolicNetwork, name: str, factor) -> MetabolicNetwork
     return MetabolicNetwork(net.name, net.metabolites, reactions)
 
 
-class TestSvdFallbackEndToEnd:
-    """A stoichiometry with a non-rational coefficient cannot be
-    integerized, so every rank test of the run takes the SVD fallback;
-    the EFM set must still be the loop oracle's."""
+class TestNonRationalColumnEndToEnd:
+    """A π-scaled column is read as the exact rational value of its
+    floats, so the kernel certifies every rank test of the run (no
+    straggler needs Python-integer elimination); the EFM set must still be
+    the SVD loop oracle's."""
 
-    def test_non_rational_column_solved_by_fallback(self):
+    def test_non_rational_column_solved_exactly(self):
         net = _scaled_column(get_network("yeast-I-small"), "R26", np.pi)
         result = compute_efms(net)
         assert result.n_efms == 530
-        assert result.stats.total_rank_fallback > 0
-        assert result.stats.total_rank_modular == 0
+        assert result.stats.total_rank_fallback == 0
+        assert result.stats.total_rank_modular > 0
         reference = solve_with("loop", compute_efms, net)
         assert result.same_modes_as(reference)

@@ -10,7 +10,7 @@ import numpy as np
 from repro.cluster.memory import MemoryModel
 from repro.config import AlgorithmOptions
 from repro.engine import RunContext, TraceRecorder
-from repro.linalg.batched import CacheBinding
+from repro.linalg.rankmemo import CacheBinding
 
 
 class TestEnsure:
@@ -85,11 +85,6 @@ class TestHelpers:
 
     def test_fresh_memory_none_without_model(self):
         assert RunContext().fresh_memory() is None
-
-    def test_n_exact_only_for_exact_arithmetic(self, toy_problem):
-        assert RunContext().n_exact_for(toy_problem) is None
-        ctx = RunContext(options=AlgorithmOptions(arithmetic="exact"))
-        assert ctx.n_exact_for(toy_problem) is not None
 
     def test_trace_recorder_follows_options(self, toy_problem):
         assert RunContext().trace_recorder().enabled is False

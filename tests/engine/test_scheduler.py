@@ -216,6 +216,17 @@ class TestCheckpointing:
         with pytest.raises(SchedulerError, match="checkpoint format"):
             make_scheduler(reduced, specs, checkpoint_dir=d).run()
 
+    def test_version_2_manifest_refuses_resume(self, reduced, specs, tmp_path):
+        # Version 2 fingerprinted the rank tolerance, which no longer exists.
+        d = tmp_path / "ckpt"
+        make_scheduler(reduced, specs, checkpoint_dir=d).run()
+        manifest = d / "manifest.json"
+        meta = json.loads(manifest.read_text())
+        meta["version"] = 2
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(SchedulerError, match="checkpoint format"):
+            make_scheduler(reduced, specs, checkpoint_dir=d).run()
+
     def test_interrupted_combined_run_resumes(self, reduced, tmp_path, monkeypatch):
         """Satellite: kill the run after k subsets, resume, identical EFMs."""
         d = tmp_path / "ckpt"

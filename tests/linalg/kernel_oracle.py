@@ -7,9 +7,36 @@ arithmetic: two RREFs, the second forcing the chosen pivots.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.linalg import rational
+from repro.linalg.rational import FractionMatrix, matrix_shape
+
+
+def integerize_columns(a: FractionMatrix) -> list[list[int]]:
+    """Scale each column of ``a`` to the smallest co-prime integer vector.
+
+    Multiplies each column by the LCM of its denominators and divides by the
+    GCD of the resulting numerators, preserving sign.
+    """
+    m, n = matrix_shape(a)
+    out = [[0] * n for _ in range(m)]
+    for j in range(n):
+        col = [a[i][j] for i in range(m)]
+        denom_lcm = 1
+        for x in col:
+            denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
+        ints = [int(x * denom_lcm) for x in col]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, abs(v))
+        if g > 1:
+            ints = [v // g for v in ints]
+        for i in range(m):
+            out[i][j] = ints[i]
+    return out
 
 
 def oracle_kernel_identity_form(
@@ -30,7 +57,7 @@ def oracle_kernel_identity_form(
     # pivots, so the nullspace is parametrized by our free set.
     scan2 = np.array(pivots + free_cols, dtype=np.intp)
     basis2 = rational.exact_nullspace(rational.from_numpy(nf[:, scan2]))
-    ints = rational.integerize_columns(basis2)
+    ints = integerize_columns(basis2)
     arr2 = np.array(ints, dtype=np.float64).reshape(q, len(free_cols))
     pos_in_scan2 = {int(c): i for i, c in enumerate(scan2)}
     kernel = arr2[[pos_in_scan2[int(c)] for c in col_perm], :]

@@ -2,18 +2,19 @@
 
 Each class targets one soundness hazard: lossy integerization,
 fraction-free kernel overflow, prime-divisible entries defeating a single
-residue field, non-rational inputs, and the unit-row reduction.
+residue field, non-rational inputs, and the unit-row reduction.  Ranks
+are checked against exact rational elimination.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_POLICY
 from repro.core.stats import IterationStats
 from repro.linalg import modular
-from repro.linalg.batched import bucketed_ranks
 from repro.linalg.modular import (
     ModularProblem,
     _kernel_mod_p,
@@ -22,10 +23,12 @@ from repro.linalg.modular import (
     _unit_reduced_ranks,
     bareiss_ranks,
     int_kernel,
-    integerize,
+    integer_columns,
     modular_ranks,
     problem_for,
 )
+
+from tests.core.rank_oracle import loop_ranks
 
 
 def _random_supports(q: int, n: int, seed: int = 0):
@@ -37,27 +40,31 @@ def _random_supports(q: int, n: int, seed: int = 0):
 
 
 def _reference_ranks(n_perm, mask, sizes):
-    return bucketed_ranks(n_perm, mask, sizes, policy=DEFAULT_POLICY)
+    """Exact ranks: one rational elimination per candidate."""
+    return loop_ranks(n_perm, mask, sizes, exact=True)
 
 
 class TestIntegerize:
+    """:func:`integer_columns`, the one reading of a float stoichiometry
+    shared by the initial kernel and the rank engine."""
+
     def test_integer_matrix_passes_through(self):
         a = np.array([[1.0, -3.0], [0.0, 7.0]])
-        out = integerize(a)
-        assert out.dtype == np.int64
+        out, scales = integer_columns(a)
+        assert out.dtype == np.int64 and scales == [1, 1]
         assert np.array_equal(out, [[1, -3], [0, 7]])
 
     def test_rational_columns_scaled_by_lcm(self):
         a = np.array([[0.5, 1 / 3], [1.5, 2 / 3]])
-        out = integerize(a)
+        out, scales = integer_columns(a)
         # Column scaling: each column times its denominator lcm.
         assert np.array_equal(out, [[1, 1], [3, 2]])
+        assert scales == [2, 3]
 
     def test_scaling_preserves_subset_ranks(self):
         rng = np.random.default_rng(3)
         a = rng.integers(-4, 5, size=(5, 9)).astype(float) / 6.0
-        out = integerize(a)
-        assert out is not None
+        out, _ = integer_columns(a)
         for _ in range(20):
             cols = np.flatnonzero(rng.random(9) < 0.5)
             if cols.size == 0:
@@ -66,15 +73,22 @@ class TestIntegerize:
                 a[:, cols]
             ) == np.linalg.matrix_rank(out[:, cols].astype(float))
 
-    def test_non_rational_entries_rejected(self):
+    def test_non_rational_entries_read_exactly(self):
+        # π has no small denominator: the column is read as the exact
+        # binary value of its floats and comes back as Python ints.
         a = np.array([[1.0, np.pi], [0.0, 1.0]])
-        assert integerize(a) is None
+        out, scales = integer_columns(a)
+        assert out.dtype == object
+        assert Fraction(out[0, 1], scales[1]) == Fraction(np.pi)
+        assert Fraction(out[1, 1], scales[1]) == 1
 
-    def test_overflowing_rescale_rejected(self):
+    def test_overflowing_rescale_returns_python_ints(self):
         # 1/997 forces a column scale of 997; the 2^30-sized entry sharing
-        # the column then overflows the int-kernel guard after rescaling.
+        # the column then leaves the int64 guard after rescaling.
         a = np.array([[1 / 997.0], [2.0**30]])
-        assert integerize(a) is None
+        out, scales = integer_columns(a)
+        assert out.dtype == object and scales == [997]
+        assert out[:, 0].tolist() == [1, 997 * 2**30]
 
 
 class TestIntKernel:
@@ -131,6 +145,15 @@ class TestKernelModP:
         B = _kernel_mod_p(n, p)
         assert B.shape == (9 - np.linalg.matrix_rank(n.astype(float)), 9)
         assert not np.any((n @ B.T) % p)
+
+    def test_python_int_entries_reduced_before_the_int64_cast(self):
+        # Entries past int64: reducing mod p on the exact integers keeps
+        # the basis annihilating the true matrix mod p.
+        p = modular.PRIMES[0]
+        n = np.array([[2**70 + 3, 1, 0], [5, 2**65, 1]], dtype=object)
+        B = _kernel_mod_p(n, p)
+        assert B.shape == (1, 3)
+        assert not np.any((n @ B.T.astype(object)) % p)
 
 
 class TestBareissRanks:
@@ -254,7 +277,7 @@ class TestUnitRowReduction:
         # guard, so the exact arm answers every complement.
         n_int = rng.integers(-1, 2, size=(5, 13)) * (rng.random((5, 13)) < 0.5)
         _, B = int_kernel(n_int)
-        prob = ModularProblem(n_int.astype(float), DEFAULT_POLICY)
+        prob = ModularProblem(n_int.astype(float))
         assert prob.unit.sum() >= prob.d  # every free row is a unit row
         comp = rng.random((60, 13)) < 0.4
         got = _unit_reduced_ranks(prob, comp)
@@ -289,7 +312,7 @@ class TestPrimeEscalation:
         assert null.tolist() == [1]  # min over the two primes
         assert not unresolved.any()
 
-    def test_disagreeing_primes_escalate_to_svd(self):
+    def test_disagreeing_primes_settled_exactly(self, monkeypatch):
         p1, p2 = modular.PRIMES[0], modular.PRIMES[1]
         # Member rows (p1*p2, 0, 0) and (p2, 0, 0): rank 1 over F_p1 but
         # rank 0 over F_p2 — both nullities >= 2 and unequal.
@@ -302,6 +325,25 @@ class TestPrimeEscalation:
         null, unresolved = _kernel_nullities(prob, idx_pad)
         assert unresolved.tolist() == [True]
 
+        # End to end: the residue arm forced, and a first-prime panel
+        # that sees nothing, so every candidate of true nullity >= 2 is a
+        # disagreement.  Exact elimination must settle each one.
+        rng = np.random.default_rng(4)
+        n_perm = rng.integers(-4, 5, size=(4, 12)).astype(float)
+        mask, sizes = _random_supports(12, 40, 4)
+        want = _reference_ranks(n_perm, mask, sizes)
+        real = problem_for(n_perm)
+        monkeypatch.setattr(modular, "BAREISS_GUARD", -1.0)
+        monkeypatch.setitem(
+            real._residues, real.primes[0],
+            np.zeros((real.d, real.q), dtype=np.int64),
+        )
+        stats = IterationStats(position=0, reaction="r", reversible=False)
+        got = modular_ranks(n_perm, mask, sizes, stats=stats)
+        assert np.array_equal(got, want)
+        assert stats.n_rank_fallback > 0
+        assert stats.n_rank_modular + stats.n_rank_fallback == 40
+
     def test_missing_first_prime_basis_flags_all(self):
         prob = self._FakeProb(2, 4, {}, modular.PRIMES[:2])
         null, unresolved = _kernel_nullities(prob, np.array([[1, 0]]))
@@ -310,13 +352,11 @@ class TestPrimeEscalation:
 
 class TestModularRanksEndToEnd:
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_batched_reference(self, seed):
+    def test_matches_exact_reference(self, seed):
         rng = np.random.default_rng(seed)
         n_perm = rng.integers(-4, 5, size=(6, 14)).astype(float)
         mask, sizes = _random_supports(14, 30, seed)
-        got = modular_ranks(
-            n_perm, mask, sizes, policy=DEFAULT_POLICY
-        )
+        got = modular_ranks(n_perm, mask, sizes)
         assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
 
     def test_duplicate_column_rank_deficiency(self):
@@ -325,7 +365,7 @@ class TestModularRanksEndToEnd:
         n_perm[:, 7] = n_perm[:, 2]  # duplicated column
         n_perm[:, 9] = 2 * n_perm[:, 4] - n_perm[:, 2]
         mask, sizes = _random_supports(10, 25, 7)
-        got = modular_ranks(n_perm, mask, sizes, policy=DEFAULT_POLICY)
+        got = modular_ranks(n_perm, mask, sizes)
         assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
 
     def test_exact_overflow_escalates_to_residue_arm(self, monkeypatch):
@@ -337,9 +377,7 @@ class TestModularRanksEndToEnd:
         want = _reference_ranks(n_perm, mask, sizes)
         monkeypatch.setattr(modular, "BAREISS_GUARD", -1.0)
         stats = IterationStats(position=0, reaction="r", reversible=False)
-        got = modular_ranks(
-            n_perm, mask, sizes, policy=DEFAULT_POLICY, stats=stats
-        )
+        got = modular_ranks(n_perm, mask, sizes, stats=stats)
         assert np.array_equal(got, want)
         assert stats.n_rank_modular == 24
 
@@ -348,24 +386,44 @@ class TestModularRanksEndToEnd:
         # preparation time: the problem stays usable via per-prime bases.
         rng = np.random.default_rng(2)
         n_perm = rng.integers(-(2**28), 2**28, size=(5, 11)).astype(float)
-        prob = problem_for(n_perm, DEFAULT_POLICY)
-        assert prob.ok and prob.bt is None
+        prob = problem_for(n_perm)
+        assert prob.b_int is None and prob.bt is None
         assert prob.rank == np.linalg.matrix_rank(n_perm)
         mask, sizes = _random_supports(11, 20, 2)
-        got = modular_ranks(n_perm, mask, sizes, policy=DEFAULT_POLICY)
+        got = modular_ranks(n_perm, mask, sizes)
         assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
 
-    def test_non_rational_entries_fall_back_wholesale(self):
+    def _assert_exact(self, n_perm, n_cand, seed):
+        mask, sizes = _random_supports(n_perm.shape[1], n_cand, seed)
+        stats = IterationStats(position=0, reaction="r", reversible=False)
+        got = modular_ranks(n_perm, mask, sizes, stats=stats)
+        assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
+        assert stats.n_rank_modular == n_cand
+        assert stats.n_rank_fallback == 0
+
+    def test_denominator_beyond_a_thousand(self):
+        rng = np.random.default_rng(8)
+        n_perm = rng.integers(-3, 4, size=(5, 11)).astype(float)
+        n_perm[:, 4] = [1 / 1001, 2.0, 0.0, -3 / 1001, 1.0]
+        self._assert_exact(n_perm, 24, 8)
+
+    def test_pi_scaled_random_matrix(self):
         rng = np.random.default_rng(5)
         n_perm = rng.normal(size=(5, 11)) * np.pi
-        mask, sizes = _random_supports(11, 16, 5)
-        stats = IterationStats(position=0, reaction="r", reversible=False)
-        got = modular_ranks(
-            n_perm, mask, sizes, policy=DEFAULT_POLICY, stats=stats
-        )
-        assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
-        assert stats.n_rank_fallback == 16
-        assert stats.n_rank_modular == 0
+        self._assert_exact(n_perm, 16, 5)
+
+    def test_python_int_basis_beyond_the_float64_panel(self):
+        # Two 1/997 + 2^30 columns: the integers leave int64, and the exact
+        # kernel basis leaves the float64 panel, so the residue arm reduces
+        # the Python-int basis mod p.
+        rng = np.random.default_rng(6)
+        n_perm = rng.integers(-3, 4, size=(4, 10)).astype(float)
+        n_perm[:, 3] = [1 / 997, 2.0**30, 0.0, 1.0]
+        n_perm[:, 7] = [2.0**30, 1 / 997, 1.0, 0.0]
+        prob = problem_for(n_perm)
+        assert prob.n_int.dtype == object and prob.b_int.dtype == object
+        assert prob.bt is None
+        self._assert_exact(n_perm, 30, 6)
 
     def test_unit_member_counter_counts_settled_members(self):
         rng = np.random.default_rng(9)
@@ -380,9 +438,7 @@ class TestModularRanksEndToEnd:
         mask[13:] = False
         sizes = mask.sum(axis=0).astype(np.int64)
         stats = IterationStats(position=0, reaction="r", reversible=False)
-        got = modular_ranks(
-            n_perm, mask, sizes, policy=DEFAULT_POLICY, stats=stats
-        )
+        got = modular_ranks(n_perm, mask, sizes, stats=stats)
         assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
         assert stats.n_rank_unit_members > 0
 
@@ -392,28 +448,25 @@ class TestModularRanksEndToEnd:
         mask = np.ones((8, 3), dtype=bool)
         mask[5:, 1] = False
         sizes = mask.sum(axis=0).astype(np.int64)
-        got = modular_ranks(n_perm, mask, sizes, policy=DEFAULT_POLICY)
+        got = modular_ranks(n_perm, mask, sizes)
         assert np.array_equal(got, _reference_ranks(n_perm, mask, sizes))
 
 
 class TestProblemRegistry:
     def test_identity_fast_path_returns_same_problem(self):
         n = np.arange(12, dtype=float).reshape(3, 4)
-        a = problem_for(n, DEFAULT_POLICY)
-        b = problem_for(n, DEFAULT_POLICY)
+        a = problem_for(n)
+        b = problem_for(n)
         assert a is b
 
     def test_equal_content_shares_via_digest(self):
         n1 = np.arange(12, dtype=float).reshape(3, 4)
         n2 = n1.copy()
-        assert problem_for(n1, DEFAULT_POLICY) is problem_for(
-            n2, DEFAULT_POLICY
-        )
+        assert problem_for(n1) is problem_for(n2)
 
     def test_prepared_state_is_sound(self):
         rng = np.random.default_rng(1)
         n = rng.integers(-5, 6, size=(4, 9)).astype(float)
-        prob = problem_for(n, DEFAULT_POLICY)
-        assert prob.ok
+        prob = problem_for(n)
         assert prob.rank == np.linalg.matrix_rank(n)
         assert prob.d == 9 - prob.rank

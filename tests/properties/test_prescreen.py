@@ -67,7 +67,7 @@ def captured_rejections():
                    options, stats, **kw):
         current.update(
             k=k, q=modes.q, n_perm=n_perm, rank_bound=rank_bound,
-            policy=options.policy, n_exact=kw.get("n_exact"),
+            policy=options.policy, exact=options.arithmetic == "exact",
         )
         return stream(modes, k, pos_idx, neg_idx, pair_range, n_perm,
                       rank_bound, options, stats, **kw)
@@ -104,8 +104,8 @@ def assert_loop_rejects_all(records) -> int:
             policy=rec["policy"],
         )
         accept = rank_test_with(
-            "loop", cand, rec["n_perm"], rec["rank_bound"],
-            policy=rec["policy"], n_exact=rec["n_exact"],
+            "exact" if rec["exact"] else "loop",
+            cand, rec["n_perm"], rec["rank_bound"],
         )
         assert not accept.any(), (
             f"pre-screen rejected {int(accept.sum())} elementary candidate(s) "

@@ -125,16 +125,17 @@ class TestYeast2Pipeline:
         assert compute_efms(yeast_2_small()).n_efms == 7331
 
     def test_digest_pinned_across_rank_engines(self):
-        """The modular rank kernel and its SVD fallback return the same
-        EFM set, row for row, and it is the pinned one."""
+        """The exact modular rank kernel and the per-candidate SVD loop
+        oracle return the same EFM set, row for row, and it is the pinned
+        one."""
         net = yeast_2_small()
         runs = {
             engine: solve_with(engine, compute_efms, net)
-            for engine in ("modular", "batched")
+            for engine in ("modular", "loop")
         }
-        assert sign_rows(runs["modular"]) == sign_rows(runs["batched"])
+        assert sign_rows(runs["modular"]) == sign_rows(runs["loop"])
         assert efm_digest(runs["modular"]) == Y2_DIGEST
-        assert efm_digest(runs["batched"]) == Y2_DIGEST
+        assert efm_digest(runs["loop"]) == Y2_DIGEST
 
     def test_oxphos_modes_consume_oxygen(self):
         """Network II's NADH-driven oxidative phosphorylation (R56)
