@@ -56,8 +56,8 @@ def test_table2_artifact_and_shape(table2, benchmark, write_artifact):
     assert result.result.n_efms >= runs[0].n_efms
 
 
-def test_table2_thread_backend_equivalent(yeast1_small_problem):
-    """The scaling table's sequential engine and the true thread backend
+def test_table2_process_backend_equivalent(yeast1_small_problem):
+    """The scaling table's sequential engine and the real process backend
     produce identical EFM sets."""
     import numpy as np
 
@@ -65,8 +65,8 @@ def test_table2_thread_backend_equivalent(yeast1_small_problem):
 
     _, problem, _ = yeast1_small_problem
     seq = combinatorial_parallel(problem, 4, backend="sequential")
-    thr = combinatorial_parallel(problem, 4, backend="thread")
+    proc = combinatorial_parallel(problem, 4, backend="process")
     assert np.array_equal(
         np.sort(seq.result.modes.supports.words, axis=0),
-        np.sort(thr.result.modes.supports.words, axis=0),
+        np.sort(proc.result.modes.supports.words, axis=0),
     )

@@ -2,10 +2,9 @@
 """Algorithm 2 on simulated ranks: replication, backends, modeled scaling.
 
 Runs the combinatorial parallel Nullspace Algorithm at several rank counts
-on all three message-passing backends (deterministic sequential engine,
-lockstep threads, real OS processes), verifies the replicas agree with the
-serial algorithm, and prints the modeled Calhoun scaling table — a small
-Table II.
+on both message-passing backends (the deterministic sequential engine and
+real OS processes), verifies the replicas agree with the serial algorithm,
+and prints the modeled Calhoun scaling table — a small Table II.
 
 Run:  python examples/parallel_scaling.py
 """
@@ -27,7 +26,7 @@ def main() -> None:
     problem, _split = build_problem_with_split(rec.reduced)
 
     print("\nbackend equivalence (4 ranks):")
-    for backend in ("sequential", "thread", "process"):
+    for backend in ("sequential", "process"):
         run = combinatorial_parallel(problem, 4, backend=backend)
         parallel = compute_efms(network, method="parallel", n_ranks=4, backend=backend)
         ok = serial.same_modes_as(parallel)

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import get_args
 
 from repro.bench.runner import run_table2, run_table3, run_table4
 from repro.cluster.platform import PLATFORMS, get_platform
 from repro.efm.api import compute_efms
 from repro.models.registry import get_network, list_networks
+from repro.mpi.spmd import BackendName
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,8 +33,9 @@ def main(argv: list[str] | None = None) -> int:
     p2.add_argument("--network", default="yeast-I-small", choices=list_networks())
     p2.add_argument("--cores", default="1,2,4,8,16")
     p2.add_argument("--platform", default="calhoun", choices=sorted(PLATFORMS))
-    p2.add_argument("--backend", default="sequential",
-                    choices=("sequential", "thread", "process"))
+    p2.add_argument(
+        "--backend", default="sequential", choices=get_args(BackendName)
+    )
 
     p3 = sub.add_parser("table3", help="divide-and-conquer vs unsplit (Table III)")
     p3.add_argument("--network", default="yeast-I-small", choices=list_networks())

@@ -1,20 +1,10 @@
-"""Bit-pattern superset test — the efmtool-style alternative acceptance
-test (paper ref [19], Terzer & Stelling 2008).
+"""Packed-support index structures of the candidate phase.
 
-A candidate generated at iteration ``k`` is elementary (within the current
-iteration's cone) iff no mode of the *current* mode matrix has a support
-that is a subset of the candidate's support.  Parent modes can never
-trigger a false rejection: they carry a non-zero entry in row ``k`` that
-the candidate annihilated, so their supports are never subsets.
-
-Two implementations share one interface:
-
-- :func:`subset_exists_vectorized` — numpy broadcast over packed words;
-  fastest at the sizes pure Python reaches.
-- :class:`BitPatternTree` — the actual tree of [19]: supports are
-  recursively partitioned on a discriminating bit, and subtrees whose
-  *union* pattern is not a subset of the query are pruned wholesale.  Kept
-  for algorithmic fidelity and used by the acceptance-test ablation bench.
+- :class:`SupportIndex` — the appendable exact-membership index behind the
+  candidate phase's incremental keep-first dedup.
+- :class:`AdjacencyTest` — the combinatorial (bit-pattern) adjacency test
+  of efmtool (paper ref [19], Terzer & Stelling 2008), the
+  ``acceptance="bittree"`` alternative to the rank test.
 """
 
 from __future__ import annotations
@@ -22,142 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg import bitset
-
-
-def subset_exists_vectorized(
-    candidate_words: np.ndarray, reference_words: np.ndarray
-) -> np.ndarray:
-    """For each packed candidate support, does any reference support
-    satisfy ``ref & cand == ref`` (subset-or-equal)?"""
-    return bitset.subset_rows(candidate_words, reference_words)
-
-
-class BitPatternTree:
-    """Static bit-pattern tree over a set of packed supports.
-
-    Built once per iteration from the current mode matrix's supports; the
-    query :meth:`has_subset_of` answers "does the tree contain a support
-    that is a subset of the query pattern?" in sub-linear time for
-    clustered supports.
-
-    Nodes split on the most-discriminating bit (closest to a 50/50 split)
-    among bits still undecided in the node's pattern set; leaves hold up to
-    ``leaf_size`` patterns and are scanned directly.  Every node caches the
-    bitwise OR of its patterns — if that union is not a subset of the
-    query, no pattern below can be, and the subtree is pruned.
-    """
-
-    __slots__ = ("words", "_root", "leaf_size")
-
-    def __init__(self, words: np.ndarray, *, leaf_size: int = 16) -> None:
-        self.words = np.ascontiguousarray(words, dtype=bitset.WORD)
-        self.leaf_size = int(leaf_size)
-        idx = np.arange(self.words.shape[0], dtype=np.intp)
-        self._root = self._build(idx) if self.words.shape[0] else None
-
-    def _build(self, idx: np.ndarray):
-        pats = self.words[idx]
-        union = np.bitwise_or.reduce(pats, axis=0)
-        if idx.size <= self.leaf_size:
-            return (union, idx, None, None, None)
-        # Pick the bit whose set-count is closest to half the patterns —
-        # one numpy pass: unpack the packed words to a (n, n_words*64)
-        # bit matrix, column-sum, and argmin the distance to n/2.  Ties
-        # and the ascending (word, bit) scan order of the reference
-        # implementation are preserved by np.argmin's first-minimum rule.
-        bits = np.unpackbits(
-            pats.astype("<u8", copy=False).view(np.uint8),
-            axis=1,
-            bitorder="little",
-        )
-        cnt = bits.sum(axis=0, dtype=np.int64)
-        score = np.abs(cnt - idx.size / 2.0)
-        score[(cnt == 0) | (cnt == idx.size)] = np.inf
-        best_bit = int(np.argmin(score))
-        if not np.isfinite(score[best_bit]):  # all patterns identical
-            return (union, idx, None, None, None)
-        has = bits[:, best_bit] != 0
-        left = self._build(idx[has])  # bit set
-        right = self._build(idx[~has])  # bit clear
-        return (union, None, best_bit, left, right)
-
-    def has_subset_of(self, query: np.ndarray) -> bool:
-        """True iff some stored pattern is a subset of ``query`` (a packed
-        1-D word vector)."""
-        if self._root is None:
-            return False
-        stack = [self._root]
-        while stack:
-            union, leaf_idx, bit, left, right = stack.pop()
-            if _is_subset(union, query):
-                # The union of a (non-empty) subtree fits inside the query,
-                # so every pattern below is a subset — immediate hit.
-                return True
-            if leaf_idx is not None:
-                pats = self.words[leaf_idx]
-                fits = ((pats & query[None, :]) == pats).all(axis=1)
-                if fits.any():
-                    return True
-                continue
-            assert bit is not None
-            w, b = divmod(bit, bitset.BITS_PER_WORD)
-            # The bit-clear subtree is always a candidate; the bit-set
-            # subtree only if the query itself has the bit (a pattern with
-            # a bit the query lacks can never be a subset).
-            stack.append(right)
-            if (query[w] >> bitset.WORD(b)) & bitset.WORD(1):
-                stack.append(left)
-        return False
-
-    def query_batch(self, candidate_words: np.ndarray) -> np.ndarray:
-        """Vector of :meth:`has_subset_of` answers for candidate rows.
-
-        Level-synchronous frontier traversal: instead of walking the tree
-        once per query, each tree node is visited once per *level* with
-        the packed batch of queries still alive at it — the union-subset
-        shortcut, leaf scans and child routing all run as vectorized
-        numpy passes over that batch.  Answers are identical to the
-        scalar walk.
-        """
-        queries = np.ascontiguousarray(candidate_words, dtype=bitset.WORD)
-        n = queries.shape[0]
-        out = np.zeros(n, dtype=bool)
-        if self._root is None or n == 0:
-            return out
-        frontier = [(self._root, np.arange(n, dtype=np.intp))]
-        while frontier:
-            next_frontier = []
-            for node, qidx in frontier:
-                qidx = qidx[~out[qidx]]  # drop already-answered queries
-                if qidx.size == 0:
-                    continue
-                union, leaf_idx, bit, left, right = node
-                qs = queries[qidx]
-                # Subtree-union shortcut: union ⊆ query ⇒ immediate hit.
-                hit = ((qs & union[None, :]) == union[None, :]).all(axis=1)
-                if hit.any():
-                    out[qidx[hit]] = True
-                    qidx = qidx[~hit]
-                    if qidx.size == 0:
-                        continue
-                    qs = queries[qidx]
-                if leaf_idx is not None:
-                    pats = self.words[leaf_idx]
-                    fits = (
-                        (pats[None, :, :] & qs[:, None, :]) == pats[None, :, :]
-                    ).all(axis=2).any(axis=1)
-                    out[qidx[fits]] = True
-                    continue
-                assert bit is not None
-                w, b = divmod(bit, bitset.BITS_PER_WORD)
-                # Bit-clear subtree for everyone; bit-set subtree only for
-                # queries that have the bit (see has_subset_of).
-                next_frontier.append((right, qidx))
-                has = (qs[:, w] >> bitset.WORD(b)) & bitset.WORD(1) != 0
-                if has.any():
-                    next_frontier.append((left, qidx[has]))
-            frontier = next_frontier
-        return out
 
 
 class SupportIndex:
@@ -244,11 +98,6 @@ class SupportIndex:
             self._buf = grown
         self._buf[self._n : need] = words
         self._n = need
-
-
-def _is_subset(a: np.ndarray, b: np.ndarray) -> bool:
-    """Packed word-vector subset test: ``a ⊆ b``."""
-    return bool(((a & b) == a).all())
 
 
 def processed_rows_mask(n_rows: int, upto_position: int) -> np.ndarray:

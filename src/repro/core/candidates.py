@@ -16,7 +16,7 @@ for float runs.
 
 The pair index space ``[0, n_pos*n_neg)`` is linearized as
 ``p = i * n_neg + j``; the combinatorial parallel algorithm hands each rank
-a strided or blocked subrange of the same space, so the serial path here is
+a strided subrange of the same space, so the serial path here is
 literally the one-rank special case.  Every range is enumerated in this
 i-major order, so the surviving pairs (and the EFM output) never depend on
 the chunk size.
@@ -42,8 +42,8 @@ class PairRange:
 
     ``strided`` ranges take pairs ``start, start+step, start+2*step, ...``
     (the combinatorial distribution of [17] — adjacent pairs land on
-    different ranks, balancing cost); plain block ranges take
-    ``[start, stop)`` with ``step == 1``.
+    different ranks, balancing cost); the serial full range takes
+    ``[0, stop)`` with ``step == 1``.
     """
 
     start: int
@@ -64,14 +64,6 @@ def full_range(n_pairs: int) -> PairRange:
 def strided_range(n_pairs: int, rank: int, size: int) -> PairRange:
     """Rank ``rank`` of ``size``'s combinatorial (cyclic) share."""
     return PairRange(rank, n_pairs, size)
-
-
-def block_range(n_pairs: int, rank: int, size: int) -> PairRange:
-    """Rank ``rank`` of ``size``'s contiguous block share."""
-    base, extra = divmod(n_pairs, size)
-    start = rank * base + min(rank, extra)
-    stop = start + base + (1 if rank < extra else 0)
-    return PairRange(start, stop, 1)
 
 
 #: Pair spaces below this size take the cached template path of

@@ -72,7 +72,6 @@ from repro.mpi.tracing import CommTrace
 from repro.network.compression import blocked_reactions
 from repro.network.model import MetabolicNetwork
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.pairs import PairStrategyName
 
 
 @dataclasses.dataclass
@@ -447,7 +446,6 @@ def solve_subset(
     *,
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     backend: BackendName = "sequential",
-    pair_strategy: PairStrategyName = "strided",
     memory_model: MemoryModel | None = None,
     auto_split: bool = True,
     context: RunContext | None = None,
@@ -476,7 +474,6 @@ def solve_subset(
             prep.problem,
             n_ranks,
             backend=backend,
-            pair_strategy=pair_strategy,
             stop_row=prep.stop,
             memory_model=ctx.fresh_memory(),
             rank_cache=binding,
@@ -585,7 +582,6 @@ def combined_parallel(
     *,
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     backend: BackendName = "sequential",
-    pair_strategy: PairStrategyName = "strided",
     memory_model: MemoryModel | None = None,
     subset_ids: list[int] | None = None,
     executor: str = "inline",
@@ -600,10 +596,9 @@ def combined_parallel(
     Subset ordering, dispatch and failure isolation are delegated to the
     :class:`~repro.engine.scheduler.SubproblemScheduler`:
 
-    * ``executor`` — ``"inline"`` (sequential, in-process),
-      ``"process-pool"`` (work-stealing worker processes) or ``"spmd"``
-      (subsets strided over simulated-MPI ranks); the union is
-      bit-identical across all of them.
+    * ``executor`` — ``"inline"`` (sequential, in-process) or
+      ``"process-pool"`` (work-stealing worker processes); the union is
+      bit-identical across both.
     * ``schedule`` — ``"predicted-peak"`` (largest predicted footprint
       first), ``"subset-id"``, ``"reverse"``, or an explicit permutation
       of subset indices.
@@ -633,7 +628,6 @@ def combined_parallel(
         context=ctx,
         n_ranks=n_ranks,
         backend=backend,
-        pair_strategy=pair_strategy,
         executor=executor,
         max_workers=max_workers,
         schedule=schedule,

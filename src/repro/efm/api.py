@@ -37,7 +37,6 @@ from repro.network.compression import CompressionRecord, compress_network
 from repro.network.model import MetabolicNetwork
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
-from repro.parallel.pairs import PairStrategyName
 
 Method = Literal["serial", "parallel", "distributed", "combined"]
 
@@ -53,7 +52,6 @@ def compute_efms(
     auto_split: bool = True,
     partition: Sequence[str] | int | None = None,
     partition_method: SelectionMethod = "tail",
-    pair_strategy: PairStrategyName = "strided",
     memory_model: MemoryModel | None = None,
     executor: str = "inline",
     max_workers: int | None = None,
@@ -87,9 +85,9 @@ def compute_efms(
         :class:`repro.cluster.memory.MemoryModel`.
     executor, max_workers, schedule:
         For ``method="combined"``: how the subproblem scheduler dispatches
-        the subsets — ``"inline"``, ``"process-pool"`` (OS worker
-        processes with work stealing) or ``"spmd"``; the EFM set is
-        bit-identical across all three.  See
+        the subsets — ``"inline"`` or ``"process-pool"`` (OS worker
+        processes with work stealing); the EFM set is bit-identical
+        across both.  See
         :class:`repro.engine.scheduler.SubproblemScheduler`.
     on_oom:
         For ``method="combined"`` with a memory model: ``"record"``
@@ -142,7 +140,6 @@ def compute_efms(
                 part,
                 n_ranks,
                 backend=backend,
-                pair_strategy=pair_strategy,
                 executor=executor,
                 max_workers=max_workers,
                 schedule=schedule,
@@ -183,8 +180,7 @@ def compute_efms(
                     problem,
                     n_ranks,
                     backend=backend,
-                    pair_strategy=pair_strategy,
-                    context=ctx,
+                        context=ctx,
                 )
                 efms_work = run.result.efms_input_order()
                 stats = run.stats

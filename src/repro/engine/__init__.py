@@ -9,8 +9,8 @@ This package is the seam between the pathway-analysis kernels (``core/``,
   and consumed by all five drivers;
 * :class:`~repro.engine.scheduler.SubproblemScheduler` — memory-aware
   dispatch of the ``2**q_sub`` divide-and-conquer subproblems over
-  pluggable executors (``inline``, work-stealing ``process-pool``, and the
-  simulated-MPI ``spmd`` backend), with an admission budget, OOM
+  two executors (``inline`` and the work-stealing ``process-pool``),
+  with an admission budget, OOM
   degradation to the checkpointed serial path, and subset-level
   checkpoint/resume.
 

@@ -1,6 +1,6 @@
-"""Pluggable executors for the subproblem scheduler.
+"""Executors for the subproblem scheduler.
 
-Three ways of running the divide-and-conquer subset jobs, all producing
+Two ways of running the divide-and-conquer subset jobs, both producing
 bit-identical results because the scheduler assembles them in canonical
 order regardless of completion order:
 
@@ -10,9 +10,6 @@ order regardless of completion order:
   task queue that idle workers pull from (so large jobs never strand small
   ones behind a static partition), plus master-side admission control
   that bounds the sum of *predicted* peak footprints in flight.
-* ``"spmd"`` — subsets strided over the simulated-MPI ranks of
-  :func:`repro.mpi.spmd.run_spmd`, modeling the paper's Blue Gene/P
-  setting where each subset is a separate job submission (Table IV).
 
 Executors are deliberately dumb: ordering, admission budgets, checkpoint
 persistence and OOM degradation are all scheduler policy.  An executor
@@ -23,25 +20,22 @@ and returns ``{canonical index -> SubsetResult}``.
 from __future__ import annotations
 
 import dataclasses
-import queue as queue_mod
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Literal
 
 from repro.engine.context import RunContext
 from repro.errors import SchedulerError
-from repro.mpi.comm import Communicator
-from repro.mpi.spmd import BackendName, available_parallelism, run_spmd
+from repro.mpi.spmd import BackendName, available_parallelism
 from repro.network.model import MetabolicNetwork
-from repro.parallel.pairs import PairStrategyName
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dnc.combined import SubsetResult
     from repro.engine.scheduler import SubsetJob
 
-ExecutorName = Literal["inline", "process-pool", "spmd"]
+ExecutorName = Literal["inline", "process-pool"]
 
 #: Every executor name, in documentation order.
-EXECUTOR_NAMES: tuple[str, ...] = ("inline", "process-pool", "spmd")
+EXECUTOR_NAMES: tuple[str, ...] = ("inline", "process-pool")
 
 #: ``on_result(job, result)`` streaming callback (checkpoint persistence).
 ResultCallback = Callable[["SubsetJob", "SubsetResult"], None]
@@ -60,7 +54,6 @@ class WorkOrder:
     reduced: MetabolicNetwork
     n_ranks: int
     backend: BackendName
-    pair_strategy: PairStrategyName
     auto_split: bool
     context: RunContext
 
@@ -75,7 +68,6 @@ def solve_job(order: WorkOrder, job: "SubsetJob") -> "SubsetResult":
         job.spec,
         order.n_ranks,
         backend=order.backend,
-        pair_strategy=order.pair_strategy,
         auto_split=order.auto_split,
         context=order.context,
         blocked=job.blocked,
@@ -221,6 +213,8 @@ class ProcessPoolExecutor:
     def _next_result(result_q, workers):
         """Block for the next result, but notice a wholesale worker crash
         (e.g. the OOM killer) instead of hanging forever."""
+        import queue as queue_mod  # noqa: PLC0415 - only a pool waits on a queue
+
         while True:
             try:
                 return result_q.get(timeout=1.0)
@@ -231,66 +225,9 @@ class ProcessPoolExecutor:
                     ) from None
 
 
-def _spmd_worker(
-    comm: Communicator, order: WorkOrder, jobs: "list[SubsetJob]"
-) -> list:
-    """SPMD body: rank ``r`` solves jobs ``r, r+size, r+2*size, ...``."""
-    return [(job.index, solve_job(order, job)) for job in jobs[comm.rank :: comm.size]]
-
-
-class SpmdExecutor:
-    """Subsets strided over simulated-MPI ranks (static partition).
-
-    The outer :func:`run_spmd` uses the order's communication backend; the
-    inner Algorithm 2 run is forced to the sequential engine so ranks do
-    not nest process pools.  No admission control — the static stride is
-    the paper's one-subset-per-job-submission model, where the per-node
-    :class:`~repro.cluster.memory.MemoryModel` is the only budget.
-    """
-
-    name = "spmd"
-
-    def __init__(
-        self,
-        order: WorkOrder,
-        *,
-        max_workers: int | None = None,
-        admission_bytes: int | None = None,
-    ) -> None:
-        self.outer_backend: BackendName = order.backend
-        self.order = dataclasses.replace(order, backend="sequential")
-        self.max_workers = effective_workers(self.name, max_workers)
-
-    def run(
-        self,
-        jobs: "list[SubsetJob]",
-        on_result: ResultCallback | None = None,
-    ) -> "dict[int, SubsetResult]":
-        if not jobs:
-            return {}
-        size = min(self.max_workers, len(jobs))
-        outs = run_spmd(
-            _spmd_worker,
-            size,
-            backend=self.outer_backend,
-            args=(self.order, list(jobs)),
-            comm_timeout=self.order.context.options.comm_timeout_s,
-        )
-        results: dict[int, SubsetResult] = {}
-        for per_rank in outs:
-            for index, res in per_rank:
-                results[index] = res
-        if on_result is not None:
-            by_index = {job.index: job for job in jobs}
-            for index, res in results.items():
-                on_result(by_index[index], res)
-        return results
-
-
 _EXECUTORS = {
     "inline": InlineExecutor,
     "process-pool": ProcessPoolExecutor,
-    "spmd": SpmdExecutor,
 }
 
 

@@ -21,7 +21,7 @@ queue.  It replaces the sequential subset loop that used to live in
    the LPT makespan heuristic), ``"subset-id"``, ``"reverse"``, or an
    explicit index permutation (used by the equivalence tests to prove
    schedule independence);
-3. **dispatch** — hand the ordered jobs to a pluggable executor
+3. **dispatch** — hand the ordered jobs to one of the two executors
    (:mod:`repro.engine.executors`), with an admission budget bounding the
    predicted bytes in flight;
 4. **isolate failures** — with ``on_oom="degrade"``, a subset that
@@ -63,7 +63,6 @@ from repro.errors import SchedulerError
 from repro.mpi.spmd import BackendName
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import stoichiometric_matrix
-from repro.parallel.pairs import PairStrategyName
 
 ScheduleName = Literal["predicted-peak", "subset-id", "reverse"]
 Schedule = Union[ScheduleName, Sequence[int]]
@@ -134,7 +133,6 @@ class SubproblemScheduler:
         context: RunContext | None = None,
         n_ranks: int = 1,
         backend: BackendName = "sequential",
-        pair_strategy: PairStrategyName = "strided",
         auto_split: bool = True,
         executor: str = "inline",
         max_workers: int | None = None,
@@ -157,7 +155,6 @@ class SubproblemScheduler:
         self.context = RunContext.ensure(context)
         self.n_ranks = n_ranks
         self.backend: BackendName = backend
-        self.pair_strategy: PairStrategyName = pair_strategy
         self.auto_split = auto_split
         self.executor_name = executor
         self.max_workers = max_workers
@@ -410,7 +407,6 @@ class SubproblemScheduler:
             reduced=self.reduced,
             n_ranks=self.n_ranks,
             backend=self.backend,
-            pair_strategy=self.pair_strategy,
             auto_split=self.auto_split,
             context=self.context,
         )

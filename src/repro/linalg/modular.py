@@ -563,9 +563,6 @@ def _kernel_nullities(
     unresolved = np.zeros(idx_pad.shape[0], dtype=bool)
     p1, p2 = prob.primes[0], prob.primes[1]
     b1 = prob.residue_basis(p1)
-    if b1 is None:
-        unresolved[:] = True
-        return np.full(idx_pad.shape[0], -1, dtype=np.int64), unresolved
     sub = b1[:, idx_pad]  # (d, nm, w) — members as columns of the panel
     null1 = d - _modp_ranks(
         np.ascontiguousarray(sub.transpose(1, 0, 2)), p1
@@ -573,9 +570,6 @@ def _kernel_nullities(
     need = null1 >= 2
     if need.any():
         b2 = prob.residue_basis(p2)
-        if b2 is None:
-            unresolved |= need
-            return null1, unresolved
         sub2 = b2[:, idx_pad[need]]
         null2 = d - _modp_ranks(
             np.ascontiguousarray(sub2.transpose(1, 0, 2)), p2

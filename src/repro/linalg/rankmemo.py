@@ -26,9 +26,9 @@ class RankCache:
 
     Keys are ``token + column-set`` bytes produced by
     :meth:`CacheBinding.keys`; values are certified ranks.  The cache is a
-    plain dict: lookups and inserts are GIL-atomic, so concurrent
-    thread-backend ranks can share one instance (a lost insert merely
-    costs a recompute).
+    plain dict: the sequential backend's ranks share one instance (one
+    rank runs at a time), and each process-backend rank or pool worker
+    holds a private forked copy (fewer hits, never a wrong rank).
     """
 
     __slots__ = ("_table", "capacity", "hits", "misses")

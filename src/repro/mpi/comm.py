@@ -30,8 +30,8 @@ class WireCounters:
     deposits); ``ctrl_out`` separately counts control-plane bytes
     (barrier tokens) that carry no payload.  ``msgs_out`` counts
     transport messages and is only meaningful when the backend sets
-    ``counts_messages`` (the process backend does; the simulator
-    backends keep the mesh estimate of :class:`~repro.mpi.tracing.CommTrace`).
+    ``counts_messages`` (the process backend does; the sequential
+    simulator keeps the mesh estimate of :class:`~repro.mpi.tracing.CommTrace`).
     """
 
     __slots__ = (
@@ -159,7 +159,7 @@ def payload_nbytes(obj: Any) -> int:
     pair_j)`` allgather tuple, or a dict of named array parts — are
     measured by their array contents rather than a whole-container
     pickle.  Everything else is
-    measured by pickling — exactly what the in-process backends (and
+    measured by pickling — exactly what both backends (and
     mpi4py's lower-case API) would serialize.
     """
     if isinstance(obj, np.ndarray):

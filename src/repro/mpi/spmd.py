@@ -1,14 +1,14 @@
-"""SPMD launcher: one entry point over the three engines."""
+"""SPMD launcher: one entry point over the two engines."""
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Literal, get_args
 
 from repro.errors import CommunicatorError
 from repro.mpi.comm import Communicator
 
-BackendName = Literal["sequential", "thread", "process"]
+BackendName = Literal["sequential", "process"]
 
 
 def available_parallelism(cap: int = 8) -> int:
@@ -33,15 +33,12 @@ def get_engine(backend: BackendName, *, comm_timeout: float | None = None):
         from repro.mpi.sequential import SequentialEngine  # noqa: PLC0415
 
         return SequentialEngine(comm_timeout=comm_timeout)
-    if backend == "thread":
-        from repro.mpi.threads import ThreadEngine  # noqa: PLC0415
-
-        return ThreadEngine(comm_timeout=comm_timeout)
     if backend == "process":
         from repro.mpi.process import ProcessEngine  # noqa: PLC0415
 
         return ProcessEngine(comm_timeout=comm_timeout)
-    raise CommunicatorError(f"unknown backend {backend!r}")
+    available = ", ".join(get_args(BackendName))
+    raise CommunicatorError(f"unknown backend {backend!r}; available: {available}")
 
 
 def run_spmd(
@@ -58,8 +55,8 @@ def run_spmd(
 
     ``backend="sequential"`` is deterministic and single-threaded (the
     default, and the right choice for modeled-time benchmarks);
-    ``"thread"`` overlaps numpy kernels; ``"process"`` uses real OS
-    processes (picklable ``fn``/``args`` required).
+    ``"process"`` uses real OS processes (picklable ``fn``/``args``
+    required).
     """
     if size < 1:
         raise CommunicatorError("size must be >= 1")

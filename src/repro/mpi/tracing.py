@@ -131,7 +131,7 @@ class TracingCommunicator(Communicator):
             "n_ser": n - before[3],
         }
         # Only transports that actually count sends report n_msgs; the
-        # simulator backends keep -1 so n_messages uses the mesh estimate.
+        # sequential simulator keeps -1 so n_messages uses the mesh estimate.
         d["n_msgs"] = (msgs - before[4]) if self.inner.wire.counts_messages else -1
         return d
 

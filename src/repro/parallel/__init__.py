@@ -1,15 +1,13 @@
 """Distributed-memory parallel Nullspace Algorithms: the combinatorial
-replicated-state algorithm (Algorithm 2) and the column-partitioned
-variant (the paper's future-work item 1)."""
+replicated-state algorithm (Algorithm 2, each rank taking the strided pair
+share) and the column-partitioned variant (the paper's future-work
+item 1)."""
 
 from repro.parallel.combinatorial import ParallelRunResult, combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
-from repro.parallel.pairs import PairStrategy, get_pair_strategy
 
 __all__ = [
     "ParallelRunResult",
     "combinatorial_parallel",
     "distributed_parallel",
-    "PairStrategy",
-    "get_pair_strategy",
 ]

@@ -2,7 +2,9 @@
 
 SPMD over a :class:`~repro.mpi.comm.Communicator`: every rank replicates
 the current mode matrix; each iteration the candidate pairs are
-partitioned across ranks (ParallelGenerateEFMCands), each rank locally
+partitioned across ranks (ParallelGenerateEFMCands) by the cyclic share of
+[17] (:func:`~repro.core.candidates.strided_range`: adjacent pairs, whose
+costs correlate, land on different ranks), each rank locally
 deduplicates (Sort&RemoveDuplicates) and rank-tests its share, then an
 allgather exchanges the accepted candidates (Communicate&Merge) and every
 rank appends the identical merged candidate set, keeping the replicas in
@@ -26,6 +28,7 @@ import time
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
+from repro.core.candidates import strided_range
 from repro.core.kernel import NullspaceProblem
 from repro.core.serial import (
     NullspaceResult,
@@ -52,7 +55,6 @@ from repro.parallel._driver_common import (
     traced_worker,
     unpack_modes,
 )
-from repro.parallel.pairs import PairStrategyName, get_pair_strategy
 
 
 @dataclasses.dataclass
@@ -83,7 +85,6 @@ def combinatorial_worker(
     problem: NullspaceProblem,
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     *,
-    pair_strategy: PairStrategyName = "strided",
     stop_row: int | None = None,
     memory_model: MemoryModel | None = None,
     rank_cache: CacheBinding | None = None,
@@ -94,13 +95,13 @@ def combinatorial_worker(
 
     ``rank_cache`` overrides the per-worker rank memo — the
     divide-and-conquer driver passes a binding shared across subproblems
-    (in-process backends share the dict; the process backend degrades to
-    per-process copies, which is merely a smaller cache, never wrong).
+    (the sequential backend's ranks share the dict; the process backend
+    degrades to per-process copies, which is merely a smaller cache,
+    never wrong).
     """
     ctx = RunContext.ensure(context, options=options)
     options = ctx.options
     t_start = time.perf_counter()
-    strategy = get_pair_strategy(pair_strategy)
     exact = options.arithmetic == "exact"
     modes = ModeMatrix.from_kernel(problem.kernel, exact=exact, policy=options.policy)
     stats = RunStats()
@@ -135,7 +136,7 @@ def combinatorial_worker(
             problem,
             options,
             it,
-            pair_range_for=lambda n: strategy(n, comm.rank, comm.size),
+            pair_range_for=lambda n: strided_range(n, comm.rank, comm.size),
             rank_cache=rank_cache,
             materialize=False,
             processed_rows=selector.adjacency_rows(),
@@ -238,7 +239,6 @@ def combinatorial_parallel(
     *,
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     backend: BackendName = "sequential",
-    pair_strategy: PairStrategyName = "strided",
     stop_row: int | None = None,
     memory_model: MemoryModel | None = None,
     rank_cache: CacheBinding | None = None,
@@ -275,7 +275,6 @@ def combinatorial_parallel(
         backend=backend,
         args=(problem, ctx.options),
         kwargs={
-            "pair_strategy": pair_strategy,
             "stop_row": stop_row,
             "memory_model": memory_model,
             "rank_cache": rank_cache,

@@ -222,8 +222,8 @@ class TestPredictionUpperBoundsMeasuredPeak:
     """Acceptance property: the a-priori prediction upper-bounds the
     *measured* peak (working-factor-weighted mode storage plus the worst
     iteration's retained-candidate + generation-transient bytes, straight
-    from the run stats) across all pair strategies, at the default chunk
-    budget and a small one."""
+    from the run stats) on two ranks, at the default chunk budget and a
+    small one."""
 
     WF = 1.5
 
@@ -236,8 +236,7 @@ class TestPredictionUpperBoundsMeasuredPeak:
         return wf * stats.peak_mode_bytes + cand
 
     @pytest.mark.parametrize("chunk", ["auto", 64 << 10])
-    @pytest.mark.parametrize("strategy", ["strided", "block"])
-    def test_prediction_is_upper_bound(self, monkeypatch, strategy, chunk):
+    def test_prediction_is_upper_bound(self, monkeypatch, chunk):
         from repro.config import AlgorithmOptions
         from repro.dnc.combined import solve_subset
         from repro.dnc.subsets import enumerate_subsets
@@ -254,9 +253,7 @@ class TestPredictionUpperBoundsMeasuredPeak:
                 working_factor=self.WF,
                 pair_chunk=opts.pair_chunk,
             )
-            res = solve_subset(
-                reduced, spec, 2, options=opts, pair_strategy=strategy
-            )
+            res = solve_subset(reduced, spec, 2, options=opts)
             if res.stats is None:  # structurally empty subproblem
                 assert predicted == 0
                 continue
@@ -264,5 +261,5 @@ class TestPredictionUpperBoundsMeasuredPeak:
             assert measured > 0
             assert predicted >= measured, (
                 f"{spec.label()}: predicted {predicted} < measured "
-                f"{measured:.0f} ({strategy}, chunk budget {chunk})"
+                f"{measured:.0f} (chunk budget {chunk})"
             )

@@ -1,14 +1,11 @@
-"""Unit tests for the bit-pattern tree and the adjacency test."""
+"""Unit tests for the support index and the adjacency test."""
 
 import numpy as np
-import pytest
 
 from repro.core.bittree import (
     AdjacencyTest,
-    BitPatternTree,
     SupportIndex,
     processed_rows_mask,
-    subset_exists_vectorized,
 )
 from repro.linalg import bitset
 
@@ -19,45 +16,6 @@ def _pack(rows_of_bits, n_rows):
         for b in bits:
             mask[b, j] = True
     return bitset.pack_supports(mask)
-
-
-class TestBitPatternTree:
-    def test_finds_subset(self):
-        words = _pack([{0, 1}, {2}, {0, 3}], 8)
-        tree = BitPatternTree(words)
-        query = _pack([{0, 1, 5}], 8)[0]
-        assert tree.has_subset_of(query)
-
-    def test_no_subset(self):
-        words = _pack([{0, 1}, {2, 3}], 8)
-        tree = BitPatternTree(words)
-        query = _pack([{1, 4}], 8)[0]
-        assert not tree.has_subset_of(query)
-
-    def test_equal_pattern_counts(self):
-        words = _pack([{0, 1}], 8)
-        tree = BitPatternTree(words)
-        assert tree.has_subset_of(_pack([{0, 1}], 8)[0])
-
-    def test_empty_tree(self):
-        tree = BitPatternTree(np.zeros((0, 1), dtype=np.uint64))
-        assert not tree.has_subset_of(_pack([{0}], 8)[0])
-
-    @pytest.mark.parametrize("leaf_size", [1, 2, 16])
-    def test_matches_vectorized_on_random(self, leaf_size):
-        rng = np.random.default_rng(leaf_size)
-        mask = rng.random((40, 60)) < 0.25
-        refs = bitset.pack_supports(mask)
-        queries = bitset.pack_supports(rng.random((40, 30)) < 0.5)
-        tree = BitPatternTree(refs, leaf_size=leaf_size)
-        want = subset_exists_vectorized(queries, refs)
-        got = tree.query_batch(queries)
-        assert np.array_equal(got, want)
-
-    def test_identical_patterns_forced_leaf(self):
-        words = _pack([{1, 2}, {1, 2}, {1, 2}], 8)
-        tree = BitPatternTree(words, leaf_size=1)
-        assert tree.has_subset_of(_pack([{1, 2, 3}], 8)[0])
 
 
 class TestProcessedRowsMask:

@@ -14,7 +14,6 @@ from repro.config import AlgorithmOptions
 from repro.core.candidates import (
     TEMPLATE_MAX_PAIRS,
     PairRange,
-    block_range,
     full_range,
     strided_range,
     survivor_chunks,
@@ -45,16 +44,9 @@ class TestPairRanges:
             seen.extend(idx)
         assert sorted(seen) == list(range(n_pairs))
 
-    @pytest.mark.parametrize("n_pairs,size", [(10, 3), (7, 7), (5, 8), (0, 4)])
-    def test_block_partition_is_exact(self, n_pairs, size):
-        seen = []
-        for r in range(size):
-            pr = block_range(n_pairs, r, size)
-            seen.extend(range(pr.start, pr.stop))
-        assert sorted(seen) == list(range(n_pairs))
-
-    def test_block_balance(self):
-        counts = [block_range(10, r, 3).count() for r in range(3)]
+    def test_strided_balance(self):
+        counts = [strided_range(103, r, 7).count() for r in range(7)]
+        assert sum(counts) == 103
         assert max(counts) - min(counts) <= 1
 
     def test_empty_range_count(self):
@@ -223,7 +215,7 @@ class TestSurvivorChunksOracle:
         q=st.integers(3, 128),
         density=st.sampled_from([0.05, 0.2, 0.5]),
         rank_slack=st.integers(0, 8),
-        kind=st.sampled_from(["full", "strided", "block"]),
+        kind=st.sampled_from(["full", "strided"]),
         size=st.integers(1, 4),
         chunk=st.sampled_from([None, 1, 37, 512, 1 << 16]),
         data=st.data(),
@@ -248,7 +240,6 @@ class TestSurvivorChunksOracle:
         pr = {
             "full": full_range(n_pairs),
             "strided": strided_range(n_pairs, rank, size),
-            "block": block_range(n_pairs, rank, size),
         }[kind]
         rank_bound = int(np.median(modes.supports.popcounts())) + rank_slack
 

@@ -25,7 +25,9 @@ class TestNumericPolicy:
 
 
 class TestAlgorithmOptions:
-    def test_defaults(self):
+    def test_defaults(self, monkeypatch):
+        # The ordering default follows REPRO_ORDERING; pin the built-in one.
+        monkeypatch.delenv("REPRO_ORDERING", raising=False)
         o = AlgorithmOptions()
         assert o.arithmetic == "float"
         assert o.acceptance == "rank"

@@ -94,20 +94,6 @@ class TestToyStreamingParity:
         got = distributed_parallel(toy_problem, 3, options=OPTS)
         assert np.array_equal(ref.efms_input_order(), got.efms_input_order())
 
-    @pytest.mark.parametrize("strategy", ["strided", "block"])
-    def test_pair_strategies(self, toy_problem, oracle, monkeypatch, strategy):
-        ref = oracle(
-            combinatorial_parallel, toy_problem, 2, pair_strategy=strategy,
-            options=OPTS,
-        )
-        _budget(monkeypatch, TINY)
-        got = combinatorial_parallel(
-            toy_problem, 2, pair_strategy=strategy, options=OPTS
-        )
-        assert np.array_equal(
-            ref.result.efms_input_order(), got.result.efms_input_order()
-        )
-
     @pytest.mark.parametrize("chunk", ["auto", TINY])
     def test_exact_arithmetic(self, toy_problem, oracle, monkeypatch, chunk):
         ref = oracle(nullspace_algorithm, toy_problem, options=EXACT)

@@ -5,7 +5,14 @@ import pytest
 
 from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
-from repro.errors import AlgorithmError, PartitionError
+from repro.engine import executors as executors_mod
+from repro.errors import (
+    AlgorithmError,
+    CommunicatorError,
+    PartitionError,
+    SchedulerError,
+)
+from repro.parallel import combinatorial as combinatorial_mod
 from repro.models.generators import random_network
 from repro.network.parser import network_from_equations
 from tests.conftest import solve_in_fresh_interpreter
@@ -44,6 +51,37 @@ class TestMethods:
     def test_unknown_method(self, toy):
         with pytest.raises(AlgorithmError):
             compute_efms(toy, method="quantum")
+
+
+class TestRemovedRuntimePaths:
+    """``thread`` is no MPI backend and ``spmd`` no subset executor:
+    naming one fails before any rank or subset job starts, and the error
+    lists the available names."""
+
+    def test_thread_backend_rejected(self, toy, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            combinatorial_mod, "combinatorial_worker",
+            lambda *a, **k: started.append(1),
+        )
+        with pytest.raises(
+            CommunicatorError, match="'thread'; available: sequential, process"
+        ):
+            compute_efms(toy, method="parallel", n_ranks=2, backend="thread")
+        assert started == []
+
+    def test_spmd_executor_rejected(self, toy, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            executors_mod, "solve_job", lambda *a, **k: started.append(1)
+        )
+        with pytest.raises(
+            SchedulerError, match="'spmd'; available: inline, process-pool"
+        ):
+            compute_efms(
+                toy, method="combined", partition=["r6r", "r8r"], executor="spmd"
+            )
+        assert started == []
 
 
 class TestCompression:

@@ -3,13 +3,13 @@ the scheduler dispatches the divide-and-conquer subsets.
 
 The fast tests cover the toy network; the slow property test is the
 acceptance criterion from the scheduler work — yeast-I-small with a
-``q_sub = 5`` tail partition (32 subsets, 530 EFMs) across the inline,
-process-pool (2 and 4 workers) and simulated-MPI executors plus a
-shuffled explicit schedule, compared with ``np.array_equal`` (no
-canonicalization: the unions must match bit for bit).
+``q_sub = 5`` tail partition (32 subsets, 530 EFMs) across the inline
+and process-pool (2 and 4 workers) executors plus a shuffled explicit
+schedule, compared with ``np.array_equal`` (no canonicalization: the
+unions must match bit for bit).
 
-``REPRO_TEST_EXECUTORS`` (comma-separated names) restricts which
-executors the slow test exercises, e.g. the CI matrix runs one leg with
+``REPRO_TEST_EXECUTORS`` (comma-separated names) restricts which of the
+two executors the slow test exercises; the CI matrix runs one leg with
 ``inline`` and one with ``process-pool``.
 """
 
@@ -90,8 +90,6 @@ def test_yeast_small_equivalence_property():
             ("process-pool-2", {"executor": "process-pool", "max_workers": 2}),
             ("process-pool-4", {"executor": "process-pool", "max_workers": 4}),
         ]
-    if "spmd" in selected:
-        variants.append(("spmd", {"executor": "spmd", "max_workers": 4}))
     if "inline" in selected:
         perm = list(range(32))
         random.Random(20110516).shuffle(perm)  # IPDPS 2011: fixed seed

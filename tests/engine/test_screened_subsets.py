@@ -6,8 +6,9 @@ the 32 subsets are proven empty there and must never reach an executor,
 be re-screened by a surviving subset's solve, or be re-screened by the
 degraded path.
 
-``REPRO_TEST_EXECUTORS`` (comma-separated names) restricts the executors,
-as in ``test_executor_equivalence``.  Solves in pool workers happen in
+``REPRO_TEST_EXECUTORS`` (comma-separated names) restricts the two
+executors (``inline``, ``process-pool``), as in
+``test_executor_equivalence``.  Solves in pool workers happen in
 forked children, so the spies append to a file rather than a list.
 """
 

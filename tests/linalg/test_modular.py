@@ -344,11 +344,6 @@ class TestPrimeEscalation:
         assert stats.n_rank_fallback > 0
         assert stats.n_rank_modular + stats.n_rank_fallback == 40
 
-    def test_missing_first_prime_basis_flags_all(self):
-        prob = self._FakeProb(2, 4, {}, modular.PRIMES[:2])
-        null, unresolved = _kernel_nullities(prob, np.array([[1, 0]]))
-        assert unresolved.all()
-
 
 class TestModularRanksEndToEnd:
     @pytest.mark.parametrize("seed", range(5))

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.mpi.spmd import get_engine, run_spmd
 
-BACKENDS = ("sequential", "thread", "process")
+BACKENDS = ("sequential", "process")
 
 
 # Module-level SPMD bodies (the process backend requires picklables).

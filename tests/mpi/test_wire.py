@@ -144,7 +144,7 @@ class TestResolution:
             resolve_comm_timeout(0)
         monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", "-1")
         with pytest.raises(ValueError, match="positive"):
-            get_engine("thread")
+            get_engine("sequential")
 
 
 class TestPayloadNbytes:

@@ -14,7 +14,6 @@ from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
 from repro.parallel import combinatorial as combinatorial_mod
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.pairs import get_pair_strategy, pair_share_counts
 from tests.conftest import assert_same_modes
 
 
@@ -25,12 +24,6 @@ class TestEquivalenceWithSerial:
         run = combinatorial_parallel(toy_problem, n_ranks)
         assert_same_modes(serial.efms_input_order(), run.result.efms_input_order())
 
-    @pytest.mark.parametrize("strategy", ["strided", "block"])
-    def test_pair_strategies_equivalent(self, toy_problem, strategy):
-        serial = nullspace_algorithm(toy_problem)
-        run = combinatorial_parallel(toy_problem, 3, pair_strategy=strategy)
-        assert_same_modes(serial.efms_input_order(), run.result.efms_input_order())
-
     def test_candidate_total_invariant_across_ranks(self, toy_problem):
         totals = {
             combinatorial_parallel(toy_problem, p).stats.total_candidates
@@ -38,7 +31,7 @@ class TestEquivalenceWithSerial:
         }
         assert len(totals) == 1
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    @pytest.mark.parametrize("backend", ["sequential"])
     def test_backends(self, toy_problem, backend):
         serial = nullspace_algorithm(toy_problem)
         run = combinatorial_parallel(toy_problem, 3, backend=backend)
@@ -99,20 +92,6 @@ class TestStopRowAndMemory:
         assert probe.peak_bytes >= run.stats.peak_mode_bytes > 0
 
 
-class TestPairStrategies:
-    def test_share_counts_sum(self):
-        for name in ("strided", "block"):
-            counts = pair_share_counts(103, 7, name)
-            assert sum(counts) == 103
-            assert max(counts) - min(counts) <= 1
-
-    def test_strategy_factory_rejects_unknown(self):
-        from repro.errors import AlgorithmError
-
-        with pytest.raises(AlgorithmError):
-            get_pair_strategy("roulette")
-
-
 def _counters(stats):
     """Every non-timing counter of a run: per iteration, and run-wide."""
     its = [
@@ -140,7 +119,7 @@ class TestOneRank:
     def test_bit_identical_to_serial(self, toy_problem, yeast_problem, which):
         problem = toy_problem if which == "toy" else yeast_problem
         serial = nullspace_algorithm(problem)
-        for backend in ("sequential", "thread", "process"):
+        for backend in ("sequential", "process"):
             run = combinatorial_parallel(problem, 1, backend=backend)
             assert np.array_equal(
                 run.result.modes.supports.words, serial.modes.supports.words
@@ -149,7 +128,7 @@ class TestOneRank:
             assert _counters(run.stats) == _counters(serial.stats)
             assert run.n_ranks == 1 and run.rank_traces[0].events == []
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
     def test_never_enters_spmd(self, toy_problem, monkeypatch, backend):
         def refuse(*args, **kwargs):
             raise AssertionError("one rank entered run_spmd")

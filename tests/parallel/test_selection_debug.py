@@ -52,7 +52,7 @@ class TestDebugModeEndToEnd:
     """The fingerprint allgather runs on every iteration in debug/trace
     mode and must be invisible to the result."""
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
     def test_combinatorial_with_trace(self, toy_problem, backend):
         opts = AlgorithmOptions(ordering="dynamic", record_trace=True)
         res = combinatorial_parallel(

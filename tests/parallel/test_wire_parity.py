@@ -19,7 +19,7 @@ from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 from tests.core.batch_oracle import run_whole_set
 
-BACKENDS = ("sequential", "thread", "process")
+BACKENDS = ("sequential", "process")
 
 
 def _job_collectives(comm):
@@ -100,7 +100,7 @@ def test_yeast_small_wire_parity_property():
     (530) on every backend."""
     net = yeast_1_small()
     ref = None
-    for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
+    for backend, n_ranks in (("sequential", 4), ("process", 2)):
         run = compute_efms(
             net, method="parallel", n_ranks=n_ranks, backend=backend
         )

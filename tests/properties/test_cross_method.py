@@ -64,15 +64,6 @@ def test_combined_equals_serial_any_partition(params, q_sub, data):
 
 
 @given(params=network_params)
-@settings(**SETTINGS)
-def test_pair_strategies_equal(params):
-    net = random_network(**params)
-    a = compute_efms(net, method="parallel", n_ranks=3, pair_strategy="strided")
-    b = compute_efms(net, method="parallel", n_ranks=3, pair_strategy="block")
-    assert a.same_modes_as(b)
-
-
-@given(params=network_params)
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_exact_equals_float(params):
