@@ -12,7 +12,7 @@ import pytest
 from repro.config import AlgorithmOptions
 from repro.core.candidates import full_range, survivor_chunks
 from repro.core.ranktest import rank_test
-from repro.core.state import ModeMatrix, canonical_support_mask
+from repro.core.state import ModeMatrix
 from repro.core.stats import IterationStats
 from repro.linalg import bitset
 from repro.models.variants import yeast_1_small
@@ -63,9 +63,9 @@ def test_bench_pair_generation(benchmark, medium_modes):
 
     def gen():
         # Generation through support extraction, as the candidate phase
-        # runs it for float modes.
+        # runs it.
         return [
-            bitset.pack_support_rows(canonical_support_mask(raw, modes.policy))
+            bitset.pack_support_rows(raw != 0)
             for _, _, raw, _ in _survivor_chunks(problem, k, modes)
         ]
 

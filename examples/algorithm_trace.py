@@ -3,14 +3,13 @@
 
 The paper walks the Nullspace Algorithm through the toy network, printing
 the intermediate matrices K(1)...K(5).  This example records the same trace
-with ``AlgorithmOptions(record_trace=True, arithmetic="exact")`` so the
-matrices come out in exact integers, and narrates each iteration's
+with ``AlgorithmOptions(record_trace=True)`` — modes are exact integer
+rows, so the matrices print as the paper's integers — and narrates each
+iteration's
 pos/neg split, candidates, duplicates and rank-test outcomes (§II.C).
 
 Run:  python examples/algorithm_trace.py
 """
-
-import numpy as np
 
 from repro import AlgorithmOptions, compress_network, toy_network
 from repro.core.kernel import build_problem
@@ -20,7 +19,7 @@ from repro.core.serial import nullspace_algorithm
 def print_matrix(names, matrix) -> None:
     width = max(len(n) for n in names)
     for name, row in zip(names, matrix):
-        cells = " ".join(f"{x:5.3g}" for x in row)
+        cells = " ".join(f"{int(x):5d}" for x in row)
         print(f"    {name:>{width}s} | {cells}")
 
 
@@ -28,7 +27,7 @@ def main() -> None:
     record = compress_network(toy_network())
     # free_hint pins the identity block to {r2, r4, r5, r7} so the kernel
     # matches eq. (5) of the paper literally.
-    options = AlgorithmOptions(arithmetic="exact", record_trace=True)
+    options = AlgorithmOptions(record_trace=True)
     problem = build_problem(
         record.reduced, options=options, free_hint=("r2", "r4", "r5", "r7")
     )

@@ -18,7 +18,7 @@ Quickstart::
     result.validate()                # steady state + feasibility + minimality
 """
 
-from repro.config import AlgorithmOptions, NumericPolicy
+from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
 from repro.efm.result import EFMResult
 from repro.efm.splitting import split_reversible
@@ -51,7 +51,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlgorithmOptions",
-    "NumericPolicy",
     "compute_efms",
     "EFMResult",
     "split_reversible",

@@ -38,6 +38,7 @@ ITERATION_COLUMNS = (
     "n_rank_modular",
     "n_rank_fallback",
     "n_rank_unit_members",
+    "n_int_switches",
     "candidate_bytes",
     "prefilter_bytes",
     "n_chunks",

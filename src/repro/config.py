@@ -1,10 +1,9 @@
-"""Global numeric policy and algorithm options.
+"""Algorithm options.
 
-The Nullspace Algorithm is a pivoting-free double-description iteration and
-is sensitive to how "zero" is decided.  All tolerance decisions in the
-package flow through :class:`NumericPolicy` so tests can tighten or relax
-them in one place, and :class:`AlgorithmOptions` collects every tunable of
-the core algorithm (ordering heuristic, acceptance test, chunk sizes, ...).
+:class:`AlgorithmOptions` collects every tunable of the core algorithm
+(ordering heuristic, acceptance test, chunk sizes, ...).  None of them
+is numeric: modes are exact integer rows and every zero test and rank
+decision is exact, so there is no tolerance to tune.
 """
 
 from __future__ import annotations
@@ -14,15 +13,11 @@ import math
 import os
 from typing import Literal
 
-#: Default relative threshold below which a flux value is treated as zero.
-DEFAULT_ZERO_TOL: float = 1e-9
-
 #: Upper bound on the candidate pairs of one vectorized generation chunk.
 #: Bounds peak memory of candidate generation: a chunk allocates
-#: ``chunk_size * n_rows`` float64 values plus the packed supports.
+#: ``chunk_size * n_rows`` int64 values plus the packed supports.
 DEFAULT_PAIR_CHUNK: int = 65536
 
-Arithmetic = Literal["float", "exact"]
 AcceptanceTest = Literal["rank", "bittree", "both"]
 OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
@@ -53,39 +48,11 @@ DEFAULT_SELECTION_LOOKAHEAD: int = 4
 
 
 @dataclasses.dataclass(frozen=True)
-class NumericPolicy:
-    """The tolerance governing zero tests (rank decisions are exact).
-
-    Parameters
-    ----------
-    zero_tol:
-        Entries with ``|x| <= zero_tol * max(1, column_max)`` count as zero
-        when supports are extracted.  Columns are renormalized to unit
-        max-norm after every combination, so in practice this behaves as an
-        absolute threshold on normalized data.
-    """
-
-    zero_tol: float = DEFAULT_ZERO_TOL
-
-    def __post_init__(self) -> None:
-        if not (0 < self.zero_tol < 1e-2):
-            raise ValueError(f"zero_tol out of sane range: {self.zero_tol}")
-
-
-#: Shared default policy instance.
-DEFAULT_POLICY = NumericPolicy()
-
-
-@dataclasses.dataclass(frozen=True)
 class AlgorithmOptions:
     """Tunables of the (serial and parallel) Nullspace Algorithm.
 
     Parameters
     ----------
-    arithmetic:
-        ``"float"`` runs the vectorized float64 path (production);
-        ``"exact"`` runs an arbitrary-precision integer path (slow, used for
-        verification and the paper's worked example).
     acceptance:
         Candidate acceptance test: the paper's algebraic ``"rank"`` test
         (nullity of the stoichiometric submatrix == 1), the efmtool-style
@@ -130,7 +97,6 @@ class AlgorithmOptions:
         the paper's Figure 2; expensive — small networks only).
     """
 
-    arithmetic: Arithmetic = "float"
     acceptance: AcceptanceTest = "rank"
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
@@ -138,11 +104,8 @@ class AlgorithmOptions:
     comm_timeout_s: float = dataclasses.field(default_factory=resolve_comm_timeout)
     ordering_seed: int = 0
     record_trace: bool = False
-    policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
-        if self.arithmetic not in ("float", "exact"):
-            raise ValueError(f"unknown arithmetic {self.arithmetic!r}")
         if self.acceptance not in ("rank", "bittree", "both"):
             raise ValueError(f"unknown acceptance test {self.acceptance!r}")
         if self.ordering not in (

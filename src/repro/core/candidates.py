@@ -9,10 +9,10 @@ annihilates row ``k`` (both coefficients are positive, so the combination
 stays inside the flux cone).  Generation is vectorized in chunks of
 pairs (:func:`survivor_chunks`); a packed-support union popcount prefilter
 ("summary rejection": a support larger than ``rank+1`` cannot have nullity
-1) drops most pairs before any float work happens.  The chunks' raw dense
-combinations are consumed one at a time by the candidate phase
-(:mod:`repro.core.iterstream`), which keeps only supports and pair indices
-for float runs.
+1) drops most pairs before any combination is formed.  The chunks' raw
+dense integer combinations are consumed one at a time by the candidate
+phase (:mod:`repro.core.iterstream`), which keeps only their supports and
+pair indices.
 
 The pair index space ``[0, n_pos*n_neg)`` is linearized as
 ``p = i * n_neg + j``; the combinatorial parallel algorithm hands each rank
@@ -103,8 +103,8 @@ def survivor_chunks(
     (:mod:`repro.core.iterstream`): i-major pair enumeration, the
     union-support prefilter and the optional per-pair adjacency test.
     Each yielded tuple is ``(i_ok, j_ok, raw, transient)``: the surviving
-    pairs' source-mode indices, the raw (un-normalized) dense combination
-    chunk, and the chunk's transient working-set bytes (pair vectors,
+    pairs' source-mode indices, the raw (not gcd-reduced) dense integer
+    combination chunk, and the chunk's transient working-set bytes (pair vectors,
     gathered words, prefilter mask and the dense chunk — already folded
     into ``stats.prefilter_bytes``).
 
@@ -183,9 +183,8 @@ def survivor_chunks(
         a = -col[j_ok]  # > 0
         b = col[i_ok]  # > 0
         cand = vals[i_ok] * a[:, None] + vals[j_ok] * b[:, None]
-        # ... plus the dense candidate chunk (float runs drop it once
-        # its supports are extracted, but it exists — on_oom decisions
-        # must see it).
+        # ... plus the dense candidate chunk (dropped once its supports
+        # are extracted, but it exists — on_oom decisions must see it).
         transient += cand.nbytes
         peak_transient = max(peak_transient, transient)
         stats.prefilter_bytes = max(stats.prefilter_bytes, peak_transient)

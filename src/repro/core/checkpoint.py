@@ -43,27 +43,28 @@ from repro.linalg.bitset import PackedSupports
 #: holds them, and ``IterationStats`` no longer accepts them.  Version 4
 #: dropped the rank tolerance from the problem fingerprint (rank decisions
 #: are exact); a version-3 fingerprint can never match, so such a file is
-#: refused by version rather than as a foreign problem.
-CHECKPOINT_VERSION = 4
+#: refused by version rather than as a foreign problem.  Version 5 stores
+#: the modes as exact integer rows instead of normalized floats (int64, or
+#: Python ints as decimal text so no pickle enters the file), and its
+#: fingerprint no longer hashes the float-or-rational mode choice or the
+#: float support threshold, both gone.
+CHECKPOINT_VERSION = 5
 
 
 def problem_fingerprint(problem: NullspaceProblem, options: AlgorithmOptions) -> str:
     """Stable hash of everything that must match for a resume to be valid."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(problem.n_perm).tobytes())
-    h.update(np.ascontiguousarray(problem.kernel).tobytes())
+    kernel = problem.kernel
+    # An object (Python-int) kernel's raw bytes are pointers; hash its text.
+    h.update(
+        repr(kernel.tolist()).encode()
+        if kernel.dtype == object
+        else np.ascontiguousarray(kernel).tobytes()
+    )
     h.update(np.ascontiguousarray(problem.reversible).tobytes())
     h.update("\x00".join(problem.names).encode())
-    h.update(
-        json.dumps(
-            {
-                "arithmetic": options.arithmetic,
-                "acceptance": options.acceptance,
-                "zero_tol": options.policy.zero_tol,
-            },
-            sort_keys=True,
-        ).encode()
-    )
+    h.update(json.dumps({"acceptance": options.acceptance}).encode())
     return h.hexdigest()
 
 
@@ -94,13 +95,17 @@ class Checkpoint:
         """Write the snapshot atomically (tmp file + rename)."""
         path = Path(path)
         stats_blob = json.dumps(_stats_to_dict(self.stats)).encode()
+        values = self.modes.values
+        if values.dtype == object:
+            values = np.array([str(x) for x in values.ravel()], dtype=str)
+            values = values.reshape(self.modes.values.shape)
         buf = io.BytesIO()
         np.savez_compressed(
             buf,
             version=np.int64(CHECKPOINT_VERSION),
             fingerprint=np.frombuffer(self.fingerprint.encode(), dtype=np.uint8),
             next_row=np.int64(self.next_row),
-            values=self.modes.values.astype(np.float64),
+            values=values,
             support_words=self.modes.supports.words,
             n_rows=np.int64(self.modes.supports.n_rows),
             stats=np.frombuffer(stats_blob, dtype=np.uint8),
@@ -121,8 +126,13 @@ class Checkpoint:
                     f"checkpoint version {version} unsupported "
                     f"(expected {CHECKPOINT_VERSION})"
                 )
+            values = data["values"]
+            if values.dtype.kind == "U":
+                values = np.array(
+                    [int(x) for x in values.ravel()], dtype=object
+                ).reshape(values.shape)
             modes = ModeMatrix.from_parts(
-                np.ascontiguousarray(data["values"]),
+                np.ascontiguousarray(values),
                 PackedSupports(data["support_words"], int(data["n_rows"])),
             )
             stats = _stats_from_dict(
@@ -176,8 +186,7 @@ def checkpointed_nullspace_algorithm(
     If ``checkpoint_path`` exists it is validated against the problem and
     the run continues from its ``next_row``; otherwise a fresh run starts.
     A snapshot is written every ``checkpoint_every`` iterations and after
-    the final one.  Exact arithmetic is not checkpointable (Fractions
-    don't round-trip through .npz) and raises.
+    the final one.
 
     ``checkpoint_path`` / ``checkpoint_every`` default to the context's
     checkpoint configuration; at least one source must provide the path.
@@ -192,8 +201,6 @@ def checkpointed_nullspace_algorithm(
         raise AlgorithmError(
             "checkpointed run needs a checkpoint path (argument or context)"
         )
-    if options.arithmetic != "float":
-        raise AlgorithmError("checkpointing supports float arithmetic only")
     if checkpoint_every < 1:
         raise AlgorithmError("checkpoint_every must be >= 1")
     path = Path(checkpoint_path)
@@ -217,7 +224,7 @@ def checkpointed_nullspace_algorithm(
         modes, stats, elapsed0 = ck.modes, ck.stats, ck.elapsed
         processed = ck.row_order
     else:
-        modes = ModeMatrix.from_kernel(problem.kernel, policy=options.policy)
+        modes = ModeMatrix.from_kernel(problem.kernel)
         stats = RunStats()
         elapsed0 = 0.0
         processed = ()

@@ -16,11 +16,13 @@ between chunks is only the accepted set plus the incremental dedup index
 ``min(pair_chunk, 16 MiB / per-pair transient bytes)`` pairs
 (:func:`repro.cluster.memory.streaming_chunk_pairs`).
 
-The candidate representation follows the arithmetic.  Float runs carry
-a support-only :class:`~repro.core.state.CandidateBatch` (packed support
-words plus ``(i, j)`` pair indices; dense normalized rows are recomputed
-once, for accepted candidates).  Exact runs carry a dense
-:class:`~repro.core.state.ModeMatrix` of Fractions.
+Candidates travel as a support-only
+:class:`~repro.core.state.CandidateBatch` (packed support words plus
+``(i, j)`` pair indices); dense reduced integer rows are recomputed once,
+for accepted candidates.  Before the first chunk is formed, the source
+matrix passes the int64 envelope check
+(:meth:`~repro.core.state.ModeMatrix.widen_for_row`); a switch to Python
+ints is counted in ``n_int_switches`` and logged.
 
 Before the rank test, a chunk's deduplicated candidates pass the
 zero-mode subset pre-screen (:func:`zero_mode_supersets`, the subset
@@ -85,7 +87,7 @@ from repro.config import AlgorithmOptions
 from repro.core.bittree import SupportIndex
 from repro.core.candidates import PairRange, survivor_chunks
 from repro.core.ranktest import rank_test
-from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
+from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer
 from repro.errors import AlgorithmError
 from repro.linalg import bitset
@@ -121,14 +123,16 @@ def stream_iteration(
     adjacency=None,
     acceptance: str | None = None,
     rank_cache=None,
-) -> ModeMatrix | CandidateBatch:
+) -> CandidateBatch:
     """Run one iteration's candidate phase as a bounded-memory stream.
 
-    Returns this worker's accepted candidates — a support-only
-    :class:`~repro.core.state.CandidateBatch` for float modes, a dense
-    :class:`~repro.core.state.ModeMatrix` for exact ones — in pair
-    enumeration order.  The live :class:`~repro.core.bittree.SupportIndex`
-    is attached to the result as ``dedup_index`` so memory accounting
+    Returns this worker's accepted candidates as a support-only
+    :class:`~repro.core.state.CandidateBatch`, in pair enumeration order.
+    ``modes`` may move to Python ints on the way (see
+    :meth:`~repro.core.state.ModeMatrix.widen_for_row`), so callers
+    materialize from ``modes.values`` read after this returns.  The live
+    :class:`~repro.core.bittree.SupportIndex` is attached to the result
+    as ``dedup_index`` so memory accounting
     (``nbytes``/``payload_nbytes``) sees the streaming state for as long
     as the caller keeps the candidates around.
 
@@ -142,7 +146,9 @@ def stream_iteration(
     ``t_merge``, the subset pre-screen and the rank test in
     ``t_rank_test``.
     """
-    deferred = not modes.exact
+    if modes.widen_for_row(k):
+        stats.n_int_switches += 1
+        _log_int_switch(k, modes.n_modes)
     if acceptance is None:
         acceptance = options.acceptance
     rank_mode = acceptance in ("rank", "both")
@@ -152,7 +158,6 @@ def stream_iteration(
     acc_words: list[np.ndarray] = []
     acc_i: list[np.ndarray] = []
     acc_j: list[np.ndarray] = []
-    acc_modes: list[ModeMatrix] = []
     acc_bytes = 0
     n_accepted = 0
 
@@ -172,18 +177,9 @@ def stream_iteration(
         i_ok, j_ok, raw, _transient = item
         stats.n_chunks += 1
 
-        chunk_modes = None
         with PhaseTimer(stats, "t_merge"):
-            if deferred:
-                mask = canonical_support_mask(raw, modes.policy)
-                words = pack_support_rows(mask)
-                chunk_bytes = int(
-                    words.nbytes + i_ok.nbytes + j_ok.nbytes
-                )
-            else:
-                chunk_modes = ModeMatrix(raw, policy=modes.policy)
-                words = chunk_modes.supports.words
-                chunk_bytes = chunk_modes.nbytes()
+            words = pack_support_rows(raw != 0)
+            chunk_bytes = int(words.nbytes + i_ok.nbytes + j_ok.nbytes)
             del raw  # the dense chunk dies before the next one is generated
             stats.peak_chunk_bytes = max(stats.peak_chunk_bytes, chunk_bytes)
             stats.candidate_bytes = max(
@@ -203,16 +199,10 @@ def stream_iteration(
                 words = words[fresh]
                 i_ok = i_ok[fresh]
                 j_ok = j_ok[fresh]
-                if chunk_modes is not None:
-                    first = first[fresh]
             stats.n_duplicates += n_dup + n_seen
-            if deferred:
-                cand = CandidateBatch._from_parts(
-                    PackedSupports(words, modes.q), i_ok, j_ok, k,
-                    modes.policy,
-                )
-            else:
-                cand = chunk_modes.select(first)
+            cand = CandidateBatch._from_parts(
+                PackedSupports(words, modes.q), i_ok, j_ok, k
+            )
         if cand.n_modes == 0:
             continue
 
@@ -245,36 +235,30 @@ def stream_iteration(
             if cand.n_modes:
                 n_accepted += cand.n_modes
                 index.add(cand.supports.words)
-                if deferred:
-                    acc_words.append(cand.supports.words)
-                    acc_i.append(cand.pair_i)
-                    acc_j.append(cand.pair_j)
-                else:
-                    acc_modes.append(cand)
+                acc_words.append(cand.supports.words)
+                acc_i.append(cand.pair_i)
+                acc_j.append(cand.pair_j)
                 acc_bytes += cand.nbytes()
 
     stats.n_dedup_probes += index.n_probes
     stats.candidate_bytes = max(stats.candidate_bytes, acc_bytes + index.nbytes())
     with PhaseTimer(stats, "t_merge"):
-        if deferred:
-            if acc_words:
-                out = CandidateBatch._from_parts(
-                    PackedSupports(np.concatenate(acc_words, axis=0), modes.q),
-                    np.concatenate(acc_i),
-                    np.concatenate(acc_j),
-                    k,
-                    modes.policy,
-                )
-            else:
-                out = CandidateBatch.empty(modes.q, k, policy=modes.policy)
+        if acc_words:
+            out = CandidateBatch._from_parts(
+                PackedSupports(np.concatenate(acc_words, axis=0), modes.q),
+                np.concatenate(acc_i),
+                np.concatenate(acc_j),
+                k,
+            )
         else:
-            if acc_modes:
-                out = acc_modes[0]
-                for m in acc_modes[1:]:
-                    out = out.concat(m)
-            else:
-                out = ModeMatrix.empty(
-                    modes.q, exact=modes.exact, policy=modes.policy
-                )
+            out = CandidateBatch.empty(modes.q, k)
         out.dedup_index = index
     return out
+
+
+def _log_int_switch(k: int, n_modes: int) -> None:
+    import logging  # noqa: PLC0415 - only a run past the int64 envelope logs
+
+    logging.getLogger(__name__).info(
+        "row %d: %d mode rows moved from int64 to Python ints", k, n_modes
+    )

@@ -10,19 +10,22 @@ forced to the bottom (Algorithm 3, line 11).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core.ordering import order_rows
+from repro.core.state import ModeMatrix
 from repro.errors import (
     AlgorithmError,
     DependentPartitionError,
     NoModesError,
     ReversibleIdentityError,
 )
-from repro.linalg.numeric import kernel_identity_form
+from repro.linalg import modular
+from repro.linalg.numeric import INT64_LIMIT, kernel_identity_form
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import stoichiometric_matrix
 
@@ -91,6 +94,61 @@ class NullspaceProblem:
             return self.names.index(name)
         except ValueError:
             raise AlgorithmError(f"reaction {name!r} not in problem") from None
+
+
+def certify_modes(problem: NullspaceProblem, modes: ModeMatrix) -> int:
+    """Check integer mode rows (processing permutation) exactly and
+    return how many were checked.
+
+    Each row ``e`` must be a steady state of the stoichiometry as
+    :func:`~repro.linalg.modular.integer_columns` reads it — the reading
+    the kernel and the rank test use.  That reading is ``A = N ·
+    diag(s)``, and ``ker N = diag(s) · ker A``, so the check is ``(A ·
+    diag(lcm(s) / s)) @ e == 0`` in integers, summed over ``A``'s
+    nonzeros one metabolite at a time so no temporary is larger than one
+    column of modes.  Every irreversible entry must be ``>= 0``.
+    Elementarity is the rank test's exact decision and is not
+    re-checked.
+
+    Raises :class:`~repro.errors.AlgorithmError` naming the first mode
+    that fails.
+    """
+    n = modes.n_modes
+    if not n:
+        return 0
+    a_int, scales = modular.integer_columns(problem.n_perm)
+    lcm = math.lcm(*scales)
+    if lcm != 1:
+        a_int = a_int.astype(object) * np.array(
+            [lcm // s for s in scales], dtype=object
+        )
+    values = modes.values
+    bad = np.zeros(n, dtype=bool)
+    for row in a_int:
+        cols = np.flatnonzero(row)
+        if not cols.size:
+            continue
+        coef = row[cols].tolist()
+        # int64 while the row's sum provably fits.
+        if int(np.abs(row[cols]).max()) * modes.max_abs() * cols.size < INT64_LIMIT:
+            acc = sum(a * values[:, c] for a, c in zip(coef, cols))
+        else:
+            acc = sum(a * values[:, c].astype(object) for a, c in zip(coef, cols))
+        bad |= acc != 0
+    negative = np.zeros(n, dtype=bool)
+    for j in np.flatnonzero(~problem.reversible):
+        negative |= values[:, j] < 0
+    failing = np.flatnonzero(bad | negative)
+    if failing.size:
+        i = int(failing[0])
+        support = [problem.names[j] for j in np.flatnonzero(values[i] != 0)]
+        what = "is not a steady state" if bad[i] else (
+            "has a negative irreversible flux"
+        )
+        raise AlgorithmError(
+            f"mode {i} (support {support}) {what}: certification failed"
+        )
+    return n
 
 
 def build_problem(

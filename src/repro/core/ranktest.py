@@ -14,8 +14,7 @@ once per problem (the same reading the initial kernel uses), each nullity
 query is rewritten in complement form against a gcd-reduced integer
 kernel basis, and batch ranks come from certified fraction-free
 elimination after a unit-row reduction, with residue-field and
-Python-integer elimination behind it.  Float and exact-arithmetic runs
-take the same path.  A support-pattern memo
+Python-integer elimination behind it.  A support-pattern memo
 (:class:`repro.linalg.rankmemo.RankCache`) serves repeated column
 selections across iterations and divide-and-conquer subproblems.  The
 packed supports are unpacked solely for the candidates that survive

@@ -88,8 +88,8 @@ class NullspaceResult:
         return self.modes.n_modes
 
     def efms_input_order(self) -> np.ndarray:
-        """EFMs as a ``(n_modes, q)`` float64 array with columns in the
-        problem's input reaction order.
+        """EFMs as a ``(n_modes, q)`` float64 array of unit max-norm rows
+        with columns in the problem's input reaction order.
 
         Raises
         ------
@@ -99,8 +99,7 @@ class NullspaceResult:
             would corrupt downstream unions.
         """
         self._require_complete()
-        vals = self.modes.float_values()
-        return np.ascontiguousarray(vals[:, self.problem.inverse_perm()])
+        return self.modes.float_values(self.problem.inverse_perm())
 
 
 MemoryCheck = Callable[[int, ModeMatrix], None]
@@ -153,13 +152,14 @@ def iterate_row(
     iterations (and, for divide-and-conquer drivers, across subproblems).
 
     The generate → dedup → rank-test sequence runs as a bounded-memory
-    chunk stream (:func:`repro.core.iterstream.stream_iteration`).  Float
-    candidates travel through it as a support-only
+    chunk stream (:func:`repro.core.iterstream.stream_iteration`).
+    Candidates travel through it as a support-only
     :class:`~repro.core.state.CandidateBatch`; with ``materialize=True``
     (the serial default) the accepted survivors come back as a dense
     :class:`ModeMatrix`, while ``materialize=False`` hands the batch to
     the caller so a parallel driver can communicate the packed
-    representation and materialize after the global merge.
+    representation and materialize (from ``modes.values``) after the
+    global merge.
     """
     signs = modes.sign_column(k)
     pos_idx = np.nonzero(signs > 0)[0]
@@ -172,7 +172,7 @@ def iterate_row(
     reversible = bool(problem.reversible[k])
     n_pairs_total = stats.n_pos * stats.n_neg
 
-    cand = ModeMatrix.empty(modes.q, exact=modes.exact, policy=modes.policy)
+    cand = CandidateBatch.empty(modes.q, k)
     if n_pairs_total:
         pr = pair_range_for(n_pairs_total)
         stats.n_pairs = pr.count()
@@ -197,11 +197,11 @@ def iterate_row(
             rank_cache=rank_cache,
         )
         stats.n_accepted = cand.n_modes
-        if materialize and isinstance(cand, CandidateBatch):
-            # Float candidates: dense normalized values exist only from
-            # here on, and only for the accepted survivors.
-            with PhaseTimer(stats, "t_merge"):
-                cand = cand.materialize(modes.values)
+    if materialize:
+        # Dense rows exist only from here on, and only for the accepted
+        # survivors.
+        with PhaseTimer(stats, "t_merge"):
+            cand = cand.materialize(modes.values)
 
     if reversible:
         kept = modes
@@ -244,8 +244,7 @@ def nullspace_algorithm(
     ctx = RunContext.ensure(context, options=options)
     options = ctx.options
     t_start = time.perf_counter()
-    exact = options.arithmetic == "exact"
-    modes = ModeMatrix.from_kernel(problem.kernel, exact=exact, policy=options.policy)
+    modes = ModeMatrix.from_kernel(problem.kernel)
     stats = RunStats()
     stop = problem.q if stop_row is None else stop_row
     if not (problem.first_row <= stop <= problem.q):

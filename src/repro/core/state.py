@@ -1,71 +1,45 @@
 """Mode-matrix state of the Nullspace Algorithm.
 
-A :class:`ModeMatrix` is the current set of (candidate) flux modes: a dense
-value matrix with **modes as rows** (shape ``(n_modes, q)``, row-major so a
-mode is contiguous) plus the packed support bitsets kept exactly in sync.
-Sub-threshold values are snapped to exact ``0.0`` at construction, so sign
-splits (``> 0`` / ``< 0`` / ``== 0``) never disagree with the support bits.
+A :class:`ModeMatrix` is the current set of (candidate) flux modes: an
+exact integer value matrix with **modes as rows** (shape ``(n_modes, q)``,
+row-major so a mode is contiguous), each row divided by the gcd of its
+entries, plus the packed support bitsets kept exactly in sync.  A
+support is ``values != 0``: no tolerance decides what is zero, and sign
+splits (``> 0`` / ``< 0`` / ``== 0``) can never disagree with the bits.
 
-Exact mode: the same container holds ``dtype=object`` arrays of
-``fractions.Fraction``; zero tests are then exact comparisons.
+Rows are int64 while every combination provably fits.  Before an
+iteration combines rows, :meth:`ModeMatrix.widen_for_row` checks the
+envelope ``2 * max|coef| * max|row| < 2**63`` and, when it fails, moves
+the matrix to Python ints (``object`` dtype) for the rest of the run —
+the same envelope idea as the rank kernel's (:mod:`repro.linalg.modular`).
+:meth:`ModeMatrix.float_values` is the one conversion to float.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from repro.config import DEFAULT_POLICY, NumericPolicy
 from repro.errors import AlgorithmError
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports
+from repro.linalg.modular import gcd_reduce_columns
+from repro.linalg.numeric import INT64_LIMIT
 
 
-def canonicalize_rows(values: np.ndarray, policy: NumericPolicy) -> np.ndarray:
-    """Normalize float mode rows to unit max-norm and snap sub-threshold
-    entries to exact ``0.0`` (fresh C-contiguous array).
-
-    This is *the* definition of a canonical mode row, shared by the
-    :class:`ModeMatrix` constructor and :class:`CandidateBatch`
-    materialization.  Every operation is row-wise, so canonicalizing a
-    matrix chunk by chunk yields bit-identical rows to one whole-matrix
-    call — the dense-row/support-first equivalence contract rests on that.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        return values.copy()
-    # Row-wise unit max-norm.  The snap decision is made on the *raw*
-    # magnitudes against a per-row threshold (|v| <= zero_tol * rowmax),
-    # which keeps it division-free — canonical_support_mask reads the same
-    # decision off the same comparison without ever normalizing.
-    mag = np.abs(values)
-    scale = mag.max(axis=1)
-    scale[scale == 0.0] = 1.0
-    out = values / scale[:, None]
-    out[mag <= (scale * policy.zero_tol)[:, None]] = 0.0
-    return out
-
-
-def canonical_support_mask(values: np.ndarray, policy: NumericPolicy) -> np.ndarray:
-    """Boolean support mask of float rows after canonicalization, without
-    retaining the normalized matrix — shape ``(n_modes, q)``.
-
-    Produces exactly the mask :func:`canonicalize_rows` implies: the snap
-    decision there is ``|v| <= zero_tol * rowmax`` on the raw magnitudes,
-    and a surviving entry cannot normalize to ``0.0`` (``|v| / rowmax``
-    stays far above the underflow range), so the complement of the snap
-    comparison *is* the support — no division needed.  All-zero rows keep
-    scale 1 and stay all-False.
-    """
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.size == 0:
-        return np.zeros(v.shape, dtype=bool)
-    mag = np.abs(v)
-    scale = mag.max(axis=1)
-    scale[scale == 0.0] = 1.0
-    return mag > (scale * policy.zero_tol)[:, None]
+def _integer_rows(values: np.ndarray) -> np.ndarray:
+    """A fresh C-contiguous integer copy of ``values``: int64, or Python
+    ints when already ``object``.  Floats are accepted only when every
+    entry is integral and inside the int64 range."""
+    if values.dtype == object:
+        return np.array(values, dtype=object, order="C")
+    if values.dtype.kind in "iub":
+        return np.array(values, dtype=np.int64, order="C")
+    r = np.rint(values)
+    if np.any(r != values) or (r.size and np.abs(r).max() >= INT64_LIMIT):
+        raise AlgorithmError("mode values must be integers")
+    return r.astype(np.int64)
 
 
 class ModeMatrix:
@@ -74,112 +48,53 @@ class ModeMatrix:
     Parameters
     ----------
     values:
-        ``(n_modes, q)`` array, float64 or object (Fraction).  Rows are
-        modes.  The constructor normalizes (unit max-norm for floats,
-        smallest co-prime integers for exact mode) and snaps zeros.
-    policy:
-        Zero-threshold policy (ignored in exact mode).
-    normalized:
-        Skip normalization/snapping when the caller guarantees the rows are
-        already canonical (used on slicing paths).
+        ``(n_modes, q)`` integer array (int64 or ``object`` Python ints).
+        Rows are modes.  The constructor divides each row by the gcd of
+        its entries (:meth:`from_parts` skips that for rows already
+        reduced).
     """
 
-    __slots__ = ("values", "supports", "policy", "_signs", "dedup_index")
+    __slots__ = ("values", "supports", "_signs", "_max_abs", "dedup_index")
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
-        normalized: bool = False,
-    ) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         values = np.atleast_2d(values)
         if values.ndim != 2:
             raise AlgorithmError("ModeMatrix expects a 2-D (n_modes, q) array")
-        if not normalized:
-            if values.dtype == object:
-                values = _integerize_rows(values)
-            else:
-                values = canonicalize_rows(values, policy)
+        values = _integer_rows(values)
+        gcd_reduce_columns(values.T)
         self.values = values
-        self.policy = policy
         self._signs = None
+        self._max_abs = None
         self.dedup_index = None
-        if values.dtype == object:
-            mask = np.array(
-                [[x != 0 for x in row] for row in values], dtype=bool
-            ).reshape(values.shape)
-        else:
-            mask = values != 0.0
-        self.supports = PackedSupports.from_bool(mask.T)
+        self.supports = PackedSupports.from_bool((values != 0).T)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_parts(
-        cls,
-        values: np.ndarray,
-        supports: PackedSupports,
-        policy: NumericPolicy = DEFAULT_POLICY,
+        cls, values: np.ndarray, supports: PackedSupports
     ) -> "ModeMatrix":
-        """Reassemble a ModeMatrix from already-canonical parts (message
-        deserialization path — skips normalization and repacking)."""
+        """Reassemble a ModeMatrix from already-reduced parts (message
+        deserialization path — skips the reduction and repacking)."""
         if values.shape[0] != len(supports):
             raise AlgorithmError("values/supports mode count mismatch")
         out = cls.__new__(cls)
         out.values = values
         out.supports = supports
-        out.policy = policy
         out._signs = None
+        out._max_abs = None
         out.dedup_index = None
         return out
 
     @classmethod
-    def from_pairs(
-        cls,
-        source_values: np.ndarray,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        coef_a: np.ndarray,
-        coef_b: np.ndarray,
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ) -> "ModeMatrix":
-        """Materialize candidate rows ``a * source[i] + b * source[j]`` —
-        the deferred pipeline's single materialization point.
-
-        The combination and the constructor's canonicalization are both
-        row-wise, so the result is bit-identical to a matrix built eagerly
-        from the same pairs in any chunking or order.
-        """
-        if pair_i.size == 0:
-            return cls.empty(source_values.shape[1], policy=policy)
-        vals = (
-            source_values[pair_i] * coef_a[:, None]
-            + source_values[pair_j] * coef_b[:, None]
-        )
-        return cls(vals, policy=policy)
+    def empty(cls, q: int) -> "ModeMatrix":
+        return cls(np.zeros((0, q), dtype=np.int64))
 
     @classmethod
-    def empty(cls, q: int, *, exact: bool = False,
-              policy: NumericPolicy = DEFAULT_POLICY) -> "ModeMatrix":
-        dtype = object if exact else np.float64
-        return cls(np.zeros((0, q), dtype=dtype), policy=policy, normalized=True)
-
-    @classmethod
-    def from_kernel(cls, kernel: np.ndarray, *, exact: bool = False,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> "ModeMatrix":
-        """Build the initial mode set from a ``(q, n_free)`` kernel whose
-        *columns* are the starting modes."""
-        vals = kernel.T
-        if exact:
-            obj = np.empty(vals.shape, dtype=object)
-            for i in range(vals.shape[0]):
-                for j in range(vals.shape[1]):
-                    x = vals[i, j]
-                    obj[i, j] = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**9)
-            vals = obj
-        return cls(vals, policy=policy)
+    def from_kernel(cls, kernel: np.ndarray) -> "ModeMatrix":
+        """Build the initial mode set from a ``(q, n_free)`` integer
+        kernel whose *columns* are the starting modes."""
+        return cls(kernel.T)
 
     # -- basic protocol ------------------------------------------------------
 
@@ -192,10 +107,6 @@ class ModeMatrix:
         """Number of reactions (columns of the value matrix)."""
         return self.values.shape[1]
 
-    @property
-    def exact(self) -> bool:
-        return self.values.dtype == object
-
     def __len__(self) -> int:
         return self.n_modes
 
@@ -206,10 +117,37 @@ class ModeMatrix:
         memory bottleneck is made of."""
         signs = 0 if self._signs is None else int(self._signs.nbytes)
         extra = 0 if self.dedup_index is None else self.dedup_index.nbytes()
-        if self.exact:
-            # Fractions are heap objects; approximate with 32 bytes/entry.
+        if self.values.dtype == object:
+            # Python ints are heap objects; approximate with 32 bytes/entry.
             return self.values.size * 32 + self.supports.nbytes() + signs + extra
         return int(self.values.nbytes) + self.supports.nbytes() + signs + extra
+
+    # -- the int64 envelope ----------------------------------------------------
+
+    def max_abs(self) -> int:
+        """An upper bound on ``|values|`` (exact when computed here; kept
+        through :meth:`select`, so it may overestimate after one)."""
+        if self._max_abs is None:
+            self._max_abs = int(np.abs(self.values).max()) if self.values.size else 0
+        return self._max_abs
+
+    def widen_for_row(self, k: int) -> bool:
+        """Move the rows to Python ints if combining on row ``k`` could
+        leave int64.
+
+        A candidate is ``|b| * x + |c| * y`` with ``|b|, |c| <=
+        max|column k|`` and every entry of ``x`` and ``y`` at most
+        :meth:`max_abs`, so int64 holds every candidate while ``2 *
+        max|column k| * max|row| < 2**63``.  Returns whether the rows
+        moved; the values, supports and signs are unchanged either way.
+        """
+        if self.values.dtype == object or not self.n_modes:
+            return False
+        coef = int(np.abs(self.values[:, k]).max())
+        if 2 * coef * self.max_abs() < INT64_LIMIT:
+            return False
+        self.values = self.values.astype(object)
+        return True
 
     # -- row access -----------------------------------------------------------
 
@@ -221,14 +159,10 @@ class ModeMatrix:
     def sign_matrix(self) -> np.ndarray:
         """Entry signs as int8, shape ``(n_modes, q)``, computed once and
         cached.  ``select``/``concat`` propagate the cache, so after the
-        first iteration touches it only *new* candidates pay the (for exact
-        mode, per-element Python comparison) cost."""
+        first iteration touches it only *new* candidates pay the cost."""
         if self._signs is None:
             v = self.values
-            if self.exact:
-                self._signs = (v > 0).astype(np.int8) - (v < 0).astype(np.int8)
-            else:
-                self._signs = np.sign(v).astype(np.int8)
+            self._signs = np.sign(v).astype(np.int8)
         return self._signs
 
     def sign_column(self, k: int) -> np.ndarray:
@@ -237,25 +171,25 @@ class ModeMatrix:
 
     def select(self, idx: np.ndarray | Sequence[int]) -> "ModeMatrix":
         """Subset of modes by index or boolean mask (supports stay in
-        sync without re-normalization)."""
+        sync without re-reduction)."""
         idx = np.asarray(idx)
         out = ModeMatrix.__new__(ModeMatrix)
         out.values = self.values[idx]
-        out.policy = self.policy
         out.supports = self.supports[idx]
         out._signs = None if self._signs is None else self._signs[idx]
+        out._max_abs = self._max_abs
         out.dedup_index = None
         return out
 
     def concat(self, other: "ModeMatrix") -> "ModeMatrix":
+        """Both mode sets, ``self`` first (Python ints if either side
+        holds them)."""
         if other.q != self.q:
             raise AlgorithmError("concat of ModeMatrix with mismatched q")
-        if other.exact != self.exact:
-            raise AlgorithmError("cannot mix exact and float ModeMatrix")
         out = ModeMatrix.__new__(ModeMatrix)
         out.values = np.concatenate([self.values, other.values], axis=0)
-        out.policy = self.policy
         out.supports = self.supports.concat(other.supports)
+        out._max_abs = max(self.max_abs(), other.max_abs())
         out.dedup_index = None
         # Keep the sign cache warm once primed: only the (typically small)
         # other side recomputes, never the accumulated survivor block.
@@ -275,27 +209,46 @@ class ModeMatrix:
             return self
         return self.select(first)
 
-    def float_values(self) -> np.ndarray:
-        """Values as float64 ``(n_modes, q)``: the stored array for float
-        modes, a converted copy for exact ones."""
-        return self.values.astype(np.float64, copy=False)
+    def float_values(self, columns: np.ndarray | None = None) -> np.ndarray:
+        """Rows scaled to unit max-norm as float64, shape ``(n_modes,
+        len(columns))``, columns in ``columns`` order (default: all, in
+        place) — the one conversion of the exact modes to float.
+
+        An entry below 2**53 in magnitude becomes the correctly rounded
+        quotient of two integers.  int64 rows are converted a column at a
+        time, so the result is the only full-size array allocated."""
+        v = self.values
+        if columns is None:
+            columns = np.arange(v.shape[1])
+        if v.dtype == object:
+            scale = np.abs(v).max(axis=1) if v.size else np.ones(0, dtype=object)
+            scale[scale == 0] = 1
+            return np.asarray(v[:, columns] / scale[:, None], dtype=np.float64)
+        out = np.empty((v.shape[0], len(columns)))
+        for j, c in enumerate(columns):
+            out[:, j] = v[:, c]
+        if v.size:
+            scale = np.maximum(out.max(axis=1), -out.min(axis=1))
+            scale[scale == 0] = 1
+            out /= scale[:, None]
+        return out
 
     def modes_as_columns(self) -> np.ndarray:
-        """Values with modes as columns, shape ``(q, n_modes)`` — the
-        paper's matrix orientation (eq. (5)), float64."""
-        return self.float_values().T.copy()
+        """Integer values with modes as columns, shape ``(q, n_modes)`` —
+        the paper's matrix orientation (eq. (5))."""
+        return self.values.T.copy()
 
     def __repr__(self) -> str:
-        kind = "exact" if self.exact else "float"
+        kind = "int" if self.values.dtype == object else "int64"
         return f"<ModeMatrix {self.n_modes} modes x {self.q} reactions ({kind})>"
 
 
 class CandidateBatch:
     """Deferred candidate modes: packed supports plus pair provenance.
 
-    The candidate phase's float representation.  Instead of a dense
-    normalized float64 row per prefilter survivor, this container carries
-    only what dedup and the rank test actually consume — the canonical packed support words — plus
+    The candidate phase's representation.  Instead of a dense integer
+    row per prefilter survivor, this container carries only what dedup
+    and the rank test actually consume — the packed support words — plus
     the ``(i, j)`` source-mode indices and the iteration row ``row`` they
     were paired on.  That triple fully determines the dense row
     ``(-src[j, row]) * src[i] + src[i, row] * src[j]``, so not even the
@@ -307,12 +260,9 @@ class CandidateBatch:
     generated from (the iteration's replicated mode set), so a batch is
     meaningful on any rank holding that replica — which is what lets the
     combinatorial allgather ship batches instead of dense rows.
-
-    Float arithmetic only; exact-mode runs carry dense
-    :class:`ModeMatrix` candidates.
     """
 
-    __slots__ = ("supports", "pair_i", "pair_j", "row", "policy", "dedup_index")
+    __slots__ = ("supports", "pair_i", "pair_j", "row", "dedup_index")
 
     def __init__(
         self,
@@ -320,8 +270,6 @@ class CandidateBatch:
         pair_i: np.ndarray,
         pair_j: np.ndarray,
         row: int,
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
     ) -> None:
         n = len(supports)
         self.pair_i = np.ascontiguousarray(pair_i, dtype=np.int64)
@@ -331,15 +279,12 @@ class CandidateBatch:
                 raise AlgorithmError("CandidateBatch supports/pairs length mismatch")
         self.supports = supports
         self.row = int(row)
-        self.policy = policy
         self.dedup_index = None
 
     @classmethod
-    def empty(
-        cls, q: int, row: int = 0, policy: NumericPolicy = DEFAULT_POLICY
-    ) -> "CandidateBatch":
+    def empty(cls, q: int, row: int = 0) -> "CandidateBatch":
         z = np.zeros(0, dtype=np.int64)
-        return cls(PackedSupports.empty(q), z, z, row, policy=policy)
+        return cls(PackedSupports.empty(q), z, z, row)
 
     @classmethod
     def _from_parts(
@@ -348,7 +293,6 @@ class CandidateBatch:
         pair_i: np.ndarray,
         pair_j: np.ndarray,
         row: int,
-        policy: NumericPolicy,
     ) -> "CandidateBatch":
         """Internal fast path: parts already coerced and length-checked
         (select / concat / dedup slicing — hot in the iteration loop)."""
@@ -357,7 +301,6 @@ class CandidateBatch:
         out.pair_i = pair_i
         out.pair_j = pair_j
         out.row = row
-        out.policy = policy
         out.dedup_index = None
         return out
 
@@ -370,10 +313,6 @@ class CandidateBatch:
     @property
     def q(self) -> int:
         return self.supports.n_rows
-
-    @property
-    def exact(self) -> bool:
-        return False
 
     def __len__(self) -> int:
         return self.n_modes
@@ -396,7 +335,6 @@ class CandidateBatch:
             self.pair_i[idx],
             self.pair_j[idx],
             self.row,
-            self.policy,
         )
 
     def concat(self, other: "CandidateBatch") -> "CandidateBatch":
@@ -409,7 +347,6 @@ class CandidateBatch:
             np.concatenate([self.pair_i, other.pair_i]),
             np.concatenate([self.pair_j, other.pair_j]),
             self.row if self.n_modes else other.row,
-            self.policy,
         )
 
     def dedup(self) -> "CandidateBatch":
@@ -424,30 +361,26 @@ class CandidateBatch:
     # -- materialization and wire format -------------------------------------
 
     def materialize(self, source_values: np.ndarray) -> ModeMatrix:
-        """Dense normalized rows for every candidate in the batch, rebuilt
-        from the source mode values the pair indices address.
+        """Dense reduced rows for every candidate in the batch, rebuilt
+        from the source mode values the pair indices address — the one
+        place accepted candidates become rows.
 
         The combination coefficients are recomputed here from the source
         matrix's ``row`` column exactly as generation formed them
-        (``a = -col[j] > 0``, ``b = col[i] > 0``), and the batch's supports
-        *are* the canonical supports of the rebuilt rows (extracted from
-        the identical transient values at generation), so they are
-        reattached directly instead of re-derived."""
+        (``a = -col[j] > 0``, ``b = col[i] > 0``); integer combinations
+        are exact, so the batch's supports *are* the supports of the rebuilt
+        rows and are reattached directly.  Each row is then divided by
+        the gcd of its entries.  ``source_values`` must have passed
+        :meth:`ModeMatrix.widen_for_row` for ``row``."""
         if self.n_modes == 0:
-            return ModeMatrix.empty(self.q, policy=self.policy)
+            return ModeMatrix.empty(self.q)
         col = source_values[:, self.row]
-        # In-place on the two fancy-index copies.  ``b*y - c*x`` rounds
-        # bit-identically to the eager chunk combination's
-        # ``(-c)*x + b*y``: IEEE negation is exact and addition commutes,
-        # so the subtraction spells the same multiply/multiply/add.
-        sub = source_values[self.pair_i]
-        sub *= col[self.pair_j][:, None]
-        vals = source_values[self.pair_j]
-        vals *= col[self.pair_i][:, None]
-        vals -= sub
-        return ModeMatrix.from_parts(
-            canonicalize_rows(vals, self.policy), self.supports, self.policy
-        )
+        vals = source_values[self.pair_j] * col[self.pair_i][:, None]
+        vals -= source_values[self.pair_i] * col[self.pair_j][:, None]
+        gcd_reduce_columns(vals.T)
+        out = ModeMatrix.from_parts(vals, self.supports)
+        out.max_abs()
+        return out
 
     def to_wire(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Allgather payload: packed support words plus int32 pair indices.
@@ -464,13 +397,7 @@ class CandidateBatch:
         )
 
     @classmethod
-    def from_wire(
-        cls,
-        parts,
-        q: int,
-        row: int,
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ) -> "CandidateBatch":
+    def from_wire(cls, parts, q: int, row: int) -> "CandidateBatch":
         """Rebuild a batch from :meth:`to_wire` parts.
 
         ``row`` is the iteration row the sender was processing — the
@@ -480,30 +407,8 @@ class CandidateBatch:
         words, pair_i, pair_j = parts
         # int32 indices index numpy arrays directly; no widening needed.
         return cls._from_parts(
-            PackedSupports(words, q), pair_i, pair_j, row, policy
+            PackedSupports(words, q), pair_i, pair_j, row
         )
 
     def __repr__(self) -> str:
         return f"<CandidateBatch {self.n_modes} candidates x {self.q} reactions>"
-
-
-def _integerize_rows(values: np.ndarray) -> np.ndarray:
-    """Scale each object-dtype row to smallest co-prime integers (as
-    Fractions), preserving sign."""
-    import math
-
-    out = np.empty(values.shape, dtype=object)
-    for i in range(values.shape[0]):
-        row = [x if isinstance(x, Fraction) else Fraction(x) for x in values[i]]
-        denom_lcm = 1
-        for x in row:
-            denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in row]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        for j, v in enumerate(ints):
-            out[i, j] = Fraction(v)
-    return out

@@ -56,24 +56,25 @@ class IterationStats:
     #: complement members the modular kernel settled by the unit-row
     #: reduction (basis rows with one nonzero) instead of eliminating them.
     n_rank_unit_members: int = 0
+    #: mode matrices moved from int64 to Python ints at this row because
+    #: a combination could leave int64 (see ModeMatrix.widen_for_row).
+    n_int_switches: int = 0
     #: peak retained candidate footprint of the iteration (bytes): the
-    #: accepted candidates, the dedup index and the current chunk —
-    #: packed supports + pair indices for float runs, dense rows for
-    #: exact ones.  Transient per-chunk buffers are tracked separately
-    #: in ``prefilter_bytes``.
+    #: accepted candidates' packed supports and pair indices, the dedup
+    #: index and the current chunk.  Transient per-chunk buffers are
+    #: tracked separately in ``prefilter_bytes``.
     candidate_bytes: int = 0
     #: peak transient working set of one generation chunk (bytes): the
     #: pair-index vectors, gathered/ORed support words and prefilter mask,
-    #: the dense candidate chunk (which float runs free right after
-    #: support extraction but which exists at the peak).
+    #: the dense candidate chunk (freed right after support extraction,
+    #: but it exists at the peak).
     #: on_oom="degrade" decisions should add this to the retained
     #: footprint to see the true peak.
     prefilter_bytes: int = 0
     #: candidate-phase chunks processed by this rank.
     n_chunks: int = 0
     #: largest retained candidate footprint of one chunk (bytes): packed
-    #: supports + pair indices for float runs, the dense chunk matrix for
-    #: exact ones.
+    #: supports + pair indices.
     peak_chunk_bytes: int = 0
     #: candidates probed against the incremental dedup index
     #: (see repro.core.bittree.SupportIndex).
@@ -133,6 +134,11 @@ class RunStats:
     @property
     def total_rank_tests(self) -> int:
         return sum(it.n_tested for it in self.iterations)
+
+    @property
+    def total_int_switches(self) -> int:
+        """Mode matrices moved from int64 to Python ints."""
+        return sum(it.n_int_switches for it in self.iterations)
 
     @property
     def total_superset_rejected(self) -> int:
@@ -268,6 +274,7 @@ class RunStats:
                     n_rank_unit_members=(
                         a.n_rank_unit_members + b.n_rank_unit_members
                     ),
+                    n_int_switches=a.n_int_switches + b.n_int_switches,
                     candidate_bytes=max(a.candidate_bytes, b.candidate_bytes),
                     prefilter_bytes=max(a.prefilter_bytes, b.prefilter_bytes),
                     n_chunks=a.n_chunks + b.n_chunks,

@@ -25,7 +25,8 @@ class IterationTrace:
     position: int
     reaction: str
     row_names: tuple[str, ...]
-    #: matrix in the paper's orientation: rows = reactions, cols = modes.
+    #: matrix in the paper's orientation: rows = reactions, cols = modes,
+    #: as the exact coprime integers the run carries.
     matrix: np.ndarray
     #: dynamic ordering's selection-time |pos|*|neg| score of this row
     #: (0 for static orderings — see repro.core.ordering.RowSelector).
@@ -47,7 +48,7 @@ class IterationTrace:
             sel_score=sel_score,
         )
 
-    def render(self, *, fmt: str = "{:>5.3g}") -> str:
+    def render(self, *, fmt: str = "{:>5}") -> str:
         """Pretty-print the snapshot like the paper's K^(i) matrices."""
         lines = [f"after row {self.position} ({self.reaction}):"]
         for r, name in enumerate(self.row_names):

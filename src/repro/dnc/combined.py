@@ -53,7 +53,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
-from repro.core.kernel import NullspaceProblem, build_problem
+from repro.core.kernel import NullspaceProblem, build_problem, certify_modes
+from repro.core.state import ModeMatrix
 from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.dnc.subsets import SubsetSpec, enumerate_subsets, validate_partition
@@ -95,6 +96,9 @@ class SubsetResult:
     degraded: bool = False
     #: restored from a scheduler checkpoint instead of recomputed.
     resumed: bool = False
+    #: EFM rows certified exactly (steady state, irreversible signs) when
+    #: the subset was solved — every row of ``efms``.
+    certified: int = 0
     #: the scheduler's a-priori peak-footprint prediction, when scheduled.
     predicted_peak_bytes: int | None = None
     #: proven empty before enumeration: a non-zero partition reaction is
@@ -163,6 +167,11 @@ class CombinedRunResult:
     @property
     def total_candidates(self) -> int:
         return sum(s.n_candidates for s in self.subsets)
+
+    @property
+    def certified(self) -> int:
+        """EFM rows certified exactly, over every subset."""
+        return sum(s.certified for s in self.subsets)
 
     @property
     def n_screened(self) -> int:
@@ -253,10 +262,14 @@ class PreparedSubset:
             self.spec, self.q_red, screened=self.screened, wall_time=wall_time
         )
 
-    def finalize(self, vals: np.ndarray) -> np.ndarray:
-        """Lines 15–21: filter by the pinned rows' sign pattern, undo the
-        processing permutation and any reversible splits, and re-insert
-        the deleted reactions' zero columns."""
+    def finalize(self, modes: ModeMatrix) -> tuple[np.ndarray, int]:
+        """Lines 15–21: filter by the pinned rows' sign pattern, certify
+        the kept integer modes (:func:`~repro.core.kernel.certify_modes`),
+        undo the processing permutation and any reversible splits, and
+        re-insert the deleted reactions' zero columns.
+
+        Returns the EFM rows (float64, unit max-norm) and how many of them
+        were certified — all of them, or certification raises."""
         problem = self.problem
         assert problem is not None
         # Lines 15–17: keep columns with non-zero flux in every pinned row
@@ -264,12 +277,13 @@ class PreparedSubset:
         # negative flux there can never be part of a valid EFM, and the
         # candidates that would have zeroed it belong to other subsets).
         if not self.fallback:
-            keep = np.ones(vals.shape[0], dtype=bool)
+            keep = np.ones(modes.n_modes, dtype=bool)
             for pos in range(self.stop, problem.q):
-                v = vals[:, pos]
-                keep &= (v != 0.0) if problem.reversible[pos] else (v > 0.0)
-            vals = vals[keep]
-        vals = vals[:, problem.inverse_perm()]  # work_net reaction order
+                v = modes.values[:, pos]
+                keep &= (v != 0) if problem.reversible[pos] else (v > 0)
+            modes = modes.select(np.flatnonzero(keep))
+        certify_modes(problem, modes)
+        vals = modes.float_values(problem.inverse_perm())  # work_net order
 
         if self.split_rec is not None:
             vals = self.split_rec.fold_modes(vals)  # back to src reaction order
@@ -280,14 +294,14 @@ class PreparedSubset:
             # pinned rows.
             keep = np.ones(vals.shape[0], dtype=bool)
             for name in self.force_last:
-                keep &= np.abs(vals[:, self.src.reaction_index(name)]) > 1e-12
+                keep &= vals[:, self.src.reaction_index(name)] != 0.0
             vals = vals[keep]
 
         # Lines 18–21: expand back to the reduced network's full reaction set.
         efms = np.zeros((vals.shape[0], self.q_red))
         for j, name in enumerate(self.src.reaction_names):
             efms[:, self.reduced.reaction_index(name)] = vals[:, j]
-        return efms
+        return efms, efms.shape[0]
 
 
 def _log_screened(spec: SubsetSpec, hit: Sequence[str]) -> None:
@@ -489,10 +503,11 @@ def solve_subset(
             wall_time=time.perf_counter() - t0,
         )
 
-    efms = prep.finalize(run.result.modes.float_values())
+    efms, certified = prep.finalize(run.result.modes)
     return SubsetResult(
         spec=spec,
         efms=efms,
+        certified=certified,
         stats=run.stats,
         rank_traces=run.rank_traces,
         rank_stats=run.rank_stats,
@@ -518,8 +533,8 @@ def solve_subset_checkpointed_serial(
     serial Algorithm 1 with periodic snapshots, memory accounting in
     recording (non-enforcing) mode — so one oversized subset slows the
     run down instead of aborting it, and an interrupted fallback resumes
-    from its last snapshot.  With exact arithmetic (not checkpointable)
-    the plain serial driver runs instead.  ``blocked`` is passed on to
+    from its last snapshot (without a ``checkpoint_path``, the plain
+    serial driver runs instead).  ``blocked`` is passed on to
     :func:`prepare_subset`.
     """
     from repro.core.checkpoint import checkpointed_nullspace_algorithm  # noqa: PLC0415
@@ -542,7 +557,7 @@ def solve_subset_checkpointed_serial(
     # The serial drivers build their rank binding without a canonical
     # column map, so the shared memo is bypassed here (a private memo is
     # sound; sharing without col_ids would not be).
-    if ctx.options.arithmetic == "float" and checkpoint_path is not None:
+    if checkpoint_path is not None:
         res = checkpointed_nullspace_algorithm(
             prep.problem,
             checkpoint_path,
@@ -555,10 +570,11 @@ def solve_subset_checkpointed_serial(
             prep.problem, stop_row=prep.stop, context=run_ctx
         )
 
-    efms = prep.finalize(res.modes.float_values())
+    efms, certified = prep.finalize(res.modes)
     return SubsetResult(
         spec=spec,
         efms=efms,
+        certified=certified,
         stats=res.stats,
         rank_traces=[],
         wall_time=time.perf_counter() - t0,

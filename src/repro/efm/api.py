@@ -18,7 +18,7 @@ import numpy as np
 from pathlib import Path
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
-from repro.core.kernel import NullspaceProblem, build_problem
+from repro.core.kernel import NullspaceProblem, build_problem, certify_modes
 from repro.core.serial import nullspace_algorithm
 from repro.cluster.memory import MemoryModel
 from repro.dnc.combined import combined_parallel
@@ -105,7 +105,12 @@ def compute_efms(
     Returns
     -------
     EFMResult
-        Modes in the original network's reaction order.
+        Modes in the original network's reaction order.  Every mode is
+        certified exactly before it is emitted (integer steady state and
+        irreversible signs, see :func:`repro.core.kernel.certify_modes`;
+        singleton modes against the exact compression record), and
+        ``meta["certified"]`` counts the certified modes; a failing mode
+        raises :class:`~repro.errors.AlgorithmError`.
     """
     if method not in get_args(Method):
         raise AlgorithmError(f"unknown method {method!r}")
@@ -128,6 +133,7 @@ def compute_efms(
     # reports a trivial nullspace, admits no steady-state flux: its mode set
     # is empty and only the compression singletons below remain.
     efms_reduced = np.zeros((0, reduced.n_reactions))
+    certified = 0
     stats = None
     try:
         if reduced.n_reactions == 0:
@@ -155,6 +161,7 @@ def compute_efms(
                     "refinement"
                 )
             efms_reduced = run.efms()
+            certified = run.certified
             meta["executor"] = executor
             meta["scheduler"] = run.meta
             meta["subsets"] = [
@@ -173,6 +180,7 @@ def compute_efms(
                     res = checkpointed_nullspace_algorithm(problem, context=ctx)
                 else:
                     res = nullspace_algorithm(problem, context=ctx)
+                modes = res.modes
                 efms_work = res.efms_input_order()
                 stats = res.stats
             elif method == "parallel":
@@ -180,18 +188,21 @@ def compute_efms(
                     problem,
                     n_ranks,
                     backend=backend,
-                        context=ctx,
+                    context=ctx,
                 )
+                modes = run.result.modes
                 efms_work = run.result.efms_input_order()
                 stats = run.stats
             else:
                 drun = distributed_parallel(
                     problem, n_ranks, backend=backend, context=ctx
                 )
+                modes = drun.all_modes()
                 efms_work = drun.efms_input_order()
                 stats = drun.rank_stats[0]
                 for s in drun.rank_stats[1:]:
                     stats = stats.merged_with(s)
+            certify_modes(problem, modes)
             if split_rec is not None:
                 meta["split"] = split_rec.split_names
                 efms_reduced = _reorder_to(
@@ -199,8 +210,12 @@ def compute_efms(
                 )
             else:
                 efms_reduced = efms_work
+            # Folding a split drops two-cycle artifacts; every row left
+            # derives from a certified mode.
+            certified = efms_reduced.shape[0]
     except NoModesError:
         pass
+    meta["certified"] = certified + _certify_singletons(rec)
 
     # Expand to the original reaction space and append singleton EFMs.
     if efms_reduced.size:
@@ -213,6 +228,29 @@ def compute_efms(
 
     result = EFMResult(network=network, fluxes=full, method=method, stats=stats, meta=meta)
     return result.canonical()
+
+
+def _certify_singletons(rec: CompressionRecord) -> int:
+    """Exactly check the compression-time singleton modes (steady state
+    in the original network's rational stoichiometry, irreversible fluxes
+    ``>= 0``) and return how many there are."""
+    net = rec.original
+    for k, single in enumerate(rec.singletons):
+        balance: dict[str, object] = {}
+        for name, flux in single.fluxes.items():
+            rxn = net.reaction(name)
+            if flux < 0 and not rxn.reversible:
+                raise AlgorithmError(
+                    f"singleton mode {k} runs irreversible {name!r} backwards"
+                )
+            for met, coeff in rxn.stoich.items():
+                balance[met] = balance.get(met, 0) + flux * coeff
+        if any(balance.values()):
+            raise AlgorithmError(
+                f"singleton mode {k} ({sorted(single.fluxes)}) is not a "
+                "steady state: certification failed"
+            )
+    return len(rec.singletons)
 
 
 def _identity_record(network: MetabolicNetwork) -> CompressionRecord:

@@ -71,7 +71,7 @@ class RunContext:
     Parameters
     ----------
     options:
-        The algorithm tunables (arithmetic, acceptance test, ordering,
+        The algorithm tunables (acceptance test, ordering,
         chunk sizes).
     memory_model:
         Optional modeled per-rank memory budget.  Drivers obtain fresh

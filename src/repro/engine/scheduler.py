@@ -69,8 +69,11 @@ Schedule = Union[ScheduleName, Sequence[int]]
 OnOom = Literal["record", "degrade"]
 
 #: Manifest format version.  Version 3 dropped the rank tolerance from the
-#: run fingerprint (rank decisions are exact).
-_CHECKPOINT_VERSION = 3
+#: run fingerprint (rank decisions are exact).  Version 4 dropped the
+#: float-or-rational mode choice and the float support threshold from it
+#: (modes are exact integers) and stores each subset's certified-mode
+#: count.
+_CHECKPOINT_VERSION = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,9 +268,7 @@ class SubproblemScheduler:
         )
         h.update("|".join(spec.label() for spec in self.specs).encode())
         o = self.context.options
-        h.update(
-            f"{o.arithmetic}|{o.acceptance}|{o.ordering}|{o.policy.zero_tol}".encode()
-        )
+        h.update(f"{o.acceptance}|{o.ordering}".encode())
         return h.hexdigest()
 
     def _subset_file(self, spec: SubsetSpec) -> Path:
@@ -311,6 +312,7 @@ class SubproblemScheduler:
         np.savez(
             tmp,
             efms=res.efms,
+            certified=np.int64(res.certified),
             wall_time=np.float64(res.wall_time),
             degraded=np.int64(res.degraded),
             screened=np.int64(res.screened),
@@ -327,6 +329,7 @@ class SubproblemScheduler:
                 resumed[job.index] = SubsetResult(
                     spec=job.spec,
                     efms=np.ascontiguousarray(data["efms"]),
+                    certified=int(data["certified"]),
                     stats=None,
                     rank_traces=[],
                     wall_time=float(data["wall_time"]),

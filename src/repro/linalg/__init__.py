@@ -1,6 +1,5 @@
-"""Linear-algebra substrate: exact rational routines, tolerant floating
-routines, the exact rank engine's memo, and packed bitset support
-patterns."""
+"""Linear-algebra substrate: the exact integer kernel, the exact rank
+engine's memo, and packed bitset support patterns."""
 
 from repro.linalg.bitset import (
     PackedSupports,
@@ -9,20 +8,11 @@ from repro.linalg.bitset import (
     subset_rows,
     unique_rows,
 )
-from repro.linalg.numeric import (
-    column_normalize,
-    kernel_identity_form,
-    support_of,
-)
+from repro.linalg.numeric import kernel_identity_form
 from repro.linalg.rankmemo import (
     CacheBinding,
     RankCache,
     problem_token,
-)
-from repro.linalg.rational import (
-    exact_nullspace,
-    exact_rank,
-    rref,
 )
 
 __all__ = [
@@ -34,10 +24,5 @@ __all__ = [
     "popcount",
     "subset_rows",
     "unique_rows",
-    "column_normalize",
     "kernel_identity_form",
-    "support_of",
-    "exact_nullspace",
-    "exact_rank",
-    "rref",
 ]

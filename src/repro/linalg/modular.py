@@ -68,7 +68,7 @@ read as a rational and each column scaled by its denominators' lcm —
 column scaling changes no column-subset rank.  Columns past the int64
 envelope come back as Python integers; the engine then reduces them mod
 ``p`` exactly and eliminates them without a bound.  No rank decision uses
-a floating-point tolerance, for float and exact-arithmetic runs alike.
+a floating-point tolerance.
 Certified ranks go into the support-pattern memo of
 :mod:`repro.linalg.rankmemo`.
 """
@@ -210,7 +210,7 @@ def gcd_reduce_columns(B: np.ndarray) -> np.ndarray:
     return B
 
 
-def _verify_kernel(n_int: np.ndarray, B: np.ndarray) -> bool:
+def verify_kernel(n_int: np.ndarray, B: np.ndarray) -> bool:
     """Exact check ``n_int @ B == 0`` — float64 when the product envelope
     allows, arbitrary-precision objects otherwise."""
     if B.size == 0:
@@ -265,7 +265,7 @@ class ModularProblem:
             # per-prime bases on demand.  Rank/d are pinned by two primes.
             self._pin_rank_mod_p()
             return
-        if not _verify_kernel(self.n_int, B):
+        if not verify_kernel(self.n_int, B):
             raise LinAlgError(
                 f"exact kernel basis of the {self.m}x{self.q} stoichiometry "
                 "failed verification"

@@ -1,7 +1,7 @@
 """Helpers shared by the SPMD parallel drivers.
 
 The combinatorial (replicated) and distributed (column-partitioned)
-drivers grew copy-pasted plumbing — mode (de)serialization for the
+drivers grew copy-pasted plumbing — mode-matrix assembly for the
 allgather rounds, transport-counter collection, and the tracing wrapper
 handed to :func:`repro.mpi.spmd.run_spmd`.  One copy of each lives here.
 """
@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from repro.config import AlgorithmOptions, NumericPolicy
+from repro.config import AlgorithmOptions
 from repro.core.state import ModeMatrix
 from repro.core.stats import RunStats
 from repro.errors import AlgorithmError
@@ -22,24 +22,12 @@ from repro.mpi.comm import Communicator
 from repro.mpi.tracing import TracingCommunicator
 
 
-def pack_modes(modes: ModeMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Wire parts of a mode matrix: dense values + packed support words."""
-    return modes.values, modes.supports.words
-
-
-def unpack_modes(parts, q: int, policy: NumericPolicy) -> ModeMatrix:
-    """Rebuild one rank's :func:`pack_modes` payload (rows are already
-    canonical, so normalization is skipped)."""
-    values, words = parts
-    return ModeMatrix.from_parts(values, PackedSupports(words, q), policy)
-
-
-def concat_mode_parts(parts, q: int, policy: NumericPolicy) -> ModeMatrix:
+def concat_mode_parts(parts, q: int) -> ModeMatrix:
     """Concatenate many ranks' ``(values, words)`` payloads into one mode
     matrix (rank-major order, single allocation per array)."""
     vals = np.concatenate([p[0] for p in parts], axis=0)
     words = np.concatenate([p[1] for p in parts], axis=0)
-    return ModeMatrix.from_parts(vals, PackedSupports(words, q), policy)
+    return ModeMatrix.from_parts(vals, PackedSupports(words, q))
 
 
 def collect_wire_stats(comm: Communicator, stats: RunStats) -> None:

@@ -8,11 +8,10 @@ costs correlate, land on different ranks), each rank locally
 deduplicates (Sort&RemoveDuplicates) and rank-tests its share, then an
 allgather exchanges the accepted candidates (Communicate&Merge) and every
 rank appends the identical merged candidate set, keeping the replicas in
-lockstep.  For float runs the allgather ships
-packed supports + int32 pair indices instead of dense float rows (~``8*q``
-bytes per candidate cheaper); every rank recomputes the combination
-coefficients from its replica and rebuilds the dense survivors after the
-global dedup.
+lockstep.  The allgather ships packed supports + int32 pair indices
+instead of dense integer rows (~``8*q`` bytes per candidate cheaper);
+every rank recomputes the combination coefficients from its replica and
+rebuilds the dense survivors after the global dedup.
 
 Determinism: the merged candidate order is canonical (rank-major gather
 order, first-occurrence dedup), so all replicas stay bit-identical and the
@@ -36,24 +35,21 @@ from repro.core.serial import (
     iterate_row,
     nullspace_algorithm,
 )
-from repro.core.state import CandidateBatch, ModeMatrix, canonicalize_rows
+from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
 from repro.linalg import bitset
 from repro.linalg.rankmemo import CacheBinding
-from repro.linalg.bitset import PackedSupports
 from repro.mpi.comm import Communicator
 from repro.mpi.spmd import BackendName, run_spmd
 from repro.mpi.tracing import CommTrace, TracingCommunicator
 from repro.parallel._driver_common import (
     check_selection_consistency,
     collect_wire_stats,
-    pack_modes,
     selection_debug_enabled,
     traced_worker,
-    unpack_modes,
 )
 
 
@@ -102,8 +98,7 @@ def combinatorial_worker(
     ctx = RunContext.ensure(context, options=options)
     options = ctx.options
     t_start = time.perf_counter()
-    exact = options.arithmetic == "exact"
-    modes = ModeMatrix.from_kernel(problem.kernel, exact=exact, policy=options.policy)
+    modes = ModeMatrix.from_kernel(problem.kernel)
     stats = RunStats()
     # The model instance is shared across in-process ranks deliberately:
     # replicas have identical footprints, and sharing lets a dry-run probe
@@ -143,73 +138,42 @@ def combinatorial_worker(
         )
 
         # Communicate&Merge: exchange accepted local candidates; every rank
-        # rebuilds the identical global candidate set.  Float runs ship
-        # packed supports + int32 pair indices (the indices address the
-        # replicated pre-iteration mode matrix, identical on every rank,
-        # so the combination coefficients are recomputed from the local
-        # replica's row-``k`` column); exact runs ship the dense rows.
-        if isinstance(cand_local, CandidateBatch):
-            t0 = time.perf_counter()
-            gathered = comm.allgather(cand_local.to_wire())
-            it.t_communicate += time.perf_counter() - t0
+        # rebuilds the identical global candidate set.  The allgather
+        # ships packed supports + int32 pair indices: the indices address
+        # the replicated pre-iteration mode matrix, identical on every
+        # rank, so the combination coefficients are recomputed from the
+        # local replica's row-``k`` column.
+        t0 = time.perf_counter()
+        gathered = comm.allgather(cand_local.to_wire())
+        it.t_communicate += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            # Most ranks contribute nothing on a typical iteration (a
-            # handful of acceptances spread over all ranks), so assemble
-            # only the non-empty parts — and when a single rank
-            # contributed, adopt its arrays without any copy.
-            parts = [g for g in gathered if g[0].shape[0]]
-            if parts:
-                if len(parts) == 1:
-                    # A single contributing rank: its batch is already
-                    # locally deduplicated, and unique_rows preserves
-                    # first-occurrence order, so the global dedup below
-                    # would be an exact identity — skip it.
-                    words, pair_i, pair_j = parts[0]
-                else:
-                    # Dedup on the packed words alone, *before* touching
-                    # any dense data — only the surviving pair indices are
-                    # sliced and only the survivors' coefficients
-                    # recomputed.
-                    words = np.concatenate([g[0] for g in parts])
-                    pair_i = np.concatenate([g[1] for g in parts])
-                    pair_j = np.concatenate([g[2] for g in parts])
-                    words, first = bitset.unique_rows(words)
-                    if first.size != pair_i.size:
-                        pair_i = pair_i[first]
-                        pair_j = pair_j[first]
-                # Dense values are materialized here, once, for the
-                # globally accepted survivors only.  Same rank-major
-                # gather order, first-occurrence dedup, and rounding as
-                # a dense-row gather (``b*y - c*x`` is bit-identical to the
-                # generation-side ``(-c)*x + b*y``: IEEE negation is
-                # exact and addition commutes), so the rebuilt rows match
-                # the dense rows it would have gathered (see
-                # CandidateBatch.materialize, which this inlines).
-                col = modes.values[:, k]
-                sub = modes.values[pair_i]
-                sub *= col[pair_j][:, None]
-                vals = modes.values[pair_j]
-                vals *= col[pair_i][:, None]
-                vals -= sub
-                merged = ModeMatrix.from_parts(
-                    canonicalize_rows(vals, options.policy),
-                    PackedSupports._wrap(words, problem.q),
-                    options.policy,
-                )
-            else:
-                merged = ModeMatrix.empty(problem.q, policy=options.policy)
+        t0 = time.perf_counter()
+        # Most ranks contribute nothing on a typical iteration (a handful
+        # of acceptances spread over all ranks), so assemble only the
+        # non-empty parts — and when at most one rank contributed, adopt
+        # its arrays without any copy.
+        parts = [g for g in gathered if g[0].shape[0]] or [gathered[0]]
+        if len(parts) == 1:
+            # A single contributing rank: its batch is already locally
+            # deduplicated, and unique_rows preserves first-occurrence
+            # order, so the global dedup below would be an exact identity.
+            words, pair_i, pair_j = parts[0]
         else:
-            t0 = time.perf_counter()
-            gathered = comm.allgather(pack_modes(cand_local))
-            it.t_communicate += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            parts = [unpack_modes(g, problem.q, options.policy) for g in gathered]
-            merged = parts[0]
-            for p in parts[1:]:
-                merged = merged.concat(p)
-            merged = merged.dedup()
+            # Dedup on the packed words alone, *before* touching any dense
+            # data — only the surviving pair indices are sliced and only
+            # the survivors materialized.
+            words = np.concatenate([g[0] for g in parts])
+            pair_i = np.concatenate([g[1] for g in parts])
+            pair_j = np.concatenate([g[2] for g in parts])
+            words, first = bitset.unique_rows(words)
+            if first.size != pair_i.size:
+                pair_i = pair_i[first]
+                pair_j = pair_j[first]
+        # Dense values are materialized here, once, for the globally
+        # accepted survivors only, in rank-major gather order.
+        merged = CandidateBatch.from_wire(
+            (words, pair_i, pair_j), problem.q, k
+        ).materialize(modes.values)
         # Cross-rank duplicates against surviving zero columns were already
         # removed locally (replicated state), but two ranks may accept the
         # same ray from different pairs — the global dedup above covers it.

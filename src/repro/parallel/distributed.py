@@ -29,7 +29,7 @@ from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core.candidates import strided_range
 from repro.core.iterstream import stream_iteration
 from repro.core.kernel import NullspaceProblem
-from repro.core.state import CandidateBatch, ModeMatrix
+from repro.core.state import ModeMatrix
 from repro.core.stats import PhaseTimer, RunStats
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
@@ -89,9 +89,7 @@ class DistributedRunResult:
                 "intermediate nullspace state, not an EFM set — read "
                 ".rank_modes for intermediate access"
             )
-        return np.ascontiguousarray(
-            self.all_modes().values[:, self.problem.inverse_perm()]
-        )
+        return self.all_modes().float_values(self.problem.inverse_perm())
 
     @property
     def peak_rank_bytes(self) -> int:
@@ -112,10 +110,8 @@ def distributed_worker(
     ctx = RunContext.ensure(context, options=options)
     options = ctx.options
     t_start = time.perf_counter()
-    if options.arithmetic == "exact":
-        raise AlgorithmError("distributed variant supports float arithmetic only")
     q = problem.q
-    kernel_modes = ModeMatrix.from_kernel(problem.kernel, policy=options.policy)
+    kernel_modes = ModeMatrix.from_kernel(problem.kernel)
     local = kernel_modes.select(np.arange(comm.rank, kernel_modes.n_modes, comm.size))
     stats = RunStats()
     stop = problem.q if stop_row is None else stop_row
@@ -154,17 +150,13 @@ def distributed_worker(
         )
         it.t_communicate += time.perf_counter() - t0
 
-        pos_all = concat_mode_parts(
-            [(g[0], g[1]) for g in gathered], q, options.policy
-        )
-        neg_all = concat_mode_parts(
-            [(g[2], g[3]) for g in gathered], q, options.policy
-        )
+        pos_all = concat_mode_parts([(g[0], g[1]) for g in gathered], q)
+        neg_all = concat_mode_parts([(g[2], g[3]) for g in gathered], q)
         it.n_pos = pos_all.n_modes
         it.n_neg = neg_all.n_modes
         it.n_zero = zero_keep.n_modes  # local share only
 
-        cand = ModeMatrix.empty(q, policy=options.policy)
+        cand = ModeMatrix.empty(q)
         n_pairs_total = pos_all.n_modes * neg_all.n_modes
         if n_pairs_total:
             active = pos_all.concat(neg_all)
@@ -199,11 +191,10 @@ def distributed_worker(
                 if drop.any():
                     it.n_duplicates += int(drop.sum())
                     cand = cand.select(~drop)
-                if isinstance(cand, CandidateBatch):
-                    # The global duplicate control above ran on supports
-                    # alone; dense rows are rebuilt here,
-                    # once, for the survivors this rank owns.
-                    cand = cand.materialize(active.values)
+                # The global duplicate control above ran on supports
+                # alone; dense rows are rebuilt here, once, for the
+                # survivors this rank owns.
+                cand = cand.materialize(active.values)
 
             if bool(problem.reversible[k]):
                 survivors = local

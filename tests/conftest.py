@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernel import build_problem
-from repro.linalg import rational
+from tests.linalg import rational_oracle as rational
 from repro.models.toy import toy_network
 from repro.network.compression import compress_network
 from repro.network.model import MetabolicNetwork

@@ -8,8 +8,9 @@ by chunk and must return bit-identical candidates.  This module keeps the
 whole-set form as the reference:
 
 * :func:`generate_candidates` collects one iteration's generation
-  survivors, as a dense :class:`~repro.core.state.ModeMatrix` or a
-  support-only :class:`~repro.core.state.CandidateBatch`;
+  survivors as a support-only :class:`~repro.core.state.CandidateBatch`
+  or, "eager", as an :class:`EagerBatch` that also carries every
+  candidate's dense row, formed and gcd-reduced at generation;
 * :func:`batch_iteration` is a drop-in replacement for
   ``stream_iteration`` (generate all → dedup all → rank-test all);
 * :func:`use_batch_oracle` patches it into every driver, so any full run
@@ -27,12 +28,45 @@ from repro.config import AlgorithmOptions
 from repro.core import iterstream
 from repro.core.candidates import PairRange, survivor_chunks
 from repro.core.ranktest import rank_test
-from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
+from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer
 from repro.errors import AlgorithmError
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports, pack_support_rows
 from repro.parallel import distributed
+
+
+class EagerBatch(CandidateBatch):
+    """A candidate batch that also carries its dense rows, formed from the
+    pair combinations at generation and kept in sync through
+    ``select``/``dedup``; :meth:`materialize` returns those rows instead
+    of recomputing them from the source matrix.  Drivers ship only the
+    batch part across ranks."""
+
+    __slots__ = ("dense",)
+
+    @classmethod
+    def wrap(cls, batch: CandidateBatch, dense: ModeMatrix) -> "EagerBatch":
+        out = cls.__new__(cls)
+        out.supports = batch.supports
+        out.pair_i = batch.pair_i
+        out.pair_j = batch.pair_j
+        out.row = batch.row
+        out.dedup_index = None
+        out.dense = dense
+        return out
+
+    def select(self, idx) -> "EagerBatch":
+        return EagerBatch.wrap(super().select(idx), self.dense.select(idx))
+
+    def concat(self, other):
+        raise NotImplementedError("the whole-set body never concatenates")
+
+    def nbytes(self) -> int:
+        return super().nbytes() + self.dense.nbytes()
+
+    def materialize(self, source_values: np.ndarray) -> ModeMatrix:
+        return self.dense
 
 
 def generate_candidates(
@@ -46,21 +80,17 @@ def generate_candidates(
     stats: IterationStats,
     adjacency=None,
     *,
-    deferred: bool | None = None,
-) -> ModeMatrix | CandidateBatch:
+    deferred: bool = True,
+) -> CandidateBatch:
     """Every generation survivor of row ``k`` in this worker's pair range,
     in ``options.pair_chunk`` chunks.
 
     ``deferred`` selects the representation: a support-only
-    :class:`CandidateBatch` (canonical supports extracted from each
-    transient chunk, dense rows dropped) or a dense :class:`ModeMatrix`.
-    The default follows the arithmetic, like the streamed phase: batches
-    for float modes, dense rows for exact ones.
+    :class:`CandidateBatch` (supports extracted from each transient chunk,
+    dense rows dropped) or an :class:`EagerBatch` that keeps each chunk's
+    dense rows.
     """
-    if deferred is None:
-        deferred = not modes.exact
-
-    kept_chunks: list[np.ndarray] = []
+    dense_chunks: list[np.ndarray] = []
     word_chunks: list[np.ndarray] = []
     i_chunks: list[np.ndarray] = []
     j_chunks: list[np.ndarray] = []
@@ -69,33 +99,35 @@ def generate_candidates(
         modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
         adjacency=adjacency,
     ):
-        if deferred:
-            mask = canonical_support_mask(cand, modes.policy)
-            word_chunks.append(pack_support_rows(mask))
-            i_chunks.append(i_ok)
-            j_chunks.append(j_ok)
-            stats.prefilter_bytes = max(
-                stats.prefilter_bytes,
-                transient + mask.nbytes + word_chunks[-1].nbytes,
-            )
-        else:
-            kept_chunks.append(cand)
+        mask = cand != 0
+        word_chunks.append(pack_support_rows(mask))
+        i_chunks.append(i_ok)
+        j_chunks.append(j_ok)
+        stats.prefilter_bytes = max(
+            stats.prefilter_bytes,
+            transient + mask.nbytes + word_chunks[-1].nbytes,
+        )
+        if not deferred:
+            dense_chunks.append(cand)
 
-    if deferred:
-        if not word_chunks:
-            return CandidateBatch.empty(modes.q, k, policy=modes.policy)
+    if not word_chunks:
+        batch = CandidateBatch.empty(modes.q, k)
+    else:
         batch = CandidateBatch._from_parts(
             PackedSupports(np.concatenate(word_chunks, axis=0), modes.q),
             np.concatenate(i_chunks),
             np.concatenate(j_chunks),
             k,
-            modes.policy,
         )
+    if deferred:
         stats.candidate_bytes = max(stats.candidate_bytes, batch.nbytes())
         return batch
-    if not kept_chunks:
-        return ModeMatrix.empty(modes.q, exact=modes.exact, policy=modes.policy)
-    out = ModeMatrix(np.concatenate(kept_chunks, axis=0), policy=modes.policy)
+    dense = (
+        ModeMatrix(np.concatenate(dense_chunks, axis=0))
+        if dense_chunks
+        else ModeMatrix.empty(modes.q)
+    )
+    out = EagerBatch.wrap(batch, dense)
     stats.candidate_bytes = max(stats.candidate_bytes, out.nbytes())
     return out
 
@@ -115,10 +147,12 @@ def batch_iteration(
     adjacency=None,
     acceptance: str | None = None,
     rank_cache=None,
-    deferred: bool | None = None,
-) -> ModeMatrix | CandidateBatch:
+    deferred: bool = True,
+) -> CandidateBatch:
     """The candidate phase as three whole-set steps; same signature and
     return contract as :func:`repro.core.iterstream.stream_iteration`."""
+    if modes.widen_for_row(k):
+        stats.n_int_switches += 1
     if acceptance is None:
         acceptance = options.acceptance
     with PhaseTimer(stats, "t_gen_cand"):
@@ -156,7 +190,7 @@ def batch_iteration(
     return cand
 
 
-def use_batch_oracle(monkeypatch, *, deferred: bool | None = None) -> None:
+def use_batch_oracle(monkeypatch, *, deferred: bool = True) -> None:
     """Route every driver's candidate phase through :func:`batch_iteration`
     for the lifetime of ``monkeypatch`` (a pytest ``MonkeyPatch``)."""
     body = functools.partial(batch_iteration, deferred=deferred)
@@ -167,7 +201,8 @@ def use_batch_oracle(monkeypatch, *, deferred: bool | None = None) -> None:
 def run_whole_set(monkeypatch, representation: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with every driver on the whole-set body and
     its candidates in the named representation: ``"deferred"``
-    (support-only batches) or ``"eager"`` (dense rows)."""
+    (support-only batches) or ``"eager"`` (dense rows formed at
+    generation)."""
     with monkeypatch.context() as m:
         use_batch_oracle(m, deferred=representation == "deferred")
         return fn(*args, **kwargs)

@@ -8,7 +8,7 @@ through any of them:
 * :func:`numeric_rank` — one SVD with a relative singular-value cutoff;
 * :func:`loop_ranks` — one :func:`numeric_rank` call (or, with
   ``exact=True``, one rational elimination via
-  :func:`repro.linalg.rational.exact_rank`) per candidate, no memo;
+  :func:`tests.linalg.rational_oracle.exact_rank`) per candidate, no memo;
 * :data:`ENGINES` — ``"modular"`` (the engine), ``"loop"`` (the SVD
   oracle) and ``"exact"`` (the rational oracle), all with the
   ``modular_ranks`` signature;
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core import ranktest
-from repro.linalg import rational
+from tests.linalg import rational_oracle as rational
 from repro.linalg.modular import modular_ranks
 
 #: Relative singular-value cutoff of :func:`numeric_rank` (the efmtool

@@ -3,7 +3,8 @@
 Generation is driven through the whole-set oracle
 (:func:`tests.core.batch_oracle.generate_candidates`), which collects
 every :func:`repro.core.candidates.survivor_chunks` survivor of one
-iteration as dense rows (``deferred=False``) or a support-only batch.
+iteration as a support-only batch or, with ``deferred=False``, a batch
+that also keeps the dense rows formed at generation.
 """
 
 import numpy as np
@@ -59,9 +60,9 @@ class TestGenerateCandidates:
         # 3 modes over 4 reactions; row 2 has signs (+, -, 0).
         vals = np.array(
             [
-                [1.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, -1.0, 0.0],
-                [1.0, 1.0, 0.0, 1.0],
+                [1, 0, 1, 0],
+                [0, 1, -1, 0],
+                [1, 1, 0, 1],
             ]
         )
         return ModeMatrix(vals)
@@ -81,9 +82,9 @@ class TestGenerateCandidates:
             deferred=False,
         )
         assert cand.n_modes == 1
-        assert cand.values[0, 2] == 0.0
-        # a = -(-1) = 1, b = 1 -> mode0 + mode1 = (1,1,0,0) normalized
-        assert np.allclose(cand.values[0], [1.0, 1.0, 0.0, 0.0])
+        assert cand.dense.values[0, 2] == 0
+        # a = -(-1) = 1, b = 1 -> mode0 + mode1 = (1,1,0,0), exactly
+        assert cand.dense.values[0].tolist() == [1, 1, 0, 0]
 
     def test_deferred_batch_materializes_to_eager_rows(self):
         modes = self._setup()
@@ -100,12 +101,12 @@ class TestGenerateCandidates:
         # Supports computed from transient values match the eager supports.
         assert np.array_equal(batch.supports.words, eager.supports.words)
         dense = batch.materialize(modes.values)
-        assert np.array_equal(dense.values, eager.values)
-        assert np.array_equal(dense.supports.words, eager.supports.words)
+        assert np.array_equal(dense.values, eager.dense.values)
+        assert np.array_equal(dense.supports.words, eager.dense.supports.words)
 
     def test_deferred_batch_is_smaller_than_eager(self):
         rng = np.random.default_rng(3)
-        modes = ModeMatrix(rng.normal(size=(20, 64)))
+        modes = ModeMatrix(rng.integers(-9, 10, size=(20, 64)))
         col = modes.column(0)
         pos = np.nonzero(col > 0)[0]
         neg = np.nonzero(col < 0)[0]
@@ -123,7 +124,7 @@ class TestGenerateCandidates:
 
     def test_prefilter_rejects_oversized_union(self):
         modes = ModeMatrix(
-            np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 1.0]])
+            np.array([[1, 1, 1, 1, 0], [0, 0, 1, -1, 1]])
         )
         stats = _stats()
         cand = generate_candidates(
@@ -142,7 +143,7 @@ class TestGenerateCandidates:
 
     def test_chunking_equivalence(self):
         rng = np.random.default_rng(0)
-        vals = rng.normal(size=(12, 6))
+        vals = rng.integers(-9, 10, size=(12, 6))
         modes = ModeMatrix(vals)
         col = modes.column(0)
         pos = np.nonzero(col > 0)[0]
@@ -157,13 +158,13 @@ class TestGenerateCandidates:
                 stats=stats,
                 deferred=False,
             )
-            outs.append(np.sort(cand.values, axis=0))
-        assert np.allclose(outs[0], outs[1])
-        assert np.allclose(outs[0], outs[2])
+            outs.append(np.sort(cand.dense.values, axis=0))
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
 
     def test_strided_shares_cover_all_pairs(self):
         rng = np.random.default_rng(1)
-        modes = ModeMatrix(rng.normal(size=(10, 5)))
+        modes = ModeMatrix(rng.integers(-9, 10, size=(10, 5)))
         col = modes.column(1)
         pos = np.nonzero(col > 0)[0]
         neg = np.nonzero(col < 0)[0]
@@ -181,13 +182,13 @@ class TestGenerateCandidates:
                 OPTS, s, deferred=False,
             )
             if part.n_modes:
-                pieces.append(part.values)
+                pieces.append(part.dense.values)
         union = np.concatenate(pieces, axis=0)
         assert union.shape[0] == full.n_modes
         # Same multiset of rows.
         a = union[np.lexsort(union.T)]
-        b = full.values[np.lexsort(full.values.T)]
-        assert np.allclose(a, b)
+        b = full.dense.values[np.lexsort(full.dense.values.T)]
+        assert np.array_equal(a, b)
 
 
 class TestSurvivorChunksOracle:
@@ -203,10 +204,10 @@ class TestSurvivorChunksOracle:
     def _modes(rng, n_pos, n_neg, n_zero, q, k, density):
         n = n_pos + n_neg + n_zero
         mask = rng.random((n, q)) < density
-        mags = rng.uniform(0.5, 2.0, (n, q)) * rng.choice([-1.0, 1.0], (n, q))
+        mags = rng.integers(1, 5, (n, q)) * rng.choice([-1, 1], (n, q))
         vals = mask * mags
-        signs = np.repeat([1.0, -1.0, 0.0], [n_pos, n_neg, n_zero])
-        vals[:, k] = signs[rng.permutation(n)] * rng.uniform(0.5, 2.0, n)
+        signs = np.repeat([1, -1, 0], [n_pos, n_neg, n_zero])
+        vals[:, k] = signs[rng.permutation(n)] * rng.integers(1, 5, n)
         return ModeMatrix(vals)
 
     @given(

@@ -95,13 +95,28 @@ class TestRunAndResume:
         # Final snapshot always written.
         assert Checkpoint.load(path).next_row == toy_problem.q
 
-    def test_exact_mode_rejected(self, toy_problem, tmp_path):
-        with pytest.raises(AlgorithmError):
-            checkpointed_nullspace_algorithm(
-                toy_problem,
-                tmp_path / "x.ckpt",
-                options=AlgorithmOptions(arithmetic="exact"),
-            )
+    def test_python_int_run_resumes(self, tmp_path):
+        # The pi-scaled column puts the modes past int64 at the first
+        # combination; the checkpoint stores the Python-int rows and the
+        # resume reproduces the uninterrupted EFM set exactly.
+        from repro.efm.api import build_problem_with_split
+        from tests.core.test_ranktest_parity import _scaled_column
+
+        net = _scaled_column(yeast_1_small(), "R26", np.pi)
+        problem, _ = build_problem_with_split(compress_network(net).reduced)
+        path = tmp_path / "pi.ckpt"
+        mid = (problem.first_row + problem.q) // 2
+        partial = checkpointed_nullspace_algorithm(problem, path, stop_row=mid)
+        assert partial.modes.values.dtype == object
+        assert Checkpoint.load(path).modes.values.tolist() == (
+            partial.modes.values.tolist()
+        )
+        res = checkpointed_nullspace_algorithm(problem, path)
+        plain = nullspace_algorithm(problem)
+        assert plain.stats.total_int_switches >= 1
+        assert sorted(res.modes.values.tolist()) == sorted(
+            plain.modes.values.tolist()
+        )
 
     def test_stats_roundtrip_through_disk(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -138,6 +153,22 @@ class TestRunAndResume:
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **arrays)
         with pytest.raises(AlgorithmError, match="version 3 unsupported"):
+            checkpointed_nullspace_algorithm(toy_problem, path)
+
+    def test_version_4_resume_refused(self, toy_problem, tmp_path):
+        # A version-4 file stores normalized float modes; the integer
+        # run must refuse it, naming both format versions.
+        path = tmp_path / "run.ckpt"
+        checkpointed_nullspace_algorithm(toy_problem, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["version"] = np.int64(4)
+        arrays["values"] = arrays["values"].astype(np.float64)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(
+            AlgorithmError, match=r"version 4 unsupported \(expected 5\)"
+        ):
             checkpointed_nullspace_algorithm(toy_problem, path)
 
     def test_medium_network_resume_equivalence(self, tmp_path):

@@ -5,23 +5,7 @@ import dataclasses
 import pytest
 
 from repro import errors
-from repro.config import AlgorithmOptions, NumericPolicy, resolve_comm_timeout
-
-
-class TestNumericPolicy:
-    def test_defaults_sane(self):
-        p = NumericPolicy()
-        assert 0 < p.zero_tol < 1e-2
-        assert [f.name for f in dataclasses.fields(p)] == ["zero_tol"]
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 0.5, 1.0])
-    def test_zero_tol_range(self, bad):
-        with pytest.raises(ValueError):
-            NumericPolicy(zero_tol=bad)
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            NumericPolicy().zero_tol = 1e-5  # type: ignore[misc]
+from repro.config import AlgorithmOptions, resolve_comm_timeout
 
 
 class TestAlgorithmOptions:
@@ -29,7 +13,6 @@ class TestAlgorithmOptions:
         # The ordering default follows REPRO_ORDERING; pin the built-in one.
         monkeypatch.delenv("REPRO_ORDERING", raising=False)
         o = AlgorithmOptions()
-        assert o.arithmetic == "float"
         assert o.acceptance == "rank"
         assert o.ordering == "dynamic"
         assert o.selection_lookahead == 4
@@ -37,7 +20,6 @@ class TestAlgorithmOptions:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("arithmetic", "quantum"),
             ("acceptance", "vibes"),
             ("ordering", "alphabetical"),
             ("selection_lookahead", -1),
@@ -70,9 +52,13 @@ class TestAlgorithmOptions:
         with pytest.raises(ValueError, match="positive and finite"):
             AlgorithmOptions()
 
-    def test_custom_policy_carried(self):
-        p = NumericPolicy(zero_tol=1e-10)
-        assert AlgorithmOptions(policy=p).policy.zero_tol == 1e-10
+    @pytest.mark.parametrize("field", ["arithmetic", "policy"])
+    def test_no_arithmetic_or_tolerance_option(self, field):
+        # Modes are exact integers: there is no arithmetic to choose and
+        # no zero tolerance to set.
+        assert field not in {f.name for f in dataclasses.fields(AlgorithmOptions)}
+        with pytest.raises(TypeError):
+            AlgorithmOptions(**{field: None})
 
 
 class TestExceptionHierarchy:

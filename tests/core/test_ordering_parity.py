@@ -105,9 +105,7 @@ class TestToyOrderingParity:
 
         opts = _opts("dynamic")
         sel = RowSelector(toy_problem, toy_problem.q, opts)
-        modes = ModeMatrix.from_kernel(
-            toy_problem.kernel, policy=opts.policy
-        )
+        modes = ModeMatrix.from_kernel(toy_problem.kernel)
         first = sel.next_row(modes)
         static = RowSelector(toy_problem, toy_problem.q, _opts("paper"))
         # Not asserted unequal (the heuristics may agree on tiny inputs) —

@@ -9,6 +9,7 @@ from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import compute_efms
 from tests.conftest import assert_same_modes, canonical_rows
+from tests.core.fraction_oracle import solve_with_fraction_oracle
 
 #: eq. (7): the 8 EFMs of the toy network, columns of the paper's matrix,
 #: transcribed as rows (reaction order r1..r9).
@@ -102,18 +103,19 @@ class TestIterationNarrative:
 
     def test_r3_candidate_vector(self, toy_problem):
         """The candidate at r3 is (0,2,0,1,0,0,0,-1) in permuted order."""
-        options = AlgorithmOptions(arithmetic="exact", record_trace=True)
+        options = AlgorithmOptions(record_trace=True)
         result = nullspace_algorithm(toy_problem, options=options)
-        k3 = result.trace[1].matrix  # after the r3 iteration
-        target = np.array([0, 2, 0, 1, 0, 0, 0, -1], dtype=float)
+        k3 = result.trace[1].matrix  # after the r3 iteration: exact integers
+        assert k3.dtype == np.int64
+        target = np.array([0, 2, 0, 1, 0, 0, 0, -1])
         cols = [k3[:, j] for j in range(k3.shape[1])]
         assert any(np.array_equal(c, target) for c in cols)
 
     def test_r6r_candidate_vector(self, toy_problem):
-        options = AlgorithmOptions(arithmetic="exact", record_trace=True)
+        options = AlgorithmOptions(record_trace=True)
         result = nullspace_algorithm(toy_problem, options=options)
         k4 = result.trace[2].matrix
-        target = np.array([1, 1, 0, 0, 1, 1, 0, 0], dtype=float)
+        target = np.array([1, 1, 0, 0, 1, 1, 0, 0])
         cols = [k4[:, j] for j in range(k4.shape[1])]
         assert any(np.array_equal(c, target) for c in cols)
 
@@ -125,8 +127,12 @@ class TestFinalEFMs:
         assert_same_modes(result.fluxes, EQ7_EFMS)
 
     def test_exact_arithmetic_same_set(self, toy):
-        result = compute_efms(toy, options=AlgorithmOptions(arithmetic="exact"))
-        assert_same_modes(result.fluxes, EQ7_EFMS)
+        # The integer run equals the Fraction oracle's run bit for bit.
+        result = compute_efms(toy)
+        oracle = solve_with_fraction_oracle(compute_efms, toy)
+        assert_same_modes(oracle.fluxes, EQ7_EFMS)
+        assert np.array_equal(result.fluxes, oracle.fluxes)
+        assert result.meta["certified"] == oracle.meta["certified"] == 8
 
     def test_validates(self, toy):
         compute_efms(toy).validate()

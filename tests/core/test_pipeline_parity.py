@@ -1,15 +1,16 @@
 """Dense-row vs support-first candidate representation parity.
 
-Float runs carry candidates as support-only
+Runs carry candidates as support-only
 :class:`~repro.core.state.CandidateBatch` objects (packed supports plus
 pair indices; dense rows are rebuilt for accepted candidates only).  That
 must be an exact refactoring of carrying every candidate as a dense
-normalized row: identical canonical supports out of generation, identical
-survivors out of dedup + rank test, and bit-identical dense values after
-materialization.  The dense-row ("eager") reference is the whole-set
-oracle of :mod:`tests.core.batch_oracle` with ``deferred=False``.  The
-fast tests pin the numerically delicate case — a combination that cancels
-entries *beyond* the annihilated row — and full toy runs on every driver;
+integer row formed at generation: identical supports out of generation,
+identical survivors out of dedup + rank test, and identical reduced rows
+after materialization.  The dense-row ("eager") reference is the
+whole-set oracle of :mod:`tests.core.batch_oracle` with
+``deferred=False``.  The fast tests pin the cancelling case — a
+combination that zeroes entries *beyond* the annihilated row — and full
+toy runs on every driver;
 the slow property extends the pin to yeast-I-small, serial +
 combinatorial (P in {2, 4}) + combined (q_sub = 5).
 """
@@ -37,7 +38,8 @@ OPTS = AlgorithmOptions()
 @pytest.fixture
 def eager(monkeypatch):
     """``eager(fn, *args, **kw)`` runs ``fn`` with every driver carrying
-    dense candidate rows (the whole-set oracle, ``deferred=False``)."""
+    dense candidate rows formed at generation (the whole-set oracle,
+    ``deferred=False``)."""
 
     def run(fn, *args, **kw):
         with monkeypatch.context() as m:
@@ -53,7 +55,7 @@ def _stats():
 
 class TestCancellationParity:
     """A combination can zero entries beyond the annihilated row; the
-    deferred supports must reflect the numeric cancellation, not the
+    deferred supports must reflect the exact cancellation, not the
     pair's support union."""
 
     def test_support_strictly_smaller_than_union_minus_row(self):
@@ -61,8 +63,8 @@ class TestCancellationParity:
         modes = ModeMatrix(
             np.array(
                 [
-                    [1.0, 1.0, 1.0, 0.0],
-                    [-1.0, 1.0, -1.0, 0.0],
+                    [1, 1, 1, 0],
+                    [-1, 1, -1, 0],
                 ]
             )
         )
@@ -84,8 +86,10 @@ class TestCancellationParity:
         assert support_size < union_minus_k
         assert np.array_equal(batch.supports.words, out["eager"].supports.words)
         dense = batch.materialize(modes.values)
-        assert np.array_equal(dense.values, out["eager"].values)
-        assert np.array_equal(dense.supports.words, out["eager"].supports.words)
+        assert np.array_equal(dense.values, out["eager"].dense.values)
+        assert np.array_equal(
+            dense.supports.words, out["eager"].dense.supports.words
+        )
 
 
 class TestToyFullRunParity:
@@ -107,12 +111,6 @@ class TestToyFullRunParity:
         b = distributed_parallel(toy_problem, 2, options=OPTS)
         assert np.array_equal(a.efms_input_order(), b.efms_input_order())
 
-    def test_deferred_ships_fewer_allgather_bytes(self, toy_problem, eager):
-        a = eager(combinatorial_parallel, toy_problem, 2, options=OPTS)
-        b = combinatorial_parallel(toy_problem, 2, options=OPTS)
-        eager_bytes = sum(t.allgather_bytes for t in a.rank_traces)
-        deferred_bytes = sum(t.allgather_bytes for t in b.rank_traces)
-        assert 0 < deferred_bytes < eager_bytes
 
 
 @pytest.mark.slow

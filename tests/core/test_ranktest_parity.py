@@ -3,8 +3,8 @@ loop oracles (``tests/core/rank_oracle.py``).
 
 The kernel (``"modular"``) must be decision-for-decision identical to the
 SVD loop (``"loop"``) and the rational loop (``"exact"``) on every input:
-random networks, float and exact arithmetic, reversible and irreversible
-rows, degenerate batches, cold and warm caches, across
+random networks, reversible and irreversible rows, degenerate batches,
+cold and warm caches, across
 divide-and-conquer subproblems sharing one memo, across the candidate
 representation x streaming matrix, and end to end on a stoichiometry
 with a non-rational column.
@@ -49,14 +49,14 @@ def _candidate_batch(problem, seed: int) -> ModeMatrix:
     supports, and a dense row that summary rejection must discard."""
     rng = np.random.default_rng(seed)
     q, f = problem.q, problem.n_free
-    coeffs = rng.normal(size=(25, f))
+    coeffs = rng.integers(-3, 4, size=(25, f))
     # Sparsify some combinations for small supports.
-    coeffs[rng.random(size=coeffs.shape) < 0.5] = 0.0
+    coeffs[rng.random(size=coeffs.shape) < 0.5] = 0
     vals = coeffs @ problem.kernel.T
-    vals[np.abs(vals) < 1e-10] = 0.0
-    crafted = np.zeros((3, q))
-    crafted[1, rng.integers(q)] = 1.0
-    crafted[2, :] = rng.normal(size=q)  # dense: support q > rank + 1
+    crafted = np.zeros((3, q), dtype=np.int64)
+    crafted[1, rng.integers(q)] = 1
+    # dense: support q > rank + 1
+    crafted[2, :] = rng.integers(1, 5, size=q) * rng.choice([-1, 1], size=q)
     return ModeMatrix(np.concatenate([vals, crafted], axis=0))
 
 

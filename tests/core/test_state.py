@@ -1,42 +1,47 @@
 """Unit tests for the ModeMatrix container."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
+from repro.core.state import CandidateBatch, ModeMatrix
 from repro.errors import AlgorithmError
 from repro.linalg.bitset import PackedSupports
 
 
 class TestConstruction:
     def test_normalizes_rows_to_unit_max(self):
-        m = ModeMatrix(np.array([[2.0, -4.0], [0.5, 0.0]]))
-        assert np.allclose(np.abs(m.values).max(axis=1), 1.0)
+        m = ModeMatrix(np.array([[2, -4], [5, 0]]))
+        assert np.allclose(np.abs(m.float_values()).max(axis=1), 1.0)
 
-    def test_snaps_small_values(self):
-        m = ModeMatrix(np.array([[1.0, 1e-13]]))
-        assert m.values[0, 1] == 0.0
-        assert not m.supports.to_bool()[1, 0]
+    def test_rows_reduced_by_gcd(self):
+        m = ModeMatrix(np.array([[2, -4, 0], [0, 0, 0], [3, 5, 7]]))
+        assert m.values.dtype == np.int64
+        assert m.values.tolist() == [[1, -2, 0], [0, 0, 0], [3, 5, 7]]
+
+    def test_non_integral_values_rejected(self):
+        with pytest.raises(AlgorithmError, match="integers"):
+            ModeMatrix(np.array([[1.0, 0.5]]))
+
+    def test_integral_floats_accepted(self):
+        m = ModeMatrix(np.array([[2.0, -6.0]]))
+        assert m.values.dtype == np.int64 and m.values.tolist() == [[1, -3]]
 
     def test_supports_sync_with_values(self):
-        m = ModeMatrix(np.array([[1.0, 0.0, -3.0], [0.0, 2.0, 0.0]]))
+        m = ModeMatrix(np.array([[1, 0, -3], [0, 2, 0]]))
         assert np.array_equal(
-            m.supports.to_bool().T, m.values != 0.0
+            m.supports.to_bool().T, m.values != 0
         )
 
     def test_exact_mode_integerizes(self):
-        vals = np.empty((1, 2), dtype=object)
-        vals[0, 0] = Fraction(1, 2)
-        vals[0, 1] = Fraction(3, 2)
+        # Python-int rows (past int64) reduce to coprime integers too.
+        vals = np.array([[2**70, 3 * 2**70]], dtype=object)
         m = ModeMatrix(vals)
-        assert [int(x) for x in m.values[0]] == [1, 3]
-        assert m.exact
+        assert m.values.dtype == object
+        assert m.values.tolist() == [[1, 3]]
 
     def test_from_kernel_transposes(self):
-        kernel = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        kernel = np.array([[1, 0], [0, 1], [1, -1]])
         m = ModeMatrix.from_kernel(kernel)
         assert m.n_modes == 2 and m.q == 3
 
@@ -47,19 +52,19 @@ class TestConstruction:
 
 class TestOperations:
     def test_select_keeps_supports(self):
-        m = ModeMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        m = ModeMatrix(np.array([[1, 0], [0, 1], [1, 1]]))
         sel = m.select(np.array([2, 0]))
         assert sel.n_modes == 2
-        assert np.array_equal(sel.supports.to_bool().T, sel.values != 0.0)
+        assert np.array_equal(sel.supports.to_bool().T, sel.values != 0)
 
     def test_select_bool_mask(self):
-        m = ModeMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        m = ModeMatrix(np.array([[1, 0], [0, 1]]))
         sel = m.select(np.array([True, False]))
         assert sel.n_modes == 1
 
     def test_concat(self):
-        a = ModeMatrix(np.array([[1.0, 0.0]]))
-        b = ModeMatrix(np.array([[0.0, 1.0]]))
+        a = ModeMatrix(np.array([[1, 0]]))
+        b = ModeMatrix(np.array([[0, 1]]))
         c = a.concat(b)
         assert c.n_modes == 2
 
@@ -67,29 +72,30 @@ class TestOperations:
         with pytest.raises(AlgorithmError):
             ModeMatrix(np.ones((1, 2))).concat(ModeMatrix(np.ones((1, 3))))
 
-    def test_concat_exact_float_mismatch(self):
-        vals = np.empty((1, 2), dtype=object)
-        vals[0, :] = [Fraction(1), Fraction(2)]
-        with pytest.raises(AlgorithmError):
-            ModeMatrix(np.ones((1, 2))).concat(ModeMatrix(vals))
+    def test_concat_int64_with_python_ints(self):
+        big = ModeMatrix(np.array([[2**70 + 1, 2]], dtype=object))
+        out = ModeMatrix(np.array([[1, 2]])).concat(big)
+        assert out.values.dtype == object
+        assert out.values.tolist() == [[1, 2], [2**70 + 1, 2]]
+        assert out.max_abs() == 2**70 + 1
 
     def test_dedup_by_support_keeps_first(self):
-        m = ModeMatrix(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+        m = ModeMatrix(np.array([[1, 0], [2, 0], [0, 1]]))
         d = m.dedup()
         assert d.n_modes == 2
-        # first occurrence of support {0} kept (normalized value 1.0)
-        assert d.values[0, 0] == 1.0
+        # first occurrence of support {0} kept (reduced value 1)
+        assert d.values[0, 0] == 1
 
     def test_dedup_noop_returns_self(self):
-        m = ModeMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        m = ModeMatrix(np.array([[1, 0], [0, 1]]))
         assert m.dedup() is m
 
     def test_column_accessor(self):
-        m = ModeMatrix(np.array([[1.0, -0.5], [0.0, 1.0]]))
-        assert np.allclose(m.column(1), m.values[:, 1])
+        m = ModeMatrix(np.array([[2, -1], [0, 1]]))
+        assert np.array_equal(m.column(1), m.values[:, 1])
 
     def test_modes_as_columns_matches_paper_orientation(self):
-        m = ModeMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        m = ModeMatrix(np.array([[1, 0], [0, 1]]))
         cols = m.modes_as_columns()
         assert cols.shape == (2, 2)
         assert np.array_equal(cols, m.values.T)
@@ -100,71 +106,73 @@ class TestOperations:
         assert 0 < small.nbytes() < big.nbytes()
 
     def test_from_parts_skips_normalization(self):
-        m = ModeMatrix(np.array([[1.0, 0.5]]))
-        rebuilt = ModeMatrix.from_parts(m.values, m.supports, m.policy)
+        m = ModeMatrix(np.array([[2, 1]]))
+        rebuilt = ModeMatrix.from_parts(m.values, m.supports)
         assert np.array_equal(rebuilt.values, m.values)
 
     def test_from_parts_count_mismatch(self):
-        m = ModeMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        m = ModeMatrix(np.array([[2, 1], [0, 1]]))
         with pytest.raises(AlgorithmError):
-            ModeMatrix.from_parts(m.values[:1], m.supports, m.policy)
+            ModeMatrix.from_parts(m.values[:1], m.supports)
+
+    def test_float_values_are_correctly_rounded(self):
+        m = ModeMatrix(np.array([[3, -1, 0], [0, 7, 2**40]], dtype=object))
+        f = m.float_values()
+        assert f.dtype == np.float64
+        assert f.tolist() == [[1.0, -1 / 3, 0.0], [0.0, 7 / 2**40, 1.0]]
+
+
+class TestInt64Envelope:
+    def test_small_rows_stay_int64(self):
+        m = ModeMatrix(np.array([[3, -2], [1, 5]]))
+        assert not m.widen_for_row(0)
+        assert m.values.dtype == np.int64
+
+    def test_switch_keeps_values_supports_and_signs(self):
+        big = 2**31
+        m = ModeMatrix(np.array([[big, 1], [-1, big - 1]]))
+        signs = m.sign_matrix().copy()
+        words = m.supports.words.copy()
+        before = m.values.tolist()
+        assert m.widen_for_row(0)
+        assert m.values.dtype == object
+        assert m.values.tolist() == before
+        assert np.array_equal(m.sign_matrix(), signs)
+        assert np.array_equal(m.supports.words, words)
+        assert not m.widen_for_row(0)  # already Python ints
+
+    def test_bound_is_coefficient_times_row(self):
+        # 2 * max|col 1| * max|row| = 2 * 1 * 2**61 < 2**63: stays int64,
+        # while pairing on column 0 (2 * 2**61 * 2**61) cannot.
+        m = ModeMatrix(np.array([[2**61, 1], [-(2**61) + 1, -1]]))
+        assert not m.widen_for_row(1)
+        assert m.widen_for_row(0)
+
+    def test_combination_past_int64_is_exact(self):
+        big = 2**40 + 1
+        source = ModeMatrix(np.array([[big, big, 0], [-big, 0, 1]]))
+        assert source.widen_for_row(0)
+        batch = CandidateBatch(
+            PackedSupports.from_bool(np.array([[0, 1, 1]], dtype=bool).T),
+            np.array([0]), np.array([1]), 0,
+        )
+        dense = batch.materialize(source.values)
+        # big * [-big, 0, 1] + big * [big, big, 0] = big * [0, big, 1].
+        assert dense.values.tolist() == [[0, big, 1]]
 
 
 class TestNbytesCountsSigns:
     def test_sign_cache_included_once_primed(self):
-        m = ModeMatrix(np.array([[1.0, -0.5, 0.0], [0.0, 1.0, 2.0]]))
+        m = ModeMatrix(np.array([[2, -1, 0], [0, 1, 2]]))
         base = m.nbytes()
         m.sign_matrix()  # prime the cache
         assert m.nbytes() == base + m.sign_matrix().nbytes
 
     def test_exact_mode_counts_signs_too(self):
-        vals = np.empty((1, 2), dtype=object)
-        vals[0, :] = [Fraction(1), Fraction(-2)]
-        m = ModeMatrix(vals)
+        m = ModeMatrix(np.array([[2**70, -(2**71) - 1]], dtype=object))
         base = m.nbytes()
         m.sign_matrix()
         assert m.nbytes() == base + m.sign_matrix().nbytes
-
-
-class TestCanonicalSupportMask:
-    def test_matches_constructor_supports(self):
-        rng = np.random.default_rng(7)
-        vals = rng.normal(size=(40, 10))
-        # Sprinkle exact zeros and sub-threshold noise.
-        vals[rng.random(vals.shape) < 0.3] = 0.0
-        vals[0, 1] = 1e-13
-        m = ModeMatrix(vals)
-        mask = canonical_support_mask(vals, m.policy)
-        assert np.array_equal(mask, m.supports.to_bool().T)
-
-    def test_all_zero_row_stays_empty(self):
-        mask = canonical_support_mask(np.zeros((2, 5)), ModeMatrix(np.ones((1, 1))).policy)
-        assert not mask.any()
-
-    def test_empty_input(self):
-        mask = canonical_support_mask(np.zeros((0, 5)), ModeMatrix(np.ones((1, 1))).policy)
-        assert mask.shape == (0, 5)
-
-
-class TestFromPairs:
-    def test_matches_eager_construction(self):
-        rng = np.random.default_rng(11)
-        source = ModeMatrix(rng.normal(size=(6, 8))).values
-        pair_i = np.array([0, 2, 4])
-        pair_j = np.array([1, 3, 5])
-        a = np.abs(rng.normal(size=3)) + 0.1
-        b = np.abs(rng.normal(size=3)) + 0.1
-        eager = ModeMatrix(source[pair_i] * a[:, None] + source[pair_j] * b[:, None])
-        deferred = ModeMatrix.from_pairs(source, pair_i, pair_j, a, b)
-        assert np.array_equal(eager.values, deferred.values)
-        assert np.array_equal(eager.supports.words, deferred.supports.words)
-
-    def test_empty_pairs(self):
-        m = ModeMatrix.from_pairs(
-            np.ones((3, 5)), np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0),
-        )
-        assert m.n_modes == 0 and m.q == 5
 
 
 class TestCandidateBatch:
@@ -173,9 +181,9 @@ class TestCandidateBatch:
         # the natural pairs are (0, 1) and (0, 2), with coefficients
         # a = -col[j] > 0, b = col[i] > 0 derived from the column.
         source = ModeMatrix(np.array([
-            [1.0, 1.0, 0.0, 0.0],
-            [0.0, -1.0, 1.0, 0.0],
-            [0.0, -2.0, 0.0, 1.0],
+            [1, 1, 0, 0],
+            [0, -1, 1, 0],
+            [0, -2, 0, 1],
         ]))
         k = 1
         col = source.values[:, k]
@@ -185,10 +193,8 @@ class TestCandidateBatch:
             source.values[pair_i] * (-col[pair_j])[:, None]
             + source.values[pair_j] * col[pair_i][:, None]
         )
-        mask = canonical_support_mask(vals, source.policy)
         batch = CandidateBatch(
-            PackedSupports.from_bool(mask.T), pair_i, pair_j, k,
-            policy=source.policy,
+            PackedSupports.from_bool((vals != 0).T), pair_i, pair_j, k
         )
         return source, batch
 
@@ -196,7 +202,6 @@ class TestCandidateBatch:
         _, batch = self._batch()
         assert batch.n_modes == len(batch) == 2
         assert batch.q == 4
-        assert batch.exact is False
         assert batch.row == 1
         assert batch.nbytes() == batch.supports.nbytes() + 2 * 2 * 8
         assert "2 candidates" in repr(batch)
@@ -229,8 +234,7 @@ class TestCandidateBatch:
     def test_concat_row_mismatch(self):
         _, batch = self._batch()
         other = CandidateBatch(
-            batch.supports, batch.pair_i, batch.pair_j, batch.row + 1,
-            policy=batch.policy,
+            batch.supports, batch.pair_i, batch.pair_j, batch.row + 1
         )
         with pytest.raises(AlgorithmError):
             batch.concat(other)
@@ -257,9 +261,7 @@ class TestCandidateBatch:
         # supplies the iteration row from its own (lockstep) loop counter
         # and derives the coefficients at materialization.
         source, batch = self._batch()
-        back = CandidateBatch.from_wire(
-            batch.to_wire(), batch.q, batch.row, batch.policy
-        )
+        back = CandidateBatch.from_wire(batch.to_wire(), batch.q, batch.row)
         assert np.array_equal(back.supports.words, batch.supports.words)
         assert np.array_equal(back.pair_i, batch.pair_i)
         assert np.array_equal(back.pair_j, batch.pair_j)

@@ -3,11 +3,13 @@
 The candidate phase (:func:`repro.core.iterstream.stream_iteration`) must
 be an exact refactoring of the whole-set ``generate → dedup → rank-test``
 body kept in :mod:`tests.core.batch_oracle`: bit-identical EFM sets on
-every driver, for both arithmetics and any chunk size — chunking never
+every driver and any chunk size — chunking never
 reorders the pair enumeration and dedup is keep-first (see the module
 docstring's invariant).  The oracle is parametrized by its candidate
 representation (support-only ``deferred`` batches or ``eager`` dense
-rows).  Multi-chunk runs are forced by shrinking
+rows formed at generation); the exact-arithmetic cases also check the
+integer rows against the Fraction oracle of
+:mod:`tests.core.fraction_oracle`.  Multi-chunk runs are forced by shrinking
 :data:`repro.cluster.memory.DEFAULT_STREAM_CHUNK_BYTES`: the fast tests
 use a budget tiny enough for one-pair chunks on the paper's toy network,
 and the slow property extends the 530-EFM yeast-I-small pin to a
@@ -28,6 +30,11 @@ from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
 from tests.core.batch_oracle import use_batch_oracle
+from tests.core.fraction_oracle import (
+    oriented_rows,
+    fraction_modes,
+    solve_with_fraction_oracle,
+)
 from tests.core.test_paper_example import EQ7_EFMS
 
 #: A chunk budget (bytes) small enough that every toy iteration needs
@@ -35,7 +42,6 @@ from tests.core.test_paper_example import EQ7_EFMS
 TINY = 256
 
 OPTS = AlgorithmOptions()
-EXACT = AlgorithmOptions(arithmetic="exact")
 
 
 @pytest.fixture
@@ -44,7 +50,7 @@ def oracle(monkeypatch):
     whole-set candidate phase patched into every driver."""
 
     def run(fn, *args, representation=None, **kw):
-        deferred = None if representation is None else representation == "deferred"
+        deferred = representation != "eager"
         with monkeypatch.context() as m:
             use_batch_oracle(m, deferred=deferred)
             return fn(*args, **kw)
@@ -96,11 +102,14 @@ class TestToyStreamingParity:
 
     @pytest.mark.parametrize("chunk", ["auto", TINY])
     def test_exact_arithmetic(self, toy_problem, oracle, monkeypatch, chunk):
-        ref = oracle(nullspace_algorithm, toy_problem, options=EXACT)
+        ref = oracle(nullspace_algorithm, toy_problem, options=OPTS)
         _budget(monkeypatch, chunk)
-        got = nullspace_algorithm(toy_problem, options=EXACT)
-        assert got.modes.exact
+        got = nullspace_algorithm(toy_problem, options=OPTS)
+        assert got.modes.values.dtype == np.int64
         assert np.array_equal(ref.modes.values, got.modes.values)
+        assert oriented_rows(
+            got.modes.values.tolist(), toy_problem.reversible
+        ) == oriented_rows(fraction_modes(toy_problem), toy_problem.reversible)
 
     @pytest.mark.parametrize("n_ranks", [2, 3])
     @pytest.mark.parametrize("chunk", ["auto", TINY])
@@ -108,14 +117,16 @@ class TestToyStreamingParity:
         self, toy_problem, oracle, monkeypatch, n_ranks, chunk
     ):
         # Some ranks accept nothing on most iterations; their empty parts
-        # must stay exact or the rank-major merge cannot concatenate them.
-        ref = oracle(combinatorial_parallel, toy_problem, n_ranks, options=EXACT)
-        serial = nullspace_algorithm(toy_problem, options=EXACT)
+        # must still merge with the others' rows.
+        ref = oracle(combinatorial_parallel, toy_problem, n_ranks, options=OPTS)
+        serial = nullspace_algorithm(toy_problem, options=OPTS)
         _budget(monkeypatch, chunk)
-        got = combinatorial_parallel(toy_problem, n_ranks, options=EXACT)
-        assert got.result.modes.exact
+        got = combinatorial_parallel(toy_problem, n_ranks, options=OPTS)
         assert np.array_equal(ref.result.modes.values, got.result.modes.values)
         assert_same_modes(got.result.efms_input_order(), serial.efms_input_order())
+        assert oriented_rows(
+            got.result.modes.values.tolist(), toy_problem.reversible
+        ) == oriented_rows(fraction_modes(toy_problem), toy_problem.reversible)
 
 
 class TestStreamingCounters:
@@ -144,10 +155,13 @@ class TestStreamingCounters:
 
     def test_exact_arithmetic_streams(self, toy, monkeypatch):
         _budget(monkeypatch, TINY)
-        res = compute_efms(toy, options=EXACT)
+        res = compute_efms(toy, options=OPTS)
         assert res.stats.total_stream_chunks > len(res.stats.iterations)
         assert res.n_efms == 8
         assert_same_modes(res.fluxes, EQ7_EFMS)
+        assert np.array_equal(
+            res.fluxes, solve_with_fraction_oracle(compute_efms, toy).fluxes
+        )
 
 
 @pytest.mark.slow

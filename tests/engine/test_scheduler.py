@@ -202,7 +202,7 @@ class TestCheckpointing:
     def test_fingerprint_mismatch_refuses_resume(self, reduced, specs, tmp_path):
         d = tmp_path / "ckpt"
         make_scheduler(reduced, specs, checkpoint_dir=d).run()
-        other = RunContext(options=AlgorithmOptions(arithmetic="exact"))
+        other = RunContext(options=AlgorithmOptions(ordering="natural"))
         with pytest.raises(SchedulerError, match="different run"):
             make_scheduler(reduced, specs, context=other, checkpoint_dir=d).run()
 

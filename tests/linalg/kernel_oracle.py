@@ -1,8 +1,9 @@
 """Reference construction of the ``(I; R)`` kernel in exact ``Fraction``
 arithmetic: two RREFs, the second forcing the chosen pivots.
 
-:func:`repro.linalg.numeric.kernel_identity_form` must return bit-identical
-``(kernel, col_perm)`` from its single fraction-free integer elimination.
+:func:`repro.linalg.numeric.kernel_identity_form` must return the same
+``(kernel, col_perm)`` — the kernel as exact integers — from its single
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import math
 
 import numpy as np
 
-from repro.linalg import rational
-from repro.linalg.rational import FractionMatrix, matrix_shape
+from tests.linalg import rational_oracle as rational
+from tests.linalg.rational_oracle import FractionMatrix, matrix_shape
 
 
 def integerize_columns(a: FractionMatrix) -> list[list[int]]:
@@ -58,7 +59,7 @@ def oracle_kernel_identity_form(
     scan2 = np.array(pivots + free_cols, dtype=np.intp)
     basis2 = rational.exact_nullspace(rational.from_numpy(nf[:, scan2]))
     ints = integerize_columns(basis2)
-    arr2 = np.array(ints, dtype=np.float64).reshape(q, len(free_cols))
+    arr2 = np.array(ints, dtype=object).reshape(q, len(free_cols))
     pos_in_scan2 = {int(c): i for i, c in enumerate(scan2)}
     kernel = arr2[[pos_in_scan2[int(c)] for c in col_perm], :]
     return kernel, col_perm

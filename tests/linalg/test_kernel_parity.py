@@ -1,5 +1,6 @@
 """Parity of the integer-elimination ``(I; R)`` kernel with the two-RREF
-``Fraction`` oracle: ``(kernel, col_perm)`` must be bit-identical."""
+``Fraction`` oracle: ``(kernel, col_perm)`` must be identical, the kernel
+entry for entry as exact integers."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ def assert_matches_oracle(n, pivot_priority=None):
     assert np.array_equal(perm, ref_perm)
     assert perm.dtype == ref_perm.dtype
     assert kernel.shape == ref_kernel.shape
-    assert np.array_equal(kernel, ref_kernel)
+    assert kernel.tolist() == ref_kernel.tolist()
 
 
 @st.composite

@@ -1,57 +1,13 @@
-"""Unit tests for tolerant floating linear algebra."""
+"""Unit tests for the exact integer ``(I; R)`` kernel and the rank
+oracle's SVD rank."""
 
 import numpy as np
 import pytest
 
-from repro.config import NumericPolicy
 from repro.errors import LinAlgError
 from repro.linalg import numeric
 
 from tests.core.rank_oracle import numeric_rank
-
-
-class TestColumnNormalize:
-    def test_unit_max_norm(self):
-        cols = np.array([[2.0, -10.0], [1.0, 5.0]])
-        out = numeric.column_normalize(cols)
-        assert np.allclose(np.abs(out).max(axis=0), 1.0)
-
-    def test_zero_column_untouched(self):
-        cols = np.array([[0.0, 1.0], [0.0, 2.0]])
-        out = numeric.column_normalize(cols)
-        assert np.allclose(out[:, 0], 0.0)
-
-    def test_in_place(self):
-        cols = np.array([[4.0], [2.0]])
-        out = numeric.column_normalize(cols, out=cols)
-        assert out is cols and cols[0, 0] == 1.0
-
-    def test_1d_rejected(self):
-        with pytest.raises(LinAlgError):
-            numeric.column_normalize(np.ones(3))
-
-
-class TestSupportAndClean:
-    def test_support_threshold_scales_with_column(self):
-        # Threshold is relative to the column max: 1e-4 is "zero" next to
-        # 1e6 (threshold 1e-3) but non-zero next to 1.0 (threshold 1e-9).
-        policy = NumericPolicy(zero_tol=1e-9)
-        cols = np.array([[1e6, 1.0], [1e-4, 1e-4]])
-        sup = numeric.support_of(cols, policy)
-        assert sup[0].all()
-        assert not sup[1, 0]
-        assert sup[1, 1]
-
-    def test_support_exact(self):
-        policy = NumericPolicy(zero_tol=1e-9)
-        cols = np.array([[1.0, 0.5], [1e-12, 0.0]])
-        sup = numeric.support_of(cols, policy)
-        assert sup.tolist() == [[True, True], [False, False]]
-
-    def test_clean_zeros_snaps(self):
-        cols = np.array([[1.0], [1e-13]])
-        numeric.clean_zeros(cols)
-        assert cols[1, 0] == 0.0
 
 
 class TestRank:
@@ -112,6 +68,26 @@ class TestKernelIdentityForm:
                 np.eye(2), pivot_priority=np.array([1])
             )
 
+    def test_kernel_is_exact_int64(self):
+        n = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, -1.0, -2.0]])
+        kernel, perm = numeric.kernel_identity_form(n)
+        assert kernel.dtype == np.int64
+        assert not (n[:, perm].astype(np.int64) @ kernel).any()
+
+    def test_kernel_of_non_integral_column_is_exact(self):
+        # A half-integral column is read as a rational; the kernel is the
+        # coprime integer basis of the float matrix's exact nullspace.
+        n = np.array([[0.5, -1.0, 0.0], [0.0, 1.0, -1.5]])
+        kernel, perm = numeric.kernel_identity_form(n)
+        assert kernel.dtype == np.int64
+        assert (2 * n[:, perm] @ kernel == 0).all()
+
+    def test_no_metabolite_rows(self):
+        kernel, perm = numeric.kernel_identity_form(np.zeros((0, 3)))
+        assert kernel.dtype == np.int64
+        assert kernel.tolist() == np.eye(3, dtype=int).tolist()
+        assert perm.tolist() == [0, 1, 2]
+
     def test_rank_deficient_rows_ok(self):
         n = np.array([[1.0, -1.0], [2.0, -2.0], [3.0, -3.0]])
         kernel, perm = numeric.kernel_identity_form(n)
@@ -121,14 +97,14 @@ class TestKernelIdentityForm:
 
 class TestHelpers:
     def test_gcd_reduce_rows(self):
-        m = np.array([[2, 4, 6], [0, 0, 0], [3, 5, 7]])
-        out = numeric.gcd_reduce_rows(m)
-        assert out[0].tolist() == [1, 2, 3]
-        assert out[1].tolist() == [0, 0, 0]
-        assert out[2].tolist() == [3, 5, 7]
+        # Mode rows are reduced through the column routine on the
+        # transposed view, in place (repro.core.state).
+        from repro.linalg.modular import gcd_reduce_columns
 
-    def test_columns_proportional(self):
-        a = np.array([1.0, 0.0, -2.0])
-        assert numeric.columns_proportional(a, a * 3.5)
-        assert not numeric.columns_proportional(a, -a)  # negative scale
-        assert not numeric.columns_proportional(a, np.array([1.0, 1.0, -2.0]))
+        m = np.array([[2, 4, 6], [0, 0, 0], [3, 5, 7], [-4, 0, 6]])
+        out = gcd_reduce_columns(m.T)
+        assert np.shares_memory(out, m)
+        assert m[0].tolist() == [1, 2, 3]
+        assert m[1].tolist() == [0, 0, 0]
+        assert m[2].tolist() == [3, 5, 7]
+        assert m[3].tolist() == [-2, 0, 3]

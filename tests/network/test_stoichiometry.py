@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.linalg.rational import to_numpy
+from tests.linalg.rational_oracle import to_numpy
 from repro.network.stoichiometry import (
     exact_stoichiometric_matrix,
     reversibility_vector,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.errors import AlgorithmError
 from repro.models.generators import random_network
@@ -12,6 +11,7 @@ from repro.core.kernel import build_problem
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
+from tests.core.fraction_oracle import oriented_rows, fraction_modes
 
 
 class TestEquivalence:
@@ -68,11 +68,13 @@ class TestPartitioning:
 
 
 class TestRestrictions:
-    def test_exact_mode_unsupported(self, toy_problem):
-        with pytest.raises(AlgorithmError):
-            distributed_parallel(
-                toy_problem, 2, options=AlgorithmOptions(arithmetic="exact")
-            )
+    def test_integer_rows_equal_fraction_oracle(self, toy_problem):
+        # Every driver carries the same exact integer rows, the
+        # column-partitioned one included.
+        run = distributed_parallel(toy_problem, 2)
+        assert oriented_rows(
+            run.all_modes().values.tolist(), toy_problem.reversible
+        ) == oriented_rows(fraction_modes(toy_problem), toy_problem.reversible)
 
     def test_stop_row(self, toy_problem):
         run = distributed_parallel(toy_problem, 2, stop_row=toy_problem.q - 1)

@@ -6,6 +6,7 @@ the column-partitioned variant, and divide-and-conquer Algorithm 3 (any
 valid partition) are different schedules of the same enumeration.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
+from tests.core.fraction_oracle import solve_with_fraction_oracle
 
 SETTINGS = dict(
     max_examples=12,
@@ -66,11 +68,14 @@ def test_combined_equals_serial_any_partition(params, q_sub, data):
 @given(params=network_params)
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_exact_equals_float(params):
+def test_integer_run_equals_fraction_oracle(params):
+    # The integer rows reach the same modes as the Fraction oracle, so the
+    # emitted fluxes are identical to the last bit.
     net = random_network(**params)
-    by_float = compute_efms(net)
-    by_exact = compute_efms(net, options=AlgorithmOptions(arithmetic="exact"))
-    assert by_float.same_modes_as(by_exact)
+    by_ints = compute_efms(net)
+    by_fractions = solve_with_fraction_oracle(compute_efms, net)
+    assert np.array_equal(by_ints.fluxes, by_fractions.fluxes)
+    assert by_ints.meta["certified"] == by_ints.n_efms
 
 
 @given(params=network_params)

@@ -7,8 +7,7 @@ zero-entry mode surviving the current row
 necessary condition for nullity >= 2, so it must
 
 * never reject a candidate the per-candidate loop oracle accepts
-  (nullity exactly 1) — float and exact arithmetic, reversible and
-  irreversible rows;
+  (nullity exactly 1) — reversible and irreversible rows;
 * leave every EFM set bit-identical to a run with the pre-screen
   patched out, on the serial, combinatorial-parallel and combined
   drivers;
@@ -34,6 +33,7 @@ from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
 
+from tests.core.fraction_oracle import solve_with_fraction_oracle
 from tests.core.rank_oracle import rank_test_with
 
 SETTINGS = dict(
@@ -51,9 +51,6 @@ network_params = st.fixed_dictionaries(
     }
 )
 
-arithmetics = st.sampled_from(["float", "exact"])
-
-
 @contextlib.contextmanager
 def captured_rejections():
     """Record, for every pre-screen call, the supports it rejected together
@@ -65,10 +62,7 @@ def captured_rejections():
 
     def stream_spy(modes, k, pos_idx, neg_idx, pair_range, n_perm, rank_bound,
                    options, stats, **kw):
-        current.update(
-            k=k, q=modes.q, n_perm=n_perm, rank_bound=rank_bound,
-            policy=options.policy, exact=options.arithmetic == "exact",
-        )
+        current.update(k=k, q=modes.q, n_perm=n_perm, rank_bound=rank_bound)
         return stream(modes, k, pos_idx, neg_idx, pair_range, n_perm,
                       rank_bound, options, stats, **kw)
 
@@ -92,21 +86,18 @@ def prescreen_off():
         yield
 
 
-def assert_loop_rejects_all(records) -> int:
-    """Every pre-screen rejection has nullity != 1 under the loop oracle;
-    returns the number of rejections checked."""
+def assert_loop_rejects_all(records, engine: str = "exact") -> int:
+    """Every pre-screen rejection has nullity != 1 under the named loop
+    oracle (rational by default); returns the number of rejections
+    checked."""
     checked = 0
     for rec in records:
         n = rec["words"].shape[0]
         cand = CandidateBatch(
             PackedSupports(rec["words"], rec["q"]),
             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), rec["k"],
-            policy=rec["policy"],
         )
-        accept = rank_test_with(
-            "exact" if rec["exact"] else "loop",
-            cand, rec["n_perm"], rec["rank_bound"],
-        )
+        accept = rank_test_with(engine, cand, rec["n_perm"], rec["rank_bound"])
         assert not accept.any(), (
             f"pre-screen rejected {int(accept.sum())} elementary candidate(s) "
             f"at row {rec['k']}"
@@ -115,12 +106,12 @@ def assert_loop_rejects_all(records) -> int:
     return checked
 
 
-@given(params=network_params, arithmetic=arithmetics)
+@given(params=network_params)
 @settings(**SETTINGS)
-def test_rejections_are_never_elementary(params, arithmetic):
+def test_rejections_are_never_elementary(params):
     net = random_network(**params)
     with captured_rejections() as records:
-        compute_efms(net, options=AlgorithmOptions(arithmetic=arithmetic))
+        compute_efms(net)
     assert_loop_rejects_all(records)
 
 
@@ -130,12 +121,13 @@ def test_yeast_rejections_are_never_elementary():
     with captured_rejections() as records:
         result = compute_efms(yeast_1_small())
     assert result.n_efms == 530
-    checked = assert_loop_rejects_all(records)
+    # The SVD loop keeps this fast; the random networks use the rational one.
+    checked = assert_loop_rejects_all(records, "loop")
     assert checked == result.stats.total_superset_rejected > 0
 
 
-def _runs(net, arithmetic, partition):
-    options = AlgorithmOptions(arithmetic=arithmetic)
+def _runs(net, partition):
+    options = AlgorithmOptions()
     runs = {
         "serial": compute_efms(net, options=options),
         "parallel": compute_efms(net, method="parallel", n_ranks=2, options=options),
@@ -147,9 +139,9 @@ def _runs(net, arithmetic, partition):
     return runs
 
 
-@given(params=network_params, arithmetic=arithmetics, data=st.data())
+@given(params=network_params, data=st.data())
 @settings(**SETTINGS)
-def test_efm_sets_identical_without_prescreen(params, arithmetic, data):
+def test_efm_sets_identical_without_prescreen(params, data):
     net = random_network(**params)
     reduced = compress_network(net).reduced
     partition = None
@@ -157,12 +149,15 @@ def test_efm_sets_identical_without_prescreen(params, arithmetic, data):
         partition = tuple(data.draw(
             st.permutations(list(reduced.reaction_names)).map(lambda p: p[:2])
         ))
-    with_screen = _runs(net, arithmetic, partition)
+    with_screen = _runs(net, partition)
     with prescreen_off():
-        without = _runs(net, arithmetic, partition)
+        without = _runs(net, partition)
     for method, run in with_screen.items():
         ref = without[method]
         assert np.array_equal(run.fluxes, ref.fluxes), method
+    # The serial integer run is the Fraction oracle's, to the last bit.
+    oracle = solve_with_fraction_oracle(compute_efms, net)
+    assert np.array_equal(with_screen["serial"].fluxes, oracle.fluxes)
 
 
 @pytest.fixture

@@ -5,11 +5,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis import assume
 from hypothesis.extra import numpy as hnp
 
-from repro.linalg import bitset, rational
+from repro.linalg import bitset
 from repro.linalg.numeric import kernel_identity_form
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
 from repro.network.stoichiometry import stoichiometric_matrix
+from tests.linalg import rational_oracle as rational
 
 SETTINGS = dict(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
