@@ -48,9 +48,10 @@ def test_table3_union_equals_unsplit(benchmark, yeast1_small_problem):
         iterations=1,
     )
     # Union must reproduce the full EFM set (fold the split baseline).
-    base = serial.efms_input_order()
     if split_rec is not None:
-        base = split_rec.fold_modes(base)
+        base = split_rec.fold_modes(serial.modes.values, problem.inverse_perm())
+    else:
+        base = serial.modes.values
     assert run.n_efms == base.shape[0]
 
 

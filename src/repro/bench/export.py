@@ -27,7 +27,6 @@ ITERATION_COLUMNS = (
     "sel_evaluated",
     "n_pairs",
     "n_prefilter_kept",
-    "n_adjacent",
     "n_duplicates",
     "n_superset_rejected",
     "n_tested",

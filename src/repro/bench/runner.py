@@ -62,7 +62,9 @@ def _folded_efm_count(prun: ParallelRunResult, split_rec) -> int:
     """EFM count with reversible-split artifacts folded away."""
     if split_rec is None:
         return prun.result.n_efms
-    return int(split_rec.fold_modes(prun.result.efms_input_order()).shape[0])
+    res = prun.result
+    folded = split_rec.fold_modes(res.modes.values, res.problem.inverse_perm())
+    return int(folded.shape[0])
 
 
 def run_table2(

@@ -144,7 +144,7 @@ def modular_workset_bytes(q: int, rank: int, batch: int) -> int:
 
 
 def candidate_row_bytes(q: int) -> int:
-    """Retained bytes per candidate between generation and acceptance:
+    """Retained bytes per candidate between generation and the rank test:
     the packed support words plus two int64 pair indices (dense rows are
     materialized for accepted candidates only)."""
     words = max(1, (q + 63) // 64)

@@ -1,9 +1,9 @@
 """Algorithm options.
 
 :class:`AlgorithmOptions` collects every tunable of the core algorithm
-(ordering heuristic, acceptance test, chunk sizes, ...).  None of them
-is numeric: modes are exact integer rows and every zero test and rank
-decision is exact, so there is no tolerance to tune.
+(ordering heuristic, chunk sizes, ...).  None of them is numeric: modes
+are exact integer rows and every zero test and rank decision is exact,
+so there is no tolerance to tune.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Literal
 #: ``chunk_size * n_rows`` int64 values plus the packed supports.
 DEFAULT_PAIR_CHUNK: int = 65536
 
-AcceptanceTest = Literal["rank", "bittree", "both"]
 OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
 ]
@@ -53,11 +52,6 @@ class AlgorithmOptions:
 
     Parameters
     ----------
-    acceptance:
-        Candidate acceptance test: the paper's algebraic ``"rank"`` test
-        (nullity of the stoichiometric submatrix == 1), the efmtool-style
-        ``"bittree"`` superset test, or ``"both"`` (cross-checking; testing
-        aid).
     ordering:
         Row-processing order.  ``"dynamic"`` (default) picks the next
         eliminated row at the top of every iteration from the *live* mode
@@ -97,7 +91,6 @@ class AlgorithmOptions:
         the paper's Figure 2; expensive — small networks only).
     """
 
-    acceptance: AcceptanceTest = "rank"
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
     pair_chunk: int = DEFAULT_PAIR_CHUNK
@@ -106,8 +99,6 @@ class AlgorithmOptions:
     record_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.acceptance not in ("rank", "bittree", "both"):
-            raise ValueError(f"unknown acceptance test {self.acceptance!r}")
         if self.ordering not in (
             "dynamic", "paper", "natural", "most-nonzeros", "random"
         ):

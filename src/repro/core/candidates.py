@@ -94,14 +94,13 @@ def survivor_chunks(
     options: AlgorithmOptions,
     stats: IterationStats,
     *,
-    adjacency=None,
     chunk_pairs: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Yield this worker's per-chunk generation survivors for row ``k``.
 
     The generation front-end of the candidate phase
-    (:mod:`repro.core.iterstream`): i-major pair enumeration, the
-    union-support prefilter and the optional per-pair adjacency test.
+    (:mod:`repro.core.iterstream`): i-major pair enumeration and the
+    union-support prefilter.
     Each yielded tuple is ``(i_ok, j_ok, raw, transient)``: the surviving
     pairs' source-mode indices, the raw (not gcd-reduced) dense integer
     combination chunk, and the chunk's transient working-set bytes (pair vectors,
@@ -162,24 +161,15 @@ def survivor_chunks(
         peak_transient = max(peak_transient, transient)
         i_sel = pos_idx[a_sel]
         j_sel = neg_idx[b_sel]
-        union = None
-        if adjacency is None and sup1 is not None:
+        if sup1 is not None:
             ok = np.bitwise_count(sup1[i_sel] | sup1[j_sel]) <= max_union
         else:
-            union = sup[i_sel] | sup[j_sel]
-            ok = bitset.popcount(union) <= max_union
+            ok = bitset.popcount(sup[i_sel] | sup[j_sel]) <= max_union
         if not ok.any():
             continue
         i_ok = i_sel[ok]
         j_ok = j_sel[ok]
         stats.n_prefilter_kept += int(i_ok.size)
-        if adjacency is not None:
-            adj = adjacency.adjacent(union[ok])
-            i_ok = i_ok[adj]
-            j_ok = j_ok[adj]
-            stats.n_adjacent += int(i_ok.size)
-            if i_ok.size == 0:
-                continue
         a = -col[j_ok]  # > 0
         b = col[i_ok]  # > 0
         cand = vals[i_ok] * a[:, None] + vals[j_ok] * b[:, None]

@@ -9,8 +9,8 @@ statistics, and a fingerprint of the problem) serializes to a single
 continues from the last saved row, on the same or a different machine.
 
 The checkpoint is portable and versioned; loading verifies the problem
-fingerprint so a checkpoint cannot silently resume against a different
-network, permutation, or option set.
+fingerprint and the ordering name so a checkpoint cannot silently resume
+against a different network, permutation or row order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.config import AlgorithmOptions, DEFAULT_OPTIONS
 from repro.core.kernel import NullspaceProblem
-from repro.core.serial import NullspaceResult, check_acceptance_applicable, iterate_row
+from repro.core.serial import NullspaceResult, iterate_row
 from repro.core.state import ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer, RunStats
 from repro.engine.context import RunContext
@@ -47,11 +47,13 @@ from repro.linalg.bitset import PackedSupports
 #: the modes as exact integer rows instead of normalized floats (int64, or
 #: Python ints as decimal text so no pickle enters the file), and its
 #: fingerprint no longer hashes the float-or-rational mode choice or the
-#: float support threshold, both gone.
-CHECKPOINT_VERSION = 5
+#: float support threshold, both gone.  Version 6 dropped the choice of
+#: candidate test from the fingerprint (the rank test is the only one)
+#: and a per-iteration counter of that test from the stored stats.
+CHECKPOINT_VERSION = 6
 
 
-def problem_fingerprint(problem: NullspaceProblem, options: AlgorithmOptions) -> str:
+def problem_fingerprint(problem: NullspaceProblem) -> str:
     """Stable hash of everything that must match for a resume to be valid."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(problem.n_perm).tobytes())
@@ -64,7 +66,6 @@ def problem_fingerprint(problem: NullspaceProblem, options: AlgorithmOptions) ->
     )
     h.update(np.ascontiguousarray(problem.reversible).tobytes())
     h.update("\x00".join(problem.names).encode())
-    h.update(json.dumps({"acceptance": options.acceptance}).encode())
     return h.hexdigest()
 
 
@@ -204,15 +205,15 @@ def checkpointed_nullspace_algorithm(
     if checkpoint_every < 1:
         raise AlgorithmError("checkpoint_every must be >= 1")
     path = Path(checkpoint_path)
-    fp = problem_fingerprint(problem, options)
+    fp = problem_fingerprint(problem)
     stop = problem.q if stop_row is None else stop_row
 
     if path.exists():
         ck = Checkpoint.load(path)
         if ck.fingerprint != fp:
             raise AlgorithmError(
-                f"checkpoint {path} belongs to a different problem/options "
-                "combination; refusing to resume"
+                f"checkpoint {path} belongs to a different problem; "
+                "refusing to resume"
             )
         if ck.ordering != options.ordering:
             raise AlgorithmError(
@@ -230,8 +231,6 @@ def checkpointed_nullspace_algorithm(
         processed = ()
 
     t_start = time.perf_counter()
-    if options.acceptance != "rank":
-        check_acceptance_applicable(problem, options, stop)
     rank_cache = ctx.rank_binding_for(problem)
     if memory_check is None:
         memory = ctx.fresh_memory()
@@ -247,8 +246,7 @@ def checkpointed_nullspace_algorithm(
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
         kept, cand = iterate_row(
-            modes, k, problem, options, it,
-            rank_cache=rank_cache, processed_rows=selector.adjacency_rows(),
+            modes, k, problem, options, it, rank_cache=rank_cache
         )
         with PhaseTimer(it, "t_merge"):
             modes = kept.concat(cand) if cand.n_modes else kept

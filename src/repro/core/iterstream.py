@@ -12,7 +12,7 @@ consumed as a sequence of bounded chunks
 
 to completion before the next chunk's dense values exist.  Live state
 between chunks is only the accepted set plus the incremental dedup index
-(:class:`repro.core.bittree.SupportIndex`).  A chunk holds at most
+(:class:`SupportIndex`).  A chunk holds at most
 ``min(pair_chunk, 16 MiB / per-pair transient bytes)`` pairs
 (:func:`repro.cluster.memory.streaming_chunk_pairs`).
 
@@ -33,8 +33,7 @@ support, so its nullity is at least 2 and it is rejected without reaching
 the rank kernel or its memo.  On the yeast networks this decides most
 rank-test rejections with one vectorized bitset pass.  ``n_tested``
 counts the survivors that reach the rank test, ``n_superset_rejected``
-the candidates the pre-screen rejected; under ``acceptance="both"`` a
-pre-screen rejection is a rank rejection for the cross-check.
+the candidates the pre-screen rejected.
 
 Streaming is orthogonal to *which* row an iteration eliminates: the
 :class:`~repro.core.ordering.RowSelector` picks ``k`` before the
@@ -66,8 +65,7 @@ is order- and chunking-invariant:
   support with the zero-entry survivors only — the same set for every
   chunk and, since modes are replicated, every rank — and the algebraic
   rank test depends only on the candidate's own support; neither sees
-  batch composition.  The combinatorial adjacency test is per-*pair* and
-  runs inside generation.
+  batch composition.
 * *Materialization is row-wise*: accepted candidates materialize from
   ``(i, j, row)``, row by row.
 
@@ -84,14 +82,97 @@ import numpy as np
 
 from repro.cluster.memory import streaming_chunk_pairs
 from repro.config import AlgorithmOptions
-from repro.core.bittree import SupportIndex
 from repro.core.candidates import PairRange, survivor_chunks
 from repro.core.ranktest import rank_test
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer
-from repro.errors import AlgorithmError
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports, pack_support_rows
+
+
+class SupportIndex:
+    """Appendable exact-membership index over canonical packed supports —
+    the incremental dedup structure of the candidate phase.
+
+    The candidate phase consumes the pair space chunk by chunk, so dedup
+    is *incremental*: a chunk's candidates are checked against the
+    zero-entry survivors and every candidate *accepted* in earlier
+    chunks, then the chunk's own accepted survivors are appended.
+    Keep-first throughout, so the surviving candidate order — and
+    therefore the EFM output — is bit-identical to one whole-set
+    :func:`~repro.linalg.bitset.unique_rows` dedup: a later duplicate of
+    an accepted (or zero-surviving) support is dropped exactly as the
+    whole-set dedup drops it, and a later duplicate of a *rejected*
+    support is re-tested instead — the rank test decides on the support
+    pattern alone, so it is rejected again (a memo cache hit) and the
+    output is unchanged; only the duplicate/tested counters depend on the
+    chunking.  Rejected supports are deliberately not stored: on
+    iterations that accept few candidates the index stays a fraction of
+    the tested set.
+
+    Storage is a geometrically grown ``(capacity, n_words)`` uint64
+    buffer.  Probes are binary searches: each :meth:`seen` call has
+    :func:`~repro.linalg.bitset.rows_in` sort the filled prefix (and the
+    frozen rows) and search every probe row into them.  ``frozen`` rows
+    (the zero-entry survivors' supports) are held as a borrowed read-only
+    reference, not copied: they live in the iteration's mode matrix either
+    way, so :meth:`nbytes` charges only the appendable buffer, the memory
+    the dedup state actually adds.
+    """
+
+    __slots__ = ("n_words", "frozen", "_buf", "_n", "n_probes")
+
+    def __init__(self, n_words: int, frozen: np.ndarray | None = None) -> None:
+        self.n_words = int(n_words)
+        self.frozen = (
+            frozen
+            if frozen is not None and frozen.shape[0]
+            else np.empty((0, self.n_words), dtype=bitset.WORD)
+        )
+        self._buf = np.empty((0, self.n_words), dtype=bitset.WORD)
+        self._n = 0
+        #: candidates probed against the index (streaming stats).
+        self.n_probes = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def words(self) -> np.ndarray:
+        """The filled prefix of the buffer (read-only view semantics:
+        callers must not mutate)."""
+        return self._buf[: self._n]
+
+    def nbytes(self) -> int:
+        """Allocated buffer bytes (capacity, not fill — the allocation is
+        what the node pays for; borrowed ``frozen`` rows are charged to
+        their owner, the mode matrix)."""
+        return int(self._buf.nbytes)
+
+    def seen(self, words: np.ndarray) -> np.ndarray:
+        """Boolean mask: is each row already present in the index (frozen
+        reference rows or appended ones)?"""
+        self.n_probes += int(words.shape[0])
+        hit = bitset.rows_in(words, self.words)
+        if self.frozen.shape[0]:
+            hit |= bitset.rows_in(words, self.frozen)
+        return hit
+
+    def add(self, words: np.ndarray) -> None:
+        """Append rows (caller guarantees they are not already present —
+        :meth:`seen` filtered them; duplicates *within* ``words`` are the
+        caller's responsibility too, via first-occurrence dedup)."""
+        m = int(words.shape[0])
+        if m == 0:
+            return
+        need = self._n + m
+        if need > self._buf.shape[0]:
+            cap = max(need, 2 * self._buf.shape[0], 64)
+            grown = np.empty((cap, self.n_words), dtype=bitset.WORD)
+            grown[: self._n] = self._buf[: self._n]
+            self._buf = grown
+        self._buf[self._n : need] = words
+        self._n = need
 
 
 def zero_mode_supersets(words: np.ndarray, zero_words: np.ndarray) -> np.ndarray:
@@ -120,8 +201,6 @@ def stream_iteration(
     stats: IterationStats,
     *,
     zero_words: np.ndarray | None = None,
-    adjacency=None,
-    acceptance: str | None = None,
     rank_cache=None,
 ) -> CandidateBatch:
     """Run one iteration's candidate phase as a bounded-memory stream.
@@ -131,7 +210,7 @@ def stream_iteration(
     ``modes`` may move to Python ints on the way (see
     :meth:`~repro.core.state.ModeMatrix.widen_for_row`), so callers
     materialize from ``modes.values`` read after this returns.  The live
-    :class:`~repro.core.bittree.SupportIndex` is attached to the result
+    :class:`SupportIndex` is attached to the result
     as ``dedup_index`` so memory accounting
     (``nbytes``/``payload_nbytes``) sees the streaming state for as long
     as the caller keeps the candidates around.
@@ -139,9 +218,7 @@ def stream_iteration(
     ``zero_words`` preloads the index with the zero-entry survivors'
     supports (the serial/combinatorial duplicate rule and the pre-screen's
     reference set; the distributed driver passes ``None`` and keeps its
-    global post-allgather control).
-    ``acceptance`` overrides ``options.acceptance`` (the distributed
-    driver always rank-tests).  Timings land in the paper's phase
+    global post-allgather control).  Timings land in the paper's phase
     buckets: generation in ``t_gen_cand``, dedup/accept bookkeeping in
     ``t_merge``, the subset pre-screen and the rank test in
     ``t_rank_test``.
@@ -149,9 +226,6 @@ def stream_iteration(
     if modes.widen_for_row(k):
         stats.n_int_switches += 1
         _log_int_switch(k, modes.n_modes)
-    if acceptance is None:
-        acceptance = options.acceptance
-    rank_mode = acceptance in ("rank", "both")
     n_words = modes.supports.words.shape[1]
     index = SupportIndex(n_words, frozen=zero_words)
 
@@ -163,7 +237,6 @@ def stream_iteration(
 
     gen = survivor_chunks(
         modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
-        adjacency=adjacency,
         chunk_pairs=streaming_chunk_pairs(modes.q, options.pair_chunk),
     )
     while True:
@@ -206,30 +279,23 @@ def stream_iteration(
         if cand.n_modes == 0:
             continue
 
-        if rank_mode:
-            with PhaseTimer(stats, "t_rank_test"):
-                # Equal supports were dropped above as duplicates, so every
-                # pre-screen hit is a strict subset.
-                keep = ~zero_mode_supersets(cand.supports.words, index.frozen)
-                live = np.flatnonzero(keep)
-                stats.n_superset_rejected += cand.n_modes - live.size
-                if live.size:
-                    stats.n_tested += live.size
-                    keep[live] = rank_test(
-                        cand if live.size == cand.n_modes else cand.select(live),
-                        n_perm,
-                        rank_bound,
-                        cache=rank_cache,
-                        stats=stats,
-                    )
-            if not keep.all():
-                if acceptance == "both":
-                    raise AlgorithmError(
-                        "adjacency test accepted a candidate the rank test "
-                        f"rejects at row {k} ({int((~keep).sum())} of "
-                        f"{cand.n_modes})"
-                    )
-                cand = cand.select(np.flatnonzero(keep))
+        with PhaseTimer(stats, "t_rank_test"):
+            # Equal supports were dropped above as duplicates, so every
+            # pre-screen hit is a strict subset.
+            keep = ~zero_mode_supersets(cand.supports.words, index.frozen)
+            live = np.flatnonzero(keep)
+            stats.n_superset_rejected += cand.n_modes - live.size
+            if live.size:
+                stats.n_tested += live.size
+                keep[live] = rank_test(
+                    cand if live.size == cand.n_modes else cand.select(live),
+                    n_perm,
+                    rank_bound,
+                    cache=rank_cache,
+                    stats=stats,
+                )
+        if not keep.all():
+            cand = cand.select(np.flatnonzero(keep))
 
         with PhaseTimer(stats, "t_merge"):
             if cand.n_modes:

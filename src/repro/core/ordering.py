@@ -223,23 +223,6 @@ class RowSelector:
         it.sel_score = self.last_score
         it.sel_evaluated = self.last_evaluated
 
-    def adjacency_rows(self) -> np.ndarray:
-        """Row positions the combinatorial adjacency test may "see" at the
-        current iteration: the identity block plus every row eliminated
-        *before* the one just returned by :meth:`next_row` (``realized``'s
-        last entry is the in-flight row and is excluded).  Dynamic
-        selection eliminates rows out of position order, so the bittree
-        acceptance test must mask on this explicit set rather than the
-        ``0..k-1`` prefix (see :class:`repro.core.bittree.AdjacencyTest`).
-        """
-        prior = self.realized[:-1] if self.realized else []
-        return np.concatenate(
-            [
-                np.arange(self.problem.first_row, dtype=np.int64),
-                np.asarray(prior, dtype=np.int64),
-            ]
-        )
-
     # -- selection -----------------------------------------------------------
 
     def next_row(self, modes=None) -> int:

@@ -47,7 +47,7 @@ def rank_test(
     cache: CacheBinding | None = None,
     stats=None,
 ) -> np.ndarray:
-    """Boolean acceptance mask for a batch of candidates.
+    """Boolean accept mask for a batch of candidates.
 
     Parameters
     ----------

@@ -9,8 +9,7 @@ non-identity row:
    (both among candidates and against surviving zero-entry modes — the
    paper's §II.C toy trace dedups candidate (1,1,0,0,1,1,0,0) against the
    identical mode already present in K⁽⁴⁾);
-4. ``RankTests`` — the algebraic acceptance test (or the bit-pattern
-   alternative, per options);
+4. ``RankTests`` — the algebraic rank test;
 5. ``RemoveNegColumns`` — irreversible rows drop negative-entry modes;
 6. concatenate survivors and accepted candidates.
 
@@ -33,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
-from repro.core import bittree, iterstream
+from repro.core import iterstream
 from repro.core.candidates import PairRange, full_range
 from repro.core.kernel import NullspaceProblem
 # Not called here since every driver streams its candidate phase, but the
@@ -105,31 +104,6 @@ class NullspaceResult:
 MemoryCheck = Callable[[int, ModeMatrix], None]
 
 
-def check_acceptance_applicable(
-    problem: NullspaceProblem, options: AlgorithmOptions, stop: int
-) -> None:
-    """The combinatorial (bit-pattern) adjacency test is exact only when
-    every *processed* row is irreversible — the double-description
-    extreme-ray/elementary-mode equivalence it relies on needs the
-    intermediate cones pointed.  Reversible rows demand the algebraic rank
-    test (or splitting the reversible reactions first, which
-    ``compute_efms`` does automatically for ``acceptance='bittree'``)."""
-    if options.acceptance == "rank":
-        return
-    rev_rows = [
-        problem.names[i]
-        for i in range(problem.first_row, stop)
-        if problem.reversible[i]
-    ]
-    if rev_rows:
-        raise AlgorithmError(
-            f"acceptance={options.acceptance!r} requires irreversible "
-            f"processed rows, but {rev_rows} are reversible; split them "
-            "first (compute_efms does this automatically) or use "
-            "acceptance='rank'"
-        )
-
-
 def iterate_row(
     modes: ModeMatrix,
     k: int,
@@ -140,13 +114,12 @@ def iterate_row(
     pair_range_for: Callable[[int], PairRange] = full_range,
     rank_cache: CacheBinding | None = None,
     materialize: bool = True,
-    processed_rows: np.ndarray | None = None,
 ) -> tuple[ModeMatrix, ModeMatrix | CandidateBatch]:
     """One iteration body shared by serial and parallel drivers.
 
     Returns ``(kept, accepted_candidates)``: the old modes surviving the
     row (zero + positive + negative-if-reversible) and the locally
-    generated, deduplicated, acceptance-tested candidates.  The caller
+    generated, deduplicated, rank-tested candidates.  The caller
     concatenates (serial) or communicates/merges first (parallel).
     ``rank_cache`` optionally shares a support-pattern rank memo across
     iterations (and, for divide-and-conquer drivers, across subproblems).
@@ -176,24 +149,10 @@ def iterate_row(
     if n_pairs_total:
         pr = pair_range_for(n_pairs_total)
         stats.n_pairs = pr.count()
-        # The combinatorial acceptance test is a per-PAIR adjacency test
-        # and must run during generation, before duplicate removal; the
-        # algebraic rank test is per-ray and runs after dedup (the paper's
-        # Sort&RemoveDuplicates -> RankTests order).
-        adjacency = None
-        if options.acceptance in ("bittree", "both"):
-            # ``processed_rows`` (the selector's realized prior set) is
-            # required under dynamic ordering — see AdjacencyTest: the
-            # prefix fallback is only valid for in-position processing.
-            with PhaseTimer(stats, "t_rank_test"):
-                adjacency = bittree.AdjacencyTest(
-                    modes.supports.words, modes.q, k, processed=processed_rows
-                )
         cand = iterstream.stream_iteration(
             modes, k, pos_idx, neg_idx, pr, problem.n_perm,
             problem.rank, options, stats,
             zero_words=modes.supports.words[zero_mask],
-            adjacency=adjacency,
             rank_cache=rank_cache,
         )
         stats.n_accepted = cand.n_modes
@@ -249,7 +208,6 @@ def nullspace_algorithm(
     stop = problem.q if stop_row is None else stop_row
     if not (problem.first_row <= stop <= problem.q):
         raise AlgorithmError(f"stop_row {stop} out of range")
-    check_acceptance_applicable(problem, options, stop)
     recorder = ctx.trace_recorder()
     if rank_cache is None:
         rank_cache = ctx.rank_binding_for(problem)
@@ -266,8 +224,7 @@ def nullspace_algorithm(
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
         kept, cand = iterate_row(
-            modes, k, problem, options, it,
-            rank_cache=rank_cache, processed_rows=selector.adjacency_rows(),
+            modes, k, problem, options, it, rank_cache=rank_cache
         )
         with PhaseTimer(it, "t_merge"):
             modes = kept.concat(cand) if cand.n_modes else kept

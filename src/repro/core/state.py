@@ -12,7 +12,7 @@ iteration combines rows, :meth:`ModeMatrix.widen_for_row` checks the
 envelope ``2 * max|coef| * max|row| < 2**63`` and, when it fails, moves
 the matrix to Python ints (``object`` dtype) for the rest of the run —
 the same envelope idea as the rank kernel's (:mod:`repro.linalg.modular`).
-:meth:`ModeMatrix.float_values` is the one conversion to float.
+:func:`unit_float_rows` is the one conversion to float.
 """
 
 from __future__ import annotations
@@ -40,6 +40,33 @@ def _integer_rows(values: np.ndarray) -> np.ndarray:
     if np.any(r != values) or (r.size and np.abs(r).max() >= INT64_LIMIT):
         raise AlgorithmError("mode values must be integers")
     return r.astype(np.int64)
+
+
+def unit_float_rows(
+    values: np.ndarray, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """Integer rows scaled to unit max-norm as float64, shape ``(n_rows,
+    len(columns))``, columns in ``columns`` order (default: all, in place)
+    — the one conversion of exact modes to float.
+
+    An entry below 2**53 in magnitude becomes the correctly rounded
+    quotient of two integers.  int64 rows are converted a column at a
+    time, so the result is the only full-size array allocated."""
+    v = values
+    if columns is None:
+        columns = np.arange(v.shape[1])
+    if v.dtype == object:
+        scale = np.abs(v).max(axis=1) if v.size else np.ones(0, dtype=object)
+        scale[scale == 0] = 1
+        return np.asarray(v[:, columns] / scale[:, None], dtype=np.float64)
+    out = np.empty((v.shape[0], len(columns)))
+    for j, c in enumerate(columns):
+        out[:, j] = v[:, c]
+    if v.size:
+        scale = np.maximum(out.max(axis=1), -out.min(axis=1))
+        scale[scale == 0] = 1
+        out /= scale[:, None]
+    return out
 
 
 class ModeMatrix:
@@ -212,26 +239,8 @@ class ModeMatrix:
     def float_values(self, columns: np.ndarray | None = None) -> np.ndarray:
         """Rows scaled to unit max-norm as float64, shape ``(n_modes,
         len(columns))``, columns in ``columns`` order (default: all, in
-        place) — the one conversion of the exact modes to float.
-
-        An entry below 2**53 in magnitude becomes the correctly rounded
-        quotient of two integers.  int64 rows are converted a column at a
-        time, so the result is the only full-size array allocated."""
-        v = self.values
-        if columns is None:
-            columns = np.arange(v.shape[1])
-        if v.dtype == object:
-            scale = np.abs(v).max(axis=1) if v.size else np.ones(0, dtype=object)
-            scale[scale == 0] = 1
-            return np.asarray(v[:, columns] / scale[:, None], dtype=np.float64)
-        out = np.empty((v.shape[0], len(columns)))
-        for j, c in enumerate(columns):
-            out[:, j] = v[:, c]
-        if v.size:
-            scale = np.maximum(out.max(axis=1), -out.min(axis=1))
-            scale[scale == 0] = 1
-            out /= scale[:, None]
-        return out
+        place) — see :func:`unit_float_rows`."""
+        return unit_float_rows(self.values, columns)
 
     def modes_as_columns(self) -> np.ndarray:
         """Integer values with modes as columns, shape ``(q, n_modes)`` —

@@ -28,8 +28,6 @@ class IterationStats:
     n_pairs: int = 0
     #: pairs surviving the union-support summary rejection.
     n_prefilter_kept: int = 0
-    #: pairs passing the combinatorial adjacency test (bittree mode only).
-    n_adjacent: int = 0
     #: candidates removed as duplicates (among candidates + vs zero columns).
     n_duplicates: int = 0
     #: candidates that reached the algebraic rank test (after dedup and
@@ -77,7 +75,7 @@ class IterationStats:
     #: supports + pair indices.
     peak_chunk_bytes: int = 0
     #: candidates probed against the incremental dedup index
-    #: (see repro.core.bittree.SupportIndex).
+    #: (see repro.core.iterstream.SupportIndex).
     n_dedup_probes: int = 0
     #: the chosen row's global |pos|*|neg| pair count at selection time
     #: (dynamic ordering; 0 on static paths — see repro.core.ordering).
@@ -259,7 +257,6 @@ class RunStats:
                     n_zero=a.n_zero,
                     n_pairs=a.n_pairs + b.n_pairs,
                     n_prefilter_kept=a.n_prefilter_kept + b.n_prefilter_kept,
-                    n_adjacent=a.n_adjacent + b.n_adjacent,
                     n_duplicates=a.n_duplicates + b.n_duplicates,
                     n_tested=a.n_tested + b.n_tested,
                     n_superset_rejected=(

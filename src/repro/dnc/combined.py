@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core.kernel import NullspaceProblem, build_problem, certify_modes
-from repro.core.state import ModeMatrix
+from repro.core.state import ModeMatrix, unit_float_rows
 from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.dnc.subsets import SubsetSpec, enumerate_subsets, validate_partition
@@ -283,10 +283,13 @@ class PreparedSubset:
                 keep &= (v != 0) if problem.reversible[pos] else (v > 0)
             modes = modes.select(np.flatnonzero(keep))
         certify_modes(problem, modes)
-        vals = modes.float_values(problem.inverse_perm())  # work_net order
-
-        if self.split_rec is not None:
-            vals = self.split_rec.fold_modes(vals)  # back to src reaction order
+        if self.split_rec is None:
+            vals = modes.float_values(problem.inverse_perm())  # src order
+        else:
+            # Fold the exact rows back to src reaction order, then convert.
+            vals = unit_float_rows(
+                self.split_rec.fold_modes(modes.values, problem.inverse_perm())
+            )
 
         if self.fallback:
             # Full enumeration ran: filter the finished (hence
@@ -616,8 +619,7 @@ def combined_parallel(
       ``"process-pool"`` (work-stealing worker processes); the union is
       bit-identical across both.
     * ``schedule`` — ``"predicted-peak"`` (largest predicted footprint
-      first), ``"subset-id"``, ``"reverse"``, or an explicit permutation
-      of subset indices.
+      first) or an explicit permutation of subset indices.
     * ``on_oom`` — ``"record"`` captures a subset's
       :class:`~repro.errors.OutOfMemoryError` in its result (legacy
       behaviour, feeds the adaptive refiner); ``"degrade"`` re-runs the

@@ -20,6 +20,7 @@ from pathlib import Path
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core.kernel import NullspaceProblem, build_problem, certify_modes
 from repro.core.serial import nullspace_algorithm
+from repro.core.state import unit_float_rows
 from repro.cluster.memory import MemoryModel
 from repro.dnc.combined import combined_parallel
 from repro.engine.context import RunContext
@@ -180,9 +181,7 @@ def compute_efms(
                     res = checkpointed_nullspace_algorithm(problem, context=ctx)
                 else:
                     res = nullspace_algorithm(problem, context=ctx)
-                modes = res.modes
-                efms_work = res.efms_input_order()
-                stats = res.stats
+                modes, stats = res.modes, res.stats
             elif method == "parallel":
                 run = combinatorial_parallel(
                     problem,
@@ -190,26 +189,25 @@ def compute_efms(
                     backend=backend,
                     context=ctx,
                 )
-                modes = run.result.modes
-                efms_work = run.result.efms_input_order()
-                stats = run.stats
+                modes, stats = run.result.modes, run.stats
             else:
                 drun = distributed_parallel(
                     problem, n_ranks, backend=backend, context=ctx
                 )
-                modes = drun.all_modes()
-                efms_work = drun.efms_input_order()
+                modes = drun.efm_modes()
                 stats = drun.rank_stats[0]
                 for s in drun.rank_stats[1:]:
                     stats = stats.merged_with(s)
             certify_modes(problem, modes)
             if split_rec is not None:
                 meta["split"] = split_rec.split_names
+                # Fold the exact rows, then convert once.
+                folded = split_rec.fold_modes(modes.values, problem.inverse_perm())
                 efms_reduced = _reorder_to(
-                    split_rec.fold_modes(efms_work), split_rec.original, reduced
+                    unit_float_rows(folded), split_rec.original, reduced
                 )
             else:
-                efms_reduced = efms_work
+                efms_reduced = modes.float_values(problem.inverse_perm())
             # Folding a split drops two-cycle artifacts; every row left
             # derives from a certified mode.
             certified = efms_reduced.shape[0]
@@ -279,23 +277,9 @@ def build_problem_with_split(
     """Build the kernel problem, splitting reversible reactions that cannot
     be pivots until construction succeeds.  Returns ``(problem,
     split_record)`` with ``split_record=None`` when no split was needed.
-
-    The combinatorial acceptance test (``acceptance='bittree'``/``'both'``)
-    is only exact on fully irreversible systems, so those options split
-    *every* reversible reaction up front.
     """
     split_rec: SplitRecord | None = None
     work = reduced
-    if options.acceptance != "rank":
-        reversibles = tuple(r.name for r in reduced.reactions if r.reversible)
-        if reversibles:
-            if not auto_split:
-                raise AlgorithmError(
-                    f"acceptance={options.acceptance!r} needs auto_split=True "
-                    "on networks with reversible reactions"
-                )
-            split_rec = split_reversible(reduced, reversibles)
-            work = split_rec.split
     for _ in range(reduced.n_reactions + 1):
         try:
             return build_problem(work, options=options), split_rec

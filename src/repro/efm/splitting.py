@@ -20,7 +20,6 @@ artifacts when mapping results back.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,47 +46,61 @@ class SplitRecord:
         return not self.split_names
 
     def fold_modes(
-        self, modes_split: np.ndarray, *, tol: float = 1e-12
+        self, modes_split: np.ndarray, columns: np.ndarray | None = None
     ) -> np.ndarray:
-        """Map mode rows from split-network order back to original order.
+        """Map exact integer mode rows from split-network order back to
+        original order.
 
-        ``modes_split``: ``(n_modes, q_split)`` with columns in
-        ``self.split.reaction_names`` order.  Returns ``(n_kept, q_orig)``
-        rows in ``self.original.reaction_names`` order with two-cycle
-        artifacts dropped and sign-flipped duplicates removed.
+        ``modes_split``: ``(n_modes, ·)`` coprime integer rows (int64, or
+        Python ints in an object array); ``columns[j]`` is the column
+        holding ``self.split.reaction_names[j]`` (default: the columns are
+        in that order).  Returns ``(n_kept, q_orig)`` integer rows of the
+        same dtype in ``self.original.reaction_names`` order with two-cycle
+        artifacts dropped and sign-flipped duplicates removed, first
+        occurrences kept.  Every decision is exact: a support is the
+        non-zero entries, and two rows are one ray iff they are equal,
+        since a ray has exactly one coprime integer row.
         """
-        modes_split = np.atleast_2d(np.asarray(modes_split, dtype=np.float64))
-        if modes_split.shape[1] != self.split.n_reactions:
+        modes_split = np.atleast_2d(np.asarray(modes_split))
+        if modes_split.dtype.kind not in "iO":
             raise NetworkError(
-                f"mode width {modes_split.shape[1]} != split network width "
+                f"fold_modes takes exact integer rows, got {modes_split.dtype}"
+            )
+        if columns is None:
+            columns = np.arange(modes_split.shape[1])
+        if len(columns) != self.split.n_reactions:
+            raise NetworkError(
+                f"mode width {len(columns)} != split network width "
                 f"{self.split.n_reactions}"
             )
-        q_orig = self.original.n_reactions
-        out = np.zeros((modes_split.shape[0], q_orig))
+
+        def col(name: str) -> np.ndarray:
+            return modes_split[:, columns[self.split.reaction_index(name)]]
+
+        out = np.zeros(
+            (modes_split.shape[0], self.original.n_reactions),
+            dtype=modes_split.dtype,
+        )
         split_set = set(self.split_names)
         for j, name in enumerate(self.original.reaction_names):
             if name in split_set:
-                jf = self.split.reaction_index(name + FWD_SUFFIX)
-                jb = self.split.reaction_index(name + BWD_SUFFIX)
-                out[:, j] = modes_split[:, jf] - modes_split[:, jb]
+                out[:, j] = col(name + FWD_SUFFIX) - col(name + BWD_SUFFIX)
             else:
-                out[:, j] = modes_split[:, self.split.reaction_index(name)]
-
-        # Drop two-cycle artifacts: both halves of some split reaction
-        # active.  Elementarity in the split network guarantees such a mode
-        # IS the bare two-cycle, which folds to the zero vector.
-        active = np.abs(out) > tol
-        keep = active.any(axis=1)
-        out = out[keep]
-        active = active[keep]
+                out[:, j] = col(name)
 
         # Canonicalize sign of fully-reversible-support modes (first active
-        # entry positive) and dedup the flipped copies.
+        # entry positive), then keep the first occurrence of each non-zero
+        # row: the flipped copies go, and so do two-cycle artifacts (both
+        # halves of a split reaction active; elementarity in the split
+        # network makes such a mode the bare two-cycle, which folds to 0).
+        active = out != 0
         irr = ~np.array(self.original.reversibility, dtype=bool)
         lead = out[np.arange(out.shape[0]), active.argmax(axis=1)]
-        flip = (np.abs(out[:, irr]) <= tol).all(axis=1) & (lead < 0)
+        flip = ~active[:, irr].any(axis=1) & (lead < 0)
         out[flip] = -out[flip]
-        return _dedup_rows(out, tol)
+        first = _first_occurrences(out)
+        first = first[active[first].any(axis=1)]
+        return out if first.size == out.shape[0] else out[first]
 
     def blow_up_names(self, names: Iterable[str]) -> list[str]:
         """Translate original reaction names to split-network names (a
@@ -142,13 +155,16 @@ def split_reversible(
     return SplitRecord(original=network, split=split_net, split_names=names)
 
 
-def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Remove near-duplicate rows up to positive scaling (ray identity)."""
-    if rows.shape[0] <= 1:
-        return rows
-    scale = np.abs(rows).max(axis=1)
-    normed = rows / np.where(scale > 0, scale, 1.0)[:, None]
-    keys = np.round(normed, 9)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    first.sort()
-    return rows[first]
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    if rows.dtype == object:
+        first: dict[tuple, int] = {}
+        for i, row in enumerate(map(tuple, rows.tolist())):
+            first.setdefault(row, i)
+        return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    keys = np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    ).ravel()
+    _, idx = np.unique(keys, return_index=True)
+    idx.sort()
+    return idx

@@ -71,8 +71,7 @@ class RunContext:
     Parameters
     ----------
     options:
-        The algorithm tunables (acceptance test, ordering,
-        chunk sizes).
+        The algorithm tunables (ordering, chunk sizes).
     memory_model:
         Optional modeled per-rank memory budget.  Drivers obtain fresh
         (zeroed) copies per run via :meth:`fresh_memory` so subproblems are
@@ -129,14 +128,13 @@ class RunContext:
         self,
         problem: "NullspaceProblem",
         col_ids: np.ndarray | None = None,
-    ) -> CacheBinding | None:
+    ) -> CacheBinding:
         """The rank-test cache binding for one prepared problem.
 
         The one place the serial, combinatorial, distributed, checkpointed
-        and divide-and-conquer drivers get their rank memo from.  Three
+        and divide-and-conquer drivers get their rank memo from.  Two
         regimes:
 
-        * pure-bittree runs take no cache (``None``);
         * with :attr:`shared_rank_memo` bound (divide-and-conquer), the
           binding addresses the run-wide memo through ``col_ids`` — the
           mapping from the problem's permuted columns to canonical
@@ -150,8 +148,6 @@ class RunContext:
         that combination the binding quietly degrades to a fresh private
         memo.
         """
-        if self.options.acceptance == "bittree":
-            return None
         if self.shared_rank_memo is not None and col_ids is not None:
             cache, token = self.shared_rank_memo
             return CacheBinding(cache, token, col_ids)
@@ -166,14 +162,10 @@ class RunContext:
         the rank of a submatrix depends only on which reduced-network
         columns the support selects — disjoint subsets repeatedly test
         overlapping supports of the same matrix, and Algorithm 3's
-        redundancy becomes cache hits.  No-op for pure-bittree runs (then
-        :meth:`rank_binding_for` returns ``None`` anyway).
+        redundancy becomes cache hits.
         """
         from repro.network.stoichiometry import stoichiometric_matrix  # noqa: PLC0415
 
-        if self.options.acceptance == "bittree":
-            self.shared_rank_memo = None
-            return
         token = problem_token(stoichiometric_matrix(reduced))
         self.shared_rank_memo = (RankCache(), token)
 

@@ -18,9 +18,8 @@ queue.  It replaces the sequential subset loop that used to live in
    Screened subsets are empty: they are never predicted, scheduled or
    dispatched;
 2. **schedule** — order the jobs: ``"predicted-peak"`` (largest first,
-   the LPT makespan heuristic), ``"subset-id"``, ``"reverse"``, or an
-   explicit index permutation (used by the equivalence tests to prove
-   schedule independence);
+   the LPT makespan heuristic) or an explicit index permutation (used by
+   the equivalence tests to prove schedule independence);
 3. **dispatch** — hand the ordered jobs to one of the two executors
    (:mod:`repro.engine.executors`), with an admission budget bounding the
    predicted bytes in flight;
@@ -64,7 +63,7 @@ from repro.mpi.spmd import BackendName
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import stoichiometric_matrix
 
-ScheduleName = Literal["predicted-peak", "subset-id", "reverse"]
+ScheduleName = Literal["predicted-peak"]
 Schedule = Union[ScheduleName, Sequence[int]]
 OnOom = Literal["record", "degrade"]
 
@@ -72,8 +71,9 @@ OnOom = Literal["record", "degrade"]
 #: run fingerprint (rank decisions are exact).  Version 4 dropped the
 #: float-or-rational mode choice and the float support threshold from it
 #: (modes are exact integers) and stores each subset's certified-mode
-#: count.
-_CHECKPOINT_VERSION = 4
+#: count.  Version 5 dropped the choice of candidate test from it (the rank
+#: test is the only one).
+_CHECKPOINT_VERSION = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,14 +235,9 @@ class SubproblemScheduler:
                 return sorted(
                     jobs, key=lambda j: (-(j.predicted_peak_bytes or 0), j.index)
                 )
-            if self.schedule == "subset-id":
-                return sorted(jobs, key=lambda j: j.index)
-            if self.schedule == "reverse":
-                return sorted(jobs, key=lambda j: -j.index)
             raise SchedulerError(
                 f"unknown schedule {self.schedule!r}; expected "
-                "'predicted-peak', 'subset-id', 'reverse' or an index "
-                "permutation"
+                "'predicted-peak' or an index permutation"
             )
         order = [int(i) for i in self.schedule]
         if sorted(order) != list(range(len(self.specs))):
@@ -268,7 +263,7 @@ class SubproblemScheduler:
         )
         h.update("|".join(spec.label() for spec in self.specs).encode())
         o = self.context.options
-        h.update(f"{o.acceptance}|{o.ordering}".encode())
+        h.update(o.ordering.encode())
         return h.hexdigest()
 
     def _subset_file(self, spec: SubsetSpec) -> Path:
@@ -284,14 +279,18 @@ class SubproblemScheduler:
         fingerprint = self._fingerprint()
         if manifest.exists():
             meta = json.loads(manifest.read_text())
-            if (
-                meta.get("version") != _CHECKPOINT_VERSION
-                or meta.get("fingerprint") != fingerprint
-            ):
+            version = meta.get("version")
+            if version != _CHECKPOINT_VERSION:
+                raise SchedulerError(
+                    f"checkpoint directory {self.checkpoint_dir} has "
+                    f"checkpoint format version {version} (expected "
+                    f"{_CHECKPOINT_VERSION}); refusing to mix results"
+                )
+            if meta.get("fingerprint") != fingerprint:
                 raise SchedulerError(
                     f"checkpoint directory {self.checkpoint_dir} belongs to a "
-                    "different run (network, subsets, options or checkpoint "
-                    "format changed); refusing to mix results"
+                    "different run (network, subsets or options changed); "
+                    "refusing to mix results"
                 )
             return
         manifest.write_text(

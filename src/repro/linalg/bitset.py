@@ -210,24 +210,6 @@ def subset_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
     return out
 
 
-def subset_count_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """For each candidate row, count reference rows that are subsets of it
-    (``ref & cand == ref``).  Chunked like :func:`subset_rows`."""
-    n_c = candidates.shape[0]
-    n_r = references.shape[0]
-    out = np.zeros(n_c, dtype=np.int64)
-    if n_c == 0 or n_r == 0:
-        return out
-    chunk = max(1, int(4_000_000 // max(1, n_r * candidates.shape[1])))
-    for start in range(0, n_c, chunk):
-        cs = candidates[start : start + chunk]
-        hit = ((references[None, :, :] & cs[:, None, :]) == references[None, :, :]).all(
-            axis=2
-        )
-        out[start : start + chunk] = hit.sum(axis=1)
-    return out
-
-
 def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deduplicate packed rows.
 
@@ -254,7 +236,7 @@ def rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Membership test: for each row of ``a``, does it occur in ``b``?
 
     Both arrays are packed ``(n, n_words)`` uint64.  Used by the streaming
-    dedup probe (:meth:`repro.core.bittree.SupportIndex.seen`) and by the
+    dedup probe (:meth:`repro.core.iterstream.SupportIndex.seen`) and by the
     distributed driver to drop candidates another rank already owns.
 
     Sorted search: ``b``'s rows are sorted once — the word itself when a

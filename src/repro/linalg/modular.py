@@ -34,7 +34,7 @@ two word-sized prime fields (primes chosen deterministically from the
 problem digest; ``64 * p^2 < 2^63`` keeps int64 fraction-free updates
 overflow-free).  Reduction mod ``p`` can only *lower* a rank, so the
 mod-``p`` nullity estimate ``d - rank_p(B[S̄])`` upper-bounds the rational
-nullity: an estimate of 1 is a *certificate* of acceptance (the true
+nullity: an estimate of 1 is a *certificate* that the candidate passes (the true
 nullity is sandwiched: ``1 <= nullity <= 1``).  Estimates ``>= 2`` are
 re-checked under a second prime and the minimum is kept; candidates where
 the two primes still disagree on the value are settled by exact

@@ -29,12 +29,7 @@ import numpy as np
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core.candidates import strided_range
 from repro.core.kernel import NullspaceProblem
-from repro.core.serial import (
-    NullspaceResult,
-    check_acceptance_applicable,
-    iterate_row,
-    nullspace_algorithm,
-)
+from repro.core.serial import NullspaceResult, iterate_row, nullspace_algorithm
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
@@ -108,7 +103,6 @@ def combinatorial_worker(
     stop = problem.q if stop_row is None else stop_row
     if not (problem.first_row <= stop <= problem.q):
         raise AlgorithmError(f"stop_row {stop} out of range")
-    check_acceptance_applicable(problem, options, stop)
     if rank_cache is None:
         rank_cache = ctx.rank_binding_for(problem)
 
@@ -134,7 +128,6 @@ def combinatorial_worker(
             pair_range_for=lambda n: strided_range(n, comm.rank, comm.size),
             rank_cache=rank_cache,
             materialize=False,
-            processed_rows=selector.adjacency_rows(),
         )
 
         # Communicate&Merge: exchange accepted local candidates; every rank
@@ -149,7 +142,7 @@ def combinatorial_worker(
 
         t0 = time.perf_counter()
         # Most ranks contribute nothing on a typical iteration (a handful
-        # of acceptances spread over all ranks), so assemble only the
+        # of accepted candidates spread over all ranks), so assemble only the
         # non-empty parts — and when at most one rank contributed, adopt
         # its arrays without any copy.
         parts = [g for g in gathered if g[0].shape[0]] or [gathered[0]]

@@ -75,8 +75,8 @@ class DistributedRunResult:
             out = out.concat(m)
         return out
 
-    def efms_input_order(self) -> np.ndarray:
-        """The union of all ranks' modes in input reaction order.
+    def efm_modes(self) -> ModeMatrix:
+        """The union of all ranks' modes (problem order) — the EFM set.
 
         Raises :class:`~repro.errors.AlgorithmError` for early-stopped
         runs — intermediate modes are not EFMs (mirrors
@@ -89,7 +89,11 @@ class DistributedRunResult:
                 "intermediate nullspace state, not an EFM set — read "
                 ".rank_modes for intermediate access"
             )
-        return self.all_modes().float_values(self.problem.inverse_perm())
+        return self.all_modes()
+
+    def efms_input_order(self) -> np.ndarray:
+        """:meth:`efm_modes` as float rows in input reaction order."""
+        return self.efm_modes().float_values(self.problem.inverse_perm())
 
     @property
     def peak_rank_bytes(self) -> int:
@@ -169,8 +173,7 @@ def distributed_worker(
             # here, after the allgather below.
             cand = stream_iteration(
                 active, k, pos_idx, neg_idx, pr, problem.n_perm,
-                problem.rank, options, it,
-                acceptance="rank", rank_cache=rank_cache,
+                problem.rank, options, it, rank_cache=rank_cache,
             )
             it.n_accepted = cand.n_modes
 

@@ -30,7 +30,6 @@ from repro.core.candidates import PairRange, survivor_chunks
 from repro.core.ranktest import rank_test
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer
-from repro.errors import AlgorithmError
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports, pack_support_rows
 from repro.parallel import distributed
@@ -78,7 +77,6 @@ def generate_candidates(
     rank_bound: int,
     options: AlgorithmOptions,
     stats: IterationStats,
-    adjacency=None,
     *,
     deferred: bool = True,
 ) -> CandidateBatch:
@@ -97,7 +95,6 @@ def generate_candidates(
 
     for i_ok, j_ok, cand, transient in survivor_chunks(
         modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
-        adjacency=adjacency,
     ):
         mask = cand != 0
         word_chunks.append(pack_support_rows(mask))
@@ -144,8 +141,6 @@ def batch_iteration(
     stats: IterationStats,
     *,
     zero_words: np.ndarray | None = None,
-    adjacency=None,
-    acceptance: str | None = None,
     rank_cache=None,
     deferred: bool = True,
 ) -> CandidateBatch:
@@ -153,12 +148,10 @@ def batch_iteration(
     return contract as :func:`repro.core.iterstream.stream_iteration`."""
     if modes.widen_for_row(k):
         stats.n_int_switches += 1
-    if acceptance is None:
-        acceptance = options.acceptance
     with PhaseTimer(stats, "t_gen_cand"):
         cand = generate_candidates(
             modes, k, pos_idx, neg_idx, pair_range, rank_bound, options,
-            stats, adjacency=adjacency, deferred=deferred,
+            stats, deferred=deferred,
         )
     with PhaseTimer(stats, "t_merge"):
         before = cand.n_modes
@@ -170,24 +163,16 @@ def batch_iteration(
             if dup.any():
                 cand = cand.select(~dup)
         stats.n_duplicates += before - cand.n_modes
-    if acceptance in ("rank", "both"):
-        stats.n_tested += cand.n_modes
-        with PhaseTimer(stats, "t_rank_test"):
-            accept = rank_test(
-                cand,
-                n_perm,
-                rank_bound,
-                cache=rank_cache,
-                stats=stats,
-            )
-        if acceptance == "both" and not accept.all():
-            raise AlgorithmError(
-                "adjacency test accepted a candidate the rank test "
-                f"rejects at row {k} ({int((~accept).sum())} of "
-                f"{cand.n_modes})"
-            )
-        cand = cand.select(accept)
-    return cand
+    stats.n_tested += cand.n_modes
+    with PhaseTimer(stats, "t_rank_test"):
+        accept = rank_test(
+            cand,
+            n_perm,
+            rank_bound,
+            cache=rank_cache,
+            stats=stats,
+        )
+    return cand.select(accept)
 
 
 def use_batch_oracle(monkeypatch, *, deferred: bool = True) -> None:

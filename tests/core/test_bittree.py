@@ -1,13 +1,11 @@
-"""Unit tests for the support index and the adjacency test."""
+"""Unit tests for the candidate phase's support index and the adjacency
+test oracle."""
 
 import numpy as np
 
-from repro.core.bittree import (
-    AdjacencyTest,
-    SupportIndex,
-    processed_rows_mask,
-)
+from repro.core.iterstream import SupportIndex
 from repro.linalg import bitset
+from tests.core.adjacency_oracle import AdjacencyTest, processed_rows_mask
 
 
 def _pack(rows_of_bits, n_rows):

@@ -19,21 +19,14 @@ from tests.conftest import assert_same_modes
 
 class TestFingerprint:
     def test_stable(self, toy_problem):
-        a = problem_fingerprint(toy_problem, AlgorithmOptions())
-        b = problem_fingerprint(toy_problem, AlgorithmOptions())
+        a = problem_fingerprint(toy_problem)
+        b = problem_fingerprint(toy_problem)
         assert a == b
-
-    def test_sensitive_to_options(self, toy_problem):
-        a = problem_fingerprint(toy_problem, AlgorithmOptions())
-        b = problem_fingerprint(
-            toy_problem, AlgorithmOptions(acceptance="bittree")
-        )
-        assert a != b
 
     def test_sensitive_to_problem(self, toy_problem, toy_record):
         other = build_problem(toy_record.reduced, force_last=("r6r",))
-        a = problem_fingerprint(toy_problem, AlgorithmOptions())
-        b = problem_fingerprint(other, AlgorithmOptions())
+        a = problem_fingerprint(toy_problem)
+        b = problem_fingerprint(other)
         assert a != b
 
 
@@ -167,7 +160,23 @@ class TestRunAndResume:
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **arrays)
         with pytest.raises(
-            AlgorithmError, match=r"version 4 unsupported \(expected 5\)"
+            AlgorithmError, match=r"version 4 unsupported \(expected 6\)"
+        ):
+            checkpointed_nullspace_algorithm(toy_problem, path)
+
+    def test_version_5_resume_refused(self, toy_problem, tmp_path):
+        # A version-5 fingerprint hashed the acceptance test, which is gone;
+        # the run must refuse the file by version, naming both versions,
+        # not report it as a foreign problem.
+        path = tmp_path / "run.ckpt"
+        checkpointed_nullspace_algorithm(toy_problem, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["version"] = np.int64(5)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(
+            AlgorithmError, match=r"version 5 unsupported \(expected 6\)"
         ):
             checkpointed_nullspace_algorithm(toy_problem, path)
 

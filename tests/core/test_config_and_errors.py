@@ -13,14 +13,12 @@ class TestAlgorithmOptions:
         # The ordering default follows REPRO_ORDERING; pin the built-in one.
         monkeypatch.delenv("REPRO_ORDERING", raising=False)
         o = AlgorithmOptions()
-        assert o.acceptance == "rank"
         assert o.ordering == "dynamic"
         assert o.selection_lookahead == 4
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("acceptance", "vibes"),
             ("ordering", "alphabetical"),
             ("selection_lookahead", -1),
             ("selection_lookahead", 2.5),
@@ -59,6 +57,14 @@ class TestAlgorithmOptions:
         assert field not in {f.name for f in dataclasses.fields(AlgorithmOptions)}
         with pytest.raises(TypeError):
             AlgorithmOptions(**{field: None})
+
+    def test_no_acceptance_option(self):
+        # The rank test is the only acceptance test; the adjacency test
+        # lives on as a test oracle (tests/core/adjacency_oracle.py).
+        fields = {f.name for f in dataclasses.fields(AlgorithmOptions)}
+        assert "acceptance" not in fields
+        with pytest.raises(TypeError):
+            AlgorithmOptions(acceptance="rank")
 
 
 class TestExceptionHierarchy:

@@ -322,15 +322,30 @@ class TestRowSelectorProcessed:
 
 class TestRowSelectorIntrospection:
     def test_adjacency_rows_exclude_in_flight(self):
-        p = _problem(5, 2)
-        sel = RowSelector(p, 5, AlgorithmOptions(ordering="paper"))
-        # Before any pick: identity block only.
-        assert sel.adjacency_rows().tolist() == [0, 1]
-        sel.next_row()
-        # One pick in flight: still identity block only.
-        assert sel.adjacency_rows().tolist() == [0, 1]
-        sel.next_row()
-        assert sel.adjacency_rows().tolist() == [0, 1, 2]
+        # The adjacency oracle masks on the identity block plus the rows
+        # eliminated before the in-flight one.  Replaying the out-of-
+        # position order the dynamic selector realized on the fully split
+        # yeast-I-small problem, it reaches the rank run's modes exactly.
+        from repro.core.serial import nullspace_algorithm
+        from repro.models.variants import yeast_1_small
+        from repro.network.compression import compress_network
+        from tests.core.adjacency_oracle import (
+            adjacency_nullspace_algorithm,
+            mode_rows,
+            realized_order,
+            split_every_reversible,
+        )
+
+        reduced = compress_network(yeast_1_small()).reduced
+        p, _ = split_every_reversible(reduced)
+        by_rank = nullspace_algorithm(
+            p, options=AlgorithmOptions(ordering="dynamic")
+        )
+        order = realized_order(by_rank)
+        assert sorted(order) == list(range(p.first_row, p.q))
+        assert order != sorted(order)
+        by_tree = adjacency_nullspace_algorithm(p, row_order=order)
+        assert mode_rows(by_tree) == mode_rows(by_rank)
 
     def test_fingerprint_row_order_invariant(self):
         p = _problem(4, 2)

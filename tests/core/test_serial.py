@@ -10,6 +10,7 @@ from repro.errors import AlgorithmError, OutOfMemoryError
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
 from repro.network.stoichiometry import stoichiometric_matrix
+from tests.core.adjacency_oracle import adjacency_nullspace_algorithm, mode_rows
 
 
 class TestBasicRun:
@@ -118,18 +119,18 @@ class TestTrace:
 
 
 class TestAcceptanceGuard:
-    def test_bittree_rejected_on_reversible_rows(self, toy_problem):
-        with pytest.raises(AlgorithmError, match="irreversible"):
-            nullspace_algorithm(
-                toy_problem, options=AlgorithmOptions(acceptance="bittree")
-            )
+    """The rank run against the adjacency-test oracle, which refuses
+    problems whose processed rows are not all irreversible."""
+
+    def test_oracle_refuses_reversible_rows(self, toy_problem):
+        with pytest.raises(ValueError, match="irreversible"):
+            adjacency_nullspace_algorithm(toy_problem)
 
     def test_bittree_ok_on_irreversible_network(self):
         net = random_network(4, 8, seed=0, reversible_fraction=0.0)
         rec = compress_network(net)
         p = build_problem(rec.reduced)
         by_rank = nullspace_algorithm(p)
-        by_tree = nullspace_algorithm(
-            p, options=AlgorithmOptions(acceptance="bittree")
-        )
+        by_tree = adjacency_nullspace_algorithm(p)
         assert by_rank.n_efms == by_tree.n_efms
+        assert mode_rows(by_rank) == mode_rows(by_tree)

@@ -288,7 +288,7 @@ class TestDedupIndexAccounting:
     accounting must see it for as long as the candidates are alive."""
 
     def _index(self, n_words, rows=4):
-        from repro.core.bittree import SupportIndex
+        from repro.core.iterstream import SupportIndex
 
         idx = SupportIndex(n_words)
         idx.add(np.arange(1, rows + 1, dtype=np.uint64).reshape(rows, 1)
@@ -339,7 +339,7 @@ class TestSupportIndexMembership:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_seen_matches_set_oracle(self, seed, n_pool, n_frozen, chunks):
-        from repro.core.bittree import SupportIndex
+        from repro.core.iterstream import SupportIndex
         from repro.linalg import bitset
 
         rng = np.random.default_rng(seed)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
 from repro.engine import executors as executors_mod
 from repro.errors import (
@@ -123,12 +122,6 @@ class TestAutoSplit:
         net = random_network(4, 8, seed=1001, reversible_fraction=0.8)
         with pytest.raises(ReversibleIdentityError):
             compute_efms(net, auto_split=False)
-
-    def test_bittree_acceptance_forces_full_split(self, toy):
-        base = compute_efms(toy)
-        r = compute_efms(toy, options=AlgorithmOptions(acceptance="bittree"))
-        assert base.same_modes_as(r)
-        assert set(r.meta["split"]) == {"r6r", "r8r"}
 
 
 class TestOutputShape:

@@ -1,5 +1,8 @@
 """Tests for extreme pathways and their relation to EFMs (paper ref [30])."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,18 @@ from repro.efm.extreme_pathways import (
 )
 from repro.errors import AlgorithmError
 from repro.models.generators import random_network
+
+
+def _integer_rows(fluxes):
+    """Unit max-norm float rows of small rationals as coprime integer rows."""
+    rows = []
+    for row in fluxes.tolist():
+        fr = [Fraction(v).limit_denominator(10**6) for v in row]
+        scale = math.lcm(*(f.denominator for f in fr))
+        ints = [int(f * scale) for f in fr]
+        g = math.gcd(*ints) or 1
+        rows.append([v // g for v in ints])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), fluxes.shape[1])
 
 
 class TestIsExtremeRay:
@@ -56,7 +71,7 @@ class TestExtremePathways:
         efms = compute_efms(toy)
         rec = split_all_reversible(toy)
         expa_like = extreme_pathways(toy)
-        folded = rec.fold_modes(expa_like.fluxes)
+        folded = rec.fold_modes(_integer_rows(expa_like.fluxes))
         from tests.conftest import canonical_rows
 
         a = canonical_rows(efms.fluxes)

@@ -37,10 +37,6 @@ class TestEnsure:
 
 
 class TestRankBindingFor:
-    def test_bittree_gets_no_cache(self, toy_problem):
-        ctx = RunContext(options=AlgorithmOptions(acceptance="bittree"))
-        assert ctx.rank_binding_for(toy_problem) is None
-
     def test_default_gets_fresh_private_binding(self, toy_problem):
         ctx = RunContext()
         a = ctx.rank_binding_for(toy_problem)
@@ -66,11 +62,6 @@ class TestRankBindingFor:
         binding = ctx.rank_binding_for(toy_problem)
         assert binding is not None
         assert binding.cache is not ctx.shared_rank_memo[0]
-
-    def test_bind_shared_memo_noop_for_bittree(self, toy_record):
-        ctx = RunContext(options=AlgorithmOptions(acceptance="bittree"))
-        ctx.bind_shared_rank_memo(toy_record.reduced)
-        assert ctx.shared_rank_memo is None
 
 
 class TestHelpers:

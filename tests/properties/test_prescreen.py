@@ -11,7 +11,8 @@ necessary condition for nullity >= 2, so it must
 * leave every EFM set bit-identical to a run with the pre-screen
   patched out, on the serial, combinatorial-parallel and combined
   drivers;
-* count as a rank rejection in the ``acceptance="both"`` cross-check.
+* reject only pairs the combinatorial adjacency test rejects too, on a
+  fully irreversible problem (the subset half of that test).
 """
 
 from __future__ import annotations
@@ -20,19 +21,20 @@ import contextlib
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import AlgorithmOptions
-from repro.core import bittree, iterstream
+from repro.core import iterstream
+from repro.core.ordering import RowSelector
+from repro.core.serial import nullspace_algorithm
 from repro.core.state import CandidateBatch
 from repro.efm.api import compute_efms
-from repro.errors import AlgorithmError
 from repro.linalg.bitset import PackedSupports
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
 
+from tests.core.adjacency_oracle import AdjacencyTest, split_every_reversible
 from tests.core.fraction_oracle import solve_with_fraction_oracle
 from tests.core.rank_oracle import rank_test_with
 
@@ -160,27 +162,43 @@ def test_efm_sets_identical_without_prescreen(params, data):
     assert np.array_equal(with_screen["serial"].fluxes, oracle.fluxes)
 
 
-@pytest.fixture
-def adjacency_accepts_everything():
-    """Every pair passes the combinatorial adjacency test and every
-    candidate passes the algebraic rank kernel, so only the pre-screen can
-    reject anything."""
+def test_prescreen_rejections_are_adjacency_rejections():
+    """On the fully split yeast-I-small problem, every candidate the
+    pre-screen rejects is rejected by the adjacency test as well: the
+    zero-entry mode inside its support is a third mode below the pair."""
+    problem, _ = split_every_reversible(compress_network(yeast_1_small()).reduced)
+    records: list[dict] = []
+    current: dict = {}
+    next_row = RowSelector.next_row
+    stream = iterstream.stream_iteration
+    screen = iterstream.zero_mode_supersets
 
-    def adjacent(self, pair_union_words):
-        return np.ones(pair_union_words.shape[0], dtype=bool)
+    def next_row_spy(self, modes=None):
+        k = next_row(self, modes)
+        current["processed"] = (
+            list(range(self.problem.first_row)) + self.realized[:-1]
+        )
+        return k
 
-    def accept_all(cand, *args, **kwargs):
-        return np.ones(cand.n_modes, dtype=bool)
+    def stream_spy(modes, k, *args, **kw):
+        current.update(k=k, q=modes.q, current_words=modes.supports.words)
+        return stream(modes, k, *args, **kw)
 
-    with mock.patch.object(bittree.AdjacencyTest, "adjacent", adjacent), \
-            mock.patch.object(iterstream, "rank_test", accept_all):
-        yield
+    def screen_spy(words, zero_words):
+        hit = screen(words, zero_words)
+        if hit.any():
+            records.append(dict(current, words=words[hit]))
+        return hit
 
-
-def test_both_raises_on_prescreen_rejection(adjacency_accepts_everything):
-    options = AlgorithmOptions(acceptance="both")
-    with pytest.raises(AlgorithmError, match="adjacency test accepted"):
-        compute_efms(yeast_1_small(), options=options)
-    # Control: the same run without the pre-screen has nothing to object to.
-    with prescreen_off():
-        compute_efms(yeast_1_small(), options=options)
+    with mock.patch.object(RowSelector, "next_row", next_row_spy), \
+            mock.patch.object(iterstream, "stream_iteration", stream_spy), \
+            mock.patch.object(iterstream, "zero_mode_supersets", screen_spy):
+        result = nullspace_algorithm(problem)
+    checked = 0
+    for rec in records:
+        test = AdjacencyTest(
+            rec["current_words"], rec["q"], rec["k"], processed=rec["processed"]
+        )
+        assert not test.adjacent(rec["words"]).any(), f"row {rec['k']}"
+        checked += rec["words"].shape[0]
+    assert checked == result.stats.total_superset_rejected > 0
