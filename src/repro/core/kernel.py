@@ -25,7 +25,11 @@ from repro.errors import (
     ReversibleIdentityError,
 )
 from repro.linalg import modular
-from repro.linalg.numeric import INT64_LIMIT, kernel_identity_form
+from repro.linalg.numeric import (
+    INT64_LIMIT,
+    identity_form_from_basis,
+    kernel_identity_form,
+)
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import stoichiometric_matrix
 
@@ -189,8 +193,15 @@ def problem_from_matrices(
     options: AlgorithmOptions = DEFAULT_OPTIONS,
     force_last: Sequence[str] = (),
     free_hint: Sequence[str] = (),
+    basis: np.ndarray | None = None,
 ) -> NullspaceProblem:
     """Prepare a problem from a raw stoichiometry (input column order).
+
+    ``basis``, when given, is an exact integer basis of ``ker n`` (``(q,
+    d)``, input column order); the ``(I; R)`` kernel is then read off it
+    (:func:`~repro.linalg.numeric.identity_form_from_basis`) instead of
+    eliminating ``n`` — the divide-and-conquer subsets derive theirs from
+    the parent network's kernel.  The problem is the same either way.
 
     Raises :class:`~repro.errors.NoModesError` when the stoichiometry has
     full column rank (no modes exist).
@@ -201,6 +212,8 @@ def problem_from_matrices(
     q = n.shape[1]
     if reversible.shape != (q,) or len(names) != q:
         raise AlgorithmError("stoichiometry/reversibility/names size mismatch")
+    if basis is not None and basis.shape[0] != q:
+        raise AlgorithmError("kernel basis/stoichiometry size mismatch")
     if len(set(names)) != q:
         raise AlgorithmError("duplicate reaction names")
     for fname in force_last:
@@ -227,7 +240,12 @@ def problem_from_matrices(
     pivot_priority[force_idx] = -2
     pivot_priority[[names.index(f) for f in free_hint]] = 1  # scan last -> free
 
-    kernel0, col_perm = kernel_identity_form(n, pivot_priority=pivot_priority)
+    if basis is None:
+        kernel0, col_perm = kernel_identity_form(n, pivot_priority=pivot_priority)
+    else:
+        kernel0, col_perm = identity_form_from_basis(
+            basis, pivot_priority=pivot_priority
+        )
     n_free = kernel0.shape[1]
     if n_free == 0:
         raise NoModesError("stoichiometry has a trivial nullspace: no modes exist")

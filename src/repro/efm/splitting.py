@@ -74,33 +74,25 @@ class SplitRecord:
                 f"{self.split.n_reactions}"
             )
 
-        def col(name: str) -> np.ndarray:
-            return modes_split[:, columns[self.split.reaction_index(name)]]
+        def col(name: str) -> int:
+            return columns[self.split.reaction_index(name)]
 
-        out = np.zeros(
-            (modes_split.shape[0], self.original.n_reactions),
-            dtype=modes_split.dtype,
-        )
+        targets = np.empty(len(columns), dtype=np.intp)
+        signs = np.ones(len(columns), dtype=np.int64)
         split_set = set(self.split_names)
         for j, name in enumerate(self.original.reaction_names):
             if name in split_set:
-                out[:, j] = col(name + FWD_SUFFIX) - col(name + BWD_SUFFIX)
+                targets[col(name + FWD_SUFFIX)] = j
+                targets[col(name + BWD_SUFFIX)] = j
+                signs[col(name + BWD_SUFFIX)] = -1
             else:
-                out[:, j] = col(name)
-
-        # Canonicalize sign of fully-reversible-support modes (first active
-        # entry positive), then keep the first occurrence of each non-zero
-        # row: the flipped copies go, and so do two-cycle artifacts (both
-        # halves of a split reaction active; elementarity in the split
-        # network makes such a mode the bare two-cycle, which folds to 0).
-        active = out != 0
-        irr = ~np.array(self.original.reversibility, dtype=bool)
-        lead = out[np.arange(out.shape[0]), active.argmax(axis=1)]
-        flip = ~active[:, irr].any(axis=1) & (lead < 0)
-        out[flip] = -out[flip]
-        first = _first_occurrences(out)
-        first = first[active[first].any(axis=1)]
-        return out if first.size == out.shape[0] else out[first]
+                targets[col(name)] = j
+        return fold_split_columns(
+            modes_split,
+            targets,
+            signs,
+            ~np.array(self.original.reversibility, dtype=bool),
+        )
 
     def blow_up_names(self, names: Iterable[str]) -> list[str]:
         """Translate original reaction names to split-network names (a
@@ -153,6 +145,44 @@ def split_reversible(
         network.name + "-split", network.metabolites, new_reactions
     )
     return SplitRecord(original=network, split=split_net, split_names=names)
+
+
+def fold_split_columns(
+    modes: np.ndarray,
+    targets: np.ndarray,
+    signs: np.ndarray,
+    irreversible: np.ndarray,
+) -> np.ndarray:
+    """:meth:`SplitRecord.fold_modes` by column indices: column ``j`` of
+    the exact integer rows ``modes`` adds ``signs[j]`` times its flux to
+    column ``targets[j]`` of the folded rows (``-1`` on a backward half);
+    ``irreversible`` flags the folded columns.  Returns the folded rows
+    with the split artifacts dropped."""
+    out = np.zeros((modes.shape[0], irreversible.size), dtype=modes.dtype)
+    # Column by column, so no temporary of the size of ``modes`` is made
+    # (the fold runs when the mode matrix is at its largest).
+    filled: set[int] = set()
+    for j, (t, sign) in enumerate(zip(targets.tolist(), signs.tolist())):
+        col = modes[:, j]
+        if t not in filled:
+            filled.add(t)
+            out[:, t] = col if sign > 0 else -col
+        elif sign > 0:
+            out[:, t] += col
+        else:
+            out[:, t] -= col
+    # Canonicalize the sign of fully-reversible-support modes (first
+    # active entry positive), then keep the first occurrence of each
+    # non-zero row: the flipped copies go, and so do two-cycle artifacts
+    # (both halves of a split reaction active; elementarity in the split
+    # network makes such a mode the bare two-cycle, which folds to 0).
+    active = out != 0
+    lead = out[np.arange(out.shape[0]), active.argmax(axis=1)]
+    flip = ~active[:, irreversible].any(axis=1) & (lead < 0)
+    out[flip] = -out[flip]
+    first = _first_occurrences(out)
+    first = first[active[first].any(axis=1)]
+    return out if first.size == out.shape[0] else out[first]
 
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:

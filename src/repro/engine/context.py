@@ -35,6 +35,7 @@ from repro.linalg.rankmemo import CacheBinding, RankCache, problem_token
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.kernel import NullspaceProblem
     from repro.core.state import ModeMatrix
+    from repro.dnc.combined import ParentKernel
     from repro.network.model import MetabolicNetwork
 
 
@@ -88,11 +89,12 @@ class RunContext:
     memory_model: MemoryModel | None = None
     checkpoint_path: Path | None = None
     checkpoint_every: int = 1
-    #: Shared rank memo for divide-and-conquer runs: ``(cache, token)``
-    #: keyed by canonical reduced-network columns (see
-    #: :meth:`bind_shared_rank_memo`).  ``None`` means every run gets its
-    #: own per-problem memo.
-    shared_rank_memo: tuple[RankCache, bytes] | None = None
+    #: Shared rank memo for divide-and-conquer runs: ``(cache, token,
+    #: parent)`` keyed by canonical reduced-network columns, with the
+    #: reduced network's :class:`~repro.dnc.combined.ParentKernel`, whose
+    #: rank problem ranks the misses (see :meth:`bind_shared_rank_memo`).
+    #: ``None`` means every run gets its own per-problem memo.
+    shared_rank_memo: tuple[RankCache, bytes, "ParentKernel"] | None = None
     #: Finished per-run statistics, appended by drivers via :meth:`collect`
     #: (in-process runs only; forked executors aggregate on return values).
     collected_stats: list[RunStats] = dataclasses.field(default_factory=list)
@@ -139,7 +141,9 @@ class RunContext:
           binding addresses the run-wide memo through ``col_ids`` — the
           mapping from the problem's permuted columns to canonical
           reduced-network column ids, so differing permutations, deletions
-          and reversible splits all hit the same entries;
+          and reversible splits all hit the same entries — and its misses
+          are ranked on the reduced stoichiometry's one rank problem
+          through the same map (rank depends only on the column span);
         * otherwise a fresh per-run memo keyed by the problem's own
           stoichiometry.
 
@@ -149,8 +153,8 @@ class RunContext:
         memo.
         """
         if self.shared_rank_memo is not None and col_ids is not None:
-            cache, token = self.shared_rank_memo
-            return CacheBinding(cache, token, col_ids)
+            cache, token, parent = self.shared_rank_memo
+            return CacheBinding(cache, token, col_ids, parent.problem)
         return CacheBinding(RankCache(), problem_token(problem.n_perm))
 
     def bind_shared_rank_memo(self, reduced: "MetabolicNetwork") -> None:
@@ -162,12 +166,15 @@ class RunContext:
         the rank of a submatrix depends only on which reduced-network
         columns the support selects — disjoint subsets repeatedly test
         overlapping supports of the same matrix, and Algorithm 3's
-        redundancy becomes cache hits.
+        redundancy becomes cache hits.  For the same reason the reduced
+        network's :class:`~repro.dnc.combined.ParentKernel` is built here,
+        once: its rank problem ranks every subproblem's misses, and its
+        kernel screens and prepares every subset.
         """
-        from repro.network.stoichiometry import stoichiometric_matrix  # noqa: PLC0415
+        from repro.dnc.combined import ParentKernel  # noqa: PLC0415
 
-        token = problem_token(stoichiometric_matrix(reduced))
-        self.shared_rank_memo = (RankCache(), token)
+        parent = ParentKernel(reduced)
+        self.shared_rank_memo = (RankCache(), problem_token(parent.n), parent)
 
     # -- per-run helpers -----------------------------------------------------
 

@@ -191,7 +191,9 @@ class SubproblemScheduler:
         Also sets :attr:`screen_counts`: how many subsets had their blocked
         set computed, and how many a smaller zero set decided.
         """
-        blocked, n_computed = screen_subsets(self.reduced, self.specs)
+        blocked, n_computed = screen_subsets(
+            self.reduced, self.specs, context=self.context
+        )
         self.screen_counts = {
             "screen_computed": n_computed,
             "screen_inherited": len(self.specs) - n_computed,

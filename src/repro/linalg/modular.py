@@ -141,9 +141,60 @@ def integer_columns(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return out, scales
 
 
+def montante(a: np.ndarray) -> tuple[list[int], np.ndarray, int]:
+    """Fraction-free Gauss-Jordan (Montante) elimination of an integer
+    matrix, columns scanned left to right.
+
+    Returns ``(pivots, A, delta)``: the pivot columns (the leftmost
+    independent columns), the eliminated matrix and the last pivot.  In
+    ``A`` every pivot column is ``delta`` on its own row and zero on every
+    other row, so row ``i < len(pivots)`` is ``delta`` times the reduced
+    row echelon row of pivot ``i``.
+
+    int64 input raises ``OverflowError`` when entries or intermediates
+    threaten the int64 envelope; ``object``-dtype (Python int) input runs
+    the same elimination without a bound.
+    """
+    m, q = a.shape
+    bounded = a.dtype != object
+    A = a.astype(np.int64 if bounded else object)
+    if bounded and A.size and max(A.max(), -A.min()) >= INT_KERNEL_GUARD:
+        raise OverflowError("Montante input exceeds int64 envelope")
+    piv_cols: list[int] = []
+    prev = 1
+    r = 0
+    for j in range(q):
+        if r == m:
+            break
+        col = A[r:, j]
+        if not col.any():
+            continue
+        pr = r + int(col.nonzero()[0][0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        pv = A[r, j]
+        f = A[:, j].copy()
+        f[r] = 0
+        row = A[r].copy()
+        # Montante step: update every row except the pivot row, which is
+        # left untouched at its own step (the fraction-free Gauss-Jordan
+        # invariant; scaling it here would corrupt later exact divisions).
+        A *= pv
+        A -= f[:, None] * row
+        if prev != 1:
+            A //= prev
+        A[r] = row
+        if bounded and max(A.max(), -A.min()) >= INT_KERNEL_GUARD:
+            raise OverflowError("Montante elimination exceeds int64 envelope")
+        prev = pv
+        piv_cols.append(j)
+        r += 1
+    return piv_cols, A, prev
+
+
 def int_kernel(n_int: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Exact integer nullspace basis via Montante (fraction-free
-    Gauss-Jordan) elimination.
+    Gauss-Jordan) elimination (:func:`montante`).
 
     Returns ``(pivots, B)``: the pivot columns (the leftmost independent
     columns, so ``len(pivots)`` is the rank) and a ``(q, d)`` basis of the
@@ -156,38 +207,8 @@ def int_kernel(n_int: np.ndarray) -> tuple[list[int], np.ndarray]:
     threaten the int64 envelope; ``object``-dtype (Python int) input runs
     the same elimination without a bound.
     """
-    m, q = n_int.shape
-    bounded = n_int.dtype != object
-    A = n_int.astype(np.int64 if bounded else object)
-    if bounded and A.size and np.abs(A).max() >= INT_KERNEL_GUARD:
-        raise OverflowError("Montante input exceeds int64 envelope")
-    piv_cols: list[int] = []
-    prev = 1
-    r = 0
-    for j in range(q):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, j])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        pv = A[r, j]
-        f = A[:, j].copy()
-        f[r] = 0
-        # Montante step: update every row except the pivot row, which is
-        # left untouched at its own step (the fraction-free Gauss-Jordan
-        # invariant; scaling it here would corrupt later exact divisions).
-        upd = pv * A - np.outer(f, A[r])
-        upd //= prev
-        upd[r] = A[r]
-        A = upd
-        if bounded and np.abs(A).max() >= INT_KERNEL_GUARD:
-            raise OverflowError("Montante kernel basis exceeds int64 envelope")
-        prev = pv
-        piv_cols.append(j)
-        r += 1
+    q = n_int.shape[1]
+    piv_cols, A, delta = montante(n_int)
     # Every pivot entry now equals the final pivot ``delta`` and each pivot
     # column is zero off its own row, so the kernel reads straight off the
     # eliminated rows: x[free] = delta, x[pivot_i] = -A[i, free].
@@ -195,8 +216,8 @@ def int_kernel(n_int: np.ndarray) -> tuple[list[int], np.ndarray]:
     is_free[piv_cols] = False
     free = np.flatnonzero(is_free)
     B = np.zeros((q, free.size), dtype=A.dtype)
-    B[free, np.arange(free.size)] = prev
-    B[piv_cols, :] = -A[:r][:, free]
+    B[free, np.arange(free.size)] = delta
+    B[piv_cols, :] = -A[: len(piv_cols)][:, free]
     return piv_cols, gcd_reduce_columns(B)
 
 
@@ -227,9 +248,10 @@ class ModularProblem:
     """Per-stoichiometry prepared state of the modular engine.
 
     ``n_int`` is the stoichiometry as read by :func:`integer_columns`
-    (int64, or Python ints past the int64 envelope) and ``b_int`` the
-    transposed gcd-reduced exact kernel basis ``(d, q)`` of the same
-    dtype — the source every residue panel is reduced from.  ``bt`` is
+    (int64, or Python ints past the int64 envelope; ``scales`` are its
+    column scales) and ``b_int`` the transposed gcd-reduced exact kernel
+    basis ``(d, q)`` of the same dtype — the source every residue panel is
+    reduced from.  ``bt`` is
     that basis as float64, built only when every entry is an exact float64
     integer; ``bt_pad`` is the same panel bordered by one zero row and
     column, the gather target of the exact arm's padded index matrices.
@@ -240,8 +262,8 @@ class ModularProblem:
     """
 
     __slots__ = (
-        "q", "m", "rank", "d", "n_int", "b_int", "bt", "bt_pad", "unit",
-        "coord", "primes", "_residues",
+        "q", "m", "rank", "d", "n_int", "scales", "b_int", "bt", "bt_pad",
+        "unit", "coord", "primes", "_residues",
     )
 
     def __init__(self, n_perm: np.ndarray) -> None:
@@ -257,7 +279,9 @@ class ModularProblem:
         self.primes = tuple(
             PRIMES[(start + k) % len(PRIMES)] for k in range(len(PRIMES))
         )
-        self.n_int, _ = integer_columns(np.asarray(n_perm, dtype=np.float64))
+        self.n_int, self.scales = integer_columns(
+            np.asarray(n_perm, dtype=np.float64)
+        )
         try:
             pivots, B = int_kernel(self.n_int)
         except OverflowError:
@@ -601,16 +625,23 @@ def modular_ranks(
     One vectorized key pass (:meth:`~repro.linalg.rankmemo.CacheBinding.keys`
     over the packed support rows ``words``) drives the memo lookups, all
     misses of a call go to the kernel as one batch of complements, and the
-    computed ranks are stored back.  Candidates the two residue primes
-    disagree on are settled by exact elimination on Python integers and
-    counted in ``n_rank_fallback``; ``stats`` is an optional
+    computed ranks are stored back.  A binding that carries a canonical
+    rank problem (a divide-and-conquer subproblem, see
+    :meth:`~repro.engine.context.RunContext.rank_binding_for`) ranks its
+    misses on that problem: a subproblem's columns are the canonical
+    matrix's columns, some deleted and some duplicated with a flipped
+    sign, and rank depends only on the column span — the reason the memo
+    can share entries across subproblems.  Candidates the two residue
+    primes disagree on are settled by exact elimination on Python integers
+    and counted in ``n_rank_fallback``; ``stats`` is an optional
     :class:`~repro.core.stats.IterationStats` counter sink.
     """
     n = int(sizes.size)
     ranks = np.zeros(n, dtype=np.int64)
     if n == 0:
         return ranks
-    prob = problem_for(n_perm)
+    canonical = cache is not None and cache.problem is not None
+    prob = cache.problem if canonical else problem_for(n_perm)
     mask_t = np.ascontiguousarray(support_mask.T)  # (n, q)
     if cache is not None:
         keys = cache.keys(mask_t, sizes, words)
@@ -620,7 +651,12 @@ def modular_ranks(
         miss_idx = np.asarray(miss_pos, dtype=np.int64)
     else:
         miss_idx = np.arange(n, dtype=np.int64)
-    s_arr = sizes[miss_idx].astype(np.int64)
+    mask = mask_t[miss_idx]
+    if canonical:
+        mask = cache.canonical_columns(mask)
+        s_arr = mask.sum(axis=1, dtype=np.int64)
+    else:
+        s_arr = sizes[miss_idx].astype(np.int64)
     nm = miss_idx.size
     if stats is not None:
         stats.n_rank_batches += 1
@@ -629,13 +665,12 @@ def modular_ranks(
     nullities = None
     unresolved = np.zeros(nm, dtype=bool)
     if prob.bt is not None:
-        comp = ~mask_t[miss_idx]
         try:
-            nullities = prob.d - _unit_reduced_ranks(prob, comp, stats=stats)
+            nullities = prob.d - _unit_reduced_ranks(prob, ~mask, stats=stats)
         except OverflowError:  # guard tripped: the residue arm takes over
             pass
     if nullities is None:
-        idx_pad, counts = _padded_complements(mask_t, miss_idx, s_arr)
+        idx_pad, counts = _padded_complements(mask, np.arange(nm), s_arr)
         nullities, unresolved = _kernel_nullities(prob, idx_pad)
         empty = counts == 0  # full-support candidates: rank(B[∅]) = 0
         nullities[empty] = prob.d
@@ -649,7 +684,7 @@ def modular_ranks(
             stats.n_rank_fallback += u.size
             stats.n_rank_modular -= u.size
         for k in u.tolist():
-            cols = np.flatnonzero(mask_t[miss_idx[k]])
+            cols = np.flatnonzero(mask[k])
             miss_ranks[k] = len(int_kernel(prob.n_int[:, cols].astype(object))[0])
     ranks[miss_idx] = miss_ranks
     if cache is not None:

@@ -11,10 +11,15 @@ on every surviving column.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.errors import LinAlgError
 from repro.linalg.bitset import pack_support_rows
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.linalg.modular import ModularProblem
 
 #: Cache entries beyond this count are silently not inserted (lookup keeps
 #: working) — a simple, deterministic bound on memo growth for huge runs.
@@ -63,17 +68,30 @@ class CacheBinding:
     whole call where per-row ``np.unique`` cannot.
     """
 
-    __slots__ = ("cache", "token", "col_ids", "col_perm", "col_ids_sorted")
+    __slots__ = (
+        "cache", "token", "col_ids", "col_perm", "col_ids_sorted", "problem", "_lift",
+    )
 
     def __init__(
         self,
         cache: RankCache,
         token: bytes,
         col_ids: np.ndarray | None = None,
+        problem: "ModularProblem | None" = None,
     ) -> None:
         self.cache = cache
         self.token = token
         self.col_ids = None if col_ids is None else np.asarray(col_ids, dtype=np.int64)
+        #: the canonical matrix's prepared rank problem
+        #: (:class:`~repro.linalg.modular.ModularProblem`), or ``None`` to
+        #: rank the local stoichiometry; it needs ``col_ids``.
+        self.problem = problem
+        self._lift = None
+        if problem is not None:
+            if self.col_ids is None:
+                raise LinAlgError("a canonical rank problem needs col_ids")
+            self._lift = np.zeros((self.col_ids.size, problem.q), dtype=bool)
+            self._lift[np.arange(self.col_ids.size), self.col_ids] = True
         # Ascending-id column permutation: selecting support columns in
         # this order yields each candidate's canonical ids already sorted,
         # so the key pass needs no per-row sort (stable, so duplicated
@@ -117,6 +135,12 @@ class CacheBinding:
         ends = np.cumsum(sizes, dtype=np.int64) * 8
         starts = ends - sizes.astype(np.int64) * 8
         return [token + blob[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+    def canonical_columns(self, mask_t: np.ndarray) -> np.ndarray:
+        """The ``(n, q_canonical)`` column-set mask of the ``(n, q)``
+        local support mask ``mask_t``: duplicated (split) columns fold
+        onto one canonical column."""
+        return mask_t @ self._lift
 
 
 def problem_token(n_perm: np.ndarray) -> bytes:

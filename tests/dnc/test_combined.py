@@ -5,12 +5,15 @@ import pytest
 
 from repro.cluster.memory import MemoryModel
 from repro.core import iterstream
+import repro.core.kernel as core_kernel
 from repro.core.kernel import build_problem
 from repro.core.serial import nullspace_algorithm
 from repro.dnc.combined import combined_parallel, solve_subset
+from repro.dnc.selection import select_partition_reactions
 from repro.dnc.subsets import SubsetSpec
 from repro.efm.api import compute_efms
 from repro.errors import PartitionError
+from repro.linalg import modular
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
@@ -142,6 +145,35 @@ class TestYeastOneRank:
         assert result.meta["n_screened"] == 24
         # 248 with every subset enumerated through the one-rank SPMD path.
         assert 0 < len(calls) <= 248
+
+    def test_one_rank_problem_and_no_subset_elimination(self, monkeypatch):
+        """The subsets are screened, prepared and rank-tested from the
+        reduced network's one rank problem: the run builds exactly one
+        :class:`~repro.linalg.modular.ModularProblem` and eliminates no
+        subset stoichiometry (``kernel_identity_form``)."""
+        reduced = compress_network(yeast_1_small()).reduced
+        partition = select_partition_reactions(reduced, 5)
+        monkeypatch.setattr(modular, "_REGISTRY", {})
+        monkeypatch.setattr(modular, "_ID_CACHE", {})
+        built, eliminated = [], []
+        init = modular.ModularProblem.__init__
+
+        def counted_init(self, n_perm):
+            built.append(n_perm.shape)
+            init(self, n_perm)
+
+        monkeypatch.setattr(modular.ModularProblem, "__init__", counted_init)
+        kernel_identity_form = core_kernel.kernel_identity_form
+
+        def counted_kernel(*args, **kwargs):
+            eliminated.append(1)
+            return kernel_identity_form(*args, **kwargs)
+
+        monkeypatch.setattr(core_kernel, "kernel_identity_form", counted_kernel)
+        run = combined_parallel(reduced, partition, 1, executor="inline")
+        assert run.n_efms == 530 and run.n_screened == 24
+        assert built == [reduced.shape]
+        assert eliminated == []
 
     def test_oom_lands_in_subset_result(self, reduced):
         spec = SubsetSpec(subset_id=30, partition=self.PARTITION)

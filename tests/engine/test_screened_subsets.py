@@ -70,10 +70,10 @@ def solved(tmp_path, monkeypatch) -> CallLog:
 
 @pytest.fixture
 def screens(tmp_path, monkeypatch) -> CallLog:
-    """Logs every ``blocked_reactions`` call of the D&C layer."""
+    """Logs every ``screen_blocked`` call of the D&C layer."""
     log = CallLog(tmp_path / "screens.log")
-    spied = log.spy(combined.blocked_reactions, lambda net: net.n_reactions)
-    monkeypatch.setattr(combined, "blocked_reactions", spied)
+    spied = log.spy(combined.screen_blocked, lambda parent, gone: len(gone))
+    monkeypatch.setattr(combined, "screen_blocked", spied)
     return log
 
 

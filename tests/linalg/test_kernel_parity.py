@@ -12,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 import repro.core.kernel as core_kernel
 from repro.efm.api import build_problem_with_split, compute_efms
 from repro.linalg import modular
-from repro.linalg.numeric import kernel_identity_form
+from repro.linalg.numeric import identity_form_from_basis, kernel_identity_form
 from repro.models.registry import get_network
-from repro.network import compression
 from repro.network.compression import compress_network
 from tests.linalg.kernel_oracle import oracle_kernel_identity_form
 
@@ -56,6 +55,28 @@ def test_matches_fraction_oracle(case):
     assert_matches_oracle(a, prio)
 
 
+@given(case=stoichiometries(), data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_identity_form_from_any_basis_matches_fraction_oracle(case, data):
+    """Read off any integer basis of ``ker n`` — the program's own, its
+    columns mixed by a random nonsingular integer matrix — the ``(I; R)``
+    form is the oracle's."""
+    a, prio = case
+    kernel, perm = kernel_identity_form(a, pivot_priority=prio)
+    d = kernel.shape[1]
+    basis = np.empty_like(kernel)
+    basis[perm] = kernel
+    mix = data.draw(hnp.arrays(np.int64, (d, d), elements=st.integers(-3, 3)))
+    if d and round(np.linalg.det(mix)) != 0:
+        basis = basis @ mix
+    got, got_perm = identity_form_from_basis(basis, pivot_priority=prio)
+    ref_kernel, ref_perm = oracle_kernel_identity_form(a, prio)
+    assert np.array_equal(got_perm, ref_perm)
+    assert got.shape == ref_kernel.shape
+    assert got.tolist() == ref_kernel.tolist()
+
+
 @pytest.mark.parametrize(
     "n",
     [
@@ -87,36 +108,43 @@ def test_int64_overflow_reruns_on_python_ints(monkeypatch):
 
 
 def test_yeast_kernels_and_every_dnc_subset_match_oracle(monkeypatch):
-    """Every kernel a yeast D&C run builds matches the oracle: the problem
-    builds (through ``repro.core.kernel``) and the blocked-reaction
-    screen's (through ``repro.network.compression``)."""
-    calls = {"problem": [], "screen": []}
+    """Every kernel a yeast D&C run builds matches the oracle: the ones
+    eliminated from a stoichiometry, and the subsets' ones read off a basis
+    derived from the parent's kernel.  A derived form is compared, as the
+    run returned it, with the oracle's form of a stoichiometry whose kernel
+    that basis spans (the basis' annihilator)."""
+    eliminated, derived = [], []
 
-    def spy(module, kind):
-        real = module.kernel_identity_form
+    def spy_eliminated(a, **kwargs):
+        eliminated.append((np.copy(a), kwargs.get("pivot_priority")))
+        return real_eliminated(a, **kwargs)
 
-        def record(n, **kwargs):
-            calls[kind].append((n.copy(), kwargs.get("pivot_priority")))
-            return real(n, **kwargs)
+    def spy_derived(basis, **kwargs):
+        out = real_derived(basis, **kwargs)
+        annihilator = modular.int_kernel(basis.T.astype(object))[1].T.astype(float)
+        derived.append((annihilator, kwargs.get("pivot_priority"), out))
+        return out
 
-        monkeypatch.setattr(module, "kernel_identity_form", record)
-
-    spy(core_kernel, "problem")
-    spy(compression, "screen")
+    real_eliminated = core_kernel.kernel_identity_form
+    real_derived = core_kernel.identity_form_from_basis
+    monkeypatch.setattr(core_kernel, "kernel_identity_form", spy_eliminated)
+    monkeypatch.setattr(core_kernel, "identity_form_from_basis", spy_derived)
     result = compute_efms(
         get_network("yeast-I-small"), method="combined", partition=5,
         executor="inline",
     )
     assert result.n_efms == 530
-    # Partition selection (2), then one build per subset the screen lets
-    # through (8 of 32) plus 4 reversible-split retries.  The screen runs
-    # once over the subset lattice: 11 of the 32 subsets need their own
-    # blocked-reaction pass (the other 21 inherit a blocked partition
-    # reaction from a smaller zero set), one kernel per round, and 3 of
-    # those passes take a second round after their first kernel blocks a
-    # reaction.
-    assert len(calls["problem"]) == 2 + 8 + 4
-    assert len(calls["screen"]) == 11 + 3
+    # Partition selection eliminates twice (one reversible split); each
+    # subset the screen lets through (8 of 32) reads its kernel off the
+    # derived basis, plus 4 reversible-split retries.  The screen builds
+    # no kernel.
+    assert len(eliminated) == 2
+    assert len(derived) == 8 + 4
+    for annihilator, prio, (kernel, perm) in derived:
+        ref_kernel, ref_perm = oracle_kernel_identity_form(annihilator, prio)
+        assert np.array_equal(perm, ref_perm)
+        assert kernel.shape == ref_kernel.shape
+        assert kernel.tolist() == ref_kernel.tolist()
     build_problem_with_split(compress_network(get_network("yeast-II-small")).reduced)
-    for n, prio in calls["problem"] + calls["screen"]:
+    for n, prio in eliminated:
         assert_matches_oracle(n, prio)

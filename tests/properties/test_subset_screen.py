@@ -1,8 +1,8 @@
 """The blocked-reaction screen of the divide-and-conquer subsets.
 
 :func:`repro.dnc.combined.screen_subsets` runs
-:func:`repro.network.compression.blocked_reactions` over the partition's
-subset lattice before any kernel is built (a direct
+:func:`repro.dnc.combined.screen_blocked` over the partition's subset
+lattice before any problem is built (a direct
 :func:`~repro.dnc.combined.prepare_subset` call screens its one subset
 in place): a blocked non-zero partition reaction proves the subset
 empty, and the other blocked reactions are deleted.  The screen is only
@@ -35,7 +35,7 @@ from repro.dnc.subsets import SubsetSpec, enumerate_subsets
 from repro.efm.api import compute_efms
 from repro.models.generators import random_network
 from repro.models.registry import get_network
-from repro.network.compression import blocked_reactions, compress_network
+from repro.network.compression import compress_network
 from tests.conftest import assert_same_modes
 
 SETTINGS = dict(
@@ -56,8 +56,15 @@ network_params = st.fixed_dictionaries(
 
 @contextlib.contextmanager
 def screen_off():
-    with mock.patch.object(combined, "blocked_reactions", lambda net: frozenset()):
+    with mock.patch.object(
+        combined, "screen_blocked", lambda parent, gone: frozenset()
+    ):
         yield
+
+
+def screen_alone(reduced, spec) -> frozenset[str]:
+    """The screen of one subset, without the lattice."""
+    return combined.screen_blocked(combined.parent_kernel(reduced), spec.zero)
 
 
 def assert_screen_sound(reduced, partition) -> int:
@@ -75,7 +82,7 @@ def assert_screen_sound(reduced, partition) -> int:
 
     for spec in enumerate_subsets(partition):
         sub = reduced.without_reactions(spec.zero) if spec.zero else reduced
-        blocked = blocked_reactions(sub)
+        blocked = screen_alone(reduced, spec)
         if not blocked:
             continue
         efms = compute_efms(sub)
@@ -94,8 +101,7 @@ def lattice_rejects(reduced, partition) -> list[bool]:
     rejected = []
     for spec, got in zip(specs, lattice):
         assert got.isdisjoint(spec.zero)
-        sub = reduced.without_reactions(spec.zero) if spec.zero else reduced
-        alone = blocked_reactions(sub)
+        alone = screen_alone(reduced, spec)
         rejected.append(not got.isdisjoint(spec.nonzero))
         if not rejected[-1]:
             assert alone.isdisjoint(spec.nonzero), (
@@ -147,11 +153,13 @@ def test_lattice_screen_counts_on_yeast(name, q_sub, screened, computed):
     partition = tuple(select_partition_reactions(reduced, q_sub, method="tail"))
     calls = []
 
-    def counted(net):
-        calls.append(net)
-        return blocked_reactions(net)
+    screen = combined.screen_blocked
 
-    with mock.patch.object(combined, "blocked_reactions", counted):
+    def counted(parent, gone):
+        calls.append(gone)
+        return screen(parent, gone)
+
+    with mock.patch.object(combined, "screen_blocked", counted):
         _, n_computed = screen_subsets(reduced, enumerate_subsets(partition))
     assert n_computed == len(calls) == computed
     assert sum(lattice_rejects(reduced, partition)) == screened
@@ -168,8 +176,8 @@ def test_singleton_only_subnetwork_is_not_blocked():
     sub = reduced.without_reactions(spec.zero)
     rec = compress_network(sub)
     assert rec.reduced.n_reactions == 0 and len(rec.singletons) == 1
-    assert blocked_reactions(sub) == frozenset(rec.blocked)
-    assert "X1" not in blocked_reactions(sub)
+    assert screen_alone(reduced, spec) == frozenset(rec.blocked)
+    assert "X1" not in screen_alone(reduced, spec)
 
     prep = prepare_subset(reduced, spec)
     assert prep.problem is not None and not prep.screened
@@ -195,9 +203,45 @@ def test_yeast_1_small_screens_24_of_32_subsets(caplog):
         if s_on.screened:
             assert s_off.n_efms == 0
     # One DEBUG line per screened subset, naming the blocked reaction(s).
-    lines = [r.getMessage() for r in caplog.records if r.name == combined.__name__]
+    lines = [
+        r.getMessage()
+        for r in caplog.records
+        if r.name == combined.__name__ and "screened empty" in r.getMessage()
+    ]
     assert len(lines) == 24
     assert any("R81r, R96r blocked" in line for line in lines)
     # The screened subsets generate no candidates, so the split run now
     # beats the unsplit one (15,739) as in the paper's Table III.
     assert on.total_candidates < 15_739
+
+
+def test_subset_retries_are_logged(caplog):
+    """Reversible-split retries and the dependent-partition fallback
+    each leave one DEBUG line naming the subset."""
+    reduced = compress_network(get_network("yeast-I-small")).reduced
+    partition = ("R22r", "R32r", "R81r", "R96r", "R102r")
+    with caplog.at_level(logging.DEBUG, logger=combined.__name__):
+        combined_parallel(reduced, partition, 1)
+    splits = [
+        r.getMessage()
+        for r in caplog.records
+        if r.name == combined.__name__ and "splitting reversible" in r.getMessage()
+    ]
+    # Four of the eight surviving subsets split R74r, once each.
+    assert len(splits) == 4
+    assert all(line.endswith("splitting reversible R74r") for line in splits)
+
+    caplog.clear()
+    # J5 and J7 are reversible and linearly dependent once both carry
+    # flux: subset ``J5 J7`` falls back to full enumeration.
+    reduced = compress_network(
+        random_network(5, 10, seed=8, reversible_fraction=0.3)
+    ).reduced
+    with caplog.at_level(logging.DEBUG, logger=combined.__name__):
+        prep = prepare_subset(reduced, SubsetSpec(3, ("J5", "J7")))
+    assert prep.fallback and prep.stop == prep.problem.q
+    lines = [r.getMessage() for r in caplog.records if r.name == combined.__name__]
+    assert lines == [
+        "subset J5 J7: partition reactions are linearly dependent; "
+        "full enumeration and filtering"
+    ]

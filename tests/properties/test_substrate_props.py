@@ -145,10 +145,19 @@ def test_compression_expansion_maps_into_original_nullspace(params):
 @settings(**SETTINGS)
 def test_blocked_reactions_really_blocked(params):
     """Every reaction compression declares blocked carries zero flux in
-    every steady-state solution of the original network."""
+    every steady-state solution of the original network, and so does
+    every reaction the divide-and-conquer screen
+    (:func:`repro.dnc.combined.screen_blocked`) blocks in the compressed
+    network."""
+    from repro.dnc.combined import parent_kernel, screen_blocked
+
     net = random_network(**params)
     rec = compress_network(net)
-    if not rec.blocked:
+    reduced = rec.reduced
+    screened = (
+        screen_blocked(parent_kernel(reduced), ()) if reduced.n_reactions else ()
+    )
+    if not rec.blocked and not screened:
         return
     # Blocked means: zero in the nullspace? No — blocked under SIGN
     # constraints.  Verify via the EFM set instead: no mode uses them.
@@ -163,3 +172,9 @@ def test_blocked_reactions_really_blocked(params):
         j = net.reaction_index(name)
         if result.n_efms:
             assert np.abs(result.fluxes[:, j]).max() <= 1e-9
+    if screened:
+        modes = compute_efms(reduced, compress=False)
+        for name in screened:
+            j = reduced.reaction_index(name)
+            if modes.n_efms:
+                assert np.abs(modes.fluxes[:, j]).max() <= 1e-9
