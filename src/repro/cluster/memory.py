@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.state import ModeMatrix
 from repro.errors import OutOfMemoryError
+from repro.linalg import bitset
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dnc.subsets import SubsetSpec
@@ -121,26 +122,21 @@ def modular_workset_bytes(q: int, rank: int, batch: int) -> int:
     (:mod:`repro.linalg.modular`).
 
     The kernel answers nullity queries in complement form against a
-    ``(d, q)`` basis panel, ``d = q - rank``.  Per batch its exact arm
-    holds the unit-row-reduced stack — at most ``d`` live coordinates by
-    the non-unit complement members, ``batch * d * w`` float64 with ``w ≈
-    d`` after zero padding — plus one elimination temporary of the same
-    size, the padded member- and coordinate-index matrices, and the basis
-    panel with one residue image (the residue arm's full-complement stack
-    fits the same ``batch * d * w`` bound).  The ``batch * d * q`` term
-    once charged per-candidate elimination snapshots; the kernel no longer
-    keeps any, and the term stays as headroom so scheduler predictions do
-    not move.  Small next to the mode matrix, but the scheduler's
-    admission model should still see it.
+    ``(d, q)`` basis panel, ``d = q - rank``.  It eliminates a batch in
+    blocks, each block's padded panel and elimination copies within
+    :data:`~repro.linalg.bitset.TRANSIENT_BYTES` (on the exact arm and on
+    the residue arm alike), so one block is charged: that budget, or the
+    whole batch's stack (``batch * d * d`` entries at 16 bytes) when it
+    is smaller.  Per candidate the batch also holds support, complement
+    and index rows, at most ``24 * q + 64`` bytes; per problem the basis
+    panel, one residue image and the symmetric gather table.
     """
     d = max(1, int(q) - int(rank))
-    w = d + 1  # padded complement width: |S̄| ≤ d - 1, plus slack
     b = max(0, int(batch))
-    stack = b * d * w * 8 * 2  # gathered stack + elimination temporary
-    snapshots = b * d * q * 8  # headroom (no snapshots are kept any more)
-    indices = b * w * 8
-    basis = d * q * 8 * 2  # float panel + one residue image
-    return stack + snapshots + indices + basis
+    block = min(bitset.TRANSIENT_BYTES, b * d * d * 16)
+    rows = b * (24 * int(q) + 64)
+    basis = d * q * 8 * 2 + (d + 1 + q) ** 2 * 8
+    return block + rows + basis
 
 
 def candidate_row_bytes(q: int) -> int:
@@ -338,8 +334,9 @@ def predict_subset_peak_bytes(
     cand_bytes += prefilter_working_bytes(
         q_work, peak_pairs, streaming_chunk_pairs(q_work, pair_chunk)
     )
-    # The residue-field kernel's per-batch working set; batches are at
-    # most the surviving candidate count, surrogated by the peak modes.
+    # The residue-field kernel's per-batch working set: one bounded
+    # elimination block plus per-candidate rows for a batch of at most the
+    # surviving candidate count, surrogated by the peak modes.
     cand_bytes += modular_workset_bytes(q_work, rank, peak_modes)
     return int(
         working_factor * estimate_mode_bytes(peak_modes, q_work) + cand_bytes

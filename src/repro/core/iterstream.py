@@ -183,8 +183,8 @@ def zero_mode_supersets(words: np.ndarray, zero_words: np.ndarray) -> np.ndarray
     kernel vector on the candidate's support, independent of ``c``, so
     ``nullity(N[:, supp(c)]) >= 2`` and the rank test would reject ``c``
     — on reversible rows too, since only linear independence is used.
-    The broadcast transient is capped at the candidate-phase chunk budget
-    (:data:`repro.linalg.bitset.SUBSET_CHUNK_BYTES`).
+    The broadcast transient is capped at the rank test's transient budget
+    (:data:`repro.linalg.bitset.TRANSIENT_BYTES`).
     """
     return bitset.subset_rows(words, zero_words)
 

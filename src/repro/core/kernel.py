@@ -194,6 +194,7 @@ def problem_from_matrices(
     force_last: Sequence[str] = (),
     free_hint: Sequence[str] = (),
     basis: np.ndarray | None = None,
+    identity_form: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NullspaceProblem:
     """Prepare a problem from a raw stoichiometry (input column order).
 
@@ -202,6 +203,9 @@ def problem_from_matrices(
     (:func:`~repro.linalg.numeric.identity_form_from_basis`) instead of
     eliminating ``n`` — the divide-and-conquer subsets derive theirs from
     the parent network's kernel.  The problem is the same either way.
+    ``identity_form``, when given, is that ``(kernel, col_perm)`` form
+    itself, already known under these pivot priorities (a split subset's,
+    read off its unsplit form), and nothing is eliminated.
 
     Raises :class:`~repro.errors.NoModesError` when the stoichiometry has
     full column rank (no modes exist).
@@ -240,7 +244,9 @@ def problem_from_matrices(
     pivot_priority[force_idx] = -2
     pivot_priority[[names.index(f) for f in free_hint]] = 1  # scan last -> free
 
-    if basis is None:
+    if identity_form is not None:
+        kernel0, col_perm = identity_form
+    elif basis is None:
         kernel0, col_perm = kernel_identity_form(n, pivot_priority=pivot_priority)
     else:
         kernel0, col_perm = identity_form_from_basis(
@@ -270,6 +276,7 @@ def problem_from_matrices(
             "irreversible forward/backward pairs first "
             "(repro.efm.split_reversible, or compute_efms(auto_split=True)).",
             reactions=tuple(rev_free),
+            identity_form=(kernel0, col_perm),
         )
 
     # Bake the static row permutation into the problem.  Under

@@ -268,6 +268,8 @@ class SubsetColumns:
     reduced-network order), ``basis`` an exact integer basis of ``ker n``
     and ``col_ids`` / ``col_sign`` each column's reduced-network column
     and orientation (``-1`` on the backward half of a split reaction).
+    ``identity_form``, when known, is ``(force_last, kernel, col_perm)``:
+    the ``(I; R)`` form of ``basis`` under those pinned reactions.
     """
 
     n: np.ndarray
@@ -276,6 +278,7 @@ class SubsetColumns:
     basis: np.ndarray
     col_ids: np.ndarray
     col_sign: np.ndarray
+    identity_form: tuple | None = None
 
     @property
     def q(self) -> int:
@@ -284,8 +287,11 @@ class SubsetColumns:
     def problem(
         self, options: AlgorithmOptions, force_last: Sequence[str]
     ) -> NullspaceProblem:
-        """The pinned problem, read off :attr:`basis`; raises what
-        :func:`~repro.core.kernel.problem_from_matrices` raises."""
+        """The pinned problem, read off :attr:`basis` (or taken from
+        :attr:`identity_form` when it was derived under the same pins);
+        raises what :func:`~repro.core.kernel.problem_from_matrices`
+        raises."""
+        form = self.identity_form
         return problem_from_matrices(
             self.n,
             self.reversible,
@@ -293,16 +299,27 @@ class SubsetColumns:
             options=options,
             force_last=force_last,
             basis=self.basis,
+            identity_form=(
+                form[1:] if form is not None and form[0] == tuple(force_last) else None
+            ),
         )
 
-    def split(self, names: Iterable[str]) -> "SubsetColumns":
+    def split(
+        self, names: Iterable[str], known: tuple | None = None
+    ) -> "SubsetColumns":
         """Split the named reversible reactions into irreversible
         forward/backward halves, as
         :func:`~repro.efm.splitting.split_reversible` does to a network.
 
         ``ker [.., n_r, -n_r, ..]`` is ``ker n`` with ``r``'s flux on the
         forward half, plus the two-cycle ``e_f + e_b``: the backward rows
-        of the basis are zero and one column per split is appended."""
+        of the basis are zero and one column per split is appended.
+
+        ``known`` is ``(force_last, kernel, col_perm)``, the identity form
+        of these columns under those pins in which every named reaction is
+        free (what :class:`~repro.errors.ReversibleIdentityError` carries);
+        the split columns then carry their own form under the same pins
+        (:func:`_split_identity_form`)."""
         chosen = set(names)
         is_split = np.array([nm in chosen for nm in self.names], dtype=bool)
         src = np.repeat(np.arange(self.q), 1 + is_split)
@@ -321,6 +338,10 @@ class SubsetColumns:
             self.names[j] + (BWD_SUFFIX if b else FWD_SUFFIX if h else "")
             for j, h, b in zip(src.tolist(), halves.tolist(), bwd.tolist())
         )
+        form = None
+        if known is not None:
+            pins, kernel, col_perm = known
+            form = (pins, *_split_identity_form(kernel, col_perm, src, bwd))
         return SubsetColumns(
             n=n,
             reversible=self.reversible[src] & ~halves,
@@ -328,7 +349,46 @@ class SubsetColumns:
             basis=np.hstack([basis, cycles]),
             col_ids=self.col_ids[src],
             col_sign=np.where(bwd, -self.col_sign[src], self.col_sign[src]),
+            identity_form=form,
         )
+
+
+def _split_identity_form(
+    kernel: np.ndarray, col_perm: np.ndarray, src: np.ndarray, bwd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The identity form after splitting free reactions, read off the
+    unsplit form ``(kernel, col_perm)`` (its first ``d`` positions are the
+    free columns) without an elimination.
+
+    New column ``i`` is old column ``src[i]``, negated on a backward half
+    (``bwd[i]``), and every split reaction is free.  A free column depends
+    on the pivot columns scanned before it, and splitting turns reversible
+    reactions into irreversible ones, which scan later, so the greedy
+    pivot set is unchanged: both halves of a split are free and nothing
+    else moves.  Each free column's kernel vector is the one zero on every
+    other free column, coprime with a positive free entry: unchanged (on
+    the forward half) for the old free columns, and for a backward half
+    the negated forward vector with its free entry moved to the backward
+    half."""
+    q_old, d = kernel.shape
+    full = np.empty_like(kernel)
+    full[col_perm] = kernel  # rows in the unsplit column order
+    old_free = np.zeros(q_old, dtype=bool)
+    old_free[col_perm[:d]] = True
+    coord = np.full(q_old, -1)
+    coord[np.sort(col_perm[:d])] = np.arange(d)  # kernel column per free column
+    rows = full[src]
+    rows[bwd] = 0
+    free = np.flatnonzero(old_free[src])
+    back = np.flatnonzero(bwd)
+    cols = rows[:, coord[src[free]]]  # free columns' vectors, forward halves
+    at = np.searchsorted(free, back)  # a backward half's kernel column
+    cols[:, at] = -cols[:, at - 1]
+    cols[back - 1, at] = 0
+    cols[back, at] = rows[back - 1, coord[src[back]]]
+    pivots = np.flatnonzero(~old_free[src])
+    perm = np.concatenate([free, pivots]).astype(np.intp)
+    return np.ascontiguousarray(cols[perm]), perm
 
 
 class ParentKernel:
@@ -692,8 +752,9 @@ def prepare_subset(
     fallback = False
     problem: NullspaceProblem | None = None
     for _ in range(2 * reduced.n_reactions + 2):
+        pins = () if fallback else tuple(force_last)
         try:
-            problem = cols.problem(options, () if fallback else force_last)
+            problem = cols.problem(options, pins)
             break
         except DependentPartitionError:
             _debug(
@@ -711,7 +772,7 @@ def prepare_subset(
                 ", ".join(exc.reactions),
             )
             split = True
-            cols = cols.split(exc.reactions)
+            cols = cols.split(exc.reactions, (pins, *exc.identity_form))
         except NoModesError:
             # The shrunken stoichiometry admits no flux at all: empty subset.
             return PreparedSubset.structurally_empty(spec, reduced)

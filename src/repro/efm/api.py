@@ -20,7 +20,8 @@ from pathlib import Path
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core.kernel import NullspaceProblem, build_problem, certify_modes
 from repro.core.serial import nullspace_algorithm
-from repro.core.state import unit_float_rows
+from repro.core.state import ModeMatrix, unit_float_rows
+from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.dnc.combined import combined_parallel
 from repro.engine.context import RunContext
@@ -170,44 +171,26 @@ def compute_efms(
             ]
             meta["total_candidates"] = run.total_candidates
             meta["n_screened"] = run.n_screened
+            del run  # the subsets' own EFM rows
         else:
             problem, split_rec = build_problem_with_split(reduced, options, auto_split)
-            if method == "serial":
-                if ctx.checkpoint_path is not None:
-                    from repro.core.checkpoint import (  # noqa: PLC0415
-                        checkpointed_nullspace_algorithm,
-                    )
-
-                    res = checkpointed_nullspace_algorithm(problem, context=ctx)
-                else:
-                    res = nullspace_algorithm(problem, context=ctx)
-                modes, stats = res.modes, res.stats
-            elif method == "parallel":
-                run = combinatorial_parallel(
-                    problem,
-                    n_ranks,
-                    backend=backend,
-                    context=ctx,
-                )
-                modes, stats = run.result.modes, run.stats
-            else:
-                drun = distributed_parallel(
-                    problem, n_ranks, backend=backend, context=ctx
-                )
-                modes = drun.efm_modes()
-                stats = drun.rank_stats[0]
-                for s in drun.rank_stats[1:]:
-                    stats = stats.merged_with(s)
+            modes, stats = _enumerate(method, problem, ctx, n_ranks, backend)
             certify_modes(problem, modes)
+            # Each array is dropped as soon as its successor exists: the
+            # mode matrix once folded (or converted), the folded integer
+            # rows once converted.
+            values = modes.values
+            del modes
             if split_rec is not None:
                 meta["split"] = split_rec.split_names
                 # Fold the exact rows, then convert once.
-                folded = split_rec.fold_modes(modes.values, problem.inverse_perm())
+                values = split_rec.fold_modes(values, problem.inverse_perm())
                 efms_reduced = _reorder_to(
-                    unit_float_rows(folded), split_rec.original, reduced
+                    unit_float_rows(values), split_rec.original, reduced
                 )
             else:
-                efms_reduced = modes.float_values(problem.inverse_perm())
+                efms_reduced = unit_float_rows(values, problem.inverse_perm())
+            del values
             # Folding a split drops two-cycle artifacts; every row left
             # derives from a certified mode.
             certified = efms_reduced.shape[0]
@@ -215,17 +198,53 @@ def compute_efms(
         pass
     meta["certified"] = certified + _certify_singletons(rec)
 
-    # Expand to the original reaction space and append singleton EFMs.
-    if efms_reduced.size:
-        full = rec.expand_fluxes(efms_reduced.T).T
-    else:
-        full = np.zeros((0, network.n_reactions))
-    singles = rec.singleton_flux_matrix().T
-    if singles.shape[0]:
-        full = np.concatenate([full, singles], axis=0) if full.size else singles
-
+    # Expand straight into the output rows, singleton EFMs appended, then
+    # canonicalize them in place: the finish never holds more than two
+    # arrays of the output's size.
+    n_modes = efms_reduced.shape[0]
+    singles = rec.singleton_flux_matrix()
+    full = np.empty((n_modes + singles.shape[1], network.n_reactions))
+    if n_modes:
+        rec.expand_fluxes(efms_reduced.T, out=full[:n_modes].T)
+    del efms_reduced
+    full[n_modes:] = singles.T
     result = EFMResult(network=network, fluxes=full, method=method, stats=stats, meta=meta)
-    return result.canonical()
+    del full
+    return result.canonical(in_place=True)
+
+
+def _enumerate(
+    method: Method,
+    problem: NullspaceProblem,
+    ctx: RunContext,
+    n_ranks: int,
+    backend: BackendName,
+) -> tuple[ModeMatrix, RunStats]:
+    """Run the unsplit enumeration ``method`` and return its final mode
+    matrix and statistics; the run's other results die on return."""
+    if method == "serial":
+        if ctx.checkpoint_path is not None:
+            from repro.core.checkpoint import (  # noqa: PLC0415
+                checkpointed_nullspace_algorithm,
+            )
+
+            res = checkpointed_nullspace_algorithm(problem, context=ctx)
+        else:
+            res = nullspace_algorithm(problem, context=ctx)
+        return res.modes, res.stats
+    if method == "parallel":
+        run = combinatorial_parallel(
+            problem,
+            n_ranks,
+            backend=backend,
+            context=ctx,
+        )
+        return run.result.modes, run.stats
+    drun = distributed_parallel(problem, n_ranks, backend=backend, context=ctx)
+    stats = drun.rank_stats[0]
+    for s in drun.rank_stats[1:]:
+        stats = stats.merged_with(s)
+    return drun.efm_modes(), stats
 
 
 def _certify_singletons(rec: CompressionRecord) -> int:

@@ -75,18 +75,25 @@ class EFMResult:
 
     # -- canonicalization ---------------------------------------------------------
 
-    def canonical(self) -> "EFMResult":
+    def canonical(self, *, in_place: bool = False) -> "EFMResult":
         """Rows scaled to unit max-norm and sorted lexicographically —
-        the canonical form used to compare EFM sets across methods."""
+        the canonical form used to compare EFM sets across methods.
+
+        With ``in_place=True`` the rows are scaled in this result's own
+        array, which is left scaled but unsorted; the finish of
+        :func:`~repro.efm.api.compute_efms` does so on a result nothing
+        else holds."""
         if not self.n_efms:
             return self
-        v = self.fluxes.copy()
-        scale = np.abs(v).max(axis=1, keepdims=True)
+        v = self.fluxes if in_place else self.fluxes.copy()
+        scale = np.maximum(v.max(axis=1), -v.min(axis=1))
         scale[scale == 0] = 1.0
-        v /= scale
-        # The rounded keys die before the sorted copy is allocated: on the
-        # larger networks this step sets the peak memory of a solve.
-        order = np.lexsort(np.round(v, 9).T[::-1])
+        v /= scale[:, None]
+        # The rounded keys die before the sorted copy is allocated, so at
+        # most two arrays of the output's size are live at once.
+        keys = np.round(v, 9)
+        order = np.lexsort(keys.T[::-1])
+        del keys
         return dataclasses.replace(self, fluxes=v[order])
 
     def same_modes_as(self, other: "EFMResult", *, atol: float = 1e-7) -> bool:

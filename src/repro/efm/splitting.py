@@ -185,13 +185,50 @@ def fold_split_columns(
     return out if first.size == out.shape[0] else out[first]
 
 
+#: Odd multiplier of the polynomial row key of :func:`_first_occurrences`
+#: (arithmetic mod ``2**64``; any odd constant keeps the key exact on
+#: equal rows, a large one spreads small-integer rows apart).
+ROW_KEY_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row."""
+    """Ascending indices of the first occurrence of each distinct row.
+
+    int64 rows are grouped on a 64-bit polynomial key of each row, built
+    a column at a time, so no copy of ``rows`` is made: equal rows share a
+    key, and each key group keeps its first row once every member is
+    compared equal to it exactly.  A group holding two different rows (a
+    key collision) sends the whole call to the exact sort of the rows as
+    byte strings."""
     if rows.dtype == object:
         first: dict[tuple, int] = {}
         for i, row in enumerate(map(tuple, rows.tolist())):
             first.setdefault(row, i)
         return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    n = rows.shape[0]
+    key = np.zeros(n, dtype=np.uint64)
+    mult = np.uint64(ROW_KEY_MULTIPLIER)
+    for j in range(rows.shape[1]):
+        key *= mult
+        key += rows[:, j].astype(np.uint64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    # Each row against the first row of its key group (stable order: the
+    # group's smallest index); singleton groups compare with themselves.
+    lead = order[np.maximum.accumulate(np.where(head, np.arange(n), 0))]
+    dup = np.flatnonzero(~head)
+    if dup.size and not (rows[order[dup]] == rows[lead[dup]]).all():
+        return _first_occurrences_sorted(rows)
+    first = order[head]
+    first.sort()
+    return first
+
+
+def _first_occurrences_sorted(rows: np.ndarray) -> np.ndarray:
+    """:func:`_first_occurrences` by an exact sort of the rows as byte
+    strings (the key-collision path)."""
     keys = np.ascontiguousarray(rows).view(
         np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
     ).ravel()

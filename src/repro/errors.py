@@ -45,12 +45,21 @@ class ReversibleIdentityError(AlgorithmError):
     The Nullspace Algorithm never processes identity-block rows, so a
     reversible reaction there would lose its negative-flux modes.  Carries
     the offending reaction names so callers can split them
-    (:func:`repro.efm.split_reversible`) and retry.
+    (:func:`repro.efm.split_reversible`) and retry, and the ``(kernel,
+    col_perm)`` identity form that put them there, from which the split
+    columns' form follows without another elimination (see
+    :meth:`repro.dnc.combined.SubsetColumns.split`).
     """
 
-    def __init__(self, message: str, reactions: tuple[str, ...]) -> None:
+    def __init__(
+        self,
+        message: str,
+        reactions: tuple[str, ...],
+        identity_form: tuple | None = None,
+    ) -> None:
         super().__init__(message)
         self.reactions = reactions
+        self.identity_form = identity_form
 
 
 class DependentPartitionError(AlgorithmError):

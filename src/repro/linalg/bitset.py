@@ -20,11 +20,13 @@ from repro.errors import LinAlgError
 WORD = np.uint64
 BITS_PER_WORD = 64
 
-#: Byte cap on :func:`subset_rows`' broadcast transient; equal to the
-#: candidate-phase chunk budget
-#: (:data:`repro.cluster.memory.DEFAULT_STREAM_CHUNK_BYTES`), which the
-#: zero-mode pre-screen runs inside.
-SUBSET_CHUNK_BYTES = 16 << 20
+#: Byte budget of one transient of the rank test's inner loops: a chunk
+#: of the zero-mode pre-screen's broadcast (:func:`subset_rows`) and a
+#: block of the modular rank kernel's eliminations
+#: (:mod:`repro.linalg.modular`).  Small next to the mode matrix, so
+#: neither sets a solve's peak memory; large enough that the per-chunk
+#: dispatch cost stays negligible.
+TRANSIENT_BYTES = 1 << 20
 
 
 def n_words_for(n_rows: int) -> int:
@@ -191,7 +193,7 @@ def subset_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
     pattern — equality also counts True here; callers exclude self-matches
     by construction).  Complexity O(n_candidates * n_references * n_words)
     vectorized in candidate chunks whose ``(chunk, n_references,
-    n_words)`` broadcast transient stays within :data:`SUBSET_CHUNK_BYTES`.
+    n_words)`` broadcast transient stays within :data:`TRANSIENT_BYTES`.
     """
     n_c = candidates.shape[0]
     n_r = references.shape[0]
@@ -200,7 +202,7 @@ def subset_rows(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
         return out
     # Per (candidate, reference) pair: the masked words, their zero mask
     # and the reduced hit flag.
-    chunk = max(1, SUBSET_CHUNK_BYTES // (n_r * (9 * candidates.shape[1] + 1)))
+    chunk = max(1, TRANSIENT_BYTES // (n_r * (9 * candidates.shape[1] + 1)))
     outside = ~candidates
     for start in range(0, n_c, chunk):
         cs = outside[start : start + chunk, None, :]  # (c, 1, w)

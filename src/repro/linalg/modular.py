@@ -81,7 +81,7 @@ import weakref
 import numpy as np
 
 from repro.errors import LinAlgError
-from repro.linalg import rational
+from repro.linalg import bitset, rational
 from repro.linalg.rankmemo import CacheBinding, problem_token, split_cache_hits
 
 #: Magnitude ceiling for the exact float64 Bareiss arm: one update step
@@ -253,8 +253,9 @@ class ModularProblem:
     basis ``(d, q)`` of the same dtype — the source every residue panel is
     reduced from.  ``bt`` is
     that basis as float64, built only when every entry is an exact float64
-    integer; ``bt_pad`` is the same panel bordered by one zero row and
-    column, the gather target of the exact arm's padded index matrices.
+    integer; ``bt_sym`` holds it and its transpose in one zero-bordered
+    table (:func:`symmetric_panel`), the gather target of the exact arm's
+    padded index matrices.
     ``unit`` marks the reactions whose basis row has exactly one nonzero
     and ``coord`` names that nonzero's column (the unit-row reduction's
     inputs).  When the int64 basis construction overflows, per-prime bases
@@ -262,7 +263,7 @@ class ModularProblem:
     """
 
     __slots__ = (
-        "q", "m", "rank", "d", "n_int", "scales", "b_int", "bt", "bt_pad",
+        "q", "m", "rank", "d", "n_int", "scales", "b_int", "bt", "bt_sym",
         "unit", "coord", "primes", "_residues",
     )
 
@@ -270,7 +271,7 @@ class ModularProblem:
         self.m, self.q = n_perm.shape
         self.b_int: np.ndarray | None = None
         self.bt: np.ndarray | None = None
-        self.bt_pad: np.ndarray | None = None
+        self.bt_sym: np.ndarray | None = None
         self.unit: np.ndarray | None = None
         self.coord: np.ndarray | None = None
         self._residues: dict[int, np.ndarray] = {}
@@ -300,7 +301,7 @@ class ModularProblem:
         if B.size and np.abs(B).max() >= FLOAT_EXACT:
             return  # the residue arm answers every query
         self.bt = self.b_int.astype(np.float64)
-        self.bt_pad = np.pad(self.bt, ((0, 1), (0, 1)))
+        self.bt_sym = symmetric_panel(self.bt)
         cols, rows = np.nonzero(self.bt)
         self.unit = np.bincount(rows, minlength=self.q) == 1
         self.coord = np.zeros(self.q, dtype=np.int64)
@@ -539,19 +540,65 @@ def _member_index(mask: np.ndarray, pad: int) -> np.ndarray:
     return idx
 
 
+def symmetric_panel(bt: np.ndarray) -> np.ndarray:
+    """The ``(d, q)`` float basis panel ``bt`` and its transpose in one
+    zero-bordered symmetric table of side ``d + 1 + q``: coordinate ``c``
+    is index ``c``, reaction ``j`` is index ``d + 1 + j``, and index
+    ``d`` is an all-zero row and column (the padding target).  A reduced
+    matrix gathered from it may put either its coordinates or its
+    reactions on the elimination axis."""
+    d, q = bt.shape
+    out = np.zeros((d + 1 + q, d + 1 + q))
+    out[:d, d + 1 :] = bt
+    out[d + 1 :, :d] = bt.T
+    return out
+
+
+def _elimination_blocks(short: np.ndarray, long: np.ndarray) -> list[np.ndarray]:
+    """Candidate index blocks whose padded panel and elimination temporary
+    (16 bytes per padded entry) stay within
+    :data:`~repro.linalg.bitset.TRANSIENT_BYTES`; a candidate alone past
+    it makes a block of its own.
+
+    ``short`` and ``long`` are each candidate's reduced shape.  A batch
+    within the budget is one block, in its own order.  A larger one is
+    sorted by ``(short, long)`` and cut into consecutive blocks, so each
+    block is padded to shapes close to its members' own."""
+    budget = bitset.TRANSIENT_BYTES // 16
+    n = short.size
+    if n * int(short.max()) * int(long.max()) <= budget:
+        return [np.arange(n)]
+    order = np.lexsort((long, short))
+    short, long = short[order], long[order]
+    blocks = []
+    start = 0
+    while start < n:
+        stop = min(n, start + budget // int(short[start] * long[start]) + 1)
+        wide = np.maximum.accumulate(long[start:stop])
+        entries = np.arange(1, stop - start + 1) * short[start:stop] * wide
+        size = max(1, int(np.searchsorted(entries, budget, side="right")))
+        blocks.append(order[start : start + size])
+        start += size
+    return blocks
+
+
 def _unit_reduced_ranks(
     prob: ModularProblem, comp: np.ndarray, stats=None
 ) -> np.ndarray:
     """Exact ranks of ``B[S̄, :]`` for complement masks ``comp`` (``(nm,
     q)`` bool) by the unit-row reduction ``|K| + rank(B[R, ~K])``.
 
-    The reduced matrices are gathered from the zero-bordered panel with
-    index matrices padded by the zero row and column, oriented so that
-    Bareiss eliminates along the shorter padded axis.  Raises
+    Each reduced matrix ``B[R, ~K]`` is eliminated along its shorter
+    axis: it is gathered from the symmetric table ``bt_sym`` with its
+    short index set (members or live coordinates, whichever is fewer) on
+    the elimination axis.  The candidates go to :func:`bareiss_ranks` in
+    blocks bounded by the transient budget, sorted by that ``(short,
+    long)`` shape when there is more than one block, each zero-padded to
+    its own largest shape (:func:`_elimination_blocks`).  Raises
     ``OverflowError`` when the exactness guard trips.
     """
     nm = comp.shape[0]
-    d, q = prob.d, prob.q
+    d = prob.d
     unit_rows, unit_members = np.nonzero(comp & prob.unit)
     hit = np.zeros((nm, d), dtype=bool)
     hit[unit_rows, prob.coord[unit_members]] = True
@@ -559,18 +606,49 @@ def _unit_reduced_ranks(
     rest = comp & ~prob.unit
     sel = np.flatnonzero(rest.any(axis=1) & (ranks < d))
     if sel.size:
-        members = _member_index(rest[sel], q)  # (n, w_r)
-        live = _member_index(~hit[sel], d)  # (n, w_l)
-        if members.shape[1] <= live.shape[1]:
-            panel = prob.bt_pad[live.T[None, :, :], members.T[:, None, :]]
-        else:
-            panel = prob.bt_pad[live.T[:, None, :], members.T[None, :, :]]
-        # ``panel`` is gathered in the (w, m, n) layout bareiss_ranks
-        # eliminates in, so this transposed view is consumed in place.
-        ranks[sel] += bareiss_ranks(panel.transpose(2, 1, 0))
+        # One index space for both axes of ``bt_sym``: live coordinates,
+        # the zero pad ``d``, then the non-unit members.
+        index = np.zeros((sel.size, prob.bt_sym.shape[0]), dtype=bool)
+        index[:, :d] = ~hit[sel]
+        index[:, d + 1 :] = rest[sel]
+        n_members = index[:, d + 1 :].sum(axis=1)
+        n_live = d - ranks[sel]
+        on_members = n_members <= n_live
+        short = np.minimum(n_members, n_live)
+        long = np.maximum(n_members, n_live)
+        for cand in _elimination_blocks(short, long):
+            short_set = index[cand]
+            short_set[on_members[cand], :d] = False
+            short_set[~on_members[cand], d + 1 :] = False
+            a = _member_index(short_set, d)  # (n, w) elimination axis
+            b = _member_index(index[cand] & ~short_set, d)  # (n, m)
+            # Gathered in the (w, m, n) layout bareiss_ranks eliminates
+            # in, so this transposed view is consumed in place.
+            panel = prob.bt_sym[a.T[:, None, :], b.T[None, :, :]]
+            ranks[sel[cand]] += bareiss_ranks(panel.transpose(2, 1, 0))
     if stats is not None:
         stats.n_rank_unit_members += unit_members.size
     return ranks
+
+
+def _residue_nullities(
+    prob: ModularProblem, p: int, idx_pad: np.ndarray
+) -> np.ndarray:
+    """``d - rank_p(B[S̄, :])`` for the padded complement stacks over
+    ``F_p``, in blocks whose gathered panel and the copies
+    :func:`_modp_ranks` makes of it (about 48 bytes per entry) stay
+    within :data:`~repro.linalg.bitset.TRANSIENT_BYTES`."""
+    d = prob.d
+    b = prob.residue_basis(p)
+    n, w = idx_pad.shape
+    step = max(1, bitset.TRANSIENT_BYTES // (48 * max(1, d * w)))
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, step):
+        sub = b[:, idx_pad[start : start + step]]  # (d, n_b, w): members as columns
+        out[start : start + step] = d - _modp_ranks(
+            np.ascontiguousarray(sub.transpose(1, 0, 2)), p
+        )
+    return out
 
 
 def _kernel_nullities(
@@ -583,21 +661,12 @@ def _kernel_nullities(
     keeping the minimum (reduction can only inflate nullity, so the minimum
     is the sharper bound and any estimate of 1 is a certificate).
     """
-    d = prob.d
     unresolved = np.zeros(idx_pad.shape[0], dtype=bool)
     p1, p2 = prob.primes[0], prob.primes[1]
-    b1 = prob.residue_basis(p1)
-    sub = b1[:, idx_pad]  # (d, nm, w) — members as columns of the panel
-    null1 = d - _modp_ranks(
-        np.ascontiguousarray(sub.transpose(1, 0, 2)), p1
-    )
+    null1 = _residue_nullities(prob, p1, idx_pad)
     need = null1 >= 2
     if need.any():
-        b2 = prob.residue_basis(p2)
-        sub2 = b2[:, idx_pad[need]]
-        null2 = d - _modp_ranks(
-            np.ascontiguousarray(sub2.transpose(1, 0, 2)), p2
-        )
+        null2 = _residue_nullities(prob, p2, idx_pad[need])
         n1 = null1[need]
         resolved = np.minimum(n1, null2)
         # A certificate (either prime saw nullity 1) or two agreeing

@@ -116,16 +116,30 @@ class CompressionRecord:
             out[rows, cols] = values
         return out
 
-    def expand_fluxes(self, reduced_fluxes: np.ndarray) -> np.ndarray:
+    def expand_fluxes(
+        self, reduced_fluxes: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Map a reduced flux matrix ``(q_red, n_modes)`` to the original
-        reaction space ``(q_orig, n_modes)`` (float64)."""
+        reaction space ``(q_orig, n_modes)`` (float64), written into
+        ``out`` when given (for instance the transposed view of a
+        row-major mode buffer)."""
         reduced_fluxes = np.atleast_2d(np.asarray(reduced_fluxes, dtype=np.float64))
         if reduced_fluxes.shape[0] != self.reduced.n_reactions:
             raise CompressionError(
                 f"flux matrix has {reduced_fluxes.shape[0]} rows, expected "
                 f"{self.reduced.n_reactions}"
             )
-        return self.expansion_array @ reduced_fluxes
+        e = self.expansion_array
+        if out is None:
+            out = np.empty((e.shape[0], reduced_fluxes.shape[1]))
+        # Row by row, so no packed copy of the input is made, as a matrix
+        # product makes one.  An original reaction is one reduced
+        # reaction's multiple (or blocked), so its row is that product
+        # added to +0.0, bit for bit what the matrix product gives.
+        out[...] = 0.0
+        for j, k in zip(*np.nonzero(e)):
+            out[j] += e[j, k] * reduced_fluxes[k]
+        return out
 
     def singleton_flux_matrix(self) -> np.ndarray:
         """Singleton EFMs as columns in the original reaction space."""

@@ -71,6 +71,15 @@ class ParallelRunResult:
         return agg
 
 
+@dataclasses.dataclass
+class ReplicaSummary:
+    """What a rank other than 0 returns from :func:`combinatorial_worker`:
+    its statistics and its replica's packed support words."""
+
+    stats: RunStats
+    words: np.ndarray
+
+
 def combinatorial_worker(
     comm: Communicator,
     problem: NullspaceProblem,
@@ -82,7 +91,9 @@ def combinatorial_worker(
     context: RunContext | None = None,
 ) -> NullspaceResult:
     """SPMD body of Algorithm 2 — call through :func:`combinatorial_parallel`
-    or hand it directly to :func:`repro.mpi.spmd.run_spmd`.
+    or hand it directly to :func:`repro.mpi.spmd.run_spmd`.  Rank 0
+    returns the :class:`~repro.core.serial.NullspaceResult`, every other
+    rank a :class:`ReplicaSummary`.
 
     ``rank_cache`` overrides the per-worker rank memo — the
     divide-and-conquer driver passes a binding shared across subproblems
@@ -185,6 +196,10 @@ def combinatorial_worker(
         stats.messages_sent = comm.trace.n_messages
     collect_wire_stats(comm, stats)
     ctx.collect(stats)
+    if comm.rank != 0:
+        # Only rank 0's replica is returned; the others send back what the
+        # replica check compares, not a copy of the mode matrix each.
+        return ReplicaSummary(stats=stats, words=modes.supports.words)
     return NullspaceResult(
         problem=problem, modes=modes, stats=stats, stopped_at=stop
     )
@@ -244,7 +259,7 @@ def combinatorial_parallel(
     # Replica consistency is an algorithm invariant — verify it.
     words0 = results[0].modes.supports.words
     for r, res in enumerate(results[1:], start=1):
-        if not np.array_equal(res.modes.supports.words, words0):
+        if not np.array_equal(res.words, words0):
             raise AlgorithmError(f"rank {r} replica diverged from rank 0")
     return ParallelRunResult(
         result=results[0],

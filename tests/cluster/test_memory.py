@@ -114,23 +114,24 @@ class TestStreamingChunkPairs:
 class TestYeastDncPredictionPins:
     """Predicted peaks of yeast-I-small's 32 ``q_sub=5`` subsets (the
     ``y1-dnc5`` benchmark workload), pinned to the values of the
-    streamed, support-first, 16 MiB-budget model, so the scheduler's
-    LPT order cannot drift silently."""
+    streamed, support-first, 16 MiB-budget model with one bounded
+    rank-kernel block, so the scheduler's LPT order cannot drift
+    silently."""
 
     PARTITION = ("R22r", "R32r", "R81r", "R96r", "R102r")
     DYNAMIC = [
-        5038704, 5924330, 3530424, 4087552, 5924330, 6803643, 4087552,
-        4639992, 5161968, 6064675, 3611252, 4177808, 6064675, 6959788,
-        4177808, 4738842, 5161968, 6064675, 3611252, 4177808, 6064675,
-        6959788, 4177808, 4738842, 2793568, 4177808, 4177808, 4738842,
-        3250608, 4738842, 4738842, 5282316,
+        4686480, 5472458, 3078552, 3527552, 5472458, 6243643, 3527552,
+        3964920, 4800056, 5600635, 3147212, 3603064, 5600635, 6385044,
+        3603064, 4046402, 4800056, 5600635, 3147212, 3603064, 5600635,
+        6385044, 3603064, 4046402, 2329528, 3603064, 3603064, 4046402,
+        2675864, 4046402, 4046402, 4466964,
     ]
     PAPER = [
-        5038704, 5924330, 5924330, 6803643, 5924330, 6803643, 6803643,
-        7656432, 5161968, 6064675, 6064675, 6959788, 6064675, 6959788,
-        6959788, 7826724, 5161968, 6064675, 6064675, 6959788, 6064675,
-        6959788, 6959788, 7826724, 6064675, 6959788, 6959788, 7826724,
-        6959788, 7826724, 7826724, 8645416,
+        4686480, 5472458, 5472458, 6243643, 5472458, 6243643, 6243643,
+        6981360, 4800056, 5600635, 5600635, 6385044, 5600635, 6385044,
+        6385044, 7134284, 4800056, 5600635, 5600635, 6385044, 5600635,
+        6385044, 6385044, 7134284, 5600635, 6385044, 6385044, 7134284,
+        6385044, 7134284, 7134284, 7830064,
     ]
 
     @pytest.fixture(scope="class")
@@ -263,3 +264,67 @@ class TestPredictionUpperBoundsMeasuredPeak:
                 f"{spec.label()}: predicted {predicted} < measured "
                 f"{measured:.0f} (chunk budget {chunk})"
             )
+
+
+class TestAllocatedPeakBytes:
+    """Peak memory is the modes: the tracemalloc peak of real solves —
+    every byte Python and numpy allocate, not the program's own accounting
+    — against the live mode matrix and against the a-priori prediction."""
+
+    @staticmethod
+    def _traced_peak(solve):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            return solve(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def yeast_2(self):
+        from repro.models.registry import get_network
+        from repro.network.compression import compress_network
+
+        net = get_network("yeast-II-small")
+        return net, compress_network(net).reduced
+
+    def test_serial_solve_within_four_mode_matrices(self, yeast_2):
+        from repro.efm.api import compute_efms
+
+        net, _ = yeast_2
+        result, peak = self._traced_peak(lambda: compute_efms(net))
+        assert result.n_efms == 7331
+        assert peak <= 4 * result.stats.peak_mode_bytes, (
+            f"peak {peak} B is {peak / result.stats.peak_mode_bytes:.2f}x the "
+            f"{result.stats.peak_mode_bytes} B mode matrix"
+        )
+
+    def test_unsplit_solve_within_prediction(self, yeast_2):
+        from repro.dnc.subsets import SubsetSpec
+        from repro.efm.api import compute_efms
+
+        net, reduced = yeast_2
+        predicted = predict_subset_peak_bytes(reduced, SubsetSpec(0, ()))
+        result, peak = self._traced_peak(lambda: compute_efms(net))
+        assert result.n_efms == 7331
+        assert peak <= predicted, f"peak {peak} B > predicted {predicted} B"
+
+    def test_every_dnc_subset_solve_within_prediction(self):
+        from repro.dnc.combined import solve_subset
+        from repro.dnc.selection import select_partition_reactions
+        from repro.dnc.subsets import enumerate_subsets
+        from repro.models.registry import get_network
+        from repro.network.compression import compress_network
+
+        reduced = compress_network(get_network("yeast-I-small")).reduced
+        part = select_partition_reactions(reduced, 5)
+        n_efms = 0
+        for spec in enumerate_subsets(part):
+            predicted = predict_subset_peak_bytes(reduced, spec)
+            res, peak = self._traced_peak(lambda: solve_subset(reduced, spec, 1))
+            n_efms += res.n_efms
+            assert peak <= predicted, (
+                f"{spec.label()}: peak {peak} B > predicted {predicted} B"
+            )
+        assert n_efms == 530

@@ -107,7 +107,7 @@ class TestSubsetQueries:
     @pytest.mark.parametrize("cap", [None, 4096, 1])  # one, many and one chunk per candidate
     def test_chunk_boundaries(self, monkeypatch, n_rows, cap):
         if cap is not None:
-            monkeypatch.setattr(bitset, "SUBSET_CHUNK_BYTES", cap)
+            monkeypatch.setattr(bitset, "TRANSIENT_BYTES", cap)
         # Four-bit references against half-dense candidates, so some
         # candidates contain a reference and some do not.
         cands = _random_mask(n_rows, 300, seed=3, p=0.5)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro.core.kernel as core_kernel
+import repro.dnc.combined as combined
 from repro.efm.api import build_problem_with_split, compute_efms
 from repro.linalg import modular
 from repro.linalg.numeric import identity_form_from_basis, kernel_identity_form
@@ -112,8 +113,10 @@ def test_yeast_kernels_and_every_dnc_subset_match_oracle(monkeypatch):
     eliminated from a stoichiometry, and the subsets' ones read off a basis
     derived from the parent's kernel.  A derived form is compared, as the
     run returned it, with the oracle's form of a stoichiometry whose kernel
-    that basis spans (the basis' annihilator)."""
-    eliminated, derived = [], []
+    that basis spans (the basis' annihilator).  A reversible-split retry
+    reads its form off the unsplit one; that form must equal the one read
+    off the split basis, which is compared with the oracle like the rest."""
+    eliminated, derived, read_off = [], [], []
 
     def spy_eliminated(a, **kwargs):
         eliminated.append((np.copy(a), kwargs.get("pivot_priority")))
@@ -125,10 +128,19 @@ def test_yeast_kernels_and_every_dnc_subset_match_oracle(monkeypatch):
         derived.append((annihilator, kwargs.get("pivot_priority"), out))
         return out
 
+    def spy_problem(*args, **kwargs):
+        out = real_problem(*args, **kwargs)
+        if kwargs.get("identity_form") is not None:
+            ref = real_problem(*args, **{**kwargs, "identity_form": None})
+            read_off.append((out, ref))
+        return out
+
     real_eliminated = core_kernel.kernel_identity_form
     real_derived = core_kernel.identity_form_from_basis
+    real_problem = combined.problem_from_matrices
     monkeypatch.setattr(core_kernel, "kernel_identity_form", spy_eliminated)
     monkeypatch.setattr(core_kernel, "identity_form_from_basis", spy_derived)
+    monkeypatch.setattr(combined, "problem_from_matrices", spy_problem)
     result = compute_efms(
         get_network("yeast-I-small"), method="combined", partition=5,
         executor="inline",
@@ -136,10 +148,17 @@ def test_yeast_kernels_and_every_dnc_subset_match_oracle(monkeypatch):
     assert result.n_efms == 530
     # Partition selection eliminates twice (one reversible split); each
     # subset the screen lets through (8 of 32) reads its kernel off the
-    # derived basis, plus 4 reversible-split retries.  The screen builds
-    # no kernel.
+    # derived basis, and 4 reversible-split retries read theirs off the
+    # unsplit form (their split bases' forms, read off here as reference,
+    # are the other 4 entries of ``derived``).  The screen builds no
+    # kernel.
     assert len(eliminated) == 2
+    assert len(read_off) == 4
     assert len(derived) == 8 + 4
+    for out, ref in read_off:
+        assert np.array_equal(out.perm, ref.perm)
+        assert out.kernel.dtype == ref.kernel.dtype
+        assert out.kernel.tolist() == ref.kernel.tolist()
     for annihilator, prio, (kernel, perm) in derived:
         ref_kernel, ref_perm = oracle_kernel_identity_form(annihilator, prio)
         assert np.array_equal(perm, ref_perm)

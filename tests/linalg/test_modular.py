@@ -197,7 +197,7 @@ class _BasisProblem:
     def __init__(self, B):
         self.q, self.d = B.shape
         self.bt = B.T.astype(np.float64)
-        self.bt_pad = np.pad(self.bt, ((0, 1), (0, 1)))
+        self.bt_sym = modular.symmetric_panel(self.bt)
         nonzero = B != 0
         self.unit = nonzero.sum(axis=1) == 1
         self.coord = nonzero.argmax(axis=1)
