@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Targeted EFM queries and extreme-pathway classification.
+"""Targeted EFM queries.
 
 §IV.C of the paper notes that enumerating the modes through a specific
 reaction — or deciding whether a mode through several reactions exists —
@@ -8,17 +8,10 @@ divide-and-conquer subproblems, so the questions metabolic engineers
 actually ask ("which modes make ethanol?", "can succinate and ethanol be
 co-produced?") run without full enumeration.
 
-Also demonstrates the extreme-pathway machinery from the authors' rank-
-test paper (ref [30]): ExPas are the extreme rays of the fully split flux
-cone, a (often strict) subset of the split network's elementary modes.
-
 Run:  python examples/targeted_queries.py
 """
 
-import numpy as np
-
-from repro import compute_efms, toy_network
-from repro.efm.extreme_pathways import classify_extreme, extreme_pathways
+from repro import compute_efms
 from repro.efm.targeted import efms_avoiding, efms_through, exists_mode_through
 from repro.models.variants import yeast_1_small
 
@@ -46,19 +39,6 @@ def main() -> None:
     for combo in (("R66", "R67"), ("R66", "R63"), ("R66", "R67", "R63")):
         ok = exists_mode_through(net, combo)
         print(f"co-production mode through {combo}: {'EXISTS' if ok else 'impossible'}")
-
-    # --- extreme pathways on the toy network --------------------------------
-    toy = toy_network()
-    expas = extreme_pathways(toy)
-    extreme = classify_extreme(expas)
-    print(
-        f"\ntoy network: {expas.n_efms} split-network elementary modes, "
-        f"{int(extreme.sum())} of them extreme pathways (ref [30]: "
-        "ExPas ⊆ split-network EFMs)"
-    )
-    for i in np.nonzero(~extreme)[0]:
-        print(f"  mode {i} is elementary but NOT extreme "
-              "(a conic combination of extreme pathways)")
 
 
 if __name__ == "__main__":

@@ -5,12 +5,15 @@ before the end" and could not be salvaged — a multi-hour enumeration lost
 to a memory wall.  This module makes runs restartable: the full iteration
 state (mode values, packed supports, iteration index, accumulated
 statistics, and a fingerprint of the problem) serializes to a single
-``.npz`` file after any iteration, and :func:`resume_nullspace_algorithm`
-continues from the last saved row, on the same or a different machine.
+``.npz`` file after any iteration.  Given a ``checkpoint_path``,
+:func:`repro.core.serial.nullspace_algorithm` writes these snapshots and,
+when the file already exists, continues from the last saved row, on the
+same or a different machine.
 
 The checkpoint is portable and versioned; loading verifies the problem
-fingerprint and the ordering name so a checkpoint cannot silently resume
-against a different network, permutation or row order.
+fingerprint and the ordering name (:func:`resume_or_start`) so a checkpoint
+cannot silently resume against a different network, permutation or row
+order.
 """
 
 from __future__ import annotations
@@ -19,17 +22,13 @@ import dataclasses
 import hashlib
 import io
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.config import AlgorithmOptions, DEFAULT_OPTIONS
 from repro.core.kernel import NullspaceProblem
-from repro.core.serial import NullspaceResult, iterate_row
 from repro.core.state import ModeMatrix
-from repro.core.stats import IterationStats, PhaseTimer, RunStats
-from repro.engine.context import RunContext
+from repro.core.stats import IterationStats, RunStats
 from repro.errors import AlgorithmError
 from repro.linalg.bitset import PackedSupports
 
@@ -172,104 +171,39 @@ def _stats_from_dict(d: dict) -> RunStats:
     return stats
 
 
-def checkpointed_nullspace_algorithm(
-    problem: NullspaceProblem,
-    checkpoint_path: str | Path | None = None,
-    *,
-    options: AlgorithmOptions = DEFAULT_OPTIONS,
-    checkpoint_every: int | None = None,
-    stop_row: int | None = None,
-    memory_check=None,
-    context: RunContext | None = None,
-) -> NullspaceResult:
-    """Run (or resume) Algorithm 1 with periodic checkpoints.
+def resume_or_start(
+    path: str | Path, problem: NullspaceProblem, ordering: str
+) -> Checkpoint:
+    """The state a checkpointed run of ``problem`` under ``ordering``
+    starts from: the snapshot at ``path``, or the kernel when there is
+    none yet.
 
-    If ``checkpoint_path`` exists it is validated against the problem and
-    the run continues from its ``next_row``; otherwise a fresh run starts.
-    A snapshot is written every ``checkpoint_every`` iterations and after
-    the final one.
-
-    ``checkpoint_path`` / ``checkpoint_every`` default to the context's
-    checkpoint configuration; at least one source must provide the path.
+    Refuses (:class:`~repro.errors.AlgorithmError`) a snapshot of another
+    format version, of a different problem (fingerprint) or written under
+    a different ordering name.
     """
-    ctx = RunContext.ensure(context, options=options)
-    options = ctx.options
-    if checkpoint_path is None:
-        checkpoint_path = ctx.checkpoint_path
-    if checkpoint_every is None:
-        checkpoint_every = ctx.checkpoint_every
-    if checkpoint_path is None:
+    path = Path(path)
+    fingerprint = problem_fingerprint(problem)
+    if not path.exists():
+        return Checkpoint(
+            fingerprint=fingerprint,
+            next_row=problem.first_row,
+            modes=ModeMatrix.from_kernel(problem.kernel),
+            stats=RunStats(),
+            elapsed=0.0,
+            ordering=ordering,
+        )
+    ck = Checkpoint.load(path)
+    if ck.fingerprint != fingerprint:
         raise AlgorithmError(
-            "checkpointed run needs a checkpoint path (argument or context)"
+            f"checkpoint {path} belongs to a different problem; "
+            "refusing to resume"
         )
-    if checkpoint_every < 1:
-        raise AlgorithmError("checkpoint_every must be >= 1")
-    path = Path(checkpoint_path)
-    fp = problem_fingerprint(problem)
-    stop = problem.q if stop_row is None else stop_row
-
-    if path.exists():
-        ck = Checkpoint.load(path)
-        if ck.fingerprint != fp:
-            raise AlgorithmError(
-                f"checkpoint {path} belongs to a different problem; "
-                "refusing to resume"
-            )
-        if ck.ordering != options.ordering:
-            raise AlgorithmError(
-                f"checkpoint {path} was written under ordering="
-                f"{ck.ordering!r} but this run requests "
-                f"{options.ordering!r}; refusing to resume — the realized "
-                "row order would not match the checkpointed prefix"
-            )
-        modes, stats, elapsed0 = ck.modes, ck.stats, ck.elapsed
-        processed = ck.row_order
-    else:
-        modes = ModeMatrix.from_kernel(problem.kernel)
-        stats = RunStats()
-        elapsed0 = 0.0
-        processed = ()
-
-    t_start = time.perf_counter()
-    rank_cache = ctx.rank_binding_for(problem)
-    if memory_check is None:
-        memory = ctx.fresh_memory()
-        memory_check = memory.check if memory is not None else None
-    # The selector replays the checkpoint's realized prefix (its validation
-    # rejects out-of-window rows and, for static orderings, any prefix that
-    # is not the static order's own — a checkpoint written under a
-    # different ordering name is rejected above before we get here).
-    selector = ctx.row_selector_for(problem, stop, processed=processed)
-    n_resumed = len(selector.realized)
-    while selector.has_next():
-        k = selector.next_row(modes)
-        it = ctx.new_iteration(problem, k)
-        selector.annotate(it)
-        kept, cand = iterate_row(
-            modes, k, problem, options, it, rank_cache=rank_cache
+    if ck.ordering != ordering:
+        raise AlgorithmError(
+            f"checkpoint {path} was written under ordering="
+            f"{ck.ordering!r} but this run requests "
+            f"{ordering!r}; refusing to resume — the realized "
+            "row order would not match the checkpointed prefix"
         )
-        with PhaseTimer(it, "t_merge"):
-            modes = kept.concat(cand) if cand.n_modes else kept
-        it.n_modes_end = modes.n_modes
-        stats.add(it)
-        stats.peak_mode_bytes = max(stats.peak_mode_bytes, modes.nbytes())
-        if memory_check is not None:
-            memory_check(k, modes)
-        n_done = len(selector.realized) - n_resumed
-        if n_done % checkpoint_every == 0 or not selector.has_next():
-            stats.t_total = elapsed0 + time.perf_counter() - t_start
-            Checkpoint(
-                fingerprint=fp,
-                next_row=problem.first_row + len(selector.realized),
-                modes=modes,
-                stats=stats,
-                elapsed=stats.t_total,
-                row_order=tuple(selector.realized),
-                ordering=options.ordering,
-            ).save(path)
-
-    stats.t_total = elapsed0 + time.perf_counter() - t_start
-    ctx.collect(stats)
-    return NullspaceResult(
-        problem=problem, modes=modes, stats=stats, stopped_at=stop
-    )
+    return ck

@@ -69,7 +69,7 @@ is order- and chunking-invariant:
 * *Materialization is row-wise*: accepted candidates materialize from
   ``(i, j, row)``, row by row.
 
-All drivers enter here: the serial/combinatorial bodies through
+All drivers enter here: the Nullspace loop (Algorithms 1 and 2) through
 :func:`repro.core.serial.iterate_row`, the column-partitioned driver
 streams its local pair share directly (no zero-entry preload — its
 duplicate control against zero survivors is global, after the

@@ -13,9 +13,13 @@ non-identity row:
 5. ``RemoveNegColumns`` — irreversible rows drop negative-entry modes;
 6. concatenate survivors and accepted candidates.
 
-The same iteration body is reused by the parallel drivers, which override
-the pair range and insert a communicate/merge step; ``iterate_row`` is the
-shared kernel.
+:func:`nullspace_algorithm` is the one loop that eliminates rows, for
+Algorithm 1, for each rank of Algorithm 2 (given a communicator, a rank
+takes its cyclic share of the pairs in step 2 and the ranks merge their
+accepted candidates after step 4) and so for every subset of
+Algorithm 3; with a checkpoint path it also snapshots and resumes.
+``iterate_row`` is steps 1–4 of one iteration, and picks step 5's
+survivors.
 
 Which row an iteration eliminates comes from the run's
 :class:`~repro.core.ordering.RowSelector`: static orderings replay the
@@ -27,13 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core import iterstream
-from repro.core.candidates import PairRange, full_range
+from repro.core.candidates import PairRange, full_range, strided_range
 from repro.core.kernel import NullspaceProblem
 # Not called here since every driver streams its candidate phase, but the
 # end-to-end benchmark's tracer (benchmarks/e2e/spans.py) wraps this name.
@@ -44,6 +49,9 @@ from repro.core.trace import IterationTrace
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
 from repro.linalg.rankmemo import CacheBinding
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.comm import Communicator
 
 
 @dataclasses.dataclass
@@ -113,26 +121,24 @@ def iterate_row(
     *,
     pair_range_for: Callable[[int], PairRange] = full_range,
     rank_cache: CacheBinding | None = None,
-    materialize: bool = True,
-) -> tuple[ModeMatrix, ModeMatrix | CandidateBatch]:
-    """One iteration body shared by serial and parallel drivers.
+) -> tuple[np.ndarray | None, CandidateBatch]:
+    """One iteration body: ``GenerateEFMCands`` over the pair share
+    ``pair_range_for(n_pairs)``, ``Sort&RemoveDuplicates`` and
+    ``RankTests``.
 
-    Returns ``(kept, accepted_candidates)``: the old modes surviving the
-    row (zero + positive + negative-if-reversible) and the locally
-    generated, deduplicated, rank-tested candidates.  The caller
-    concatenates (serial) or communicates/merges first (parallel).
-    ``rank_cache`` optionally shares a support-pattern rank memo across
-    iterations (and, for divide-and-conquer drivers, across subproblems).
+    Returns ``(keep, accepted_candidates)``: the indices of the old modes
+    that survive ``RemoveNegColumns`` (``None`` on a reversible row, where
+    all do) and the locally generated, deduplicated, rank-tested
+    candidates.  ``rank_cache`` optionally shares a support-pattern rank
+    memo across iterations (and, for divide-and-conquer drivers, across
+    subproblems).
 
     The generate → dedup → rank-test sequence runs as a bounded-memory
     chunk stream (:func:`repro.core.iterstream.stream_iteration`).
-    Candidates travel through it as a support-only
-    :class:`~repro.core.state.CandidateBatch`; with ``materialize=True``
-    (the serial default) the accepted survivors come back as a dense
-    :class:`ModeMatrix`, while ``materialize=False`` hands the batch to
-    the caller so a parallel driver can communicate the packed
-    representation and materialize (from ``modes.values``) after the
-    global merge.
+    Candidates leave it as a support-only
+    :class:`~repro.core.state.CandidateBatch`; :func:`nullspace_algorithm`
+    materializes the accepted survivors (from ``modes.values``) after
+    Algorithm 2's exchange, so ranks communicate the packed form.
     """
     signs = modes.sign_column(k)
     pos_idx = np.nonzero(signs > 0)[0]
@@ -156,20 +162,13 @@ def iterate_row(
             rank_cache=rank_cache,
         )
         stats.n_accepted = cand.n_modes
-    if materialize:
-        # Dense rows exist only from here on, and only for the accepted
-        # survivors.
-        with PhaseTimer(stats, "t_merge"):
-            cand = cand.materialize(modes.values)
 
     if reversible:
-        kept = modes
         stats.n_neg_removed = 0
-    else:
-        keep_mask = signs >= 0
-        stats.n_neg_removed = int((~keep_mask).sum())
-        kept = modes.select(np.nonzero(keep_mask)[0])
-    return kept, cand
+        return None, cand
+    keep_mask = signs >= 0
+    stats.n_neg_removed = int((~keep_mask).sum())
+    return np.nonzero(keep_mask)[0], cand
 
 
 def nullspace_algorithm(
@@ -180,8 +179,11 @@ def nullspace_algorithm(
     memory_check: MemoryCheck | None = None,
     rank_cache: CacheBinding | None = None,
     context: RunContext | None = None,
+    checkpoint_path: str | Path | None = None,
+    comm: "Communicator | None" = None,
 ) -> NullspaceResult:
-    """Run Algorithm 1 on a prepared problem.
+    """Run Algorithm 1 on a prepared problem — or, given ``comm``, one
+    rank's share of Algorithm 2.
 
     Parameters
     ----------
@@ -199,33 +201,77 @@ def nullspace_algorithm(
     context:
         The run's :class:`~repro.engine.context.RunContext`.  When absent a
         private one is built from ``options`` (legacy call style).
+    checkpoint_path:
+        An ``.npz`` :class:`~repro.core.checkpoint.Checkpoint`, written
+        every ``context.checkpoint_every`` iterations and after the last;
+        an existing one is validated and the run resumes from it.
+    comm:
+        This rank's communicator in an SPMD run of Algorithm 2
+        (:mod:`repro.parallel.combinatorial`).
     """
     ctx = RunContext.ensure(context, options=options)
     options = ctx.options
     t_start = time.perf_counter()
-    modes = ModeMatrix.from_kernel(problem.kernel)
-    stats = RunStats()
     stop = problem.q if stop_row is None else stop_row
     if not (problem.first_row <= stop <= problem.q):
         raise AlgorithmError(f"stop_row {stop} out of range")
+    ck = None
+    if checkpoint_path is not None:
+        from repro.core.checkpoint import resume_or_start  # noqa: PLC0415
+
+        if ctx.checkpoint_every < 1:
+            raise AlgorithmError("checkpoint_every must be >= 1")
+        ck = resume_or_start(checkpoint_path, problem, options.ordering)
+    modes = ck.modes if ck else ModeMatrix.from_kernel(problem.kernel)
+    stats = ck.stats if ck else RunStats()
+    elapsed0 = ck.elapsed if ck else 0.0
     recorder = ctx.trace_recorder()
     if rank_cache is None:
         rank_cache = ctx.rank_binding_for(problem)
     if memory_check is None:
         memory = ctx.fresh_memory()
         memory_check = memory.check if memory is not None else None
+    pair_range_for, selection_debug = full_range, False
+    if comm is not None:
+        from repro.parallel._driver_common import (  # noqa: PLC0415
+            check_selection_consistency,
+            exchange_candidates,
+            selection_debug_enabled,
+        )
+
+        def pair_range_for(n: int) -> PairRange:
+            return strided_range(n, comm.rank, comm.size)
+
+        selection_debug = selection_debug_enabled(options)
 
     # Dynamic ordering consults the selector at the top of every
     # iteration (scored from the live mode matrix); static orderings
     # replay the problem's baked-in permutation through the same seam.
-    selector = ctx.row_selector_for(problem, stop)
+    # A resume replays the checkpoint's realized prefix.  Under ``comm``
+    # every rank holds an identical mode matrix here, so each selects the
+    # same row locally with no communication.
+    selector = ctx.row_selector_for(
+        problem, stop, processed=ck.row_order if ck else ()
+    )
+    n_resumed = len(selector.realized)
     while selector.has_next():
         k = selector.next_row(modes)
+        if selection_debug:
+            check_selection_consistency(comm, selector.fingerprint(k, modes))
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
-        kept, cand = iterate_row(
-            modes, k, problem, options, it, rank_cache=rank_cache
+        keep, cand = iterate_row(
+            modes, k, problem, options, it,
+            pair_range_for=pair_range_for, rank_cache=rank_cache,
         )
+        if comm is not None:
+            cand = exchange_candidates(comm, cand, it)
+        # Dense rows exist only from here on, and only for the accepted
+        # survivors; they are built before the kept modes are copied, so
+        # their transients never coexist with that copy.
+        with PhaseTimer(it, "t_merge"):
+            cand = cand.materialize(modes.values)
+        kept = modes if keep is None else modes.select(keep)
         with PhaseTimer(it, "t_merge"):
             modes = kept.concat(cand) if cand.n_modes else kept
         it.n_modes_end = modes.n_modes
@@ -234,8 +280,21 @@ def nullspace_algorithm(
         recorder.capture(k, problem, modes, selector.last_score)
         if memory_check is not None:
             memory_check(k, modes)
+        if ck and (
+            (len(selector.realized) - n_resumed) % ctx.checkpoint_every == 0
+            or not selector.has_next()
+        ):
+            stats.t_total = elapsed0 + time.perf_counter() - t_start
+            dataclasses.replace(
+                ck,
+                next_row=problem.first_row + len(selector.realized),
+                modes=modes,
+                stats=stats,
+                elapsed=stats.t_total,
+                row_order=tuple(selector.realized),
+            ).save(checkpoint_path)
 
-    stats.t_total = time.perf_counter() - t_start
+    stats.t_total = elapsed0 + time.perf_counter() - t_start
     ctx.collect(stats)
     return NullspaceResult(
         problem=problem,

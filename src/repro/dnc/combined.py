@@ -37,14 +37,13 @@ its window, never touching a pinned row — and Proposition 1's argument
 in which the window rows fall.
 
 Steps 1–3 and 5–6 are shared by every way of *running* a subproblem
-(:func:`prepare_subset` / :meth:`PreparedSubset.finalize`); the default
-runner is Algorithm 2 (:func:`solve_subset`) and the degraded runner is
-the checkpointed serial path
-(:func:`solve_subset_checkpointed_serial`), which the
-:class:`~repro.engine.scheduler.SubproblemScheduler` falls back to when a
-subset exceeds the modeled node memory.  :func:`combined_parallel`
-delegates subset ordering, dispatch and failure isolation to that
-scheduler.
+(:func:`prepare_subset` / :meth:`PreparedSubset.finalize`), and
+:func:`solve_subset` is the one runner: Algorithm 2 on the subset.  When
+a subset exceeds the modeled node memory, the
+:class:`~repro.engine.scheduler.SubproblemScheduler` re-runs it through
+the same :func:`solve_subset` on one rank, with a checkpoint file and
+non-enforcing memory accounting.  :func:`combined_parallel` delegates
+subset ordering, dispatch and failure isolation to that scheduler.
 """
 
 from __future__ import annotations
@@ -100,13 +99,13 @@ class SubsetResult:
     stats: RunStats | None
     rank_traces: list[CommTrace]
     #: per-rank statistics from the Algorithm 2 run (``stats`` is the
-    #: bulk-synchronous max-merge of these); empty on serial/degraded paths.
+    #: bulk-synchronous max-merge of these); empty when nothing was solved.
     rank_stats: list[RunStats] = dataclasses.field(default_factory=list)
     #: memory failure, if the subproblem exceeded the modeled capacity.
     oom: OutOfMemoryError | None = None
     wall_time: float = 0.0
-    #: solved by the checkpointed serial fallback after an OOM (or an
-    #: admission rejection) instead of Algorithm 2.
+    #: re-solved on one rank, checkpointed and without memory enforcement,
+    #: after an OOM (or an admission rejection).
     degraded: bool = False
     #: restored from a scheduler checkpoint instead of recomputed.
     resumed: bool = False
@@ -803,6 +802,7 @@ def solve_subset(
     auto_split: bool = True,
     context: RunContext | None = None,
     blocked: frozenset[str] | None = None,
+    checkpoint_path: str | Path | None = None,
 ) -> SubsetResult:
     """Solve one subset's subproblem with Algorithm 2 (lines 3–22).
 
@@ -811,7 +811,8 @@ def solve_subset(
     shares support-pattern rank results with the run's other subproblems;
     keys are canonical reduced-network column sets, so differing
     permutations, deletions and reversible splits all address the same
-    entries.  ``blocked`` is passed on to :func:`prepare_subset`.
+    entries.  ``blocked`` is passed on to :func:`prepare_subset`, and
+    ``checkpoint_path`` (one rank only) to the Nullspace loop.
     """
     ctx = RunContext.ensure(context, options=options, memory_model=memory_model)
     t0 = time.perf_counter()
@@ -836,6 +837,7 @@ def solve_subset(
             memory_model=ctx.fresh_memory(),
             rank_cache=binding,
             context=ctx,
+            checkpoint_path=checkpoint_path,
         )
     except OutOfMemoryError as exc:
         return SubsetResult(
@@ -856,78 +858,6 @@ def solve_subset(
         rank_traces=run.rank_traces,
         rank_stats=run.rank_stats,
         wall_time=time.perf_counter() - t0,
-    )
-
-
-def solve_subset_checkpointed_serial(
-    reduced: MetabolicNetwork,
-    spec: SubsetSpec,
-    *,
-    context: RunContext | None = None,
-    options: AlgorithmOptions = DEFAULT_OPTIONS,
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
-    auto_split: bool = True,
-    blocked: frozenset[str] | None = None,
-) -> SubsetResult:
-    """Solve one subset on the checkpointed serial path (degraded mode).
-
-    The scheduler's failure-isolation fallback: when Algorithm 2 on a
-    subset exceeds the modeled node memory, the subset re-runs here —
-    serial Algorithm 1 with periodic snapshots, memory accounting in
-    recording (non-enforcing) mode — so one oversized subset slows the
-    run down instead of aborting it, and an interrupted fallback resumes
-    from its last snapshot (without a ``checkpoint_path``, the plain
-    serial driver runs instead).  ``blocked`` is passed on to
-    :func:`prepare_subset`.
-    """
-    from repro.core.checkpoint import checkpointed_nullspace_algorithm  # noqa: PLC0415
-    from repro.core.serial import nullspace_algorithm  # noqa: PLC0415
-
-    ctx = RunContext.ensure(context, options=options)
-    dry_memory = None
-    if ctx.memory_model is not None:
-        dry_memory = ctx.memory_model.fresh()
-        dry_memory.enforcing = False
-    run_ctx = dataclasses.replace(ctx, memory_model=dry_memory)
-
-    t0 = time.perf_counter()
-    prep = prepare_subset(
-        reduced,
-        spec,
-        options=ctx.options,
-        auto_split=auto_split,
-        blocked=blocked,
-        context=ctx,
-    )
-    if prep.problem is None:
-        return prep.empty_result(wall_time=time.perf_counter() - t0)
-
-    # The serial drivers build their rank binding without a canonical
-    # column map, so the shared memo is bypassed here (a private memo is
-    # sound; sharing without col_ids would not be).
-    if checkpoint_path is not None:
-        res = checkpointed_nullspace_algorithm(
-            prep.problem,
-            checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            stop_row=prep.stop,
-            context=run_ctx,
-        )
-    else:
-        res = nullspace_algorithm(
-            prep.problem, stop_row=prep.stop, context=run_ctx
-        )
-
-    efms, certified = prep.finalize(res.modes)
-    return SubsetResult(
-        spec=spec,
-        efms=efms,
-        certified=certified,
-        stats=res.stats,
-        rank_traces=[],
-        wall_time=time.perf_counter() - t0,
-        degraded=True,
     )
 
 
@@ -960,7 +890,8 @@ def combined_parallel(
     * ``on_oom`` — ``"record"`` captures a subset's
       :class:`~repro.errors.OutOfMemoryError` in its result (legacy
       behaviour, feeds the adaptive refiner); ``"degrade"`` re-runs the
-      subset on the checkpointed serial path so the run still completes.
+      subset on one rank, checkpointed and without memory enforcement, so
+      the run still completes.
     * ``checkpoint_dir`` — persist each completed subset; a rerun resumes
       from what finished.
 

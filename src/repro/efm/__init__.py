@@ -2,7 +2,6 @@
 splitting, application-level analyses, and text IO."""
 
 from repro.efm.api import build_problem_with_split, compute_efms
-from repro.efm.extreme_pathways import classify_extreme, extreme_pathways
 from repro.efm.result import EFMResult
 from repro.efm.splitting import SplitRecord, split_reversible
 from repro.efm.targeted import efms_avoiding, efms_through, exists_mode_through
@@ -10,8 +9,6 @@ from repro.efm.targeted import efms_avoiding, efms_through, exists_mode_through
 __all__ = [
     "build_problem_with_split",
     "compute_efms",
-    "classify_extreme",
-    "extreme_pathways",
     "EFMResult",
     "SplitRecord",
     "split_reversible",

@@ -94,11 +94,12 @@ def compute_efms(
     on_oom:
         For ``method="combined"`` with a memory model: ``"record"``
         (default) raises when a subset exceeds memory, pointing at the
-        adaptive refiner; ``"degrade"`` re-runs such subsets on the
-        checkpointed serial path so the call still completes.
+        adaptive refiner; ``"degrade"`` re-runs such subsets on one rank,
+        checkpointed and without memory enforcement, so the call still
+        completes.
     checkpoint_path:
-        ``method="serial"``: snapshot ``.npz`` for the checkpointed
-        driver.  ``method="combined"``: scheduler checkpoint *directory*
+        ``method="serial"``: snapshot ``.npz`` the Nullspace loop writes
+        and resumes from.  ``method="combined"``: scheduler checkpoint *directory*
         — completed subsets persist and a rerun resumes from them.
     context:
         A pre-built :class:`~repro.engine.context.RunContext`; overrides
@@ -158,8 +159,8 @@ def compute_efms(
                 failed = [s.spec.label() for s in run.subsets if not s.completed]
                 raise AlgorithmError(
                     f"divide-and-conquer subsets exceeded memory: {failed}; use "
-                    "on_oom='degrade' to fall back to the checkpointed serial "
-                    "path, or repro.dnc.adaptive.adaptive_combined for automatic "
+                    "on_oom='degrade' to re-run them on one rank, checkpointed, "
+                    "or repro.dnc.adaptive.adaptive_combined for automatic "
                     "refinement"
                 )
             efms_reduced = run.efms()
@@ -223,14 +224,9 @@ def _enumerate(
     """Run the unsplit enumeration ``method`` and return its final mode
     matrix and statistics; the run's other results die on return."""
     if method == "serial":
-        if ctx.checkpoint_path is not None:
-            from repro.core.checkpoint import (  # noqa: PLC0415
-                checkpointed_nullspace_algorithm,
-            )
-
-            res = checkpointed_nullspace_algorithm(problem, context=ctx)
-        else:
-            res = nullspace_algorithm(problem, context=ctx)
+        res = nullspace_algorithm(
+            problem, context=ctx, checkpoint_path=ctx.checkpoint_path
+        )
         return res.modes, res.stats
     if method == "parallel":
         run = combinatorial_parallel(

@@ -6,12 +6,12 @@ This package is the seam between the pathway-analysis kernels (``core/``,
 * :class:`~repro.engine.context.RunContext` — one object owning options,
   rank-test cache wiring, memory model, tracing, checkpoint configuration
   and statistics collection, constructed once per ``compute_efms`` call
-  and consumed by all five drivers;
+  and consumed by every driver;
 * :class:`~repro.engine.scheduler.SubproblemScheduler` — memory-aware
   dispatch of the ``2**q_sub`` divide-and-conquer subproblems over
   two executors (``inline`` and the work-stealing ``process-pool``),
   with an admission budget, OOM
-  degradation to the checkpointed serial path, and subset-level
+  degradation to a checkpointed one-rank re-run, and subset-level
   checkpoint/resume.
 
 The scheduler (and its executors) import the divide-and-conquer driver

@@ -78,11 +78,12 @@ class RunContext:
         (zeroed) copies per run via :meth:`fresh_memory` so subproblems are
         accounted independently.
     checkpoint_path:
-        Where the checkpointed drivers persist state: an ``.npz`` file for
-        the serial path, a directory for the divide-and-conquer scheduler's
-        per-subset results.
+        Where a run persists state: ``compute_efms`` hands it to the
+        serial Nullspace loop as its ``.npz`` snapshot file; the
+        divide-and-conquer scheduler uses it as the directory of its
+        per-subset results.  The loop itself never reads it from here.
     checkpoint_every:
-        Snapshot period (iterations) of the checkpointed serial driver.
+        Snapshot period (iterations) of a checkpointed Nullspace loop.
     """
 
     options: AlgorithmOptions = DEFAULT_OPTIONS
@@ -133,8 +134,8 @@ class RunContext:
     ) -> CacheBinding:
         """The rank-test cache binding for one prepared problem.
 
-        The one place the serial, combinatorial, distributed, checkpointed
-        and divide-and-conquer drivers get their rank memo from.  Two
+        The one place the Nullspace loop and the distributed and
+        divide-and-conquer drivers get their rank memo from.  Two
         regimes:
 
         * with :attr:`shared_rank_memo` bound (divide-and-conquer), the

@@ -24,8 +24,9 @@ queue.  It replaces the sequential subset loop that used to live in
    (:mod:`repro.engine.executors`), with an admission budget bounding the
    predicted bytes in flight;
 4. **isolate failures** — with ``on_oom="degrade"``, a subset that
-   exceeds the modeled node memory (or is predicted to) re-runs on the
-   checkpointed serial path instead of aborting the run;
+   exceeds the modeled node memory (or is predicted to) re-runs on one
+   rank, checkpointed and without memory enforcement, instead of
+   aborting the run;
 5. **persist** — with a checkpoint directory, each completed subset is
    written as it finishes and a rerun resumes from what survived.
 
@@ -48,7 +49,7 @@ from repro.dnc.combined import (
     CombinedRunResult,
     SubsetResult,
     screen_subsets,
-    solve_subset_checkpointed_serial,
+    solve_subset,
 )
 from repro.dnc.subsets import SubsetSpec
 from repro.engine.context import RunContext
@@ -123,7 +124,8 @@ class SubproblemScheduler:
         ``"record"`` keeps a failed subset's ``OutOfMemoryError`` in its
         result (legacy behaviour; feeds the adaptive refiner);
         ``"degrade"`` re-runs failed (and too-big-to-admit) subsets on
-        the checkpointed serial path so the run completes.
+        one rank, checkpointed and without memory enforcement, so the run
+        completes.
     checkpoint_dir:
         Directory for per-subset result persistence and resume.
     """
@@ -344,22 +346,26 @@ class SubproblemScheduler:
     # -- degradation ---------------------------------------------------------
 
     def _degrade(self, job: SubsetJob) -> SubsetResult:
-        """Re-run one subset on the checkpointed serial path (failure
-        isolation: slow beats dead)."""
+        """Re-run one subset on one rank, memory recorded but not
+        enforced, snapshotting to resume from (slow beats dead)."""
         ckpt = (
             self.checkpoint_dir / f"subset_{job.spec.subset_id:05d}_serial.npz"
             if self.checkpoint_dir is not None
             else None
         )
-        res = solve_subset_checkpointed_serial(
+        dry_memory = self.context.fresh_memory()
+        if dry_memory is not None:
+            dry_memory.enforcing = False
+        res = solve_subset(
             self.reduced,
             job.spec,
-            context=self.context,
-            checkpoint_path=ckpt,
-            checkpoint_every=self.context.checkpoint_every,
+            1,
             auto_split=self.auto_split,
+            context=dataclasses.replace(self.context, memory_model=dry_memory),
             blocked=job.blocked,
+            checkpoint_path=ckpt,
         )
+        res.degraded = True
         res.predicted_peak_bytes = job.predicted_peak_bytes
         if ckpt is not None and ckpt.exists():
             ckpt.unlink()  # the subset finished; the row-level snapshot is spent

@@ -3,20 +3,23 @@
 The combinatorial (replicated) and distributed (column-partitioned)
 drivers grew copy-pasted plumbing — mode-matrix assembly for the
 allgather rounds, transport-counter collection, and the tracing wrapper
-handed to :func:`repro.mpi.spmd.run_spmd`.  One copy of each lives here.
+handed to :func:`repro.mpi.spmd.run_spmd`.  One copy of each lives here,
+with the two steps the Nullspace loop adds under a communicator.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import time
 
 import numpy as np
 
 from repro.config import AlgorithmOptions
-from repro.core.state import ModeMatrix
-from repro.core.stats import RunStats
+from repro.core.state import CandidateBatch, ModeMatrix
+from repro.core.stats import IterationStats, RunStats
 from repro.errors import AlgorithmError
+from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports
 from repro.mpi.comm import Communicator
 from repro.mpi.tracing import TracingCommunicator
@@ -28,6 +31,47 @@ def concat_mode_parts(parts, q: int) -> ModeMatrix:
     vals = np.concatenate([p[0] for p in parts], axis=0)
     words = np.concatenate([p[1] for p in parts], axis=0)
     return ModeMatrix.from_parts(vals, PackedSupports(words, q))
+
+
+def exchange_candidates(
+    comm: Communicator, local: CandidateBatch, it: IterationStats
+) -> CandidateBatch:
+    """Algorithm 2's Communicate&Merge: allgather every rank's accepted
+    candidates as packed supports + pair indices (which address the
+    replicated pre-iteration modes) and return the same merged batch, in
+    rank-major first-occurrence order, on every rank."""
+    t0 = time.perf_counter()
+    gathered = comm.allgather(local.to_wire())
+    it.t_communicate += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    # Most ranks contribute nothing on a typical iteration (a handful
+    # of accepted candidates spread over all ranks), so assemble only the
+    # non-empty parts — and when at most one rank contributed, adopt
+    # its arrays without any copy.
+    parts = [g for g in gathered if g[0].shape[0]] or [gathered[0]]
+    if len(parts) == 1:
+        # A single contributing rank: its batch is already locally
+        # deduplicated, and unique_rows preserves first-occurrence
+        # order, so the global dedup below would be an exact identity.
+        words, pair_i, pair_j = parts[0]
+    else:
+        # Dedup on the packed words alone, *before* touching any dense
+        # data — only the surviving pair indices are sliced and only
+        # the survivors materialized.  Cross-rank duplicates against
+        # surviving zero columns were already removed locally (replicated
+        # state), but two ranks may accept the same ray from different
+        # pairs.
+        words = np.concatenate([g[0] for g in parts])
+        pair_i = np.concatenate([g[1] for g in parts])
+        pair_j = np.concatenate([g[2] for g in parts])
+        words, first = bitset.unique_rows(words)
+        if first.size != pair_i.size:
+            pair_i = pair_i[first]
+            pair_j = pair_j[first]
+    merged = CandidateBatch.from_wire((words, pair_i, pair_j), local.q, local.row)
+    it.t_merge += time.perf_counter() - t0
+    return merged
 
 
 def collect_wire_stats(comm: Communicator, stats: RunStats) -> None:

@@ -11,7 +11,10 @@ rank appends the identical merged candidate set, keeping the replicas in
 lockstep.  The allgather ships packed supports + int32 pair indices
 instead of dense integer rows (~``8*q`` bytes per candidate cheaper);
 every rank recomputes the combination coefficients from its replica and
-rebuilds the dense survivors after the global dedup.
+rebuilds the dense survivors after the global dedup.  Each rank runs the
+one Nullspace loop, :func:`~repro.core.serial.nullspace_algorithm`,
+given its communicator; this module launches the ranks and checks that
+their replicas agree.
 
 Determinism: the merged candidate order is canonical (rank-major gather
 order, first-occurrence dedup), so all replicas stay bit-identical and the
@@ -22,30 +25,22 @@ against the serial algorithm.
 from __future__ import annotations
 
 import dataclasses
-import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
-from repro.core.candidates import strided_range
 from repro.core.kernel import NullspaceProblem
-from repro.core.serial import NullspaceResult, iterate_row, nullspace_algorithm
-from repro.core.state import CandidateBatch, ModeMatrix
+from repro.core.serial import NullspaceResult, nullspace_algorithm
 from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
-from repro.linalg import bitset
 from repro.linalg.rankmemo import CacheBinding
 from repro.mpi.comm import Communicator
 from repro.mpi.spmd import BackendName, run_spmd
 from repro.mpi.tracing import CommTrace, TracingCommunicator
-from repro.parallel._driver_common import (
-    check_selection_consistency,
-    collect_wire_stats,
-    selection_debug_enabled,
-    traced_worker,
-)
+from repro.parallel._driver_common import collect_wire_stats, traced_worker
 
 
 @dataclasses.dataclass
@@ -81,128 +76,25 @@ class ReplicaSummary:
 
 
 def combinatorial_worker(
-    comm: Communicator,
-    problem: NullspaceProblem,
-    options: AlgorithmOptions = DEFAULT_OPTIONS,
-    *,
-    stop_row: int | None = None,
-    memory_model: MemoryModel | None = None,
-    rank_cache: CacheBinding | None = None,
-    context: RunContext | None = None,
-) -> NullspaceResult:
-    """SPMD body of Algorithm 2 — call through :func:`combinatorial_parallel`
-    or hand it directly to :func:`repro.mpi.spmd.run_spmd`.  Rank 0
-    returns the :class:`~repro.core.serial.NullspaceResult`, every other
-    rank a :class:`ReplicaSummary`.
-
-    ``rank_cache`` overrides the per-worker rank memo — the
-    divide-and-conquer driver passes a binding shared across subproblems
-    (the sequential backend's ranks share the dict; the process backend
-    degrades to per-process copies, which is merely a smaller cache,
-    never wrong).
-    """
-    ctx = RunContext.ensure(context, options=options)
-    options = ctx.options
-    t_start = time.perf_counter()
-    modes = ModeMatrix.from_kernel(problem.kernel)
-    stats = RunStats()
-    # The model instance is shared across in-process ranks deliberately:
-    # replicas have identical footprints, and sharing lets a dry-run probe
-    # report the observed peak back to the caller.  Per-subproblem
-    # isolation is the *driver's* job (solve_subset calls .fresh()).
-    memory = memory_model if memory_model is not None else ctx.memory_model
-    stop = problem.q if stop_row is None else stop_row
-    if not (problem.first_row <= stop <= problem.q):
-        raise AlgorithmError(f"stop_row {stop} out of range")
-    if rank_cache is None:
-        rank_cache = ctx.rank_binding_for(problem)
-
-    # Row selection is replica-consistent by construction: every rank
-    # holds an identical mode matrix at the top of the iteration, so each
-    # computes the same argmin locally — zero extra communication.  The
-    # fingerprint allgather below asserts exactly that, in debug/trace
-    # mode only.
-    selector = ctx.row_selector_for(problem, stop)
-    selection_debug = selection_debug_enabled(options)
-    while selector.has_next():
-        k = selector.next_row(modes)
-        if selection_debug:
-            check_selection_consistency(comm, selector.fingerprint(k, modes))
-        it = ctx.new_iteration(problem, k)
-        selector.annotate(it)
-        kept, cand_local = iterate_row(
-            modes,
-            k,
-            problem,
-            options,
-            it,
-            pair_range_for=lambda n: strided_range(n, comm.rank, comm.size),
-            rank_cache=rank_cache,
-            materialize=False,
-        )
-
-        # Communicate&Merge: exchange accepted local candidates; every rank
-        # rebuilds the identical global candidate set.  The allgather
-        # ships packed supports + int32 pair indices: the indices address
-        # the replicated pre-iteration mode matrix, identical on every
-        # rank, so the combination coefficients are recomputed from the
-        # local replica's row-``k`` column.
-        t0 = time.perf_counter()
-        gathered = comm.allgather(cand_local.to_wire())
-        it.t_communicate += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        # Most ranks contribute nothing on a typical iteration (a handful
-        # of accepted candidates spread over all ranks), so assemble only the
-        # non-empty parts — and when at most one rank contributed, adopt
-        # its arrays without any copy.
-        parts = [g for g in gathered if g[0].shape[0]] or [gathered[0]]
-        if len(parts) == 1:
-            # A single contributing rank: its batch is already locally
-            # deduplicated, and unique_rows preserves first-occurrence
-            # order, so the global dedup below would be an exact identity.
-            words, pair_i, pair_j = parts[0]
-        else:
-            # Dedup on the packed words alone, *before* touching any dense
-            # data — only the surviving pair indices are sliced and only
-            # the survivors materialized.
-            words = np.concatenate([g[0] for g in parts])
-            pair_i = np.concatenate([g[1] for g in parts])
-            pair_j = np.concatenate([g[2] for g in parts])
-            words, first = bitset.unique_rows(words)
-            if first.size != pair_i.size:
-                pair_i = pair_i[first]
-                pair_j = pair_j[first]
-        # Dense values are materialized here, once, for the globally
-        # accepted survivors only, in rank-major gather order.
-        merged = CandidateBatch.from_wire(
-            (words, pair_i, pair_j), problem.q, k
-        ).materialize(modes.values)
-        # Cross-rank duplicates against surviving zero columns were already
-        # removed locally (replicated state), but two ranks may accept the
-        # same ray from different pairs — the global dedup above covers it.
-        modes = kept.concat(merged) if merged.n_modes else kept
-        it.t_merge += time.perf_counter() - t0
-
-        it.n_modes_end = modes.n_modes
-        stats.add(it)
-        stats.peak_mode_bytes = max(stats.peak_mode_bytes, modes.nbytes())
-        if memory is not None:
-            memory.check(k, modes)
-
-    stats.t_total = time.perf_counter() - t_start
+    comm: Communicator, problem: NullspaceProblem, **loop
+) -> NullspaceResult | ReplicaSummary:
+    """SPMD body of Algorithm 2, handed to :func:`repro.mpi.spmd.run_spmd`
+    by :func:`combinatorial_parallel`: the Nullspace loop
+    (:func:`~repro.core.serial.nullspace_algorithm`, keywords ``loop``)
+    on ``comm``.  Rank 0 returns the
+    :class:`~repro.core.serial.NullspaceResult`, every other rank a
+    :class:`ReplicaSummary`."""
+    res = nullspace_algorithm(problem, comm=comm, **loop)
+    stats = res.stats
     if isinstance(comm, TracingCommunicator):
         stats.bytes_sent = comm.trace.bytes_sent
         stats.messages_sent = comm.trace.n_messages
     collect_wire_stats(comm, stats)
-    ctx.collect(stats)
     if comm.rank != 0:
         # Only rank 0's replica is returned; the others send back what the
         # replica check compares, not a copy of the mode matrix each.
-        return ReplicaSummary(stats=stats, words=modes.supports.words)
-    return NullspaceResult(
-        problem=problem, modes=modes, stats=stats, stopped_at=stop
-    )
+        return ReplicaSummary(stats=stats, words=res.modes.supports.words)
+    return res
 
 
 def combinatorial_parallel(
@@ -215,6 +107,7 @@ def combinatorial_parallel(
     memory_model: MemoryModel | None = None,
     rank_cache: CacheBinding | None = None,
     context: RunContext | None = None,
+    checkpoint_path: str | Path | None = None,
 ) -> ParallelRunResult:
     """Run Algorithm 2 on ``n_ranks`` simulated ranks.
 
@@ -222,36 +115,43 @@ def combinatorial_parallel(
     :class:`ParallelRunResult` carries rank 0's result plus every rank's
     statistics and communication trace (for modeled timing).
 
+    ``rank_cache`` overrides the per-run rank memo — the
+    divide-and-conquer driver passes a binding shared across subproblems
+    (the sequential backend's ranks share the dict; the process backend
+    degrades to per-process copies, which is merely a smaller cache,
+    never wrong).
+
     One rank has no pairs to partition and nothing to exchange, so
-    Algorithm 2 is Algorithm 1: it runs the serial loop in the calling
-    process, whatever the backend, with the same rank memo and
-    per-iteration memory check, and an empty trace (0 s of modeled
-    communication, as a rank sending to itself models).
+    Algorithm 2 is Algorithm 1: it runs the loop without a communicator
+    in the calling process, whatever the backend, and an empty trace (0 s
+    of modeled communication, as a rank sending to itself models).  Only
+    that one-rank run takes a ``checkpoint_path``.
     """
     ctx = RunContext.ensure(context, options=options)
+    # The model instance is shared across in-process ranks deliberately:
+    # replicas have identical footprints, and sharing lets a dry-run probe
+    # report the observed peak back to the caller.  Per-subproblem
+    # isolation is the *driver's* job (solve_subset calls .fresh()).
+    memory = memory_model if memory_model is not None else ctx.memory_model
+    loop = {
+        "stop_row": stop_row,
+        "memory_check": memory.check if memory is not None else None,
+        "rank_cache": rank_cache,
+        "context": ctx,
+    }
     if n_ranks == 1:
-        memory = memory_model if memory_model is not None else ctx.memory_model
-        res = nullspace_algorithm(
-            problem,
-            stop_row=stop_row,
-            memory_check=memory.check if memory is not None else None,
-            rank_cache=rank_cache,
-            context=ctx,
-        )
+        res = nullspace_algorithm(problem, checkpoint_path=checkpoint_path, **loop)
         return ParallelRunResult(
             result=res, rank_stats=[res.stats], rank_traces=[CommTrace()]
         )
+    if checkpoint_path is not None:
+        raise AlgorithmError(f"a checkpointed run needs one rank, not {n_ranks}")
     outs = run_spmd(
         traced_worker(combinatorial_worker),
         n_ranks,
         backend=backend,
-        args=(problem, ctx.options),
-        kwargs={
-            "stop_row": stop_row,
-            "memory_model": memory_model,
-            "rank_cache": rank_cache,
-            "context": ctx,
-        },
+        args=(problem,),
+        kwargs=loop,
         comm_timeout=ctx.options.comm_timeout_s,
     )
     results = [r for r, _ in outs]

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import AlgorithmOptions
-from repro.core.checkpoint import (
-    Checkpoint,
-    checkpointed_nullspace_algorithm,
-    problem_fingerprint,
-)
+from repro.core.checkpoint import Checkpoint, problem_fingerprint
 from repro.core.kernel import build_problem
 from repro.core.serial import nullspace_algorithm
+from repro.engine.context import RunContext
 from repro.errors import AlgorithmError, OutOfMemoryError
 from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
@@ -33,7 +30,7 @@ class TestFingerprint:
 class TestRunAndResume:
     def test_fresh_run_matches_plain(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
-        res = checkpointed_nullspace_algorithm(toy_problem, path)
+        res = nullspace_algorithm(toy_problem, checkpoint_path=path)
         plain = nullspace_algorithm(toy_problem)
         assert_same_modes(res.efms_input_order(), plain.efms_input_order())
         assert path.exists()
@@ -50,15 +47,16 @@ class TestRunAndResume:
                 raise OutOfMemoryError("simulated node death", iteration=k)
 
         with pytest.raises(OutOfMemoryError):
-            checkpointed_nullspace_algorithm(
-                toy_problem, path, checkpoint_every=1, memory_check=bomb
+            nullspace_algorithm(
+                toy_problem, checkpoint_path=path, memory_check=bomb,
+                context=RunContext(checkpoint_every=1),
             )
         assert path.exists()
         partial = Checkpoint.load(path)
         assert partial.next_row < toy_problem.q
 
         # Resume to completion; the result must equal an uninterrupted run.
-        res = checkpointed_nullspace_algorithm(toy_problem, path)
+        res = nullspace_algorithm(toy_problem, checkpoint_path=path)
         plain = nullspace_algorithm(toy_problem)
         assert_same_modes(res.efms_input_order(), plain.efms_input_order())
         # Statistics cover all iterations exactly once.
@@ -67,22 +65,23 @@ class TestRunAndResume:
 
     def test_resume_noop_when_complete(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
-        first = checkpointed_nullspace_algorithm(toy_problem, path)
-        again = checkpointed_nullspace_algorithm(toy_problem, path)
+        first = nullspace_algorithm(toy_problem, checkpoint_path=path)
+        again = nullspace_algorithm(toy_problem, checkpoint_path=path)
         assert again.n_efms == first.n_efms
         assert len(again.stats.iterations) == len(first.stats.iterations)
 
     def test_wrong_problem_rejected(self, toy_problem, toy_record, tmp_path):
         path = tmp_path / "run.ckpt"
-        checkpointed_nullspace_algorithm(toy_problem, path)
+        nullspace_algorithm(toy_problem, checkpoint_path=path)
         other = build_problem(toy_record.reduced, force_last=("r6r",))
         with pytest.raises(AlgorithmError, match="different problem"):
-            checkpointed_nullspace_algorithm(other, path)
+            nullspace_algorithm(other, checkpoint_path=path)
 
     def test_checkpoint_every_n(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
-        res = checkpointed_nullspace_algorithm(
-            toy_problem, path, checkpoint_every=3
+        res = nullspace_algorithm(
+            toy_problem, checkpoint_path=path,
+            context=RunContext(checkpoint_every=3),
         )
         assert res.n_efms == 8
         # Final snapshot always written.
@@ -99,12 +98,12 @@ class TestRunAndResume:
         problem, _ = build_problem_with_split(compress_network(net).reduced)
         path = tmp_path / "pi.ckpt"
         mid = (problem.first_row + problem.q) // 2
-        partial = checkpointed_nullspace_algorithm(problem, path, stop_row=mid)
+        partial = nullspace_algorithm(problem, checkpoint_path=path, stop_row=mid)
         assert partial.modes.values.dtype == object
         assert Checkpoint.load(path).modes.values.tolist() == (
             partial.modes.values.tolist()
         )
-        res = checkpointed_nullspace_algorithm(problem, path)
+        res = nullspace_algorithm(problem, checkpoint_path=path)
         plain = nullspace_algorithm(problem)
         assert plain.stats.total_int_switches >= 1
         assert sorted(res.modes.values.tolist()) == sorted(
@@ -113,7 +112,7 @@ class TestRunAndResume:
 
     def test_stats_roundtrip_through_disk(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
-        res = checkpointed_nullspace_algorithm(toy_problem, path)
+        res = nullspace_algorithm(toy_problem, checkpoint_path=path)
         ck = Checkpoint.load(path)
         assert ck.stats.total_candidates == res.stats.total_candidates
         assert [it.reaction for it in ck.stats.iterations] == [
@@ -125,7 +124,7 @@ class TestRunAndResume:
         # longer has; load must refuse it with a typed error, not a
         # TypeError from the stats constructor.
         path = tmp_path / "run.ckpt"
-        checkpointed_nullspace_algorithm(toy_problem, path)
+        nullspace_algorithm(toy_problem, checkpoint_path=path)
         with np.load(path) as data:
             arrays = dict(data)
         arrays["version"] = np.int64(2)
@@ -139,20 +138,20 @@ class TestRunAndResume:
         # longer carry; resuming must fail with a typed error naming the
         # format version, not a KeyError or a foreign-problem complaint.
         path = tmp_path / "run.ckpt"
-        checkpointed_nullspace_algorithm(toy_problem, path)
+        nullspace_algorithm(toy_problem, checkpoint_path=path)
         with np.load(path) as data:
             arrays = dict(data)
         arrays["version"] = np.int64(3)
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **arrays)
         with pytest.raises(AlgorithmError, match="version 3 unsupported"):
-            checkpointed_nullspace_algorithm(toy_problem, path)
+            nullspace_algorithm(toy_problem, checkpoint_path=path)
 
     def test_version_4_resume_refused(self, toy_problem, tmp_path):
         # A version-4 file stores normalized float modes; the integer
         # run must refuse it, naming both format versions.
         path = tmp_path / "run.ckpt"
-        checkpointed_nullspace_algorithm(toy_problem, path)
+        nullspace_algorithm(toy_problem, checkpoint_path=path)
         with np.load(path) as data:
             arrays = dict(data)
         arrays["version"] = np.int64(4)
@@ -162,14 +161,14 @@ class TestRunAndResume:
         with pytest.raises(
             AlgorithmError, match=r"version 4 unsupported \(expected 6\)"
         ):
-            checkpointed_nullspace_algorithm(toy_problem, path)
+            nullspace_algorithm(toy_problem, checkpoint_path=path)
 
     def test_version_5_resume_refused(self, toy_problem, tmp_path):
         # A version-5 fingerprint hashed the acceptance test, which is gone;
         # the run must refuse the file by version, naming both versions,
         # not report it as a foreign problem.
         path = tmp_path / "run.ckpt"
-        checkpointed_nullspace_algorithm(toy_problem, path)
+        nullspace_algorithm(toy_problem, checkpoint_path=path)
         with np.load(path) as data:
             arrays = dict(data)
         arrays["version"] = np.int64(5)
@@ -178,7 +177,7 @@ class TestRunAndResume:
         with pytest.raises(
             AlgorithmError, match=r"version 5 unsupported \(expected 6\)"
         ):
-            checkpointed_nullspace_algorithm(toy_problem, path)
+            nullspace_algorithm(toy_problem, checkpoint_path=path)
 
     def test_medium_network_resume_equivalence(self, tmp_path):
         """Interrupt a real workload halfway; the resumed result equals
@@ -190,11 +189,11 @@ class TestRunAndResume:
         path = tmp_path / "yeast.ckpt"
         mid = (problem.first_row + problem.q) // 2
 
-        res_partial = checkpointed_nullspace_algorithm(
-            problem, path, stop_row=mid
+        res_partial = nullspace_algorithm(
+            problem, checkpoint_path=path, stop_row=mid
         )
         assert not res_partial.complete
-        res = checkpointed_nullspace_algorithm(problem, path)
+        res = nullspace_algorithm(problem, checkpoint_path=path)
         plain = nullspace_algorithm(problem)
         assert np.array_equal(
             np.sort(res.modes.supports.words, axis=0),
@@ -206,7 +205,7 @@ class TestRealizedRowOrder:
     def test_row_order_roundtrips(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
         opts = AlgorithmOptions(ordering="dynamic")
-        checkpointed_nullspace_algorithm(toy_problem, path, options=opts)
+        nullspace_algorithm(toy_problem, checkpoint_path=path, options=opts)
         ck = Checkpoint.load(path)
         assert ck.ordering == "dynamic"
         assert sorted(ck.row_order) == list(
@@ -225,27 +224,30 @@ class TestRealizedRowOrder:
                 raise OutOfMemoryError("simulated node death", iteration=k)
 
         with pytest.raises(OutOfMemoryError):
-            checkpointed_nullspace_algorithm(
-                toy_problem, path, checkpoint_every=1, memory_check=bomb,
-                options=opts,
+            nullspace_algorithm(
+                toy_problem, checkpoint_path=path, memory_check=bomb,
+                context=RunContext(options=opts, checkpoint_every=1),
             )
         partial = Checkpoint.load(path)
         assert len(partial.row_order) >= 1
         # Resume replays the realized prefix and completes identically to
         # an uninterrupted dynamic run.
-        res = checkpointed_nullspace_algorithm(toy_problem, path, options=opts)
+        res = nullspace_algorithm(toy_problem, checkpoint_path=path, options=opts)
         plain = nullspace_algorithm(toy_problem, options=opts)
         assert_same_modes(res.efms_input_order(), plain.efms_input_order())
         assert len(res.stats.iterations) == len(plain.stats.iterations)
 
     def test_ordering_mismatch_rejected(self, toy_problem, tmp_path):
         path = tmp_path / "run.ckpt"
-        checkpointed_nullspace_algorithm(
-            toy_problem, path, checkpoint_every=1,
+        nullspace_algorithm(
+            toy_problem, checkpoint_path=path,
             stop_row=toy_problem.first_row + 2,
-            options=AlgorithmOptions(ordering="dynamic"),
+            context=RunContext(
+                options=AlgorithmOptions(ordering="dynamic"), checkpoint_every=1
+            ),
         )
         with pytest.raises(AlgorithmError, match="ordering"):
-            checkpointed_nullspace_algorithm(
-                toy_problem, path, options=AlgorithmOptions(ordering="natural")
+            nullspace_algorithm(
+                toy_problem, checkpoint_path=path,
+                options=AlgorithmOptions(ordering="natural"),
             )

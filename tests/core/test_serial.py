@@ -117,6 +117,39 @@ class TestTrace:
         assert res.trace[-1].matrix.shape == (8, 8)
         assert "r8r" in res.trace[-1].render()
 
+    def test_every_loop_path_traces_each_iteration(self, toy_problem, tmp_path):
+        """A checkpointed run, a resumed run and Algorithm 2 on two ranks
+        each return one snapshot per iteration they ran."""
+        from repro.parallel.combinatorial import combinatorial_parallel
+
+        options = AlgorithmOptions(record_trace=True)
+        plain = nullspace_algorithm(toy_problem, options=options)
+        rows = [it.position for it in plain.stats.iterations]
+        assert [t.position for t in plain.trace] == rows
+
+        checkpointed = nullspace_algorithm(
+            toy_problem, options=options, checkpoint_path=tmp_path / "a.ckpt"
+        )
+        assert [t.position for t in checkpointed.trace] == rows
+        for got, want in zip(checkpointed.trace, plain.trace):
+            assert np.array_equal(got.matrix, want.matrix)
+
+        path = tmp_path / "b.ckpt"
+        nullspace_algorithm(
+            toy_problem, options=options, checkpoint_path=path,
+            stop_row=toy_problem.first_row + 2,
+        )
+        resumed = nullspace_algorithm(
+            toy_problem, options=options, checkpoint_path=path
+        )
+        assert len(resumed.stats.iterations) == len(rows)
+        assert [t.position for t in resumed.trace] == rows[2:]
+
+        parallel = combinatorial_parallel(
+            toy_problem, 2, options=options, backend="sequential"
+        )
+        assert [t.position for t in parallel.result.trace] == rows
+
 
 class TestAcceptanceGuard:
     """The rank run against the adjacency-test oracle, which refuses

@@ -192,6 +192,76 @@ class TestDegradation:
             canonical_rows(base.efms()), canonical_rows(run.efms())
         )
 
+    def test_degraded_yeast_subsets_share_the_memo_and_resume(
+        self, tmp_path, monkeypatch
+    ):
+        """yeast-I-small, q_sub=5, every subset over the node budget: the
+        degraded run finds the undegraded EFM set, ranks through the
+        run's shared memo, and a degrade killed mid-subset resumes from
+        its row-level snapshot."""
+        from repro.core import checkpoint
+        from repro.models.variants import yeast_1_small
+
+        net = yeast_1_small()
+        base = compute_efms(net, method="combined", partition=5)
+
+        ctx = RunContext(memory_model=MemoryModel(capacity_bytes=500))
+        run = compute_efms(
+            net, method="combined", partition=5, on_oom="degrade", context=ctx
+        )
+        meta = run.meta["scheduler"]
+        assert meta["n_degraded"] == meta["n_jobs"] - run.meta["n_screened"] > 0
+        assert np.array_equal(
+            canonical_rows(base.fluxes), canonical_rows(run.fluxes)
+        )
+        memo = ctx.shared_rank_memo[0]
+        hits = sum(s.total_rank_cache_hits for s in ctx.collected_stats)
+        assert memo.hits == hits > 0
+
+        # Kill the run at the third row-level snapshot, then resume it.
+        d = tmp_path / "ckpt"
+        real_save = checkpoint.Checkpoint.save
+        saves = []
+
+        def dying_save(self, path):
+            real_save(self, path)
+            saves.append(path)
+            if len(saves) == 3:
+                raise RuntimeError("simulated kill during a degraded subset")
+
+        monkeypatch.setattr(checkpoint.Checkpoint, "save", dying_save)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            compute_efms(
+                net, method="combined", partition=5, on_oom="degrade",
+                context=RunContext(
+                    memory_model=MemoryModel(capacity_bytes=500),
+                    checkpoint_path=d,
+                ),
+            )
+        assert saves[-1].exists() and saves[-1].name.endswith("_serial.npz")
+        monkeypatch.setattr(checkpoint.Checkpoint, "save", real_save)
+
+        real_start = checkpoint.resume_or_start
+        prefixes = []
+
+        def spy_start(path, problem, ordering):
+            ck = real_start(path, problem, ordering)
+            prefixes.append(len(ck.row_order))
+            return ck
+
+        monkeypatch.setattr(checkpoint, "resume_or_start", spy_start)
+        resumed = compute_efms(
+            net, method="combined", partition=5, on_oom="degrade",
+            context=RunContext(
+                memory_model=MemoryModel(capacity_bytes=500), checkpoint_path=d
+            ),
+        )
+        assert prefixes[0] >= 1 and not any(prefixes[1:])
+        assert not list(d.glob("*_serial.npz"))
+        assert np.array_equal(
+            canonical_rows(base.fluxes), canonical_rows(resumed.fluxes)
+        )
+
     def test_record_keeps_oom_in_result(self, reduced, specs):
         mm = MemoryModel(capacity_bytes=100)
         run = combined_parallel(
