@@ -69,6 +69,12 @@ is order- and chunking-invariant:
 * *Materialization is row-wise*: accepted candidates materialize from
   ``(i, j, row)``, row by row.
 
+Under Algorithm 2's exchange (``untested=True``) the stream stops after
+the pre-screen: every deduplicated, pre-screened survivor is held and
+indexed, and the rank test runs later, once per support across all ranks
+(:func:`repro.parallel._driver_common.exchange_candidates`).  Dedup
+against held survivors is then exact, so no support is held twice.
+
 All drivers enter here: the Nullspace loop (Algorithms 1 and 2) through
 :func:`repro.core.serial.iterate_row`, the column-partitioned driver
 streams its local pair share directly (no zero-entry preload — its
@@ -202,6 +208,7 @@ def stream_iteration(
     *,
     zero_words: np.ndarray | None = None,
     rank_cache=None,
+    untested: bool = False,
 ) -> CandidateBatch:
     """Run one iteration's candidate phase as a bounded-memory stream.
 
@@ -222,6 +229,10 @@ def stream_iteration(
     buckets: generation in ``t_gen_cand``, dedup/accept bookkeeping in
     ``t_merge``, the subset pre-screen and the rank test in
     ``t_rank_test``.
+
+    ``untested`` skips the rank test: the result is every deduplicated
+    survivor of the pre-screen, in the same order, for Algorithm 2's
+    exchange to rank-test once across all ranks.
     """
     if modes.widen_for_row(k):
         stats.n_int_switches += 1
@@ -233,7 +244,6 @@ def stream_iteration(
     acc_i: list[np.ndarray] = []
     acc_j: list[np.ndarray] = []
     acc_bytes = 0
-    n_accepted = 0
 
     gen = survivor_chunks(
         modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
@@ -285,7 +295,7 @@ def stream_iteration(
             keep = ~zero_mode_supersets(cand.supports.words, index.frozen)
             live = np.flatnonzero(keep)
             stats.n_superset_rejected += cand.n_modes - live.size
-            if live.size:
+            if live.size and not untested:
                 stats.n_tested += live.size
                 keep[live] = rank_test(
                     cand if live.size == cand.n_modes else cand.select(live),
@@ -299,7 +309,6 @@ def stream_iteration(
 
         with PhaseTimer(stats, "t_merge"):
             if cand.n_modes:
-                n_accepted += cand.n_modes
                 index.add(cand.supports.words)
                 acc_words.append(cand.supports.words)
                 acc_i.append(cand.pair_i)

@@ -15,9 +15,10 @@ non-identity row:
 
 :func:`nullspace_algorithm` is the one loop that eliminates rows, for
 Algorithm 1, for each rank of Algorithm 2 (given a communicator, a rank
-takes its cyclic share of the pairs in step 2 and the ranks merge their
-accepted candidates after step 4) and so for every subset of
-Algorithm 3; with a checkpoint path it also snapshots and resumes.
+takes its cyclic share of the pairs in step 2, and after step 3 the ranks
+exchange their survivors, dedup them across ranks and split step 4
+between them) and so for every subset of Algorithm 3; with a checkpoint
+path it also snapshots and resumes.
 ``iterate_row`` is steps 1–4 of one iteration, and picks step 5's
 survivors.
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core import iterstream
-from repro.core.candidates import PairRange, full_range, strided_range
+from repro.core.candidates import full_range, strided_range
 from repro.core.kernel import NullspaceProblem
 # Not called here since every driver streams its candidate phase, but the
 # end-to-end benchmark's tracer (benchmarks/e2e/spans.py) wraps this name.
@@ -119,26 +120,26 @@ def iterate_row(
     options: AlgorithmOptions,
     stats: IterationStats,
     *,
-    pair_range_for: Callable[[int], PairRange] = full_range,
     rank_cache: CacheBinding | None = None,
+    comm: "Communicator | None" = None,
 ) -> tuple[np.ndarray | None, CandidateBatch]:
-    """One iteration body: ``GenerateEFMCands`` over the pair share
-    ``pair_range_for(n_pairs)``, ``Sort&RemoveDuplicates`` and
-    ``RankTests``.
+    """One iteration body: ``GenerateEFMCands``, ``Sort&RemoveDuplicates``
+    and ``RankTests`` — under ``comm``, with Algorithm 2's exchange.
 
     Returns ``(keep, accepted_candidates)``: the indices of the old modes
     that survive ``RemoveNegColumns`` (``None`` on a reversible row, where
-    all do) and the locally generated, deduplicated, rank-tested
-    candidates.  ``rank_cache`` optionally shares a support-pattern rank
-    memo across iterations (and, for divide-and-conquer drivers, across
-    subproblems).
+    all do) and the deduplicated, rank-tested candidates, as a support-only
+    :class:`~repro.core.state.CandidateBatch` that
+    :func:`nullspace_algorithm` materializes from ``modes.values``.
+    ``rank_cache`` optionally shares a support-pattern rank memo across
+    iterations (and, for divide-and-conquer drivers, across subproblems).
 
-    The generate → dedup → rank-test sequence runs as a bounded-memory
-    chunk stream (:func:`repro.core.iterstream.stream_iteration`).
-    Candidates leave it as a support-only
-    :class:`~repro.core.state.CandidateBatch`; :func:`nullspace_algorithm`
-    materializes the accepted survivors (from ``modes.values``) after
-    Algorithm 2's exchange, so ranks communicate the packed form.
+    The generate → dedup → pre-screen → rank-test sequence runs as a
+    bounded-memory chunk stream
+    (:func:`repro.core.iterstream.stream_iteration`).  Under ``comm`` this
+    rank streams its cyclic share of the pairs untested, and
+    :func:`~repro.parallel._driver_common.exchange_candidates` dedups the
+    survivors across ranks before it splits their rank test.
     """
     signs = modes.sign_column(k)
     pos_idx = np.nonzero(signs > 0)[0]
@@ -153,15 +154,29 @@ def iterate_row(
 
     cand = CandidateBatch.empty(modes.q, k)
     if n_pairs_total:
-        pr = pair_range_for(n_pairs_total)
+        if comm is None:
+            pr = full_range(n_pairs_total)
+        else:
+            pr = strided_range(n_pairs_total, comm.rank, comm.size)
         stats.n_pairs = pr.count()
         cand = iterstream.stream_iteration(
             modes, k, pos_idx, neg_idx, pr, problem.n_perm,
             problem.rank, options, stats,
             zero_words=modes.supports.words[zero_mask],
             rank_cache=rank_cache,
+            untested=comm is not None,
         )
-        stats.n_accepted = cand.n_modes
+        if comm is None:
+            stats.n_accepted = cand.n_modes
+        else:
+            from repro.parallel._driver_common import (  # noqa: PLC0415
+                exchange_candidates,
+            )
+
+            cand = exchange_candidates(
+                comm, cand, problem.n_perm, problem.rank, stats,
+                rank_cache=rank_cache,
+            )
 
     if reversible:
         stats.n_neg_removed = 0
@@ -231,16 +246,12 @@ def nullspace_algorithm(
     if memory_check is None:
         memory = ctx.fresh_memory()
         memory_check = memory.check if memory is not None else None
-    pair_range_for, selection_debug = full_range, False
+    selection_debug = False
     if comm is not None:
         from repro.parallel._driver_common import (  # noqa: PLC0415
             check_selection_consistency,
-            exchange_candidates,
             selection_debug_enabled,
         )
-
-        def pair_range_for(n: int) -> PairRange:
-            return strided_range(n, comm.rank, comm.size)
 
         selection_debug = selection_debug_enabled(options)
 
@@ -261,11 +272,8 @@ def nullspace_algorithm(
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
         keep, cand = iterate_row(
-            modes, k, problem, options, it,
-            pair_range_for=pair_range_for, rank_cache=rank_cache,
+            modes, k, problem, options, it, rank_cache=rank_cache, comm=comm
         )
-        if comm is not None:
-            cand = exchange_candidates(comm, cand, it)
         # Dense rows exist only from here on, and only for the accepted
         # survivors; they are built before the kept modes are copied, so
         # their transients never coexist with that copy.

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Literal
 
 from repro.engine.context import RunContext
 from repro.errors import SchedulerError
-from repro.mpi.spmd import BackendName, available_parallelism
+from repro.mpi.spmd import BackendName, available_parallelism, pin_to_cpu
 from repro.network.model import MetabolicNetwork
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,14 +104,22 @@ class InlineExecutor:
         return results
 
 
-def _pool_worker(task_q, result_q, order: WorkOrder) -> None:
+def _pool_worker(
+    task_q, result_q, order: WorkOrder, index: int, n_workers: int
+) -> None:
     """Worker loop: pull jobs until the ``None`` sentinel arrives.
 
     Pull-based dispatch *is* the work stealing: whichever worker goes idle
     takes the next job, so a skewed subset never serializes the rest
     behind a static assignment.  Exceptions are shipped back as messages —
-    a worker never dies silently with a job in hand.
+    a worker never dies silently with a job in hand.  Worker ``index``
+    runs on a CPU of its own when there are enough
+    (:func:`~repro.mpi.spmd.pin_to_cpu`, as for process ranks), unless its
+    jobs fork process ranks: those place themselves across the CPUs the
+    worker inherits, so it keeps them all.
     """
+    if order.n_ranks == 1 or order.backend != "process":
+        pin_to_cpu(index, n_workers)
     while True:
         job = task_q.get()
         if job is None:
@@ -169,13 +177,14 @@ class ProcessPoolExecutor:
         ctx = mp.get_context("fork")
         task_q = ctx.Queue()
         result_q = ctx.Queue()
+        # Not daemonic: a job on the process backend forks its ranks from
+        # the worker.  The ``finally`` below joins or ends every worker.
         workers = [
             ctx.Process(
                 target=_pool_worker,
-                args=(task_q, result_q, self.order),
-                daemon=True,
+                args=(task_q, result_q, self.order, i, n_workers),
             )
-            for _ in range(n_workers)
+            for i in range(n_workers)
         ]
         for w in workers:
             w.start()

@@ -4,6 +4,10 @@ The closest in-box substitute for a real MPI job: genuinely separate
 address spaces, explicit serialization on every message, and per-process
 peak-memory isolation.  On a single-core host this demonstrates semantics
 rather than speedup; on multi-core hosts the heavy phases parallelize.
+Rank ``r`` runs on the ``r``-th CPU the parent may use, as ``mpiexec
+--bind-to core`` places ranks, when there are at least as many such CPUs
+as ranks (:func:`~repro.mpi.spmd.pin_to_cpu`); with fewer, every rank
+keeps the parent's CPU set.
 
 Transport: every pipe message is one pickle blob shipped with
 ``Connection.send_bytes`` — a payload is serialized **once** no matter how
@@ -30,6 +34,7 @@ from typing import Any
 from repro.config import resolve_comm_timeout
 from repro.errors import CommunicatorError
 from repro.mpi.comm import Communicator, pack_message
+from repro.mpi.spmd import pin_to_cpu
 
 #: Reserved (negative) tags of the collective operations.
 _TAG_BARRIER = -1
@@ -179,6 +184,7 @@ class ProcessCommunicator(Communicator):
 
 
 def _worker(rank, size, mesh, fn, args, kwargs, result_conn, recv_timeout):
+    pin_to_cpu(rank, size)
     # The fork handed this process every rank's endpoints; keep only its
     # own, so that when a peer process exits its pipes reach EOF here.
     for other, ends in enumerate(mesh):

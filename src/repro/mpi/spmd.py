@@ -11,16 +11,39 @@ from repro.mpi.comm import Communicator
 BackendName = Literal["sequential", "process"]
 
 
+def allowed_cpus() -> list[int]:
+    """The CPUs this process may run on, in ascending order (its affinity
+    mask; every CPU of the host where the platform has no such mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def available_parallelism(cap: int = 8) -> int:
     """Usable worker-process count on this host, capped.
 
     The subproblem scheduler's default ``max_workers``: the scheduling
-    overhead of more workers than cores is pure loss for the CPU-bound
+    overhead of more workers than CPUs is pure loss for the CPU-bound
     rank-test phases, and benchmark hosts vary from 1-core CI runners to
-    large shared machines, so this clamps ``os.cpu_count()`` to
-    ``[1, cap]``.
+    large shared machines, so this clamps the number of CPUs the process
+    may use (:func:`allowed_cpus`, so ``taskset`` counts) to ``[1, cap]``.
     """
-    return max(1, min(cap, os.cpu_count() or 1))
+    return max(1, min(cap, len(allowed_cpus())))
+
+
+def pin_to_cpu(index: int, n_procs: int) -> None:
+    """Pin the calling process to the ``index``-th of its allowed CPUs,
+    when those CPUs number at least ``n_procs``.
+
+    Worker ``index`` of ``n_procs`` forked workers (a process rank, a pool
+    worker) calls this first thing: each then computes on a CPU of its
+    own, where the kernel's scheduler may otherwise leave two of them
+    sharing one for a whole run.  With fewer CPUs than workers nothing is
+    pinned and each keeps the parent's set.
+    """
+    cpus = allowed_cpus()
+    if hasattr(os, "sched_setaffinity") and len(cpus) >= n_procs:
+        os.sched_setaffinity(0, {cpus[index]})
 
 
 def get_engine(backend: BackendName, *, comm_timeout: float | None = None):
@@ -67,7 +90,9 @@ def run_spmd(
 __all__ = [
     "run_spmd",
     "get_engine",
+    "allowed_cpus",
     "available_parallelism",
+    "pin_to_cpu",
     "BackendName",
     "Communicator",
 ]

@@ -4,7 +4,8 @@ The combinatorial (replicated) and distributed (column-partitioned)
 drivers grew copy-pasted plumbing — mode-matrix assembly for the
 allgather rounds, transport-counter collection, and the tracing wrapper
 handed to :func:`repro.mpi.spmd.run_spmd`.  One copy of each lives here,
-with the two steps the Nullspace loop adds under a communicator.
+with the two steps the Nullspace loop adds under a communicator: the
+candidate exchange (which runs the rank test) and the selection check.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import time
 import numpy as np
 
 from repro.config import AlgorithmOptions
+from repro.core.ranktest import rank_test
 from repro.core.state import CandidateBatch, ModeMatrix
-from repro.core.stats import IterationStats, RunStats
+from repro.core.stats import IterationStats, PhaseTimer, RunStats
 from repro.errors import AlgorithmError
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports
+from repro.linalg.rankmemo import CacheBinding
 from repro.mpi.comm import Communicator
 from repro.mpi.tracing import TracingCommunicator
 
@@ -34,43 +37,93 @@ def concat_mode_parts(parts, q: int) -> ModeMatrix:
 
 
 def exchange_candidates(
-    comm: Communicator, local: CandidateBatch, it: IterationStats
+    comm: Communicator,
+    survivors: CandidateBatch,
+    n_perm: np.ndarray,
+    rank_bound: int,
+    it: IterationStats,
+    *,
+    rank_cache: CacheBinding | None = None,
 ) -> CandidateBatch:
-    """Algorithm 2's Communicate&Merge: allgather every rank's accepted
-    candidates as packed supports + pair indices (which address the
-    replicated pre-iteration modes) and return the same merged batch, in
-    rank-major first-occurrence order, on every rank."""
+    """Algorithm 2's Communicate&Merge, with the rank test inside it.
+
+    ``survivors`` are this rank's deduplicated, pre-screened and untested
+    candidates (:func:`~repro.core.iterstream.stream_iteration` with
+    ``untested=True``).  Every rank
+
+    1. allgathers the survivors as packed supports + pair indices (which
+       address the replicated pre-iteration modes);
+    2. keeps the first copy of each support, in rank-major order;
+    3. rank-tests its strided share of that unique set, in chunks whose
+       rank-kernel rows (at most ``24 * q + 64`` bytes a candidate, see
+       :func:`repro.cluster.memory.modular_workset_bytes`) stay within
+       :data:`~repro.linalg.bitset.TRANSIENT_BYTES`;
+    4. allgathers its packed accept bits;
+
+    and returns the same accepted batch.  A support two ranks both
+    generated is so tested once, on one rank.
+    """
     t0 = time.perf_counter()
-    gathered = comm.allgather(local.to_wire())
+    gathered = comm.allgather(survivors.to_wire())
     it.t_communicate += time.perf_counter() - t0
 
+    with PhaseTimer(it, "t_merge"):
+        sizes = [g[0].shape[0] for g in gathered]
+        parts = [g for g in gathered if g[0].shape[0]] or [gathered[0]]
+        if len(parts) == 1:
+            # One contributing rank: its survivors are already unique, and
+            # unique_rows keeps first-occurrence order, so the global dedup
+            # below would be an exact identity.
+            words, pair_i, pair_j = parts[0]
+        else:
+            words = np.concatenate([g[0] for g in parts])
+            pair_i = np.concatenate([g[1] for g in parts])
+            pair_j = np.concatenate([g[2] for g in parts])
+            words, first = bitset.unique_rows(words)
+            if first.size != pair_i.size:
+                pair_i = pair_i[first]
+                pair_j = pair_j[first]
+                # Each dropped copy counts on the rank that sent it.
+                lo = sum(sizes[: comm.rank])
+                hi = lo + sizes[comm.rank]
+                kept = int(np.count_nonzero((first >= lo) & (first < hi)))
+                it.n_duplicates += sizes[comm.rank] - kept
+        unique = CandidateBatch.from_wire(
+            (words, pair_i, pair_j), survivors.q, survivors.row
+        )
+        it.candidate_bytes = max(
+            it.candidate_bytes, survivors.nbytes() + unique.nbytes()
+        )
+    n = unique.n_modes
+    if n == 0:
+        # Every rank sees the same empty set, so none enters step 4.
+        return unique
+
+    share = np.arange(comm.rank, n, comm.size)
+    ok = np.zeros(share.size, dtype=bool)
+    step = max(1, bitset.TRANSIENT_BYTES // (24 * unique.q + 64))
+    with PhaseTimer(it, "t_rank_test"):
+        for s in range(0, share.size, step):
+            ok[s : s + step] = rank_test(
+                unique.select(share[s : s + step]),
+                n_perm,
+                rank_bound,
+                cache=rank_cache,
+                stats=it,
+            )
+    it.n_tested += share.size
+    it.n_accepted = int(np.count_nonzero(ok))
+
     t0 = time.perf_counter()
-    # Most ranks contribute nothing on a typical iteration (a handful
-    # of accepted candidates spread over all ranks), so assemble only the
-    # non-empty parts — and when at most one rank contributed, adopt
-    # its arrays without any copy.
-    parts = [g for g in gathered if g[0].shape[0]] or [gathered[0]]
-    if len(parts) == 1:
-        # A single contributing rank: its batch is already locally
-        # deduplicated, and unique_rows preserves first-occurrence
-        # order, so the global dedup below would be an exact identity.
-        words, pair_i, pair_j = parts[0]
-    else:
-        # Dedup on the packed words alone, *before* touching any dense
-        # data — only the surviving pair indices are sliced and only
-        # the survivors materialized.  Cross-rank duplicates against
-        # surviving zero columns were already removed locally (replicated
-        # state), but two ranks may accept the same ray from different
-        # pairs.
-        words = np.concatenate([g[0] for g in parts])
-        pair_i = np.concatenate([g[1] for g in parts])
-        pair_j = np.concatenate([g[2] for g in parts])
-        words, first = bitset.unique_rows(words)
-        if first.size != pair_i.size:
-            pair_i = pair_i[first]
-            pair_j = pair_j[first]
-    merged = CandidateBatch.from_wire((words, pair_i, pair_j), local.q, local.row)
-    it.t_merge += time.perf_counter() - t0
+    bits = comm.allgather(np.packbits(ok))
+    it.t_communicate += time.perf_counter() - t0
+
+    with PhaseTimer(it, "t_merge"):
+        accept = np.empty(n, dtype=bool)
+        for r, packed in enumerate(bits):
+            count = len(range(r, n, comm.size))
+            accept[r :: comm.size] = np.unpackbits(packed, count=count).view(bool)
+        merged = unique.select(np.flatnonzero(accept))
     return merged
 
 

@@ -5,21 +5,24 @@ the current mode matrix; each iteration the candidate pairs are
 partitioned across ranks (ParallelGenerateEFMCands) by the cyclic share of
 [17] (:func:`~repro.core.candidates.strided_range`: adjacent pairs, whose
 costs correlate, land on different ranks), each rank locally
-deduplicates (Sort&RemoveDuplicates) and rank-tests its share, then an
-allgather exchanges the accepted candidates (Communicate&Merge) and every
-rank appends the identical merged candidate set, keeping the replicas in
+deduplicates (Sort&RemoveDuplicates) and pre-screens its share, then the
+ranks allgather their survivors, drop supports another rank already
+holds, split the rank test of the unique set and allgather the accept
+bits (Communicate&Merge, :func:`~repro.parallel._driver_common.exchange_candidates`).
+Every rank appends the identical accepted set, keeping the replicas in
 lockstep.  The allgather ships packed supports + int32 pair indices
 instead of dense integer rows (~``8*q`` bytes per candidate cheaper);
 every rank recomputes the combination coefficients from its replica and
-rebuilds the dense survivors after the global dedup.  Each rank runs the
-one Nullspace loop, :func:`~repro.core.serial.nullspace_algorithm`,
-given its communicator; this module launches the ranks and checks that
-their replicas agree.
+rebuilds the dense rows of the accepted candidates only.  On the process
+backend each rank computes on a CPU of its own when there are enough.
+Each rank runs the one Nullspace loop,
+:func:`~repro.core.serial.nullspace_algorithm`, given its communicator;
+this module launches the ranks and checks that their replicas agree.
 
 Determinism: the merged candidate order is canonical (rank-major gather
-order, first-occurrence dedup), so all replicas stay bit-identical and the
-final EFM set is independent of the number of ranks — property-tested
-against the serial algorithm.
+order, first-occurrence dedup, accept bits in that order), so all
+replicas stay bit-identical and the final EFM set is independent of the
+number of ranks — property-tested against the serial algorithm.
 """
 
 from __future__ import annotations

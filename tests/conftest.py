@@ -40,6 +40,16 @@ def toy_problem(toy_record):
     return build_problem(toy_record.reduced, free_hint=("r2", "r4", "r5", "r7"))
 
 
+@pytest.fixture(scope="session")
+def yeast_problem():
+    """yeast-I-small, compressed and split."""
+    from repro.efm.api import build_problem_with_split  # noqa: PLC0415
+    from repro.models.variants import yeast_1_small  # noqa: PLC0415
+
+    problem, _ = build_problem_with_split(compress_network(yeast_1_small()).reduced)
+    return problem
+
+
 def canonical_rows(rows: np.ndarray, ndigits: int = 9) -> np.ndarray:
     """Scale rows to unit max-norm and sort lexicographically, for
     order/scale-independent EFM set comparison."""

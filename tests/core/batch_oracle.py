@@ -12,7 +12,8 @@ whole-set form as the reference:
   or, "eager", as an :class:`EagerBatch` that also carries every
   candidate's dense row, formed and gcd-reduced at generation;
 * :func:`batch_iteration` is a drop-in replacement for
-  ``stream_iteration`` (generate all → dedup all → rank-test all);
+  ``stream_iteration`` (generate all → dedup all → rank-test all, or,
+  for Algorithm 2's exchange, generate all → dedup all);
 * :func:`use_batch_oracle` patches it into every driver, so any full run
   (serial, combinatorial, column-partitioned, divide-and-conquer) can be
   repeated on the whole-set body.
@@ -142,10 +143,16 @@ def batch_iteration(
     *,
     zero_words: np.ndarray | None = None,
     rank_cache=None,
+    untested: bool = False,
     deferred: bool = True,
 ) -> CandidateBatch:
     """The candidate phase as three whole-set steps; same signature and
-    return contract as :func:`repro.core.iterstream.stream_iteration`."""
+    return contract as :func:`repro.core.iterstream.stream_iteration`.
+
+    ``untested`` is the survivors-only mode Algorithm 2's exchange asks
+    for: the deduplicated candidates come back without the rank test.  The
+    whole-set body has no pre-screen, so they include supports the
+    stream's pre-screen drops; the exchange's rank test rejects those."""
     if modes.widen_for_row(k):
         stats.n_int_switches += 1
     with PhaseTimer(stats, "t_gen_cand"):
@@ -163,6 +170,8 @@ def batch_iteration(
             if dup.any():
                 cand = cand.select(~dup)
         stats.n_duplicates += before - cand.n_modes
+    if untested:
+        return cand
     stats.n_tested += cand.n_modes
     with PhaseTimer(stats, "t_rank_test"):
         accept = rank_test(

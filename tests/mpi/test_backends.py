@@ -5,12 +5,18 @@ import multiprocessing as mp
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.mpi.spmd import get_engine, run_spmd
+from repro.mpi.spmd import (
+    allowed_cpus,
+    available_parallelism,
+    get_engine,
+    run_spmd,
+)
 
 BACKENDS = ("sequential", "process")
 
@@ -94,6 +100,21 @@ def _job_killed_on_rank(comm):
         os.kill(os.getpid(), signal.SIGKILL)  # dies without a report
     comm.barrier()
     return comm.rank
+
+
+def _job_affinity(comm):
+    return sorted(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _affinity(cpus):
+    """Narrow this process's CPU set for the block, then restore it."""
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
 
 
 @contextlib.contextmanager
@@ -206,6 +227,60 @@ class TestProcessRankDeath:
         ):
             run_spmd(_job_killed_on_rank, 3, backend="process")
         assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+)
+class TestPlacement:
+    def test_one_cpu_per_rank(self):
+        cpus = allowed_cpus()
+        size = min(len(cpus), 4)
+        got = run_spmd(_job_affinity, size, backend="process")
+        assert all(len(a) == 1 for a in got)
+        assert sorted(a[0] for a in got) == cpus[:size]
+
+    def test_more_ranks_than_cpus_keep_the_parent_set(self):
+        one = {allowed_cpus()[0]}
+        with _affinity(one):
+            got = run_spmd(_job_affinity, 2, backend="process")
+        assert got == [sorted(one)] * 2
+
+    def test_pool_workers_one_cpu_each(self, monkeypatch):
+        from repro.engine import executors  # noqa: PLC0415
+
+        def affinity(order, job):
+            return sorted(os.sched_getaffinity(0))
+
+        monkeypatch.setattr(executors, "solve_job", affinity)
+        n = min(len(allowed_cpus()), 2)
+        order = SimpleNamespace(n_ranks=1, backend="process")
+        jobs = [SimpleNamespace(index=i, predicted_peak_bytes=0) for i in range(n)]
+        got = executors.ProcessPoolExecutor(order, max_workers=n).run(jobs)
+        assert all(len(a) == 1 for a in got.values())
+
+    @pytest.mark.skipif(len(allowed_cpus()) < 2, reason="needs two CPUs")
+    def test_pool_jobs_with_process_ranks_spread_them(self, monkeypatch):
+        """A pool worker whose job forks process ranks keeps its CPU set,
+        so the ranks land on distinct CPUs instead of sharing the one a
+        pinned worker would have."""
+        from repro.engine import executors  # noqa: PLC0415
+
+        def rank_affinities(order, job):
+            return run_spmd(_job_affinity, order.n_ranks, backend=order.backend)
+
+        monkeypatch.setattr(executors, "solve_job", rank_affinities)
+        order = SimpleNamespace(n_ranks=2, backend="process")
+        jobs = [SimpleNamespace(index=i, predicted_peak_bytes=0) for i in range(2)]
+        got = executors.ProcessPoolExecutor(order, max_workers=2).run(jobs)
+        for ranks in got.values():
+            assert all(len(a) == 1 for a in ranks)
+            assert len({a[0] for a in ranks}) == 2
+
+    def test_parallelism_counts_allowed_cpus(self):
+        assert available_parallelism() == min(8, len(allowed_cpus()))
+        with _affinity({allowed_cpus()[0]}):
+            assert available_parallelism() == 1
 
 
 class TestSequentialDeterminism:

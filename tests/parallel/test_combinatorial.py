@@ -7,11 +7,8 @@ import pytest
 
 from repro.cluster.memory import MemoryModel
 from repro.core.serial import nullspace_algorithm
-from repro.efm.api import build_problem_with_split
 from repro.engine.context import RunContext
 from repro.errors import OutOfMemoryError
-from repro.models.variants import yeast_1_small
-from repro.network.compression import compress_network
 from repro.parallel import combinatorial as combinatorial_mod
 from repro.parallel.combinatorial import combinatorial_parallel
 from tests.conftest import assert_same_modes
@@ -49,11 +46,17 @@ class TestPerRankAccounting:
     def test_traces_recorded(self, toy_problem):
         run = combinatorial_parallel(toy_problem, 3)
         assert len(run.rank_traces) == 3
-        # Every rank allgathers once per iteration.
-        n_iter = toy_problem.q - toy_problem.first_row
+        # An iteration with pairs allgathers the survivors, and then the
+        # accept bits when there are survivors (each is tested on exactly
+        # one rank); an iteration without pairs exchanges nothing.
+        per_iteration = [
+            0 if it.n_pos * it.n_neg == 0 else 1 + (it.n_tested > 0)
+            for it in run.stats.iterations
+        ]
+        assert 2 in per_iteration
         for trace in run.rank_traces:
             gathers = [e for e in trace.events if e.kind == "allgather"]
-            assert len(gathers) == n_iter
+            assert len(gathers) == sum(per_iteration)
 
     def test_aggregate_stats_max_times(self, toy_problem):
         run = combinatorial_parallel(toy_problem, 2)
@@ -103,12 +106,6 @@ def _counters(stats):
         if k not in ("iterations", "t_total")
     }
     return its, run
-
-
-@pytest.fixture(scope="module")
-def yeast_problem():
-    problem, _ = build_problem_with_split(compress_network(yeast_1_small()).reduced)
-    return problem
 
 
 class TestOneRank:
