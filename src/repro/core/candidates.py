@@ -9,7 +9,8 @@ annihilates row ``k`` (both coefficients are positive, so the combination
 stays inside the flux cone).  Generation is vectorized in chunks of
 pairs (:func:`survivor_chunks`); a packed-support union popcount prefilter
 ("summary rejection": a support larger than ``rank+1`` cannot have nullity
-1) drops most pairs before any combination is formed.  The chunks' raw
+1), computed as one 2-D block per chunk, drops most pairs before any
+pair index or combination is formed.  The chunks' raw
 dense integer combinations are consumed one at a time by the candidate
 phase (:mod:`repro.core.iterstream`), which keeps only their supports and
 pair indices.
@@ -25,7 +26,6 @@ the chunk size.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -33,7 +33,6 @@ import numpy as np
 from repro.config import AlgorithmOptions
 from repro.core.state import ModeMatrix
 from repro.core.stats import IterationStats
-from repro.linalg import bitset
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,24 +65,6 @@ def strided_range(n_pairs: int, rank: int, size: int) -> PairRange:
     return PairRange(rank, n_pairs, size)
 
 
-#: Pair spaces below this size take the cached template path of
-#: :func:`survivor_chunks`: such iterations are dominated by per-call
-#: numpy dispatch, and their shapes repeat heavily within a run.
-TEMPLATE_MAX_PAIRS = 4096
-
-
-@functools.lru_cache(maxsize=256)
-def _tiny_pair_template(n_pos: int, n_neg: int):
-    """Cached ``(a, b)`` list-position vectors of the full i-major pair
-    enumeration for a tiny ``n_pos x n_neg`` space (read-only; shapes
-    repeat heavily across iterations, so most calls cost zero dispatches).
-    """
-    a, b = np.divmod(np.arange(n_pos * n_neg, dtype=np.intp), n_neg)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
 def survivor_chunks(
     modes: ModeMatrix,
     k: int,
@@ -103,15 +84,18 @@ def survivor_chunks(
     union-support prefilter.
     Each yielded tuple is ``(i_ok, j_ok, raw, transient)``: the surviving
     pairs' source-mode indices, the raw (not gcd-reduced) dense integer
-    combination chunk, and the chunk's transient working-set bytes (pair vectors,
-    gathered words, prefilter mask and the dense chunk — already folded
-    into ``stats.prefilter_bytes``).
+    combination chunk, and the chunk's transient working-set bytes (the
+    popcount block, the survivors' index vectors and the dense chunk —
+    already folded into ``stats.prefilter_bytes``).
 
     ``chunk_pairs`` bounds the pairs per chunk (default
-    ``options.pair_chunk``).  Chunk granularity never changes the pair
-    enumeration order: both paths (the cached tiny-space template and the
-    plain chunked range) enumerate the range's pairs i-major, so any two
-    chunkings yield identical survivors in identical order.
+    ``options.pair_chunk``).  Each chunk's prefilter is one block: the
+    union popcounts of the pos rows holding the chunk against every neg
+    mode, a 2-D broadcast with no per-pair index vectors, of which the
+    chunk is a flat (for a strided range, stepped) slice.  Only the
+    survivors are turned back into ``(i, j)`` pairs.  Chunk granularity
+    never changes the pair enumeration order: every chunk is read i-major,
+    so any two chunkings yield identical survivors in identical order.
 
     ``rank_bound`` is the rank of the stoichiometry: a candidate whose
     support exceeds ``rank_bound + 1`` entries is summarily rejected (the
@@ -119,80 +103,63 @@ def survivor_chunks(
     support by at least the annihilated row ``k``, hence the ``+ 2``
     below).
     """
-    n_neg = neg_idx.size
+    n_neg = int(neg_idx.size)
     vals = modes.values
-    sup = modes.supports.words
     col = vals[:, k]
-    n_words = sup.shape[1]
-    sup1 = sup[:, 0] if n_words == 1 else None
     if chunk_pairs is None:
         chunk_pairs = options.pair_chunk
     chunk_pairs = max(1, int(chunk_pairs))
+    max_union = rank_bound + 2
+    step = pair_range.step
+    # Word-major copies of the two sign classes' supports, gathered once
+    # per call: each block's ORs broadcast one contiguous word row of each.
+    sup = modes.supports.words
+    pos_w = np.ascontiguousarray(sup[pos_idx].T)
+    neg_w = np.ascontiguousarray(sup[neg_idx].T)
+    n_words = sup.shape[1]
 
     peak_transient = 0
-    max_union = rank_bound + 2
-
-    n_pairs_space = int(pos_idx.size) * int(n_neg)
-    if n_pairs_space < TEMPLATE_MAX_PAIRS:
-        # Tiny space: slice the cached i-major template instead of
-        # building pair vectors (same pairs, same order as the chunked
-        # range below).
-        a_t, b_t = _tiny_pair_template(int(pos_idx.size), int(n_neg))
-        sl = slice(pair_range.start, pair_range.stop, pair_range.step)
-        a_t, b_t = a_t[sl], b_t[sl]
-        chunks = (
-            (a_t[s : s + chunk_pairs], b_t[s : s + chunk_pairs])
-            for s in range(0, int(a_t.size), chunk_pairs)
+    total = pair_range.count()
+    for c0 in range(0, total, chunk_pairs):
+        # The chunk is pairs p = start + step * c, c in [c0, c1); rows
+        # a0..a1 of the pos class hold all of them.
+        p_first = pair_range.start + step * c0
+        p_last = pair_range.start + step * (min(c0 + chunk_pairs, total) - 1)
+        a0, a1 = p_first // n_neg, p_last // n_neg + 1
+        off = p_first - a0 * n_neg
+        # One (a1 - a0, n_neg) union popcount block; its flat index is
+        # p - a0 * n_neg, so the chunk is the slice [off : ... : step].
+        union = np.bitwise_count(pos_w[0, a0:a1, None] | neg_w[0])
+        if n_words > 3:  # a sum of four words' counts can pass 255
+            union = union.astype(np.uint16)
+        for w in range(1, n_words):
+            union += np.bitwise_count(pos_w[w, a0:a1, None] | neg_w[w])
+        hit = np.flatnonzero(
+            union.ravel()[off : p_last - a0 * n_neg + 1 : step] <= max_union
         )
-    else:
-        chunks = (
-            np.divmod(p_chunk, n_neg)
-            for p_chunk in _iter_pair_chunks(pair_range, chunk_pairs)
-        )
-
-    for a_sel, b_sel in chunks:
-        m = int(a_sel.size)
-        if m == 0:
-            continue
-        # Transient working set of this chunk before any survivor work:
-        # pair-index vectors plus the gathered/ORed support words and the
-        # prefilter mask.
-        transient = m * (32 + 24 * n_words + 1)
+        # Transient working set before any survivor work: the block's ORed
+        # words (one word at a time), its counts and the prefilter mask.
+        transient = union.size * 10
+        del union
         peak_transient = max(peak_transient, transient)
-        i_sel = pos_idx[a_sel]
-        j_sel = neg_idx[b_sel]
-        if sup1 is not None:
-            ok = np.bitwise_count(sup1[i_sel] | sup1[j_sel]) <= max_union
-        else:
-            ok = bitset.popcount(sup[i_sel] | sup[j_sel]) <= max_union
-        if not ok.any():
+        if hit.size == 0:
             continue
-        i_ok = i_sel[ok]
-        j_ok = j_sel[ok]
+        rows, cols = np.divmod(off + step * hit, n_neg)
+        i_ok = pos_idx[a0 + rows]
+        j_ok = neg_idx[cols]
         stats.n_prefilter_kept += int(i_ok.size)
-        a = -col[j_ok]  # > 0
-        b = col[i_ok]  # > 0
-        cand = vals[i_ok] * a[:, None] + vals[j_ok] * b[:, None]
-        # ... plus the dense candidate chunk (dropped once its supports
-        # are extracted, but it exists — on_oom decisions must see it).
-        transient += cand.nbytes
+        # cand = vals[i] * -col[j] + vals[j] * col[i] (both factors > 0),
+        # formed in place: two gathered row blocks, no product temporaries.
+        cand = vals[i_ok]
+        cand *= -col[j_ok][:, None]
+        other = vals[j_ok]
+        other *= col[i_ok][:, None]
+        cand += other
+        del other
+        # ... plus the survivors' index vectors and the dense candidate
+        # chunk (dropped once its supports are extracted, but it exists —
+        # on_oom decisions must see it).
+        transient += hit.size * 40 + cand.nbytes
         peak_transient = max(peak_transient, transient)
         stats.prefilter_bytes = max(stats.prefilter_bytes, peak_transient)
         yield i_ok, j_ok, cand, transient
-
-
-def _iter_pair_chunks(pair_range: PairRange, chunk: int):
-    """Yield int64 arrays of linear pair indices covering ``pair_range`` in
-    chunks of at most ``chunk`` pairs."""
-    if pair_range.step == 1:
-        for start in range(pair_range.start, pair_range.stop, chunk):
-            yield np.arange(
-                start, min(start + chunk, pair_range.stop), dtype=np.int64
-            )
-    else:
-        total = pair_range.count()
-        for c0 in range(0, total, chunk):
-            c1 = min(c0 + chunk, total)
-            yield pair_range.start + pair_range.step * np.arange(
-                c0, c1, dtype=np.int64
-            )

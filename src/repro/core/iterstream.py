@@ -12,7 +12,7 @@ consumed as a sequence of bounded chunks
 
 to completion before the next chunk's dense values exist.  Live state
 between chunks is only the accepted set plus the incremental dedup index
-(:class:`SupportIndex`).  A chunk holds at most
+(:class:`SupportIndex`) of the supports seen so far.  A chunk holds at most
 ``min(pair_chunk, 16 MiB / per-pair transient bytes)`` pairs
 (:func:`repro.cluster.memory.streaming_chunk_pairs`).
 
@@ -30,7 +30,7 @@ half of the bit-pattern test of the paper's ref. [19]): a candidate
 whose support strictly contains the support of a zero-entry survivor of
 the current row has a second, independent kernel vector inside its
 support, so its nullity is at least 2 and it is rejected without reaching
-the rank kernel or its memo.  On the yeast networks this decides most
+the rank kernel.  On the yeast networks this decides most
 rank-test rejections with one vectorized bitset pass.  ``n_tested``
 counts the survivors that reach the rank test, ``n_superset_rejected``
 the candidates the pre-screen rejected.
@@ -51,16 +51,14 @@ is order- and chunking-invariant:
 * *Enumeration*: chunk granularity never reorders the pair space (see
   :func:`~repro.core.candidates.survivor_chunks`), so survivors arrive in
   the whole-set order.
-* *Dedup is keep-first*: within a chunk, first-occurrence
+* *Dedup is exact and keep-first*: within a chunk, first-occurrence
   :func:`~repro.linalg.bitset.unique_rows`; across chunks, membership in
-  the index of zero-entry survivors plus earlier *accepted* candidates.  A
-  later duplicate of an earlier **accepted** (or zero-entry) support is
-  dropped exactly as a whole-set dedup drops it; a later duplicate of an
-  earlier **rejected** support is re-tested instead — the rank test
-  decides on the support pattern alone, so it is rejected again and the
-  accepted set is unchanged (the support-pattern memo makes the re-test a
-  cache hit; only the ``n_duplicates``/``n_superset_rejected``/
-  ``n_tested`` counters depend on the chunking, never the output).
+  the index of zero-entry survivors plus every earlier chunk's
+  deduplicated survivors, whatever their pre-screen or rank-test verdict.
+  A later copy of any support is dropped exactly as a whole-set dedup
+  drops it, so no support reaches the pre-screen or the rank test twice
+  in one iteration, and the ``n_duplicates``/``n_superset_rejected``/
+  ``n_tested`` counters do not depend on the chunking either.
 * *Acceptance is per-candidate*: the pre-screen compares a candidate's
   support with the zero-entry survivors only — the same set for every
   chunk and, since modes are replicated, every rank — and the algebraic
@@ -70,10 +68,10 @@ is order- and chunking-invariant:
   ``(i, j, row)``, row by row.
 
 Under Algorithm 2's exchange (``untested=True``) the stream stops after
-the pre-screen: every deduplicated, pre-screened survivor is held and
-indexed, and the rank test runs later, once per support across all ranks
-(:func:`repro.parallel._driver_common.exchange_candidates`).  Dedup
-against held survivors is then exact, so no support is held twice.
+the pre-screen: every deduplicated, pre-screened survivor is held, and
+the rank test runs later, once per support across all ranks
+(:func:`repro.parallel._driver_common.exchange_candidates`).  The dedup
+rule is the same on both paths.
 
 All drivers enter here: the Nullspace loop (Algorithms 1 and 2) through
 :func:`repro.core.serial.iterate_row`, the column-partitioned driver
@@ -102,19 +100,16 @@ class SupportIndex:
 
     The candidate phase consumes the pair space chunk by chunk, so dedup
     is *incremental*: a chunk's candidates are checked against the
-    zero-entry survivors and every candidate *accepted* in earlier
-    chunks, then the chunk's own accepted survivors are appended.
-    Keep-first throughout, so the surviving candidate order — and
-    therefore the EFM output — is bit-identical to one whole-set
-    :func:`~repro.linalg.bitset.unique_rows` dedup: a later duplicate of
-    an accepted (or zero-surviving) support is dropped exactly as the
-    whole-set dedup drops it, and a later duplicate of a *rejected*
-    support is re-tested instead — the rank test decides on the support
-    pattern alone, so it is rejected again (a memo cache hit) and the
-    output is unchanged; only the duplicate/tested counters depend on the
-    chunking.  Rejected supports are deliberately not stored: on
-    iterations that accept few candidates the index stays a fraction of
-    the tested set.
+    zero-entry survivors and every deduplicated survivor of earlier
+    chunks, then the chunk's own fresh survivors are appended before
+    they are screened or tested.  Keep-first throughout, so the
+    surviving candidate order — and therefore the EFM output — and the
+    duplicate/tested counters are those of one whole-set
+    :func:`~repro.linalg.bitset.unique_rows` dedup: a later copy of any
+    support is dropped, so a rejected support is never tested again in
+    the same iteration.  The index holds an iteration's unique prefilter
+    survivors, one packed support (8 bytes a word) each — small next to
+    the mode matrix.
 
     Storage is a geometrically grown ``(capacity, n_words)`` uint64
     buffer.  Probes are binary searches: each :meth:`seen` call has
@@ -268,8 +263,8 @@ def stream_iteration(
             stats.candidate_bytes = max(
                 stats.candidate_bytes, acc_bytes + index.nbytes() + chunk_bytes
             )
-            # Keep-first dedup: within the chunk, then against everything
-            # accepted (or zero-surviving) so far.
+            # Keep-first dedup: within the chunk, then against the
+            # zero-entry survivors and every earlier chunk's survivors.
             _, first = bitset.unique_rows(words)
             n_dup = words.shape[0] - len(first)
             if n_dup:
@@ -283,6 +278,9 @@ def stream_iteration(
                 i_ok = i_ok[fresh]
                 j_ok = j_ok[fresh]
             stats.n_duplicates += n_dup + n_seen
+            # Every fresh support is indexed before it is screened or
+            # tested, so a later copy is a duplicate whatever its verdict.
+            index.add(words)
             cand = CandidateBatch._from_parts(
                 PackedSupports(words, modes.q), i_ok, j_ok, k
             )
@@ -309,7 +307,6 @@ def stream_iteration(
 
         with PhaseTimer(stats, "t_merge"):
             if cand.n_modes:
-                index.add(cand.supports.words)
                 acc_words.append(cand.supports.words)
                 acc_i.append(cand.pair_i)
                 acc_j.append(cand.pair_j)

@@ -210,9 +210,10 @@ def nullspace_algorithm(
         :class:`repro.errors.OutOfMemoryError` to model a node-memory
         limit.  Overrides the context's memory model when given.
     rank_cache:
-        Rank memo binding to use instead of a private one — the
-        divide-and-conquer driver's shared memo keyed by canonical
-        column ids (see :meth:`RunContext.rank_binding_for`).
+        Rank memo binding — the divide-and-conquer driver's shared memo
+        keyed by canonical column ids.  Without one the run asks its
+        context, which gives a plain run no memo (see
+        :meth:`RunContext.rank_binding_for`).
     context:
         The run's :class:`~repro.engine.context.RunContext`.  When absent a
         private one is built from ``options`` (legacy call style).

@@ -25,6 +25,7 @@ spirit).
 
 from __future__ import annotations
 
+import fcntl
 import math
 import multiprocessing as mp
 import pickle
@@ -43,6 +44,19 @@ _TAG_BCAST = -3
 
 #: What a pipe raises when the rank at its other end has gone away.
 _PEER_GONE = (EOFError, BrokenPipeError, ConnectionResetError)
+
+#: Buffer asked for on each rank's result pipe: a yeast-II-small result is
+#: about 3 MB, which a default 64 KiB pipe passes in some fifty wake-ups.
+_RESULT_PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(conn: Connection, nbytes: int) -> None:
+    """Ask the kernel for an ``nbytes`` pipe buffer behind ``conn``; keep
+    the default where that is refused (a system cap or another OS)."""
+    try:
+        fcntl.fcntl(conn.fileno(), fcntl.F_SETPIPE_SZ, nbytes)
+    except (AttributeError, OSError):
+        pass
 
 
 class ProcessCommunicator(Communicator):
@@ -220,6 +234,8 @@ class ProcessEngine:
                 mesh[i][j] = a
                 mesh[j][i] = b
         result_pipes = [ctx.Pipe(duplex=False) for _ in range(size)]
+        for _rx, tx in result_pipes:
+            _widen_pipe(tx, _RESULT_PIPE_BYTES)
         procs = [
             ctx.Process(
                 target=_worker,

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import AlgorithmOptions
 from repro.core.candidates import (
-    TEMPLATE_MAX_PAIRS,
     PairRange,
     full_range,
     strided_range,
@@ -194,10 +193,11 @@ class TestGenerateCandidates:
 class TestSurvivorChunksOracle:
     """``survivor_chunks`` against a brute-force i-major prefilter.
 
-    Random 1- and 2-word supports, pair spaces on both sides of the
-    tiny-space template gate, every range kind and several chunk sizes:
-    the concatenated survivors must be exactly the pairs ``p = a * n_neg
-    + b`` of the range, in range order, whose support union has at most
+    Random 1-, 2- and 5-word supports, full ranges and strided ranges
+    (including steps larger than ``n_neg``, so a share skips whole rows),
+    and chunk sizes that make chunks start and end mid-row: the
+    concatenated survivors must be exactly the pairs ``p = a * n_neg + b``
+    of the range, in range order, whose support union has at most
     ``rank_bound + 2`` entries."""
 
     @staticmethod
@@ -210,47 +210,21 @@ class TestSurvivorChunksOracle:
         vals[:, k] = signs[rng.permutation(n)] * rng.integers(1, 5, n)
         return ModeMatrix(vals)
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        big=st.booleans(),
-        q=st.integers(3, 128),
-        density=st.sampled_from([0.05, 0.2, 0.5]),
-        rank_slack=st.integers(0, 8),
-        kind=st.sampled_from(["full", "strided"]),
-        size=st.integers(1, 4),
-        chunk=st.sampled_from([None, 1, 37, 512, 1 << 16]),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_brute_force(
-        self, seed, big, q, density, rank_slack, kind, size, chunk, data
-    ):
-        rng = np.random.default_rng(seed)
-        lo, hi = (64, 90) if big else (1, 40)
-        n_pos, n_neg = rng.integers(lo, hi + 1, size=2)
-        k = int(rng.integers(q))
-        modes = self._modes(rng, n_pos, n_neg, int(rng.integers(0, 4)), q, k,
-                            density)
-        col = modes.values[:, k]
-        pos = np.flatnonzero(col > 0)
-        neg = np.flatnonzero(col < 0)
-        n_pairs = pos.size * neg.size
-        assert (n_pairs >= TEMPLATE_MAX_PAIRS) == big
-        rank = data.draw(st.integers(0, size - 1))
-        pr = {
-            "full": full_range(n_pairs),
-            "strided": strided_range(n_pairs, rank, size),
-        }[kind]
-        rank_bound = int(np.median(modes.supports.popcounts())) + rank_slack
-
+    @staticmethod
+    def _brute_force(modes, pos, neg, pr, rank_bound):
         sup = [int.from_bytes(w.tobytes(), "little") for w in modes.supports.words]
         want = []
         for p in range(pr.start, pr.stop, pr.step):
             i, j = int(pos[p // neg.size]), int(neg[p % neg.size])
             if (sup[i] | sup[j]).bit_count() <= rank_bound + 2:
                 want.append((i, j))
+        return want
 
+    def _check(self, modes, k, pr, rank_bound, chunk):
+        col = modes.values[:, k]
+        pos = np.flatnonzero(col > 0)
+        neg = np.flatnonzero(col < 0)
+        want = self._brute_force(modes, pos, neg, pr, rank_bound)
         stats = _stats()
         got = [
             (int(i), int(j))
@@ -262,3 +236,45 @@ class TestSurvivorChunksOracle:
         ]
         assert got == want
         assert stats.n_prefilter_kept == len(want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_words=st.sampled_from([1, 2, 5]),
+        density=st.sampled_from([0.05, 0.2, 0.5]),
+        rank_slack=st.integers(0, 8),
+        kind=st.sampled_from(["full", "strided", "wide-stride"]),
+        chunk=st.sampled_from([None, 1, 7, 37, 512, 1 << 16]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_brute_force(
+        self, seed, n_words, density, rank_slack, kind, chunk, data
+    ):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(64 * (n_words - 1) + 3, 64 * n_words + 1))
+        n_pos, n_neg = (int(x) for x in rng.integers(1, 60, size=2))
+        k = int(rng.integers(q))
+        modes = self._modes(rng, n_pos, n_neg, int(rng.integers(0, 4)), q, k,
+                            density)
+        n_pairs = n_pos * n_neg
+        if kind == "full":
+            pr = full_range(n_pairs)
+        else:
+            lo, hi = (1, 4) if kind == "strided" else (n_neg + 1, 3 * n_neg + 1)
+            size = data.draw(st.integers(lo, hi))
+            pr = strided_range(n_pairs, data.draw(st.integers(0, size - 1)), size)
+        rank_bound = int(np.median(modes.supports.popcounts())) + rank_slack
+        self._check(modes, k, pr, rank_bound, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 11, 13, 40])
+    @pytest.mark.parametrize("n_words", [1, 2])
+    def test_chunks_starting_mid_row(self, chunk, n_words):
+        """Chunk sizes that are not multiples of ``n_neg = 13`` start most
+        chunks mid-row, on a full range and on a 3-rank share."""
+        rng = np.random.default_rng(chunk)
+        q = 64 * n_words
+        modes = self._modes(rng, 9, 13, 2, q, 0, 0.3)
+        rank_bound = int(np.median(modes.supports.popcounts()))
+        for pr in (full_range(9 * 13), strided_range(9 * 13, 2, 3)):
+            self._check(modes, 0, pr, rank_bound, chunk)

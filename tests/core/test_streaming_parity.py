@@ -25,7 +25,7 @@ from repro.cluster import memory
 from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
 from repro.efm.api import compute_efms
-from repro.models.variants import yeast_1_small
+from repro.models.variants import yeast_1_small, yeast_2_small
 from repro.parallel.combinatorial import combinatorial_parallel
 from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
@@ -190,3 +190,37 @@ def test_yeast_small_streaming_chunk_sweep(oracle, monkeypatch):
                 f"{label} with a {chunk} chunk budget: streamed EFM set "
                 "differs from the whole-set oracle"
             )
+
+
+def test_yeast2_counters_do_not_depend_on_the_chunk_budget(oracle, monkeypatch):
+    """yeast-II-small serial at the default and two forced multi-chunk
+    budgets: the same EFM set and, per iteration, the same duplicate,
+    pre-screen and rank-test counts — dedup is exact, so no support is
+    tested twice in one iteration whatever the chunking.  The whole-set
+    oracle drops the same duplicates and, having no pre-screen, tests
+    what the stream screens out or tests."""
+    net = yeast_2_small()
+    whole = oracle(compute_efms, net, options=OPTS)
+    counts = ("n_prefilter_kept", "n_duplicates", "n_superset_rejected", "n_tested")
+    runs = {}
+    for chunk in ("auto", 1 << 20, 256 << 10):
+        with monkeypatch.context() as m:
+            _budget(m, chunk)
+            res = compute_efms(net, options=OPTS)
+        runs[chunk] = (
+            res,
+            [[getattr(it, c) for c in counts] for it in res.stats.iterations],
+        )
+    ref, ref_counts = runs["auto"]
+    assert ref.n_efms == 7331
+    assert ref.stats.total_rank_tests == 12836
+    assert np.array_equal(whole.fluxes, ref.fluxes)
+    assert [
+        [it.n_prefilter_kept, it.n_duplicates, it.n_tested]
+        for it in whole.stats.iterations
+    ] == [[kept, dup, screened + tested] for kept, dup, screened, tested in ref_counts]
+    for chunk in (1 << 20, 256 << 10):
+        res, got = runs[chunk]
+        assert res.stats.total_stream_chunks > ref.stats.total_stream_chunks
+        assert np.array_equal(res.fluxes, ref.fluxes), chunk
+        assert got == ref_counts, chunk

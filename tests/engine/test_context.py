@@ -10,7 +10,6 @@ import numpy as np
 from repro.cluster.memory import MemoryModel
 from repro.config import AlgorithmOptions
 from repro.engine import RunContext, TraceRecorder
-from repro.linalg.rankmemo import CacheBinding
 
 
 class TestEnsure:
@@ -37,13 +36,10 @@ class TestEnsure:
 
 
 class TestRankBindingFor:
-    def test_default_gets_fresh_private_binding(self, toy_problem):
-        ctx = RunContext()
-        a = ctx.rank_binding_for(toy_problem)
-        b = ctx.rank_binding_for(toy_problem)
-        assert isinstance(a, CacheBinding)
-        # Private memos: each run gets its own cache instance.
-        assert a.cache is not b.cache
+    def test_default_runs_without_a_memo(self, toy_problem):
+        # Outside divide-and-conquer a run tests each support once per
+        # iteration, so it gets no memo at all.
+        assert RunContext().rank_binding_for(toy_problem) is None
 
     def test_shared_memo_used_with_col_ids(self, toy_record, toy_problem):
         ctx = RunContext()
@@ -56,12 +52,10 @@ class TestRankBindingFor:
 
     def test_shared_memo_bypassed_without_col_ids(self, toy_record, toy_problem):
         # Without a canonical column map, raw support words are ambiguous
-        # across subproblems — the binding must NOT address the shared memo.
+        # across subproblems — the run must NOT address the shared memo.
         ctx = RunContext()
         ctx.bind_shared_rank_memo(toy_record.reduced)
-        binding = ctx.rank_binding_for(toy_problem)
-        assert binding is not None
-        assert binding.cache is not ctx.shared_rank_memo[0]
+        assert ctx.rank_binding_for(toy_problem) is None
 
 
 class TestHelpers:

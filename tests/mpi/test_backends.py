@@ -206,6 +206,46 @@ class TestLargePayloads:
         expected = [(nbytes, r + 1, r + 1) for r in range(size)]
         assert outs == [expected] * size
 
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_process_result_beyond_pipe_buffer(self, monkeypatch, refused):
+        """Each rank's 3 MB result reaches the parent whole, through a
+        widened result pipe or, where the kernel refuses to widen it, the
+        default one."""
+        from repro.mpi import process
+
+        asked = []
+
+        def refuse(fd, cmd, nbytes):
+            asked.append(nbytes)
+            raise OSError("refused")
+
+        if refused:
+            monkeypatch.setattr(
+                process, "fcntl", SimpleNamespace(F_SETPIPE_SZ=1031, fcntl=refuse)
+            )
+        payload = np.arange(3 << 20, dtype=np.uint8)
+        with _deadline(60):
+            outs = run_spmd(_job_echo, 2, backend="process", args=(payload,))
+        assert asked == ([process._RESULT_PIPE_BYTES] * 2 if refused else [])
+        for out in outs:
+            assert np.array_equal(out, payload)
+
+    def test_widen_pipe_sets_the_buffer(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("no pipe-size control on this platform")
+        from repro.mpi.process import _RESULT_PIPE_BYTES, _widen_pipe
+
+        rx, tx = mp.get_context("fork").Pipe(duplex=False)
+        try:
+            _widen_pipe(tx, _RESULT_PIPE_BYTES)
+            size = fcntl.fcntl(tx.fileno(), fcntl.F_GETPIPE_SZ)
+            # A system cap below 1 MiB leaves the default; never smaller.
+            assert size in (_RESULT_PIPE_BYTES, 1 << 16)
+        finally:
+            rx.close()
+            tx.close()
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestErrors:

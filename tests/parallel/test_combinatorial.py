@@ -9,6 +9,7 @@ from repro.cluster.memory import MemoryModel
 from repro.core.serial import nullspace_algorithm
 from repro.engine.context import RunContext
 from repro.errors import OutOfMemoryError
+from repro.linalg.rankmemo import CacheBinding, RankCache, problem_token
 from repro.parallel import combinatorial as combinatorial_mod
 from repro.parallel.combinatorial import combinatorial_parallel
 from tests.conftest import assert_same_modes
@@ -137,7 +138,10 @@ class TestOneRank:
             combinatorial_parallel(toy_problem, 2, backend=backend)
 
     def test_uses_the_given_rank_cache(self, yeast_problem):
+        # The context hands a plain run no memo; an explicit binding is
+        # still honoured.
         ctx = RunContext()
-        binding = ctx.rank_binding_for(yeast_problem)
+        assert ctx.rank_binding_for(yeast_problem) is None
+        binding = CacheBinding(RankCache(), problem_token(yeast_problem.n_perm))
         combinatorial_parallel(yeast_problem, 1, rank_cache=binding, context=ctx)
         assert len(binding.cache) > 0
