@@ -1,12 +1,16 @@
 """E-ABL4 — §IV.B memory scalability: replicated (Algorithm 2) vs. the
-column-partitioned variant (the paper's future-work item 1).
+column-partitioned variant (the paper's future-work item 1): the same
+Nullspace loop with the mode matrix sharded across the ranks
+(``combinatorial_parallel(..., sharded=True)``).
 
 "The combinatorial parallel Nullspace Algorithm has the disadvantage that
 it requires the storage of the current nullspace matrix in the local
 memory across all compute nodes at each step."  The column-partitioned
-variant shards the mode matrix and exchanges only the modes *active* in
-the current row, so its per-rank peak falls as ranks are added while the
-replicated algorithm's per-rank peak stays flat.
+variant shards the mode matrix and gathers only the modes *active* in a
+row with pairs, so its per-rank peak (the shard plus the gathered active
+modes while they are held) falls as ranks are added while the
+replicated algorithm's per-rank peak stays flat.  One shard is the whole
+matrix, so the 1-rank column equals the replicated peak.
 
 The effect needs a workload whose rows are mostly zero (true of genome-
 scale networks and of the paper's Network II): the Network II benchmark
@@ -20,7 +24,6 @@ from repro.efm.api import build_problem_with_split
 from repro.models.variants import yeast_2_small
 from repro.network.compression import compress_network
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.distributed import distributed_parallel
 
 RANKS = (1, 4, 8)
 
@@ -36,9 +39,11 @@ def yeast2_problem():
 def peaks(yeast2_problem):
     _, problem, _ = yeast2_problem
     # Replicated peak is rank-count invariant: measure once.
-    rep_run = combinatorial_parallel(problem, 1)
-    rep_peak = max(s.peak_mode_bytes for s in rep_run.rank_stats)
-    dist = {p: distributed_parallel(problem, p).peak_rank_bytes for p in RANKS}
+    rep_peak = combinatorial_parallel(problem, 1).stats.peak_mode_bytes
+    dist = {
+        p: combinatorial_parallel(problem, p, sharded=True).stats.peak_mode_bytes
+        for p in RANKS
+    }
     return rep_peak, dist
 
 
@@ -67,6 +72,8 @@ def test_partitioned_beats_replicated_at_scale(peaks):
 def test_distributed_benchmark(benchmark, yeast2_problem):
     _, problem, _ = yeast2_problem
     run = benchmark.pedantic(
-        lambda: distributed_parallel(problem, 4), rounds=1, iterations=1
+        lambda: combinatorial_parallel(problem, 4, sharded=True),
+        rounds=1,
+        iterations=1,
     )
-    assert run.n_efms > 0
+    assert run.result.n_efms > 0

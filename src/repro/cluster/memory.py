@@ -34,7 +34,8 @@ class MemoryModel:
     Parameters
     ----------
     capacity_bytes:
-        Budget for the replicated mode matrix on one rank.  Pass e.g.
+        Budget for one rank's mode matrix (a replica, or a shard under
+        the column-partitioned variant).  Pass e.g.
         ``JobShape.memory_per_rank`` (scaled down for tractable benchmark
         networks) or an artificial cap for tests.
     working_factor:
@@ -58,7 +59,7 @@ class MemoryModel:
         self.last_iteration = iteration
         if self.enforcing and need > self.capacity_bytes:
             raise OutOfMemoryError(
-                f"replicated mode matrix needs {need} bytes at iteration "
+                f"the rank's mode matrix needs {need} bytes at iteration "
                 f"{iteration} but the rank capacity is {self.capacity_bytes}",
                 iteration=iteration,
                 required_bytes=need,

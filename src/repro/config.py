@@ -72,8 +72,8 @@ class AlgorithmOptions:
         score rows shortlisted for the one-step lookahead refinement
         (simulate the candidate row's negative-mode removal, credit the
         cheapest follow-up row).  ``0`` selects on the base pair count
-        alone — the column-partitioned driver always does, since lookahead
-        needs the joint sign distribution only replicated drivers hold.
+        alone — a column-partitioned run always does, since lookahead
+        needs the joint sign distribution only replicated runs hold.
     pair_chunk:
         Upper bound on the pairs of one candidate-generation chunk.  The
         candidate phase (:mod:`repro.core.iterstream`) streams each

@@ -61,9 +61,9 @@ is order- and chunking-invariant:
   ``n_tested`` counters do not depend on the chunking either.
 * *Acceptance is per-candidate*: the pre-screen compares a candidate's
   support with the zero-entry survivors only — the same set for every
-  chunk and, since modes are replicated, every rank — and the algebraic
-  rank test depends only on the candidate's own support; neither sees
-  batch composition.
+  chunk and, since modes are replicated or the zero-entry supports
+  gathered, every rank — and the algebraic rank test depends only on the
+  candidate's own support; neither sees batch composition.
 * *Materialization is row-wise*: accepted candidates materialize from
   ``(i, j, row)``, row by row.
 
@@ -73,11 +73,11 @@ the rank test runs later, once per support across all ranks
 (:func:`repro.parallel._driver_common.exchange_candidates`).  The dedup
 rule is the same on both paths.
 
-All drivers enter here: the Nullspace loop (Algorithms 1 and 2) through
-:func:`repro.core.serial.iterate_row`, the column-partitioned driver
-streams its local pair share directly (no zero-entry preload — its
-duplicate control against zero survivors is global, after the
-allgather — so it also runs without the pre-screen).
+Every run enters here, through the one Nullspace loop's
+:func:`repro.core.serial.iterate_row`.  Under the column-partitioned
+storage rule the stream runs on the row's gathered active modes, with
+every rank's zero-entry supports as the preload, so its dedup and
+pre-screen are those of the replicated run.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ def stream_iteration(
     as the caller keeps the candidates around.
 
     ``zero_words`` preloads the index with the zero-entry survivors'
-    supports (the serial/combinatorial duplicate rule and the pre-screen's
-    reference set; the distributed driver passes ``None`` and keeps its
-    global post-allgather control).  Timings land in the paper's phase
+    supports (the duplicate rule against survivors and the pre-screen's
+    reference set).  Timings land in the paper's phase
     buckets: generation in ``t_gen_cand``, dedup/accept bookkeeping in
     ``t_merge``, the subset pre-screen and the rank test in
     ``t_rank_test``.

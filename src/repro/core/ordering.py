@@ -49,8 +49,8 @@ row position.  The replicated SPMD drivers hold identical mode matrices
 at the top of every iteration, so each rank computes the same argmin
 locally with zero extra communication (the scores are invariant to the
 *row order* of the mode matrix, which may differ per driver — only the
-mode multiset matters, and that is replica-identical).  The
-column-partitioned driver shards modes and instead allgathers tiny
+mode multiset matters, and that is replica-identical).  A
+column-partitioned run shards modes and instead allgathers tiny
 per-row count vectors (:meth:`RowSelector.count_matrix` /
 :meth:`RowSelector.next_row_from_counts`).
 
@@ -254,7 +254,7 @@ class RowSelector:
 
     def count_matrix(self, modes) -> np.ndarray:
         """This rank's local ``(2, n_remaining)`` pos/neg counts over the
-        remaining rows — the column-partitioned driver allgathers these
+        remaining rows — a column-partitioned run allgathers these
         (tiny: two int64 per remaining row) and feeds the element-wise sum
         to :meth:`next_row_from_counts`."""
         rows = np.array(sorted(self._remaining), dtype=np.int64)

@@ -17,8 +17,10 @@ non-identity row:
 Algorithm 1, for each rank of Algorithm 2 (given a communicator, a rank
 takes its cyclic share of the pairs in step 2, and after step 3 the ranks
 exchange their survivors, dedup them across ranks and split step 4
-between them) and so for every subset of Algorithm 3; with a checkpoint
-path it also snapshots and resumes.
+between them), for each rank of the column-partitioned variant (the same
+steps on shards of the mode matrix instead of replicas) and so for every
+subset of Algorithm 3; with a checkpoint path it also snapshots and
+resumes.
 ``iterate_row`` is steps 1–4 of one iteration, and picks step 5's
 survivors.
 
@@ -122,17 +124,19 @@ def iterate_row(
     *,
     rank_cache: CacheBinding | None = None,
     comm: "Communicator | None" = None,
-) -> tuple[np.ndarray | None, CandidateBatch]:
+    sharded: bool = False,
+) -> tuple[np.ndarray | None, CandidateBatch, ModeMatrix]:
     """One iteration body: ``GenerateEFMCands``, ``Sort&RemoveDuplicates``
     and ``RankTests`` — under ``comm``, with Algorithm 2's exchange.
 
-    Returns ``(keep, accepted_candidates)``: the indices of the old modes
-    that survive ``RemoveNegColumns`` (``None`` on a reversible row, where
-    all do) and the deduplicated, rank-tested candidates, as a support-only
-    :class:`~repro.core.state.CandidateBatch` that
-    :func:`nullspace_algorithm` materializes from ``modes.values``.
-    ``rank_cache`` optionally shares a support-pattern rank memo across
-    iterations (and, for divide-and-conquer drivers, across subproblems).
+    Returns ``(keep, accepted_candidates, source)``: the indices of the
+    old modes that survive ``RemoveNegColumns`` (``None`` on a reversible
+    row, where all do), the deduplicated, rank-tested candidates, as a
+    support-only :class:`~repro.core.state.CandidateBatch`, and the matrix
+    (``modes`` unless ``sharded``) whose values
+    :func:`nullspace_algorithm` materializes them from.  ``rank_cache``
+    optionally shares a support-pattern rank memo across iterations (and,
+    for divide-and-conquer drivers, across subproblems).
 
     The generate → dedup → pre-screen → rank-test sequence runs as a
     bounded-memory chunk stream
@@ -140,14 +144,26 @@ def iterate_row(
     rank streams its cyclic share of the pairs untested, and
     :func:`~repro.parallel._driver_common.exchange_candidates` dedups the
     survivors across ranks before it splits their rank test.
+
+    ``sharded``: ``modes`` is this rank's shard, ``stats.n_pos``/``n_neg``
+    hold the row's global counts, a row with pairs first gathers
+    (:func:`~repro.parallel._driver_common.gather_active`), and the rank
+    keeps its strided share of the accepted batch.
     """
     signs = modes.sign_column(k)
-    pos_idx = np.nonzero(signs > 0)[0]
-    neg_idx = np.nonzero(signs < 0)[0]
     zero_mask = signs == 0
-    stats.n_pos = int(pos_idx.size)
-    stats.n_neg = int(neg_idx.size)
     stats.n_zero = int(zero_mask.sum())
+    source, source_signs, zero_words = modes, signs, None
+    if sharded and stats.n_pos * stats.n_neg:
+        from repro.parallel._driver_common import gather_active  # noqa: PLC0415
+
+        source, zero_words = gather_active(comm, modes, signs, stats)
+        source_signs = source.sign_column(k)
+    pos_idx = np.nonzero(source_signs > 0)[0]
+    neg_idx = np.nonzero(source_signs < 0)[0]
+    if not sharded:
+        stats.n_pos = int(pos_idx.size)
+        stats.n_neg = int(neg_idx.size)
 
     reversible = bool(problem.reversible[k])
     n_pairs_total = stats.n_pos * stats.n_neg
@@ -159,10 +175,12 @@ def iterate_row(
         else:
             pr = strided_range(n_pairs_total, comm.rank, comm.size)
         stats.n_pairs = pr.count()
+        if zero_words is None:
+            zero_words = modes.supports.words[zero_mask]
         cand = iterstream.stream_iteration(
-            modes, k, pos_idx, neg_idx, pr, problem.n_perm,
+            source, k, pos_idx, neg_idx, pr, problem.n_perm,
             problem.rank, options, stats,
-            zero_words=modes.supports.words[zero_mask],
+            zero_words=zero_words,
             rank_cache=rank_cache,
             untested=comm is not None,
         )
@@ -177,13 +195,15 @@ def iterate_row(
                 comm, cand, problem.n_perm, problem.rank, stats,
                 rank_cache=rank_cache,
             )
+            if sharded:
+                cand = cand.select(np.arange(comm.rank, cand.n_modes, comm.size))
 
     if reversible:
         stats.n_neg_removed = 0
-        return None, cand
+        return None, cand, source
     keep_mask = signs >= 0
     stats.n_neg_removed = int((~keep_mask).sum())
-    return np.nonzero(keep_mask)[0], cand
+    return np.nonzero(keep_mask)[0], cand, source
 
 
 def nullspace_algorithm(
@@ -196,6 +216,7 @@ def nullspace_algorithm(
     context: RunContext | None = None,
     checkpoint_path: str | Path | None = None,
     comm: "Communicator | None" = None,
+    sharded: bool = False,
 ) -> NullspaceResult:
     """Run Algorithm 1 on a prepared problem — or, given ``comm``, one
     rank's share of Algorithm 2.
@@ -224,6 +245,12 @@ def nullspace_algorithm(
     comm:
         This rank's communicator in an SPMD run of Algorithm 2
         (:mod:`repro.parallel.combinatorial`).
+    sharded:
+        Under ``comm``, the column-partitioned storage rule
+        (:mod:`repro.parallel.combinatorial`): the result's ``modes`` are
+        this rank's shard, starting from its cyclic share of the kernel
+        columns, and ``peak_mode_bytes`` also counts a row's gathered
+        active modes.
     """
     ctx = RunContext.ensure(context, options=options)
     options = ctx.options
@@ -239,6 +266,8 @@ def nullspace_algorithm(
             raise AlgorithmError("checkpoint_every must be >= 1")
         ck = resume_or_start(checkpoint_path, problem, options.ordering)
     modes = ck.modes if ck else ModeMatrix.from_kernel(problem.kernel)
+    if sharded:
+        modes = modes.select(np.arange(comm.rank, modes.n_modes, comm.size))
     stats = ck.stats if ck else RunStats()
     elapsed0 = ck.elapsed if ck else 0.0
     recorder = ctx.trace_recorder()
@@ -251,6 +280,7 @@ def nullspace_algorithm(
     if comm is not None:
         from repro.parallel._driver_common import (  # noqa: PLC0415
             check_selection_consistency,
+            select_sharded_row,
             selection_debug_enabled,
         )
 
@@ -260,32 +290,45 @@ def nullspace_algorithm(
     # iteration (scored from the live mode matrix); static orderings
     # replay the problem's baked-in permutation through the same seam.
     # A resume replays the checkpoint's realized prefix.  Under ``comm``
-    # every rank holds an identical mode matrix here, so each selects the
-    # same row locally with no communication.
+    # every replica holds an identical mode matrix here, so each selects
+    # the same row locally with no communication; shards sum their counts.
     selector = ctx.row_selector_for(
         problem, stop, processed=ck.row_order if ck else ()
     )
     n_resumed = len(selector.realized)
     while selector.has_next():
-        k = selector.next_row(modes)
+        if sharded:
+            k, n_pos, n_neg, dt_select = select_sharded_row(comm, selector, modes)
+        else:
+            k = selector.next_row(modes)
         if selection_debug:
-            check_selection_consistency(comm, selector.fingerprint(k, modes))
+            check_selection_consistency(
+                comm, (k,) if sharded else selector.fingerprint(k, modes)
+            )
         it = ctx.new_iteration(problem, k)
         selector.annotate(it)
-        keep, cand = iterate_row(
-            modes, k, problem, options, it, rank_cache=rank_cache, comm=comm
+        if sharded:
+            it.n_pos, it.n_neg = n_pos, n_neg
+            it.t_communicate += dt_select
+        keep, cand, source = iterate_row(
+            modes, k, problem, options, it,
+            rank_cache=rank_cache, comm=comm, sharded=sharded,
         )
+        gathered_bytes = 0 if source is modes else source.nbytes()
         # Dense rows exist only from here on, and only for the accepted
         # survivors; they are built before the kept modes are copied, so
         # their transients never coexist with that copy.
         with PhaseTimer(it, "t_merge"):
-            cand = cand.materialize(modes.values)
+            cand = cand.materialize(source.values)
         kept = modes if keep is None else modes.select(keep)
         with PhaseTimer(it, "t_merge"):
             modes = kept.concat(cand) if cand.n_modes else kept
         it.n_modes_end = modes.n_modes
         stats.add(it)
-        stats.peak_mode_bytes = max(stats.peak_mode_bytes, modes.nbytes())
+        stats.peak_mode_bytes = max(
+            stats.peak_mode_bytes, modes.nbytes() + gathered_bytes
+        )
+        del source
         recorder.capture(k, problem, modes, selector.last_score)
         if memory_check is not None:
             memory_check(k, modes)

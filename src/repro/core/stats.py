@@ -231,10 +231,20 @@ class RunStats:
             "total": self.t_total,
         }
 
-    def merged_with(self, other: "RunStats") -> "RunStats":
+    def merged_with(self, other: "RunStats", *, shards: bool = False) -> "RunStats":
         """Element-wise union of two ranks' stats (max times per iteration —
         the bulk-synchronous model: each superstep costs its slowest rank —
-        and summed candidate counters)."""
+        and summed candidate counters).
+
+        Replicas hold the same modes, so their mode counts (``n_zero``,
+        ``n_neg_removed``, ``n_modes_end``) are kept once; with ``shards``
+        the ranks held disjoint shards of the modes and those counts add
+        up.  ``n_pos``/``n_neg`` are global counts either way.
+        """
+
+        def modes(a: int, b: int) -> int:
+            return a + b if shards else a
+
         if len(self.iterations) != len(other.iterations):
             raise ValueError("cannot merge RunStats with different iteration counts")
         merged = RunStats(
@@ -254,7 +264,7 @@ class RunStats:
                     reversible=a.reversible,
                     n_pos=a.n_pos,
                     n_neg=a.n_neg,
-                    n_zero=a.n_zero,
+                    n_zero=modes(a.n_zero, b.n_zero),
                     n_pairs=a.n_pairs + b.n_pairs,
                     n_prefilter_kept=a.n_prefilter_kept + b.n_prefilter_kept,
                     n_duplicates=a.n_duplicates + b.n_duplicates,
@@ -281,8 +291,8 @@ class RunStats:
                     # across ranks; max keeps the shared value.
                     sel_score=max(a.sel_score, b.sel_score),
                     sel_evaluated=max(a.sel_evaluated, b.sel_evaluated),
-                    n_neg_removed=a.n_neg_removed,
-                    n_modes_end=max(a.n_modes_end, b.n_modes_end),
+                    n_neg_removed=modes(a.n_neg_removed, b.n_neg_removed),
+                    n_modes_end=modes(a.n_modes_end, b.n_modes_end),
                     t_gen_cand=max(a.t_gen_cand, b.t_gen_cand),
                     t_rank_test=max(a.t_rank_test, b.t_rank_test),
                     t_merge=max(a.t_merge, b.t_merge),

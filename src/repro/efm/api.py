@@ -25,7 +25,7 @@ from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.dnc.combined import combined_parallel
 from repro.engine.context import RunContext
-from repro.dnc.selection import SelectionMethod, select_partition_reactions
+from repro.dnc.selection import select_partition_reactions
 from repro.efm.result import EFMResult
 from repro.efm.splitting import SplitRecord, split_reversible
 from repro.errors import (
@@ -38,7 +38,6 @@ from repro.mpi.spmd import BackendName
 from repro.network.compression import CompressionRecord, compress_network
 from repro.network.model import MetabolicNetwork
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.distributed import distributed_parallel
 
 Method = Literal["serial", "parallel", "distributed", "combined"]
 
@@ -53,7 +52,6 @@ def compute_efms(
     compress: bool = True,
     auto_split: bool = True,
     partition: Sequence[str] | int | None = None,
-    partition_method: SelectionMethod = "tail",
     memory_model: MemoryModel | None = None,
     executor: str = "inline",
     max_workers: int | None = None,
@@ -69,8 +67,9 @@ def compute_efms(
     method:
         ``"serial"`` — Algorithm 1; ``"parallel"`` — Algorithm 2 on
         ``n_ranks`` simulated ranks; ``"distributed"`` — the
-        column-partitioned variant; ``"combined"`` — Algorithm 3
-        (divide-and-conquer over ``partition``).
+        column-partitioned variant (the same loop, with the mode matrix
+        sharded across the ranks instead of replicated); ``"combined"`` —
+        Algorithm 3 (divide-and-conquer over ``partition``).
     compress:
         Run the lossless network reduction first (recommended; the paper
         always does).
@@ -81,7 +80,8 @@ def compute_efms(
     partition:
         For ``method="combined"``: either explicit *reduced-network*
         reaction names (bottom row last) or an integer ``q_sub`` to select
-        automatically via ``partition_method``.
+        automatically (:func:`repro.dnc.selection.select_partition_reactions`,
+        ``method="tail"``).
     memory_model:
         Optional per-rank memory cap (modeled); see
         :class:`repro.cluster.memory.MemoryModel`.
@@ -142,7 +142,7 @@ def compute_efms(
         if reduced.n_reactions == 0:
             pass
         elif method == "combined":
-            part = _resolve_partition(reduced, partition, partition_method, options)
+            part = _resolve_partition(reduced, partition, options)
             meta["partition"] = part
             run = combined_parallel(
                 reduced,
@@ -228,19 +228,14 @@ def _enumerate(
             problem, context=ctx, checkpoint_path=ctx.checkpoint_path
         )
         return res.modes, res.stats
-    if method == "parallel":
-        run = combinatorial_parallel(
-            problem,
-            n_ranks,
-            backend=backend,
-            context=ctx,
-        )
-        return run.result.modes, run.stats
-    drun = distributed_parallel(problem, n_ranks, backend=backend, context=ctx)
-    stats = drun.rank_stats[0]
-    for s in drun.rank_stats[1:]:
-        stats = stats.merged_with(s)
-    return drun.efm_modes(), stats
+    run = combinatorial_parallel(
+        problem,
+        n_ranks,
+        backend=backend,
+        context=ctx,
+        sharded=method == "distributed",
+    )
+    return run.result.modes, run.stats
 
 
 def _certify_singletons(rec: CompressionRecord) -> int:
@@ -330,7 +325,6 @@ def _reorder_to(
 def _resolve_partition(
     reduced: MetabolicNetwork,
     partition: Sequence[str] | int | None,
-    partition_method: SelectionMethod,
     options: AlgorithmOptions,
 ) -> tuple[str, ...]:
     if partition is None:
@@ -338,7 +332,5 @@ def _resolve_partition(
             "method='combined' needs partition=<names or q_sub integer>"
         )
     if isinstance(partition, int):
-        return select_partition_reactions(
-            reduced, partition, method=partition_method, options=options
-        )
+        return select_partition_reactions(reduced, partition, options=options)
     return tuple(partition)

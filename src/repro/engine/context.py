@@ -135,8 +135,8 @@ class RunContext:
         """The rank-test cache binding for one prepared problem, or ``None``
         for no memo.
 
-        The one place the Nullspace loop and the distributed and
-        divide-and-conquer drivers get their rank memo from.  Two
+        The one place the Nullspace loop and the divide-and-conquer
+        driver get their rank memo from.  Two
         regimes:
 
         * with :attr:`shared_rank_memo` bound (divide-and-conquer), the

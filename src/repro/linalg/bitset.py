@@ -238,8 +238,7 @@ def rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Membership test: for each row of ``a``, does it occur in ``b``?
 
     Both arrays are packed ``(n, n_words)`` uint64.  Used by the streaming
-    dedup probe (:meth:`repro.core.iterstream.SupportIndex.seen`) and by the
-    distributed driver to drop candidates another rank already owns.
+    dedup probe (:meth:`repro.core.iterstream.SupportIndex.seen`).
 
     Sorted search: ``b``'s rows are sorted once — the word itself when a
     support fits in one word, else a fixed-width ``np.void`` key per row

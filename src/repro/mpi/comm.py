@@ -1,9 +1,9 @@
 """Abstract communicator: the MPI subset the parallel algorithms use.
 
-The combinatorial parallel Nullspace Algorithm is bulk-synchronous — its
-only hot operation is the per-iteration ``allgather`` of locally accepted
-candidate modes (Communicate&Merge) — but the full point-to-point API is
-provided so the column-partitioned variant and tests can express richer
+The parallel Nullspace loop is bulk-synchronous — its only operation is
+the per-iteration ``allgather`` (Communicate&Merge; under the
+column-partitioned storage rule also the row counts and a row's active
+modes) — but point-to-point messages are provided for tests and richer
 patterns.  The interface follows mpi4py's lower-case object API (pickled
 Python objects); the backends are in-process substitutes for an MPI
 cluster.  Every backend ships a message as one pickle blob, serialized
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import pickle
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -178,34 +178,3 @@ def payload_nbytes(obj: Any) -> int:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # pragma: no cover - unpicklable payloads are caller bugs
         return 0
-
-
-def check_same_value(comm: Communicator, value: Any, *, what: str) -> None:
-    """Debugging collective: assert all ranks hold an equal ``value``."""
-    everything = comm.allgather(value)
-    for r, v in enumerate(everything):
-        same = v == everything[0]
-        if isinstance(same, np.ndarray):
-            same = bool(same.all())
-        if not same:
-            raise CommunicatorError(
-                f"ranks diverged on {what}: rank 0 has {everything[0]!r}, "
-                f"rank {r} has {v!r}"
-            )
-
-
-def partition_evenly(n_items: int, size: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` shares of ``n_items`` for each rank."""
-    base, extra = divmod(n_items, size)
-    out: list[tuple[int, int]] = []
-    start = 0
-    for r in range(size):
-        stop = start + base + (1 if r < extra else 0)
-        out.append((start, stop))
-        start = stop
-    return out
-
-
-def ranks_of(seq: Sequence[Any]) -> range:
-    """Convenience: ``range(len(seq))`` with intent."""
-    return range(len(seq))

@@ -1,11 +1,11 @@
-"""Helpers shared by the SPMD parallel drivers.
+"""Helpers of the Nullspace loop under a communicator.
 
-The combinatorial (replicated) and distributed (column-partitioned)
-drivers grew copy-pasted plumbing — mode-matrix assembly for the
-allgather rounds, transport-counter collection, and the tracing wrapper
-handed to :func:`repro.mpi.spmd.run_spmd`.  One copy of each lives here,
-with the two steps the Nullspace loop adds under a communicator: the
-candidate exchange (which runs the rank test) and the selection check.
+The steps :func:`repro.core.serial.nullspace_algorithm` adds when it runs
+as one rank of Algorithm 2: the candidate exchange (which runs the rank
+test) and the selection check; under the column-partitioned storage rule
+also the row selection from summed counts and the gather of a row's
+active modes.  Plus the transport-counter collection and the tracing
+wrapper handed to :func:`repro.mpi.spmd.run_spmd`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,50 @@ from repro.mpi.comm import Communicator
 from repro.mpi.tracing import TracingCommunicator
 
 
-def concat_mode_parts(parts, q: int) -> ModeMatrix:
-    """Concatenate many ranks' ``(values, words)`` payloads into one mode
-    matrix (rank-major order, single allocation per array)."""
-    vals = np.concatenate([p[0] for p in parts], axis=0)
-    words = np.concatenate([p[1] for p in parts], axis=0)
-    return ModeMatrix.from_parts(vals, PackedSupports(words, q))
+def select_sharded_row(
+    comm: Communicator, selector, modes: ModeMatrix
+) -> tuple[int, int, int, float]:
+    """The next row of a column-partitioned run: every rank allgathers
+    its pos/neg counts over the remaining rows
+    (:meth:`~repro.core.ordering.RowSelector.count_matrix`); dynamic
+    selection scores their sums, static orderings replay.  Returns ``(k,
+    n_pos, n_neg, seconds)``: the row, its global counts and the
+    allgather's time."""
+    rows = selector.remaining_rows()
+    t0 = time.perf_counter()
+    parts = comm.allgather(selector.count_matrix(modes))
+    seconds = time.perf_counter() - t0
+    counts = np.sum(parts, axis=0)
+    if selector.dynamic:
+        k = selector.next_row_from_counts(counts[0], counts[1])
+    else:
+        k = selector.next_row()
+    n_pos, n_neg = counts[:, int(np.searchsorted(rows, k))]
+    return k, int(n_pos), int(n_neg), seconds
+
+
+def gather_active(
+    comm: Communicator, modes: ModeMatrix, signs: np.ndarray, it: IterationStats
+) -> tuple[ModeMatrix, np.ndarray]:
+    """Allgather a sharded row's active modes (``signs != 0``) and the
+    other modes' supports.  Returns ``(active, zero_words)``, the same on
+    every rank: the active modes in rank-major order, which every rank's
+    pair indices address, and the dedup preload and pre-screen set."""
+    active = signs != 0
+    t0 = time.perf_counter()
+    parts = comm.allgather(
+        (
+            modes.values[active],
+            modes.supports.words[active],
+            modes.supports.words[~active],
+        )
+    )
+    it.t_communicate += time.perf_counter() - t0
+    with PhaseTimer(it, "t_merge"):
+        values = np.concatenate([p[0] for p in parts], axis=0)
+        words = np.concatenate([p[1] for p in parts], axis=0)
+        zero_words = np.concatenate([p[2] for p in parts], axis=0)
+    return ModeMatrix.from_parts(values, PackedSupports(words, modes.q)), zero_words
 
 
 def exchange_candidates(
@@ -147,7 +185,7 @@ def selection_debug_enabled(options: AlgorithmOptions) -> bool:
 
 
 def check_selection_consistency(
-    comm: Communicator, fingerprint: tuple[int, int, int]
+    comm: Communicator, fingerprint: tuple[int, ...]
 ) -> None:
     """Assert all ranks selected the same row from the same replica state.
 
@@ -156,6 +194,8 @@ def check_selection_consistency(
     and raises :class:`~repro.errors.AlgorithmError` on the first
     divergence — a replica whose mode matrix drifted, or a
     non-deterministic selector, would otherwise corrupt the run silently.
+    Shards differ by design, so a column-partitioned run passes ``(row,)``
+    and the check confirms only that every rank chose the same row.
     """
     gathered = comm.allgather(tuple(int(x) for x in fingerprint))
     bad = [r for r, fp in enumerate(gathered) if tuple(fp) != tuple(gathered[0])]

@@ -19,6 +19,16 @@ Each rank runs the one Nullspace loop,
 :func:`~repro.core.serial.nullspace_algorithm`, given its communicator;
 this module launches the ranks and checks that their replicas agree.
 
+``sharded=True`` runs the column-partitioned variant (the paper's §V
+future-work item 1): the same loop, each rank owning a disjoint shard of
+the modes (at first its cyclic share of the kernel columns).  Rows are
+chosen from summed counts, a row with pairs gathers only its active modes
+and the zero-entry supports, a pair-free row gathers nothing, and each
+rank keeps its strided share of the accepted candidates: per-rank storage
+is ``O(total/P + active(k))``, not ``O(total)`` (E-ABL4).  The replica
+check becomes a check that no support is owned twice.  Algorithm 2 itself
+stays replicated: its per-rank memory is what Table IV runs out of.
+
 Determinism: the merged candidate order is canonical (rank-major gather
 order, first-occurrence dedup, accept bits in that order), so all
 replicas stay bit-identical and the final EFM set is independent of the
@@ -39,6 +49,7 @@ from repro.core.stats import RunStats
 from repro.cluster.memory import MemoryModel
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
+from repro.linalg import bitset
 from repro.linalg.rankmemo import CacheBinding
 from repro.mpi.comm import Communicator
 from repro.mpi.spmd import BackendName, run_spmd
@@ -48,12 +59,14 @@ from repro.parallel._driver_common import collect_wire_stats, traced_worker
 
 @dataclasses.dataclass
 class ParallelRunResult:
-    """Outcome of a parallel run: the (replicated) result plus per-rank
-    statistics and communication traces."""
+    """Outcome of a parallel run: the (replicated, or concatenated
+    sharded) result plus per-rank statistics and communication traces."""
 
     result: NullspaceResult
     rank_stats: list[RunStats]
     rank_traces: list[CommTrace]
+    #: whether the ranks held shards of the modes, not replicas.
+    sharded: bool = False
 
     @property
     def n_ranks(self) -> int:
@@ -62,10 +75,10 @@ class ParallelRunResult:
     @property
     def stats(self) -> RunStats:
         """Bulk-synchronous aggregate: per-iteration max times across ranks,
-        summed candidate counters."""
+        summed candidate counters (and summed mode counts over shards)."""
         agg = self.rank_stats[0]
         for s in self.rank_stats[1:]:
-            agg = agg.merged_with(s)
+            agg = agg.merged_with(s, shards=self.sharded)
         return agg
 
 
@@ -79,21 +92,21 @@ class ReplicaSummary:
 
 
 def combinatorial_worker(
-    comm: Communicator, problem: NullspaceProblem, **loop
+    comm: Communicator, problem: NullspaceProblem, *, sharded: bool = False, **loop
 ) -> NullspaceResult | ReplicaSummary:
     """SPMD body of Algorithm 2, handed to :func:`repro.mpi.spmd.run_spmd`
     by :func:`combinatorial_parallel`: the Nullspace loop
     (:func:`~repro.core.serial.nullspace_algorithm`, keywords ``loop``)
     on ``comm``.  Rank 0 returns the
     :class:`~repro.core.serial.NullspaceResult`, every other rank a
-    :class:`ReplicaSummary`."""
-    res = nullspace_algorithm(problem, comm=comm, **loop)
+    :class:`ReplicaSummary` — or, for a sharded run, its own result."""
+    res = nullspace_algorithm(problem, comm=comm, sharded=sharded, **loop)
     stats = res.stats
     if isinstance(comm, TracingCommunicator):
         stats.bytes_sent = comm.trace.bytes_sent
         stats.messages_sent = comm.trace.n_messages
     collect_wire_stats(comm, stats)
-    if comm.rank != 0:
+    if comm.rank != 0 and not sharded:
         # Only rank 0's replica is returned; the others send back what the
         # replica check compares, not a copy of the mode matrix each.
         return ReplicaSummary(stats=stats, words=res.modes.supports.words)
@@ -111,12 +124,17 @@ def combinatorial_parallel(
     rank_cache: CacheBinding | None = None,
     context: RunContext | None = None,
     checkpoint_path: str | Path | None = None,
+    sharded: bool = False,
 ) -> ParallelRunResult:
     """Run Algorithm 2 on ``n_ranks`` simulated ranks.
 
     All replicas converge to the same mode matrix; the returned
     :class:`ParallelRunResult` carries rank 0's result plus every rank's
     statistics and communication trace (for modeled timing).
+
+    ``sharded`` runs the column-partitioned variant (module docstring):
+    the result's modes are the shards concatenated, and the memory model
+    charges each rank's shard.
 
     ``rank_cache`` overrides the per-run rank memo — the
     divide-and-conquer driver passes a binding shared across subproblems
@@ -128,7 +146,8 @@ def combinatorial_parallel(
     Algorithm 2 is Algorithm 1: it runs the loop without a communicator
     in the calling process, whatever the backend, and an empty trace (0 s
     of modeled communication, as a rank sending to itself models).  Only
-    that one-rank run takes a ``checkpoint_path``.
+    that one-rank run takes a ``checkpoint_path``.  One shard is the whole
+    matrix, so a one-rank sharded run is the same run.
     """
     ctx = RunContext.ensure(context, options=options)
     # The model instance is shared across in-process ranks deliberately:
@@ -154,18 +173,43 @@ def combinatorial_parallel(
         n_ranks,
         backend=backend,
         args=(problem,),
-        kwargs=loop,
+        kwargs={**loop, "sharded": sharded},
         comm_timeout=ctx.options.comm_timeout_s,
     )
     results = [r for r, _ in outs]
     traces = [t for _, t in outs]
-    # Replica consistency is an algorithm invariant — verify it.
-    words0 = results[0].modes.supports.words
-    for r, res in enumerate(results[1:], start=1):
-        if not np.array_equal(res.words, words0):
-            raise AlgorithmError(f"rank {r} replica diverged from rank 0")
+    if sharded:
+        result = join_shards(results)
+    else:
+        # Replica consistency is an algorithm invariant — verify it.
+        words0 = results[0].modes.supports.words
+        for r, res in enumerate(results[1:], start=1):
+            if not np.array_equal(res.words, words0):
+                raise AlgorithmError(f"rank {r} replica diverged from rank 0")
+        result = results[0]
     return ParallelRunResult(
-        result=results[0],
+        result=result,
         rank_stats=[r.stats for r in results],
         rank_traces=traces,
+        sharded=sharded,
     )
+
+
+def join_shards(shards: list[NullspaceResult]) -> NullspaceResult:
+    """Concatenate a sharded run's per-rank modes and trace snapshots,
+    rank-major, into one result (stats stay rank 0's).  Ownership is an
+    algorithm invariant: raises :class:`~repro.errors.AlgorithmError` when
+    a support is owned by more than one rank."""
+    modes = shards[0].modes
+    for shard in shards[1:]:
+        modes = modes.concat(shard.modes)
+    _, first = bitset.unique_rows(modes.supports.words)
+    if first.size != modes.n_modes:
+        raise AlgorithmError(
+            f"{modes.n_modes - first.size} supports are owned by more than one rank"
+        )
+    trace = [
+        dataclasses.replace(snap, matrix=np.hstack([s.trace[i].matrix for s in shards]))
+        for i, snap in enumerate(shards[0].trace)
+    ]
+    return dataclasses.replace(shards[0], modes=modes, trace=trace)

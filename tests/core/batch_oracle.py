@@ -14,9 +14,9 @@ whole-set form as the reference:
 * :func:`batch_iteration` is a drop-in replacement for
   ``stream_iteration`` (generate all → dedup all → rank-test all, or,
   for Algorithm 2's exchange, generate all → dedup all);
-* :func:`use_batch_oracle` patches it into every driver, so any full run
-  (serial, combinatorial, column-partitioned, divide-and-conquer) can be
-  repeated on the whole-set body.
+* :func:`use_batch_oracle` patches it into the one Nullspace loop, so any
+  full run (serial, combinatorial, column-partitioned, divide-and-conquer)
+  can be repeated on the whole-set body.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer
 from repro.linalg import bitset
 from repro.linalg.bitset import PackedSupports, pack_support_rows
-from repro.parallel import distributed
 
 
 class EagerBatch(CandidateBatch):
@@ -189,7 +188,6 @@ def use_batch_oracle(monkeypatch, *, deferred: bool = True) -> None:
     for the lifetime of ``monkeypatch`` (a pytest ``MonkeyPatch``)."""
     body = functools.partial(batch_iteration, deferred=deferred)
     monkeypatch.setattr(iterstream, "stream_iteration", body)
-    monkeypatch.setattr(distributed, "stream_iteration", body)
 
 
 def run_whole_set(monkeypatch, representation: str, fn, *args, **kwargs):

@@ -24,7 +24,6 @@ from repro.core.serial import nullspace_algorithm
 from repro.efm.api import compute_efms
 from repro.models.variants import yeast_1_small
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
 from tests.core.batch_oracle import run_whole_set
 
@@ -91,10 +90,10 @@ class TestToyOrderingParity:
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_distributed(self, toy_problem, toy_reference, ordering):
-        res = distributed_parallel(
-            toy_problem, 3, options=_opts(ordering)
+        res = combinatorial_parallel(
+            toy_problem, 3, options=_opts(ordering), sharded=True
         )
-        assert_same_modes(res.efms_input_order(), toy_reference)
+        assert_same_modes(res.result.efms_input_order(), toy_reference)
 
     def test_dynamic_realizes_a_different_order(self, toy_problem):
         """The dynamic selector must actually *exercise* out-of-order

@@ -29,7 +29,6 @@ from repro.efm.api import compute_efms
 from repro.linalg import bitset
 from repro.models.variants import yeast_1_small
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.distributed import distributed_parallel
 from tests.core.batch_oracle import generate_candidates, use_batch_oracle
 
 OPTS = AlgorithmOptions()
@@ -107,9 +106,13 @@ class TestToyFullRunParity:
         )
 
     def test_distributed(self, toy_problem, eager):
-        a = eager(distributed_parallel, toy_problem, 2, options=OPTS)
-        b = distributed_parallel(toy_problem, 2, options=OPTS)
-        assert np.array_equal(a.efms_input_order(), b.efms_input_order())
+        a = eager(
+            combinatorial_parallel, toy_problem, 2, options=OPTS, sharded=True
+        )
+        b = combinatorial_parallel(toy_problem, 2, options=OPTS, sharded=True)
+        assert np.array_equal(
+            a.result.efms_input_order(), b.result.efms_input_order()
+        )
 
 
 

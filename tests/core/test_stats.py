@@ -60,6 +60,22 @@ class TestRunStats:
         assert merged.bytes_sent == 30
         assert merged.peak_mode_bytes == 100
 
+    def test_merged_with_shards_sums_mode_counts(self):
+        a, b = RunStats(), RunStats()
+        a.add(IterationStats(position=0, reaction="r", reversible=False,
+                             n_pos=3, n_zero=4, n_neg_removed=2, n_modes_end=5))
+        b.add(IterationStats(position=0, reaction="r", reversible=False,
+                             n_pos=3, n_zero=6, n_neg_removed=1, n_modes_end=7))
+        replicas = a.merged_with(b).iterations[0]
+        assert (replicas.n_zero, replicas.n_neg_removed, replicas.n_modes_end) == (
+            4, 2, 5
+        )
+        shards = a.merged_with(b, shards=True)
+        it = shards.iterations[0]
+        assert (it.n_zero, it.n_neg_removed, it.n_modes_end) == (10, 3, 12)
+        assert it.n_pos == 3  # global count on every rank
+        assert shards.n_efms == 12
+
     def test_merged_with_length_mismatch(self):
         a, b = RunStats(), RunStats()
         a.add(_iteration())

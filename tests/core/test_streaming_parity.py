@@ -27,7 +27,6 @@ from repro.core.serial import nullspace_algorithm
 from repro.efm.api import compute_efms
 from repro.models.variants import yeast_1_small, yeast_2_small
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
 from tests.core.batch_oracle import use_batch_oracle
 from tests.core.fraction_oracle import (
@@ -93,12 +92,14 @@ class TestToyStreamingParity:
     @pytest.mark.parametrize("representation", ["deferred", "eager"])
     def test_distributed(self, toy_problem, oracle, monkeypatch, representation):
         ref = oracle(
-            distributed_parallel, toy_problem, 3, options=OPTS,
-            representation=representation,
+            combinatorial_parallel, toy_problem, 3, options=OPTS,
+            sharded=True, representation=representation,
         )
         _budget(monkeypatch, TINY)
-        got = distributed_parallel(toy_problem, 3, options=OPTS)
-        assert np.array_equal(ref.efms_input_order(), got.efms_input_order())
+        got = combinatorial_parallel(toy_problem, 3, options=OPTS, sharded=True)
+        assert np.array_equal(
+            ref.result.efms_input_order(), got.result.efms_input_order()
+        )
 
     @pytest.mark.parametrize("chunk", ["auto", TINY])
     def test_exact_arithmetic(self, toy_problem, oracle, monkeypatch, chunk):

@@ -5,9 +5,8 @@ import pytest
 
 from repro.cluster.platform import CALHOUN
 from repro.core.state import CandidateBatch, ModeMatrix
-from repro.errors import CommunicatorError
 from repro.linalg.bitset import PackedSupports
-from repro.mpi.comm import check_same_value, partition_evenly, payload_nbytes
+from repro.mpi.comm import payload_nbytes
 from repro.mpi.spmd import run_spmd
 from repro.mpi.tracing import TracingCommunicator
 
@@ -110,23 +109,3 @@ class TestModeledCommunication:
         assert (t0.bytes_sent, t0.bytes_received) == (logical_out, logical_in)
         expected = 3 * CALHOUN.latency + (logical_out + logical_in) / CALHOUN.bandwidth
         assert CALHOUN.t_communicate(t0) == pytest.approx(expected, rel=1e-12)
-
-
-def _same_value_job(comm, diverge):
-    value = comm.rank if diverge and comm.rank == 1 else 42
-    check_same_value(comm, value, what="the answer")
-    return True
-
-
-class TestHelpers:
-    def test_check_same_value_passes(self):
-        assert run_spmd(_same_value_job, 3, args=(False,)) == [True] * 3
-
-    def test_check_same_value_detects_divergence(self):
-        with pytest.raises(CommunicatorError):
-            run_spmd(_same_value_job, 3, args=(True,))
-
-    def test_partition_evenly(self):
-        shares = partition_evenly(10, 3)
-        assert shares == [(0, 4), (4, 7), (7, 10)]
-        assert partition_evenly(2, 4) == [(0, 1), (1, 2), (2, 2), (2, 2)]

@@ -13,7 +13,6 @@ from repro.parallel._driver_common import (
     selection_debug_enabled,
 )
 from repro.parallel.combinatorial import combinatorial_parallel
-from repro.parallel.distributed import distributed_parallel
 from tests.conftest import assert_same_modes
 
 
@@ -74,6 +73,8 @@ class TestDebugModeEndToEnd:
 
     def test_distributed_with_trace(self, toy_problem):
         opts = AlgorithmOptions(ordering="dynamic", record_trace=True)
-        res = distributed_parallel(toy_problem, 3, options=opts)
+        res = combinatorial_parallel(toy_problem, 3, options=opts, sharded=True)
         plain = nullspace_algorithm(toy_problem, options=opts)
-        assert_same_modes(res.efms_input_order(), plain.efms_input_order())
+        assert_same_modes(
+            res.result.efms_input_order(), plain.efms_input_order()
+        )
