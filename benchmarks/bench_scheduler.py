@@ -102,7 +102,6 @@ def test_scheduler_benchmark_artifacts(scheduler_runs, write_artifact):
         # Only meaningful with real parallel hardware under the pool.
         "meets_target": (speedup >= SPEEDUP_TARGET) if cpu_count >= 2 else None,
         "n_efms": inline_run.n_efms,
-        "schedule": inline_run.meta["schedule"],
     }
     write_artifact("BENCH_scheduler.json", json.dumps(payload, indent=2))
 

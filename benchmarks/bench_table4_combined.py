@@ -10,7 +10,7 @@ also exceeded memory and were manually refined with a 4th reaction
 Here: the constrained Network II variant against a calibrated per-rank
 capacity.  Asserted shape: (1) Algorithm 2 OOMs in the final iterations,
 (2) at least one subset of the initial split needs refinement, (3) the
-adaptive refinement completes the full EFM set under the same cap.
+scheduler's refinement completes the full EFM set under the same cap.
 """
 
 import pytest
@@ -33,7 +33,7 @@ def test_table4_artifact_and_story(table4, write_artifact):
     assert run.alg2_oom_iteration is not None
     assert run.alg2_oom_iteration >= run.alg2_total_iterations - 3
 
-    # (2) the initial split was insufficient -> adaptive refinements fired.
+    # (2) the initial split was insufficient -> the scheduler refined subsets.
     assert run.refinement_count >= 1
 
     # (3) the refined run completes the entire EFM set.

@@ -6,17 +6,18 @@ the 59th iteration, two iterations before completion" because the
 replicated mode matrix outgrew Blue Gene/P's 4 GB nodes; a 3-reaction
 divide-and-conquer split still left two oversized subsets, and the authors
 manually added a 4th partition reaction to those.  This example replays
-the whole mechanism at benchmark scale with an explicit MemoryModel and
-the automated adaptive splitter (the paper's future-work item: "an
-automated method ... would be helpful to make the combined parallel
-Nullspace Algorithm a fully automated procedure").
+the whole mechanism at benchmark scale with an explicit MemoryModel; the
+subproblem scheduler splits every subset that runs out of memory by one
+more reaction (the paper's future-work item: "an automated method ...
+would be helpful to make the combined parallel Nullspace Algorithm a
+fully automated procedure").
 
 Run:  python examples/memory_limits.py
 """
 
 from repro import OutOfMemoryError, compress_network
 from repro.cluster.memory import MemoryModel
-from repro.dnc.adaptive import adaptive_combined
+from repro.dnc.combined import combined_parallel
 from repro.dnc.selection import select_partition_reactions
 from repro.efm.api import build_problem_with_split
 from repro.models.variants import yeast_2_small
@@ -54,24 +55,25 @@ def main() -> None:
     # 2-3. The combined algorithm with automatic refinement completes.
     partition = select_partition_reactions(rec.reduced, 2, method="tail")
     print(f"\ninitial partition: {partition}")
-    adaptive = adaptive_combined(rec.reduced, partition, 4, memory)
-    assert adaptive.complete
+    run = combined_parallel(rec.reduced, partition, 4, memory_model=memory)
+    assert run.complete
 
-    for ev in adaptive.events:
+    refinements = run.meta["refinements"]
+    for parent, added, iteration, _ in refinements:
         print(
-            f"  subset [{ev.parent.label()}] exceeded memory at iteration "
-            f"{ev.at_iteration} -> refined with {ev.added_reaction}"
+            f"  subset [{parent}] exceeded memory at iteration "
+            f"{iteration} -> refined with {added}"
         )
-    print(f"\nfinal subsets ({len(adaptive.combined.subsets)}):")
-    for s in adaptive.combined.subsets:
+    print(f"\nfinal subsets ({len(run.subsets)}):")
+    for s in run.subsets:
         print(
             f"  [{s.spec.label():>28s}] {s.n_efms:6d} EFMs, "
             f"{s.n_candidates:11,d} candidates"
         )
     print(
-        f"\ncomplete: {adaptive.combined.n_efms:,} EFMs computed under a "
+        f"\ncomplete: {run.n_efms:,} EFMs computed under a "
         f"memory cap that defeated Algorithm 2 "
-        f"({len(adaptive.events)} automatic refinement(s))"
+        f"({len(refinements)} automatic refinement(s))"
     )
 
 

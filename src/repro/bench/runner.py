@@ -17,7 +17,6 @@ from repro.bench.tables import Table, fmt_count, fmt_seconds
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.cluster.memory import MemoryModel
 from repro.cluster.platform import CALHOUN, BLUE_GENE_P, PlatformSpec
-from repro.dnc.adaptive import adaptive_combined
 from repro.dnc.combined import combined_parallel
 from repro.dnc.selection import select_partition_reactions
 from repro.errors import ReproError
@@ -273,8 +272,8 @@ def run_table4(
     1. Algorithm 2 alone exceeds per-node memory shortly before completion
        (paper: iteration 59 of 61);
     2. a 3-reaction divide-and-conquer split leaves oversized subsets;
-    3. adaptive refinement adds a 4th reaction to exactly those subsets and
-       the whole EFM set completes within the memory cap.
+    3. the scheduler refines exactly those subsets with one more reaction
+       and the whole EFM set completes within the memory cap.
 
     ``capacity_fraction`` sizes the modeled per-rank capacity as a fraction
     of the unsplit run's peak replica (a stand-in for "4 GB on a 63x83
@@ -301,7 +300,7 @@ def run_table4(
     except ReproError as exc:
         oom_iteration = getattr(exc, "iteration", None)
 
-    # Steps 2-3: combined algorithm with adaptive refinement.
+    # Steps 2-3: combined algorithm; the scheduler refines what overflows.
     if partition is None:
         preferred = [r for r in ("R54r", "R90r", "R60r") if reduced.has_reaction(r)]
         partition = (
@@ -309,15 +308,16 @@ def run_table4(
             if len(preferred) == 3
             else select_partition_reactions(reduced, 3, options=options)
         )
-    adaptive = adaptive_combined(
-        reduced, tuple(partition), n_ranks, memory,
-        options=options, backend=backend,
+    run = combined_parallel(
+        reduced, tuple(partition), n_ranks,
+        options=options, backend=backend, memory_model=memory,
     )
-    if not adaptive.complete:  # pragma: no cover - calibration failure guard
+    if not run.complete:  # pragma: no cover - calibration failure guard
         raise ReproError(
-            "adaptive refinement did not converge under the modeled capacity; "
+            "refinement did not converge under the modeled capacity; "
             "raise capacity_fraction"
         )
+    refinements = run.meta["refinements"]
 
     table = Table(
         title=(
@@ -329,7 +329,7 @@ def run_table4(
                  "# EFM", "modeled time (sec)"],
     )
     total_modeled = 0.0
-    for s in adaptive.combined.subsets:
+    for s in run.subsets:
         assert s.stats is not None or s.n_efms == 0
         if s.stats is not None:
             modeled = model_run([s.stats], s.rank_traces or [], platform)
@@ -345,25 +345,29 @@ def run_table4(
             t = 0.0
         total_modeled += t
         table.add_row(
-            s.spec.subset_id, s.spec.label(), s.n_candidates, s.n_efms, t
+            f"{s.spec.subset_id}/{s.spec.q_sub}",
+            s.spec.label(),
+            s.n_candidates,
+            s.n_efms,
+            t,
         )
-    table.add_footer(f"Total # EFM: {fmt_count(adaptive.combined.n_efms)}")
+    table.add_footer(f"Total # EFM: {fmt_count(run.n_efms)}")
     table.add_footer(f"Total time: {fmt_seconds(total_modeled)}")
     if oom_iteration is not None:
         table.add_footer(
             f"(Algorithm 2 alone: OutOfMemory at iteration {oom_iteration} of "
             f"{problem.q - problem.first_row + problem.first_row}, as in the paper)"
         )
-    for ev in adaptive.events:
+    for parent, added, iteration, _ in refinements:
         table.add_footer(
-            f"(refined subset {ev.parent.label()} with {ev.added_reaction} "
-            f"after OOM at iteration {ev.at_iteration})"
+            f"(refined subset {parent} with {added} "
+            f"after OOM at iteration {iteration})"
         )
     return Table4Run(
         table=table,
-        n_efms_total=adaptive.combined.n_efms,
-        total_candidates=adaptive.combined.total_candidates,
-        refinement_count=len(adaptive.events),
+        n_efms_total=run.n_efms,
+        total_candidates=run.total_candidates,
+        refinement_count=len(refinements),
         alg2_oom_iteration=oom_iteration,
         alg2_total_iterations=problem.q,
     )

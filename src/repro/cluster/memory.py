@@ -7,8 +7,8 @@ model charges each rank for that replica — values plus packed supports plus
 a transient factor for the iteration's working set — and raises
 :class:`~repro.errors.OutOfMemoryError` when the configured capacity is
 exceeded, reproducing the paper's Network II failure ("abandoned at the
-59th iteration, two iterations before completion") and driving the adaptive
-divide-and-conquer splitter.
+59th iteration, two iterations before completion") and driving the
+scheduler's refinement of divide-and-conquer subsets.
 """
 
 from __future__ import annotations
@@ -52,23 +52,29 @@ class MemoryModel:
     peak_bytes: int = 0
     last_iteration: int = -1
 
-    def charge(self, iteration: int, modes: ModeMatrix) -> None:
-        """Account one iteration's footprint; raises on overflow."""
-        need = int(self.working_factor * modes.nbytes())
+    def charge(
+        self, iteration: int, modes: ModeMatrix, gathered_bytes: int = 0
+    ) -> None:
+        """Account one iteration's footprint — the rank's modes plus,
+        on a sharded rank, the row's ``gathered_bytes`` of active modes
+        alive beside them; raises on overflow."""
+        need = int(self.working_factor * (modes.nbytes() + gathered_bytes))
         self.peak_bytes = max(self.peak_bytes, need)
         self.last_iteration = iteration
         if self.enforcing and need > self.capacity_bytes:
             raise OutOfMemoryError(
-                f"the rank's mode matrix needs {need} bytes at iteration "
+                f"the rank's modes need {need} bytes at iteration "
                 f"{iteration} but the rank capacity is {self.capacity_bytes}",
                 iteration=iteration,
                 required_bytes=need,
                 capacity_bytes=self.capacity_bytes,
             )
 
-    def check(self, iteration: int, modes: ModeMatrix) -> None:
+    def check(
+        self, iteration: int, modes: ModeMatrix, gathered_bytes: int = 0
+    ) -> None:
         """Alias matching the ``memory_check`` callback signature."""
-        self.charge(iteration, modes)
+        self.charge(iteration, modes, gathered_bytes)
 
     def fresh(self) -> "MemoryModel":
         """A zeroed copy with the same configuration (per-subproblem use)."""
@@ -95,8 +101,8 @@ def prefilter_working_bytes(q: int, n_pairs: int, pair_chunk: int) -> int:
     words and the prefilter mask — plus, for survivors, the transient
     dense candidate chunk and its canonical mask + packed words, all freed
     once the chunk's supports are extracted but present at the peak.
-    on_oom="degrade" decisions that ignored this undercounted the true
-    peak by exactly these buffers.
+    A peak estimate that ignores this undercounts the true peak by
+    exactly these buffers.
     """
     words = max(1, (q + 63) // 64)
     chunk = max(0, min(int(n_pairs), int(pair_chunk)))

@@ -158,7 +158,7 @@ def survivor_chunks(
         del other
         # ... plus the survivors' index vectors and the dense candidate
         # chunk (dropped once its supports are extracted, but it exists —
-        # on_oom decisions must see it).
+        # the peak must count it).
         transient += hit.size * 40 + cand.nbytes
         peak_transient = max(peak_transient, transient)
         stats.prefilter_bytes = max(stats.prefilter_bytes, peak_transient)

@@ -112,7 +112,9 @@ class NullspaceResult:
         return self.modes.float_values(self.problem.inverse_perm())
 
 
-MemoryCheck = Callable[[int, ModeMatrix], None]
+#: ``(iteration, modes)``, plus the bytes of the row's gathered active
+#: modes when a sharded rank holds them too.
+MemoryCheck = Callable[..., None]
 
 
 def iterate_row(
@@ -227,9 +229,12 @@ def nullspace_algorithm(
         Process rows up to (excluding) this position — Proposition 1's
         early stop for divide-and-conquer subproblems.  Default: all rows.
     memory_check:
-        Called after every iteration with ``(iteration, modes)``; may raise
-        :class:`repro.errors.OutOfMemoryError` to model a node-memory
-        limit.  Overrides the context's memory model when given.
+        Called after every iteration with ``(iteration, modes)`` — on a
+        sharded rank whose row gathered active modes, with their bytes as
+        a third argument, since they are alive beside the shard; may
+        raise :class:`repro.errors.OutOfMemoryError` to model a
+        node-memory limit.  Overrides the context's memory model when
+        given.
     rank_cache:
         Rank memo binding — the divide-and-conquer driver's shared memo
         keyed by canonical column ids.  Without one the run asks its
@@ -331,7 +336,10 @@ def nullspace_algorithm(
         del source
         recorder.capture(k, problem, modes, selector.last_score)
         if memory_check is not None:
-            memory_check(k, modes)
+            if gathered_bytes:
+                memory_check(k, modes, gathered_bytes)
+            else:
+                memory_check(k, modes)
         if ck and (
             (len(selector.realized) - n_resumed) % ctx.checkpoint_every == 0
             or not selector.has_next()

@@ -66,8 +66,7 @@ class IterationStats:
     #: pair-index vectors, gathered/ORed support words and prefilter mask,
     #: the dense candidate chunk (freed right after support extraction,
     #: but it exists at the peak).
-    #: on_oom="degrade" decisions should add this to the retained
-    #: footprint to see the true peak.
+    #: Add this to the retained footprint to see the true peak.
     prefilter_bytes: int = 0
     #: candidate-phase chunks processed by this rank.
     n_chunks: int = 0

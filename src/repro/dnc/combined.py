@@ -38,12 +38,10 @@ in which the window rows fall.
 
 Steps 1–3 and 5–6 are shared by every way of *running* a subproblem
 (:func:`prepare_subset` / :meth:`PreparedSubset.finalize`), and
-:func:`solve_subset` is the one runner: Algorithm 2 on the subset.  When
-a subset exceeds the modeled node memory, the
-:class:`~repro.engine.scheduler.SubproblemScheduler` re-runs it through
-the same :func:`solve_subset` on one rank, with a checkpoint file and
-non-enforcing memory accounting.  :func:`combined_parallel` delegates
-subset ordering, dispatch and failure isolation to that scheduler.
+:func:`solve_subset` is the one runner: Algorithm 2 on the subset.
+:func:`combined_parallel` delegates subset ordering, dispatch and the
+refinement of subsets that exceed the modeled node memory to the
+:class:`~repro.engine.scheduler.SubproblemScheduler`.
 """
 
 from __future__ import annotations
@@ -104,9 +102,6 @@ class SubsetResult:
     #: memory failure, if the subproblem exceeded the modeled capacity.
     oom: OutOfMemoryError | None = None
     wall_time: float = 0.0
-    #: re-solved on one rank, checkpointed and without memory enforcement,
-    #: after an OOM (or an admission rejection).
-    degraded: bool = False
     #: restored from a scheduler checkpoint instead of recomputed.
     resumed: bool = False
     #: EFM rows certified exactly (steady state, irreversible signs) when
@@ -155,16 +150,17 @@ class CombinedRunResult:
     """Aggregated outcome of Algorithm 3 over every subset.
 
     ``subsets`` is always in the run's *canonical* order (the subset
-    enumeration order, or the caller's ``subset_ids`` order) regardless of
-    the schedule or executor that produced the results — this is what
-    makes the union bit-identical across executors and schedules.
+    enumeration order, or the caller's ``subset_ids`` order, with a
+    refined subset's children in its slot) regardless of the dispatch
+    order or executor that produced the results — this is what makes the
+    union bit-identical across executors.
     """
 
     network: MetabolicNetwork
     subsets: list[SubsetResult]
-    #: scheduler/executor information (executor name, schedule, admission
-    #: budget, degraded/resumed counts, the survivors' predicted bytes,
-    #: screen counts; see :meth:`SubproblemScheduler.run
+    #: scheduler/executor information (executor name, admission budget,
+    #: job/resumed counts, predicted bytes, screen counts, refinements;
+    #: see :meth:`SubproblemScheduler.run
     #: <repro.engine.scheduler.SubproblemScheduler.run>`); empty for
     #: directly built results.
     meta: dict = dataclasses.field(default_factory=dict)
@@ -659,6 +655,7 @@ def screen_subsets(
     specs: Sequence[SubsetSpec],
     *,
     context: RunContext | None = None,
+    known: Iterable[tuple[frozenset[str], frozenset[str]]] = (),
 ) -> tuple[list[frozenset[str]], int]:
     """Blocked-reaction screen of every subset, in one pass over the
     subset lattice.
@@ -679,28 +676,35 @@ def screen_subsets(
     any work; otherwise ``screen_blocked`` runs once, with ``Z`` and the
     inherited set deleted.  The screen runs on the ``context``'s
     :class:`ParentKernel` (:func:`parent_kernel`).
+
+    ``known`` holds ``(zero set, blocked set)`` pairs screened before (a
+    refined subset's): they are inherited like visited subsets, and a
+    subset with one of their zero sets takes its blocked set without a
+    ``screen_blocked`` call.
     """
     parent = parent_kernel(reduced, context)
     zeros = [frozenset(spec.zero) for spec in specs]
     out: list[frozenset[str]] = [frozenset()] * len(specs)
-    visited: list[int] = []
+    visited = list(known)
     n_computed = 0
     for i in sorted(range(len(specs)), key=lambda k: (len(zeros[k]), k)):
         z = zeros[i]
         blocked = set()
-        for j in visited:
-            if zeros[j] < z:
-                blocked |= out[j]
+        screened_before = False
+        for z0, b0 in visited:
+            if z0 <= z:
+                blocked |= b0
+                screened_before |= z0 == z
         blocked -= z
         hit = [r for r in specs[i].nonzero if r in blocked]
-        if not hit:
+        if not hit and not screened_before:
             blocked |= screen_blocked(parent, z | blocked)
             n_computed += 1
             hit = [r for r in specs[i].nonzero if r in blocked]
         if hit:
             _log_screened(specs[i], hit)
         out[i] = frozenset(blocked)
-        visited.append(i)
+        visited.append((z, out[i]))
     return out, n_computed
 
 
@@ -802,7 +806,6 @@ def solve_subset(
     auto_split: bool = True,
     context: RunContext | None = None,
     blocked: frozenset[str] | None = None,
-    checkpoint_path: str | Path | None = None,
 ) -> SubsetResult:
     """Solve one subset's subproblem with Algorithm 2 (lines 3–22).
 
@@ -811,8 +814,7 @@ def solve_subset(
     shares support-pattern rank results with the run's other subproblems;
     keys are canonical reduced-network column sets, so differing
     permutations, deletions and reversible splits all address the same
-    entries.  ``blocked`` is passed on to :func:`prepare_subset`, and
-    ``checkpoint_path`` (one rank only) to the Nullspace loop.
+    entries.  ``blocked`` is passed on to :func:`prepare_subset`.
     """
     ctx = RunContext.ensure(context, options=options, memory_model=memory_model)
     t0 = time.perf_counter()
@@ -837,7 +839,6 @@ def solve_subset(
             memory_model=ctx.fresh_memory(),
             rank_cache=binding,
             context=ctx,
-            checkpoint_path=checkpoint_path,
         )
     except OutOfMemoryError as exc:
         return SubsetResult(
@@ -872,26 +873,22 @@ def combined_parallel(
     subset_ids: list[int] | None = None,
     executor: str = "inline",
     max_workers: int | None = None,
-    schedule: str | Sequence[int] = "predicted-peak",
-    on_oom: str = "record",
     checkpoint_dir: str | Path | None = None,
     context: RunContext | None = None,
 ) -> CombinedRunResult:
     """Algorithm 3: solve every subset of the partition independently.
 
-    Subset ordering, dispatch and failure isolation are delegated to the
+    Subset ordering, dispatch and refinement are delegated to the
     :class:`~repro.engine.scheduler.SubproblemScheduler`:
 
     * ``executor`` — ``"inline"`` (sequential, in-process) or
       ``"process-pool"`` (work-stealing worker processes); the union is
       bit-identical across both.
-    * ``schedule`` — ``"predicted-peak"`` (largest predicted footprint
-      first) or an explicit permutation of subset indices.
-    * ``on_oom`` — ``"record"`` captures a subset's
-      :class:`~repro.errors.OutOfMemoryError` in its result (legacy
-      behaviour, feeds the adaptive refiner); ``"degrade"`` re-runs the
-      subset on one rank, checkpointed and without memory enforcement, so
-      the run still completes.
+    * ``memory_model`` — per-rank cap: a subset that exceeds it is split
+      by one more reaction, up to
+      :data:`~repro.engine.scheduler.MAX_REFINE_DEPTH` times; one still
+      out of memory keeps its :class:`~repro.errors.OutOfMemoryError` in
+      its result (``complete`` is then false).
     * ``checkpoint_dir`` — persist each completed subset; a rerun resumes
       from what finished.
 
@@ -916,8 +913,6 @@ def combined_parallel(
         backend=backend,
         executor=executor,
         max_workers=max_workers,
-        schedule=schedule,
-        on_oom=on_oom,
         checkpoint_dir=checkpoint_dir,
     )
     return scheduler.run()

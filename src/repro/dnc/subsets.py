@@ -77,6 +77,31 @@ class SubsetSpec:
         )
 
 
+def refinement_reaction(spec: SubsetSpec, reduced: MetabolicNetwork) -> str:
+    """The reaction that refines an out-of-memory subset (see
+    :meth:`SubsetSpec.refine`).
+
+    Prefers reversible reactions (their rows never shed columns during the
+    run, so zeroing them prunes the most work — the paper's choices R54r,
+    R90r, R60r, R22r are all reversible) that are not already in the
+    partition, the last in network order, falling back to the last
+    remaining reaction.
+    """
+    used = set(spec.partition)
+    reversibles = [
+        r.name for r in reduced.reactions if r.reversible and r.name not in used
+    ]
+    if reversibles:
+        return reversibles[-1]
+    others = [r.name for r in reduced.reactions if r.name not in used]
+    if not others:
+        raise PartitionError(
+            f"subset {spec.label()} exhausted every reaction without fitting "
+            "in memory"
+        )
+    return others[-1]
+
+
 def enumerate_subsets(partition: Sequence[str]) -> list[SubsetSpec]:
     """All ``2**len(partition)`` subset specs, ordered by subset id."""
     partition = tuple(partition)

@@ -55,8 +55,6 @@ def compute_efms(
     memory_model: MemoryModel | None = None,
     executor: str = "inline",
     max_workers: int | None = None,
-    schedule: str | Sequence[int] = "predicted-peak",
-    on_oom: str = "record",
     checkpoint_path: str | Path | None = None,
     context: RunContext | None = None,
 ) -> EFMResult:
@@ -84,19 +82,18 @@ def compute_efms(
         ``method="tail"``).
     memory_model:
         Optional per-rank memory cap (modeled); see
-        :class:`repro.cluster.memory.MemoryModel`.
-    executor, max_workers, schedule:
+        :class:`repro.cluster.memory.MemoryModel`.  For
+        ``method="combined"``, a subset that exceeds it is split by one
+        more reaction, up to
+        :data:`~repro.engine.scheduler.MAX_REFINE_DEPTH` times; one still
+        out of memory then raises :class:`~repro.errors.AlgorithmError`
+        naming it.
+    executor, max_workers:
         For ``method="combined"``: how the subproblem scheduler dispatches
         the subsets — ``"inline"`` or ``"process-pool"`` (OS worker
         processes with work stealing); the EFM set is bit-identical
         across both.  See
         :class:`repro.engine.scheduler.SubproblemScheduler`.
-    on_oom:
-        For ``method="combined"`` with a memory model: ``"record"``
-        (default) raises when a subset exceeds memory, pointing at the
-        adaptive refiner; ``"degrade"`` re-runs such subsets on one rank,
-        checkpointed and without memory enforcement, so the call still
-        completes.
     checkpoint_path:
         ``method="serial"``: snapshot ``.npz`` the Nullspace loop writes
         and resumes from.  ``method="combined"``: scheduler checkpoint *directory*
@@ -151,17 +148,19 @@ def compute_efms(
                 backend=backend,
                 executor=executor,
                 max_workers=max_workers,
-                schedule=schedule,
-                on_oom=on_oom,
                 context=ctx,
             )
             if not run.complete:
-                failed = [s.spec.label() for s in run.subsets if not s.completed]
+                from repro.engine.scheduler import MAX_REFINE_DEPTH  # noqa: PLC0415
+
+                failed = [
+                    f"[{s.spec.label()}] at iteration {s.oom.iteration}"
+                    for s in run.subsets
+                    if not s.completed
+                ]
                 raise AlgorithmError(
-                    f"divide-and-conquer subsets exceeded memory: {failed}; use "
-                    "on_oom='degrade' to re-run them on one rank, checkpointed, "
-                    "or repro.dnc.adaptive.adaptive_combined for automatic "
-                    "refinement"
+                    "divide-and-conquer subsets still exceed memory with "
+                    f"{MAX_REFINE_DEPTH} reactions added: {', '.join(failed)}"
                 )
             efms_reduced = run.efms()
             certified = run.certified

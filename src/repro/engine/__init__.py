@@ -10,9 +10,8 @@ This package is the seam between the pathway-analysis kernels (``core/``,
 * :class:`~repro.engine.scheduler.SubproblemScheduler` — memory-aware
   dispatch of the ``2**q_sub`` divide-and-conquer subproblems over
   two executors (``inline`` and the work-stealing ``process-pool``),
-  with an admission budget, OOM
-  degradation to a checkpointed one-rank re-run, and subset-level
-  checkpoint/resume.
+  with an admission budget, refinement of a subset that runs out of
+  memory, and subset-level checkpoint/resume.
 
 The scheduler (and its executors) import the divide-and-conquer driver
 stack, which itself consumes :mod:`repro.engine.context`; to keep that
@@ -26,7 +25,6 @@ from repro.engine.context import RunContext, TraceRecorder
 _LAZY = {
     "SubproblemScheduler": "repro.engine.scheduler",
     "SubsetJob": "repro.engine.scheduler",
-    "ScheduleName": "repro.engine.scheduler",
     "ExecutorName": "repro.engine.executors",
     "get_executor": "repro.engine.executors",
     "EXECUTOR_NAMES": "repro.engine.executors",

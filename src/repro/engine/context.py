@@ -12,8 +12,8 @@ accepting a private keyword for each concern.
 
 The context is deliberately picklable (no lambdas, no open files) so it
 can cross process boundaries: the process-pool executor and the
-simulated-MPI process backend fork with a copy.  Mutable members degrade
-gracefully on copies — a forked :class:`~repro.linalg.rankmemo.RankCache`
+simulated-MPI process backend fork with a copy.  Mutable members stay
+safe on copies — a forked :class:`~repro.linalg.rankmemo.RankCache`
 is merely a smaller cache, never a wrong one, and per-process stats sinks
 are re-aggregated by the dispatching side.
 """

@@ -12,7 +12,7 @@ order regardless of completion order:
   that bounds the sum of *predicted* peak footprints in flight.
 
 Executors are deliberately dumb: ordering, admission budgets, checkpoint
-persistence and OOM degradation are all scheduler policy.  An executor
+persistence and OOM refinement are all scheduler policy.  An executor
 receives an already-scheduled job list and a picklable :class:`WorkOrder`
 and returns ``{canonical index -> SubsetResult}``.
 """
@@ -59,8 +59,8 @@ class WorkOrder:
 
 
 def solve_job(order: WorkOrder, job: "SubsetJob") -> "SubsetResult":
-    """Solve one scheduled job with Algorithm 2 (the non-degraded path),
-    reusing the blocked set the scheduler's plan screened for it."""
+    """Solve one scheduled job with Algorithm 2, reusing the blocked set
+    the scheduler's plan screened for it."""
     from repro.dnc.combined import solve_subset  # noqa: PLC0415
 
     result = solve_subset(
@@ -86,7 +86,7 @@ class InlineExecutor:
         order: WorkOrder,
         *,
         max_workers: int | None = None,
-        admission_bytes: int | None = None,
+        budget: int | None = None,
     ) -> None:
         self.order = order
 
@@ -135,8 +135,8 @@ def _pool_worker(
 class ProcessPoolExecutor:
     """Fork-based work-stealing task farm with admission control.
 
-    ``admission_bytes`` bounds the sum of the *predicted* peak footprints
-    of dispatched-but-unfinished jobs — the scheduler's model of cluster
+    ``budget`` bounds the sum of the *predicted* peak footprints of
+    dispatched-but-unfinished jobs — the scheduler's model of cluster
     memory.  A job larger than the whole budget still runs, but alone
     (progress guarantee).  Predictions are a-priori surrogates, so this is
     a soft budget; the hard per-rank budget remains the
@@ -150,18 +150,18 @@ class ProcessPoolExecutor:
         order: WorkOrder,
         *,
         max_workers: int | None = None,
-        admission_bytes: int | None = None,
+        budget: int | None = None,
     ) -> None:
         self.order = order
         self.max_workers = effective_workers(self.name, max_workers)
-        self.admission_bytes = admission_bytes
+        self.budget = budget
 
     def _admit(self, job: "SubsetJob", in_flight: dict[int, int]) -> bool:
-        if self.admission_bytes is None or not in_flight:
+        if self.budget is None or not in_flight:
             return True
         return (
             sum(in_flight.values()) + job.predicted_peak_bytes
-            <= self.admission_bytes
+            <= self.budget
         )
 
     def run(
@@ -253,7 +253,7 @@ def get_executor(
     order: WorkOrder,
     *,
     max_workers: int | None = None,
-    admission_bytes: int | None = None,
+    budget: int | None = None,
 ):
     """Instantiate an executor by name."""
     try:
@@ -262,4 +262,4 @@ def get_executor(
         raise SchedulerError(
             f"unknown executor {name!r}; available: {', '.join(EXECUTOR_NAMES)}"
         ) from None
-    return cls(order, max_workers=max_workers, admission_bytes=admission_bytes)
+    return cls(order, max_workers=max_workers, budget=budget)

@@ -87,10 +87,10 @@ class SchedulerError(ReproError):
 
     Raised when an executor worker dies with a non-algorithmic error, when
     a scheduler checkpoint directory belongs to a different run, or when an
-    invalid executor/schedule combination is requested.  Algorithmic
-    failures inside a subproblem (:class:`OutOfMemoryError`) are *not*
-    wrapped in this error — they are captured per subset and handled by the
-    scheduler's admission/degradation policy.
+    unknown executor is requested.  Algorithmic failures inside a
+    subproblem (:class:`OutOfMemoryError`) are *not* wrapped in this
+    error — they are captured per subset and answered by the scheduler's
+    refinement.
     """
 
 
@@ -101,7 +101,8 @@ class OutOfMemoryError(ReproError):
     parallel algorithm on Network II "had to be abandoned at the 59th
     iteration, two iterations before completion" because the replicated mode
     matrix no longer fit in node memory.  Carries enough context for the
-    adaptive divide-and-conquer driver to decide how to split further.
+    subproblem scheduler to report where a subset ran out before it
+    splits that subset further.
     """
 
     def __init__(

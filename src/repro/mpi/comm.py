@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import pickle
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -126,24 +126,6 @@ class Communicator(abc.ABC):
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast from ``root``; default implementation over allgather."""
         return self.allgather(obj if self.rank == root else None)[root]
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather to ``root`` (None elsewhere); default over allgather."""
-        everything = self.allgather(obj)
-        return everything if self.rank == root else None
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Reduce a value across ranks (default: sum for numbers/arrays)."""
-        parts = self.allgather(value)
-        if op is None:
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = acc + p
-            return acc
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = op(acc, p)
-        return acc
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} rank {self.rank}/{self.size}>"

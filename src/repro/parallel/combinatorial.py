@@ -38,8 +38,6 @@ number of ranks — property-tested against the serial algorithm.
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
-
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
@@ -123,7 +121,6 @@ def combinatorial_parallel(
     memory_model: MemoryModel | None = None,
     rank_cache: CacheBinding | None = None,
     context: RunContext | None = None,
-    checkpoint_path: str | Path | None = None,
     sharded: bool = False,
 ) -> ParallelRunResult:
     """Run Algorithm 2 on ``n_ranks`` simulated ranks.
@@ -139,15 +136,14 @@ def combinatorial_parallel(
     ``rank_cache`` overrides the per-run rank memo — the
     divide-and-conquer driver passes a binding shared across subproblems
     (the sequential backend's ranks share the dict; the process backend
-    degrades to per-process copies, which is merely a smaller cache,
+    falls back to per-process copies, which is merely a smaller cache,
     never wrong).
 
     One rank has no pairs to partition and nothing to exchange, so
     Algorithm 2 is Algorithm 1: it runs the loop without a communicator
     in the calling process, whatever the backend, and an empty trace (0 s
-    of modeled communication, as a rank sending to itself models).  Only
-    that one-rank run takes a ``checkpoint_path``.  One shard is the whole
-    matrix, so a one-rank sharded run is the same run.
+    of modeled communication, as a rank sending to itself models).  One
+    shard is the whole matrix, so a one-rank sharded run is the same run.
     """
     ctx = RunContext.ensure(context, options=options)
     # The model instance is shared across in-process ranks deliberately:
@@ -162,12 +158,10 @@ def combinatorial_parallel(
         "context": ctx,
     }
     if n_ranks == 1:
-        res = nullspace_algorithm(problem, checkpoint_path=checkpoint_path, **loop)
+        res = nullspace_algorithm(problem, **loop)
         return ParallelRunResult(
             result=res, rank_stats=[res.stats], rank_traces=[CommTrace()]
         )
-    if checkpoint_path is not None:
-        raise AlgorithmError(f"a checkpointed run needs one rank, not {n_ranks}")
     outs = run_spmd(
         traced_worker(combinatorial_worker),
         n_ranks,

@@ -12,7 +12,8 @@ from repro.dnc.combined import combined_parallel, solve_subset
 from repro.dnc.selection import select_partition_reactions
 from repro.dnc.subsets import SubsetSpec
 from repro.efm.api import compute_efms
-from repro.errors import PartitionError
+from repro.engine.scheduler import MAX_REFINE_DEPTH
+from repro.errors import AlgorithmError, PartitionError
 from repro.linalg import modular
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
@@ -185,16 +186,19 @@ class TestYeastOneRank:
         assert result.oom is not None and not result.completed
         assert result.n_efms == 0
 
-    def test_degrade_completes(self, reduced):
-        mm = MemoryModel(capacity_bytes=20_000)
-        recorded = combined_parallel(reduced, self.PARTITION, 1, memory_model=mm)
-        assert any(s.oom is not None for s in recorded.subsets)
-        run = combined_parallel(
-            reduced, self.PARTITION, 1, memory_model=mm, on_oom="degrade"
-        )
-        assert run.complete and run.n_efms == 530
-        assert run.meta["n_degraded"] >= 1
-        assert run.n_screened == 24
+    def test_unfit_subsets_refine_to_the_depth_limit(self, reduced):
+        mm = MemoryModel(capacity_bytes=60_000)
+        run = combined_parallel(reduced, self.PARTITION, 1, memory_model=mm)
+        assert not run.complete and run.meta["refinements"]
+        failed = [s for s in run.subsets if not s.completed]
+        assert all(s.spec.q_sub == 5 + MAX_REFINE_DEPTH for s in failed)
+        assert run.n_screened >= 24
+        with pytest.raises(AlgorithmError, match="still exceed memory") as exc:
+            compute_efms(
+                yeast_1_small(), method="combined", partition=list(self.PARTITION),
+                memory_model=mm,
+            )
+        assert all(s.spec.label() in str(exc.value) for s in failed)
 
     def test_resume_keeps_screened_count(self, tmp_path):
         d = tmp_path / "ckpt"

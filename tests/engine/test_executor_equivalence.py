@@ -4,9 +4,9 @@ the scheduler dispatches the divide-and-conquer subsets.
 The fast tests cover the toy network; the slow property test is the
 acceptance criterion from the scheduler work — yeast-I-small with a
 ``q_sub = 5`` tail partition (32 subsets, 530 EFMs) across the inline
-and process-pool (2 and 4 workers) executors plus a shuffled explicit
-schedule, compared with ``np.array_equal`` (no canonicalization: the
-unions must match bit for bit).
+and process-pool (2 and 4 workers) executors plus an inline run in
+largest-predicted-peak-first order, compared with ``np.array_equal`` (no
+canonicalization: the unions must match bit for bit).
 
 ``REPRO_TEST_EXECUTORS`` (comma-separated names) restricts which of the
 two executors the slow test exercises; the CI matrix runs one leg with
@@ -16,11 +16,11 @@ two executors the slow test exercises; the CI matrix runs one leg with
 from __future__ import annotations
 
 import os
-import random
 
 import numpy as np
 import pytest
 
+from repro.cluster.memory import MemoryModel
 from repro.dnc.combined import combined_parallel
 from repro.efm.api import compute_efms
 from repro.engine.executors import EXECUTOR_NAMES
@@ -29,6 +29,10 @@ from repro.models.variants import yeast_1_small
 from repro.network.compression import compress_network
 
 PARTITION = ("r6r", "r8r")
+
+#: A memory model nothing outgrows: the plan predicts every subset's
+#: peak and the jobs run largest first, with no refinement.
+AMPLE = MemoryModel(capacity_bytes=1 << 40)
 
 
 def _selected_executors() -> list[str]:
@@ -58,11 +62,12 @@ def test_toy_union_identical_across_executors(toy_reduced, executor):
 
 
 def test_toy_union_identical_across_schedules(toy_reduced):
-    n = 2 ** len(PARTITION)
-    base = combined_parallel(toy_reduced, PARTITION, 1, schedule=list(range(n)))
-    for schedule in ("predicted-peak", list(range(n))[::-1], [3, 1, 0, 2]):
-        run = combined_parallel(toy_reduced, PARTITION, 1, schedule=schedule)
-        assert np.array_equal(base.efms(), run.efms()), schedule
+    # Inline jobs run in canonical order without a memory model and
+    # largest predicted peak first with one.
+    base = combined_parallel(toy_reduced, PARTITION, 1)
+    run = combined_parallel(toy_reduced, PARTITION, 1, memory_model=AMPLE)
+    assert run.meta["predicted_total_bytes"] and not run.meta["refinements"]
+    assert np.array_equal(base.efms(), run.efms())
 
 
 def test_compute_efms_executor_matches_inline(toy_reduced):
@@ -92,9 +97,7 @@ def test_yeast_small_equivalence_property():
             ("process-pool-4", {"executor": "process-pool", "max_workers": 4}),
         ]
     if "inline" in selected:
-        perm = list(range(32))
-        random.Random(20110516).shuffle(perm)  # IPDPS 2011: fixed seed
-        variants.append(("inline-shuffled", {"schedule": perm}))
+        variants.append(("inline-largest-first", {"memory_model": AMPLE}))
 
     for label, kwargs in variants:
         run = compute_efms(net, method="combined", partition=5, **kwargs)

@@ -1,4 +1,4 @@
-"""SubproblemScheduler: planning, ordering, checkpointing, degradation."""
+"""SubproblemScheduler: planning, ordering, checkpointing, refinement."""
 
 from __future__ import annotations
 
@@ -73,67 +73,34 @@ class TestPlanning:
         sizes = [j.predicted_peak_bytes for j in ordered]
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_reverse_and_subset_id_schedules(self, reduced, specs):
-        # Subset-id and reverse order are index permutations.
-        jobs = make_scheduler(reduced, specs).plan()
-        ids = list(range(len(specs)))
-        by_id = make_scheduler(reduced, specs, schedule=ids).scheduled(jobs)
-        assert [j.index for j in by_id] == ids
-        rev = make_scheduler(reduced, specs, schedule=ids[::-1]).scheduled(jobs)
-        assert [j.index for j in rev] == ids[::-1]
-
-    def test_explicit_permutation(self, reduced, specs):
-        perm = [2, 0, 3, 1]
-        sched = make_scheduler(reduced, specs, schedule=perm)
-        assert [j.index for j in sched.scheduled(sched.plan())] == perm
-
-    def test_bad_permutation_rejected(self, reduced, specs):
-        sched = make_scheduler(reduced, specs, schedule=[0, 0, 1, 2])
-        with pytest.raises(SchedulerError, match="permutation"):
-            sched.scheduled(sched.plan())
-
-    def test_unknown_schedule_rejected(self, reduced, specs):
-        sched = make_scheduler(reduced, specs, schedule="chaotic")
-        with pytest.raises(SchedulerError, match="unknown schedule"):
-            sched.scheduled(sched.plan())
-
-    @pytest.mark.parametrize("name", ["subset-id", "reverse"])
-    def test_retired_schedule_names_rejected(self, reduced, specs, name):
-        # Only "predicted-peak" is a name; other orders are permutations.
-        sched = make_scheduler(reduced, specs, schedule=name)
-        with pytest.raises(
-            SchedulerError, match=r"'predicted-peak' or an index permutation"
-        ):
-            sched.scheduled(sched.plan())
-
     def test_unknown_executor_rejected(self, reduced, specs):
         with pytest.raises(SchedulerError, match="unknown executor"):
             make_scheduler(reduced, specs, executor="gpu")
 
-    def test_bad_on_oom_rejected(self, reduced, specs):
-        with pytest.raises(SchedulerError, match="on_oom"):
-            make_scheduler(reduced, specs, on_oom="explode")
-
 
 class TestCanonicalOrder:
     def test_result_order_independent_of_schedule(self, reduced, specs):
+        # Without predictions the jobs run in canonical order; a memory
+        # model makes the plan predict, and they run largest first.
         base = make_scheduler(reduced, specs).run()
-        rev = make_scheduler(
-            reduced, specs, schedule=list(range(len(specs)))[::-1]
-        ).run()
+        ctx = RunContext(memory_model=MemoryModel(capacity_bytes=1 << 30))
+        sched = make_scheduler(reduced, specs, context=ctx)
+        lpt = [j.index for j in sched.scheduled(sched.plan())]
+        assert lpt != sorted(lpt)
+        run = make_scheduler(reduced, specs, context=ctx).run()
         assert [s.spec.subset_id for s in base.subsets] == [
-            s.spec.subset_id for s in rev.subsets
+            s.spec.subset_id for s in run.subsets
         ]
-        assert np.array_equal(base.efms(), rev.efms())
+        assert np.array_equal(base.efms(), run.efms())
 
     def test_meta_reports_run_shape(self, reduced, specs):
         run = make_scheduler(reduced, specs).run()
         assert run.meta["executor"] == "inline"
         assert run.meta["n_jobs"] == len(specs)
-        assert run.meta["n_degraded"] == 0
+        assert run.meta["refinements"] == []
         # One job at a time and no memory model: nothing reads a peak.
         assert run.meta["predicted_total_bytes"] is None
-        assert run.meta["admission_bytes"] is None
+        assert run.meta["admission_budget"] is None
 
     def test_meta_reports_predictions_under_a_memory_model(self, reduced, specs):
         mm = MemoryModel(capacity_bytes=1 << 30)
@@ -144,16 +111,6 @@ class TestCanonicalOrder:
 
 
 class TestAdmissionBudget:
-    def test_explicit_budget_wins(self, reduced, specs):
-        mm = MemoryModel(capacity_bytes=1000)
-        sched = make_scheduler(
-            reduced,
-            specs,
-            context=RunContext(memory_model=mm),
-            admission_bytes=77,
-        )
-        assert sched._admission_budget(executor_workers=4) == 77
-
     def test_default_budget_is_capacity_times_workers(self, reduced, specs):
         mm = MemoryModel(capacity_bytes=1000)
         sched = make_scheduler(reduced, specs, context=RunContext(memory_model=mm))
@@ -163,10 +120,8 @@ class TestAdmissionBudget:
         # Inline runs one job at a time, so its default budget is one
         # node's capacity, whatever the host's parallelism.
         mm = MemoryModel(capacity_bytes=1000)
-        run = make_scheduler(
-            reduced, specs, context=RunContext(memory_model=mm), on_oom="degrade"
-        ).run()
-        assert run.meta["admission_bytes"] == 1000
+        run = make_scheduler(reduced, specs, context=RunContext(memory_model=mm)).run()
+        assert run.meta["admission_budget"] == 1000
 
     def test_no_model_no_budget(self, reduced, specs):
         assert (
@@ -175,98 +130,86 @@ class TestAdmissionBudget:
         )
 
 
-class TestDegradation:
-    def test_degrade_completes_under_tiny_memory(self, reduced, specs):
+class TestRefinement:
+    def test_refinement_completes_under_tight_memory(self, reduced, specs):
         base = make_scheduler(reduced, specs).run()
-        mm = MemoryModel(capacity_bytes=500)
+        mm = MemoryModel(capacity_bytes=400)
         run = make_scheduler(
-            reduced,
-            specs,
-            context=RunContext(memory_model=mm),
-            on_oom="degrade",
+            reduced, specs, context=RunContext(memory_model=mm)
         ).run()
         assert run.complete
-        assert run.meta["n_degraded"] >= 1
-        assert any(s.degraded for s in run.subsets)
+        assert run.meta["refinements"]
+        assert run.meta["n_jobs"] == len(specs) + 2 * len(run.meta["refinements"])
         assert np.array_equal(
             canonical_rows(base.efms()), canonical_rows(run.efms())
         )
 
-    def test_degraded_yeast_subsets_share_the_memo_and_resume(
-        self, tmp_path, monkeypatch
-    ):
-        """yeast-I-small, q_sub=5, every subset over the node budget: the
-        degraded run finds the undegraded EFM set, ranks through the
-        run's shared memo, and a degrade killed mid-subset resumes from
-        its row-level snapshot."""
-        from repro.core import checkpoint
-        from repro.models.variants import yeast_1_small
+    @pytest.mark.parametrize("executor", ["inline", "process-pool"])
+    def test_yeast2_under_the_table4_cap(self, executor):
+        """yeast-II-small under a cap that Algorithm 2 dies against: the
+        refined run finds the serial EFM set on either executor, and a
+        cap nothing fits in raises naming the subsets."""
+        from repro.errors import AlgorithmError
+        from repro.models.variants import yeast_2_small
 
-        net = yeast_1_small()
-        base = compute_efms(net, method="combined", partition=5)
-
-        ctx = RunContext(memory_model=MemoryModel(capacity_bytes=500))
+        net = yeast_2_small()
+        serial = compute_efms(net)
+        cap = MemoryModel(capacity_bytes=3_110_658)  # memory_limits.py's cap
         run = compute_efms(
-            net, method="combined", partition=5, on_oom="degrade", context=ctx
+            net, method="combined", partition=2, memory_model=cap,
+            executor=executor, max_workers=2,
         )
-        meta = run.meta["scheduler"]
-        assert meta["n_degraded"] == meta["n_jobs"] - run.meta["n_screened"] > 0
-        assert np.array_equal(
-            canonical_rows(base.fluxes), canonical_rows(run.fluxes)
-        )
-        memo = ctx.shared_rank_memo[0]
-        hits = sum(s.total_rank_cache_hits for s in ctx.collected_stats)
-        assert memo.hits == hits > 0
-
-        # Kill the run at the third row-level snapshot, then resume it.
-        d = tmp_path / "ckpt"
-        real_save = checkpoint.Checkpoint.save
-        saves = []
-
-        def dying_save(self, path):
-            real_save(self, path)
-            saves.append(path)
-            if len(saves) == 3:
-                raise RuntimeError("simulated kill during a degraded subset")
-
-        monkeypatch.setattr(checkpoint.Checkpoint, "save", dying_save)
-        with pytest.raises(RuntimeError, match="simulated kill"):
+        assert serial.same_modes_as(run)
+        assert [r[1] for r in run.meta["scheduler"]["refinements"]] == [
+            "R96r", "R89r", "R81r"
+        ]
+        with pytest.raises(AlgorithmError, match=r"\[.*R102r.*\] at iteration"):
             compute_efms(
-                net, method="combined", partition=5, on_oom="degrade",
-                context=RunContext(
-                    memory_model=MemoryModel(capacity_bytes=500),
-                    checkpoint_path=d,
-                ),
+                net, method="combined", partition=2, executor=executor,
+                max_workers=2, memory_model=MemoryModel(capacity_bytes=20_000),
             )
-        assert saves[-1].exists() and saves[-1].name.endswith("_serial.npz")
-        monkeypatch.setattr(checkpoint.Checkpoint, "save", real_save)
 
-        real_start = checkpoint.resume_or_start
-        prefixes = []
+    def test_refined_run_killed_after_a_child_resumes(
+        self, reduced, tmp_path, monkeypatch
+    ):
+        """A checkpointed run killed after one refined child finished
+        resumes from it to the same EFM set."""
+        d = tmp_path / "ckpt"
+        mm = MemoryModel(capacity_bytes=400)
+        base = combined_parallel(reduced, PARTITION, 1)
+        real_solve = executors_mod.solve_job
+        children = []
 
-        def spy_start(path, problem, ordering):
-            ck = real_start(path, problem, ordering)
-            prefixes.append(len(ck.row_order))
-            return ck
+        def dying_solve(order, job):
+            if job.depth and children:
+                raise RuntimeError("simulated kill after a refined child")
+            res = real_solve(order, job)
+            if job.depth and res.completed:
+                children.append(job.spec)
+            return res
 
-        monkeypatch.setattr(checkpoint, "resume_or_start", spy_start)
-        resumed = compute_efms(
-            net, method="combined", partition=5, on_oom="degrade",
-            context=RunContext(
-                memory_model=MemoryModel(capacity_bytes=500), checkpoint_path=d
-            ),
+        monkeypatch.setattr(executors_mod, "solve_job", dying_solve)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            combined_parallel(
+                reduced, PARTITION, 1, memory_model=mm, checkpoint_dir=d
+            )
+        assert len(children) == 1
+        monkeypatch.setattr(executors_mod, "solve_job", real_solve)
+        resumed = combined_parallel(
+            reduced, PARTITION, 1, memory_model=mm, checkpoint_dir=d
         )
-        assert prefixes[0] >= 1 and not any(prefixes[1:])
-        assert not list(d.glob("*_serial.npz"))
+        assert resumed.meta["refinements"]
+        resumed_children = [
+            s.spec for s in resumed.subsets if s.resumed and s.spec.q_sub > 2
+        ]
+        assert resumed_children == children
         assert np.array_equal(
-            canonical_rows(base.fluxes), canonical_rows(resumed.fluxes)
+            canonical_rows(base.efms()), canonical_rows(resumed.efms())
         )
 
     def test_record_keeps_oom_in_result(self, reduced, specs):
         mm = MemoryModel(capacity_bytes=100)
-        run = combined_parallel(
-            reduced, PARTITION, 1, memory_model=mm, on_oom="record"
-        )
+        run = combined_parallel(reduced, PARTITION, 1, memory_model=mm)
         assert not run.complete
         assert any(s.oom is not None for s in run.subsets)
 
@@ -320,7 +263,7 @@ class TestCheckpointing:
         meta["version"] = 4
         manifest.write_text(json.dumps(meta))
         with pytest.raises(
-            SchedulerError, match=r"format version 4 \(expected 5\)"
+            SchedulerError, match=r"format version 4 \(expected 6\)"
         ):
             make_scheduler(reduced, specs, checkpoint_dir=d).run()
 

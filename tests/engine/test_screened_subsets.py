@@ -3,8 +3,7 @@
 The scheduler's plan screens yeast-I-small's ``q_sub = 5`` tail partition
 (the ``y1-dnc5`` benchmark workload) once, on its subset lattice: 24 of
 the 32 subsets are proven empty there and must never reach an executor,
-be re-screened by a surviving subset's solve, or be re-screened by the
-degraded path.
+be re-screened by a surviving subset's solve or by a refinement.
 
 ``REPRO_TEST_EXECUTORS`` (comma-separated names) restricts the two
 executors (``inline``, ``process-pool``), as in
@@ -111,10 +110,13 @@ def test_resume_restores_screened_subsets_without_solving(
     assert np.array_equal(resumed.efms(), inline_run.efms())
 
 
-def test_degraded_run_does_not_rescreen(reduced, inline_run, screens):
-    mm = MemoryModel(capacity_bytes=20_000)
-    run = combined_parallel(reduced, PARTITION, 1, memory_model=mm, on_oom="degrade")
-    assert run.complete and run.meta["n_degraded"] >= 1
+def test_refined_run_does_not_rescreen(reduced, screens):
+    """A refinement screens only its zero child: the non-zero child has
+    its parent's zero set and takes the parent's blocked set."""
+    mm = MemoryModel(capacity_bytes=141_000)
+    run = combined_parallel(reduced, PARTITION, 1, memory_model=mm)
+    n_refined = len(run.meta["refinements"])
+    assert n_refined > 0
+    assert len(screens.lines()) == run.meta["screen_computed"] == 11 + n_refined
+    assert run.meta["screen_inherited"] == 21 + n_refined
     assert run.n_screened == 24
-    assert len(screens.lines()) == 11
-    assert np.array_equal(run.efms(), inline_run.efms())

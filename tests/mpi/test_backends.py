@@ -44,14 +44,6 @@ def _job_bcast(comm):
     return comm.bcast("payload" if comm.rank == 1 else None, root=1)
 
 
-def _job_gather(comm):
-    return comm.gather(comm.rank ** 2, root=0)
-
-
-def _job_allreduce(comm):
-    return comm.allreduce(comm.rank + 1)
-
-
 def _job_numpy(comm):
     data = np.full(100, comm.rank, dtype=np.int64)
     parts = comm.allgather(data)
@@ -151,14 +143,6 @@ class TestCollectives:
 
     def test_bcast(self, backend):
         assert run_spmd(_job_bcast, 3, backend=backend) == ["payload"] * 3
-
-    def test_gather(self, backend):
-        outs = run_spmd(_job_gather, 3, backend=backend)
-        assert outs[0] == [0, 1, 4]
-        assert outs[1] is None and outs[2] is None
-
-    def test_allreduce_default_sum(self, backend):
-        assert run_spmd(_job_allreduce, 4, backend=backend) == [10] * 4
 
     def test_numpy_payloads(self, backend):
         outs = run_spmd(_job_numpy, 3, backend=backend)

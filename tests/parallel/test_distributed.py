@@ -8,7 +8,7 @@ import pytest
 from repro.cluster.memory import MemoryModel
 from repro.config import AlgorithmOptions
 from repro.core.serial import nullspace_algorithm
-from repro.efm.api import compute_efms
+from repro.efm.api import build_problem_with_split, compute_efms
 from repro.errors import AlgorithmError, OutOfMemoryError
 from repro.models.generators import random_network
 from repro.models.toy import toy_network
@@ -95,6 +95,27 @@ class TestComputeEfms:
                 memory_model=MemoryModel(capacity_bytes=10_000),
             )
         assert exc_info.value.iteration >= 0
+
+    def test_memory_model_charges_gathered_modes(self):
+        """A row's gathered active modes are alive beside the shard: a
+        budget that fits every shard but not shard + gathered runs out."""
+        reduced = compress_network(yeast_1_small()).reduced
+        problem, _ = build_problem_with_split(reduced)
+        seen = []
+
+        class Recorder:
+            def check(self, k, modes, gathered_bytes=0):
+                seen.append((modes.nbytes(), gathered_bytes))
+
+        distributed(problem, 2, memory_model=Recorder())
+        shard = max(b for b, _ in seen)
+        shard_and_gathered = max(b + g for b, g in seen)
+        assert shard < shard_and_gathered
+        cap = int(1.5 * shard)  # MemoryModel's default working factor
+        assert cap < int(1.5 * shard_and_gathered)
+        with pytest.raises(OutOfMemoryError, match="at iteration") as exc_info:
+            distributed(problem, 2, memory_model=MemoryModel(capacity_bytes=cap))
+        assert exc_info.value.iteration >= problem.first_row
 
 
 class TestPartitioning:

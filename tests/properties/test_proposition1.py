@@ -12,10 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster.memory import MemoryModel
 from repro.core.kernel import build_problem
 from repro.core.serial import nullspace_algorithm
-from repro.dnc.adaptive import adaptive_combined
+from repro.dnc.combined import combined_parallel
 from repro.efm.api import compute_efms
 from repro.efm.targeted import efms_through
-from repro.errors import ReproError
+from repro.errors import PartitionError, ReproError
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
 from tests.conftest import assert_same_modes, canonical_rows
@@ -86,8 +86,8 @@ def test_targeted_queries_equal_filters(params, data):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_adaptive_refinement_preserves_efm_set(params):
-    """Under an artificially tight memory model, adaptive refinement must
-    still produce exactly the full EFM set (or report failure, never a
+    """Under an artificially tight memory model, the scheduler's
+    refinement must still produce exactly the full EFM set (or report failure, never a
     wrong set)."""
     net = random_network(**params)
     rec = compress_network(net)
@@ -102,12 +102,15 @@ def test_adaptive_refinement_preserves_efm_set(params):
         return
     cap = max(64, int(probe.peak_bytes * 0.9))
     partition = rec.reduced.reaction_names[-1:]
-    adaptive = adaptive_combined(
-        rec.reduced, partition, 1, MemoryModel(capacity_bytes=cap), max_depth=3
-    )
-    if not adaptive.complete:
+    try:
+        run = combined_parallel(
+            rec.reduced, partition, 1, memory_model=MemoryModel(capacity_bytes=cap)
+        )
+    except PartitionError:
+        return  # refinement ran out of reactions: a refusal
+    if not run.complete:
         return  # refusal is acceptable; wrong answers are not
-    reduced_efms = adaptive.combined.efms()
+    reduced_efms = run.efms()
     expanded = rec.expand_fluxes(reduced_efms.T).T
     singles = rec.singleton_flux_matrix().T
     if singles.shape[0]:
